@@ -20,15 +20,15 @@
 //     host the ratio is ~1 by construction; `hw_threads` is recorded so
 //     consumers can tell "no speedup available" from "regression".
 //   * intra         — ONE 64-tile delta run at --intra-jobs 1/2/4/8: the
-//     scaling curve of the fused pipeline epoch engine, with the same
+//     scaling curve of the stage/apply/reduce epoch engine, with the same
 //     byte-identity requirement (and the same 1-CPU caveat; divergence
 //     fails regardless of host, speedup is gated only on multi-core
 //     runners — bench_diff skips the ratio when hw_threads == 1).
 //   * engine_health — machine-independent scheduler counters from the
-//     profiled run (barriers per epoch, tasks, steal fraction, stage/apply
-//     overlap fraction; v5).  barriers_per_epoch is structural — 2 per
-//     epoch for the fused section vs 6 for the old three-phase lockstep —
-//     and bench_diff gates it on every host.
+//     profiled run (barriers per epoch, tasks, steal fraction; v5).
+//     barriers_per_epoch is structural — 2 per epoch for the engine's one
+//     section vs 6 for the old three-section lockstep — and bench_diff
+//     gates it on every host.
 //
 // Usage: micro_throughput [--out BENCH_throughput.json] [--jobs N]
 //                         [--reps N] [--quick]
@@ -415,11 +415,9 @@ int main(int argc, char** argv) {
   const double tasks_per_epoch =
       health_epochs > 0.0 ? health_tasks / health_epochs : 0.0;
   const double steal_frac = gauge_or_zero("delta_intra_steal_fraction");
-  const double overlap_frac =
-      gauge_or_zero("delta_intra_stage_apply_overlap_fraction");
   std::printf("engine health: %.1f barriers/epoch, %.1f tasks/epoch, "
-              "steal fraction %.3f, stage/apply overlap %.3f\n",
-              barriers_per_epoch, tasks_per_epoch, steal_frac, overlap_frac);
+              "steal fraction %.3f\n",
+              barriers_per_epoch, tasks_per_epoch, steal_frac);
 
   // ---- BENCH_throughput.json. ----
   std::string j;
@@ -528,9 +526,7 @@ int main(int argc, char** argv) {
   j += "    \"pool_sections_per_epoch\": " + obs::json_num(sections_per_epoch) +
        ",\n";
   j += "    \"tasks_per_epoch\": " + obs::json_num(tasks_per_epoch) + ",\n";
-  j += "    \"steal_fraction\": " + obs::json_num(steal_frac) + ",\n";
-  j += "    \"stage_apply_overlap_fraction\": " + obs::json_num(overlap_frac) +
-       "\n";
+  j += "    \"steal_fraction\": " + obs::json_num(steal_frac) + "\n";
   j += "  }\n";
   j += "}\n";
   if (!obs::write_text_file(out_path, j)) {

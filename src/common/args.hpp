@@ -2,12 +2,15 @@
 //
 // Supports `--name value` and `--name=value` forms plus boolean switches
 // (`--flag`).  Unknown flags are collected so callers can reject them with
-// a helpful message; positional arguments are preserved in order.
+// a helpful message; positional arguments are preserved in order.  Numeric
+// getters reject malformed values with a std::invalid_argument.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,16 +45,28 @@ class ArgParser {
     return it == flags_.end() ? def : it->second;
   }
 
+  /// The whole value must parse; otherwise throws std::invalid_argument
+  /// naming the flag and the offending text.
   std::int64_t get_int(const std::string& name, std::int64_t def) const {
     auto it = flags_.find(name);
     if (it == flags_.end() || it->second.empty()) return def;
-    return std::stoll(it->second);
+    const std::string& v = it->second;
+    std::int64_t out = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size())
+      throw std::invalid_argument("--" + name + " expects an integer, got '" + v + "'");
+    return out;
   }
 
   double get_double(const std::string& name, double def) const {
     auto it = flags_.find(name);
     if (it == flags_.end() || it->second.empty()) return def;
-    return std::stod(it->second);
+    const std::string& v = it->second;
+    double out = 0.0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size())
+      throw std::invalid_argument("--" + name + " expects a number, got '" + v + "'");
+    return out;
   }
 
   const std::vector<std::string>& positional() const { return positional_; }

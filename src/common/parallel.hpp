@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -58,6 +59,22 @@ class ErrorSlot {
 
 }  // namespace detail
 
+/// Hardware thread count, never 0.
+inline unsigned hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+/// Worker count for an engine over `cap` items (cores, banks): `requested`
+/// <= 0 is auto (hardware_threads()), explicit values may oversubscribe.
+/// Either way the result is clamped to [1, cap].
+inline unsigned resolve_workers(int requested, std::size_t cap) {
+  std::size_t n =
+      requested <= 0 ? hardware_threads() : static_cast<std::size_t>(requested);
+  if (n > cap) n = cap;
+  return n == 0 ? 1 : static_cast<unsigned>(n);
+}
+
 /// Invokes `body(i)` for every i in [begin, end) using up to `threads`
 /// worker threads (0 == hardware_concurrency).  Blocks until all complete.
 /// `body` must be safe to call concurrently for distinct indices.
@@ -77,8 +94,7 @@ inline void parallel_for(std::size_t begin, std::size_t end,
                          unsigned threads = 0, std::size_t grain = 1) {
   if (end <= begin) return;
   const std::size_t n = end - begin;
-  unsigned hw = threads == 0 ? std::thread::hardware_concurrency() : threads;
-  if (hw == 0) hw = 1;
+  unsigned hw = threads == 0 ? hardware_threads() : threads;
   if (hw > n) hw = static_cast<unsigned>(n);
   if (grain > 1) {
     const std::size_t cap = n / grain;
@@ -161,54 +177,69 @@ class CyclicBarrier {
   std::uint64_t generation_ GUARDED_BY(mu_) = 0;
 };
 
-/// Deterministic sequential claim word for the work-stealing schedulers.
-///
-/// One SeqClaim guards one ordered chain of work units (e.g. the round-range
-/// tasks of a single cache bank, which must apply in ascending order).  The
-/// word packs `(next_unit << 1) | busy`: a worker may only claim the exact
-/// unit the chain has advanced to, so units always execute in sequence no
-/// matter which worker wins the race — *which* thread runs a unit can vary,
-/// *what order* units run in cannot, and that is the whole byte-identity
-/// argument for stealing.
-///
-/// Memory ordering: try_claim() acquires (the winner sees everything the
-/// previous unit's complete() released) and complete() releases the unit's
-/// writes to the next claimant.  A failed try_claim carries no ordering.
-///
-/// Units are capped at 2^31-1 per chain — epoch round counts are orders of
-/// magnitude below that.
-class SeqClaim {
+/// Per-index claim flags for deterministic work-stealing inside a WorkerPool
+/// section.  Every party calls run() with its own worker index and each
+/// index in [0, n) runs on exactly one of them: a worker claims its
+/// static_partition home range first, then steals unclaimed indices in
+/// ascending order.  Only *which* worker runs an index varies between runs.
+/// Claims are relaxed — ordering between tasks or phases is the caller's
+/// (e.g. a release counter the next phase acquires).
+class ClaimSet {
  public:
-  /// Resets the chain to `unit` (not thread-safe; call between sections).
-  void reset(std::uint32_t unit = 0) {
-    word_.store(unit << 1, std::memory_order_relaxed);
+  /// Tasks one worker ran in one run(), and how many lay outside its home.
+  struct Counts {
+    std::uint64_t tasks = 0;
+    std::uint64_t stolen = 0;
+    Counts& operator+=(const Counts& o) {
+      tasks += o.tasks;
+      stolen += o.stolen;
+      return *this;
+    }
+  };
+
+  explicit ClaimSet(std::size_t n = 0)
+      : n_(n), claimed_(std::make_unique<std::atomic<std::uint8_t>[]>(n)) {
+    reset();
   }
 
-  /// Lower bound of the next unclaimed unit (racy snapshot; monotone).
-  std::uint32_t next_unit() const {
-    return word_.load(std::memory_order_relaxed) >> 1;
+  /// Unclaims every index.  Owner-side, between sections (the pool's start
+  /// barrier publishes it).
+  void reset() {
+    for (std::size_t i = 0; i < n_; ++i) claimed_[i].store(0, std::memory_order_relaxed);
   }
 
-  /// True while some worker holds a claimed-but-incomplete unit.
-  bool busy() const { return (word_.load(std::memory_order_relaxed) & 1u) != 0; }
-
-  /// Attempts to claim `unit`; succeeds only when the chain is exactly at
-  /// `unit` and idle.  The winner must eventually call complete(unit).
-  bool try_claim(std::uint32_t unit) {
-    std::uint32_t expected = unit << 1;
-    return word_.compare_exchange_strong(expected, (unit << 1) | 1u,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed);
-  }
-
-  /// Marks `unit` finished and opens unit+1 for claiming, publishing the
-  /// unit's writes to whichever worker claims next.
-  void complete(std::uint32_t unit) {
-    word_.store((unit + 1) << 1, std::memory_order_release);
+  /// Calls fn(i) for every index worker `worker` of `parts` wins.  Claims
+  /// nothing more once `failed` is set; if fn throws, sets `failed` (so
+  /// peers stop too) and rethrows.
+  template <class Fn>
+  Counts run(unsigned parts, unsigned worker, std::atomic<bool>& failed, Fn&& fn) {
+    const IndexRange home = static_partition(n_, parts, worker);
+    Counts counts;
+    for (std::size_t k = 0; k < n_; ++k) {
+      if (failed.load(std::memory_order_relaxed)) break;
+      // Home range first, then every other index in ascending order.
+      const std::size_t j = k - home.size();
+      const std::size_t i =
+          k < home.size() ? home.begin + k : (j < home.begin ? j : j + home.size());
+      // Test before exchanging, so steal passes mostly just read.
+      if (claimed_[i].load(std::memory_order_relaxed) != 0 ||
+          claimed_[i].exchange(1, std::memory_order_relaxed) != 0)
+        continue;
+      try {
+        fn(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+      ++counts.tasks;
+      if (k >= home.size()) ++counts.stolen;
+    }
+    return counts;
   }
 
  private:
-  std::atomic<std::uint32_t> word_{0};
+  std::size_t n_;
+  std::unique_ptr<std::atomic<std::uint8_t>[]> claimed_;
 };
 
 /// Observation hooks for WorkerPool sections.  The profiler (obs/prof)

@@ -19,8 +19,8 @@
 // the annotations read like the upstream examples.
 //
 // Scope note: the analysis models *lock* discipline.  The lock-free engine
-// primitives in common/parallel.hpp (CyclicBarrier, SeqClaim, the WorkerPool
-// claim words) and sim/intra's watermark/claim atomics are std::atomic-based
+// primitives in common/parallel.hpp (CyclicBarrier, the WorkerPool, the
+// ClaimSet claim flags) and sim/intra's phase counters are std::atomic-based
 // and carry their ordering contracts in comments at each load/store site
 // instead — there is no capability to annotate, and wrapping them in a fake
 // one would silence the analysis where it has nothing to say.  TSan (CI job)

@@ -168,11 +168,8 @@ struct EngineProfile::Handles {
   Counter& barrier_crossings;
   Counter& tasks;
   Counter& tasks_stolen;
-  Counter& apply_ranges;
-  Counter& apply_ranges_overlapped;
   Gauge& barriers_per_epoch;
   Gauge& steal_fraction;
-  Gauge& overlap_fraction;
 
   explicit Handles(MetricsRegistry& reg)
       : epochs(reg.counter("delta_intra_epochs_total",
@@ -212,19 +209,11 @@ struct EngineProfile::Handles {
         tasks_stolen(reg.counter(
             "delta_intra_tasks_stolen_total",
             "Tasks executed by a worker outside its static home range")),
-        apply_ranges(reg.counter("delta_intra_apply_ranges_total",
-                                 "(bank, round-range) apply tasks executed")),
-        apply_ranges_overlapped(reg.counter(
-            "delta_intra_apply_ranges_overlapped_total",
-            "Apply ranges claimed while staging was still in flight")),
         barriers_per_epoch(
             reg.gauge("delta_intra_barriers_per_epoch",
                       "Pool barrier crossings per engine epoch")),
         steal_fraction(reg.gauge("delta_intra_steal_fraction",
-                                 "Stolen tasks / all scheduler tasks")),
-        overlap_fraction(reg.gauge(
-            "delta_intra_stage_apply_overlap_fraction",
-            "Apply ranges overlapped with staging / all apply ranges")) {}
+                                 "Stolen tasks / all scheduler tasks")) {}
 };
 
 EngineProfile::EngineProfile(unsigned workers)
@@ -303,7 +292,7 @@ void EngineProfile::end_section() {
     cum_barrier_ns_ += wait;
     cum_section_ns_ += busy + wait;
     epoch_busy_[w] += busy;
-    // Fold the worker's per-kind task time (fused kPipeline sections record
+    // Fold the worker's per-kind task time (kPipeline sections record
     // stage/apply/reduce attribution through task_begin) into the run
     // totals, so busy_ns(kStage/kApply/kReduce) keeps working.
     TaskSlot& t = tasks_[w];
@@ -360,26 +349,19 @@ void EngineProfile::end_epoch(std::uint64_t epoch) {
 }
 
 void EngineProfile::count_epoch(std::uint64_t pool_sections, std::uint64_t tasks,
-                                std::uint64_t tasks_stolen,
-                                std::uint64_t apply_ranges,
-                                std::uint64_t apply_ranges_overlapped) {
+                                std::uint64_t tasks_stolen) {
   ensure_handles();
   ++health_epochs_;
   health_sections_ += pool_sections;
   health_tasks_ += tasks;
   health_stolen_ += tasks_stolen;
-  health_ranges_ += apply_ranges;
-  health_overlapped_ += apply_ranges_overlapped;
   handles_->engine_epochs.add(1);
   handles_->pool_sections.add(pool_sections);
   handles_->barrier_crossings.add(2 * pool_sections);
   handles_->tasks.add(tasks);
   handles_->tasks_stolen.add(tasks_stolen);
-  handles_->apply_ranges.add(apply_ranges);
-  handles_->apply_ranges_overlapped.add(apply_ranges_overlapped);
   handles_->barriers_per_epoch.set(barriers_per_epoch());
   handles_->steal_fraction.set(steal_fraction());
-  handles_->overlap_fraction.set(stage_apply_overlap_fraction());
 }
 
 double EngineProfile::barriers_per_epoch() const {
@@ -392,12 +374,6 @@ double EngineProfile::steal_fraction() const {
   return health_tasks_ > 0 ? static_cast<double>(health_stolen_) /
                                  static_cast<double>(health_tasks_)
                            : 0.0;
-}
-
-double EngineProfile::stage_apply_overlap_fraction() const {
-  return health_ranges_ > 0 ? static_cast<double>(health_overlapped_) /
-                                  static_cast<double>(health_ranges_)
-                            : 0.0;
 }
 
 std::uint64_t EngineProfile::busy_ns(Phase p) const {

@@ -65,7 +65,7 @@ enum class Phase : std::uint8_t {
   kStage,         ///< Intra staging task run (per-worker, inside kPipeline).
   kApply,         ///< Intra apply task run (per-worker, inside kPipeline).
   kReduce,        ///< Intra reduce task run (per-worker, inside kPipeline).
-  kPipeline,      ///< Intra fused stage+apply+reduce worker section.
+  kPipeline,      ///< Intra stage→apply→reduce worker section.
   kSerialTail,    ///< Intra serial integer-tally reduction.
   kBarrier,       ///< Done-barrier wait inside a worker section.
   kSweepJob,      ///< One run_sweep job (a whole simulation).
@@ -306,11 +306,11 @@ class EngineProfile final : public WorkerHooks {
   void section_begin(unsigned worker) override;
   void work_done(unsigned worker) override;
 
-  /// Worker-side task attribution inside a fused kPipeline section: the
+  /// Worker-side task attribution inside a kPipeline section: the
   /// scheduler calls this when worker `worker` starts a task of kind `p`
   /// (kStage / kApply / kReduce).  Consecutive tasks of the same kind extend
   /// one span; a kind switch closes the open span and records it, so the
-  /// trace keeps per-phase rows even though the pool runs a single fused
+  /// trace keeps per-phase rows even though the pool runs a single
   /// section.  work_done() flushes the last open span.  No-op when the
   /// section is not armed.
   void task_begin(unsigned worker, Phase p);
@@ -337,19 +337,17 @@ class EngineProfile final : public WorkerHooks {
   /// Machine-independent engine-health accounting, one call per epoch from
   /// the owner thread.  Unlike the timing metrics this is NOT gated on the
   /// profiling level: the counts are structural (how many pool sections,
-  /// tasks, steals and overlapped apply ranges the epoch used), so CI can
+  /// tasks and steals the epoch used), so CI can
   /// gate scaling *structure* even on 1-hw-thread hosts where wall-clock
   /// ratios are meaningless.  Each pool section costs two barrier
   /// crossings (start + done).
   void count_epoch(std::uint64_t pool_sections, std::uint64_t tasks,
-                   std::uint64_t tasks_stolen, std::uint64_t apply_ranges,
-                   std::uint64_t apply_ranges_overlapped);
+                   std::uint64_t tasks_stolen);
 
   // Cumulative health totals (any profiling level).
   std::uint64_t health_epochs() const { return health_epochs_; }
   double barriers_per_epoch() const;
   double steal_fraction() const;
-  double stage_apply_overlap_fraction() const;
 
   // Cumulative run totals, exposed for tests and the bench phase breakdown.
   std::uint64_t busy_ns(Phase p) const;
@@ -401,8 +399,6 @@ class EngineProfile final : public WorkerHooks {
   std::uint64_t health_sections_ = 0;
   std::uint64_t health_tasks_ = 0;
   std::uint64_t health_stolen_ = 0;
-  std::uint64_t health_ranges_ = 0;
-  std::uint64_t health_overlapped_ = 0;
 
   struct Handles;
   std::unique_ptr<Handles> handles_;  ///< Lazily bound registry metrics.

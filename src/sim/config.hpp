@@ -51,12 +51,6 @@ struct MachineConfig {
   /// never depend on it.
   bool intra_pin = false;
 
-  /// Rounds of the interleaved issue order covered by one intra-engine
-  /// apply task (the (bank, round-range) work-stealing granularity).  0 =
-  /// auto-size from the epoch's round count and worker count.  Results are
-  /// byte-identical for every value; this knob trades wall-clock only.
-  int intra_apply_rounds = 0;
-
   /// Per-core batch size of the interleaved issue order.  0 = the compile
   /// time default Chip::kInterleaveBatch (16, overridable with
   /// -DDELTA_INTERLEAVE_BATCH=N).  Unlike the knobs above this one IS part

@@ -1,7 +1,6 @@
 #include "sim/intra.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <thread>
 
@@ -9,15 +8,12 @@
 
 namespace delta::sim {
 
-namespace {
-/// Outer capacity reserved per (core,bank) slice list at construction, so
-/// typical epochs never reallocate the slice spine on the hot path.
-constexpr std::size_t kSliceSpineReserve = 16;
-}  // namespace
-
 IntraEngine::IntraEngine(Chip& chip, unsigned threads)
     : chip_(chip),
       pool_(threads, WorkerPool::Options{chip.cfg_.intra_pin}),
+      stage_claim_(static_cast<std::size_t>(chip.cores())),
+      apply_claim_(static_cast<std::size_t>(chip.cores())),
+      reduce_claim_(static_cast<std::size_t>(chip.cores())),
       profile_(threads) {
   pool_.set_hooks(&profile_);
   const std::size_t cores = static_cast<std::size_t>(chip_.cores());
@@ -26,16 +22,6 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
   tallies_.resize(cores);
   remote_.resize(cores);
   wstats_.resize(pool_.parties());
-  task_errors_.resize(pool_.parties());
-  staged_slices_ = std::make_unique<std::atomic<std::uint32_t>[]>(cores);
-  stage_claim_ = std::make_unique<std::atomic<std::uint8_t>[]>(cores);
-  reduce_claim_ = std::make_unique<std::atomic<std::uint8_t>[]>(cores);
-  apply_claim_ = std::make_unique<SeqClaim[]>(cores);
-  for (std::size_t c = 0; c < cores; ++c) {
-    staged_slices_[c].store(0, std::memory_order_relaxed);
-    stage_claim_[c].store(0, std::memory_order_relaxed);
-    reduce_claim_[c].store(0, std::memory_order_relaxed);
-  }
 
   // First-touch warm pass: worker w faults in the buffers of its static
   // home cores/banks, so with pinning enabled (cfg.intra_pin) the pages
@@ -44,11 +30,7 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
   const unsigned parties = pool_.parties();
   pool_.run([&](unsigned w) {
     const IndexRange r = static_partition(cores, parties, w);
-    for (std::size_t c = r.begin; c < r.end; ++c) {
-      CoreStage& st = stages_[c];
-      st.to_bank.resize(cores);
-      for (auto& bank_lists : st.to_bank) bank_lists.reserve(kSliceSpineReserve);
-    }
+    for (std::size_t c = r.begin; c < r.end; ++c) stages_[c].to_bank.resize(cores);
     for (std::size_t b = r.begin; b < r.end; ++b) {
       BankTally& t = tallies_[b];
       t.hits.resize(cores);
@@ -59,61 +41,19 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
   });
 }
 
-void IntraEngine::prepare_epoch() {
-  const std::size_t cores = static_cast<std::size_t>(chip_.cores());
-  const std::uint64_t batch = chip_.interleave_batch();
-  std::uint64_t max_target = 0;
-  for (std::size_t c = 0; c < cores; ++c)
-    max_target = std::max(max_target, chip_.epoch_targets_[c]);
-  const std::uint64_t rounds = (max_target + batch - 1) / batch;
-
-  // Apply-task granularity: enough slices that work can spread and overlap
-  // staging, few enough that claim/readiness polling stays in the noise.
-  std::uint64_t slice_rounds =
-      chip_.cfg_.intra_apply_rounds > 0
-          ? static_cast<std::uint64_t>(chip_.cfg_.intra_apply_rounds)
-          : std::clamp<std::uint64_t>(rounds / (4 * pool_.parties()), 8, 256);
-  slice_accesses_ = slice_rounds * batch;
-  num_slices_ = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(1, (rounds + slice_rounds - 1) / slice_rounds));
-
-  for (std::size_t c = 0; c < cores; ++c) {
-    CoreStage& st = stages_[c];
-    for (auto& bank_lists : st.to_bank)
-      if (bank_lists.size() < num_slices_) bank_lists.resize(num_slices_);
-  }
-  for (std::size_t c = 0; c < cores; ++c) {
-    staged_slices_[c].store(0, std::memory_order_relaxed);
-    stage_claim_[c].store(0, std::memory_order_relaxed);
-    reduce_claim_[c].store(0, std::memory_order_relaxed);
-    apply_claim_[c].reset(0);
-  }
-  stage_done_.store(0, std::memory_order_relaxed);
-  banks_done_.store(0, std::memory_order_relaxed);
-  failed_.store(false, std::memory_order_relaxed);
-  for (WorkerStats& ws : wstats_) ws = WorkerStats{};
-}
-
 void IntraEngine::stage_core(CoreId c) {
   const obs::prof::ScopedSite timer(obs::prof::Site::kStageCore);
   const AppSlot& s = chip_.slots_[static_cast<std::size_t>(c)];
   CoreStage& st = stages_[static_cast<std::size_t>(c)];
   const std::uint64_t target = chip_.epoch_targets_[static_cast<std::size_t>(c)];
-  for (auto& bank_lists : st.to_bank)
-    for (std::uint32_t sl = 0; sl < num_slices_; ++sl) bank_lists[sl].clear();
+  for (auto& list : st.to_bank) list.clear();
   st.acc.clear();
-  std::atomic<std::uint32_t>& mark = staged_slices_[static_cast<std::size_t>(c)];
-  if (!s.active || target == 0) {
-    mark.store(UINT32_MAX, std::memory_order_release);
-    return;
-  }
+  if (!s.active || target == 0) return;
 
   st.acc.resize(static_cast<std::size_t>(target));
   workload::TraceGen* const gen = s.gen.get();
   umon::Umon* const um = s.umon.get();
   const Scheme* const scheme = chip_.scheme_.get();
-  const std::uint64_t per_slice = slice_accesses_;
-  std::uint32_t published = 0;
   // Same two-stage pipeline as Chip::do_access_batch: generate one access
   // ahead and prefetch its UMON stack while the current one is mapped and
   // staged.  Component call order is unchanged, so staging stays
@@ -131,28 +71,18 @@ void IntraEngine::stage_core(CoreId c) {
     a.block = block;
     a.set = t.set;
     a.bank = static_cast<std::uint16_t>(t.bank);
-    st.to_bank[static_cast<std::size_t>(t.bank)][i / per_slice].push_back(
+    st.to_bank[static_cast<std::size_t>(t.bank)].push_back(
         static_cast<std::uint32_t>(i));
-    // Publish the slice watermark once its segments are final: appliers
-    // acquire it and may then read everything staged below it.
-    if ((i + 1) % per_slice == 0)
-      mark.store(++published, std::memory_order_release);
   }
-  mark.store(UINT32_MAX, std::memory_order_release);
 }
 
-void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
-                                   obs::prof::EngineProfile::MergeScratch* ms) {
+void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms) {
   const obs::prof::ScopedSite timer(obs::prof::Site::kApplyBank);
   const int cores = chip_.cores();
   BankTally& tally = tallies_[static_cast<std::size_t>(b)];
-  if (slice == 0) {
-    std::fill(tally.hits.begin(), tally.hits.end(), 0);
-    std::fill(tally.misses.begin(), tally.misses.end(), 0);
-    std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
-  }
-  // Cursors index into this slice's segments only; the chain resets them
-  // at every slice boundary.
+  std::fill(tally.hits.begin(), tally.hits.end(), 0);
+  std::fill(tally.misses.begin(), tally.misses.end(), 0);
+  std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
   std::fill(tally.cursor.begin(), tally.cursor.end(), 0);
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
@@ -165,9 +95,7 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
   // Canonical merge: the serial loop issues round-robin batches of
   // interleave_batch() per core, so this bank saw its accesses in ascending
   // (round, core, index) order with round = index / batch.  Each per-core
-  // segment is already ascending; walk them round by round.  Slices chunk
-  // the very same order, so concatenating the slice chain reproduces the
-  // serial sequence exactly.
+  // list is already ascending; walk them round by round.
   const std::uint32_t kBatch = static_cast<std::uint32_t>(chip_.interleave_batch());
   for (;;) {
     // The round scan below is the serialization the merge pays for
@@ -176,13 +104,13 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
     // doubling the scan cost.
     const bool sample = ms != nullptr && (ms->rounds & 7u) == 0;
     const std::uint64_t scan_t0 = sample ? obs::prof::now_ns() : 0;
-    // Lowest unconsumed round across all cores (within this slice).
+    // Lowest unconsumed round across all cores.
     std::uint32_t round = UINT32_MAX;
     for (int c = 0; c < cores; ++c) {
-      const auto& seg = stages_[static_cast<std::size_t>(c)]
-                            .to_bank[static_cast<std::size_t>(b)][slice];
+      const auto& list =
+          stages_[static_cast<std::size_t>(c)].to_bank[static_cast<std::size_t>(b)];
       const std::size_t cur = tally.cursor[static_cast<std::size_t>(c)];
-      if (cur < seg.size()) round = std::min(round, seg[cur] / kBatch);
+      if (cur < list.size()) round = std::min(round, list[cur] / kBatch);
     }
     if (ms != nullptr) {
       ++ms->rounds;
@@ -195,14 +123,14 @@ void IntraEngine::apply_bank_slice(BankId b, std::uint32_t slice,
 
     for (int c = 0; c < cores; ++c) {
       CoreStage& st = stages_[static_cast<std::size_t>(c)];
-      const auto& seg = st.to_bank[static_cast<std::size_t>(b)][slice];
+      const auto& list = st.to_bank[static_cast<std::size_t>(b)];
       std::size_t& cur = tally.cursor[static_cast<std::size_t>(c)];
-      while (cur < seg.size() && seg[cur] / kBatch == round) {
-        Staged& a = st.acc[seg[cur]];
+      while (cur < list.size() && list[cur] / kBatch == round) {
+        Staged& a = st.acc[list[cur]];
         ++cur;
         // Pull the next staged access's set rows toward L1 while this one
         // computes its masks and latency (hint only — no state change).
-        if (cur < seg.size()) bank.prefetch_set(st.acc[seg[cur]].set);
+        if (cur < list.size()) bank.prefetch_set(st.acc[list[cur]].set);
         const mem::WayMask mask = scheme->insert_mask(chip_, c, b);
         const CoreId evict_pref = scheme->evict_preference(chip_, c, b);
         const mem::AccessResult res = bank.access(a.set, a.block, c, mask, evict_pref);
@@ -249,151 +177,71 @@ void IntraEngine::reduce_core(CoreId c, bool measuring) {
 void IntraEngine::record_buffer_occupancy() {
   std::uint64_t pairs = 0, nonzero = 0;
   for (const CoreStage& st : stages_) {
-    for (const auto& bank_lists : st.to_bank) {
-      std::uint64_t staged = 0;
-      for (std::uint32_t sl = 0; sl < num_slices_; ++sl)
-        staged += bank_lists[sl].size();
+    for (const auto& list : st.to_bank) {
       ++pairs;
-      if (staged > 0) {
+      if (!list.empty()) {
         ++nonzero;
-        profile_.add_occupancy(staged, 0, 0);
+        profile_.add_occupancy(list.size(), 0, 0);
       }
     }
   }
   profile_.add_occupancy(0, pairs, nonzero);
 }
 
-std::uint32_t IntraEngine::staged_min() const {
-  const std::size_t cores = static_cast<std::size_t>(chip_.cores());
-  std::uint32_t m = UINT32_MAX;
-  // One acquire load per core: reading core c's own watermark is what makes
-  // core c's staged data visible to this thread, so the minimum must be
-  // recomputed here rather than cached by another worker.
-  for (std::size_t c = 0; c < cores; ++c)
-    m = std::min(m, staged_slices_[c].load(std::memory_order_acquire));
-  return m;
-}
-
-void IntraEngine::run_stage_tasks(unsigned w) {
-  const std::size_t cores = static_cast<std::size_t>(chip_.cores());
-  const IndexRange home = static_partition(cores, pool_.parties(), w);
-  WorkerStats& ws = wstats_[static_cast<std::size_t>(w)];
-  const auto try_core = [&](std::size_t c) {
-    // Relaxed claim: only decides *which* worker stages the core; the
-    // core's RNG/monitor state was last written in the previous epoch and
-    // is published by the pool's barriers.
-    if (stage_claim_[c].exchange(1, std::memory_order_relaxed) != 0) return;
-    profile_.task_begin(w, obs::prof::Phase::kStage);
-    stage_core(static_cast<CoreId>(c));
-    ++ws.tasks;
-    if (c < home.begin || c >= home.end) ++ws.stolen;
-    stage_done_.fetch_add(1, std::memory_order_relaxed);
-  };
-  for (std::size_t c = home.begin; c < home.end; ++c) {
-    if (failed_.load(std::memory_order_relaxed)) return;
-    try_core(c);
+bool IntraEngine::await_all(const std::atomic<std::uint32_t>& counter) const {
+  const auto n = static_cast<std::uint32_t>(chip_.cores());
+  // The acquire load that sees n pairs with every task's release increment,
+  // so everything the previous phase wrote is visible to this worker.
+  while (counter.load(std::memory_order_acquire) < n) {
+    if (failed_.load(std::memory_order_relaxed)) return false;
+    std::this_thread::yield();
   }
-  // Steal order fixed by task id (ascending core), so two runs schedule the
-  // same candidates in the same order — only the claim winner varies, and
-  // that never affects results.
-  for (std::size_t c = 0; c < cores; ++c) {
-    if (failed_.load(std::memory_order_relaxed)) return;
-    try_core(c);
-  }
-}
-
-void IntraEngine::run_apply_tasks(unsigned w) {
-  const std::size_t banks = static_cast<std::size_t>(chip_.cores());
-  const std::size_t cores = banks;
-  const IndexRange home = static_partition(banks, pool_.parties(), w);
-  WorkerStats& ws = wstats_[static_cast<std::size_t>(w)];
-  obs::prof::EngineProfile::MergeScratch* const ms =
-      profile_.armed() && profile_.full() ? &profile_.merge_scratch(w) : nullptr;
-  while (banks_done_.load(std::memory_order_acquire) <
-         static_cast<std::uint32_t>(banks)) {
-    if (failed_.load(std::memory_order_relaxed)) return;
-    const std::uint32_t ready = staged_min();  // Slices safe to apply.
-    bool progressed = false;
-    for (std::size_t k = 0; k < banks; ++k) {
-      const std::size_t b = (home.begin + k) % banks;
-      SeqClaim& claim = apply_claim_[b];
-      const std::uint32_t s = claim.next_unit();
-      if (s >= num_slices_ || s >= ready) continue;
-      if (!claim.try_claim(s)) continue;
-      const bool overlapped =
-          stage_done_.load(std::memory_order_relaxed) <
-          static_cast<std::uint32_t>(cores);
-      profile_.task_begin(w, obs::prof::Phase::kApply);
-      apply_bank_slice(static_cast<BankId>(b), s, ms);
-      claim.complete(s);
-      ++ws.tasks;
-      ++ws.ranges;
-      if (overlapped) ++ws.overlapped;
-      if (b < home.begin || b >= home.end) ++ws.stolen;
-      if (s + 1 == num_slices_)
-        banks_done_.fetch_add(1, std::memory_order_release);
-      progressed = true;
-    }
-    if (!progressed) std::this_thread::yield();
-  }
-}
-
-void IntraEngine::run_reduce_tasks(unsigned w, bool measuring) {
-  // Entered only after this worker observed banks_done_ == banks with an
-  // acquire load, which (through the per-bank SeqClaim release chains)
-  // happens-after every apply write — and transitively every stage write.
-  const std::size_t cores = static_cast<std::size_t>(chip_.cores());
-  const IndexRange home = static_partition(cores, pool_.parties(), w);
-  WorkerStats& ws = wstats_[static_cast<std::size_t>(w)];
-  const auto try_core = [&](std::size_t c) {
-    if (reduce_claim_[c].exchange(1, std::memory_order_relaxed) != 0) return;
-    profile_.task_begin(w, obs::prof::Phase::kReduce);
-    reduce_core(static_cast<CoreId>(c), measuring);
-    ++ws.tasks;
-    if (c < home.begin || c >= home.end) ++ws.stolen;
-  };
-  for (std::size_t c = home.begin; c < home.end; ++c) {
-    if (failed_.load(std::memory_order_relaxed)) return;
-    try_core(c);
-  }
-  for (std::size_t c = 0; c < cores; ++c) {
-    if (failed_.load(std::memory_order_relaxed)) return;
-    try_core(c);
-  }
+  return true;
 }
 
 void IntraEngine::worker_run(unsigned w, bool measuring) {
-  try {
-    run_stage_tasks(w);
-    if (!failed_.load(std::memory_order_relaxed)) run_apply_tasks(w);
-    if (!failed_.load(std::memory_order_relaxed)) run_reduce_tasks(w, measuring);
-  } catch (...) {
-    task_errors_[static_cast<std::size_t>(w)] = std::current_exception();
-    failed_.store(true, std::memory_order_relaxed);
-  }
-}
+  const unsigned parts = pool_.parties();
+  ClaimSet::Counts& ws = wstats_[static_cast<std::size_t>(w)];
+  // Stage claims are relaxed: a core's RNG/monitor state was last written
+  // in the previous epoch and is published by the pool's barriers.
+  ws += stage_claim_.run(parts, w, failed_, [&](std::size_t c) {
+    profile_.task_begin(w, obs::prof::Phase::kStage);
+    stage_core(static_cast<CoreId>(c));
+    stage_done_.fetch_add(1, std::memory_order_release);
+  });
+  if (!await_all(stage_done_)) return;
 
-void IntraEngine::rethrow_task_errors() {
-  for (std::size_t w = 0; w < task_errors_.size(); ++w) {
-    if (task_errors_[w]) {
-      const std::exception_ptr e = task_errors_[w];
-      for (auto& slot : task_errors_) slot = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
+  obs::prof::EngineProfile::MergeScratch* const ms =
+      profile_.armed() && profile_.full() ? &profile_.merge_scratch(w) : nullptr;
+  ws += apply_claim_.run(parts, w, failed_, [&](std::size_t b) {
+    profile_.task_begin(w, obs::prof::Phase::kApply);
+    apply_bank(static_cast<BankId>(b), ms);
+    banks_done_.fetch_add(1, std::memory_order_release);
+  });
+  if (!await_all(banks_done_)) return;
+
+  ws += reduce_claim_.run(parts, w, failed_, [&](std::size_t c) {
+    profile_.task_begin(w, obs::prof::Phase::kReduce);
+    reduce_core(static_cast<CoreId>(c), measuring);
+  });
 }
 
 void IntraEngine::run_epoch_accesses(bool measuring) {
   const std::size_t cores = static_cast<std::size_t>(chip_.cores());
   const std::uint64_t epoch = chip_.epoch_;
-  prepare_epoch();
+  stage_claim_.reset();
+  apply_claim_.reset();
+  reduce_claim_.reset();
+  stage_done_.store(0, std::memory_order_relaxed);
+  banks_done_.store(0, std::memory_order_relaxed);
+  failed_.store(false, std::memory_order_relaxed);
+  for (ClaimSet::Counts& ws : wstats_) ws = ClaimSet::Counts{};
 
-  // One fused pool section per epoch: two barrier crossings where the
-  // three-phase lockstep paid six.
+  // One pool section per epoch (two barrier crossings) for all three
+  // phases.
   profile_.begin_section(obs::prof::Phase::kPipeline, epoch);
   pool_.run([&](unsigned w) { worker_run(w, measuring); });
   profile_.end_section();
-  rethrow_task_errors();
   if (profile_.armed() && profile_.full()) record_buffer_occupancy();
 
   const obs::prof::ScopedSpan tail_span(obs::prof::Phase::kSerialTail, epoch);
@@ -426,22 +274,14 @@ void IntraEngine::run_epoch_accesses(bool measuring) {
   profile_.end_epoch(epoch);
 
   // Machine-independent engine-health accounting (any profiling level).
-  std::uint64_t tasks = 0, stolen = 0, ranges = 0, overlapped = 0;
-  for (const WorkerStats& s : wstats_) {
-    tasks += s.tasks;
-    stolen += s.stolen;
-    ranges += s.ranges;
-    overlapped += s.overlapped;
-  }
-  profile_.count_epoch(/*pool_sections=*/1, tasks, stolen, ranges, overlapped);
+  ClaimSet::Counts total;
+  for (const ClaimSet::Counts& ws : wstats_) total += ws;
+  profile_.count_epoch(/*pool_sections=*/1, total.tasks, total.stolen);
 }
 
 std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs) {
-  unsigned n = intra_jobs <= 0 ? std::thread::hardware_concurrency()
-                               : static_cast<unsigned>(intra_jobs);
-  if (n == 0) n = 1;
-  const unsigned cores = static_cast<unsigned>(chip.cores());
-  if (n > cores) n = cores;  // More shards than banks cannot help.
+  const unsigned n =
+      resolve_workers(intra_jobs, static_cast<std::size_t>(chip.cores()));
   if (n <= 1) return nullptr;
   return std::make_unique<IntraEngine>(chip, n);
 }

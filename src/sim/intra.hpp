@@ -2,63 +2,45 @@
 // threads while staying byte-identical to the serial interleaved loop.
 //
 // The serial engine (Chip::run_one_epoch) issues accesses in round-robin
-// batches of Chip::interleave_batch() per core.  Earlier revisions of this
-// engine reproduced that computation in three lockstep phases (stage cores /
-// apply banks / reduce cores), which cost six barrier crossings per epoch
-// and left half the section time parked on the CyclicBarrier.  The current
-// engine fuses all three phases into ONE worker-pool section per epoch — two
-// barrier crossings total — scheduled by deterministic work-stealing:
+// batches of Chip::interleave_batch() per core.  Under the scheme contract
+// (scheme.hpp) a bank's insertion and eviction decisions read only that
+// bank's own state plus epoch-constant state, so once an epoch's streams
+// are staged, banks apply independently.  Each epoch is ONE worker-pool
+// section (two barrier crossings) holding three plain phases, each
+// scheduled by a ClaimSet (common/parallel.hpp: home range first, then
+// ascending steals):
 //
-//   Stage tasks — one per core.  Each core draws its full access stream
-//     (RNG, UMON shadow-tag update, scheme->map() bank routing) into a
-//     pre-sized per-core buffer plus per-(core, bank, slice) index
-//     segments, where a slice is a fixed run of interleave rounds (the
-//     apply-task granularity, MachineConfig::intra_apply_rounds).  A task
-//     covers a whole core because the stream is one RNG chain; workers
-//     claim their static home range first, then steal unclaimed cores in
-//     ascending core order.  After each slice's segment is complete the
-//     stager publishes a per-core watermark (release store), so appliers
-//     can chase right behind it — segments already published are never
-//     written again, which is what makes the overlap data-race-free.
+//   Stage — one task per core: draw the core's whole access stream (one
+//     RNG chain: UMON shadow tags, scheme->map() routing) into a per-core
+//     buffer plus one index list per bank, then bump stage_done_ (release).
 //
-//   Apply tasks — one per (bank, slice).  The slices of one bank form a
-//     sequential chain guarded by a SeqClaim word (common/parallel.hpp):
-//     any worker may claim the next slice of any bank once every core's
-//     watermark covers it, so bank work spreads across whichever workers
-//     are free — the deterministic work-stealing that removes the static
-//     partition's imbalance.  Within a slice the merge walks the canonical
-//     serial order — ascending (round, core, index) with round = index /
-//     interleave_batch() — so each bank sees the exact serial access
-//     sequence no matter which workers ran its slices.  insert_mask() /
-//     evict_preference() / on_insertion() touch only bank-local or
-//     epoch-constant scheme state (scheme.hpp contract); the slice chain
-//     orders all writes to one bank.  Miss latency uses the MCU's
-//     epoch-constant current_request_latency(); per-access latencies are
-//     written back into the staging buffer and integer tallies accumulate
-//     per bank.
+//   Apply — one task per bank, once stage_done_ == cores (acquire): merge
+//     the bank's per-core lists in the canonical serial order, ascending
+//     (round, core, index) with round = index / interleave_batch(), so the
+//     bank sees the exact serial access sequence.  Latencies go back into
+//     the staging buffer (miss latency uses the MCU's epoch-constant
+//     current_request_latency()), integer tallies accumulate per bank, and
+//     the task bumps banks_done_.
 //
-//   Reduce tasks — one per core, claimed like stage tasks, runnable once
-//     every bank finished its last slice.  Each core folds its latencies
-//     into the slot's double accumulators walking its own stream in index
-//     order — the exact order the serial loop added them — so the FP sums
-//     are bit-equal, not merely close.
+//   Reduce — one task per core, once banks_done_ == banks: fold the core's
+//     latencies into the slot's double accumulators in stream order — the
+//     order the serial loop added them — so the FP sums are bit-equal.
 //
-// Work-stealing never changes results: *which* worker runs a task is the
-// only degree of freedom, and every task's effect is a function of the
-// dependency chain (per-core stream order, per-bank slice order), not of
-// the thread that executes it.
+// Which worker runs a task is the only degree of freedom, so stealing never
+// changes results.  A throwing task sets failed_; claim loops and phase
+// waits stop on it, and the pool rethrows on the caller.  After the section
+// the owner folds the per-bank integer tallies in fixed bank order.  Policy
+// steps (begin_epoch, UMON decay, the checker) stay on the serial epoch
+// boundary in Chip::run_one_epoch.
 //
-// After the section the caller folds the per-bank integer tallies serially
-// in fixed bank order (traffic counters, per-core hit/miss totals, bulk MCU
-// request counts) — integer additions, hence order-insensitive anyway.
-//
-// Policy steps (begin_epoch reconfiguration, UMON decay, the invariant
-// checker) stay on the serial epoch boundary in Chip::run_one_epoch.
+// Earlier revisions let apply chase staging through per-core slice
+// watermarks and per-bank slice chains.  That overlap measured 0.003-0.008
+// of apply work on 4 cores — a core's stream is one indivisible chain and
+// a slice needed every core's watermark — so it was removed.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -82,7 +64,8 @@ class IntraEngine {
 
   /// Replaces the serial interleaved-issue loop for one epoch.  Callable
   /// only from the thread that owns the Chip; requires begin_epoch /
-  /// monitor decay / checker hooks to have already run.
+  /// monitor decay / checker hooks to have already run.  A task exception
+  /// is rethrown here once every worker has left the section.
   void run_epoch_accesses(bool measuring);
 
   unsigned threads() const { return pool_.parties(); }
@@ -98,19 +81,15 @@ class IntraEngine {
     std::uint16_t bank = 0;
   };
 
-  /// Per-core staging, reused across epochs.  to_bank is segmented per
-  /// slice — to_bank[bank][slice] holds the indices staged for that bank
-  /// during that slice — so a published segment is immutable while later
-  /// slices are still being staged (appliers read only below the
-  /// watermark).
+  /// Per-core staging, reused across epochs.
   struct CoreStage {
     std::vector<Staged> acc;  ///< Stream in draw order.
-    std::vector<std::vector<std::vector<std::uint32_t>>> to_bank;
+    /// to_bank[bank]: ascending stream indices routed to that bank.
+    std::vector<std::vector<std::uint32_t>> to_bank;
   };
 
   /// Per-bank integer tallies, reused across epochs.  Written only by the
-  /// bank's apply-slice chain (SeqClaim-ordered), read by the owner after
-  /// the section.
+  /// bank's apply task, read by the owner after the section.
   struct BankTally {
     std::vector<std::uint64_t> hits;      ///< Per core.
     std::vector<std::uint64_t> misses;    ///< Per core.
@@ -118,68 +97,44 @@ class IntraEngine {
     std::vector<std::size_t> cursor;      ///< Merge scratch, per core.
   };
 
-  /// Per-worker scheduler accounting, folded into the engine-health
-  /// counters by the owner after the section.
-  struct WorkerStats {
-    std::uint64_t tasks = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t ranges = 0;
-    std::uint64_t overlapped = 0;
-  };
-
   // Task bodies (run by whichever worker claimed the task).
   void stage_core(CoreId c);
   /// `ms` is non-null only when kFull profiling samples the cursor-merge
   /// scan (1 round in 8); the clock reads live in obs/prof.
-  void apply_bank_slice(BankId b, std::uint32_t slice,
-                        obs::prof::EngineProfile::MergeScratch* ms);
+  void apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms);
   void reduce_core(CoreId c, bool measuring);
   /// Feeds per-(core,bank) staging-list occupancy into the profile (kFull).
   void record_buffer_occupancy();
 
-  // Scheduler (one call per worker per phase, inside the fused section).
+  /// One worker's share of the section: stage → apply → reduce.
   void worker_run(unsigned w, bool measuring);
-  void run_stage_tasks(unsigned w);
-  void run_apply_tasks(unsigned w);
-  void run_reduce_tasks(unsigned w, bool measuring);
-  /// Lowest per-core staging watermark, in slices (acquire-loads every
-  /// core's own counter so the claimed slice's segments are visible to the
-  /// calling thread — a cached cross-thread minimum would not carry the
-  /// happens-before edges).
-  std::uint32_t staged_min() const;
-
-  /// Owner-side per-epoch reset: slice geometry, claim words, watermarks.
-  void prepare_epoch();
-  /// Rethrows the first captured task exception in worker-index order.
-  void rethrow_task_errors();
+  /// Spins until `counter` reaches the core count; false if a task failed.
+  bool await_all(const std::atomic<std::uint32_t>& counter) const;
 
   Chip& chip_;
   WorkerPool pool_;
   std::vector<CoreStage> stages_;   ///< One per core.
   std::vector<BankTally> tallies_;  ///< One per bank.
   std::vector<std::uint64_t> remote_;  ///< Per core: hop > 0 accesses.
-  std::vector<WorkerStats> wstats_;    ///< Per worker, reset per epoch.
   /// Slot w: written only by worker w inside the section, read by the
-  /// owner after the done barrier (same ordering argument as WorkerPool).
-  std::vector<std::exception_ptr> task_errors_;
+  /// owner after the done barrier.
+  std::vector<ClaimSet::Counts> wstats_;
 
-  // Epoch-scoped scheduler state (owner resets in prepare_epoch; the pool's
-  // start barrier publishes the reset to workers).
-  std::uint32_t num_slices_ = 1;       ///< Apply tasks per bank this epoch.
-  std::uint64_t slice_accesses_ = 1;   ///< Accesses per slice per core.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> staged_slices_;  ///< Per core.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> stage_claim_;     ///< Per core.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> reduce_claim_;    ///< Per core.
-  std::unique_ptr<SeqClaim[]> apply_claim_;                      ///< Per bank.
+  // Epoch-scoped scheduler state (the owner resets it before each section;
+  // the pool's start barrier publishes the reset to workers).
+  ClaimSet stage_claim_;   ///< Per core.
+  ClaimSet apply_claim_;   ///< Per bank.
+  ClaimSet reduce_claim_;  ///< Per core.
   std::atomic<std::uint32_t> stage_done_{0};  ///< Cores fully staged.
   std::atomic<std::uint32_t> banks_done_{0};  ///< Banks fully applied.
-  std::atomic<bool> failed_{false};           ///< A task threw; drain spins.
+  std::atomic<bool> failed_{false};           ///< A task threw; stop.
 
   /// Phase/barrier spans + derived per-epoch metrics; owns no sim state and
   /// never feeds back into the computation (determinism contract).
   obs::prof::EngineProfile profile_;
 };
 
+/// Attaches an engine when resolve_workers(intra_jobs, cores) exceeds 1.
 std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs);
 
 }  // namespace delta::sim

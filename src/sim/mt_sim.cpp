@@ -1,10 +1,10 @@
 #include "sim/mt_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -46,7 +46,8 @@ class MtChip {
         directory_(cfg.cores),
         ctrl_(mesh_, cfg.delta, cfg.ways_per_bank, cfg.sets_log2),
         all_(mem::full_mask(cfg.ways_per_bank)),
-        acct_(static_cast<std::size_t>(p.threads)) {
+        acct_(static_cast<std::size_t>(p.threads)),
+        bank_claim_(static_cast<std::size_t>(cfg.cores)) {
     for (int b = 0; b < cfg_.cores; ++b)
       banks_.emplace_back(static_cast<std::uint32_t>(cfg_.sets_per_bank()),
                           cfg_.ways_per_bank);
@@ -203,15 +204,18 @@ class MtChip {
 
   /// Applies the staged epoch: bank-parallel segments between coupling
   /// points, coupling points serial, then the sequential stat reduction.
+  /// Banks of a segment are claimed like the intra engine's tasks (home
+  /// range first, then stealing).
   void apply_staged(WorkerPool& pool, std::uint64_t epoch) EXCLUDES(mu_) {
     const obs::prof::ScopedSpan span(obs::prof::Phase::kMtApply, epoch);
     const unsigned parties = pool.parties();
-    const std::size_t cores = static_cast<std::size_t>(cfg_.cores);
+    std::atomic<bool> failed{false};
     const auto run_segment = [&](std::uint32_t limit) {
+      bank_claim_.reset();
       pool.run([&](unsigned w) {
-        const IndexRange r = static_partition(cores, parties, w);
-        for (std::size_t b = r.begin; b < r.end; ++b)
+        bank_claim_.run(parties, w, failed, [&](std::size_t b) {
           apply_bank_until(static_cast<BankId>(b), limit);
+        });
       });
     };
     for (const std::uint32_t k : coupled_) {
@@ -239,9 +243,9 @@ class MtChip {
   /// Applies bank `b`'s staged accesses with sequence below `limit`.
   ///
   /// Runs on pool workers without mu_: mutual exclusion is structural, not
-  /// lock-based — each bank's cache state is touched by exactly one worker
-  /// per segment, the driver thread is parked inside pool.run(), and MCU /
-  /// controller state is only read through epoch-constant accessors.  The
+  /// lock-based — each bank is claimed by exactly one worker per segment,
+  /// the driver thread is parked inside pool.run(), and MCU / controller
+  /// state is only read through epoch-constant accessors.  The
   /// annotation analysis cannot express that sharding, hence the escape
   /// hatch; the TSan CI job checks it dynamically.
   void apply_bank_until(BankId b, std::uint32_t limit) NO_THREAD_SAFETY_ANALYSIS {
@@ -455,13 +459,14 @@ class MtChip {
   // Staged-engine buffers (reused across epochs).  Deliberately outside
   // mu_'s jurisdiction: stage_epoch/apply_coupled/reduce_epoch touch them
   // from the driver thread, apply_bank_until from structurally-sharded
-  // pool workers (one bank = one worker per segment, driver parked in
-  // pool.run) — a discipline the lock annotations cannot express.
+  // pool workers (one bank = one claiming worker per segment, driver parked
+  // in pool.run) — a discipline the lock annotations cannot express.
   std::vector<StagedMt> staged_;
   std::vector<std::uint32_t> coupled_;  ///< Sequence numbers, ascending.
   std::vector<std::vector<std::uint32_t>> bank_lists_;  ///< Per bank, ascending.
   std::vector<std::uint32_t> bank_cursors_;
   std::vector<std::vector<std::uint64_t>> mcu_reqs_;  ///< [bank][mcu] deferred.
+  ClaimSet bank_claim_;  ///< Bank tasks of the current segment.
 };
 
 }  // namespace
@@ -478,10 +483,8 @@ MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfi
   // cfg.intra_jobs > 1 (or 0 = hardware threads) switches each epoch from
   // the serial access loop to the staged bank-parallel engine; results are
   // byte-identical either way (see MtChip's staged-engine comment).
-  unsigned workers = cfg.intra_jobs <= 0 ? std::thread::hardware_concurrency()
-                                         : static_cast<unsigned>(cfg.intra_jobs);
-  if (workers == 0) workers = 1;
-  workers = std::min(workers, static_cast<unsigned>(cfg.cores));
+  const unsigned workers =
+      resolve_workers(cfg.intra_jobs, static_cast<std::size_t>(cfg.cores));
   std::unique_ptr<WorkerPool> pool;
   if (workers > 1) pool = std::make_unique<WorkerPool>(workers);
 

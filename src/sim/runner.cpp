@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <stdexcept>
-#include <thread>
 
 #include "common/parallel.hpp"
 #include "obs/prof/prof.hpp"
@@ -16,7 +15,8 @@ namespace delta::sim {
 namespace {
 
 /// Resolves the auto (0) intra_jobs of sweep jobs to the leftover thread
-/// budget: total hardware budget divided by the sweep's outer fan-out.
+/// budget: total budget divided by the sweep's outer fan-out, and never more
+/// than the hardware thread count (a caller's `threads` may exceed it).
 /// Returns the jobs by value only when something changed.
 std::vector<SweepJob> split_intra_budget(const std::vector<SweepJob>& jobs,
                                          unsigned threads) {
@@ -24,11 +24,10 @@ std::vector<SweepJob> split_intra_budget(const std::vector<SweepJob>& jobs,
       std::any_of(jobs.begin(), jobs.end(),
                   [](const SweepJob& j) { return j.cfg.intra_jobs == 0; });
   if (!any_auto) return jobs;
-  unsigned budget = threads == 0 ? std::thread::hardware_concurrency() : threads;
-  if (budget == 0) budget = 1;
+  const unsigned budget = threads == 0 ? hardware_threads() : threads;
   const unsigned outer =
       std::min<unsigned>(budget, static_cast<unsigned>(jobs.size()));
-  const unsigned per_job = std::max(1u, budget / std::max(1u, outer));
+  const unsigned per_job = resolve_workers(0, budget / std::max(1u, outer));
   std::vector<SweepJob> resolved = jobs;
   for (SweepJob& j : resolved)
     if (j.cfg.intra_jobs == 0) j.cfg.intra_jobs = static_cast<int>(per_job);

@@ -62,12 +62,12 @@ struct SweepJob {
 /// count — `threads` only changes the wall-clock.
 ///
 /// Composition with the intra-run engine: a job whose cfg.intra_jobs is 0
-/// (auto) gets the leftover thread budget, hw_threads / outer_fanout,
-/// instead of a full pool per job — `--jobs 4 --intra-jobs 0` on a 16-
-/// thread host gives each of 4 concurrent simulations 4 epoch workers
-/// rather than 4x16 oversubscription.  Explicit intra_jobs values pass
-/// through untouched.  Either way results are unchanged; determinism makes
-/// the split a pure scheduling decision.
+/// (auto) gets the leftover thread budget, hw_threads / outer_fanout and
+/// never more than hw_threads, instead of a full pool per job — `--jobs 4
+/// --intra-jobs 0` on a 16-thread host gives each of 4 concurrent
+/// simulations 4 epoch workers rather than 4x16 oversubscription.
+/// Explicit intra_jobs values pass through untouched.  Either way results
+/// are unchanged; determinism makes the split a pure scheduling decision.
 std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs,
                                  unsigned threads = 0);
 

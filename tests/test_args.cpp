@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/args.hpp"
 
 namespace delta {
@@ -44,6 +46,18 @@ TEST(Args, IntAndDoubleParsing) {
   const ArgParser a = parse({"--epochs", "600", "--central-ms", "0.5"});
   EXPECT_EQ(a.get_int("epochs", 0), 600);
   EXPECT_DOUBLE_EQ(a.get_double("central-ms", 0.0), 0.5);
+}
+
+TEST(Args, MalformedNumbersThrowNamingTheFlag) {
+  const ArgParser a = parse({"--seed", "abc", "--epochs", "12x", "--central-ms", "0.5ms"});
+  try {
+    (void)a.get_int("seed", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--seed expects an integer, got 'abc'");
+  }
+  EXPECT_THROW((void)a.get_int("epochs", 0), std::invalid_argument);
+  EXPECT_THROW((void)a.get_double("central-ms", 0.0), std::invalid_argument);
 }
 
 TEST(Args, PositionalArguments) {

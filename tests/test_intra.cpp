@@ -5,17 +5,22 @@
 // count — because "close" is not the contract; bit-equal is.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/fuzz.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
+#include "sim/chip.hpp"
 #include "sim/mt_sim.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
+#include "sim/scheme.hpp"
 #include "workload/splash.hpp"
 
 namespace delta {
@@ -111,15 +116,57 @@ TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
             run_summary(quick16(1), "w2", sim::SchemeKind::kDelta));
 }
 
-TEST(Intra, ByteIdenticalAcrossApplySliceSizes) {
-  // The apply-task slice size is pure scheduling: any value (including the
-  // degenerate one-round slices) must reproduce the serial bytes.
+/// Test-only scheme: S-NUCA routing, except that map() throws on core
+/// kCore's kThrowAt-th access — a task failure inside the stage phase while
+/// the other workers are mid-phase or spinning on a phase counter.
+class ThrowingScheme final : public sim::Scheme {
+ public:
+  static constexpr CoreId kCore = 3;
+  static constexpr std::uint64_t kThrowAt = 20'000;
+
+  ThrowingScheme() : inner_(sim::make_scheme(sim::SchemeKind::kSnuca)) {}
+  std::string_view name() const override { return "throwing"; }
+  void reset(sim::Chip& chip) override { inner_->reset(chip); }
+  void begin_epoch(sim::Chip& chip, std::uint64_t epoch) override {
+    inner_->begin_epoch(chip, epoch);
+  }
+  sim::BankTarget map(const sim::Chip& chip, CoreId core,
+                      BlockAddr block) const override {
+    if (core == kCore && calls_.fetch_add(1, std::memory_order_relaxed) + 1 == kThrowAt)
+      throw std::runtime_error("injected map failure");
+    return inner_->map(chip, core, block);
+  }
+  mem::WayMask insert_mask(const sim::Chip& chip, CoreId core,
+                           BankId bank) const override {
+    return inner_->insert_mask(chip, core, bank);
+  }
+  int allocated_ways(const sim::Chip& chip, CoreId core) const override {
+    return inner_->allocated_ways(chip, core);
+  }
+
+ private:
+  std::unique_ptr<sim::Scheme> inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(Intra, TaskExceptionRethrowsOnCallerAndEngineRecovers) {
+  // A throwing task must not hang a worker spinning on a phase counter: the
+  // run rethrows the task's exception on the calling thread and returns.
   const std::string serial = run_summary(quick16(1), "w2", sim::SchemeKind::kDelta);
-  for (const int rounds : {1, 3, 1000}) {
-    sim::MachineConfig cfg = quick16(4);
-    cfg.intra_apply_rounds = rounds;
+  for (const int jobs : {2, 4, 8}) {
+    const sim::MachineConfig cfg = quick16(jobs);
+    const workload::Mix mix = sim::mix_for_config(cfg, "w2");
+    sim::Chip chip(cfg, mix.apps, std::make_unique<ThrowingScheme>());
+    ASSERT_EQ(chip.intra_threads(), static_cast<unsigned>(jobs));
+    try {
+      (void)chip.run(mix.name);
+      FAIL() << "intra-jobs " << jobs << ": expected the injected exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "injected map failure") << "intra-jobs " << jobs;
+    }
+    // A fresh chip afterwards still replays the serial bytes.
     EXPECT_EQ(serial, run_summary(cfg, "w2", sim::SchemeKind::kDelta))
-        << "intra_apply_rounds " << rounds << " diverged";
+        << "intra-jobs " << jobs << " diverged after a failed run";
   }
 }
 

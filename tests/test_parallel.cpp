@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -111,49 +110,77 @@ TEST(WorkerPool, SinglePartyPropagatesInline) {
                std::logic_error);
 }
 
-TEST(SeqClaim, ClaimsOnlyTheExactNextUnit) {
-  SeqClaim claim;
-  claim.reset(0);
-  EXPECT_EQ(claim.next_unit(), 0u);
-  EXPECT_FALSE(claim.busy());
-  EXPECT_FALSE(claim.try_claim(1));  // Cannot skip ahead.
-  EXPECT_TRUE(claim.try_claim(0));
-  EXPECT_TRUE(claim.busy());
-  EXPECT_FALSE(claim.try_claim(0));  // Held units cannot be double-claimed.
-  claim.complete(0);
-  EXPECT_EQ(claim.next_unit(), 1u);
-  EXPECT_FALSE(claim.busy());
-  claim.reset(7);
-  EXPECT_EQ(claim.next_unit(), 7u);
-  EXPECT_TRUE(claim.try_claim(7));
+TEST(ClaimSet, EachIndexClaimedExactlyOnceUnderContention) {
+  constexpr std::size_t kItems = 1000;
+  constexpr unsigned kParts = 4;
+  ClaimSet claims(kItems);
+  std::atomic<bool> failed{false};
+  for (int round = 0; round < 20; ++round) {
+    claims.reset();
+    std::vector<std::atomic<int>> runs(kItems);
+    std::vector<ClaimSet::Counts> counts(kParts);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kParts; ++t)
+      threads.emplace_back([&, t] {
+        counts[t] = claims.run(kParts, t, failed, [&](std::size_t i) { ++runs[i]; });
+      });
+    for (auto& th : threads) th.join();
+    for (std::size_t i = 0; i < kItems; ++i)
+      ASSERT_EQ(runs[i].load(), 1) << "index " << i << " round " << round;
+    ClaimSet::Counts total;
+    for (const ClaimSet::Counts& c : counts) total += c;
+    EXPECT_EQ(total.tasks, kItems);
+  }
 }
 
-TEST(SeqClaim, ChainExecutesUnitsInAscendingOrderUnderContention) {
-  // Four threads race to steal from one chain; whichever thread wins each
-  // claim, the execution order of units must be exactly 0, 1, 2, ...
-  constexpr std::uint32_t kUnits = 500;
-  SeqClaim claim;
-  claim.reset(0);
-  std::mutex order_mu;
-  std::vector<std::uint32_t> order;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (;;) {
-        const std::uint32_t u = claim.next_unit();
-        if (u >= kUnits) return;
-        if (!claim.try_claim(u)) continue;
-        {
-          const std::lock_guard<std::mutex> lock(order_mu);
-          order.push_back(u);
-        }
-        claim.complete(u);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  ASSERT_EQ(order.size(), kUnits);
-  for (std::uint32_t u = 0; u < kUnits; ++u) EXPECT_EQ(order[u], u);
+TEST(ClaimSet, HomeRangeFirstThenAscendingSteals) {
+  // With no contention one worker claims its static home range in order,
+  // then steals every other index in ascending order.
+  constexpr std::size_t kItems = 10;
+  ClaimSet claims(kItems);
+  std::atomic<bool> failed{false};
+  std::vector<std::size_t> order;
+  const ClaimSet::Counts c =
+      claims.run(3, 1, failed, [&](std::size_t i) { order.push_back(i); });
+  const IndexRange home = static_partition(kItems, 3, 1);  // [4, 7)
+  std::vector<std::size_t> expect;
+  for (std::size_t i = home.begin; i < home.end; ++i) expect.push_back(i);
+  for (std::size_t i = 0; i < kItems; ++i)
+    if (i < home.begin || i >= home.end) expect.push_back(i);
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(c.tasks, kItems);
+  EXPECT_EQ(c.stolen, kItems - home.size());
+  // Everything is claimed now: a second pass runs nothing until reset().
+  EXPECT_EQ(claims.run(3, 0, failed, [](std::size_t) {}).tasks, 0u);
+  claims.reset();
+  EXPECT_EQ(claims.run(3, 0, failed, [](std::size_t) {}).tasks, kItems);
+}
+
+TEST(ClaimSet, ThrowSetsFailedAndStopsFurtherClaims) {
+  ClaimSet claims(8);
+  std::atomic<bool> failed{false};
+  EXPECT_THROW(claims.run(1, 0, failed,
+                          [](std::size_t i) {
+                            if (i == 2) throw std::runtime_error("task 2");
+                          }),
+               std::runtime_error);
+  EXPECT_TRUE(failed.load());
+  // Once failed is set no worker claims anything more.
+  int ran = 0;
+  EXPECT_EQ(claims.run(2, 1, failed, [&](std::size_t) { ++ran; }).tasks, 0u);
+  EXPECT_EQ(ran, 0);
+}
+
+TEST(ResolveWorkers, AutoIsHardwareThreadsExplicitPassesAllClampToCap) {
+  const unsigned hw = hardware_threads();
+  EXPECT_EQ(resolve_workers(0, 1u << 20), hw);
+  EXPECT_EQ(resolve_workers(-3, 1u << 20), hw);  // Negative is auto too.
+  // Explicit counts may oversubscribe (test_intra runs 8 jobs on small
+  // hosts) but never exceed the work items.
+  EXPECT_EQ(resolve_workers(64, 1u << 20), 64u);
+  EXPECT_EQ(resolve_workers(8, 4), 4u);
+  EXPECT_EQ(resolve_workers(0, 1), 1u);
+  EXPECT_EQ(resolve_workers(5, 0), 1u);
 }
 
 TEST(Affinity, CpuCountIsPositiveAndPinningDegradesGracefully) {

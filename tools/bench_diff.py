@@ -16,7 +16,7 @@ Only machine-independent numbers are gated:
   * sweep.byte_identical / intra.byte_identical — determinism is binary
     and must hold on every host.
   * engine_health.barriers_per_epoch (v5) — a structural property of the
-    intra engine (2 per epoch for the fused pipeline section), identical
+    intra engine (2 per epoch for its one pool section), identical
     on every host; the fresh value must not exceed the reference.
   * schema — a fresh run on an older schema means the harness and the
     reference have drifted apart; fail loudly rather than compare holes.

@@ -13,9 +13,12 @@
 // machine-readable format for scripting sweeps.  The observability flags
 // (--trace-out / --timeline-csv / --json / --obs-level) are documented in
 // docs/observability.md.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -83,9 +86,8 @@ obs::ObsLevel resolve_obs_level(const ArgParser& args) {
     if (lvl == "summary") return obs::ObsLevel::kSummary;
     if (lvl == "timeline") return obs::ObsLevel::kTimeline;
     if (lvl == "full") return obs::ObsLevel::kFull;
-    std::fprintf(stderr, "unknown --obs-level '%s' (off|summary|timeline|full)\n",
-                 lvl.c_str());
-    std::exit(1);
+    throw std::invalid_argument("unknown --obs-level '" + lvl +
+                                "' (off|summary|timeline|full)");
   }
   if (args.has("trace-out")) return obs::ObsLevel::kFull;
   // The prof flamegraph merges policy events into the span timeline, so the
@@ -107,16 +109,26 @@ bool write_or_complain(const std::string& path, const std::string& content) {
 obs::prof::ProfLevel resolve_prof_level(const ArgParser& args) {
   if (args.has("prof-level")) {
     obs::prof::ProfLevel lvl;
-    if (!obs::prof::parse_prof_level(args.get("prof-level"), &lvl)) {
-      std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
-                   args.get("prof-level").c_str());
-      std::exit(1);
-    }
+    if (!obs::prof::parse_prof_level(args.get("prof-level"), &lvl))
+      throw std::invalid_argument("unknown --prof-level '" + args.get("prof-level") +
+                                  "' (off|phases|full)");
     return lvl;
   }
   if (args.has("prof-out")) return obs::prof::ProfLevel::kFull;
   if (args.has("metrics-out")) return obs::prof::ProfLevel::kPhases;
   return obs::prof::ProfLevel::kOff;
+}
+
+/// Integer flag that must lie in [lo, INT_MAX]; anything else is an error,
+/// never a silent clamp.
+int int_flag(const ArgParser& args, const std::string& name, int def, int lo) {
+  const std::int64_t v = args.get_int(name, def);
+  if (v < lo)
+    throw std::invalid_argument("--" + name + " must be >= " + std::to_string(lo) +
+                                ", got " + std::to_string(v));
+  if (v > std::numeric_limits<int>::max())
+    throw std::invalid_argument("--" + name + " is out of range, got " + std::to_string(v));
+  return static_cast<int>(v);
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -126,14 +138,14 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   ArgParser args(argc, argv);
   const std::vector<std::string> known = {
       "mix",        "apps",         "scheme",   "cores",       "epochs",
       "warmup",     "seed",         "csv",      "list",        "central-ms",
       "trace-out",  "timeline-csv", "json",     "obs-level",   "jobs",
       "intra-jobs", "prof-out",     "prof-level", "metrics-out", "help",
-      "intra-pin",  "interleave-batch", "intra-apply-rounds",
+      "intra-pin",  "interleave-batch",
   };
   if (!args.unknown_flags(known).empty() || args.has("help")) {
     for (const auto& f : args.unknown_flags(known))
@@ -158,10 +170,6 @@ int main(int argc, char** argv) {
                  "per round; 0 = compile default;\n"
                  "                                           changes results, "
                  "but serial == intra at any N)\n"
-                 "                 [--intra-apply-rounds N]   (apply-task slice "
-                 "size in rounds; 0 = auto;\n"
-                 "                                             byte-identical "
-                 "at any value)\n"
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
                  "                 [--metrics-out m.json|m.prom]   (metrics "
@@ -182,20 +190,22 @@ int main(int argc, char** argv) {
   obs::prof::set_level(resolve_prof_level(args));
   Logger::install_flush_handlers();
 
-  sim::MachineConfig cfg =
-      args.get_int("cores", 16) == 64 ? sim::config64() : sim::config16();
-  cfg.measure_epochs = static_cast<int>(args.get_int("epochs", cfg.measure_epochs));
-  cfg.warmup_epochs = static_cast<int>(args.get_int("warmup", cfg.warmup_epochs));
+  const std::int64_t cores = args.get_int("cores", 16);
+  if (cores != 16 && cores != 64)
+    throw std::invalid_argument("--cores must be 16 or 64, got " +
+                                std::to_string(cores));
+  sim::MachineConfig cfg = cores == 64 ? sim::config64() : sim::config16();
+  cfg.measure_epochs = int_flag(args, "epochs", cfg.measure_epochs, 1);
+  cfg.warmup_epochs = int_flag(args, "warmup", cfg.warmup_epochs, 0);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
-  cfg.intra_jobs = static_cast<int>(args.get_int("intra-jobs", 1));
+  cfg.intra_jobs = int_flag(args, "intra-jobs", 1, 0);
   cfg.intra_pin = args.has("intra-pin");
-  cfg.intra_apply_rounds = static_cast<int>(args.get_int("intra-apply-rounds", 0));
   // Part of the determinism contract: changing the batch changes results,
   // but serial and intra engines agree at any given value.
   cfg.interleave_batch =
-      static_cast<std::uint32_t>(args.get_int("interleave-batch", 0));
+      static_cast<std::uint32_t>(int_flag(args, "interleave-batch", 0, 0));
 
   workload::Mix mix;
   if (args.has("apps")) {
@@ -242,8 +252,7 @@ int main(int argc, char** argv) {
   // the per-job traces are merged back in scheme order — run-major, which
   // is exactly the order a serial observed execution emits (nothing in a
   // trace carries wall time), so the exported files match the serial ones.
-  const unsigned jobs =
-      static_cast<unsigned>(args.get_int("jobs", 1));
+  const unsigned jobs = static_cast<unsigned>(int_flag(args, "jobs", 1, 0));
 
   std::vector<sim::MixResult> results;
   if (scheme == "all") {
@@ -337,4 +346,15 @@ int main(int argc, char** argv) {
     }
   }
   return io_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  // Top-level error boundary: bad input (and any other escaping exception)
+  // ends with one clear line and exit code 1, never an abort.
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "delta_sim: %s\n", e.what());
+    return 1;
+  }
 }

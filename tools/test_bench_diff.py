@@ -50,8 +50,7 @@ def doc(schema="delta-bench-throughput-v5", hit=2.0, thrash=1.5,
         ]},
         "engine_health": {"barriers_per_epoch": barriers_per_epoch,
                           "tasks_per_epoch": 200.0,
-                          "steal_fraction": 0.1,
-                          "stage_apply_overlap_fraction": 0.5},
+                          "steal_fraction": 0.1},
         "simulator": simulator if simulator is not None
         else {"snuca": {"accesses_per_sec": 1e6}},
     }

@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""CLI input-hardening tests for delta_sim (run as a ctest).
+
+Usage: test_delta_sim_cli.py /path/to/delta_sim
+
+Bad input must end with exit code 1 and one `delta_sim: <message>` line on
+stderr — never an abort (rc 134), a silent clamp or an all-zero table.
+Each case asserts rc == 1 *and* the message text, so a crash cannot pass.
+"""
+import os
+import subprocess
+import sys
+import unittest
+
+BINARY = None
+
+
+class DeltaSimCliTest(unittest.TestCase):
+    def run_sim(self, *args):
+        return subprocess.run([BINARY, *args], capture_output=True, text=True,
+                              timeout=120)
+
+    def assert_rejected(self, args, message):
+        r = self.run_sim(*args)
+        self.assertEqual(r.returncode, 1, f"{args}: rc {r.returncode}\n{r.stderr}")
+        self.assertIn("delta_sim: " + message, r.stderr)
+        self.assertEqual(r.stdout, "", f"{args} printed results")
+
+    def test_bad_input_is_rejected_with_a_message(self):
+        cases = [
+            (["--seed", "abc"], "--seed expects an integer, got 'abc'"),
+            (["--epochs", "0"], "--epochs must be >= 1, got 0"),
+            (["--epochs", "-5"], "--epochs must be >= 1, got -5"),
+            (["--cores", "17"], "--cores must be 16 or 64, got 17"),
+            (["--jobs", "-1"], "--jobs must be >= 0, got -1"),
+            (["--intra-jobs", "-2"], "--intra-jobs must be >= 0, got -2"),
+            (["--warmup", "-3"], "--warmup must be >= 0, got -3"),
+        ]
+        for args, message in cases:
+            with self.subTest(args=args):
+                self.assert_rejected(args, message)
+
+    def test_valid_short_run_still_succeeds(self):
+        r = self.run_sim("--mix", "w2", "--scheme", "snuca", "--epochs", "1",
+                         "--warmup", "0", "--csv")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertGreater(len(r.stdout.splitlines()), 1)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2 or not os.access(sys.argv[1], os.X_OK):
+        sys.exit("usage: test_delta_sim_cli.py /path/to/delta_sim")
+    BINARY = sys.argv.pop(1)
+    unittest.main()
