@@ -8,6 +8,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -56,6 +57,19 @@ class ArgParser {
     if (ec != std::errc() || end != v.data() + v.size())
       throw std::invalid_argument("--" + name + " expects an integer, got '" + v + "'");
     return out;
+  }
+
+  /// Integer flag that must lie in [lo, INT_MAX]; anything else throws
+  /// std::invalid_argument — never a silent clamp.
+  int get_int_at_least(const std::string& name, int def, int lo) const {
+    const std::int64_t v = get_int(name, def);
+    if (v < lo)
+      throw std::invalid_argument("--" + name + " must be >= " + std::to_string(lo) +
+                                  ", got " + std::to_string(v));
+    if (v > std::numeric_limits<int>::max())
+      throw std::invalid_argument("--" + name + " is out of range, got " +
+                                  std::to_string(v));
+    return static_cast<int>(v);
   }
 
   double get_double(const std::string& name, double def) const {

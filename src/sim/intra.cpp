@@ -30,13 +30,13 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
   const unsigned parties = pool_.parties();
   pool_.run([&](unsigned w) {
     const IndexRange r = static_partition(cores, parties, w);
-    for (std::size_t c = r.begin; c < r.end; ++c) stages_[c].to_bank.resize(cores);
+    for (std::size_t c = r.begin; c < r.end; ++c) stages_[c].offs.assign(cores + 1, 0);
     for (std::size_t b = r.begin; b < r.end; ++b) {
       BankTally& t = tallies_[b];
       t.hits.resize(cores);
       t.misses.resize(cores);
       t.mcu_reqs.resize(mcus);
-      t.cursor.resize(cores);
+      t.runs.reserve(cores);
     }
   });
 }
@@ -46,11 +46,17 @@ void IntraEngine::stage_core(CoreId c) {
   const AppSlot& s = chip_.slots_[static_cast<std::size_t>(c)];
   CoreStage& st = stages_[static_cast<std::size_t>(c)];
   const std::uint64_t target = chip_.epoch_targets_[static_cast<std::size_t>(c)];
-  for (auto& list : st.to_bank) list.clear();
-  st.acc.clear();
-  if (!s.active || target == 0) return;
+  std::uint32_t* const offs = st.offs.data();
+  std::fill(st.offs.begin(), st.offs.end(), 0);
+  st.n = s.active ? static_cast<std::size_t>(target) : 0;
+  if (st.n == 0) return;
 
-  st.acc.resize(static_cast<std::size_t>(target));
+  // Grow-only: entries are overwritten below, so no re-initialisation.
+  if (st.acc.size() < st.n) {
+    st.acc.resize(st.n);
+    st.idx.resize(st.n);
+  }
+  Staged* const acc = st.acc.data();
   workload::TraceGen* const gen = s.gen.get();
   umon::Umon* const um = s.umon.get();
   const Scheme* const scheme = chip_.scheme_.get();
@@ -67,13 +73,24 @@ void IntraEngine::stage_core(CoreId c) {
       um->prefetch(next_block);
     }
     const BankTarget t = scheme->map(chip_, c, block);
-    Staged& a = st.acc[static_cast<std::size_t>(i)];
+    Staged& a = acc[i];
     a.block = block;
     a.set = t.set;
     a.bank = static_cast<std::uint16_t>(t.bank);
-    st.to_bank[static_cast<std::size_t>(t.bank)].push_back(
-        static_cast<std::uint32_t>(i));
+    ++offs[static_cast<std::size_t>(t.bank) + 1];
   }
+
+  // Counting sort by bank.  After the prefix sum offs[b] is run b's start;
+  // the scatter advances it to run b's end (= run b+1's start), and the
+  // shift restores the starts.  Scanning in stream order keeps every run
+  // ascending.
+  const std::size_t banks = st.offs.size() - 1;
+  for (std::size_t b = 1; b <= banks; ++b) offs[b] += offs[b - 1];
+  std::uint32_t* const idx = st.idx.data();
+  for (std::size_t i = 0; i < st.n; ++i)
+    idx[offs[acc[i].bank]++] = static_cast<std::uint32_t>(i);
+  for (std::size_t b = banks - 1; b > 0; --b) offs[b] = offs[b - 1];
+  offs[0] = 0;
 }
 
 void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms) {
@@ -83,7 +100,17 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
   std::fill(tally.hits.begin(), tally.hits.end(), 0);
   std::fill(tally.misses.begin(), tally.misses.end(), 0);
   std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
-  std::fill(tally.cursor.begin(), tally.cursor.end(), 0);
+
+  // Contributors in ascending core order: the only cores the merge visits.
+  std::vector<Run>& runs = tally.runs;
+  runs.clear();
+  for (int c = 0; c < cores; ++c) {
+    CoreStage& st = stages_[static_cast<std::size_t>(c)];
+    const std::uint32_t begin = st.offs[static_cast<std::size_t>(b)];
+    const std::uint32_t end = st.offs[static_cast<std::size_t>(b) + 1];
+    if (begin < end)
+      runs.push_back(Run{st.idx.data() + begin, st.idx.data() + end, st.acc.data(), c});
+  }
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
   Scheme* const scheme = chip_.scheme_.get();
@@ -94,8 +121,8 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
 
   // Canonical merge: the serial loop issues round-robin batches of
   // interleave_batch() per core, so this bank saw its accesses in ascending
-  // (round, core, index) order with round = index / batch.  Each per-core
-  // list is already ascending; walk them round by round.
+  // (round, core, index) order with round = index / batch.  Each run is
+  // already ascending and runs are in core order; walk them round by round.
   const std::uint32_t kBatch = static_cast<std::uint32_t>(chip_.interleave_batch());
   for (;;) {
     // The round scan below is the serialization the merge pays for
@@ -104,14 +131,10 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
     // doubling the scan cost.
     const bool sample = ms != nullptr && (ms->rounds & 7u) == 0;
     const std::uint64_t scan_t0 = sample ? obs::prof::now_ns() : 0;
-    // Lowest unconsumed round across all cores.
+    // Lowest unconsumed round across the contributors.
     std::uint32_t round = UINT32_MAX;
-    for (int c = 0; c < cores; ++c) {
-      const auto& list =
-          stages_[static_cast<std::size_t>(c)].to_bank[static_cast<std::size_t>(b)];
-      const std::size_t cur = tally.cursor[static_cast<std::size_t>(c)];
-      if (cur < list.size()) round = std::min(round, list[cur] / kBatch);
-    }
+    for (const Run& r : runs)
+      if (r.it != r.end) round = std::min(round, *r.it / kBatch);
     if (ms != nullptr) {
       ++ms->rounds;
       if (sample) {
@@ -121,20 +144,20 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
     }
     if (round == UINT32_MAX) break;
 
-    for (int c = 0; c < cores; ++c) {
-      CoreStage& st = stages_[static_cast<std::size_t>(c)];
-      const auto& list = st.to_bank[static_cast<std::size_t>(b)];
-      std::size_t& cur = tally.cursor[static_cast<std::size_t>(c)];
-      while (cur < list.size() && list[cur] / kBatch == round) {
-        Staged& a = st.acc[list[cur]];
-        ++cur;
-        // Pull the next staged access's set rows toward L1 while this one
-        // computes its masks and latency (hint only — no state change).
-        if (cur < list.size()) bank.prefetch_set(st.acc[list[cur]].set);
+    for (Run& r : runs) {
+      const CoreId c = r.core;
+      const Cycles core_lat = mesh.round_trip(c, b) + fixed_lat;
+      while (r.it != r.end && *r.it / kBatch == round) {
+        Staged& a = r.acc[*r.it];
+        // Pull a later access's set rows toward L1 while this one computes
+        // its masks and latency (hint only — no state change).
+        if (static_cast<std::size_t>(r.end - r.it) > kPrefetchDistance)
+          bank.prefetch_set(r.acc[r.it[kPrefetchDistance]].set);
+        ++r.it;
         const mem::WayMask mask = scheme->insert_mask(chip_, c, b);
         const CoreId evict_pref = scheme->evict_preference(chip_, c, b);
         const mem::AccessResult res = bank.access(a.set, a.block, c, mask, evict_pref);
-        Cycles lat = mesh.round_trip(c, b) + fixed_lat;
+        Cycles lat = core_lat;
         if (res.hit) {
           ++tally.hits[static_cast<std::size_t>(c)];
         } else {
@@ -161,7 +184,8 @@ void IntraEngine::reduce_core(CoreId c, bool measuring) {
   // Stream order == the order the serial loop fed this core's accumulators
   // (interleaving only reorders accesses *across* cores), so these in-place
   // double additions reproduce the serial rounding bit-for-bit.
-  for (const Staged& a : st.acc) {
+  for (std::size_t i = 0; i < st.n; ++i) {
+    const Staged& a = st.acc[i];
     const int hops = mesh.hops(c, a.bank);
     remote += hops > 0 ? 1 : 0;
     s.epoch_lat_sum += static_cast<double>(a.lat);
@@ -171,17 +195,18 @@ void IntraEngine::reduce_core(CoreId c, bool measuring) {
     }
   }
   remote_[static_cast<std::size_t>(c)] = remote;
-  s.epoch_accesses += st.acc.size();
+  s.epoch_accesses += st.n;
 }
 
 void IntraEngine::record_buffer_occupancy() {
   std::uint64_t pairs = 0, nonzero = 0;
   for (const CoreStage& st : stages_) {
-    for (const auto& list : st.to_bank) {
+    for (std::size_t b = 0; b + 1 < st.offs.size(); ++b) {
+      const std::uint32_t len = st.offs[b + 1] - st.offs[b];
       ++pairs;
-      if (!list.empty()) {
+      if (len > 0) {
         ++nonzero;
-        profile_.add_occupancy(list.size(), 0, 0);
+        profile_.add_occupancy(len, 0, 0);
       }
     }
   }

@@ -12,15 +12,22 @@
 //
 //   Stage — one task per core: draw the core's whole access stream (one
 //     RNG chain: UMON shadow tags, scheme->map() routing) into a per-core
-//     buffer plus one index list per bank, then bump stage_done_ (release).
+//     buffer, then counting-sort the stream indices by bank into one flat
+//     index array plus an offs[banks+1] run table, so run b (the core's
+//     accesses to bank b, ascending) is idx[offs[b], offs[b+1]).  Buffers
+//     keep their high-water size across epochs and are never re-cleared.
+//     Then bump stage_done_ (release).
 //
-//   Apply — one task per bank, once stage_done_ == cores (acquire): merge
-//     the bank's per-core lists in the canonical serial order, ascending
-//     (round, core, index) with round = index / interleave_batch(), so the
-//     bank sees the exact serial access sequence.  Latencies go back into
-//     the staging buffer (miss latency uses the MCU's epoch-constant
-//     current_request_latency()), integer tallies accumulate per bank, and
-//     the task bumps banks_done_.
+//   Apply — one task per bank, once stage_done_ == cores (acquire): collect
+//     the contributors — cores whose run for this bank is non-empty, in
+//     ascending core order — and merge only their runs in the canonical
+//     serial order, ascending (round, core, index) with round = index /
+//     interleave_batch(), so the bank sees the exact serial access
+//     sequence.  While an access is applied, the set of the access
+//     kPrefetchDistance further along the same run is prefetched.
+//     Latencies go back into the staging buffer (miss latency uses the
+//     MCU's epoch-constant current_request_latency()), integer tallies
+//     accumulate per bank, and the task bumps banks_done_.
 //
 //   Reduce — one task per core, once banks_done_ == banks: fold the core's
 //     latencies into the slot's double accumulators in stream order — the
@@ -37,6 +44,15 @@
 // watermarks and per-bank slice chains.  That overlap measured 0.003-0.008
 // of apply work on 4 cores — a core's stream is one indivisible chain and
 // a slice needed every core's watermark — so it was removed.
+//
+// Why runs and contributors: DELTA's locality-aware CBT maps a core's
+// addresses mostly to its home bank, so on the 64-tile w13 mix only ~69 of
+// the 4096 (core, bank) runs in an epoch are non-empty (1038 of 61440 over
+// 15 epochs).  A vector per (core, bank) would cost 64 clears and pushes
+// per core, and a round scan over every core measured 0.12-0.13 of apply
+// time (0.06-0.07 over contributors only).  Flat runs and the
+// contributor-only merge keep both costs proportional to the accesses and
+// contributors that exist.
 #pragma once
 
 #include <atomic>
@@ -71,6 +87,11 @@ class IntraEngine {
   unsigned threads() const { return pool_.parties(); }
 
  private:
+  /// How many accesses ahead in a run apply prefetches the bank set: far
+  /// enough to cover a set's miss latency behind the mask/latency work of
+  /// the accesses in between.
+  static constexpr std::size_t kPrefetchDistance = 8;
+
   /// One staged access: routing decided by the stage task, latency filled
   /// in by an apply task, folded into the slot's accumulators by a reduce
   /// task.
@@ -81,11 +102,23 @@ class IntraEngine {
     std::uint16_t bank = 0;
   };
 
-  /// Per-core staging, reused across epochs.
+  /// Per-core staging, reused across epochs.  `acc` and `idx` only grow
+  /// (to the largest epoch target seen); entries past `n` are stale.
   struct CoreStage {
-    std::vector<Staged> acc;  ///< Stream in draw order.
-    /// to_bank[bank]: ascending stream indices routed to that bank.
-    std::vector<std::vector<std::uint32_t>> to_bank;
+    std::vector<Staged> acc;  ///< Stream in draw order; first n are live.
+    std::size_t n = 0;        ///< Accesses staged this epoch.
+    /// Stream indices grouped by bank: run b is idx[offs[b], offs[b+1]),
+    /// ascending within each run.
+    std::vector<std::uint32_t> idx;
+    std::vector<std::uint32_t> offs;  ///< banks + 1 run bounds.
+  };
+
+  /// One contributor's run in a bank merge.
+  struct Run {
+    const std::uint32_t* it;   ///< Next unconsumed stream index.
+    const std::uint32_t* end;
+    Staged* acc;               ///< The core's staging buffer.
+    CoreId core;
   };
 
   /// Per-bank integer tallies, reused across epochs.  Written only by the
@@ -94,7 +127,7 @@ class IntraEngine {
     std::vector<std::uint64_t> hits;      ///< Per core.
     std::vector<std::uint64_t> misses;    ///< Per core.
     std::vector<std::uint64_t> mcu_reqs;  ///< Per MCU.
-    std::vector<std::size_t> cursor;      ///< Merge scratch, per core.
+    std::vector<Run> runs;                ///< Merge scratch: contributors.
   };
 
   // Task bodies (run by whichever worker claimed the task).
@@ -103,7 +136,7 @@ class IntraEngine {
   /// scan (1 round in 8); the clock reads live in obs/prof.
   void apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms);
   void reduce_core(CoreId c, bool measuring);
-  /// Feeds per-(core,bank) staging-list occupancy into the profile (kFull).
+  /// Feeds per-(core,bank) run occupancy into the profile (kFull).
   void record_buffer_occupancy();
 
   /// One worker's share of the section: stage → apply → reduce.

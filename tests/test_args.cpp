@@ -60,6 +60,19 @@ TEST(Args, MalformedNumbersThrowNamingTheFlag) {
   EXPECT_THROW((void)a.get_double("central-ms", 0.0), std::invalid_argument);
 }
 
+TEST(Args, BoundedIntRejectsValuesBelowTheFloor) {
+  const ArgParser a = parse({"--epochs", "0", "--jobs", "3", "--big", "4294967296"});
+  EXPECT_EQ(a.get_int_at_least("jobs", 1, 0), 3);
+  EXPECT_EQ(a.get_int_at_least("absent", 7, 1), 7);
+  try {
+    (void)a.get_int_at_least("epochs", 1, 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--epochs must be >= 1, got 0");
+  }
+  EXPECT_THROW((void)a.get_int_at_least("big", 0, 0), std::invalid_argument);
+}
+
 TEST(Args, PositionalArguments) {
   const ArgParser a = parse({"first", "--mix", "w1", "second"});
   ASSERT_EQ(a.positional().size(), 2u);

@@ -108,6 +108,24 @@ TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
               run_summary(par_cfg, "w2", sim::SchemeKind::kDelta))
         << "interleave_batch " << batch << " diverged";
   }
+  // The merge extremes on the 64-tile machine: under DELTA each bank has
+  // about one contributing core, under S-NUCA every core feeds every bank.
+  // Batch 1 makes every access its own merge round; 2^30 exceeds any
+  // per-core epoch target, so the whole epoch is one round.
+  for (const sim::SchemeKind kind : {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca}) {
+    for (const std::uint32_t batch : {1u, 1u << 30}) {
+      sim::MachineConfig serial_cfg = quick64(1);
+      serial_cfg.interleave_batch = batch;
+      const std::string serial = run_summary(serial_cfg, "w13", kind);
+      for (const int jobs : {2, 4}) {
+        sim::MachineConfig par_cfg = quick64(jobs);
+        par_cfg.interleave_batch = batch;
+        EXPECT_EQ(serial, run_summary(par_cfg, "w13", kind))
+            << "64-tile " << sim::to_string(kind) << " interleave_batch " << batch
+            << " intra-jobs " << jobs << " diverged";
+      }
+    }
+  }
   // And the override really is an override: batch 1 and the default batch
   // are different interleavings, so their results must differ.
   sim::MachineConfig one = quick16(1);

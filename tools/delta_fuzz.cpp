@@ -6,10 +6,13 @@
 //   delta_fuzz --seeds 50 --out-dir fuzz-out   # write artifacts for CI
 //
 // Exit status is 0 only when every case is violation-free and the batch is
-// reproducible byte-for-byte across thread counts.  See docs/testing.md.
+// reproducible byte-for-byte across thread counts, 1 when the fuzz found
+// failures, and 2 on bad input (one `delta_fuzz: <message>` line for a bad
+// value, the usage text for an unknown flag).  See docs/testing.md.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -87,7 +90,7 @@ void write_artifacts(const std::string& dir,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   delta::ArgParser args(argc, argv);
   const std::vector<std::string> known = {
       "seeds",          "seed-base",      "threads",       "intra-jobs",
@@ -112,11 +115,9 @@ int main(int argc, char** argv) {
   {
     delta::obs::prof::ProfLevel lvl = delta::obs::prof::ProfLevel::kOff;
     if (args.has("prof-level")) {
-      if (!delta::obs::prof::parse_prof_level(args.get("prof-level"), &lvl)) {
-        std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
-                     args.get("prof-level").c_str());
-        return 2;
-      }
+      if (!delta::obs::prof::parse_prof_level(args.get("prof-level"), &lvl))
+        throw std::invalid_argument("unknown --prof-level '" + args.get("prof-level") +
+                                    "' (off|phases|full)");
     } else if (args.has("prof-out")) {
       lvl = delta::obs::prof::ProfLevel::kFull;
     } else if (args.has("metrics-out")) {
@@ -129,11 +130,11 @@ int main(int argc, char** argv) {
   delta::check::FuzzOptions opt;
   opt.base_seed =
       static_cast<std::uint64_t>(args.get_int("seed-base", 0xF0552));
-  opt.cases = static_cast<int>(args.get_int("seeds", 25));
-  opt.threads = static_cast<unsigned>(args.get_int("threads", 1));
-  opt.intra_jobs = static_cast<int>(args.get_int("intra-jobs", 1));
+  opt.cases = args.get_int_at_least("seeds", 25, 1);
+  opt.threads = static_cast<unsigned>(args.get_int_at_least("threads", 1, 0));
+  opt.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
   opt.intra_pin = args.has("intra-pin");
-  opt.sweep_interval = static_cast<int>(args.get_int("sweep-interval", 4));
+  opt.sweep_interval = args.get_int_at_least("sweep-interval", 4, 0);
   opt.lockstep = !args.has("no-lockstep");
   opt.check_invariants = !args.has("no-invariants");
   opt.differential = !args.has("no-differential") && opt.lockstep;
@@ -195,4 +196,16 @@ int main(int argc, char** argv) {
   }
 
   return report.ok() && (!det_checked || det.ok) && io_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  // Top-level error boundary: bad input (and any other escaping exception)
+  // ends with one clear line and exit code 2, never an abort.  Exit 1 stays
+  // reserved for "the fuzz found failures".
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "delta_fuzz: %s\n", e.what());
+    return 2;
+  }
 }

@@ -15,7 +15,6 @@
 // docs/observability.md.
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -119,18 +118,6 @@ obs::prof::ProfLevel resolve_prof_level(const ArgParser& args) {
   return obs::prof::ProfLevel::kOff;
 }
 
-/// Integer flag that must lie in [lo, INT_MAX]; anything else is an error,
-/// never a silent clamp.
-int int_flag(const ArgParser& args, const std::string& name, int def, int lo) {
-  const std::int64_t v = args.get_int(name, def);
-  if (v < lo)
-    throw std::invalid_argument("--" + name + " must be >= " + std::to_string(lo) +
-                                ", got " + std::to_string(v));
-  if (v > std::numeric_limits<int>::max())
-    throw std::invalid_argument("--" + name + " is out of range, got " + std::to_string(v));
-  return static_cast<int>(v);
-}
-
 bool ends_with(const std::string& s, const char* suffix) {
   const std::string suf(suffix);
   return s.size() >= suf.size() && s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
@@ -195,17 +182,17 @@ int run_cli(int argc, char** argv) {
     throw std::invalid_argument("--cores must be 16 or 64, got " +
                                 std::to_string(cores));
   sim::MachineConfig cfg = cores == 64 ? sim::config64() : sim::config16();
-  cfg.measure_epochs = int_flag(args, "epochs", cfg.measure_epochs, 1);
-  cfg.warmup_epochs = int_flag(args, "warmup", cfg.warmup_epochs, 0);
+  cfg.measure_epochs = args.get_int_at_least("epochs", cfg.measure_epochs, 1);
+  cfg.warmup_epochs = args.get_int_at_least("warmup", cfg.warmup_epochs, 0);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
-  cfg.intra_jobs = int_flag(args, "intra-jobs", 1, 0);
+  cfg.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
   cfg.intra_pin = args.has("intra-pin");
   // Part of the determinism contract: changing the batch changes results,
   // but serial and intra engines agree at any given value.
   cfg.interleave_batch =
-      static_cast<std::uint32_t>(int_flag(args, "interleave-batch", 0, 0));
+      static_cast<std::uint32_t>(args.get_int_at_least("interleave-batch", 0, 0));
 
   workload::Mix mix;
   if (args.has("apps")) {
@@ -252,7 +239,7 @@ int run_cli(int argc, char** argv) {
   // the per-job traces are merged back in scheme order — run-major, which
   // is exactly the order a serial observed execution emits (nothing in a
   // trace carries wall time), so the exported files match the serial ones.
-  const unsigned jobs = static_cast<unsigned>(int_flag(args, "jobs", 1, 0));
+  const unsigned jobs = static_cast<unsigned>(args.get_int_at_least("jobs", 1, 0));
 
   std::vector<sim::MixResult> results;
   if (scheme == "all") {
