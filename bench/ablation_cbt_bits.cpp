@@ -36,14 +36,13 @@ double range_spread_cv(const workload::AppProfile& p, bool reverse) {
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Ablation — CBT bank-selection bit reversal",
                       "Sec. II-C1 design-choice study (not a paper figure)");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   const std::vector<const char*> spread_apps = {"mc", "om", "xa", "hm", "li", "Ge"};
   const std::vector<std::array<double, 2>> cvs =
-      bench::parallel_map(spread_apps.size(), jobs, [&](std::size_t i) {
+      bench::parallel_map(spread_apps.size(), cli.jobs(), [&](std::size_t i) {
         const auto& p = workload::spec_profile(spread_apps[i]);
         return std::array<double, 2>{range_spread_cv(p, true),
                                      range_spread_cv(p, false)};
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
       {{cfg, mix, sim::SchemeKind::kSnuca, {}},
        {cfg, mix, sim::SchemeKind::kDelta, {}},
        {cfg_straight, mix, sim::SchemeKind::kDelta, {}}},
-      jobs);
+      cli.jobs());
   const sim::MixResult& snuca = runs[0];
   const sim::MixResult& reversed = runs[1];
   const sim::MixResult& straight = runs[2];

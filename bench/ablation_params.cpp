@@ -24,11 +24,10 @@ double delta_speedup(sim::MachineConfig cfg, const workload::Mix& mix) {
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Ablation — DELTA parameter sensitivity (mix w6, 16 cores)",
                       "DESIGN.md ablation index (not a paper figure)");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   sim::MachineConfig base = sim::config16();
   base.warmup_epochs = 40;
   base.measure_epochs = 150;
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<double> speeds =
-      bench::parallel_map(points.size(), jobs, [&](std::size_t i) {
+      bench::parallel_map(points.size(), cli.jobs(), [&](std::size_t i) {
         return delta_speedup(points[i].cfg, mix);
       });
 

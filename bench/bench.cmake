@@ -34,7 +34,7 @@ delta_bench(micro_obs_overhead)
 delta_bench(micro_prof_overhead)
 delta_bench(micro_throughput)
 
-# micro_components provides its own main (ProfScope wrapping, so
+# micro_components provides its own main (bench::Cli wrapping, so
 # --prof-out/--metrics-out work uniformly) — benchmark::benchmark only,
 # no benchmark_main.
 add_executable(micro_components ${CMAKE_SOURCE_DIR}/bench/micro_components.cpp)

@@ -1,12 +1,15 @@
 // Shared plumbing for the figure/table reproduction harnesses.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/args.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
@@ -16,102 +19,87 @@
 
 namespace delta::bench {
 
-/// Self-profiling plumbing shared by every bench main: construct one at the
-/// top of main(argc, argv) and the harness grows --prof-out / --metrics-out
-/// / --prof-level with the same semantics as delta_sim (explicit level
-/// wins; --prof-out implies full, --metrics-out implies phases).  The
-/// destructor writes the requested outputs after the harness finishes.
-/// With none of the flags present this is level-kOff and writes nothing.
-class ProfScope {
+/// The one command line of every bench main.  Construct it first thing in
+/// main(argc, argv).  Every bench accepts
+///   --jobs N   worker threads for its sweeps: 0 (the default) is every
+///              hardware thread, 1 the serial run, whose output is
+///              byte-identical by construction.  Precedence: flag >
+///              DELTA_JOBS environment variable > 0; the env var is the one
+///              knob that pins every harness at once.
+///   --prof-out / --metrics-out / --prof-level   self-profiling with
+///              delta_sim's semantics (obs::prof::start_from_flags); the
+///              destructor writes the requested outputs.
+/// plus its own `extra` flags ("out", "quick", "reps").  An unknown flag, a
+/// positional argument or a malformed value prints `<bench>: <message>`
+/// and exits 2 before any simulation runs.
+class Cli {
  public:
-  ProfScope(int argc, char** argv) {
-    obs::prof::init_clock();
-    const char* level_str = find_value(argc, argv, "--prof-level");
-    prof_out_ = value_or_empty(argc, argv, "--prof-out");
-    metrics_out_ = value_or_empty(argc, argv, "--metrics-out");
-    obs::prof::ProfLevel lvl = obs::prof::ProfLevel::kOff;
-    if (level_str != nullptr) {
-      if (!obs::prof::parse_prof_level(level_str, &lvl)) {
-        std::fprintf(stderr, "unknown --prof-level '%s' (off|phases|full)\n",
-                     level_str);
-        std::exit(2);
-      }
-    } else if (!prof_out_.empty()) {
-      lvl = obs::prof::ProfLevel::kFull;
-    } else if (!metrics_out_.empty()) {
-      lvl = obs::prof::ProfLevel::kPhases;
+  Cli(int argc, char** argv, std::initializer_list<const char*> extra = {})
+      : name_(std::string(argv[0]).substr(std::string(argv[0]).rfind('/') + 1)),
+        args_(argc, argv) {
+    std::vector<std::string> known = {"jobs", "prof-out", "metrics-out", "prof-level"};
+    known.insert(known.end(), extra.begin(), extra.end());
+    const std::vector<std::string> unknown = args_.unknown_flags(known);
+    if (!unknown.empty()) fail("unknown flag --" + unknown.front());
+    if (!args_.positional().empty())
+      fail("unexpected argument '" + args_.positional().front() + "'");
+    if (args_.has("jobs")) {
+      jobs_ = parse_count("--jobs", args_.get("jobs"));
+    } else if (const char* env = std::getenv("DELTA_JOBS");
+               env != nullptr && *env != '\0') {
+      jobs_ = parse_count("DELTA_JOBS", env);
     }
-    obs::prof::set_level(lvl);
+    try {
+      obs::prof::start_from_flags(args_);
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
+    }
     Logger::install_flush_handlers();
   }
 
-  ~ProfScope() {
-    if (!prof_out_.empty()) {
-      const obs::prof::ProfSnapshot snap = obs::prof::Profiler::instance().snapshot();
-      if (!obs::write_text_file(prof_out_, obs::prof::prof_trace_json(snap)))
-        std::perror(("writing " + prof_out_).c_str());
-    }
-    if (!metrics_out_.empty()) {
-      const obs::prof::RegistrySnapshot reg =
-          obs::prof::MetricsRegistry::global().snapshot();
-      const bool prom = ends_with(metrics_out_, ".prom") ||
-                        ends_with(metrics_out_, ".txt");
-      const std::string text =
-          prom ? obs::prof::prometheus_text(reg)
-               : obs::prof::metrics_json(
-                     reg, obs::prof::Profiler::instance().snapshot());
-      if (!obs::write_text_file(metrics_out_, text))
-        std::perror(("writing " + metrics_out_).c_str());
-    }
+  ~Cli() { (void)obs::prof::write_flag_outputs(args_); }
+
+  Cli(const Cli&) = delete;
+  Cli& operator=(const Cli&) = delete;
+
+  unsigned jobs() const { return jobs_; }
+  bool has(const std::string& flag) const { return args_.has(flag); }
+
+  /// Value of a value-taking flag, `def` when absent.
+  std::string get(const std::string& flag, const std::string& def = "") const {
+    if (args_.has(flag) && args_.get(flag).empty()) fail("--" + flag + " needs a value");
+    return args_.get(flag, def);
   }
 
-  ProfScope(const ProfScope&) = delete;
-  ProfScope& operator=(const ProfScope&) = delete;
+  /// Integer flag in [lo, INT_MAX], `def` when absent.
+  int get_int_at_least(const std::string& flag, int def, int lo) const {
+    (void)get(flag);  // A flag given without a value is an error, not `def`.
+    try {
+      return args_.get_int_at_least(flag, def, lo);
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
+    }
+  }
 
  private:
-  static const char* find_value(int argc, char** argv, const char* flag) {
-    const std::size_t len = std::strlen(flag);
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[i + 1];
-      if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=')
-        return argv[i] + len + 1;
-    }
-    return nullptr;
-  }
-  static std::string value_or_empty(int argc, char** argv, const char* flag) {
-    const char* v = find_value(argc, argv, flag);
-    return v != nullptr ? std::string(v) : std::string();
-  }
-  static bool ends_with(const std::string& s, const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+  [[noreturn]] void fail(const std::string& msg) const {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), msg.c_str());
+    std::exit(2);
   }
 
-  std::string prof_out_;
-  std::string metrics_out_;
+  /// A whole non-negative integer that fits an int; `what` names the source.
+  unsigned parse_count(const std::string& what, const std::string& text) const {
+    int v = -1;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size() || v < 0)
+      fail(what + " expects a non-negative integer, got '" + text + "'");
+    return static_cast<unsigned>(v);
+  }
+
+  std::string name_;
+  ArgParser args_;
+  unsigned jobs_ = 0;
 };
-
-/// Parses `--jobs N` (or `--jobs=N`) from a bench's argv.  0 means "use
-/// every hardware thread" — also the default when the flag is absent, so
-/// the harnesses parallelise out of the box; `--jobs 1` recovers the
-/// serial run (whose output is byte-identical by construction).
-///
-/// Precedence: explicit flag > DELTA_JOBS environment variable > fallback.
-/// The env override is the one shared knob CI (and anyone scripting every
-/// fig*/table* harness at once) uses to pin the thread count without
-/// editing each invocation.
-inline unsigned parse_jobs(int argc, char** argv, unsigned fallback = 0) {
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc)
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    if (std::strncmp(a, "--jobs=", 7) == 0)
-      return static_cast<unsigned>(std::strtoul(a + 7, nullptr, 10));
-  }
-  if (const char* env = std::getenv("DELTA_JOBS"); env != nullptr && *env != '\0')
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  return fallback;
-}
 
 /// Index-ordered parallel map: `out[i] = fn(i)` for i in [0, n), fanned
 /// over `jobs` threads with results in pre-sized slots.  For bench loops
@@ -141,24 +129,25 @@ inline std::vector<std::string> irregular_mix_names() {
   return names;
 }
 
-/// Sweep variant: all four schemes on every named mix, fanned over `jobs`
-/// threads (0 == hardware concurrency).  Results come back in mix order
-/// and are byte-identical to looping run_comparison serially.
-inline std::vector<sim::SchemeComparison> run_comparisons(
+/// Slots of a run_comparisons row: sim::kPaperSchemeKinds order.
+enum PaperScheme : std::size_t { kSnuca, kPrivate, kIdeal, kDelta };
+
+/// The paper's four schemes on every named mix, fanned over `jobs` threads
+/// (0 == hardware concurrency).  row[m][kDelta] is mix `m` under DELTA.
+inline std::vector<std::vector<sim::MixResult>> run_comparisons(
     const sim::MachineConfig& cfg, const std::vector<std::string>& mix_names,
     unsigned jobs = 0) {
   std::vector<workload::Mix> mixes;
   mixes.reserve(mix_names.size());
   for (const std::string& name : mix_names)
     mixes.push_back(sim::mix_for_config(cfg, name));
-  return sim::compare_schemes_sweep(cfg, mixes, jobs);
+  return sim::run_schemes(cfg, mixes, sim::kPaperSchemeKinds, jobs);
 }
 
-/// Runs all four schemes on `mix_name` at the given machine size, the four
-/// runs fanned over `jobs` threads (default: one per scheme).
-inline sim::SchemeComparison run_comparison(const sim::MachineConfig& cfg,
-                                            const std::string& mix_name,
-                                            unsigned jobs = 0) {
+/// run_comparisons on one mix.
+inline std::vector<sim::MixResult> run_comparison(const sim::MachineConfig& cfg,
+                                                  const std::string& mix_name,
+                                                  unsigned jobs = 0) {
   return run_comparisons(cfg, {mix_name}, jobs).front();
 }
 

@@ -28,7 +28,7 @@ void irregular_at(const sim::MachineConfig& base, const char* title,
   std::vector<workload::Mix> mixes;
   for (const std::string& n : names) mixes.push_back(sim::mix_for_config(cfg, n));
 
-  const auto rs = sim::run_schemes_sweep(cfg, mixes, sim::kAllSchemeKinds, jobs);
+  const auto rs = sim::run_schemes(cfg, mixes, sim::kAllSchemeKinds, jobs);
 
   TextTable table({"mix", "private", "ideal", "delta", "carma", "lfoc"});
   TextTable fair({"mix", "delta antt", "delta stp", "carma antt", "carma stp",
@@ -61,18 +61,12 @@ void irregular_at(const sim::MachineConfig& base, const char* title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv, {"out", "quick"});
+  const std::string out_path = cli.get("out");
+  const bool quick = cli.has("quick");
+  const unsigned jobs = cli.jobs();
   bench::print_header("Irregular-access mixes — six schemes on flat miss curves",
                       "extension experiment (EXPERIMENTS.md, docs/workloads.md)");
-
-  std::string out_path;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (a == "--quick") quick = true;
-  }
-  const unsigned jobs = bench::parse_jobs(argc, argv);
 
   std::vector<std::string> names = bench::irregular_mix_names();
   if (quick && names.size() > 2) names.resize(2);

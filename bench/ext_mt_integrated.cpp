@@ -12,7 +12,7 @@
 #include "workload/splash.hpp"
 
 int main(int argc, char** argv) {
-  const delta::bench::ProfScope prof(argc, argv);
+  const delta::bench::Cli cli(argc, argv);
   using namespace delta;
   bench::print_header("Extension — integrated multithreaded DELTA vs the paper's estimate",
                       "Sec. II-E / IV-C future-work extension");

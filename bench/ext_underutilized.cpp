@@ -11,11 +11,10 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Extension — under-utilised chip (idle-bank fast path)",
                       "Sec. II-B1 idle-bank discussion / Sec. IV-B private critique");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   sim::MachineConfig cfg = sim::config16();
   cfg.warmup_epochs = 40;
   cfg.measure_epochs = 150;
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
     sweep.push_back({cfg, mix, sim::SchemeKind::kPrivate, {}});
     sweep.push_back({cfg, mix, sim::SchemeKind::kDelta, {}});
   }
-  const std::vector<sim::MixResult> results = sim::run_sweep(sweep, jobs);
+  const std::vector<sim::MixResult> results = sim::run_sweep(sweep, cli.jobs());
 
   TextTable table({"occupied", "snuca", "private", "delta", "delta ways/app"});
   for (std::size_t m = 0; m < occupancies.size(); ++m) {

@@ -9,24 +9,23 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Fig. 6 — ANTT / STP, ideal centralized vs DELTA (16 cores)",
                       "Sec. IV-A, Fig. 6");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   const sim::MachineConfig cfg = sim::config16();
   TextTable table({"mix", "antt(ideal)", "antt(delta)", "stp(ideal)", "stp(delta)"});
   std::vector<double> antt_ratio, stp_ratio;
 
   const std::vector<std::string> names = bench::all_mix_names();
-  const std::vector<sim::SchemeComparison> comps =
-      bench::run_comparisons(cfg, names, jobs);
+  const std::vector<std::vector<sim::MixResult>> comps =
+      bench::run_comparisons(cfg, names, cli.jobs());
   for (std::size_t m = 0; m < names.size(); ++m) {
-    const sim::SchemeComparison& c = comps[m];
-    const double ai = sim::antt(c.ideal, c.private_llc);
-    const double ad = sim::antt(c.delta, c.private_llc);
-    const double si = sim::stp(c.ideal, c.private_llc);
-    const double sd = sim::stp(c.delta, c.private_llc);
+    const std::vector<sim::MixResult>& c = comps[m];
+    const double ai = sim::antt(c[bench::kIdeal], c[bench::kPrivate]);
+    const double ad = sim::antt(c[bench::kDelta], c[bench::kPrivate]);
+    const double si = sim::stp(c[bench::kIdeal], c[bench::kPrivate]);
+    const double sd = sim::stp(c[bench::kDelta], c[bench::kPrivate]);
     antt_ratio.push_back(ad / ai);
     stp_ratio.push_back(sd / si);
     table.add_row({names[m], fmt(ai, 3), fmt(ad, 3), fmt(si, 2), fmt(sd, 2)});

@@ -9,22 +9,21 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Fig. 8 — per-application performance, w3, 16 cores",
                       "Sec. IV-A, Fig. 8");
 
   const sim::MachineConfig cfg = sim::config16();
-  const sim::SchemeComparison c =
-      bench::run_comparison(cfg, "w3", bench::parse_jobs(argc, argv));
+  const std::vector<sim::MixResult> c = bench::run_comparison(cfg, "w3", cli.jobs());
 
   TextTable table({"core", "app", "ideal/delta", "private/delta"});
   std::vector<double> ratios;
-  for (std::size_t i = 0; i < c.delta.apps.size(); ++i) {
-    const auto& d = c.delta.apps[i];
-    const double r = c.ideal.apps[i].ipc / d.ipc;
+  for (std::size_t i = 0; i < c[bench::kDelta].apps.size(); ++i) {
+    const auto& d = c[bench::kDelta].apps[i];
+    const double r = c[bench::kIdeal].apps[i].ipc / d.ipc;
     ratios.push_back(r);
     table.add_row({std::to_string(i), d.app, fmt(r, 3),
-                   fmt(c.private_llc.apps[i].ipc / d.ipc, 3)});
+                   fmt(c[bench::kPrivate].apps[i].ipc / d.ipc, 3)});
   }
   std::printf("\n%s\n", table.str().c_str());
   std::printf("geomean ideal/delta = %.3f (paper: ~1.0 — DELTA on par on w3)\n",

@@ -10,24 +10,23 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Fig. 9 — 64-core multi-programmed mixes",
                       "Sec. IV-B, Fig. 9");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   const sim::MachineConfig cfg = sim::config64();
   TextTable table({"mix", "private", "ideal", "delta"});
   std::vector<double> sp_priv, sp_ideal, sp_delta;
   int delta_wins = 0;
 
   const std::vector<std::string> names = bench::all_mix_names();
-  const std::vector<sim::SchemeComparison> comps =
-      bench::run_comparisons(cfg, names, jobs);
+  const std::vector<std::vector<sim::MixResult>> comps =
+      bench::run_comparisons(cfg, names, cli.jobs());
   for (std::size_t m = 0; m < names.size(); ++m) {
-    const sim::SchemeComparison& c = comps[m];
-    const double p = sim::speedup(c.private_llc, c.snuca);
-    const double i = sim::speedup(c.ideal, c.snuca);
-    const double d = sim::speedup(c.delta, c.snuca);
+    const std::vector<sim::MixResult>& c = comps[m];
+    const double p = sim::speedup(c[bench::kPrivate], c[bench::kSnuca]);
+    const double i = sim::speedup(c[bench::kIdeal], c[bench::kSnuca]);
+    const double d = sim::speedup(c[bench::kDelta], c[bench::kSnuca]);
     sp_priv.push_back(p);
     sp_ideal.push_back(i);
     sp_delta.push_back(d);

@@ -11,13 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Fig. 11 — per-application performance, w13, 64 cores",
                       "Sec. IV-B, Fig. 11");
 
   const sim::MachineConfig cfg = sim::config64();
-  const sim::SchemeComparison c =
-      bench::run_comparison(cfg, "w13", bench::parse_jobs(argc, argv));
+  const std::vector<sim::MixResult> c = bench::run_comparison(cfg, "w13", cli.jobs());
 
   TextTable table({"slot", "app", "ideal/delta", "ways(ideal)", "ways(delta)"});
   for (int slot = 0; slot < 16; ++slot) {
@@ -25,16 +24,19 @@ int main(int argc, char** argv) {
     double wi = 0.0, wd = 0.0;
     for (int rep = 0; rep < 4; ++rep) {
       const std::size_t core = static_cast<std::size_t>(slot + rep * 16);
-      ideal_r.push_back(c.ideal.apps[core].ipc / c.delta.apps[core].ipc);
-      wi += c.ideal.apps[core].avg_ways / 4.0;
-      wd += c.delta.apps[core].avg_ways / 4.0;
+      ideal_r.push_back(c[bench::kIdeal].apps[core].ipc /
+                        c[bench::kDelta].apps[core].ipc);
+      wi += c[bench::kIdeal].apps[core].avg_ways / 4.0;
+      wd += c[bench::kDelta].apps[core].avg_ways / 4.0;
     }
-    table.add_row({std::to_string(slot), c.delta.apps[static_cast<std::size_t>(slot)].app,
+    table.add_row({std::to_string(slot),
+                   c[bench::kDelta].apps[static_cast<std::size_t>(slot)].app,
                    fmt(geomean(ideal_r), 3), fmt(wi, 1), fmt(wd, 1)});
   }
   std::printf("\nPer-slot geomean over the 4 replicas:\n%s\n", table.str().c_str());
   std::printf("workload speedup vs S-NUCA: ideal %.3f, delta %.3f "
               "(paper: delta > ideal on w13)\n",
-              sim::speedup(c.ideal, c.snuca), sim::speedup(c.delta, c.snuca));
+              sim::speedup(c[bench::kIdeal], c[bench::kSnuca]),
+              sim::speedup(c[bench::kDelta], c[bench::kSnuca]));
   return 0;
 }

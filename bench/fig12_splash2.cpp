@@ -13,11 +13,10 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Fig. 12 — SPLASH2 on 16 cores (piecewise estimate)",
                       "Sec. IV-C, Fig. 12");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   const sim::MachineConfig cfg = sim::config16();
   sim::SplashConfig scfg;
 
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
   std::vector<double> delta_sp, priv_sp;
   const auto& profiles = workload::splash_profiles();
   const std::vector<sim::SplashEstimate> estimates =
-      bench::parallel_map(profiles.size(), jobs, [&](std::size_t i) {
+      bench::parallel_map(profiles.size(), cli.jobs(), [&](std::size_t i) {
         return sim::estimate_splash(profiles[i], cfg, scfg);
       });
   for (const sim::SplashEstimate& e : estimates) {

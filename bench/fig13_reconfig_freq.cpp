@@ -10,11 +10,10 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Fig. 13 — reconfiguration frequency (ideal centralized)",
                       "Sec. IV-D, Fig. 13");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   sim::MachineConfig cfg = sim::config16();
   // Long enough that several application phases elapse (gcc/mcf/omnetpp
   // switch every 150-200 epochs = 15-20 ms).
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
     sweep.push_back({cfg, mix, sim::SchemeKind::kIdealCentralized, fast});
     sweep.push_back({cfg, mix, sim::SchemeKind::kIdealCentralized, slow});
   }
-  const std::vector<sim::MixResult> results = sim::run_sweep(sweep, jobs);
+  const std::vector<sim::MixResult> results = sim::run_sweep(sweep, cli.jobs());
 
   TextTable table({"mix", "1ms", "100ms", "1ms/100ms"});
   std::vector<double> ratios;

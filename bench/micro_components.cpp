@@ -2,9 +2,9 @@
 // cost, UMON updates, CBT lookups/rebuilds, pain/gain evaluation, the
 // allocation algorithms and the NoC helpers.
 //
-// Custom main instead of benchmark_main: the run is wrapped in
-// bench::ProfScope so --prof-out/--metrics-out/--prof-level work here
-// exactly as in every other harness (docs/observability.md).
+// Custom main instead of benchmark_main: the run is wrapped in bench::Cli
+// so --prof-out/--metrics-out/--prof-level work here exactly as in every
+// other harness (docs/observability.md).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -155,11 +155,10 @@ BENCHMARK(BM_TraceGenNext);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // ProfScope reads its own flags before google-benchmark sees argv; the
-  // unrecognised-argument check is deliberately skipped since --prof-out &
-  // co. legitimately stay behind after benchmark::Initialize.
-  const bench::ProfScope prof(argc, argv);
+  // google-benchmark takes its --benchmark_* flags out of argv first; the
+  // strict bench::Cli then rejects whatever neither of them knows.
   benchmark::Initialize(&argc, argv);
+  const bench::Cli cli(argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

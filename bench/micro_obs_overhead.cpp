@@ -39,7 +39,7 @@ double timed_run(const sim::MachineConfig& cfg, const workload::Mix& mix,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const delta::bench::ProfScope prof(argc, argv);
+  const delta::bench::Cli cli(argc, argv);
   bench::print_header("Observability overhead (delta scheme, mix w6, 16 cores)",
                       "ISSUE acceptance: disabled-path overhead < 2%");
 

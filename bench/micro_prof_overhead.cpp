@@ -60,7 +60,7 @@ double disabled_site_cost_ns() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const delta::bench::ProfScope prof(argc, argv);
+  const delta::bench::Cli cli(argc, argv);
   bench::print_header("Self-profiling overhead (delta scheme, mix w6, 16 cores)",
                       "prof overhead contract: disabled < 2%, full < 8%");
 

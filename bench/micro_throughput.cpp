@@ -34,7 +34,6 @@
 //                         [--reps N] [--quick]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,22 +213,13 @@ SchemeThroughput sim_throughput(const sim::MachineConfig& cfg,
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv, {"out", "quick", "reps"});
+  const std::string out_path = cli.get("out", "BENCH_throughput.json");
+  const bool quick = cli.has("quick");
+  const int reps = cli.get_int_at_least("reps", 3, 1);
+  const unsigned jobs = cli.jobs() == 0 ? hardware_threads() : cli.jobs();
   bench::print_header("micro_throughput — engine & sweep throughput harness",
                       "repo performance baseline (docs/performance.md)");
-
-  std::string out_path = "BENCH_throughput.json";
-  bool quick = false;
-  int reps = 3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (a == "--reps" && i + 1 < argc) reps = std::atoi(argv[++i]);
-    if (a == "--quick") quick = true;
-  }
-  unsigned jobs = bench::parse_jobs(argc, argv);
-  if (jobs == 0) jobs = std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
 
   // ---- Cache kernel: SoA vs frozen AoS. ----
   // Two streams bracket the sim's behaviour: a hit-heavy one (footprint
@@ -287,8 +277,7 @@ int main(int argc, char** argv) {
                               {"ideal-central", 7934701.0},
                               {"delta", 7408045.0}};
   std::vector<SchemeThroughput> schemes;
-  for (auto kind : {sim::SchemeKind::kSnuca, sim::SchemeKind::kPrivate,
-                    sim::SchemeKind::kIdealCentralized, sim::SchemeKind::kDelta}) {
+  for (const sim::SchemeKind kind : sim::kPaperSchemeKinds) {
     schemes.push_back(sim_throughput(cfg, mix, kind, reps));
     std::printf("simulator %-14s %.0f meas-accesses/sec\n",
                 schemes.back().scheme.c_str(), schemes.back().accesses_per_sec);
@@ -309,23 +298,18 @@ int main(int argc, char** argv) {
   std::vector<workload::Mix> sweep_mixes = {
       sim::mix_for_config(sweep_cfg, "w2"), sim::mix_for_config(sweep_cfg, "w6")};
   const auto t_serial = Clock::now();
-  const std::vector<sim::SchemeComparison> serial =
-      sim::compare_schemes_sweep(sweep_cfg, sweep_mixes, 1);
+  const auto serial =
+      sim::run_schemes(sweep_cfg, sweep_mixes, sim::kPaperSchemeKinds, 1);
   const double serial_s = seconds_since(t_serial);
   const auto t_par = Clock::now();
-  const std::vector<sim::SchemeComparison> par =
-      sim::compare_schemes_sweep(sweep_cfg, sweep_mixes, jobs);
+  const auto par =
+      sim::run_schemes(sweep_cfg, sweep_mixes, sim::kPaperSchemeKinds, jobs);
   const double par_s = seconds_since(t_par);
 
   // Byte-level determinism check: the full JSON summaries must match.
   bool identical = true;
-  for (std::size_t m = 0; m < serial.size(); ++m) {
-    const std::vector<sim::MixResult> a = {serial[m].snuca, serial[m].private_llc,
-                                           serial[m].ideal, serial[m].delta};
-    const std::vector<sim::MixResult> b = {par[m].snuca, par[m].private_llc,
-                                           par[m].ideal, par[m].delta};
-    identical &= sim::json_summary(a) == sim::json_summary(b);
-  }
+  for (std::size_t m = 0; m < serial.size(); ++m)
+    identical &= sim::json_summary(serial[m]) == sim::json_summary(par[m]);
   const double sweep_speedup = par_s > 0.0 ? serial_s / par_s : 0.0;
   std::printf("sweep (8 runs): serial %.2fs, --jobs %u %.2fs, speedup %.2fx, "
               "results %s\n", serial_s, jobs, par_s, sweep_speedup,

@@ -10,18 +10,17 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Message overheads — DELTA control traffic vs demand",
                       "Sec. IV-E2");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   const sim::MachineConfig cfg = sim::config16();
   const std::vector<std::string> names = {"w2", "w6", "w12"};
   std::vector<sim::SweepJob> sweep;
   for (const std::string& name : names)
     sweep.push_back(
         {cfg, sim::mix_for_config(cfg, name), sim::SchemeKind::kDelta, {}});
-  const std::vector<sim::MixResult> results = sim::run_sweep(sweep, jobs);
+  const std::vector<sim::MixResult> results = sim::run_sweep(sweep, cli.jobs());
 
   TextTable table({"mix", "ctrl/1ms", "demand/1ms", "overhead%"});
   for (std::size_t m = 0; m < names.size(); ++m) {

@@ -40,8 +40,7 @@ void shootout_at(const sim::MachineConfig& base, const char* title,
   std::vector<workload::Mix> mixes;
   for (const std::string& n : names) mixes.push_back(sim::mix_for_config(cfg, n));
 
-  const auto rs =
-      sim::run_schemes_sweep(cfg, mixes, sim::kAllSchemeKinds, jobs);
+  const auto rs = sim::run_schemes(cfg, mixes, sim::kAllSchemeKinds, jobs);
 
   // Per-mix table: speedup over unpartitioned S-NUCA (snuca == 1.000).
   TextTable table({"mix", "private", "ideal", "delta", "carma", "lfoc"});
@@ -89,18 +88,12 @@ void shootout_at(const sim::MachineConfig& base, const char* title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv, {"out", "quick"});
+  const std::string out_path = cli.get("out");
+  const bool quick = cli.has("quick");
+  const unsigned jobs = cli.jobs();
   bench::print_header("Scheme shootout — DELTA vs CARMA vs LFOC (+3 baselines)",
                       "literature comparison (docs/schemes.md)");
-
-  std::string out_path;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (a == "--quick") quick = true;
-  }
-  const unsigned jobs = bench::parse_jobs(argc, argv);
 
   // Table IV mixes plus the irregular-access family: the flat-miss-curve
   // kernels are exactly where the allocator families disagree the most.

@@ -11,16 +11,15 @@
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::ProfScope prof(argc, argv);
+  const bench::Cli cli(argc, argv);
   bench::print_header("Table V — private pages/blocks per SPLASH2 app",
                       "Sec. IV-C, Table V");
 
-  const unsigned jobs = bench::parse_jobs(argc, argv);
   TextTable table({"app", "pages% (meas)", "pages% (paper)", "blocks% (meas)",
                    "blocks% (paper)"});
   const auto& profiles = workload::splash_profiles();
   const std::vector<workload::SharingMeasurement> measured =
-      bench::parallel_map(profiles.size(), jobs, [&](std::size_t i) {
+      bench::parallel_map(profiles.size(), cli.jobs(), [&](std::size_t i) {
         return workload::measure_sharing(profiles[i], 800'000, 7);
       });
   for (std::size_t i = 0; i < profiles.size(); ++i) {

@@ -51,7 +51,7 @@ delta::alloc::AllocRequest make_request(int cores, delta::Rng& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const delta::bench::ProfScope prof(argc, argv);
+  const delta::bench::Cli cli(argc, argv);
   using namespace delta;
   bench::print_header("Table VI — allocation-algorithm overhead per invocation",
                       "Sec. IV-E1, Table VI");

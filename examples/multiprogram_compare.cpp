@@ -37,20 +37,16 @@ int main(int argc, char** argv) {
   for (const auto& a : mix.apps) std::printf("%s ", a.c_str());
   std::printf("\n\nrunning snuca / private / ideal-central / delta ...\n");
 
-  const sim::SchemeComparison c = sim::compare_schemes(cfg, mix);
+  // kPaperSchemeKinds order: rs[0] is S-NUCA, rs[1] private.
+  const std::vector<sim::MixResult> rs =
+      sim::run_schemes(cfg, {mix}, sim::kPaperSchemeKinds).front();
 
   TextTable table({"scheme", "geomean ipc", "speedup vs snuca", "ANTT", "STP",
                    "invalidated lines"});
-  auto row = [&](const sim::MixResult& r) {
-    table.add_row({r.scheme, fmt(r.geomean_ipc, 3), fmt(sim::speedup(r, c.snuca), 3),
-                   fmt(sim::antt(r, c.private_llc), 3),
-                   fmt(sim::stp(r, c.private_llc), 2),
+  for (const sim::MixResult& r : rs)
+    table.add_row({r.scheme, fmt(r.geomean_ipc, 3), fmt(sim::speedup(r, rs[0]), 3),
+                   fmt(sim::antt(r, rs[1]), 3), fmt(sim::stp(r, rs[1]), 2),
                    std::to_string(r.invalidated_lines)});
-  };
-  row(c.snuca);
-  row(c.private_llc);
-  row(c.ideal);
-  row(c.delta);
   std::printf("\n%s\n", table.str().c_str());
   return 0;
 }

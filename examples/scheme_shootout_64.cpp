@@ -5,6 +5,7 @@
 //   $ ./scheme_shootout_64 [mix]        # default w6
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "sim/runner.hpp"
@@ -20,7 +21,9 @@ int main(int argc, char** argv) {
   const workload::Mix mix = sim::mix_for_config(cfg, mix_name);
   std::printf("64-core shootout on %s (16-core mix replicated 4x)\n\n", mix_name.c_str());
 
-  const sim::SchemeComparison c = sim::compare_schemes(cfg, mix);
+  // kPaperSchemeKinds order: rs[0] is the S-NUCA baseline.
+  const std::vector<sim::MixResult> rs =
+      sim::run_schemes(cfg, {mix}, sim::kPaperSchemeKinds).front();
 
   auto mean_hops = [](const sim::MixResult& r) {
     double h = 0.0;
@@ -34,16 +37,12 @@ int main(int argc, char** argv) {
   };
 
   TextTable table({"scheme", "geomean ipc", "speedup", "mean hops", "mean ways"});
-  auto row = [&](const sim::MixResult& r) {
+  for (const sim::MixResult& r : rs) {
     double ways = 0.0;
     for (const auto& a : r.apps) ways += a.avg_ways / static_cast<double>(r.apps.size());
-    table.add_row({r.scheme, fmt(r.geomean_ipc, 3), fmt(sim::speedup(r, c.snuca), 3),
+    table.add_row({r.scheme, fmt(r.geomean_ipc, 3), fmt(sim::speedup(r, rs[0]), 3),
                    fmt(mean_hops(r), 2), fmt(ways, 1)});
-  };
-  row(c.snuca);
-  row(c.private_llc);
-  row(c.ideal);
-  row(c.delta);
+  }
   std::printf("%s\n", table.str().c_str());
   std::printf("S-NUCA pays the full mesh diameter on every access; DELTA keeps\n"
               "allocations near their tiles while still right-sizing capacity.\n");

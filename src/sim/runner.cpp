@@ -1,8 +1,6 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -49,17 +47,10 @@ MixResult run_mix(const MachineConfig& cfg, const workload::Mix& mix, SchemeKind
   return chip.run(mix.name);
 }
 
-SchemeComparison compare_schemes(const MachineConfig& cfg, const workload::Mix& mix,
-                                 obs::Observer* obs, EpochChecker* checker) {
-  SchemeComparison out;
-  out.snuca = run_mix(cfg, mix, SchemeKind::kSnuca, {}, obs, checker);
-  out.private_llc = run_mix(cfg, mix, SchemeKind::kPrivate, {}, obs, checker);
-  out.ideal = run_mix(cfg, mix, SchemeKind::kIdealCentralized, {}, obs, checker);
-  out.delta = run_mix(cfg, mix, SchemeKind::kDelta, {}, obs, checker);
-  return out;
-}
-
-std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs, unsigned threads) {
+std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs, unsigned threads,
+                                 std::span<obs::Observer* const> observers) {
+  if (!observers.empty() && observers.size() != jobs.size())
+    throw std::invalid_argument("run_sweep needs one observer slot per job");
   // Warm the lazily-built profile registries before fanning out: their
   // function-local statics would otherwise be constructed under the init
   // guard inside the pool, serialising the first wave of workers.
@@ -73,53 +64,17 @@ std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs, unsigned thr
       [&](std::size_t i) {
         const obs::prof::ScopedSpan job_span(obs::prof::Phase::kSweepJob, i);
         const SweepJob& j = resolved[i];
-        out[i] = run_mix(j.cfg, j.mix, j.kind, j.opts);
+        out[i] = run_mix(j.cfg, j.mix, j.kind, j.opts,
+                         observers.empty() ? nullptr : observers[i]);
       },
       threads);
   return out;
 }
 
-std::vector<MixResult> run_sweep_observed(const std::vector<SweepJob>& jobs,
-                                          const std::vector<obs::Observer*>& observers,
-                                          unsigned threads) {
-  assert(observers.size() == jobs.size());
-  (void)workload::spec_profiles();
-  (void)workload::irregular_profiles();
-  (void)workload::splash_profiles();
-  const std::vector<SweepJob> resolved = split_intra_budget(jobs, threads);
-  std::vector<MixResult> out(resolved.size());
-  parallel_for(
-      0, resolved.size(),
-      [&](std::size_t i) {
-        const obs::prof::ScopedSpan job_span(obs::prof::Phase::kSweepJob, i);
-        const SweepJob& j = resolved[i];
-        out[i] = run_mix(j.cfg, j.mix, j.kind, j.opts, observers[i]);
-      },
-      threads);
-  return out;
-}
-
-std::vector<SchemeComparison> compare_schemes_sweep(
-    const MachineConfig& cfg, const std::vector<workload::Mix>& mixes,
-    unsigned threads) {
-  constexpr std::array<SchemeKind, 4> kFour = {
-      SchemeKind::kSnuca, SchemeKind::kPrivate, SchemeKind::kIdealCentralized,
-      SchemeKind::kDelta};
-  const std::vector<std::vector<MixResult>> results =
-      run_schemes_sweep(cfg, mixes, kFour, threads);
-  std::vector<SchemeComparison> out(mixes.size());
-  for (std::size_t m = 0; m < mixes.size(); ++m) {
-    out[m].snuca = results[m][0];
-    out[m].private_llc = results[m][1];
-    out[m].ideal = results[m][2];
-    out[m].delta = results[m][3];
-  }
-  return out;
-}
-
-std::vector<std::vector<MixResult>> run_schemes_sweep(
-    const MachineConfig& cfg, const std::vector<workload::Mix>& mixes,
-    std::span<const SchemeKind> kinds, unsigned threads, SchemeOptions opts) {
+std::vector<std::vector<MixResult>> run_schemes(const MachineConfig& cfg,
+                                                const std::vector<workload::Mix>& mixes,
+                                                std::span<const SchemeKind> kinds,
+                                                unsigned threads, SchemeOptions opts) {
   std::vector<SweepJob> jobs;
   jobs.reserve(mixes.size() * kinds.size());
   for (const workload::Mix& mix : mixes)

@@ -1,5 +1,5 @@
 // High-level experiment drivers: run a Table IV mix under one scheme or
-// under all four, on the 16- or 64-core machine.
+// under a set of schemes, on the 16- or 64-core machine.
 #pragma once
 
 #include <span>
@@ -22,18 +22,6 @@ MixResult run_mix(const MachineConfig& cfg, const workload::Mix& mix, SchemeKind
                   SchemeOptions opts = {}, obs::Observer* obs = nullptr,
                   EpochChecker* checker = nullptr);
 
-/// All four schemes on the same mix with identical workload streams; with
-/// an observer the runs land in one trace as four named runs.
-struct SchemeComparison {
-  MixResult snuca;
-  MixResult private_llc;
-  MixResult ideal;
-  MixResult delta;
-};
-SchemeComparison compare_schemes(const MachineConfig& cfg, const workload::Mix& mix,
-                                 obs::Observer* obs = nullptr,
-                                 EpochChecker* checker = nullptr);
-
 /// Resolves a 16-core Table IV mix to the machine size (replicating 4x for
 /// 64 cores per Sec. III-B).
 workload::Mix mix_for_config(const MachineConfig& cfg, const std::string& mix_name);
@@ -43,10 +31,9 @@ workload::Mix mix_for_config(const MachineConfig& cfg, const std::string& mix_na
 // ---------------------------------------------------------------------------
 
 /// One independent simulation of a sweep: everything Chip construction
-/// needs, held by value so jobs share no mutable state.  Observers and
-/// epoch checkers are deliberately absent — they are cross-run mutable
-/// sinks; observed runs use run_sweep_observed (one observer per job),
-/// checkered runs go through run_mix on one thread.
+/// needs, held by value so jobs share no mutable state.  Observers live
+/// beside the jobs (one slot per job, see run_sweep); epoch checkers are
+/// absent — checkered runs go through run_mix on one thread.
 struct SweepJob {
   MachineConfig cfg;
   workload::Mix mix;
@@ -61,6 +48,13 @@ struct SweepJob {
 /// scheduling, so the returned vector is byte-identical for any thread
 /// count — `threads` only changes the wall-clock.
 ///
+/// `observers`, when non-empty, holds one slot per job (entries may be
+/// null; any other size throws std::invalid_argument).  Each job's
+/// trace/timeline lands in its own observer, never in a shared one (a sink
+/// shared across jobs would interleave nondeterministically).  Merging
+/// them in job order with obs::Observer::merge_from gives the exact trace a
+/// serial observed execution would have produced.
+///
 /// Composition with the intra-run engine: a job whose cfg.intra_jobs is 0
 /// (auto) gets the leftover thread budget, hw_threads / outer_fanout and
 /// never more than hw_threads, instead of a full pool per job — `--jobs 4
@@ -69,31 +63,17 @@ struct SweepJob {
 /// Explicit intra_jobs values pass through untouched.  Either way results
 /// are unchanged; determinism makes the split a pure scheduling decision.
 std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs,
-                                 unsigned threads = 0);
+                                 unsigned threads = 0,
+                                 std::span<obs::Observer* const> observers = {});
 
-/// run_sweep with one observer slot per job (entries may be null).  Each
-/// job's trace/timeline lands in its own observer; merge them back in job
-/// order with obs::Observer::merge_from to get the exact trace a serial
-/// observed execution would have produced.  Kept separate from run_sweep so
-/// the plain sweep API stays observer-free (one mutable sink shared across
-/// jobs would interleave nondeterministically).
-std::vector<MixResult> run_sweep_observed(const std::vector<SweepJob>& jobs,
-                                          const std::vector<obs::Observer*>& observers,
-                                          unsigned threads = 0);
-
-/// compare_schemes over many mixes at once: each (mix, scheme) pair
-/// becomes one sweep job.  Returns one comparison per input mix, in input
-/// order, with the same determinism guarantee as run_sweep.
-std::vector<SchemeComparison> compare_schemes_sweep(
-    const MachineConfig& cfg, const std::vector<workload::Mix>& mixes,
-    unsigned threads = 0);
-
-/// The general form: any scheme set (e.g. kAllSchemeKinds for the six-way
-/// shootout) over many mixes as one sweep.  result[m][k] is mix `m` under
+/// Any scheme set (kPaperSchemeKinds for the paper's figures,
+/// kAllSchemeKinds for the six-way shootout) over many mixes as one sweep:
+/// each (mix, scheme) pair is one job.  result[m][k] is mix `m` under
 /// kinds[k]; determinism guarantee as run_sweep.
-std::vector<std::vector<MixResult>> run_schemes_sweep(
-    const MachineConfig& cfg, const std::vector<workload::Mix>& mixes,
-    std::span<const SchemeKind> kinds, unsigned threads = 0,
-    SchemeOptions opts = {});
+std::vector<std::vector<MixResult>> run_schemes(const MachineConfig& cfg,
+                                                const std::vector<workload::Mix>& mixes,
+                                                std::span<const SchemeKind> kinds,
+                                                unsigned threads = 0,
+                                                SchemeOptions opts = {});
 
 }  // namespace delta::sim

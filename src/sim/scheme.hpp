@@ -43,6 +43,11 @@ enum class SchemeKind {
   kLfoc,   ///< Fairness clustering: shared per-class slices (LFOC, PAPERS.md).
 };
 
+/// The four schemes the paper's figures compare, in canonical order.
+inline constexpr std::array<SchemeKind, 4> kPaperSchemeKinds = {
+    SchemeKind::kSnuca, SchemeKind::kPrivate, SchemeKind::kIdealCentralized,
+    SchemeKind::kDelta};
+
 /// Every scheme the shootout harnesses compare, in canonical order.
 inline constexpr std::array<SchemeKind, 6> kAllSchemeKinds = {
     SchemeKind::kSnuca,   SchemeKind::kPrivate, SchemeKind::kIdealCentralized,

@@ -100,9 +100,8 @@ TEST(Differential, RealLockstepComparisonIsClean) {
   cfg.measure_epochs = 20;
   cfg.lockstep_accesses = true;
   const workload::Mix mix = sim::mix_for_config(cfg, "w1");
-  const sim::SchemeComparison cmp = sim::compare_schemes(cfg, mix);
-  const std::vector<sim::MixResult> results = {cmp.snuca, cmp.private_llc,
-                                               cmp.ideal, cmp.delta};
+  const std::vector<sim::MixResult> results =
+      sim::run_schemes(cfg, {mix}, sim::kPaperSchemeKinds).front();
   const std::vector<Violation> v = diff_schemes(results, /*lockstep=*/true);
   EXPECT_TRUE(v.empty()) << to_string(v.front());
 }

@@ -262,21 +262,25 @@ TEST(Intra, ObservedSweepMergesToSerialTrace) {
   for (const sim::SchemeKind kind : kAllSchemes)
     (void)sim::run_mix(cfg, mix, kind, {}, &serial_obs);
 
-  std::vector<sim::SweepJob> jobs;
-  std::vector<std::unique_ptr<obs::Observer>> job_obs;
-  std::vector<obs::Observer*> ptrs;
-  for (const sim::SchemeKind kind : kAllSchemes) {
-    jobs.push_back({cfg, mix, kind, {}});
-    job_obs.push_back(std::make_unique<obs::Observer>(obs::ObsLevel::kFull));
-    ptrs.push_back(job_obs.back().get());
-  }
-  (void)sim::run_sweep_observed(jobs, ptrs, 4);
-  obs::Observer merged(obs::ObsLevel::kFull);
-  for (const auto& jo : job_obs) merged.merge_from(*jo);
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<sim::SweepJob> jobs;
+    std::vector<std::unique_ptr<obs::Observer>> job_obs;
+    std::vector<obs::Observer*> ptrs;
+    for (const sim::SchemeKind kind : kAllSchemes) {
+      jobs.push_back({cfg, mix, kind, {}});
+      job_obs.push_back(std::make_unique<obs::Observer>(obs::ObsLevel::kFull));
+      ptrs.push_back(job_obs.back().get());
+    }
+    (void)sim::run_sweep(jobs, threads, ptrs);
+    obs::Observer merged(obs::ObsLevel::kFull);
+    for (const auto& jo : job_obs) merged.merge_from(*jo);
 
-  EXPECT_EQ(serial_obs.run_names(), merged.run_names());
-  EXPECT_EQ(obs::chrome_trace_json(serial_obs), obs::chrome_trace_json(merged));
-  EXPECT_EQ(obs::timeline_csv(serial_obs), obs::timeline_csv(merged));
+    EXPECT_EQ(serial_obs.run_names(), merged.run_names()) << threads << " threads";
+    EXPECT_EQ(obs::chrome_trace_json(serial_obs), obs::chrome_trace_json(merged))
+        << threads << " threads";
+    EXPECT_EQ(obs::timeline_csv(serial_obs), obs::timeline_csv(merged))
+        << threads << " threads";
+  }
 }
 
 }  // namespace

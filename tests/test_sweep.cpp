@@ -1,7 +1,7 @@
 // Parallel-sweep determinism and SoA-cache equivalence.
 //
 // Two guarantees this file pins down:
-//   * run_sweep / compare_schemes_sweep produce byte-identical results for
+//   * run_sweep / run_schemes produce byte-identical results for
 //     any job count — parallelism only changes the wall-clock (the whole
 //     point of pre-sized result slots + per-run Chip isolation);
 //   * the structure-of-arrays SetAssocCache makes exactly the decisions of
@@ -10,6 +10,7 @@
 //     eviction preferences, touches and invalidations.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,14 +30,9 @@ sim::MachineConfig quick16() {
   return cfg;
 }
 
-std::string summary_of(const std::vector<sim::SchemeComparison>& comps) {
+std::string summary_of(const std::vector<std::vector<sim::MixResult>>& rows) {
   std::vector<sim::MixResult> flat;
-  for (const auto& c : comps) {
-    flat.push_back(c.snuca);
-    flat.push_back(c.private_llc);
-    flat.push_back(c.ideal);
-    flat.push_back(c.delta);
-  }
+  for (const auto& row : rows) flat.insert(flat.end(), row.begin(), row.end());
   return sim::json_summary(flat);
 }
 
@@ -44,9 +40,10 @@ TEST(Sweep, ParallelJobsBitIdenticalToSerial) {
   const sim::MachineConfig cfg = quick16();
   const std::vector<workload::Mix> mixes = {sim::mix_for_config(cfg, "w2"),
                                             sim::mix_for_config(cfg, "w6")};
-  const auto serial = sim::compare_schemes_sweep(cfg, mixes, 1);
-  const auto parallel = sim::compare_schemes_sweep(cfg, mixes, 4);
+  const auto serial = sim::run_schemes(cfg, mixes, sim::kAllSchemeKinds, 1);
+  const auto parallel = sim::run_schemes(cfg, mixes, sim::kAllSchemeKinds, 4);
   ASSERT_EQ(serial.size(), parallel.size());
+  ASSERT_EQ(serial[0].size(), sim::kAllSchemeKinds.size());
   // Byte-level comparison via the full JSON summary: every per-app metric,
   // traffic counter and control-message count must match exactly.
   EXPECT_EQ(summary_of(serial), summary_of(parallel));
@@ -73,6 +70,10 @@ TEST(Sweep, EmptyAndSingleJobEdgeCases) {
   const auto one = sim::run_sweep({{cfg, mix, sim::SchemeKind::kPrivate, {}}}, 8);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_GT(one[0].geomean_ipc, 0.0);
+  // Observer slots, when given, must pair with the jobs one to one.
+  const std::vector<obs::Observer*> one_slot(1, nullptr);
+  const sim::SweepJob job{cfg, mix, sim::SchemeKind::kPrivate, {}};
+  EXPECT_THROW((void)sim::run_sweep({job, job}, 1, one_slot), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

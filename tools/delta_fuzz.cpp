@@ -12,14 +12,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hpp"
 #include "common/args.hpp"
 #include "common/log.hpp"
-#include "obs/export.hpp"
 #include "obs/prof/export.hpp"
 
 namespace {
@@ -45,7 +43,7 @@ Options:
   --no-lockstep       Use the measured-CPI feedback loop (disables the
                       cross-scheme access-equality assertion).
   --prof-out F        Engine self-profiling flamegraph (Chrome trace JSON).
-  --metrics-out F     Metrics dump (.prom = Prometheus text, else JSON).
+  --metrics-out F     Metrics dump (.prom/.txt = Prometheus text, else JSON).
   --prof-level L      off|phases|full (default: implied by the outputs).
   --help              This text.
 )";
@@ -109,22 +107,8 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  // Self-profiling: same flag semantics as delta_sim (explicit level wins,
-  // otherwise --prof-out implies full and --metrics-out implies phases).
-  delta::obs::prof::init_clock();
-  {
-    delta::obs::prof::ProfLevel lvl = delta::obs::prof::ProfLevel::kOff;
-    if (args.has("prof-level")) {
-      if (!delta::obs::prof::parse_prof_level(args.get("prof-level"), &lvl))
-        throw std::invalid_argument("unknown --prof-level '" + args.get("prof-level") +
-                                    "' (off|phases|full)");
-    } else if (args.has("prof-out")) {
-      lvl = delta::obs::prof::ProfLevel::kFull;
-    } else if (args.has("metrics-out")) {
-      lvl = delta::obs::prof::ProfLevel::kPhases;
-    }
-    delta::obs::prof::set_level(lvl);
-  }
+  // Self-profiling: same flag semantics as delta_sim and the benches.
+  delta::obs::prof::start_from_flags(args);
   delta::Logger::install_flush_handlers();
 
   delta::check::FuzzOptions opt;
@@ -174,27 +158,7 @@ int run_cli(int argc, char** argv) {
   const std::string out_dir = args.get("out-dir");
   if (!out_dir.empty()) write_artifacts(out_dir, report, det, det_checked);
 
-  bool io_ok = true;
-  if (args.has("prof-out")) {
-    const auto snap = delta::obs::prof::Profiler::instance().snapshot();
-    io_ok &= delta::obs::write_text_file(args.get("prof-out"),
-                                         delta::obs::prof::prof_trace_json(snap));
-    if (!io_ok) std::perror(("writing " + args.get("prof-out")).c_str());
-  }
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out");
-    const auto reg = delta::obs::prof::MetricsRegistry::global().snapshot();
-    const bool prom = path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-    const std::string text =
-        prom ? delta::obs::prof::prometheus_text(reg)
-             : delta::obs::prof::metrics_json(
-                   reg, delta::obs::prof::Profiler::instance().snapshot());
-    if (!delta::obs::write_text_file(path, text)) {
-      std::perror(("writing " + path).c_str());
-      io_ok = false;
-    }
-  }
-
+  const bool io_ok = delta::obs::prof::write_flag_outputs(args);
   return report.ok() && (!det_checked || det.ok) && io_ok ? 0 : 1;
 }
 

@@ -15,6 +15,7 @@
 // docs/observability.md.
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +24,7 @@
 
 #include "common/args.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "obs/prof/export.hpp"
@@ -103,26 +105,6 @@ bool write_or_complain(const std::string& path, const std::string& content) {
   return false;
 }
 
-/// Resolves the self-profiling level: explicit --prof-level wins, otherwise
-/// --prof-out implies full (spans + sites) and --metrics-out implies phases.
-obs::prof::ProfLevel resolve_prof_level(const ArgParser& args) {
-  if (args.has("prof-level")) {
-    obs::prof::ProfLevel lvl;
-    if (!obs::prof::parse_prof_level(args.get("prof-level"), &lvl))
-      throw std::invalid_argument("unknown --prof-level '" + args.get("prof-level") +
-                                  "' (off|phases|full)");
-    return lvl;
-  }
-  if (args.has("prof-out")) return obs::prof::ProfLevel::kFull;
-  if (args.has("metrics-out")) return obs::prof::ProfLevel::kPhases;
-  return obs::prof::ProfLevel::kOff;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::string suf(suffix);
-  return s.size() >= suf.size() && s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
 }  // namespace
 
 int run_cli(int argc, char** argv) {
@@ -173,8 +155,7 @@ int run_cli(int argc, char** argv) {
   // exist and arm the level before chips are constructed, so every span of
   // the run lands in the same timeline.  Flush handlers make sure buffered
   // logs (and nothing else) survive an abort mid-run.
-  obs::prof::init_clock();
-  obs::prof::set_level(resolve_prof_level(args));
+  obs::prof::start_from_flags(args);
   Logger::install_flush_handlers();
 
   const std::int64_t cores = args.get_int("cores", 16);
@@ -217,86 +198,74 @@ int run_cli(int argc, char** argv) {
     }
   }
 
+  // One epoch is 0.1 ms: the interval must span at least one epoch and its
+  // epoch count must fit an int.
+  const double central_ms = args.get_double("central-ms", 1.0);
+  if (!(central_ms * 10 >= 1.0))
+    throw std::invalid_argument("--central-ms must be >= 0.1 (one epoch), got " +
+                                args.get("central-ms"));
+  if (central_ms * 10 > std::numeric_limits<int>::max())
+    throw std::invalid_argument("--central-ms is out of range, got " +
+                                args.get("central-ms"));
   sim::SchemeOptions opts;
-  opts.central_interval_epochs = static_cast<int>(args.get_double("central-ms", 1.0) * 10);
+  opts.central_interval_epochs = static_cast<int>(central_ms * 10);
 
+  // --scheme names in kAllSchemeKinds order; "all" runs the six of them,
+  // printed against the snuca baseline with ANTT/STP fairness vs private.
+  const std::string scheme = args.get("scheme", "all");
+  constexpr const char* kSchemeNames[] = {"snuca", "private", "ideal",
+                                          "delta", "carma",   "lfoc"};
+  std::vector<sim::SweepJob> jobs;
+  for (std::size_t k = 0; k < sim::kAllSchemeKinds.size(); ++k)
+    if (scheme == "all" || scheme == kSchemeNames[k])
+      jobs.push_back(sim::SweepJob{cfg, mix, sim::kAllSchemeKinds[k], opts});
+  if (jobs.empty()) throw std::invalid_argument("unknown scheme '" + scheme + "'");
+
+  // --jobs N fans the --scheme all runs over N threads (0 = every hardware
+  // thread); results are byte-identical to the serial default.  With one
+  // run at a time, auto --intra-jobs keeps every hardware thread instead of
+  // the budget run_sweep would split off a one-thread fan-out.
+  const unsigned threads = static_cast<unsigned>(args.get_int_at_least("jobs", 1, 0));
+  if (threads == 1 || jobs.size() == 1)
+    for (sim::SweepJob& j : jobs)
+      if (j.cfg.intra_jobs == 0) j.cfg.intra_jobs = static_cast<int>(hardware_threads());
+
+  // With observability outputs each run records into its own observer and
+  // the per-run traces are merged back in scheme order — run-major, which
+  // is exactly the order a serial observed execution emits (nothing in a
+  // trace carries wall time), so the exported files match at any --jobs.
   const bool wants_obs = args.has("trace-out") || args.has("timeline-csv") ||
                          args.has("json") || args.has("obs-level") ||
                          args.has("prof-out");
   std::unique_ptr<obs::Observer> observer;
-  if (wants_obs) observer = std::make_unique<obs::Observer>(resolve_obs_level(args));
+  std::vector<std::unique_ptr<obs::Observer>> job_obs;
+  std::vector<obs::Observer*> job_obs_ptrs;
+  if (wants_obs) {
+    observer = std::make_unique<obs::Observer>(resolve_obs_level(args));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      job_obs.push_back(std::make_unique<obs::Observer>(observer->level()));
+      job_obs_ptrs.push_back(job_obs.back().get());
+    }
+  }
+  const std::vector<sim::MixResult> results = sim::run_sweep(jobs, threads, job_obs_ptrs);
+  for (const auto& jo : job_obs) observer->merge_from(*jo);
 
-  const std::string scheme = args.get("scheme", "all");
   const bool csv = args.has("csv");
   // JSON on stdout must stay parseable, so the human report yields to stderr.
   const bool json_stdout = args.has("json") && args.get("json").empty();
   std::FILE* text_out = json_stdout ? stderr : stdout;
   if (csv) std::printf("%s\n", sim::csv_header().c_str());
-
-  // --jobs N fans the four --scheme all runs over N threads (0 = every
-  // hardware thread); results are byte-identical to the serial default.
-  // With observability outputs each job records into its own observer and
-  // the per-job traces are merged back in scheme order — run-major, which
-  // is exactly the order a serial observed execution emits (nothing in a
-  // trace carries wall time), so the exported files match the serial ones.
-  const unsigned jobs = static_cast<unsigned>(args.get_int_at_least("jobs", 1, 0));
-
-  std::vector<sim::MixResult> results;
-  if (scheme == "all") {
-    // All six schemes (snuca, private, ideal, delta, carma, lfoc), printed
-    // against the snuca baseline with ANTT/STP fairness vs private.
-    std::vector<sim::MixResult> r;
-    if (jobs != 1 && wants_obs) {
-      std::vector<sim::SweepJob> sweep_jobs;
-      std::vector<std::unique_ptr<obs::Observer>> job_obs;
-      std::vector<obs::Observer*> obs_ptrs;
-      for (sim::SchemeKind kind : sim::kAllSchemeKinds) {
-        sweep_jobs.push_back(sim::SweepJob{cfg, mix, kind, opts});
-        job_obs.push_back(std::make_unique<obs::Observer>(observer->level()));
-        obs_ptrs.push_back(job_obs.back().get());
-      }
-      r = sim::run_sweep_observed(sweep_jobs, obs_ptrs, jobs);
-      for (const auto& jo : job_obs) observer->merge_from(*jo);
-    } else if (jobs != 1) {
-      r = sim::run_schemes_sweep(cfg, {mix}, sim::kAllSchemeKinds, jobs, opts)
-              .front();
-    } else {
-      for (sim::SchemeKind kind : sim::kAllSchemeKinds)
-        r.push_back(sim::run_mix(cfg, mix, kind, opts, observer.get()));
-    }
-    for (const sim::MixResult& one : r) print_result(one, &r[0], csv, text_out);
-    if (!csv) {
-      const sim::MixResult& priv = r[1];
-      std::fprintf(text_out,
-                   "\nANTT/STP vs private: ideal %.3f/%.2f, delta %.3f/%.2f, "
-                   "carma %.3f/%.2f, lfoc %.3f/%.2f\n",
-                   sim::antt(r[2], priv), sim::stp(r[2], priv),
-                   sim::antt(r[3], priv), sim::stp(r[3], priv),
-                   sim::antt(r[4], priv), sim::stp(r[4], priv),
-                   sim::antt(r[5], priv), sim::stp(r[5], priv));
-    }
-    results = r;
-  } else {
-    sim::SchemeKind kind;
-    if (scheme == "snuca") {
-      kind = sim::SchemeKind::kSnuca;
-    } else if (scheme == "private") {
-      kind = sim::SchemeKind::kPrivate;
-    } else if (scheme == "ideal") {
-      kind = sim::SchemeKind::kIdealCentralized;
-    } else if (scheme == "delta") {
-      kind = sim::SchemeKind::kDelta;
-    } else if (scheme == "carma") {
-      kind = sim::SchemeKind::kCarma;
-    } else if (scheme == "lfoc") {
-      kind = sim::SchemeKind::kLfoc;
-    } else {
-      std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
-      return 1;
-    }
-    const sim::MixResult r = sim::run_mix(cfg, mix, kind, opts, observer.get());
-    print_result(r, nullptr, csv, text_out);
-    results = {r};
+  const sim::MixResult* baseline = results.size() > 1 ? &results[0] : nullptr;
+  for (const sim::MixResult& r : results) print_result(r, baseline, csv, text_out);
+  if (results.size() > 1 && !csv) {
+    const std::vector<sim::MixResult>& r = results;
+    std::fprintf(text_out,
+                 "\nANTT/STP vs private: ideal %.3f/%.2f, delta %.3f/%.2f, "
+                 "carma %.3f/%.2f, lfoc %.3f/%.2f\n",
+                 sim::antt(r[2], r[1]), sim::stp(r[2], r[1]),
+                 sim::antt(r[3], r[1]), sim::stp(r[3], r[1]),
+                 sim::antt(r[4], r[1]), sim::stp(r[4], r[1]),
+                 sim::antt(r[5], r[1]), sim::stp(r[5], r[1]));
   }
 
   bool io_ok = true;
@@ -315,23 +284,7 @@ int run_cli(int argc, char** argv) {
       io_ok &= write_or_complain(path, summary);
     }
   }
-  if (args.has("prof-out")) {
-    const obs::prof::ProfSnapshot snap = obs::prof::Profiler::instance().snapshot();
-    io_ok &= write_or_complain(args.get("prof-out"),
-                               obs::prof::prof_trace_json(snap, observer.get()));
-  }
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out");
-    const obs::prof::RegistrySnapshot reg =
-        obs::prof::MetricsRegistry::global().snapshot();
-    if (ends_with(path, ".prom") || ends_with(path, ".txt")) {
-      io_ok &= write_or_complain(path, obs::prof::prometheus_text(reg));
-    } else {
-      const obs::prof::ProfSnapshot snap =
-          obs::prof::Profiler::instance().snapshot();
-      io_ok &= write_or_complain(path, obs::prof::metrics_json(reg, snap));
-    }
-  }
+  io_ok &= obs::prof::write_flag_outputs(args, observer.get());
   return io_ok ? 0 : 1;
 }
 

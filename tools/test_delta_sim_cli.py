@@ -35,6 +35,14 @@ class DeltaSimCliTest(unittest.TestCase):
             (["--jobs", "-1"], "--jobs must be >= 0, got -1"),
             (["--intra-jobs", "-2"], "--intra-jobs must be >= 0, got -2"),
             (["--warmup", "-3"], "--warmup must be >= 0, got -3"),
+            (["--central-ms", "0"], "--central-ms must be >= 0.1 (one epoch), got 0"),
+            (["--central-ms", "-1"], "--central-ms must be >= 0.1 (one epoch), got -1"),
+            (["--central-ms", "0.05"],
+             "--central-ms must be >= 0.1 (one epoch), got 0.05"),
+            (["--central-ms", "nan"], "--central-ms must be >= 0.1 (one epoch), got nan"),
+            (["--central-ms", "1e12"], "--central-ms is out of range, got 1e12"),
+            (["--central-ms", "abc"], "--central-ms expects a number, got 'abc'"),
+            (["--scheme", "bogus"], "unknown scheme 'bogus'"),
         ]
         for args, message in cases:
             with self.subTest(args=args):
@@ -43,6 +51,12 @@ class DeltaSimCliTest(unittest.TestCase):
     def test_valid_short_run_still_succeeds(self):
         r = self.run_sim("--mix", "w2", "--scheme", "snuca", "--epochs", "1",
                          "--warmup", "0", "--csv")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertGreater(len(r.stdout.splitlines()), 1)
+
+    def test_one_epoch_central_interval_is_accepted(self):
+        r = self.run_sim("--mix", "w2", "--scheme", "ideal", "--central-ms", "0.1",
+                         "--epochs", "2", "--warmup", "0", "--csv")
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertGreater(len(r.stdout.splitlines()), 1)
 
