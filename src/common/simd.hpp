@@ -7,13 +7,16 @@
 //
 // Backend selection is compile-time: SSE2 on x86-64, NEON on AArch64, a
 // branch-free uint64 SWAR loop elsewhere, and plain scalar when
-// DELTA_NO_SIMD is defined.  All kernels compute *exact* 64-bit equality,
-// so every backend is bit-identical to `match_u64_scalar` by construction —
-// the property the cache/UMON equivalence suites and the frozen
-// legacy-oracle replay in micro_throughput verify end to end
-// (docs/performance.md "Vectorized kernels").
+// DELTA_NO_SIMD is defined.  The tag kernels compute *exact* 64-bit
+// equality and the rank kernels exact byte compares, so every backend is
+// bit-identical to its `*_scalar` reference by construction — the property
+// the cache/UMON equivalence suites and the frozen legacy-oracle replay in
+// micro_throughput verify end to end (docs/performance.md "Vectorized
+// kernels").  The rank kernels have an SSE2 path only; NEON and SWAR
+// builds run their scalar references.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -213,6 +216,96 @@ inline std::size_t find_u64(const std::uint64_t* vals, std::size_t n,
 #endif
 }
 
+/// Lanes in a recency-rank row: one std::uint8_t rank per way, 0 = MRU.
+/// Lanes at or above the cache's way count hold their own index, so the
+/// ways in use always carry a permutation of [0, ways) and the spare lanes
+/// rank strictly older than every way.
+inline constexpr int kRankLanes = 32;
+
+/// Scalar reference for rank_promote: every lane ranked below
+/// ranks[way] ages by one and `way` becomes MRU (rank 0).  Ranks in a row
+/// are distinct, so "the lane whose rank equals ranks[way]" is `way`.
+inline void rank_promote_scalar(std::uint8_t* ranks, int way) {
+  const std::uint8_t r = ranks[way];
+  for (int i = 0; i < kRankLanes; ++i)
+    ranks[i] = ranks[i] == r ? std::uint8_t{0}
+                             : static_cast<std::uint8_t>(ranks[i] + (ranks[i] < r));
+}
+
+/// Scalar reference for rank_oldest: the lane in `mask` with the largest
+/// rank (the least recently used), or -1 when `mask` is empty.
+inline int rank_oldest_scalar(const std::uint8_t* ranks, std::uint32_t mask) {
+  int best = -1;
+  for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    if (best < 0 || ranks[i] > ranks[best]) best = i;
+  }
+  return best;
+}
+
+#if defined(DELTA_SIMD_SSE2)
+namespace detail {
+
+/// Bit `kBit` of every rank as a 32-bit lane mask: shifting each 16-bit
+/// pair left by 7 - kBit moves that bit of both bytes into their sign
+/// bits, which movemask_epi8 gathers.
+template <int kBit>
+inline std::uint32_t rank_bit_sse2(__m128i lo, __m128i hi) {
+  return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_slli_epi16(lo, 7 - kBit))) |
+         (static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_slli_epi16(hi, 7 - kBit)))
+          << 16);
+}
+
+/// Keeps the candidates whose rank has the bit in `plane` set, if any do.
+inline std::uint32_t keep_older(std::uint32_t cand, std::uint32_t plane) {
+  const std::uint32_t older = cand & plane;
+  return older != 0 ? older : cand;
+}
+
+}  // namespace detail
+#endif
+
+/// Promotes `way` of a kRankLanes-lane rank row to MRU.  The LRU update of
+/// every cache hit and fill (mem/cache.hpp).
+inline void rank_promote(std::uint8_t* ranks, int way) {
+#if defined(DELTA_SIMD_SSE2)
+  // Ranks are below 32, so the signed byte compare is exact.
+  const __m128i r = _mm_set1_epi8(static_cast<char>(ranks[way]));
+  auto* row = reinterpret_cast<__m128i*>(ranks);
+  for (int h = 0; h < 2; ++h) {
+    const __m128i v = _mm_loadu_si128(row + h);
+    // cmplt is all-ones (-1) on younger lanes: subtracting it ages them.
+    const __m128i aged = _mm_sub_epi8(v, _mm_cmplt_epi8(v, r));
+    _mm_storeu_si128(row + h, _mm_andnot_si128(_mm_cmpeq_epi8(v, r), aged));
+  }
+#else
+  rank_promote_scalar(ranks, way);
+#endif
+}
+
+/// The least recently used lane of `mask`, or -1 when `mask` is empty.  The
+/// LRU victim choice of every cache miss (mem/cache.cpp).
+inline int rank_oldest(const std::uint8_t* ranks, std::uint32_t mask) {
+#if defined(DELTA_SIMD_SSE2)
+  if (mask == 0) return -1;
+  // Ranks are distinct and below 32: walking their five bits from the top,
+  // keeping the candidates that have each bit set, leaves exactly the lane
+  // of the largest rank.
+  const auto* row = reinterpret_cast<const __m128i*>(ranks);
+  const __m128i lo = _mm_loadu_si128(row);
+  const __m128i hi = _mm_loadu_si128(row + 1);
+  std::uint32_t cand = mask;
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<4>(lo, hi));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(lo, hi));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(lo, hi));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(lo, hi));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(lo, hi));
+  return std::countr_zero(cand);
+#else
+  return rank_oldest_scalar(ranks, mask);
+#endif
+}
+
 /// Read-intent prefetch hint; a no-op where unsupported.  Side-effect-free,
 /// so callers (chip access pipelining, UMON) keep byte-identical results.
 inline void prefetch_read(const void* p) {
@@ -223,7 +316,7 @@ inline void prefetch_read(const void* p) {
 #endif
 }
 
-/// Write-intent prefetch hint (LRU stamps, validity words).
+/// Write-intent prefetch hint (rank rows, validity words).
 inline void prefetch_write(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, 1, 3);

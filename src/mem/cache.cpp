@@ -1,20 +1,35 @@
 #include "mem/cache.hpp"
 
 #include <cassert>
-#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace delta::mem {
 
+namespace {
+
+/// Validates the geometry before any row is sized from it.
+int checked_ways(std::uint32_t sets, int ways) {
+  if (ways < 1 || ways > simd::kRankLanes)
+    throw std::invalid_argument("SetAssocCache: ways must be in [1, 32], got " +
+                                std::to_string(ways));
+  if (sets == 0) throw std::invalid_argument("SetAssocCache: sets must be >= 1");
+  return ways;
+}
+
+}  // namespace
+
 SetAssocCache::SetAssocCache(std::uint32_t sets, int ways)
     : sets_(sets),
-      ways_(ways),
+      ways_(checked_ways(sets, ways)),
       blocks_(std::size_t{sets} * static_cast<std::size_t>(ways), 0),
-      stamps_(std::size_t{sets} * static_cast<std::size_t>(ways), 0),
       owners_(std::size_t{sets} * static_cast<std::size_t>(ways), kInvalidCore),
       valid_(sets, 0),
-      clocks_(sets, 0) {
-  assert(ways >= 1 && ways <= 32);
-  assert(sets >= 1);
+      ranks_(sets) {
+  // Every lane starts ranked by its index: the ways in use hold a
+  // permutation of [0, ways) and the spare lanes stay older than all of them.
+  for (RankRow& row : ranks_)
+    for (int i = 0; i < simd::kRankLanes; ++i) row.lane[i] = static_cast<std::uint8_t>(i);
 }
 
 AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId owner,
@@ -22,88 +37,26 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
   assert(set < sets_);
   const std::size_t base = std::size_t{set} * static_cast<std::size_t>(ways_);
   BlockAddr* const blocks = blocks_.data() + base;
-  std::uint64_t* const stamps = stamps_.data() + base;
   CoreId* const owners = owners_.data() + base;
+  std::uint8_t* const ranks = ranks_[set].lane;
 
   ++stats_.misses;
   AccessResult res{};
-  if (insert_mask == 0) return res;  // Bypass: nowhere to allocate.
+  const std::uint32_t eligible = insert_mask & full_mask(ways_);
+  if (eligible == 0) return res;  // Bypass: nowhere to allocate.
 
   // Prefer an invalid eligible way; otherwise evict the eligible LRU,
-  // restricted to the preferred victim owner's lines when requested.
-  // `<=` comparisons keep the legacy tie-break: among equal stamps the
-  // highest eligible way wins.
-  const std::uint32_t vm = valid_[set];
+  // restricted to the preferred victim owner's lines when it holds any.
   int victim;
-  const std::uint32_t free = insert_mask & ~vm & full_mask(ways_);
-  if (free != 0) {
+  if (const std::uint32_t free = eligible & ~valid_[set]; free != 0) {
     victim = std::countr_zero(free);
-  } else if (evict_pref == kInvalidCore) {
-    const std::uint32_t full = full_mask(ways_);
-    const std::uint32_t m = insert_mask & full;
-    if (m == full && clocks_[set] < (std::uint64_t{1} << 58)) {
-      // Unrestricted LRU over a full set (the thrashing steady state):
-      // pack each candidate into (stamp << 5) | (31 - way) and take the
-      // minimum over four independent accumulator chains — same victim as
-      // the sequential `<=` scan (among equal stamps the smallest inverted
-      // way, i.e. the highest way, wins) at a quarter of the dependency
-      // depth.  The pack is exact while stamps stay below 2^59; the guard
-      // falls back to the plain walk near that boundary (set_clock_for_test
-      // can place clocks arbitrarily).
-      const auto key = [&](int i) {
-        return (stamps[i] << 5) | static_cast<std::uint64_t>(31 - i);
-      };
-      std::uint64_t acc[4] = {key(0),
-                              ways_ > 1 ? key(1) : key(0),
-                              ways_ > 2 ? key(2) : key(0),
-                              ways_ > 3 ? key(3) : key(0)};
-      int i = 4;
-      for (; i + 4 <= ways_; i += 4) {
-        acc[0] = std::min(acc[0], key(i));
-        acc[1] = std::min(acc[1], key(i + 1));
-        acc[2] = std::min(acc[2], key(i + 2));
-        acc[3] = std::min(acc[3], key(i + 3));
-      }
-      for (; i < ways_; ++i) acc[0] = std::min(acc[0], key(i));
-      const std::uint64_t best =
-          std::min(std::min(acc[0], acc[1]), std::min(acc[2], acc[3]));
-      victim = 31 - static_cast<int>(best & 31);
-    } else {
-      // Masked LRU without a victim-owner preference: walk only the set
-      // bits of the mask, ascending — same `<=` tie-break as the general
-      // loop, so among equal stamps the highest eligible way still wins.
-      victim = -1;
-      std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();
-      for (std::uint32_t rest = m; rest != 0; rest &= rest - 1) {
-        const int i = std::countr_zero(rest);
-        const bool better = stamps[i] <= best_stamp;
-        best_stamp = better ? stamps[i] : best_stamp;
-        victim = better ? i : victim;
-      }
-      assert(victim >= 0);
-    }
-    res.evicted = true;
-    res.victim_block = blocks[victim];
-    res.victim_owner = owners[victim];
-    ++stats_.evictions;
   } else {
-    victim = -1;
-    int pref_victim = -1;
-    std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t pref_stamp = std::numeric_limits<std::uint64_t>::max();
-    for (int i = 0; i < ways_; ++i) {
-      if (!(insert_mask & (WayMask{1} << i))) continue;
-      if (stamps[i] <= best_stamp) {
-        best_stamp = stamps[i];
-        victim = i;
-      }
-      if (owners[i] == evict_pref && stamps[i] <= pref_stamp) {
-        pref_stamp = stamps[i];
-        pref_victim = i;
-      }
-    }
-    if (pref_victim >= 0) victim = pref_victim;
-    assert(victim >= 0);
+    std::uint32_t pref = 0;
+    if (evict_pref != kInvalidCore)
+      for (int i = 0; i < ways_; ++i)
+        pref |= static_cast<std::uint32_t>(owners[i] == evict_pref) << i;
+    pref &= eligible;
+    victim = simd::rank_oldest(ranks, pref != 0 ? pref : eligible);
     res.evicted = true;
     res.victim_block = blocks[victim];
     res.victim_owner = owners[victim];
@@ -113,15 +66,14 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
   blocks[victim] = block;
   owners[victim] = owner;
   valid_[set] |= std::uint32_t{1} << victim;
-  stamps[victim] = ++clocks_[set];
+  simd::rank_promote(ranks, victim);
   res.way = victim;
   return res;
 }
 
 bool SetAssocCache::touch(std::uint32_t set, BlockAddr block) {
   if (const std::uint32_t match = match_ways(set, block); match != 0) {
-    const std::size_t base = std::size_t{set} * static_cast<std::size_t>(ways_);
-    stamps_[base + static_cast<std::size_t>(std::countr_zero(match))] = ++clocks_[set];
+    simd::rank_promote(ranks_[set].lane, std::countr_zero(match));
     return true;
   }
   return false;

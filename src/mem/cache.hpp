@@ -7,14 +7,14 @@
 // the block address and the owning core so that DELTA's bulk-invalidation
 // unit can sweep remapped ranges without auxiliary structures.
 //
-// Layout is structure-of-arrays: per-field vectors (tags, LRU stamps,
-// owners) plus one validity bitmask per set.  The hit path is a tight
-// branch-free tag-compare loop over the contiguous tag array — the single
-// hottest loop in the simulator — and the sweep operations iterate validity
-// bits instead of testing every way.  LRU stamps and the per-set clock are
-// 64-bit so the clock cannot wrap and mis-order victims within any
-// realisable simulation length (a 32-bit stamp wraps after ~4G accesses to
-// one set).
+// Layout is structure-of-arrays: tags and owners in set-major vectors, one
+// validity bitmask per set, and one 32-byte recency-rank row per set (rank
+// 0 = MRU; common/simd.hpp rank_promote / rank_oldest).  A hit is a SIMD
+// tag compare plus one rank promote; a miss picks its victim with one
+// masked rank scan.  The ranks are exact LRU: every touch makes its way the
+// unique MRU and keeps the order of the rest, so no two ways of a set ever
+// tie, and a rank row has no counter to overflow however long the run.
+// Supports 1 to 32 ways.
 #pragma once
 
 #include <bit>
@@ -52,6 +52,8 @@ struct AccessResult {
 class SetAssocCache {
  public:
   /// `sets` need not be a power of two (callers pass pre-computed indices).
+  /// Throws std::invalid_argument unless `sets` >= 1 and `ways` is in
+  /// [1, 32] (the width of a validity mask and of a rank row).
   SetAssocCache(std::uint32_t sets, int ways);
 
   std::uint32_t sets() const { return sets_; }
@@ -74,14 +76,13 @@ class SetAssocCache {
   /// the set, selection falls back to plain masked LRU.
   ///
   /// The hit path lives here so callers inline the SIMD tag compare plus
-  /// the MRU stamp update; the miss/fill path (miss_fill, cache.cpp) stays
+  /// the MRU rank promote; the miss/fill path (miss_fill, cache.cpp) stays
   /// out of line to keep the inlined code small.
   AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner, WayMask insert_mask,
                       CoreId evict_pref = kInvalidCore) {
     if (const std::uint32_t match = match_ways(set, block); match != 0) {
-      const std::size_t base = std::size_t{set} * static_cast<std::size_t>(ways_);
       const int i = std::countr_zero(match);
-      stamps_[base + static_cast<std::size_t>(i)] = ++clocks_[set];
+      simd::rank_promote(ranks_[set].lane, i);
       ++stats_.hits;
       return AccessResult{.hit = true, .way = i};
     }
@@ -141,21 +142,14 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// Test hook: forces the per-set LRU clock to `value` so tests can place
-  /// stamps around historical overflow points (e.g. the 2^32 boundary a
-  /// 32-bit clock would wrap at) without issuing billions of accesses.
-  void set_clock_for_test(std::uint32_t set, std::uint64_t value) {
-    clocks_[set] = value;
-  }
-
-  /// Prefetch hint for a set's SoA rows (tags, stamps, owners, validity
+  /// Prefetch hint for a set's SoA rows (tags, ranks, owners, validity
   /// word).  Side-effect-free: the access pipeline in Chip::do_access_batch
   /// issues this for the mapped set before the mesh/mask computations so
   /// the tag row is L1-resident by the time access() compares it.
   void prefetch_set(std::uint32_t set) const {
     const std::size_t base = std::size_t{set} * static_cast<std::size_t>(ways_);
     simd::prefetch_read(blocks_.data() + base);
-    simd::prefetch_write(stamps_.data() + base);
+    simd::prefetch_write(ranks_.data() + set);
     simd::prefetch_read(owners_.data() + base);
     simd::prefetch_write(valid_.data() + set);
   }
@@ -175,13 +169,17 @@ class SetAssocCache {
     return simd::match_u64(b, ways_, block) & valid_[set];
   }
 
+  /// One set's recency ranks; aligned so a row never straddles a line.
+  struct alignas(simd::kRankLanes) RankRow {
+    std::uint8_t lane[simd::kRankLanes];
+  };
+
   std::uint32_t sets_;
   int ways_;
   std::vector<BlockAddr> blocks_;        ///< SoA tags, set-major.
-  std::vector<std::uint64_t> stamps_;    ///< SoA LRU stamps, set-major.
   std::vector<CoreId> owners_;           ///< SoA owner tags, set-major.
   std::vector<std::uint32_t> valid_;     ///< Per-set validity bitmask.
-  std::vector<std::uint64_t> clocks_;    ///< Per-set LRU clock.
+  std::vector<RankRow> ranks_;           ///< Per-set recency ranks.
   CacheStats stats_;
 };
 

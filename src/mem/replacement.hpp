@@ -1,14 +1,11 @@
-// Replacement-policy primitives.
+// Way masks: the currency of way-mask restricted insertion.
 //
-// The main LLC model keeps true LRU via per-way stamps (the paper assumes a
-// standard LRU-replacement LLC).  A tree-PLRU implementation is provided as
-// an alternative for ablation studies; both honour way-mask restricted
-// victim selection so they compose with DELTA's way-partitioning unit.
+// The LLC model keeps true LRU (the paper assumes a standard LRU-replacement
+// LLC) as per-set recency ranks inside mem::SetAssocCache; every scheme
+// expresses its allocation as the mask of ways a core may insert into.
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <span>
 
 namespace delta::mem {
 
@@ -17,73 +14,5 @@ using WayMask = std::uint32_t;  ///< Bit i set => way i eligible.
 inline constexpr WayMask full_mask(int ways) {
   return ways >= 32 ? ~WayMask{0} : ((WayMask{1} << ways) - 1);
 }
-
-/// True-LRU bookkeeping over per-way stamps supplied by the caller.
-struct LruPolicy {
-  /// Returns the eligible way with the smallest stamp; -1 if mask empty.
-  static int victim(std::span<const std::uint32_t> stamps, WayMask eligible) {
-    int best = -1;
-    std::uint32_t best_stamp = std::numeric_limits<std::uint32_t>::max();
-    for (int w = 0; w < static_cast<int>(stamps.size()); ++w) {
-      if (!(eligible & (WayMask{1} << w))) continue;
-      if (stamps[w] <= best_stamp) {
-        // <= so that among equal (freshly reset) stamps the highest way wins,
-        // matching the paper's examples where new partitions grow downward.
-        best_stamp = stamps[w];
-        best = w;
-      }
-    }
-    return best;
-  }
-};
-
-/// Tree-PLRU over up to 32 ways (ways must be a power of two).
-class TreePlru {
- public:
-  explicit TreePlru(int ways) : ways_(ways), bits_(0) {}
-
-  /// Marks `way` most-recently-used.
-  void touch(int way) {
-    int node = 1;
-    for (int span = ways_ / 2; span >= 1; span /= 2) {
-      const bool right = (way % (span * 2)) >= span;
-      // Point the bit *away* from the touched way.
-      set_bit(node, !right);
-      node = node * 2 + (right ? 1 : 0);
-    }
-  }
-
-  /// Follows the PLRU bits to a victim, constrained to `eligible` ways.
-  /// Falls back to the lowest eligible way when the tree walk exits the mask.
-  int victim(WayMask eligible) const {
-    if (eligible == 0) return -1;
-    int node = 1;
-    int lo = 0, span = ways_;
-    while (span > 1) {
-      span /= 2;
-      const bool right = get_bit(node);
-      node = node * 2 + (right ? 1 : 0);
-      lo += right ? span : 0;
-    }
-    if (eligible & (WayMask{1} << lo)) return lo;
-    for (int w = 0; w < ways_; ++w)
-      if (eligible & (WayMask{1} << w)) return w;
-    return -1;
-  }
-
-  int ways() const { return ways_; }
-
- private:
-  void set_bit(int node, bool v) {
-    if (v)
-      bits_ |= (std::uint64_t{1} << node);
-    else
-      bits_ &= ~(std::uint64_t{1} << node);
-  }
-  bool get_bit(int node) const { return (bits_ >> node) & 1; }
-
-  int ways_;
-  std::uint64_t bits_;
-};
 
 }  // namespace delta::mem

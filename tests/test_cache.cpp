@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
 #include "mem/replacement.hpp"
@@ -26,23 +28,40 @@ TEST(Cache, LruEvictionOrder) {
   EXPECT_TRUE(c.contains(0, 3));
 }
 
-TEST(Cache, LruSurvivesUint32ClockWrap) {
-  // The per-set LRU clock is 64-bit precisely so a long run cannot wrap a
-  // 32-bit stamp and make an old line look recent.  Park the clock just
-  // below 2^32 and push accesses across the boundary: recency ordering
-  // must stay correct where 32-bit stamps would have wrapped to ~0.
+TEST(Cache, LruOrderHoldsOverLongRuns) {
+  // Recency is a per-set rank, not a counter, so no run length can wrap it
+  // and make an old line look recent.  Drive each line of a 2-way set far
+  // past 2^22 hits in turn: the other line must still be the victim.
+  constexpr int kHits = (1 << 22) + 1;
   SetAssocCache c(1, 2);
-  c.set_clock_for_test(0, (std::uint64_t{1} << 32) - 2);
-  c.access(0, 1, 0, full_mask(2));  // stamp 2^32 - 1
-  c.access(0, 2, 0, full_mask(2));  // stamp 2^32 (wraps to 0 in 32 bits)
-  // With a wrapped 32-bit stamp, block 2 would be "older" than block 1 and
-  // get evicted here; the 64-bit clock must evict the true LRU, block 1.
-  const auto res = c.access(0, 3, 0, full_mask(2));
+  c.access(0, 1, 0, full_mask(2));
+  c.access(0, 2, 0, full_mask(2));
+  for (int i = 0; i < kHits; ++i) c.access(0, 1, 0, full_mask(2));
+  auto res = c.access(0, 3, 0, full_mask(2));
+  EXPECT_TRUE(res.evicted);
+  EXPECT_EQ(res.victim_block, 2u);
+  for (int i = 0; i < kHits; ++i) c.access(0, 3, 0, full_mask(2));
+  res = c.access(0, 4, 0, full_mask(2));
   EXPECT_TRUE(res.evicted);
   EXPECT_EQ(res.victim_block, 1u);
-  EXPECT_FALSE(c.contains(0, 1));
-  EXPECT_TRUE(c.contains(0, 2));
   EXPECT_TRUE(c.contains(0, 3));
+  EXPECT_TRUE(c.contains(0, 4));
+  EXPECT_EQ(c.stats().hits, 2u * kHits);
+}
+
+TEST(Cache, RejectsOutOfRangeGeometry) {
+  // 32 ways is the width of the validity mask and of a rank row.
+  EXPECT_THROW(SetAssocCache(1, 33), std::invalid_argument);
+  EXPECT_THROW(SetAssocCache(1, 0), std::invalid_argument);
+  EXPECT_THROW(SetAssocCache(1, -1), std::invalid_argument);
+  EXPECT_THROW(SetAssocCache(0, 4), std::invalid_argument);
+  EXPECT_NO_THROW(SetAssocCache(1, 1));
+  SetAssocCache wide(1, 32);
+  for (BlockAddr b = 0; b < 32; ++b) wide.access(0, b, 0, full_mask(32));
+  wide.access(0, 0, 0, full_mask(32));  // Block 1 is now the LRU line.
+  const auto res = wide.access(0, 32, 0, full_mask(32));
+  EXPECT_TRUE(res.evicted);
+  EXPECT_EQ(res.victim_block, 1u);
 }
 
 TEST(Cache, HitPromotesToMru) {
@@ -185,21 +204,6 @@ TEST_P(UniformHitRate, MatchesCapacityRatio) {
 
 INSTANTIATE_TEST_SUITE_P(Footprints, UniformHitRate,
                          ::testing::Values(256, 512, 1024, 2048, 8192));
-
-TEST(TreePlru, VictimRespectsEligibility) {
-  TreePlru plru(8);
-  for (int w = 0; w < 8; ++w) plru.touch(w);
-  const int v = plru.victim(0b00010000);
-  EXPECT_EQ(v, 4);
-  EXPECT_EQ(plru.victim(0), -1);
-}
-
-TEST(TreePlru, TouchSteersVictimAway) {
-  TreePlru plru(4);
-  plru.touch(0);
-  const int v = plru.victim(full_mask(4));
-  EXPECT_NE(v, 0);
-}
 
 }  // namespace
 }  // namespace delta::mem

@@ -2,13 +2,15 @@
 // references on every input — that is what lets the cache/UMON hot paths use
 // them without perturbing the oracle replays.  These tests sweep widths,
 // alignments, duplicate keys, and adversarial near-miss patterns against the
-// references.  They run under every backend: the regular build compiles the
-// native backend (SSE2/NEON/SWAR) and the CI scalar job (-DDELTA_NO_SIMD=ON)
-// re-runs the same suite over the fallback.
+// references, and every way count from 1 to 32 for the rank kernels.  They
+// run under every backend: the regular build compiles the native backend
+// (SSE2/NEON/SWAR) and the CI scalar job (-DDELTA_NO_SIMD=ON) re-runs the
+// same suite over the fallback.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -148,6 +150,96 @@ TEST(FindU64, RandomizedAgainstScalar) {
     const std::uint64_t key = pool[rng.below(4)];
     EXPECT_EQ(find_u64(vals.data(), n, key), find_u64_scalar(vals.data(), n, key))
         << "iter=" << iter << " n=" << n;
+  }
+}
+
+// A rank row as mem::SetAssocCache keeps it: lanes [0, ways) hold a random
+// permutation of [0, ways), the spare lanes their own index.
+using RankRow = std::array<std::uint8_t, kRankLanes>;
+
+RankRow random_ranks(Rng& rng, int ways) {
+  RankRow row{};
+  for (int i = 0; i < kRankLanes; ++i) row[i] = static_cast<std::uint8_t>(i);
+  for (int i = ways - 1; i > 0; --i)
+    std::swap(row[i], row[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  return row;
+}
+
+std::uint32_t ways_mask(int ways) {
+  return ways >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << ways) - 1;
+}
+
+TEST(RankKernels, OldestMatchesScalarForEveryWayCount) {
+  Rng rng(0x7a4u);
+  for (int ways = 1; ways <= kRankLanes; ++ways) {
+    for (int iter = 0; iter < 2000; ++iter) {
+      const RankRow row = random_ranks(rng, ways);
+      // Alternate full, single-way and random masks.
+      std::uint32_t mask = ways_mask(ways);
+      if (iter % 3 == 1) mask = std::uint32_t{1} << rng.below(static_cast<std::uint64_t>(ways));
+      if (iter % 3 == 2) mask &= static_cast<std::uint32_t>(rng());
+      const int ref = rank_oldest_scalar(row.data(), mask);
+      ASSERT_EQ(rank_oldest(row.data(), mask), ref) << "ways=" << ways << " mask=" << mask;
+      if (mask == 0) continue;
+      // The reference is the masked lane of the largest rank.
+      ASSERT_NE(mask & (std::uint32_t{1} << ref), 0u);
+      for (int i = 0; i < ways; ++i) {
+        if ((mask >> i) & 1u) {
+          ASSERT_LE(row[i], row[ref]) << "ways=" << ways;
+        }
+      }
+    }
+    const RankRow row = random_ranks(rng, ways);
+    EXPECT_EQ(rank_oldest(row.data(), 0), -1) << "ways=" << ways;
+    EXPECT_EQ(rank_oldest_scalar(row.data(), 0), -1) << "ways=" << ways;
+  }
+}
+
+TEST(RankKernels, PromoteMatchesScalarForEveryWayCount) {
+  Rng rng(0x9e1u);
+  for (int ways = 1; ways <= kRankLanes; ++ways) {
+    for (int iter = 0; iter < 500; ++iter) {
+      RankRow simd = random_ranks(rng, ways);
+      RankRow ref = simd;
+      // A run of promotes: the rows must agree after every step, and the
+      // row must stay a permutation with the promoted way at rank 0.
+      for (int step = 0; step < 8; ++step) {
+        const int way = static_cast<int>(rng.below(static_cast<std::uint64_t>(ways)));
+        rank_promote(simd.data(), way);
+        rank_promote_scalar(ref.data(), way);
+        ASSERT_EQ(simd, ref) << "ways=" << ways << " way=" << way;
+        ASSERT_EQ(ref[way], 0);
+        std::uint32_t seen = 0;
+        for (int i = 0; i < ways; ++i) seen |= std::uint32_t{1} << ref[i];
+        ASSERT_EQ(seen, ways_mask(ways)) << "ways=" << ways;
+        for (int i = ways; i < kRankLanes; ++i) ASSERT_EQ(ref[i], i);
+      }
+    }
+  }
+}
+
+TEST(RankKernels, RanksKeepTimestampOrder) {
+  // Ranks must pick exactly the victim a fresh-timestamp-per-touch LRU
+  // picks: the masked way with the oldest stamp.
+  Rng rng(0x3c5u);
+  for (int ways : {1, 2, 7, 8, 15, 16, 17, 31, 32}) {
+    RankRow row = random_ranks(rng, 0);
+    std::array<std::uint64_t, kRankLanes> stamp{};
+    std::uint64_t clock = 0;
+    for (int w = 0; w < ways; ++w) {  // Fill every way once.
+      rank_promote(row.data(), w);
+      stamp[w] = ++clock;
+    }
+    for (int iter = 0; iter < 20000; ++iter) {
+      const std::uint32_t mask = ways_mask(ways) & static_cast<std::uint32_t>(rng());
+      int lru = -1;
+      for (int i = 0; i < ways; ++i)
+        if (((mask >> i) & 1u) && (lru < 0 || stamp[i] < stamp[lru])) lru = i;
+      ASSERT_EQ(rank_oldest(row.data(), mask), lru) << "ways=" << ways;
+      const int way = static_cast<int>(rng.below(static_cast<std::uint64_t>(ways)));
+      rank_promote(row.data(), way);
+      stamp[way] = ++clock;
+    }
   }
 }
 

@@ -84,22 +84,22 @@ TEST(Sweep, EmptyAndSingleJobEdgeCases) {
 /// per-access decisions.  `footprint_ways` scales the working set relative
 /// to capacity; `masked` mixes in partial insertion masks and eviction
 /// preferences like the partitioned schemes do.
-void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked) {
+void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
+                        int ways = 8) {
   constexpr std::uint32_t kSets = 64;
-  constexpr int kWays = 8;
-  mem::SetAssocCache soa(kSets, kWays);
-  bench::legacy::SetAssocCache aos(kSets, kWays);
+  mem::SetAssocCache soa(kSets, ways);
+  bench::legacy::SetAssocCache aos(kSets, ways);
   Rng rng(seed);
   for (int i = 0; i < 200'000; ++i) {
     const BlockAddr block =
         rng.below(std::uint64_t{kSets} * static_cast<std::uint64_t>(footprint_ways));
     const std::uint32_t set = static_cast<std::uint32_t>(block) & (kSets - 1);
     const CoreId owner = static_cast<CoreId>(rng.below(4));
-    mem::WayMask mask = mem::full_mask(kWays);
+    mem::WayMask mask = mem::full_mask(ways);
     CoreId pref = kInvalidCore;
     if (masked) {
       // Random (sometimes empty -> bypass) mask; occasional victim owner.
-      mask = static_cast<mem::WayMask>(rng.below(1u << kWays));
+      mask = static_cast<mem::WayMask>(rng.below(std::uint64_t{1} << ways));
       if (rng.below(4) == 0) pref = static_cast<CoreId>(rng.below(4));
     }
     const std::uint64_t op = rng.below(16);
@@ -129,6 +129,15 @@ TEST(CacheEquivalence, HitHeavyFullMask) { replay_and_compare(1, 6, false); }
 TEST(CacheEquivalence, ThrashingFullMask) { replay_and_compare(2, 16, false); }
 TEST(CacheEquivalence, MaskedAndPreferredVictims) { replay_and_compare(3, 12, true); }
 TEST(CacheEquivalence, MaskedHitHeavy) { replay_and_compare(4, 5, true); }
+// The LLC bank geometry, and the full 32-lane rank row (both 16-lane halves).
+TEST(CacheEquivalence, BankWaysFullMask) { replay_and_compare(5, 24, false, 16); }
+TEST(CacheEquivalence, BankWaysMaskedAndPreferredVictims) {
+  replay_and_compare(6, 24, true, 16);
+}
+TEST(CacheEquivalence, WidestFullMask) { replay_and_compare(7, 48, false, 32); }
+TEST(CacheEquivalence, WidestMaskedAndPreferredVictims) {
+  replay_and_compare(8, 48, true, 32);
+}
 
 }  // namespace
 }  // namespace delta
