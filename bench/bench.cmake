@@ -1,6 +1,9 @@
-# Reproduction harnesses: one binary per paper table/figure plus
-# google-benchmark microbenches.  See DESIGN.md Sec. 4 for the experiment
-# index.  All binaries land in ${CMAKE_BINARY_DIR}/bench.
+# Reproduction harnesses: `repro` renders every paper figure/table, the
+# scheme shootout and the irregular-mix extension from one pooled sweep
+# (`repro --fig <id>`); the ablation/extension knob sweeps and the
+# google-benchmark microbenches are their own binaries.  See DESIGN.md
+# Sec. 4 for the experiment index.  All binaries land in
+# ${CMAKE_BINARY_DIR}/bench.
 
 function(delta_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
@@ -12,24 +15,11 @@ function(delta_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-delta_bench(fig05_mixes16)
-delta_bench(fig06_fairness16)
-delta_bench(fig07_w2_apps16)
-delta_bench(fig08_w3_apps16)
-delta_bench(fig09_mixes64)
-delta_bench(fig10_w2_apps64)
-delta_bench(fig11_w13_apps64)
-delta_bench(fig12_splash2)
-delta_bench(fig13_reconfig_freq)
-delta_bench(table5_sharing)
-delta_bench(table6_overheads)
-delta_bench(msg_overheads)
+delta_bench(repro)
 delta_bench(ablation_params)
 delta_bench(ablation_cbt_bits)
 delta_bench(ext_mt_integrated)
 delta_bench(ext_underutilized)
-delta_bench(ext_irregular)
-delta_bench(shootout)
 delta_bench(micro_obs_overhead)
 delta_bench(micro_prof_overhead)
 delta_bench(micro_throughput)

@@ -29,9 +29,9 @@ namespace delta::bench {
 ///   --prof-out / --metrics-out / --prof-level   self-profiling with
 ///              delta_sim's semantics (obs::prof::start_from_flags); the
 ///              destructor writes the requested outputs.
-/// plus its own `extra` flags ("out", "quick", "reps").  An unknown flag, a
-/// positional argument or a malformed value prints `<bench>: <message>`
-/// and exits 2 before any simulation runs.
+/// plus its own `extra` flags ("fig", "out", "quick", "reps").  An unknown
+/// flag, a positional argument or a malformed value prints
+/// `<bench>: <message>` and exits 2 before any simulation runs.
 class Cli {
  public:
   Cli(int argc, char** argv, std::initializer_list<const char*> extra = {})
@@ -81,12 +81,13 @@ class Cli {
     }
   }
 
- private:
+  /// Prints `<bench>: <msg>` and exits 2: the end of every bad command line.
   [[noreturn]] void fail(const std::string& msg) const {
     std::fprintf(stderr, "%s: %s\n", name_.c_str(), msg.c_str());
     std::exit(2);
   }
 
+ private:
   /// A whole non-negative integer that fits an int; `what` names the source.
   unsigned parse_count(const std::string& what, const std::string& text) const {
     int v = -1;
@@ -113,59 +114,14 @@ auto parallel_map(std::size_t n, unsigned jobs, Fn&& fn) {
   return out;
 }
 
-/// Mix names of Table IV in order.
-inline std::vector<std::string> all_mix_names() {
-  std::vector<std::string> names;
-  for (const auto& m : workload::table4_mixes()) names.push_back(m.name);
-  return names;
-}
-
-/// The irregular-access mixes (wi1..wi3) — kept separate from
-/// all_mix_names() so the paper-figure benches stay on the Table IV set;
-/// the shootout and ext_irregular run them in addition.
-inline std::vector<std::string> irregular_mix_names() {
-  std::vector<std::string> names;
-  for (const auto& m : workload::irregular_mixes()) names.push_back(m.name);
-  return names;
-}
-
-/// Slots of a run_comparisons row: sim::kPaperSchemeKinds order.
-enum PaperScheme : std::size_t { kSnuca, kPrivate, kIdeal, kDelta };
-
-/// The paper's four schemes on every named mix, fanned over `jobs` threads
-/// (0 == hardware concurrency).  row[m][kDelta] is mix `m` under DELTA.
-inline std::vector<std::vector<sim::MixResult>> run_comparisons(
-    const sim::MachineConfig& cfg, const std::vector<std::string>& mix_names,
-    unsigned jobs = 0) {
-  std::vector<workload::Mix> mixes;
-  mixes.reserve(mix_names.size());
-  for (const std::string& name : mix_names)
-    mixes.push_back(sim::mix_for_config(cfg, name));
-  return sim::run_schemes(cfg, mixes, sim::kPaperSchemeKinds, jobs);
-}
-
-/// run_comparisons on one mix.
-inline std::vector<sim::MixResult> run_comparison(const sim::MachineConfig& cfg,
-                                                  const std::string& mix_name,
-                                                  unsigned jobs = 0) {
-  return run_comparisons(cfg, {mix_name}, jobs).front();
+/// The banner every harness report starts with.
+inline std::string header(const std::string& title, const std::string& paper_ref) {
+  const std::string rule(62, '=');
+  return rule + "\n" + title + "\nReproduces: " + paper_ref + "\n" + rule + "\n";
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {
-  std::printf("==============================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("Reproduces: %s\n", paper_ref.c_str());
-  std::printf("==============================================================\n");
-}
-
-/// Geomean-of-speedups summary line across mixes.
-inline void print_speedup_summary(const std::string& label,
-                                  const std::vector<double>& speedups) {
-  std::vector<double> v = speedups;
-  double max = 0.0;
-  for (double s : v) max = std::max(max, s);
-  std::printf("%-16s geomean %+.1f%%  max %+.1f%%\n", label.c_str(),
-              (geomean(v) - 1.0) * 100.0, (max - 1.0) * 100.0);
+  std::fputs(header(title, paper_ref).c_str(), stdout);
 }
 
 }  // namespace delta::bench

@@ -32,6 +32,7 @@ struct DeltaParams {
   // Intra-bank enforcement flavour: way bitmasks (paper default) or the
   // replacement-based occupancy enforcer (Sec. II-C2's compatibility note).
   IntraEnforcement intra_enforcement = IntraEnforcement::kWayMask;
+  friend bool operator==(const DeltaParams&, const DeltaParams&) = default;
 };
 
 }  // namespace delta::core

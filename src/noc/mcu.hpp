@@ -21,6 +21,7 @@ struct McuConfig {
   Cycles idle_latency = 320;        ///< 80 ns at 4 GHz.
   double bytes_per_cycle = 3.15;    ///< 12.6 GB/s at 4 GHz.
   Cycles max_queue_delay = 2000;    ///< Saturation clamp.
+  friend bool operator==(const McuConfig&, const McuConfig&) = default;
 };
 
 class MemoryController {

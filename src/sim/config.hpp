@@ -77,6 +77,8 @@ struct MachineConfig {
     return static_cast<std::uint64_t>(sets_per_bank()) * ways_per_bank * kLineBytes;
   }
   std::uint64_t llc_bytes() const { return bank_bytes() * static_cast<std::uint64_t>(cores); }
+
+  friend bool operator==(const MachineConfig&, const MachineConfig&) = default;
 };
 
 /// 16-core preset: 4x4 mesh, 4 MCUs, allocations up to 6 MB (192 ways).

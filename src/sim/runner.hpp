@@ -39,6 +39,7 @@ struct SweepJob {
   workload::Mix mix;
   SchemeKind kind = SchemeKind::kSnuca;
   SchemeOptions opts;
+  friend bool operator==(const SweepJob&, const SweepJob&) = default;
 };
 
 /// Runs every job on its own Chip, fanned over `threads` worker threads

@@ -127,6 +127,7 @@ struct SchemeOptions {
   int carma_lot_ways = 1;
   /// LFOC: way floor granted to every populated cluster in each bank.
   int lfoc_min_cluster_ways = 2;
+  friend bool operator==(const SchemeOptions&, const SchemeOptions&) = default;
 };
 
 std::unique_ptr<Scheme> make_scheme(SchemeKind kind, SchemeOptions opts = {});

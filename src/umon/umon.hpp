@@ -28,6 +28,7 @@ struct UmonConfig {
   int sets_log2 = 9;        ///< Sets per way-slice (512 sets of 64 B lines = 32 KB).
   int set_dilution = 16;    ///< Monitor 1 in N sets (dynamic set sampling).
   int coarse_ways = 4;      ///< Bucket width of the coarse counters.
+  friend bool operator==(const UmonConfig&, const UmonConfig&) = default;
 };
 
 class Umon {

@@ -18,6 +18,7 @@ struct Mix {
   std::string name;         ///< "w1" .. "w15".
   std::string composition;  ///< Table IV composition label, e.g. "T+L".
   std::vector<std::string> apps;  ///< 16 short codes, one per core.
+  friend bool operator==(const Mix&, const Mix&) = default;
 };
 
 /// All 15 mixes, each with exactly 16 application instances.

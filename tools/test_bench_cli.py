@@ -12,6 +12,7 @@ crash (rc 134) or a silently ignored flag cannot pass.
 import os
 import subprocess
 import sys
+import tempfile
 import unittest
 
 BENCH_DIR = None
@@ -22,7 +23,7 @@ def run_bench(name, *args, env_jobs=None):
     if env_jobs is not None:
         env["DELTA_JOBS"] = env_jobs
     return subprocess.run([os.path.join(BENCH_DIR, name), *args],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, encoding="utf-8", timeout=120, env=env)
 
 
 class BenchCliTest(unittest.TestCase):
@@ -34,16 +35,20 @@ class BenchCliTest(unittest.TestCase):
 
     def test_bad_input_is_rejected_with_a_message(self):
         cases = [
-            ("fig05_mixes16", ["--bogus"], "unknown flag --bogus"),
-            ("fig05_mixes16", ["--quick"], "unknown flag --quick"),
-            ("fig05_mixes16", ["w2"], "unexpected argument 'w2'"),
-            ("shootout", ["--quick", "--bogus"], "unknown flag --bogus"),
-            ("shootout", ["--out"], "--out needs a value"),
-            ("table5_sharing", ["--jobs", "abc"],
+            ("repro", ["--bogus"], "unknown flag --bogus"),
+            ("repro", ["w2"], "unexpected argument 'w2'"),
+            ("repro", ["--quick", "--bogus"], "unknown flag --bogus"),
+            ("repro", ["--out"], "--out needs a value"),
+            ("repro", ["--fig"], "--fig needs a value"),
+            ("repro", ["--fig", "14"], "unknown --fig id '14'"),
+            ("repro", ["--fig", "5,,6"], "empty id in --fig '5,,6'"),
+            ("repro", ["--fig", "5", "--quick", "--out", "/no/such/dir/x"],
+             "cannot write '/no/such/dir/x'"),
+            ("repro", ["--jobs", "abc"],
              "--jobs expects a non-negative integer, got 'abc'"),
-            ("table5_sharing", ["--jobs", "-1"],
+            ("repro", ["--jobs", "-1"],
              "--jobs expects a non-negative integer, got '-1'"),
-            ("table5_sharing", ["--prof-level", "loud"], "unknown --prof-level 'loud'"),
+            ("repro", ["--prof-level", "loud"], "unknown --prof-level 'loud'"),
             ("micro_throughput", ["--reps", "0"], "--reps must be >= 1, got 0"),
             ("micro_throughput", ["--reps", "zz", "--quick"],
              "--reps expects an integer, got 'zz'"),
@@ -57,9 +62,22 @@ class BenchCliTest(unittest.TestCase):
         for value in ["abc", "-1", "2x"]:
             with self.subTest(DELTA_JOBS=value):
                 self.assert_rejected(
-                    "fig05_mixes16", [],
+                    "repro", [],
                     f"DELTA_JOBS expects a non-negative integer, got '{value}'",
                     env_jobs=value)
+
+    def test_repro_runs_shared_jobs_once(self):
+        # fig06 reads exactly fig05's runs: 6 quick mixes x 4 schemes each.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "report.txt")
+            r = run_bench("repro", "--fig", "5,6", "--quick", "--out", out)
+            self.assertEqual(r.returncode, 0, r.stderr)
+            self.assertEqual(r.stderr.splitlines(),
+                             ["repro: 48 runs requested, 24 distinct"])
+            self.assertIn("Fig. 5 — 16-core multi-programmed mixes", r.stdout)
+            self.assertIn("Fig. 6 — ANTT / STP", r.stdout)
+            with open(out, encoding="utf-8") as f:
+                self.assertEqual(f.read(), r.stdout)
 
     def test_google_benchmark_flags_pass_through(self):
         r = run_bench("micro_components", "--benchmark_list_tests=true")
