@@ -21,7 +21,6 @@ delta_bench(ablation_cbt_bits)
 delta_bench(ext_mt_integrated)
 delta_bench(ext_underutilized)
 delta_bench(micro_obs_overhead)
-delta_bench(micro_prof_overhead)
 delta_bench(micro_throughput)
 
 # micro_components provides its own main (bench::Cli wrapping, so

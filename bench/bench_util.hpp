@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,8 +14,7 @@
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
-#include "obs/export.hpp"
-#include "obs/prof/export.hpp"
+#include "obs/outputs.hpp"
 #include "sim/runner.hpp"
 
 namespace delta::bench {
@@ -26,9 +26,8 @@ namespace delta::bench {
 ///              byte-identical by construction.  Precedence: flag >
 ///              DELTA_JOBS environment variable > 0; the env var is the one
 ///              knob that pins every harness at once.
-///   --prof-out / --metrics-out / --prof-level   self-profiling with
-///              delta_sim's semantics (obs::prof::start_from_flags); the
-///              destructor writes the requested outputs.
+///   --prof-out / --metrics-out   self-profiling with delta_sim's
+///              semantics (obs::Outputs); the destructor writes them.
 /// plus its own `extra` flags ("fig", "out", "quick", "reps").  An unknown
 /// flag, a positional argument or a malformed value prints
 /// `<bench>: <message>` and exits 2 before any simulation runs.
@@ -37,7 +36,7 @@ class Cli {
   Cli(int argc, char** argv, std::initializer_list<const char*> extra = {})
       : name_(std::string(argv[0]).substr(std::string(argv[0]).rfind('/') + 1)),
         args_(argc, argv) {
-    std::vector<std::string> known = {"jobs", "prof-out", "metrics-out", "prof-level"};
+    std::vector<std::string> known = {"jobs", "prof-out", "metrics-out"};
     known.insert(known.end(), extra.begin(), extra.end());
     const std::vector<std::string> unknown = args_.unknown_flags(known);
     if (!unknown.empty()) fail("unknown flag --" + unknown.front());
@@ -50,14 +49,14 @@ class Cli {
       jobs_ = parse_count("DELTA_JOBS", env);
     }
     try {
-      obs::prof::start_from_flags(args_);
+      outputs_.emplace(args_);
     } catch (const std::invalid_argument& e) {
       fail(e.what());
     }
     Logger::install_flush_handlers();
   }
 
-  ~Cli() { (void)obs::prof::write_flag_outputs(args_); }
+  ~Cli() { (void)outputs_->write(nullptr); }
 
   Cli(const Cli&) = delete;
   Cli& operator=(const Cli&) = delete;
@@ -100,6 +99,7 @@ class Cli {
   std::string name_;
   ArgParser args_;
   unsigned jobs_ = 0;
+  std::optional<obs::Outputs> outputs_;
 };
 
 /// Index-ordered parallel map: `out[i] = fn(i)` for i in [0, n), fanned

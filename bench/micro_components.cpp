@@ -3,8 +3,8 @@
 // allocation algorithms and the NoC helpers.
 //
 // Custom main instead of benchmark_main: the run is wrapped in bench::Cli
-// so --prof-out/--metrics-out/--prof-level work here exactly as in every
-// other harness (docs/observability.md).
+// so --prof-out/--metrics-out work here exactly as in every other harness
+// (docs/observability.md).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"

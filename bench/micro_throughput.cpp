@@ -44,6 +44,8 @@
 #include "legacy_cache.hpp"
 #include "mem/cache.hpp"
 #include "obs/export.hpp"
+#include "obs/prof/metrics.hpp"
+#include "obs/prof/prof.hpp"
 #include "sim/report.hpp"
 
 namespace {
@@ -361,7 +363,7 @@ int main(int argc, char** argv) {
   // gauges are the engine-health indicators docs/performance.md tracks.
   obs::prof::MetricsRegistry::global().reset_values();
   obs::prof::Profiler::instance().clear();
-  obs::prof::set_level(obs::prof::ProfLevel::kPhases);
+  obs::prof::set_level(obs::prof::ProfLevel::kFull);
   {
     sim::MachineConfig c = intra_cfg;
     c.intra_jobs = 4;

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -34,6 +33,7 @@
 #include "alloc/lookahead.hpp"
 #include "alloc/peekahead.hpp"
 #include "bench_util.hpp"
+#include "common/appendf.hpp"
 #include "common/rng.hpp"
 #include "core/controller.hpp"
 #include "sim/splash_estimator.hpp"
@@ -98,21 +98,6 @@ std::vector<sim::SweepJob> scheme_jobs(const sim::MachineConfig& cfg,
 /// Mix `m`'s slice of a scheme_jobs result.
 Row row(const Results& r, std::size_t m, std::size_t kinds) {
   return Row(r).subspan(m * kinds, kinds);
-}
-
-/// printf onto the end of `out`.
-[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* format, ...) {
-  std::va_list args;
-  va_start(args, format);
-  std::va_list again;
-  va_copy(again, args);
-  const int n = std::vsnprintf(nullptr, 0, format, args);
-  va_end(args);
-  const std::size_t at = out.size();
-  out.resize(at + static_cast<std::size_t>(n) + 1);
-  std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, format, again);
-  va_end(again);
-  out.pop_back();  // The terminator vsnprintf wrote.
 }
 
 /// Geomean-of-speedups summary line across mixes.

@@ -1,30 +1,18 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <set>
 #include <utility>
+
+#include "common/appendf.hpp"
 
 namespace delta::obs {
 namespace {
 
 /// Microseconds per simulator epoch: one epoch = i_intra = 0.1 ms.
 constexpr double kUsPerEpoch = 100.0;
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
 
 void append_counter(std::string& out, std::uint32_t run, double ts,
                     const std::string& name, const char* key, double value) {

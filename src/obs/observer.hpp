@@ -2,9 +2,9 @@
 //
 // Holds the event recorder and epoch sampler plus the list of runs (one per
 // scheme execution) so a single trace/CSV can span a `--scheme all`
-// comparison.  The level gates what gets collected:
+// comparison.  The level gates what gets collected (obs/outputs.hpp derives
+// it from the requested outputs):
 //
-//   kOff      — attached but inert; every hook is a cheap early-out.
 //   kSummary  — run names only (enough for the end-of-run JSON summary).
 //   kTimeline — + per-epoch core/MCU/chip samples.
 //   kFull     — + the policy event trace.
@@ -20,11 +20,10 @@
 
 namespace delta::obs {
 
-enum class ObsLevel : int { kOff = 0, kSummary = 1, kTimeline = 2, kFull = 3 };
+enum class ObsLevel : int { kSummary = 0, kTimeline = 1, kFull = 2 };
 
 constexpr std::string_view to_string(ObsLevel l) {
   switch (l) {
-    case ObsLevel::kOff: return "off";
     case ObsLevel::kSummary: return "summary";
     case ObsLevel::kTimeline: return "timeline";
     case ObsLevel::kFull: return "full";
@@ -36,9 +35,7 @@ class Observer {
  public:
   explicit Observer(ObsLevel level,
                     std::size_t event_capacity = EventRecorder::kDefaultCapacity)
-      : level_(level), events_(event_capacity) {
-    events_.set_enabled(events_enabled());
-  }
+      : level_(level), events_(event_capacity) {}
 
   ObsLevel level() const { return level_; }
   bool events_enabled() const { return level_ >= ObsLevel::kFull; }

@@ -1,41 +1,14 @@
 #include "obs/prof/export.hpp"
 
-#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <set>
-#include <stdexcept>
 
-#include "common/args.hpp"
+#include "common/appendf.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 
 namespace delta::obs::prof {
 namespace {
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[320];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
-
-bool ends_with(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool write_or_complain(const std::string& path, const std::string& content) {
-  if (write_text_file(path, content)) return true;
-  std::perror(("writing " + path).c_str());
-  return false;
-}
 
 void append_histogram_json(std::string& out, const LogHistogram& h) {
   appendf(out, "{\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"mean\":%s,"
@@ -166,40 +139,6 @@ std::string metrics_json(const RegistrySnapshot& reg, const ProfSnapshot& snap) 
   appendf(out, "  \"spans\": %zu,\n  \"dropped_spans\": %" PRIu64 "\n}\n",
           snap.spans.size(), snap.dropped_spans);
   return out;
-}
-
-void start_from_flags(const ArgParser& args) {
-  for (const char* flag : {"prof-out", "metrics-out"})
-    if (args.has(flag) && args.get(flag).empty())
-      throw std::invalid_argument(std::string("--") + flag + " needs a file path");
-  ProfLevel lvl = ProfLevel::kOff;
-  if (args.has("prof-level")) {
-    if (!parse_prof_level(args.get("prof-level"), &lvl))
-      throw std::invalid_argument("unknown --prof-level '" + args.get("prof-level") +
-                                  "' (off|phases|full)");
-  } else if (args.has("prof-out")) {
-    lvl = ProfLevel::kFull;
-  } else if (args.has("metrics-out")) {
-    lvl = ProfLevel::kPhases;
-  }
-  init_clock();
-  set_level(lvl);
-}
-
-bool write_flag_outputs(const ArgParser& args, const Observer* obs) {
-  bool ok = true;
-  if (args.has("prof-out"))
-    ok &= write_or_complain(args.get("prof-out"),
-                            prof_trace_json(Profiler::instance().snapshot(), obs));
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out");
-    const RegistrySnapshot reg = MetricsRegistry::global().snapshot();
-    const bool prom = ends_with(path, ".prom") || ends_with(path, ".txt");
-    ok &= write_or_complain(
-        path, prom ? prometheus_text(reg)
-                   : metrics_json(reg, Profiler::instance().snapshot()));
-  }
-  return ok;
 }
 
 }  // namespace delta::obs::prof

@@ -10,23 +10,9 @@ namespace delta::obs::prof {
 const char* to_string(ProfLevel lvl) {
   switch (lvl) {
     case ProfLevel::kOff: return "off";
-    case ProfLevel::kPhases: return "phases";
     case ProfLevel::kFull: return "full";
   }
   return "?";
-}
-
-bool parse_prof_level(std::string_view s, ProfLevel* out) {
-  if (s == "off") {
-    *out = ProfLevel::kOff;
-  } else if (s == "phases") {
-    *out = ProfLevel::kPhases;
-  } else if (s == "full") {
-    *out = ProfLevel::kFull;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 std::string_view phase_name(Phase p) {
@@ -231,8 +217,7 @@ void EngineProfile::ensure_handles() {
 }
 
 void EngineProfile::begin_section(Phase p, std::uint64_t epoch) {
-  armed_ = enabled(ProfLevel::kPhases);
-  full_ = armed_ && enabled(ProfLevel::kFull);
+  armed_ = enabled();
   if (!armed_) return;
   phase_ = p;
   epoch_arg_ = epoch;

@@ -10,20 +10,14 @@
 // on or off at any thread count (asserted by tests/test_prof.cpp and the CI
 // benchmark job).
 //
-// Gating: two layers.
-//   compile time — building with -DDELTA_PROF_DISABLED compiles every
-//     instrumentation type down to an empty inline no-op;
-//   run time    — a process-wide relaxed-atomic ProfLevel.  A disabled site
-//     costs one relaxed load + branch (micro_prof_overhead gates the
-//     end-to-end cost at < 2%).
-//
-// Levels:
-//   kOff    — collect nothing.
-//   kPhases — coarse spans: epoch / policy / stage / apply / reduce /
-//     barrier sections, sweep-job scheduling, derived per-epoch metrics.
-//   kFull   — adds per-call site aggregates (do_access_batch, per-core
-//     stage/reduce, per-bank apply), sampled cursor-merge scan timing, and
-//     per-(core,bank) staging-buffer occupancy.  Budget < 8%.
+// Gating: one process-wide relaxed-atomic ProfLevel.
+//   kOff  — collect nothing.  A disabled site costs one relaxed load +
+//     branch (micro_obs_overhead gates the end-to-end cost at < 2%).
+//   kFull — phase spans (epoch / policy / stage / apply / reduce / barrier
+//     sections, sweep-job scheduling, derived per-epoch metrics), per-call
+//     site aggregates (do_access_batch, per-core stage/reduce, per-bank
+//     apply), sampled cursor-merge scan timing and per-(core,bank)
+//     staging-buffer occupancy.  Budget < 8%.
 //
 // Span model: each span is (seq, start_ns, dur_ns, tid, phase, arg).  seq is
 // a process-wide sequence number drawn at record time, so a snapshot can be
@@ -48,11 +42,9 @@
 
 namespace delta::obs::prof {
 
-enum class ProfLevel : int { kOff = 0, kPhases = 1, kFull = 2 };
+enum class ProfLevel : int { kOff = 0, kFull = 1 };
 
 const char* to_string(ProfLevel lvl);
-/// Parses "off" | "phases" | "full"; returns false on anything else.
-bool parse_prof_level(std::string_view s, ProfLevel* out);
 
 /// Span categories.  Phases of the intra-run engine mirror sim/intra.hpp;
 /// kBarrier spans are the derived done-barrier waits (a worker's wait is the
@@ -113,15 +105,6 @@ struct ProfSnapshot {
   std::uint64_t phase_ns(Phase p) const;
 };
 
-#if defined(DELTA_PROF_DISABLED)
-
-inline void set_level(ProfLevel) {}
-inline ProfLevel level() { return ProfLevel::kOff; }
-inline bool enabled(ProfLevel) { return false; }
-inline std::uint64_t now_ns() { return 0; }
-
-#else
-
 namespace detail {
 inline std::atomic<int>& level_slot() {
   static std::atomic<int> lvl{static_cast<int>(ProfLevel::kOff)};
@@ -144,9 +127,9 @@ inline ProfLevel level() {
   return static_cast<ProfLevel>(detail::level_slot().load(std::memory_order_relaxed));
 }
 /// The disabled-site fast path: one relaxed load + compare.
-inline bool enabled(ProfLevel need) {
-  return detail::level_slot().load(std::memory_order_relaxed) >=
-         static_cast<int>(need);
+inline bool enabled() {
+  return detail::level_slot().load(std::memory_order_relaxed) !=
+         static_cast<int>(ProfLevel::kOff);
 }
 
 /// Nanoseconds on the steady clock since a process-fixed origin.  The origin
@@ -158,8 +141,6 @@ inline std::uint64_t now_ns() {
           std::chrono::steady_clock::now() - detail::origin())
           .count());
 }
-
-#endif  // DELTA_PROF_DISABLED
 
 inline void init_clock() { (void)now_ns(); }
 
@@ -211,17 +192,12 @@ class Profiler {
   std::atomic<std::uint64_t> seq_{0};
 };
 
-/// RAII phase span: arms itself when the runtime level reaches `need`, and
-/// records one span on destruction.  Disabled cost: one relaxed load.
+/// RAII phase span: arms itself when profiling is on, and records one span
+/// on destruction.  Disabled cost: one relaxed load.
 class ScopedSpan {
  public:
-#if defined(DELTA_PROF_DISABLED)
-  ScopedSpan(Phase, std::uint64_t = 0, ProfLevel = ProfLevel::kPhases) {}
-  void stop() {}
-#else
-  explicit ScopedSpan(Phase p, std::uint64_t arg = 0,
-                      ProfLevel need = ProfLevel::kPhases) {
-    if (enabled(need)) {
+  explicit ScopedSpan(Phase p, std::uint64_t arg = 0) {
+    if (enabled()) {
       phase_ = p;
       arg_ = arg;
       start_ = now_ns();
@@ -244,19 +220,15 @@ class ScopedSpan {
   std::uint64_t arg_ = 0;
   Phase phase_ = Phase::kEpoch;
   bool armed_ = false;
-#endif
 };
 
 /// RAII site timer: like ScopedSpan but folds into the per-thread site
-/// aggregate instead of the span log; defaults to the kFull gate because the
-/// sites it guards fire per batch/core/bank, not per phase.
+/// aggregate instead of the span log, because the sites it guards fire per
+/// batch/core/bank, not per phase.
 class ScopedSite {
  public:
-#if defined(DELTA_PROF_DISABLED)
-  ScopedSite(Site, ProfLevel = ProfLevel::kFull) {}
-#else
-  explicit ScopedSite(Site s, ProfLevel need = ProfLevel::kFull) {
-    if (enabled(need)) {
+  explicit ScopedSite(Site s) {
+    if (enabled()) {
       site_ = s;
       start_ = now_ns();
       armed_ = true;
@@ -272,7 +244,6 @@ class ScopedSite {
   std::uint64_t start_ = 0;
   Site site_ = Site::kAccessBatch;
   bool armed_ = false;
-#endif
 };
 
 /// Per-WorkerPool profiling: implements the pool's WorkerHooks to clock each
@@ -289,8 +260,8 @@ class EngineProfile final : public WorkerHooks {
   explicit EngineProfile(unsigned workers);
   ~EngineProfile() override;
 
-  /// Arms the next pool section if the runtime level allows; phase/epoch
-  /// label the spans the section will record.
+  /// Arms the next pool section if profiling is on; phase/epoch label the
+  /// spans the section will record.
   void begin_section(Phase p, std::uint64_t epoch);
   /// Records per-worker busy + barrier spans for the section that just
   /// finished and accumulates the epoch's totals.  Pair with begin_section
@@ -298,9 +269,9 @@ class EngineProfile final : public WorkerHooks {
   void end_section();
 
   /// True when the current section is being measured (cheap cached flag —
-  /// call sites use it to gate kFull extras without re-reading the level).
+  /// call sites use it to gate merge timing and occupancy without
+  /// re-reading the level).
   bool armed() const { return armed_; }
-  bool full() const { return full_; }
 
   // WorkerHooks (called on worker threads, inside a section):
   void section_begin(unsigned worker) override;
@@ -382,7 +353,6 @@ class EngineProfile final : public WorkerHooks {
   Phase phase_ = Phase::kStage;
   std::uint64_t epoch_arg_ = 0;
   bool armed_ = false;
-  bool full_ = false;
 
   // Cumulative over the run (owner thread only).
   std::array<std::uint64_t, static_cast<std::size_t>(Phase::kCount)> cum_busy_{};

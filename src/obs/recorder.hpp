@@ -1,20 +1,18 @@
 // Pre-sized append buffer for policy events.
 //
-// The recorder is wired into the controller/chip as a nullable pointer: a
-// null pointer (or `enabled() == false`) makes every emission site a single
-// predictable branch, so the instrumentation can stay compiled in.  On
+// The recorder is wired into the controller/chip as a nullable pointer
+// (Observer::event_sink()): a null pointer makes every emission site a
+// single predictable branch, so the instrumentation can stay compiled in.  On
 // overflow the newest events are dropped (the head of a run is the
 // interesting part — that is where partitions form) and the drop count is
 // reported by the exporters so truncation is never silent.
 //
 // Concurrency: record() and every reader take the annotated recorder mutex
-// (common/sync.hpp), so one recorder can be shared by concurrent emitters;
-// the enabled gate stays a relaxed atomic so a disabled recorder never
-// locks.  events() returns a snapshot by value — safe to iterate while
-// emitters are still running.
+// (common/sync.hpp), so one recorder can be shared by concurrent emitters.
+// events() returns a snapshot by value — safe to iterate while emitters are
+// still running.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -33,9 +31,6 @@ class EventRecorder {
     events_.reserve(capacity_);
   }
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
   /// Run index stamped onto subsequent events (one run per scheme).
   void set_run(std::uint8_t run) EXCLUDES(mu_) {
     const common::LockGuard lock(mu_);
@@ -49,7 +44,6 @@ class EventRecorder {
   void record(EventKind kind, std::uint64_t epoch, int core, int bank = -1,
               int other = -1, std::uint64_t count = 0, double a = 0.0,
               double b = 0.0) EXCLUDES(mu_) {
-    if (!enabled()) return;
     const common::LockGuard lock(mu_);
     if (events_.size() >= capacity_) {
       ++dropped_;
@@ -123,7 +117,6 @@ class EventRecorder {
   std::size_t capacity_;
   std::uint64_t dropped_ GUARDED_BY(mu_) = 0;
   std::uint8_t run_ GUARDED_BY(mu_) = 0;
-  std::atomic<bool> enabled_{true};
 };
 
 }  // namespace delta::obs

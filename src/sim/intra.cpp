@@ -237,7 +237,7 @@ void IntraEngine::worker_run(unsigned w, bool measuring) {
   if (!await_all(stage_done_)) return;
 
   obs::prof::EngineProfile::MergeScratch* const ms =
-      profile_.armed() && profile_.full() ? &profile_.merge_scratch(w) : nullptr;
+      profile_.armed() ? &profile_.merge_scratch(w) : nullptr;
   ws += apply_claim_.run(parts, w, failed_, [&](std::size_t b) {
     profile_.task_begin(w, obs::prof::Phase::kApply);
     apply_bank(static_cast<BankId>(b), ms);
@@ -267,7 +267,7 @@ void IntraEngine::run_epoch_accesses(bool measuring) {
   profile_.begin_section(obs::prof::Phase::kPipeline, epoch);
   pool_.run([&](unsigned w) { worker_run(w, measuring); });
   profile_.end_section();
-  if (profile_.armed() && profile_.full()) record_buffer_occupancy();
+  if (profile_.armed()) record_buffer_occupancy();
 
   const obs::prof::ScopedSpan tail_span(obs::prof::Phase::kSerialTail, epoch);
   // Serial reduction of the integer tallies in fixed bank order.

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <string>
 
+#include "common/appendf.hpp"
 #include "common/histogram.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
@@ -223,6 +224,15 @@ TEST(Logger, VformatTruncatesOverlongMessages) {
   EXPECT_LT(rec.size(), 1100u);  // Bounded by the internal 1 KiB buffer.
   EXPECT_EQ(rec.substr(rec.size() - 4), "...\n");
   EXPECT_EQ(rec.substr(0, 7), "[info] ");
+}
+
+TEST(Appendf, LongLinesRoundTrip) {
+  const std::string big(3000, 'x');
+  std::string out = "head ";
+  appendf(out, "%s|%d\n", big.c_str(), 42);
+  EXPECT_EQ(out, "head " + big + "|42\n");
+  appendf(out, "%s", "");
+  EXPECT_EQ(out.size(), 5 + big.size() + 4);
 }
 
 TEST(Logger, LevelGate) {

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "common/args.hpp"
 #include "json_check.hpp"
 #include "obs/event.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
+#include "obs/outputs.hpp"
+#include "obs/prof/prof.hpp"
 #include "obs/recorder.hpp"
 #include "sim/runner.hpp"
 
@@ -56,20 +62,7 @@ TEST(EventRecorder, OverflowDropsNewestAndCounts) {
   EXPECT_EQ(rec.dropped(), 0u);
 }
 
-TEST(EventRecorder, DisabledRecorderIsANoOp) {
-  EventRecorder rec(4);
-  rec.set_enabled(false);
-  for (int i = 0; i < 10; ++i) rec.record(EventKind::kChallengeWon, 1, 0);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
 TEST(Observer, LevelGatesCollection) {
-  Observer off(ObsLevel::kOff);
-  EXPECT_FALSE(off.events_enabled());
-  EXPECT_FALSE(off.timeline_enabled());
-  EXPECT_EQ(off.event_sink(), nullptr);
-
   Observer summary(ObsLevel::kSummary);
   EXPECT_FALSE(summary.timeline_enabled());
   EXPECT_EQ(summary.event_sink(), nullptr);
@@ -80,8 +73,7 @@ TEST(Observer, LevelGatesCollection) {
 
   Observer full(ObsLevel::kFull);
   EXPECT_TRUE(full.events_enabled());
-  ASSERT_NE(full.event_sink(), nullptr);
-  EXPECT_TRUE(full.event_sink()->enabled());
+  EXPECT_EQ(full.event_sink(), &full.events());
 }
 
 TEST(Observer, BeginRunStampsSubsequentRecords) {
@@ -164,6 +156,44 @@ TEST(Export, TimelineCsvHeaderMatchesRowArity) {
   EXPECT_EQ(lines[3].substr(0, 5), "chip,");
 }
 
+// Exporter lines are sized to fit: a run name over 1 KB lands whole in both
+// the trace metadata and every timeline row.
+TEST(Export, LongRunNameRoundTrips) {
+  const std::string name(2000, 'r');
+  Observer obs(ObsLevel::kFull);
+  obs.begin_run(name);
+  obs.timeline().add_core(3, 1, "mc", 0.42, 17, 1000, 250, 80.0);
+  const std::string trace = chrome_trace_json(obs);
+  std::string why;
+  ASSERT_TRUE(test::is_valid_json(trace, &why)) << why;
+  EXPECT_NE(trace.find("\"name\":\"" + name + "\""), std::string::npos);
+  EXPECT_NE(timeline_csv(obs).find("\ncore,0," + name + ",3,1,mc,"), std::string::npos);
+}
+
+// The output flags alone set the observer level, and every file path is
+// checked before anything runs.
+TEST(Outputs, RequestedOutputsSetTheLevel) {
+  const auto level_for = [](std::vector<std::string> flags) {
+    std::vector<char*> argv{const_cast<char*>("tool")};
+    for (std::string& f : flags) argv.push_back(f.data());
+    return Outputs(ArgParser(static_cast<int>(argv.size()), argv.data())).observer_level();
+  };
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(level_for({}), std::nullopt);
+  EXPECT_EQ(level_for({"--json"}), ObsLevel::kSummary);
+  EXPECT_EQ(level_for({"--json", "--timeline-csv", dir + "t.csv"}), ObsLevel::kTimeline);
+  EXPECT_EQ(level_for({"--trace-out", dir + "t.json"}), ObsLevel::kFull);
+  EXPECT_EQ(level_for({"--prof-out", dir + "p.json"}), ObsLevel::kFull);
+  EXPECT_EQ(level_for({"--metrics-out", dir + "m.json"}), std::nullopt);
+  EXPECT_EQ(prof::level(), prof::ProfLevel::kFull);
+  EXPECT_EQ(level_for({"--json", dir + "s.json"}), ObsLevel::kSummary);
+  EXPECT_EQ(prof::level(), prof::ProfLevel::kOff);
+
+  EXPECT_THROW(level_for({"--trace-out"}), std::invalid_argument);
+  EXPECT_THROW(level_for({"--metrics-out", "--json"}), std::invalid_argument);
+  EXPECT_THROW(level_for({"--json", "/no/such/dir/s.json"}), std::invalid_argument);
+}
+
 // End-to-end: a short heterogeneous run under the delta scheme must surface
 // the policy activity the trace exists to show.
 TEST(ObsIntegration, ShortDeltaRunEmitsPolicyEvents) {
@@ -208,14 +238,14 @@ TEST(ObsIntegration, ShortDeltaRunEmitsPolicyEvents) {
   EXPECT_NE(trace.find("\"bulk_invalidation\""), std::string::npos);
 }
 
-// The same run with an off-level observer must collect nothing.
-TEST(ObsIntegration, OffLevelObserverStaysEmpty) {
+// The same run with a summary-level observer collects no events or samples.
+TEST(ObsIntegration, SummaryLevelObserverCollectsNoEvents) {
   sim::MachineConfig cfg = sim::config16();
   cfg.warmup_epochs = 5;
   cfg.measure_epochs = 10;
   const workload::Mix mix = sim::mix_for_config(cfg, "w2");
 
-  Observer obs(ObsLevel::kOff);
+  Observer obs(ObsLevel::kSummary);
   (void)sim::run_mix(cfg, mix, sim::SchemeKind::kDelta, {}, &obs);
   EXPECT_EQ(obs.events().size(), 0u);
   EXPECT_TRUE(obs.timeline().empty());

@@ -41,18 +41,6 @@ class ProfTest : public ::testing::Test {
   }
 };
 
-TEST_F(ProfTest, ParseLevelRoundTrip) {
-  for (const ProfLevel lvl :
-       {ProfLevel::kOff, ProfLevel::kPhases, ProfLevel::kFull}) {
-    ProfLevel parsed = ProfLevel::kOff;
-    ASSERT_TRUE(obs::prof::parse_prof_level(obs::prof::to_string(lvl), &parsed));
-    EXPECT_EQ(parsed, lvl);
-  }
-  ProfLevel lvl;
-  EXPECT_FALSE(obs::prof::parse_prof_level("verbose", &lvl));
-  EXPECT_FALSE(obs::prof::parse_prof_level("", &lvl));
-}
-
 TEST_F(ProfTest, LevelOffCollectsNothing) {
   {
     const obs::prof::ScopedSpan span(Phase::kEpoch, 1);
@@ -63,21 +51,22 @@ TEST_F(ProfTest, LevelOffCollectsNothing) {
   for (const obs::prof::SiteTotal& s : snap.sites) EXPECT_EQ(s.calls, 0u);
 }
 
-TEST_F(ProfTest, PhasesLevelGatesSitesButNotSpans) {
-  obs::prof::set_level(ProfLevel::kPhases);
+TEST_F(ProfTest, FullLevelCollectsSpansAndSites) {
+  obs::prof::set_level(ProfLevel::kFull);
   {
     const obs::prof::ScopedSpan span(Phase::kEpoch, 7);
-    const obs::prof::ScopedSite site(Site::kAccessBatch);  // kFull-gated.
+    const obs::prof::ScopedSite site(Site::kAccessBatch);
   }
   const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  EXPECT_EQ(snap.level, ProfLevel::kFull);
   ASSERT_EQ(snap.spans.size(), 1u);
   EXPECT_EQ(snap.spans[0].phase, Phase::kEpoch);
   EXPECT_EQ(snap.spans[0].arg, 7u);
-  EXPECT_EQ(snap.sites[static_cast<std::size_t>(Site::kAccessBatch)].calls, 0u);
+  EXPECT_EQ(snap.sites[static_cast<std::size_t>(Site::kAccessBatch)].calls, 1u);
 }
 
 TEST_F(ProfTest, StopEndsSpanEarlyAndIsIdempotent) {
-  obs::prof::set_level(ProfLevel::kPhases);
+  obs::prof::set_level(ProfLevel::kFull);
   {
     obs::prof::ScopedSpan span(Phase::kPolicy, 3);
     span.stop();
@@ -88,7 +77,7 @@ TEST_F(ProfTest, StopEndsSpanEarlyAndIsIdempotent) {
 }
 
 TEST_F(ProfTest, SpansFromManyThreadsMergeSeqSorted) {
-  obs::prof::set_level(ProfLevel::kPhases);
+  obs::prof::set_level(ProfLevel::kFull);
   constexpr int kThreads = 4, kSpansEach = 50;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -120,7 +109,7 @@ TEST_F(ProfTest, SiteAggregationAccumulates) {
 }
 
 TEST_F(ProfTest, PhaseNsSumsOnlyThatPhase) {
-  obs::prof::set_level(ProfLevel::kPhases);
+  obs::prof::set_level(ProfLevel::kFull);
   { obs::prof::ScopedSpan a(Phase::kStage, 0); }
   { obs::prof::ScopedSpan b(Phase::kApply, 0); }
   const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
@@ -217,7 +206,7 @@ TEST_F(ProfTest, TraceJsonMergesSpansAndPolicyEvents) {
   cfg.warmup_epochs = 5;
   cfg.measure_epochs = 10;
   cfg.intra_jobs = 2;
-  obs::prof::set_level(ProfLevel::kPhases);
+  obs::prof::set_level(ProfLevel::kFull);
   obs::Observer observer(obs::ObsLevel::kFull);
   sim::run_mix(cfg, sim::mix_for_config(cfg, "w2"), sim::SchemeKind::kDelta, {},
                &observer);

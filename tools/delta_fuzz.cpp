@@ -9,6 +9,7 @@
 // reproducible byte-for-byte across thread counts, 1 when the fuzz found
 // failures, and 2 on bad input (one `delta_fuzz: <message>` line for a bad
 // value, the usage text for an unknown flag).  See docs/testing.md.
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +19,7 @@
 #include "check/fuzz.hpp"
 #include "common/args.hpp"
 #include "common/log.hpp"
-#include "obs/prof/export.hpp"
+#include "obs/outputs.hpp"
 
 namespace {
 
@@ -44,7 +45,6 @@ Options:
                       cross-scheme access-equality assertion).
   --prof-out F        Engine self-profiling flamegraph (Chrome trace JSON).
   --metrics-out F     Metrics dump (.prom/.txt = Prometheus text, else JSON).
-  --prof-level L      off|phases|full (default: implied by the outputs).
   --help              This text.
 )";
 
@@ -94,7 +94,7 @@ int run_cli(int argc, char** argv) {
       "seeds",          "seed-base",      "threads",       "intra-jobs",
       "repro",          "sweep-interval", "out-dir",       "no-invariants",
       "no-differential","no-determinism", "no-lockstep",   "prof-out",
-      "metrics-out",    "prof-level",     "intra-pin",     "help"};
+      "metrics-out",    "intra-pin",      "help"};
   const auto unknown = args.unknown_flags(known);
   if (!unknown.empty()) {
     for (const auto& f : unknown)
@@ -107,8 +107,6 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  // Self-profiling: same flag semantics as delta_sim and the benches.
-  delta::obs::prof::start_from_flags(args);
   delta::Logger::install_flush_handlers();
 
   delta::check::FuzzOptions opt;
@@ -122,18 +120,22 @@ int run_cli(int argc, char** argv) {
   opt.lockstep = !args.has("no-lockstep");
   opt.check_invariants = !args.has("no-invariants");
   opt.differential = !args.has("no-differential") && opt.lockstep;
+  const std::int64_t repro_seed = args.get_int("repro", 0);
+
+  // Self-profiling: same flag semantics as delta_sim and the benches.
+  delta::obs::Outputs outputs(args);
 
   if (args.has("repro")) {
-    const auto seed = static_cast<std::uint64_t>(args.get_int("repro", 0));
+    const auto seed = static_cast<std::uint64_t>(repro_seed);
     const auto c = delta::check::run_fuzz_case(seed, opt);
     std::printf("seed %llu mix: %s\n", static_cast<unsigned long long>(seed),
                 c.mix_desc.c_str());
     if (c.ok) {
       std::printf("OK: no violations\n");
-      return 0;
+    } else {
+      print_case_failure(c);
     }
-    print_case_failure(c);
-    return 1;
+    return outputs.write(nullptr) && c.ok ? 0 : 1;
   }
 
   const delta::check::FuzzReport report = delta::check::run_fuzz(opt);
@@ -158,7 +160,7 @@ int run_cli(int argc, char** argv) {
   const std::string out_dir = args.get("out-dir");
   if (!out_dir.empty()) write_artifacts(out_dir, report, det, det_checked);
 
-  const bool io_ok = delta::obs::prof::write_flag_outputs(args);
+  const bool io_ok = outputs.write(nullptr);
   return report.ok() && (!det_checked || det.ok) && io_ok ? 0 : 1;
 }
 

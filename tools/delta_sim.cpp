@@ -11,12 +11,13 @@
 //
 // Prints per-application and workload-level results; `--csv` switches to a
 // machine-readable format for scripting sweeps.  The observability flags
-// (--trace-out / --timeline-csv / --json / --obs-level) are documented in
-// docs/observability.md.
+// (--json / --timeline-csv / --trace-out / --prof-out / --metrics-out) are
+// documented in docs/observability.md.
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,9 +26,8 @@
 #include "common/args.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "obs/export.hpp"
 #include "obs/observer.hpp"
-#include "obs/prof/export.hpp"
+#include "obs/outputs.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "workload/irregular.hpp"
@@ -78,33 +78,6 @@ void print_result(const sim::MixResult& r, const sim::MixResult* baseline, bool 
   std::fputs(sim::text_report(r, baseline).c_str(), text_out);
 }
 
-/// Resolves the collection level: explicit --obs-level wins, otherwise the
-/// requested outputs imply the cheapest level that can feed them.
-obs::ObsLevel resolve_obs_level(const ArgParser& args) {
-  if (args.has("obs-level")) {
-    const std::string lvl = args.get("obs-level");
-    if (lvl == "off") return obs::ObsLevel::kOff;
-    if (lvl == "summary") return obs::ObsLevel::kSummary;
-    if (lvl == "timeline") return obs::ObsLevel::kTimeline;
-    if (lvl == "full") return obs::ObsLevel::kFull;
-    throw std::invalid_argument("unknown --obs-level '" + lvl +
-                                "' (off|summary|timeline|full)");
-  }
-  if (args.has("trace-out")) return obs::ObsLevel::kFull;
-  // The prof flamegraph merges policy events into the span timeline, so the
-  // event trace must be on for the merged view to have both halves.
-  if (args.has("prof-out")) return obs::ObsLevel::kFull;
-  if (args.has("timeline-csv")) return obs::ObsLevel::kTimeline;
-  if (args.has("json")) return obs::ObsLevel::kSummary;
-  return obs::ObsLevel::kOff;
-}
-
-bool write_or_complain(const std::string& path, const std::string& content) {
-  if (obs::write_text_file(path, content)) return true;
-  std::perror(("writing " + path).c_str());
-  return false;
-}
-
 }  // namespace
 
 int run_cli(int argc, char** argv) {
@@ -112,9 +85,8 @@ int run_cli(int argc, char** argv) {
   const std::vector<std::string> known = {
       "mix",        "apps",         "scheme",   "cores",       "epochs",
       "warmup",     "seed",         "csv",      "list",        "central-ms",
-      "trace-out",  "timeline-csv", "json",     "obs-level",   "jobs",
-      "intra-jobs", "prof-out",     "prof-level", "metrics-out", "help",
-      "intra-pin",  "interleave-batch",
+      "trace-out",  "timeline-csv", "json",     "jobs",        "intra-jobs",
+      "prof-out",   "metrics-out",  "help",     "intra-pin",   "interleave-batch",
   };
   if (!args.unknown_flags(known).empty() || args.has("help")) {
     for (const auto& f : args.unknown_flags(known))
@@ -125,8 +97,7 @@ int run_cli(int argc, char** argv) {
                  "                 [--cores 16|64] [--epochs N] [--warmup N] "
                  "[--seed S] [--central-ms M] [--csv] [--list]\n"
                  "                 [--trace-out trace.json] [--timeline-csv ts.csv]\n"
-                 "                 [--json [summary.json]] "
-                 "[--obs-level off|summary|timeline|full]\n"
+                 "                 [--json [summary.json]]\n"
                  "                 [--jobs N]   (parallel scheme fan-out for "
                  "--scheme all; 0 = all hw threads)\n"
                  "                 [--intra-jobs N]   (threads inside each "
@@ -142,8 +113,7 @@ int run_cli(int argc, char** argv) {
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
                  "                 [--metrics-out m.json|m.prom]   (metrics "
-                 "dump; .prom = Prometheus text)\n"
-                 "                 [--prof-level off|phases|full]\n");
+                 "dump; .prom = Prometheus text)\n");
     return args.has("help") ? 0 : 1;
   }
   if (args.has("list")) {
@@ -151,11 +121,8 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  // Self-profiling setup: pin the clock origin before any worker threads
-  // exist and arm the level before chips are constructed, so every span of
-  // the run lands in the same timeline.  Flush handlers make sure buffered
-  // logs (and nothing else) survive an abort mid-run.
-  obs::prof::start_from_flags(args);
+  // Flush handlers make sure buffered logs (and nothing else) survive an
+  // abort mid-run.
   Logger::install_flush_handlers();
 
   const std::int64_t cores = args.get_int("cores", 16);
@@ -230,20 +197,21 @@ int run_cli(int argc, char** argv) {
     for (sim::SweepJob& j : jobs)
       if (j.cfg.intra_jobs == 0) j.cfg.intra_jobs = static_cast<int>(hardware_threads());
 
+  // Every output file is open and the profiler armed before the first
+  // chip is built, so each span of the run lands in the same timeline.
+  obs::Outputs outputs(args);
+
   // With observability outputs each run records into its own observer and
   // the per-run traces are merged back in scheme order — run-major, which
   // is exactly the order a serial observed execution emits (nothing in a
   // trace carries wall time), so the exported files match at any --jobs.
-  const bool wants_obs = args.has("trace-out") || args.has("timeline-csv") ||
-                         args.has("json") || args.has("obs-level") ||
-                         args.has("prof-out");
   std::unique_ptr<obs::Observer> observer;
   std::vector<std::unique_ptr<obs::Observer>> job_obs;
   std::vector<obs::Observer*> job_obs_ptrs;
-  if (wants_obs) {
-    observer = std::make_unique<obs::Observer>(resolve_obs_level(args));
+  if (const std::optional<obs::ObsLevel> level = outputs.observer_level()) {
+    observer = std::make_unique<obs::Observer>(*level);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      job_obs.push_back(std::make_unique<obs::Observer>(observer->level()));
+      job_obs.push_back(std::make_unique<obs::Observer>(*level));
       job_obs_ptrs.push_back(job_obs.back().get());
     }
   }
@@ -252,8 +220,7 @@ int run_cli(int argc, char** argv) {
 
   const bool csv = args.has("csv");
   // JSON on stdout must stay parseable, so the human report yields to stderr.
-  const bool json_stdout = args.has("json") && args.get("json").empty();
-  std::FILE* text_out = json_stdout ? stderr : stdout;
+  std::FILE* text_out = outputs.summary_on_stdout() ? stderr : stdout;
   if (csv) std::printf("%s\n", sim::csv_header().c_str());
   const sim::MixResult* baseline = results.size() > 1 ? &results[0] : nullptr;
   for (const sim::MixResult& r : results) print_result(r, baseline, csv, text_out);
@@ -268,23 +235,9 @@ int run_cli(int argc, char** argv) {
                  sim::antt(r[5], r[1]), sim::stp(r[5], r[1]));
   }
 
-  bool io_ok = true;
-  if (args.has("trace-out"))
-    io_ok &= write_or_complain(args.get("trace-out"),
-                               obs::chrome_trace_json(*observer));
-  if (args.has("timeline-csv"))
-    io_ok &= write_or_complain(args.get("timeline-csv"),
-                               obs::timeline_csv(*observer));
-  if (args.has("json")) {
-    const std::string summary = sim::json_summary(results, observer.get());
-    const std::string path = args.get("json");
-    if (path.empty()) {
-      std::fputs(summary.c_str(), stdout);
-    } else {
-      io_ok &= write_or_complain(path, summary);
-    }
-  }
-  io_ok &= obs::prof::write_flag_outputs(args, observer.get());
+  bool io_ok = outputs.write(observer.get());
+  if (args.has("json"))
+    io_ok &= outputs.write_summary(sim::json_summary(results, observer.get()));
   return io_ok ? 0 : 1;
 }
 

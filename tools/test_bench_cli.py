@@ -48,7 +48,8 @@ class BenchCliTest(unittest.TestCase):
              "--jobs expects a non-negative integer, got 'abc'"),
             ("repro", ["--jobs", "-1"],
              "--jobs expects a non-negative integer, got '-1'"),
-            ("repro", ["--prof-level", "loud"], "unknown --prof-level 'loud'"),
+            ("repro", ["--prof-level", "loud"], "unknown flag --prof-level"),
+            ("repro", ["--obs-level", "full"], "unknown flag --obs-level"),
             ("micro_throughput", ["--reps", "0"], "--reps must be >= 1, got 0"),
             ("micro_throughput", ["--reps", "zz", "--quick"],
              "--reps expects an integer, got 'zz'"),

@@ -36,17 +36,22 @@ class DeltaFuzzCliTest(unittest.TestCase):
             (["--intra-jobs", "-2"], "--intra-jobs must be >= 0, got -2"),
             (["--sweep-interval", "-4"], "--sweep-interval must be >= 0, got -4"),
             (["--repro", "x1"], "--repro expects an integer, got 'x1'"),
-            (["--prof-level", "loud"], "unknown --prof-level 'loud'"),
+            (["--metrics-out", ""], "--metrics-out needs a file path"),
+            (["--seeds", "1", "--metrics-out", "/no/such/dir/m.json"],
+             "cannot write --metrics-out '/no/such/dir/m.json'"),
         ]
         for args, message in cases:
             with self.subTest(args=args):
                 self.assert_rejected(args, message)
 
     def test_unknown_flag_prints_usage(self):
-        r = self.run_fuzz("--bogus")
-        self.assertEqual(r.returncode, 2, r.stderr)
-        self.assertIn("unknown flag: --bogus", r.stderr)
-        self.assertIn("Options:", r.stderr)
+        for flag in ["--bogus", "--prof-level", "--obs-level"]:
+            with self.subTest(flag=flag):
+                r = self.run_fuzz(flag, "full")
+                self.assertEqual(r.returncode, 2, r.stderr)
+                self.assertIn("unknown flag: " + flag, r.stderr)
+                self.assertIn("Options:", r.stderr)
+                self.assertEqual(r.stdout, "")
 
     def test_valid_small_batch_still_succeeds(self):
         r = self.run_fuzz("--seeds", "1", "--no-determinism")

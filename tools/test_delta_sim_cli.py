@@ -48,6 +48,34 @@ class DeltaSimCliTest(unittest.TestCase):
             with self.subTest(args=args):
                 self.assert_rejected(args, message)
 
+    def test_bad_output_paths_fail_before_the_run(self):
+        # Every output file is checked and opened before any simulation, so
+        # a bad path prints no report at all.
+        short = ["--mix", "w2", "--scheme", "delta", "--epochs", "1", "--warmup", "0"]
+        bad = "/no/such/dir/out"
+        cases = [
+            (["--trace-out", ""], "--trace-out needs a file path"),
+            (["--timeline-csv", ""], "--timeline-csv needs a file path"),
+            (["--prof-out", ""], "--prof-out needs a file path"),
+            (["--metrics-out", ""], "--metrics-out needs a file path"),
+            (["--trace-out", bad], f"cannot write --trace-out '{bad}'"),
+            (["--timeline-csv", bad], f"cannot write --timeline-csv '{bad}'"),
+            (["--json", bad], f"cannot write --json '{bad}'"),
+            (["--prof-out", bad], f"cannot write --prof-out '{bad}'"),
+            (["--metrics-out", bad], f"cannot write --metrics-out '{bad}'"),
+        ]
+        for args, message in cases:
+            with self.subTest(args=args):
+                self.assert_rejected(short + args, message)
+
+    def test_level_flags_are_unknown(self):
+        for flag in ["--obs-level", "--prof-level"]:
+            with self.subTest(flag=flag):
+                r = self.run_sim(flag, "full")
+                self.assertEqual(r.returncode, 1, r.stderr)
+                self.assertIn("unknown flag: " + flag, r.stderr)
+                self.assertEqual(r.stdout, "")
+
     def test_valid_short_run_still_succeeds(self):
         r = self.run_sim("--mix", "w2", "--scheme", "snuca", "--epochs", "1",
                          "--warmup", "0", "--csv")
