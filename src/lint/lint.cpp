@@ -417,14 +417,9 @@ std::vector<Finding> lint_tree(const std::filesystem::path& root) {
 std::vector<Finding> lint_tree(const std::filesystem::path& root,
                                const TreeOptions& opts) {
   namespace fs = std::filesystem;
-  const bool want_lexical = opts.rules.empty() ||
-                            rule_selected(opts, "unordered-iter") ||
-                            rule_selected(opts, "nondet-source") ||
-                            rule_selected(opts, "raw-intrinsic") ||
-                            rule_selected(opts, "raw-affinity") ||
-                            rule_selected(opts, "ptr-key") ||
-                            rule_selected(opts, "naked-new") ||
-                            rule_selected(opts, "own-header-first");
+  const bool want_lexical =
+      std::any_of(kRules.begin(), kRules.begin() + kLexicalRules,
+                  [&](std::string_view r) { return rule_selected(opts, r); });
   const bool want_phase = rule_selected(opts, "phase-effect");
   const bool want_layering = rule_selected(opts, "layering");
   const bool want_cycles = rule_selected(opts, "include-cycle");

@@ -56,6 +56,7 @@
 // --fix-suggestions (the exact suppression/annotation line per finding).
 #pragma once
 
+#include <array>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -86,12 +87,17 @@ struct FileInfo {
 /// Lints one translation unit's text.  Findings are in line order.
 std::vector<Finding> lint_text(const FileInfo& info, std::string_view text);
 
+/// Every rule name lint_tree() reports: the first kLexicalRules are
+/// lint_text()'s, then phase-effect (lint/phase_check.hpp), layering and
+/// include-cycle (lint/layering.hpp).
+inline constexpr std::array<std::string_view, 10> kRules = {
+    "unordered-iter", "nondet-source", "raw-intrinsic",    "raw-affinity",
+    "ptr-key",        "naked-new",     "own-header-first", "phase-effect",
+    "layering",       "include-cycle"};
+inline constexpr std::size_t kLexicalRules = 7;
+
 /// Tree-walk options.  `rules` empty == run everything; otherwise only the
-/// named rules are reported.  Known names: the seven lexical rules
-/// (unordered-iter, nondet-source, raw-intrinsic, raw-affinity, ptr-key,
-/// naked-new, own-header-first)
-/// plus the semantic rules phase-effect (lint/phase_check.hpp), layering
-/// and include-cycle (lint/layering.hpp).
+/// named rules (names from kRules) are reported.
 struct TreeOptions {
   std::vector<std::string> rules;
 };

@@ -28,7 +28,6 @@ std::string_view phase_name(Phase p) {
     case Phase::kSerialTail: return "serial_tail";
     case Phase::kBarrier: return "barrier";
     case Phase::kSweepJob: return "sweep_job";
-    case Phase::kMtApply: return "mt_apply";
     case Phase::kCount: break;
   }
   return "?";

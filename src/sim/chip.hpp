@@ -81,13 +81,6 @@ class EpochChecker {
   virtual void on_epoch(Chip& chip, std::uint64_t epoch) = 0;
 };
 
-// Compile-time default for Chip::kInterleaveBatch; override with
-// -DDELTA_INTERLEAVE_BATCH=N (MachineConfig::interleave_batch overrides at
-// run time).
-#ifndef DELTA_INTERLEAVE_BATCH
-#define DELTA_INTERLEAVE_BATCH 16
-#endif
-
 class Chip {
  public:
   /// Batch size for interleaving per-core access streams within an epoch:
@@ -95,9 +88,9 @@ class Chip {
   /// enough to keep the issue loop cheap.  The intra-run engine reproduces
   /// this exact interleaving, so the value is part of the determinism
   /// contract — changing it changes results.  This constant is the
-  /// compile-time default; MachineConfig::interleave_batch != 0 overrides
-  /// it per chip (see interleave_batch()).
-  static constexpr std::uint64_t kInterleaveBatch = DELTA_INTERLEAVE_BATCH;
+  /// default; MachineConfig::interleave_batch != 0 overrides it per chip
+  /// (see interleave_batch()).
+  static constexpr std::uint64_t kInterleaveBatch = 16;
 
   /// The batch size this chip actually runs with — kInterleaveBatch unless
   /// the config overrode it.  Both the serial issue loop and the intra-run

@@ -51,9 +51,8 @@ struct MachineConfig {
   /// never depend on it.
   bool intra_pin = false;
 
-  /// Per-core batch size of the interleaved issue order.  0 = the compile
-  /// time default Chip::kInterleaveBatch (16, overridable with
-  /// -DDELTA_INTERLEAVE_BATCH=N).  Unlike the knobs above this one IS part
+  /// Per-core batch size of the interleaved issue order.  0 = the default
+  /// Chip::kInterleaveBatch (16).  Unlike the knobs above this one IS part
   /// of the determinism contract: changing it changes the access
   /// interleaving and therefore the results — but serial and intra-engine
   /// runs agree byte-for-byte at any value.

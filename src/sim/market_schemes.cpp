@@ -18,6 +18,17 @@
 namespace delta::sim {
 namespace {
 
+/// Reconfiguration cadence of both market/clustering schemes, in epochs.
+constexpr std::uint64_t kMarketIntervalEpochs = 10;
+/// CARMA: per-application spending budget per auction, in normalised
+/// misses-per-kilo-access utility units.  Equal budgets are the market's
+/// fairness mechanism; a smaller budget makes allocations stickier.
+constexpr double kCarmaBudget = 64.0;
+/// CARMA: ways sold per auction round.
+constexpr int kCarmaLotWays = 1;
+/// LFOC: way floor granted to every populated cluster in each bank.
+constexpr int kLfocMinClusterWays = 2;
+
 // ---------------------------------------------------------------------------
 // CARMA: cores bid per-epoch from an equal utility budget; a deterministic
 // sealed-bid auction clears chip-wide way counts, which are then placed
@@ -26,17 +37,12 @@ namespace {
 // ---------------------------------------------------------------------------
 class CarmaScheme final : public Scheme {
  public:
-  explicit CarmaScheme(SchemeOptions opts) : opts_(opts) {}
-
   std::string_view name() const override { return "carma"; }
 
   void reset(Chip& chip) override { init_central_state(chip, wp_, cbts_); }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
-    if (opts_.market_interval_epochs <= 0 ||
-        epoch % static_cast<std::uint64_t>(opts_.market_interval_epochs) != 0)
-      return;
-    reconfigure(chip, epoch);
+    if (epoch % kMarketIntervalEpochs == 0) reconfigure(chip, epoch);
   }
 
   BankTarget map(const Chip& chip, CoreId core, BlockAddr block) const override {
@@ -90,7 +96,7 @@ class CarmaScheme final : public Scheme {
       std::vector<double> scaled = curve.raw();
       for (double& m : scaled) m = 1000.0 * m / acc;
       req.curves.emplace_back(std::move(scaled));
-      req.budgets.push_back(opts_.carma_budget);
+      req.budgets.push_back(kCarmaBudget);
     }
     if (obs::EventRecorder* rec = chip.event_sink())
       rec->record(obs::EventKind::kCentralReconfig, epoch, /*core=*/-1,
@@ -100,7 +106,7 @@ class CarmaScheme final : public Scheme {
     req.total_ways = n * chip.config().ways_per_bank;
     req.min_ways = chip.config().delta.min_ways;
     req.max_ways = chip.config().delta.max_ways_per_app;
-    req.lot_ways = opts_.carma_lot_ways;
+    req.lot_ways = kCarmaLotWays;
     const alloc::AuctionResult auction = alloc::clear_auction(req);
     chip.traffic().count(noc::MsgType::kMarketBid, auction.bids);
     chip.traffic().count(noc::MsgType::kMarketGrant, auction.rounds);
@@ -116,7 +122,6 @@ class CarmaScheme final : public Scheme {
     apply_central_placement(chip, epoch, active_core, placement, wp_, cbts_);
   }
 
-  SchemeOptions opts_;
   std::vector<core::WpUnit> wp_;
   std::vector<core::Cbt> cbts_;
 };
@@ -130,8 +135,6 @@ class CarmaScheme final : public Scheme {
 // ---------------------------------------------------------------------------
 class LfocScheme final : public Scheme {
  public:
-  explicit LfocScheme(SchemeOptions opts) : opts_(opts) {}
-
   std::string_view name() const override { return "lfoc"; }
 
   void reset(Chip& chip) override {
@@ -149,10 +152,7 @@ class LfocScheme final : public Scheme {
   }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
-    if (opts_.market_interval_epochs <= 0 ||
-        epoch % static_cast<std::uint64_t>(opts_.market_interval_epochs) != 0)
-      return;
-    reconfigure(chip, epoch);
+    if (epoch % kMarketIntervalEpochs == 0) reconfigure(chip, epoch);
   }
 
   BankTarget map(const Chip& chip, CoreId, BlockAddr block) const override {
@@ -183,7 +183,7 @@ class LfocScheme final : public Scheme {
     std::vector<int> active_core;
     alloc::FairShareRequest req;
     req.cfg.ways_per_bank = chip.config().ways_per_bank;
-    req.cfg.min_cluster_ways = opts_.lfoc_min_cluster_ways;
+    req.cfg.min_cluster_ways = kLfocMinClusterWays;
     for (int c = 0; c < n; ++c) {
       AppSlot& s = chip.slot(c);
       if (!s.active) continue;
@@ -225,7 +225,6 @@ class LfocScheme final : public Scheme {
     (void)ways_per_bank;
   }
 
-  SchemeOptions opts_;
   std::vector<alloc::CurveClass> cls_;
   std::array<int, alloc::kNumCurveClasses> cluster_ways_{};
   std::array<mem::WayMask, alloc::kNumCurveClasses> masks_{};
@@ -237,12 +236,8 @@ class LfocScheme final : public Scheme {
 
 }  // namespace
 
-std::unique_ptr<Scheme> make_carma_scheme(SchemeOptions opts) {
-  return std::make_unique<CarmaScheme>(opts);
-}
+std::unique_ptr<Scheme> make_carma_scheme() { return std::make_unique<CarmaScheme>(); }
 
-std::unique_ptr<Scheme> make_lfoc_scheme(SchemeOptions opts) {
-  return std::make_unique<LfocScheme>(opts);
-}
+std::unique_ptr<Scheme> make_lfoc_scheme() { return std::make_unique<LfocScheme>(); }
 
 }  // namespace delta::sim

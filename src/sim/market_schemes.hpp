@@ -9,7 +9,7 @@
 
 namespace delta::sim {
 
-std::unique_ptr<Scheme> make_carma_scheme(SchemeOptions opts);
-std::unique_ptr<Scheme> make_lfoc_scheme(SchemeOptions opts);
+std::unique_ptr<Scheme> make_carma_scheme();
+std::unique_ptr<Scheme> make_lfoc_scheme();
 
 }  // namespace delta::sim

@@ -1,13 +1,10 @@
 #include "sim/mt_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/sync.hpp"
 #include "core/controller.hpp"
 #include "core/page_classify.hpp"
@@ -16,7 +13,6 @@
 #include "mem/directory.hpp"
 #include "noc/mcu.hpp"
 #include "noc/mesh.hpp"
-#include "obs/prof/prof.hpp"
 
 namespace delta::sim {
 namespace {
@@ -46,8 +42,7 @@ class MtChip {
         directory_(cfg.cores),
         ctrl_(mesh_, cfg.delta, cfg.ways_per_bank, cfg.sets_log2),
         all_(mem::full_mask(cfg.ways_per_bank)),
-        acct_(static_cast<std::size_t>(p.threads)),
-        bank_claim_(static_cast<std::size_t>(cfg.cores)) {
+        acct_(static_cast<std::size_t>(p.threads)) {
     for (int b = 0; b < cfg_.cores; ++b)
       banks_.emplace_back(static_cast<std::uint32_t>(cfg_.sets_per_bank()),
                           cfg_.ways_per_bank);
@@ -58,11 +53,6 @@ class MtChip {
           &umons_[static_cast<std::size_t>(c)], p_.mlp, c < p_.threads,
           /*process_id=*/1};
     }
-    bank_lists_.resize(static_cast<std::size_t>(cfg_.cores));
-    bank_cursors_.resize(static_cast<std::size_t>(cfg_.cores));
-    mcu_reqs_.assign(static_cast<std::size_t>(cfg_.cores),
-                     std::vector<std::uint64_t>(
-                         static_cast<std::size_t>(memsys_.num_mcus())));
   }
 
   /// Runs the distributed policy step at an epoch boundary (kDelta only).
@@ -126,221 +116,7 @@ class MtChip {
     res.page_invalidation_lines = page_invalidation_lines_;
   }
 
-  // ---- Staged epoch engine (cfg.intra_jobs > 1). ----
-  //
-  // The serial loop issues `budget` rounds of one access per logical
-  // thread, all through access_locked in global draw order.  The staged
-  // engine reproduces that computation the same way sim::IntraEngine does
-  // for Chip, with one extra wrinkle: two access classes couple banks
-  // together mid-epoch —
-  //   * a kDelta page reclassification bulk-invalidates the page across
-  //     every bank before the access proceeds;
-  //   * a kPrivate shared-page access goes through the MESIF directory and
-  //     may invalidate remote copies.
-  // Those execute serially at their exact sequence position; the runs of
-  // bank-confined accesses between them are applied bank-parallel, each
-  // bank walking its staged indices in ascending sequence order (which is
-  // the serial order as seen by that bank).  Latencies are written back
-  // per access and folded into the per-thread double accumulators in
-  // global sequence order afterwards, so each ThreadAcct sees its own
-  // accesses in exactly the serial order — every component is integral
-  // cycles, making the double sums bit-equal.
-
-  /// Draws and routes one epoch's accesses (budget rounds x threads) in
-  /// global order.  Page classification and UMON updates happen here, on
-  /// the staging thread, exactly as the serial loop ordered them.
-  void stage_epoch(workload::SplashGen& gen, std::uint64_t budget) EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    staged_.clear();
-    coupled_.clear();
-    for (auto& list : bank_lists_) list.clear();
-    std::fill(bank_cursors_.begin(), bank_cursors_.end(), 0u);
-    for (auto& per_bank : mcu_reqs_)
-      std::fill(per_bank.begin(), per_bank.end(), 0u);
-    staged_.reserve(budget * static_cast<std::uint64_t>(p_.threads));
-
-    for (std::uint64_t i = 0; i < budget; ++i) {
-      for (int t = 0; t < p_.threads; ++t) {
-        const workload::SplashAccess a = gen.next();
-        const CoreId c = a.thread;
-        umons_[static_cast<std::size_t>(c)].access(a.block);
-        const core::PageEvent ev = classifier_.on_access(c, addr_of_block(a.block));
-
-        StagedMt s;
-        s.a = a;
-        s.mask = all_;
-        s.flip = kind_ == SchemeKind::kDelta && ev.reclassified;
-        switch (kind_) {
-          case SchemeKind::kSnuca:
-            s.bank = mem::snuca_bank(a.block, cfg_.cores);
-            s.set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
-            break;
-          case SchemeKind::kPrivate:
-            s.bank = c;
-            s.set = mem::set_index(a.block, cfg_.sets_log2);
-            s.coupled = ev.cls == core::PageClass::kShared;
-            break;
-          default:
-            if (ev.cls == core::PageClass::kShared) {
-              s.bank = mem::snuca_bank(a.block, cfg_.cores);
-              s.set = mem::snuca_set_index(a.block, cfg_.cores, cfg_.sets_log2);
-            } else {
-              s.bank = ctrl_.bank_for(c, a.block);
-              s.set = mem::set_index(a.block, cfg_.sets_log2);
-              s.mask = ctrl_.insert_mask(c, s.bank);
-              if (s.mask == 0) s.mask = all_;  // Defensive: never bypass here.
-            }
-            break;
-        }
-        const auto seq = static_cast<std::uint32_t>(staged_.size());
-        if (s.coupled || s.flip)
-          coupled_.push_back(seq);
-        else
-          bank_lists_[static_cast<std::size_t>(s.bank)].push_back(seq);
-        staged_.push_back(s);
-      }
-    }
-  }
-
-  /// Applies the staged epoch: bank-parallel segments between coupling
-  /// points, coupling points serial, then the sequential stat reduction.
-  /// Banks of a segment are claimed like the intra engine's tasks (home
-  /// range first, then stealing).
-  void apply_staged(WorkerPool& pool, std::uint64_t epoch) EXCLUDES(mu_) {
-    const obs::prof::ScopedSpan span(obs::prof::Phase::kMtApply, epoch);
-    const unsigned parties = pool.parties();
-    std::atomic<bool> failed{false};
-    const auto run_segment = [&](std::uint32_t limit) {
-      bank_claim_.reset();
-      pool.run([&](unsigned w) {
-        bank_claim_.run(parties, w, failed, [&](std::size_t b) {
-          apply_bank_until(static_cast<BankId>(b), limit);
-        });
-      });
-    };
-    for (const std::uint32_t k : coupled_) {
-      run_segment(k);
-      apply_coupled(k);
-    }
-    run_segment(static_cast<std::uint32_t>(staged_.size()));
-    reduce_epoch();
-  }
-
  private:
-  /// One staged mt access.  Routing fields are filled by stage_epoch;
-  /// lat/hit are written during apply and folded by reduce_epoch.
-  struct StagedMt {
-    workload::SplashAccess a;
-    BankId bank = 0;
-    std::uint32_t set = 0;
-    mem::WayMask mask = 0;
-    bool coupled = false;  ///< kPrivate shared-page: directory path.
-    bool flip = false;     ///< kDelta reclassification: cross-bank invalidate.
-    bool hit = false;
-    std::uint32_t lat = 0;
-  };
-
-  /// Applies bank `b`'s staged accesses with sequence below `limit`.
-  ///
-  /// Runs on pool workers without mu_: mutual exclusion is structural, not
-  /// lock-based — each bank is claimed by exactly one worker per segment,
-  /// the driver thread is parked inside pool.run(), and MCU / controller
-  /// state is only read through epoch-constant accessors.  The
-  /// annotation analysis cannot express that sharding, hence the escape
-  /// hatch; the TSan CI job checks it dynamically.
-  void apply_bank_until(BankId b, std::uint32_t limit) NO_THREAD_SAFETY_ANALYSIS {
-    const auto& list = bank_lists_[static_cast<std::size_t>(b)];
-    std::uint32_t& cur = bank_cursors_[static_cast<std::size_t>(b)];
-    auto& bank = banks_[static_cast<std::size_t>(b)];
-    const Cycles fixed_lat = cfg_.llc_tag_latency + cfg_.llc_data_latency;
-    while (cur < list.size() && list[cur] < limit) {
-      StagedMt& s = staged_[list[cur]];
-      ++cur;
-      const auto r = bank.access(s.set, s.a.block, s.a.thread, s.mask);
-      Cycles lat = mesh_.round_trip(s.a.thread, b) + fixed_lat;
-      s.hit = r.hit;
-      if (!r.hit) {
-        const int mcu = memsys_.mcu_for(s.a.block);
-        lat += mesh_.round_trip(b, memsys_.attach_tile(mcu)) +
-               memsys_.mcu(mcu).current_request_latency();
-        ++mcu_reqs_[static_cast<std::size_t>(b)][static_cast<std::size_t>(mcu)];
-      }
-      s.lat = static_cast<std::uint32_t>(lat);
-    }
-  }
-
-  /// Serially executes coupled access `k` with the exact serial semantics
-  /// (page-flip invalidation, directory protocol), recording lat/hit for
-  /// the sequential reduction instead of bumping ThreadAcct directly.
-  void apply_coupled(std::uint32_t k) EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    StagedMt& s = staged_[k];
-    const CoreId c = s.a.thread;
-    if (s.flip) page_flip_invalidate(s.a.block);
-    Cycles lat = mesh_.round_trip(c, s.bank) + cfg_.llc_tag_latency +
-                 cfg_.llc_data_latency;
-    bool hit;
-    if (s.coupled) {
-      auto& local = banks_[static_cast<std::size_t>(c)];
-      hit = local.contains(s.set, s.a.block) && directory_.is_sharer(c, s.a.block);
-      if (!hit) {
-        const mem::CoherenceAction act = s.a.is_write
-                                             ? directory_.on_write(c, s.a.block)
-                                             : directory_.on_read(c, s.a.block);
-        if (act.forwarded && act.forwarder != kInvalidCore) {
-          lat += mesh_.round_trip(c, act.forwarder);
-        } else {
-          const int mcu = memsys_.mcu_for(s.a.block);
-          lat += mesh_.round_trip(c, memsys_.attach_tile(mcu)) +
-                 memsys_.mcu(mcu).request_latency();
-        }
-        const auto fill = local.access(s.set, s.a.block, c, all_);
-        if (fill.evicted) directory_.on_evict(c, fill.victim_block);
-      } else {
-        local.touch(s.set, s.a.block);
-        if (s.a.is_write) {
-          const mem::CoherenceAction act = directory_.on_write(c, s.a.block);
-          if (act.invalidations > 0) {
-            for (int peer = 0; peer < cfg_.cores; ++peer)
-              if (peer != c)
-                banks_[static_cast<std::size_t>(peer)].invalidate(s.set, s.a.block);
-          }
-        }
-      }
-    } else {
-      const auto r = banks_[static_cast<std::size_t>(s.bank)].access(
-          s.set, s.a.block, c, s.mask);
-      hit = r.hit;
-      if (!hit) {
-        const int mcu = memsys_.mcu_for(s.a.block);
-        lat += mesh_.round_trip(s.bank, memsys_.attach_tile(mcu)) +
-               memsys_.mcu(mcu).request_latency();
-      }
-    }
-    s.hit = hit;
-    s.lat = static_cast<std::uint32_t>(lat);
-  }
-
-  /// Folds lat/hops/hit into the per-thread accumulators in global
-  /// sequence order (each ThreadAcct therefore sees its accesses in the
-  /// serial order) and bulk-counts the deferred MCU requests.
-  void reduce_epoch() EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    for (const StagedMt& s : staged_) {
-      ThreadAcct& t = acct_[static_cast<std::size_t>(s.a.thread)];
-      t.lat_sum += static_cast<double>(s.lat);
-      t.hop_sum += mesh_.hops(s.a.thread, s.bank);
-      ++t.accesses;
-      t.hits += s.hit ? 1 : 0;
-    }
-    const int mcus = memsys_.num_mcus();
-    for (int m = 0; m < mcus; ++m) {
-      std::uint64_t reqs = 0;
-      for (const auto& per_bank : mcu_reqs_) reqs += per_bank[static_cast<std::size_t>(m)];
-      memsys_.mcu(m).add_requests(reqs);
-    }
-  }
-
   void access_locked(const workload::SplashAccess& a) REQUIRES(mu_) {
     const CoreId c = a.thread;
     umons_[static_cast<std::size_t>(c)].access(a.block);
@@ -455,18 +231,6 @@ class MtChip {
   const mem::WayMask all_;
   std::vector<ThreadAcct> acct_ GUARDED_BY(mu_);
   std::uint64_t page_invalidation_lines_ GUARDED_BY(mu_) = 0;
-
-  // Staged-engine buffers (reused across epochs).  Deliberately outside
-  // mu_'s jurisdiction: stage_epoch/apply_coupled/reduce_epoch touch them
-  // from the driver thread, apply_bank_until from structurally-sharded
-  // pool workers (one bank = one claiming worker per segment, driver parked
-  // in pool.run) — a discipline the lock annotations cannot express.
-  std::vector<StagedMt> staged_;
-  std::vector<std::uint32_t> coupled_;  ///< Sequence numbers, ascending.
-  std::vector<std::vector<std::uint32_t>> bank_lists_;  ///< Per bank, ascending.
-  std::vector<std::uint32_t> bank_cursors_;
-  std::vector<std::vector<std::uint64_t>> mcu_reqs_;  ///< [bank][mcu] deferred.
-  ClaimSet bank_claim_;  ///< Bank tasks of the current segment.
 };
 
 }  // namespace
@@ -479,14 +243,6 @@ MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfi
   MtResult res;
   res.app = p.name;
   res.scheme = std::string(to_string(kind));
-
-  // cfg.intra_jobs > 1 (or 0 = hardware threads) switches each epoch from
-  // the serial access loop to the staged bank-parallel engine; results are
-  // byte-identical either way (see MtChip's staged-engine comment).
-  const unsigned workers =
-      resolve_workers(cfg.intra_jobs, static_cast<std::size_t>(cfg.cores));
-  std::unique_ptr<WorkerPool> pool;
-  if (workers > 1) pool = std::make_unique<WorkerPool>(workers);
 
   // Access budget per epoch per thread from the interval model.
   double cpi_est = p.cpi_base + p.apki / 1000.0 * 100.0 / p.mlp;
@@ -501,13 +257,8 @@ MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfi
             1, static_cast<std::uint64_t>(static_cast<double>(cfg.epoch_cycles) /
                                           cpi_est * p.apki / 1000.0)),
         total_per_thread - issued_per_thread);
-    if (pool != nullptr) {
-      chip.stage_epoch(gen, budget);
-      chip.apply_staged(*pool, epoch);
-    } else {
-      for (std::uint64_t i = 0; i < budget; ++i)
-        for (int t = 0; t < p.threads; ++t) chip.access(gen.next());
-    }
+    for (std::uint64_t i = 0; i < budget; ++i)
+      for (int t = 0; t < p.threads; ++t) chip.access(gen.next());
     issued_per_thread += budget;
     chip.end_epoch();
 

@@ -117,16 +117,6 @@ struct SchemeOptions {
   /// Reconfiguration interval for the centralized scheme, in epochs
   /// (10 = 1 ms as in the paper; 1000 = 100 ms for the Fig. 13 study).
   int central_interval_epochs = 10;
-  /// Reconfiguration cadence of the market/clustering schemes (carma, lfoc).
-  int market_interval_epochs = 10;
-  /// CARMA: per-application spending budget per auction, in normalised
-  /// misses-per-kilo-access utility units.  Equal budgets are the market's
-  /// fairness mechanism; a smaller budget makes allocations stickier.
-  double carma_budget = 64.0;
-  /// CARMA: ways sold per auction round.
-  int carma_lot_ways = 1;
-  /// LFOC: way floor granted to every populated cluster in each bank.
-  int lfoc_min_cluster_ways = 2;
   friend bool operator==(const SchemeOptions&, const SchemeOptions&) = default;
 };
 

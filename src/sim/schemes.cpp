@@ -332,8 +332,8 @@ std::unique_ptr<Scheme> make_scheme(SchemeKind kind, SchemeOptions opts) {
     case SchemeKind::kIdealCentralized:
       return std::make_unique<IdealCentralScheme>(opts);
     case SchemeKind::kDelta: return std::make_unique<DeltaScheme>();
-    case SchemeKind::kCarma: return make_carma_scheme(opts);
-    case SchemeKind::kLfoc: return make_lfoc_scheme(opts);
+    case SchemeKind::kCarma: return make_carma_scheme();
+    case SchemeKind::kLfoc: return make_lfoc_scheme();
   }
   return nullptr;
 }

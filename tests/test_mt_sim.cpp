@@ -1,6 +1,9 @@
 // Tests of the integrated multithreaded mode (Sec. II-E executed directly).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "sim/mt_sim.hpp"
 #include "workload/splash.hpp"
 
@@ -79,6 +82,43 @@ TEST(MtSim, DeltaBetweenBaselinesAcrossSuite) {
     const double hi = std::max(s.roi_cycles, pr.roi_cycles) * 1.07;
     EXPECT_GE(d.roi_cycles, lo) << name;
     EXPECT_LE(d.roi_cycles, hi) << name;
+  }
+}
+
+TEST(MtSim, ResultsMatchParentCapture) {
+  // Pins mt_sim's exact output: every MtResult field, doubles bit-equal,
+  // against values captured from the build that still carried the staged
+  // bank-parallel engine (whose serial reference this loop is).  Any change
+  // to the access order, the routing or the accumulation order shows here.
+  struct Expected {
+    SchemeKind kind;
+    double roi_cycles, mean_ipc, miss_rate, mean_hops;
+    std::uint64_t private_pages, shared_pages, reclassifications, invalidation_lines;
+  };
+  const Expected expected[] = {
+      {SchemeKind::kDelta, 0x1.c9e2855555555p+20, 0x1.577d13454fbfep+0,
+       0x1.49a858793dd98p-3, 0x1.b336113404ea5p-1, 496, 304, 304, 439},
+      {SchemeKind::kSnuca, 0x1.e2dfc55555556p+20, 0x1.48bc15fffc74bp+0,
+       0x1.46dab9f559b3cp-3, 0x1.40921ff2e48e9p+1, 496, 304, 304, 0},
+      {SchemeKind::kPrivate, 0x1.c64f6p+20, 0x1.5a0c0531876d2p+0,
+       0x1.808db8bac710cp-2, 0x0p+0, 496, 304, 304, 0},
+  };
+  MtConfig c;
+  c.accesses_per_thread = 20'000;
+  const auto& p = workload::splash_profile("cholesky");
+  for (const Expected& e : expected) {
+    const MtResult r = run_multithreaded(config16(), p, e.kind, c);
+    const std::string_view k = to_string(e.kind);
+    EXPECT_EQ(r.app, "cholesky") << k;
+    EXPECT_EQ(r.scheme, k);
+    EXPECT_EQ(r.roi_cycles, e.roi_cycles) << k;
+    EXPECT_EQ(r.mean_ipc, e.mean_ipc) << k;
+    EXPECT_EQ(r.miss_rate, e.miss_rate) << k;
+    EXPECT_EQ(r.mean_hops, e.mean_hops) << k;
+    EXPECT_EQ(r.private_pages, e.private_pages) << k;
+    EXPECT_EQ(r.shared_pages, e.shared_pages) << k;
+    EXPECT_EQ(r.reclassifications, e.reclassifications) << k;
+    EXPECT_EQ(r.page_invalidation_lines, e.invalidation_lines) << k;
   }
 }
 

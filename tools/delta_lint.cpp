@@ -1,7 +1,8 @@
 // delta_lint CLI: runs the project determinism/hygiene rules plus the
 // semantic layer (phase-effect, layering, include-cycle — src/lint) over
 // one or more source trees and prints one `file:line: rule: detail` per
-// violation.  Exit status: 0 clean, 1 violations, 2 usage error.
+// violation.  Exit status: 0 clean, 1 violations, 2 usage error (including
+// an unknown rule name or a source path that is not a directory).
 //
 // Flags:
 //   --rule a,b,...      run only the named rules (default: all)
@@ -14,8 +15,10 @@
 // semantic rules, as `delta_lint_semantic` (label `lint-semantic`), so the
 // plain tier-1 `ctest` run fails on any violation.  See
 // docs/static-analysis.md for the rule catalogue and annotation grammar.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -114,6 +117,22 @@ int main(int argc, char** argv) {
     }
   }
   if (roots.empty()) return usage();
+  // A misspelt rule or source path would otherwise lint nothing and report
+  // clean, silently disabling the gate that runs it.
+  for (const std::string& r : opts.rules) {
+    if (std::find(delta::lint::kRules.begin(), delta::lint::kRules.end(), r) ==
+        delta::lint::kRules.end()) {
+      std::fprintf(stderr, "delta_lint: unknown rule '%s'\n", r.c_str());
+      return 2;
+    }
+  }
+  for (const char* root : roots) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(root, ec)) {
+      std::fprintf(stderr, "delta_lint: not a directory '%s'\n", root);
+      return 2;
+    }
+  }
 
   std::vector<delta::lint::Finding> findings;
   for (const char* root : roots)

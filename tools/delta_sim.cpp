@@ -107,7 +107,7 @@ int run_cli(int argc, char** argv) {
                  "                 [--intra-pin]   (pin intra workers to CPUs; "
                  "best-effort, results unchanged)\n"
                  "                 [--interleave-batch N]   (accesses per core "
-                 "per round; 0 = compile default;\n"
+                 "per round; 0 = default 16;\n"
                  "                                           changes results, "
                  "but serial == intra at any N)\n"
                  "                 [--prof-out prof.json]   (engine "
