@@ -1,9 +1,10 @@
 # Reproduction harnesses: `repro` renders every paper figure/table, the
 # scheme shootout and the irregular-mix extension from one pooled sweep
 # (`repro --fig <id>`); the ablation/extension knob sweeps and the
-# google-benchmark microbenches are their own binaries.  See DESIGN.md
-# Sec. 4 for the experiment index.  All binaries land in
-# ${CMAKE_BINARY_DIR}/bench.
+# google-benchmark microbenches are their own binaries.  micro_throughput
+# gates the cache and SIMD kernels against floors compiled into it;
+# perfbench/ is the end-to-end benchmark.  See DESIGN.md Sec. 4 for the
+# experiment index.  All binaries land in ${CMAKE_BINARY_DIR}/bench.
 
 function(delta_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)

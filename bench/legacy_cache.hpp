@@ -3,7 +3,7 @@
 // It exists for two jobs:
 //   * micro_throughput benchmarks the live SoA engine against it, so the
 //     speedup that justified the rewrite is re-measured on every run and
-//     recorded in BENCH_throughput.json (machine-independent ratio);
+//     checked against the floors compiled into that harness;
 //   * tests/test_sweep.cpp uses it as the behavioural oracle — the SoA
 //     cache must report identical hit/evict/victim decisions on any trace.
 // Do not "fix" or optimise this copy; its value is that it never changes.

@@ -46,17 +46,16 @@ class ArgParser {
     return it == flags_.end() ? def : it->second;
   }
 
-  /// The whole value must parse; otherwise throws std::invalid_argument
-  /// naming the flag and the offending text.
+  /// The numeric getters: the whole value must parse, or they throw
+  /// std::invalid_argument naming the flag and the offending text.
   std::int64_t get_int(const std::string& name, std::int64_t def) const {
-    auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) return def;
-    const std::string& v = it->second;
-    std::int64_t out = 0;
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc() || end != v.data() + v.size())
-      throw std::invalid_argument("--" + name + " expects an integer, got '" + v + "'");
-    return out;
+    return parse(name, def, "an integer");
+  }
+
+  /// Seeds: all of [0, 2^64-1]; a sign, junk or overflow throws, so `-1`
+  /// never wraps.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t def) const {
+    return parse(name, def, "a non-negative integer");
   }
 
   /// Integer flag that must lie in [lo, INT_MAX]; anything else throws
@@ -73,14 +72,7 @@ class ArgParser {
   }
 
   double get_double(const std::string& name, double def) const {
-    auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) return def;
-    const std::string& v = it->second;
-    double out = 0.0;
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc() || end != v.data() + v.size())
-      throw std::invalid_argument("--" + name + " expects a number, got '" + v + "'");
-    return out;
+    return parse(name, def, "a number");
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -97,6 +89,19 @@ class ArgParser {
   }
 
  private:
+  template <typename T>
+  T parse(const std::string& name, T def, const char* expects) const {
+    auto it = flags_.find(name);
+    if (it == flags_.end() || it->second.empty()) return def;
+    const std::string& v = it->second;
+    T out{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size())
+      throw std::invalid_argument("--" + name + " expects " + expects + ", got '" + v +
+                                  "'");
+    return out;
+  }
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> order_;
   std::vector<std::string> positional_;

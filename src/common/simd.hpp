@@ -12,8 +12,9 @@
 // bit-identical to its `*_scalar` reference by construction — the property
 // the cache/UMON equivalence suites and the frozen legacy-oracle replay in
 // micro_throughput verify end to end (docs/performance.md "Vectorized
-// kernels").  The rank kernels have an SSE2 path only; NEON and SWAR
-// builds run their scalar references.
+// kernels").  micro_throughput also fails when an SSE2 kernel's speedup
+// over its scalar reference drops below a floor.  The rank kernels have
+// an SSE2 path only; NEON and SWAR builds run their scalar references.
 #pragma once
 
 #include <bit>

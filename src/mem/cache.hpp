@@ -163,7 +163,8 @@ class SetAssocCache {
   /// The tag compare is exact u64 equality, so the vector backends in
   /// common/simd.hpp return bit-identical masks to the scalar loop
   /// (-DDELTA_NO_SIMD builds) on every input — verified against the frozen
-  /// legacy oracle by tests/test_sweep.cpp and micro_throughput.
+  /// legacy oracle by tests/test_sweep.cpp and by micro_throughput's
+  /// replay, which runs before it times this kernel against its floors.
   std::uint32_t match_ways(std::uint32_t set, BlockAddr block) const {
     const BlockAddr* b = blocks_.data() + std::size_t{set} * static_cast<std::size_t>(ways_);
     return simd::match_u64(b, ways_, block) & valid_[set];

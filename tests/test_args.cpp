@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "common/args.hpp"
@@ -71,6 +73,27 @@ TEST(Args, BoundedIntRejectsValuesBelowTheFloor) {
     EXPECT_STREQ(e.what(), "--epochs must be >= 1, got 0");
   }
   EXPECT_THROW((void)a.get_int_at_least("big", 0, 0), std::invalid_argument);
+}
+
+TEST(Args, U64TakesTheFullRange) {
+  const ArgParser a = parse({"--seed", "18446744073709551615", "--zero", "0"});
+  EXPECT_EQ(a.get_u64("seed", 1), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(a.get_u64("zero", 1), 0u);
+  EXPECT_EQ(a.get_u64("absent", 42), 42u);
+}
+
+TEST(Args, U64RejectsSignsJunkAndOverflow) {
+  const ArgParser a = parse({"--seed", "-1", "--plus", "+5", "--junk", "7x",
+                             "--big", "18446744073709551616"});
+  try {
+    (void)a.get_u64("seed", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--seed expects a non-negative integer, got '-1'");
+  }
+  EXPECT_THROW((void)a.get_u64("plus", 0), std::invalid_argument);
+  EXPECT_THROW((void)a.get_u64("junk", 0), std::invalid_argument);
+  EXPECT_THROW((void)a.get_u64("big", 0), std::invalid_argument);
 }
 
 TEST(Args, PositionalArguments) {

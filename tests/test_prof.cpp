@@ -262,6 +262,16 @@ TEST_F(ProfTest, DerivedEngineMetricsAreSane) {
   const obs::prof::MetricSample* epochs = reg.find("delta_intra_epochs_total");
   ASSERT_NE(epochs, nullptr);
   EXPECT_DOUBLE_EQ(epochs->value, 15.0);  // 5 warmup + 10 measured.
+  // Structural, identical on every host: the engine runs one pool section
+  // per epoch, and each section crosses the pool barrier twice.
+  const obs::prof::MetricSample* barriers =
+      reg.find("delta_intra_barriers_per_epoch");
+  ASSERT_NE(barriers, nullptr);
+  EXPECT_DOUBLE_EQ(barriers->value, 2.0);
+  const obs::prof::MetricSample* crossings =
+      reg.find("delta_intra_barrier_crossings_total");
+  ASSERT_NE(crossings, nullptr);
+  EXPECT_DOUBLE_EQ(crossings->value, 30.0);
   const obs::prof::MetricSample* occ =
       reg.find("delta_intra_bank_buffer_occupancy");
   ASSERT_NE(occ, nullptr);

@@ -110,8 +110,7 @@ int run_cli(int argc, char** argv) {
   delta::Logger::install_flush_handlers();
 
   delta::check::FuzzOptions opt;
-  opt.base_seed =
-      static_cast<std::uint64_t>(args.get_int("seed-base", 0xF0552));
+  opt.base_seed = args.get_u64("seed-base", 0xF0552);
   opt.cases = args.get_int_at_least("seeds", 25, 1);
   opt.threads = static_cast<unsigned>(args.get_int_at_least("threads", 1, 0));
   opt.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
@@ -120,15 +119,14 @@ int run_cli(int argc, char** argv) {
   opt.lockstep = !args.has("no-lockstep");
   opt.check_invariants = !args.has("no-invariants");
   opt.differential = !args.has("no-differential") && opt.lockstep;
-  const std::int64_t repro_seed = args.get_int("repro", 0);
+  const std::uint64_t repro_seed = args.get_u64("repro", 0);
 
   // Self-profiling: same flag semantics as delta_sim and the benches.
   delta::obs::Outputs outputs(args);
 
   if (args.has("repro")) {
-    const auto seed = static_cast<std::uint64_t>(repro_seed);
-    const auto c = delta::check::run_fuzz_case(seed, opt);
-    std::printf("seed %llu mix: %s\n", static_cast<unsigned long long>(seed),
+    const auto c = delta::check::run_fuzz_case(repro_seed, opt);
+    std::printf("seed %llu mix: %s\n", static_cast<unsigned long long>(repro_seed),
                 c.mix_desc.c_str());
     if (c.ok) {
       std::printf("OK: no violations\n");

@@ -132,7 +132,7 @@ int run_cli(int argc, char** argv) {
   sim::MachineConfig cfg = cores == 64 ? sim::config64() : sim::config16();
   cfg.measure_epochs = args.get_int_at_least("epochs", cfg.measure_epochs, 1);
   cfg.warmup_epochs = args.get_int_at_least("warmup", cfg.warmup_epochs, 0);
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
+  cfg.seed = args.get_u64("seed", cfg.seed);
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
   cfg.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
@@ -147,12 +147,12 @@ int run_cli(int argc, char** argv) {
     mix.name = "custom";
     mix.apps = split_csv(args.get("apps"));
     if (static_cast<int>(mix.apps.size()) != cfg.cores) {
-      std::fprintf(stderr, "--apps needs exactly %d entries\n", cfg.cores);
+      std::fprintf(stderr, "delta_sim: --apps needs exactly %d entries\n", cfg.cores);
       return 1;
     }
     for (const auto& a : mix.apps) {
       if (!workload::has_spec_profile(a) && a != "idle") {
-        std::fprintf(stderr, "unknown app '%s' (try --list)\n", a.c_str());
+        std::fprintf(stderr, "delta_sim: unknown app '%s' (try --list)\n", a.c_str());
         return 1;
       }
     }
@@ -160,7 +160,7 @@ int run_cli(int argc, char** argv) {
     try {
       mix = sim::mix_for_config(cfg, args.get("mix", "w2"));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s (try --list)\n", e.what());
+      std::fprintf(stderr, "delta_sim: %s (try --list)\n", e.what());
       return 1;
     }
   }

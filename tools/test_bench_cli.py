@@ -53,6 +53,7 @@ class BenchCliTest(unittest.TestCase):
             ("micro_throughput", ["--reps", "0"], "--reps must be >= 1, got 0"),
             ("micro_throughput", ["--reps", "zz", "--quick"],
              "--reps expects an integer, got 'zz'"),
+            ("micro_throughput", ["--out", "x"], "unknown flag --out"),
             ("micro_components", ["--bogus"], "unknown flag --bogus"),
         ]
         for name, args, message in cases:

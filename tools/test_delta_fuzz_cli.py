@@ -35,7 +35,10 @@ class DeltaFuzzCliTest(unittest.TestCase):
             (["--threads", "-1"], "--threads must be >= 0, got -1"),
             (["--intra-jobs", "-2"], "--intra-jobs must be >= 0, got -2"),
             (["--sweep-interval", "-4"], "--sweep-interval must be >= 0, got -4"),
-            (["--repro", "x1"], "--repro expects an integer, got 'x1'"),
+            (["--repro", "x1"], "--repro expects a non-negative integer, got 'x1'"),
+            (["--repro", "-1"], "--repro expects a non-negative integer, got '-1'"),
+            (["--seed-base", "-1"],
+             "--seed-base expects a non-negative integer, got '-1'"),
             (["--metrics-out", ""], "--metrics-out needs a file path"),
             (["--seeds", "1", "--metrics-out", "/no/such/dir/m.json"],
              "cannot write --metrics-out '/no/such/dir/m.json'"),

@@ -28,7 +28,8 @@ class DeltaSimCliTest(unittest.TestCase):
 
     def test_bad_input_is_rejected_with_a_message(self):
         cases = [
-            (["--seed", "abc"], "--seed expects an integer, got 'abc'"),
+            (["--seed", "abc"], "--seed expects a non-negative integer, got 'abc'"),
+            (["--seed", "-1"], "--seed expects a non-negative integer, got '-1'"),
             (["--epochs", "0"], "--epochs must be >= 1, got 0"),
             (["--epochs", "-5"], "--epochs must be >= 1, got -5"),
             (["--cores", "17"], "--cores must be 16 or 64, got 17"),
@@ -43,6 +44,10 @@ class DeltaSimCliTest(unittest.TestCase):
             (["--central-ms", "1e12"], "--central-ms is out of range, got 1e12"),
             (["--central-ms", "abc"], "--central-ms expects a number, got 'abc'"),
             (["--scheme", "bogus"], "unknown scheme 'bogus'"),
+            (["--mix", "nosuch"], "unknown mix: nosuch (try --list)"),
+            (["--apps", "bw"], "--apps needs exactly 16 entries"),
+            (["--apps", ",".join(["mcf"] * 15 + ["zz"])],
+             "unknown app 'zz' (try --list)"),
         ]
         for args, message in cases:
             with self.subTest(args=args):
@@ -79,6 +84,12 @@ class DeltaSimCliTest(unittest.TestCase):
     def test_valid_short_run_still_succeeds(self):
         r = self.run_sim("--mix", "w2", "--scheme", "snuca", "--epochs", "1",
                          "--warmup", "0", "--csv")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertGreater(len(r.stdout.splitlines()), 1)
+
+    def test_largest_seed_is_accepted(self):
+        r = self.run_sim("--mix", "w2", "--scheme", "snuca", "--epochs", "1",
+                         "--warmup", "0", "--seed", "18446744073709551615", "--csv")
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertGreater(len(r.stdout.splitlines()), 1)
 
