@@ -1,11 +1,11 @@
 // Kernel-throughput harness with built-in floors (docs/performance.md).
 //
 // What it measures:
-//   * cache kernel — the live SoA SetAssocCache vs the frozen pre-rewrite
+//   * cache kernel — the live SetAssocCache vs the frozen pre-rewrite
 //     AoS copy (legacy_cache.hpp) on identical synthetic streams, after a
 //     full-field oracle replay: every AccessResult must match before
 //     anything is timed, or the harness exits 2.
-//   * simd — match_u64 and find_u64 vs their scalar reference loops.
+//   * simd — match_tag40 and find_u64 vs their scalar reference loops.
 //   * intra — one 64-tile w13 delta run at --intra-jobs 1/2/4/8: the
 //     scaling curve of the stage/apply/reduce engine, printed but not
 //     gated (perfbench is the end-to-end and scaling benchmark).  The
@@ -43,8 +43,12 @@ constexpr double kThrashingFloor = 0.908604;  // 0.6 x 1.51434
 // The SIMD floors hold only for the backend they were recorded on: a
 // -DDELTA_NO_SIMD or other-ISA build measures a different kernel.
 constexpr const char* kSimdFloorBackend = "sse2";
-constexpr double kMatchU64Floor = 1.17009;    // 0.6 x 1.95015
-constexpr double kFindU64Floor = 0.838656;    // 0.6 x 1.39776
+// 0.6 x the median of 7 Release --quick runs (4-vCPU x86-64 host, GCC 12).
+// Release is the lower of the two gated builds: -O3 auto-vectorizes the
+// scalar reference, so the ratio reads ~0.65x its RelWithDebInfo value
+// (median 7.67 over 7 runs there).
+constexpr double kMatchTag40Floor = 3.024;  // 0.6 x 5.04
+constexpr double kFindU64Floor = 0.838656;  // 0.6 x 1.39776
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -121,24 +125,33 @@ double ops_per_sec(std::size_t ops, int reps, F&& body) {
   return static_cast<double>(ops) / best;
 }
 
-/// match_u64 over 16-way tag rows — the cache hit path's shape.  Both
-/// flavours run over identical pre-generated data in the same process, so
-/// the SIMD/scalar ratio is a property of the compiled backend, not of the
+/// match_tag40 over 16-way split tag rows — the cache hit path's shape,
+/// over one LLC bank's worth of rows (512 sets, 40 KB), so the ratio
+/// measures the compare rather than DRAM streaming.  Both flavours run
+/// over identical pre-generated data in the same process, so the
+/// SIMD/scalar ratio is a property of the compiled backend, not of the
 /// host load (the same argument as the cache-kernel ratio).
-double bench_match(int reps, std::size_t rows_n) {
+double bench_tag40(int reps, std::size_t probes_n) {
+  constexpr std::size_t kRows = 512;
   Rng rng(7);
-  std::vector<std::uint64_t> rows(rows_n * 16);
-  for (auto& v : rows) v = rng.below(64);  // Small pool => frequent matches.
-  const double simd_ops = ops_per_sec(rows_n, reps, [&] {
+  std::vector<std::uint32_t> lo(kRows * 16);
+  std::vector<std::uint8_t> hi(kRows * 16);
+  // Small pools => frequent matches, and tags that share a low word but
+  // not a high byte.
+  for (auto& v : lo) v = static_cast<std::uint32_t>(rng.below(64));
+  for (auto& v : hi) v = static_cast<std::uint8_t>(rng.below(2));
+  const auto key = [](std::size_t i) { return (i & 63) | ((i >> 6 & 1) << 32); };
+  const auto row = [](std::size_t i) { return (i * 7 & (kRows - 1)) * 16; };
+  const double simd_ops = ops_per_sec(probes_n, reps, [&] {
     std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < rows_n; ++i)
-      sink += simd::match_u64(rows.data() + i * 16, 16, i & 63);
+    for (std::size_t i = 0; i < probes_n; ++i)
+      sink += simd::match_tag40(lo.data() + row(i), hi.data() + row(i), 16, key(i));
     return sink;
   });
-  const double scalar_ops = ops_per_sec(rows_n, reps, [&] {
+  const double scalar_ops = ops_per_sec(probes_n, reps, [&] {
     std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < rows_n; ++i)
-      sink += simd::match_u64_scalar(rows.data() + i * 16, 16, i & 63);
+    for (std::size_t i = 0; i < probes_n; ++i)
+      sink += simd::match_tag40_scalar(lo.data() + row(i), hi.data() + row(i), 16, key(i));
     return sink;
   });
   return simd_ops / scalar_ops;
@@ -188,7 +201,7 @@ int main(int argc, char** argv) {
     floors_ok = false;
   };
 
-  // ---- Cache kernel: SoA vs frozen AoS. ----
+  // ---- Cache kernel: live vs frozen AoS. ----
   // Two streams bracket the sim's behaviour: a hit-heavy one (footprint
   // fits in the cache — the common case once warm) and a thrashing one
   // (footprint 1.5x capacity, eviction path dominates).
@@ -206,7 +219,7 @@ int main(int argc, char** argv) {
     bench::legacy::SetAssocCache aos(512, 16);
     const double soa_rate = kernel_accesses_per_sec(soa, s, reps);
     const double aos_rate = kernel_accesses_per_sec(aos, s, reps);
-    std::printf("cache kernel (%s):  SoA %.0f acc/s, legacy %.0f acc/s, ratio %.2fx",
+    std::printf("cache kernel (%s):  live %.0f acc/s, legacy %.0f acc/s, ratio %.2fx",
                 what, soa_rate, aos_rate, soa_rate / aos_rate);
     check(what, soa_rate / aos_rate, floor);
   };
@@ -224,7 +237,7 @@ int main(int argc, char** argv) {
       std::printf(" (not gated: floors are for %s)\n", kSimdFloorBackend);
     }
   };
-  simd_ratio("match_u64", bench_match(reps, simd_ops), kMatchU64Floor);
+  simd_ratio("match_tag40", bench_tag40(reps, simd_ops), kMatchTag40Floor);
   simd_ratio("find_u64", bench_find(reps, simd_ops / 8), kFindU64Floor);
 
   // ---- Intra-run engine: one 64-tile delta run, sharded epochs. ----

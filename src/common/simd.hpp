@@ -7,14 +7,15 @@
 //
 // Backend selection is compile-time: SSE2 on x86-64, NEON on AArch64, a
 // branch-free uint64 SWAR loop elsewhere, and plain scalar when
-// DELTA_NO_SIMD is defined.  The tag kernels compute *exact* 64-bit
-// equality and the rank kernels exact byte compares, so every backend is
-// bit-identical to its `*_scalar` reference by construction — the property
-// the cache/UMON equivalence suites and the frozen legacy-oracle replay in
-// micro_throughput verify end to end (docs/performance.md "Vectorized
-// kernels").  micro_throughput also fails when an SSE2 kernel's speedup
-// over its scalar reference drops below a floor.  The rank kernels have
-// an SSE2 path only; NEON and SWAR builds run their scalar references.
+// DELTA_NO_SIMD is defined.  The tag kernels compute *exact* 40-bit
+// (cache tags) or 64-bit (UMON stacks) equality and the rank kernels exact
+// byte compares, so every backend is bit-identical to its `*_scalar`
+// reference by construction — the property the cache/UMON equivalence
+// suites and the frozen legacy-oracle replay in micro_throughput verify
+// end to end (docs/performance.md "Vectorized kernels").  micro_throughput
+// also fails when an SSE2 kernel's speedup over its scalar reference drops
+// below a floor.  The 40-bit tag and rank kernels have an SSE2 path only;
+// NEON and SWAR builds run their scalar references.
 #pragma once
 
 #include <bit>
@@ -48,14 +49,25 @@ constexpr const char* backend_name() {
 #endif
 }
 
-/// Scalar reference kernel: bit i of the result is set iff vals[i] == key,
-/// for i in [0, n), n <= 32.  The vector kernels below must return exactly
-/// this value on every input — tests/test_simd.cpp checks all widths.
-inline std::uint32_t match_u64_scalar(const std::uint64_t* vals, int n,
-                                      std::uint64_t key) {
+/// Widest key the 40-bit tag kernels accept: keys at or above it match
+/// nothing.
+inline constexpr std::uint64_t kTag40Limit = std::uint64_t{1} << 40;
+
+/// Lanes one match_tag40 group covers.  The vector kernel reads both rows
+/// in whole groups, so a caller's rows must stay readable up to `n`
+/// rounded up to a multiple of this (lanes past `n` are masked off).
+inline constexpr int kTagGroup = 16;
+
+/// Scalar reference for match_tag40: bit i of the result is set iff the
+/// 40-bit tag (hi[i] << 32 | lo[i]) equals `key`, for i in [0, n), n <= 32.
+/// A key at or above kTag40Limit equals no tag.  The vector kernel below
+/// must return exactly this value on every input; tests/test_simd.cpp
+/// checks every width.
+inline std::uint32_t match_tag40_scalar(const std::uint32_t* lo, const std::uint8_t* hi,
+                                        int n, std::uint64_t key) {
   std::uint32_t m = 0;
   for (int i = 0; i < n; ++i)
-    m |= static_cast<std::uint32_t>(vals[i] == key) << i;
+    m |= static_cast<std::uint32_t>(((std::uint64_t{hi[i]} << 32) | lo[i]) == key) << i;
   return m;
 }
 
@@ -93,58 +105,38 @@ inline std::uint32_t match2_sse2(const std::uint64_t* vals, __m128i key2) {
 }
 #endif
 
-#if defined(DELTA_SIMD_NEON)
-/// Two-lane u64 equality mask (bits 0 and 1).
-inline std::uint32_t match2_neon(const std::uint64_t* vals, uint64x2_t key2) {
-  const uint64x2_t eq = vceqq_u64(vld1q_u64(vals), key2);
-  return static_cast<std::uint32_t>(vgetq_lane_u64(eq, 0) & 1) |
-         (static_cast<std::uint32_t>(vgetq_lane_u64(eq, 1) & 1) << 1);
-}
-#endif
-
 }  // namespace detail
 
-/// Equality bitmask over a flat u64 row: bit i set iff vals[i] == key,
-/// i in [0, n), n <= 32.  This is the cache hit path's tag compare — the
-/// hottest kernel in the simulator (mem/cache.hpp match_ways).
-inline std::uint32_t match_u64(const std::uint64_t* vals, int n,
-                               std::uint64_t key) {
+/// 40-bit tag equality bitmask over split tag rows: bit i set iff
+/// (hi[i] << 32 | lo[i]) == key, i in [0, n), n <= 32.  This is the cache
+/// hit path's tag compare, the hottest kernel in the simulator
+/// (mem/cache.hpp match_ways).  SSE2 compares 16 lanes per group with four
+/// 32-bit compares on the low row, packs them to bytes, and ANDs in one
+/// byte compare on the high row before a single movemask.  NEON and SWAR
+/// builds run the scalar reference.
+inline std::uint32_t match_tag40(const std::uint32_t* lo, const std::uint8_t* hi, int n,
+                                 std::uint64_t key) {
 #if defined(DELTA_SIMD_SSE2)
-  const __m128i k = _mm_set1_epi64x(static_cast<long long>(key));
+  const __m128i klo = _mm_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(key)));
+  const __m128i khi = _mm_set1_epi8(static_cast<char>(key >> 32));
   std::uint32_t m = 0;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m |= detail::match2_sse2(vals + i, k) << i;
-    m |= detail::match2_sse2(vals + i + 2, k) << (i + 2);
+  for (int g = 0; g < n; g += kTagGroup) {
+    const auto* row = reinterpret_cast<const __m128i*>(lo + g);
+    const __m128i e0 = _mm_cmpeq_epi32(_mm_loadu_si128(row), klo);
+    const __m128i e1 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 1), klo);
+    const __m128i e2 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 2), klo);
+    const __m128i e3 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 3), klo);
+    // Each compare lane is 0 or -1, so the saturating packs keep 0 / -1.
+    const __m128i low =
+        _mm_packs_epi16(_mm_packs_epi32(e0, e1), _mm_packs_epi32(e2, e3));
+    const __m128i high = _mm_cmpeq_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi + g)), khi);
+    m |= static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_and_si128(low, high))) << g;
   }
-  if (i + 2 <= n) {
-    m |= detail::match2_sse2(vals + i, k) << i;
-    i += 2;
-  }
-  for (; i < n; ++i) m |= static_cast<std::uint32_t>(vals[i] == key) << i;
-  return m;
-#elif defined(DELTA_SIMD_NEON)
-  const uint64x2_t k = vdupq_n_u64(key);
-  std::uint32_t m = 0;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m |= detail::match2_neon(vals + i, k) << i;
-    m |= detail::match2_neon(vals + i + 2, k) << (i + 2);
-  }
-  if (i + 2 <= n) {
-    m |= detail::match2_neon(vals + i, k) << i;
-    i += 2;
-  }
-  for (; i < n; ++i) m |= static_cast<std::uint32_t>(vals[i] == key) << i;
-  return m;
-#elif defined(DELTA_SIMD_SWAR)
-  std::uint32_t m = 0;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) m |= detail::match4_swar(vals + i, key) << i;
-  for (; i < n; ++i) m |= static_cast<std::uint32_t>(vals[i] == key) << i;
-  return m;
+  const std::uint32_t lanes = n >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << n) - 1;
+  return key < kTag40Limit ? m & lanes : 0;
 #else
-  return match_u64_scalar(vals, n, key);
+  return match_tag40_scalar(lo, hi, n, key);
 #endif
 }
 

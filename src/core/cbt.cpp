@@ -65,8 +65,7 @@ void Cbt::rebuild(const std::vector<std::pair<BankId, int>>& bank_ways,
     r.last_chunk = cursor + chunks[i] - 1;
     r.bank = bank_ways[i].first;
     ranges_.push_back(r);
-    for (int c = r.first_chunk; c <= r.last_chunk; ++c)
-      chunk_map_[static_cast<std::size_t>(c)] = r.bank;
+    for (int c = r.first_chunk; c <= r.last_chunk; ++c) select_map_[select_of(c)] = r.bank;
     cursor += chunks[i];
   }
   assert(cursor == mem::kNumChunks);
@@ -81,7 +80,7 @@ void Cbt::rebuild(const std::vector<std::pair<BankId, int>>& bank_ways,
 std::vector<int> Cbt::changed_chunks(const Cbt& prev) const {
   std::vector<int> changed;
   for (int c = 0; c < mem::kNumChunks; ++c)
-    if (chunk_map_[static_cast<std::size_t>(c)] != prev.chunk_map_[static_cast<std::size_t>(c)])
+    if (bank_for_chunk(c) != prev.bank_for_chunk(c))
       changed.push_back(c);
   return changed;
 }

@@ -6,7 +6,11 @@
 // the bit-reversed bank-selection byte, with each bank's range sized
 // proportionally to the core's allocation in that bank.  This model keeps
 // both the range list (for storage accounting and range-count invariants)
-// and a flat 256-entry chunk map (for O(1) lookup in the simulator).
+// and a flat 256-entry map for O(1) lookup in the simulator.  The map is
+// indexed by the *raw* bank-selection byte: rebuild() applies reverse8
+// once per entry, so the per-access lookup() is one shift, one mask and
+// one load, and only the cold bank_for_chunk() maps a chunk id through
+// reverse8.
 #pragma once
 
 #include <array>
@@ -44,12 +48,12 @@ class Cbt {
                CoreId owner = kInvalidCore);
 
   BankId bank_for_chunk(int chunk) const {
-    return chunk_map_[static_cast<std::size_t>(chunk)];
+    return select_map_[select_of(chunk)];
   }
 
   /// Full lookup: block address -> owning bank (bit-reversed chunk index).
   BankId lookup(BlockAddr block, int sets_log2) const {
-    return bank_for_chunk(mem::chunk_of(block, sets_log2, reverse_bits_));
+    return select_map_[mem::bank_select_byte(block, sets_log2)];
   }
 
   bool reverse_bits() const { return reverse_bits_; }
@@ -73,7 +77,15 @@ class Cbt {
  private:
   std::vector<CbtRange> ranges_;
   std::vector<std::pair<BankId, int>> last_alloc_;
-  std::array<BankId, mem::kNumChunks> chunk_map_{};
+  /// The bank-selection byte that addresses `chunk` (reverse8 is its own
+  /// inverse).
+  std::size_t select_of(int chunk) const {
+    const auto c = static_cast<std::uint8_t>(chunk);
+    return reverse_bits_ ? mem::reverse8(c) : c;
+  }
+
+  /// Bank per raw bank-selection byte.
+  std::array<BankId, mem::kNumChunks> select_map_{};
   bool reverse_bits_ = true;
 };
 

@@ -18,20 +18,21 @@ namespace delta::core {
 class WpUnit {
  public:
   explicit WpUnit(int ways, CoreId initial_owner = kInvalidCore)
-      : owners_(static_cast<std::size_t>(ways), initial_owner) {}
+      : owners_(static_cast<std::size_t>(ways), initial_owner) {
+    rebuild_masks();
+  }
 
   int ways() const { return static_cast<int>(owners_.size()); }
 
   CoreId owner(int way) const { return owners_[static_cast<std::size_t>(way)]; }
 
   /// Insertion bitmask for `core` (bit i set when core owns way i).  Served
-  /// from a per-core cache rebuilt lazily after ownership edits: this query
+  /// from a per-core table that every ownership edit rebuilds: this query
   /// sits on the per-access enforcement path while ownership only changes
   /// at reconfiguration granularity, so the scan must not run per access.
   mem::WayMask mask_of(CoreId core) const {
-    if (masks_stale_) rebuild_masks();
-    if (core >= 0 && static_cast<std::size_t>(core) < mask_cache_.size())
-      return mask_cache_[static_cast<std::size_t>(core)];
+    if (core >= 0 && static_cast<std::size_t>(core) < masks_.size())
+      return masks_[static_cast<std::size_t>(core)];
     return scan_mask_of(core);
   }
 
@@ -66,21 +67,21 @@ class WpUnit {
         ++moved;
       }
     }
-    if (moved > 0) masks_stale_ = true;
+    if (moved > 0) rebuild_masks();
     return moved;
   }
 
   /// Hands the entire bank to `core` (idle-bank fast path).
   void assign_all(CoreId core) {
     for (auto& o : owners_) o = core;
-    masks_stale_ = true;
+    rebuild_masks();
   }
 
   /// Directly sets the owner of one way (used by centralized enforcement
   /// when rebuilding a bank's layout wholesale).
   void set_owner(int way, CoreId core) {
     owners_[static_cast<std::size_t>(way)] = core;
-    masks_stale_ = true;
+    rebuild_masks();
   }
 
   /// Storage cost in bits: N cores x W ways bitmask (Sec. II-C2).
@@ -96,23 +97,21 @@ class WpUnit {
     return m;
   }
 
-  void rebuild_masks() const {
+  void rebuild_masks() {
     CoreId max_owner = -1;
     for (CoreId o : owners_) max_owner = o > max_owner ? o : max_owner;
-    mask_cache_.assign(static_cast<std::size_t>(max_owner + 1), 0);
+    masks_.assign(static_cast<std::size_t>(max_owner + 1), 0);
     for (int w = 0; w < ways(); ++w) {
       const CoreId o = owners_[static_cast<std::size_t>(w)];
-      if (o >= 0) mask_cache_[static_cast<std::size_t>(o)] |= mem::WayMask{1} << w;
+      if (o >= 0) masks_[static_cast<std::size_t>(o)] |= mem::WayMask{1} << w;
     }
-    masks_stale_ = false;
   }
 
   std::vector<CoreId> owners_;
-  // Lazy per-core insertion-mask cache (see mask_of).  The WpUnit lives
-  // inside one Chip, which is confined to one thread, so the mutable lazy
-  // rebuild needs no synchronisation.
-  mutable std::vector<mem::WayMask> mask_cache_;
-  mutable bool masks_stale_ = true;
+  // Per-core insertion masks (see mask_of), rebuilt by every ownership
+  // edit.  Edits happen only on the epoch barrier, so the intra engine's
+  // apply workers read a table nobody writes while they run.
+  std::vector<mem::WayMask> masks_;
 };
 
 }  // namespace delta::core

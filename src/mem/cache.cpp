@@ -17,28 +17,45 @@ int checked_ways(std::uint32_t sets, int ways) {
   return ways;
 }
 
+constexpr std::size_t roundup64(std::size_t n) { return (n + 63) & ~std::size_t{63}; }
+
 }  // namespace
 
 SetAssocCache::SetAssocCache(std::uint32_t sets, int ways)
     : sets_(sets),
       ways_(checked_ways(sets, ways)),
-      blocks_(std::size_t{sets} * static_cast<std::size_t>(ways), 0),
-      owners_(std::size_t{sets} * static_cast<std::size_t>(ways), kInvalidCore),
-      valid_(sets, 0),
-      ranks_(sets) {
-  // Every lane starts ranked by its index: the ways in use hold a
-  // permutation of [0, ways) and the spare lanes stay older than all of them.
-  for (RankRow& row : ranks_)
-    for (int i = 0; i < simd::kRankLanes; ++i) row.lane[i] = static_cast<std::uint8_t>(i);
+      low_bytes_(roundup64(4 * static_cast<std::size_t>(ways))),
+      stride_(low_bytes_ + roundup64(simd::kRankLanes + 2 * static_cast<std::size_t>(ways))),
+      records_(std::size_t{sets} * (stride_ / sizeof(Line)), Line{}),
+      valid_(sets, 0) {
+  // The tag compare reads both tag rows in whole kTagGroup-lane groups:
+  // the low row fills its lines (64 B for 16 lanes, 128 B for 32) and the
+  // high row's group ends inside the rank/owner lines, so every read stays
+  // inside the record.
+  for (std::uint32_t s = 0; s < sets_; ++s) {
+    // Every lane starts ranked by its index: the ways in use hold a
+    // permutation of [0, ways) and the spare lanes stay older than all of
+    // them.
+    std::uint8_t* const r = ranks(s);
+    for (int i = 0; i < simd::kRankLanes; ++i) r[i] = static_cast<std::uint8_t>(i);
+    std::uint8_t* const o = owners(s);
+    for (int w = 0; w < ways_; ++w) o[w] = kNoOwner;
+  }
 }
 
 AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId owner,
                                       WayMask insert_mask, CoreId evict_pref) {
   assert(set < sets_);
-  const std::size_t base = std::size_t{set} * static_cast<std::size_t>(ways_);
-  BlockAddr* const blocks = blocks_.data() + base;
-  CoreId* const owners = owners_.data() + base;
-  std::uint8_t* const ranks = ranks_[set].lane;
+  if (block >= simd::kTag40Limit)
+    throw std::out_of_range("SetAssocCache: block " + std::to_string(block) +
+                            " does not fit a 40-bit tag");
+  if (owner < 0 || owner >= CoreId{kNoOwner})
+    throw std::out_of_range("SetAssocCache: owner " + std::to_string(owner) +
+                            " is outside [0, 254]");
+  std::uint32_t* const lo = low_tags(set);
+  std::uint8_t* const hi = high_tags(set);
+  std::uint8_t* const owners_row = owners(set);
+  std::uint8_t* const rank_row = ranks(set);
 
   ++stats_.misses;
   AccessResult res{};
@@ -54,26 +71,27 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
     std::uint32_t pref = 0;
     if (evict_pref != kInvalidCore)
       for (int i = 0; i < ways_; ++i)
-        pref |= static_cast<std::uint32_t>(owners[i] == evict_pref) << i;
+        pref |= static_cast<std::uint32_t>(CoreId{owners_row[i]} == evict_pref) << i;
     pref &= eligible;
-    victim = simd::rank_oldest(ranks, pref != 0 ? pref : eligible);
+    victim = simd::rank_oldest(rank_row, pref != 0 ? pref : eligible);
     res.evicted = true;
-    res.victim_block = blocks[victim];
-    res.victim_owner = owners[victim];
+    res.victim_block = block_at(set, victim);
+    res.victim_owner = owner_at(set, victim);
     ++stats_.evictions;
   }
 
-  blocks[victim] = block;
-  owners[victim] = owner;
+  lo[victim] = static_cast<std::uint32_t>(block);
+  hi[victim] = static_cast<std::uint8_t>(block >> 32);
+  owners_row[victim] = static_cast<std::uint8_t>(owner);
   valid_[set] |= std::uint32_t{1} << victim;
-  simd::rank_promote(ranks, victim);
+  simd::rank_promote(rank_row, victim);
   res.way = victim;
   return res;
 }
 
 bool SetAssocCache::touch(std::uint32_t set, BlockAddr block) {
   if (const std::uint32_t match = match_ways(set, block); match != 0) {
-    simd::rank_promote(ranks_[set].lane, std::countr_zero(match));
+    simd::rank_promote(ranks(set), std::countr_zero(match));
     return true;
   }
   return false;

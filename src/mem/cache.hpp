@@ -7,19 +7,30 @@
 // the block address and the owning core so that DELTA's bulk-invalidation
 // unit can sweep remapped ranges without auxiliary structures.
 //
-// Layout is structure-of-arrays: tags and owners in set-major vectors, one
-// validity bitmask per set, and one 32-byte recency-rank row per set (rank
-// 0 = MRU; common/simd.hpp rank_promote / rank_oldest).  A hit is a SIMD
-// tag compare plus one rank promote; a miss picks its victim with one
-// masked rank scan.  The ranks are exact LRU: every touch makes its way the
-// unique MRU and keeps the order of the rest, so no two ways of a set ever
-// tie, and a rank row has no counter to overflow however long the run.
-// Supports 1 to 32 ways.
+// Layout: one 64-byte-aligned record per set, plus a dense per-set validity
+// word.  Up to 16 ways a record is two cache lines:
+//
+//   line 0: the low 32 bits of each way's tag (16 x u32);
+//   line 1: the 32-lane recency-rank row (0 = MRU; common/simd.hpp
+//           rank_promote / rank_oldest), then tag bits 32-39 of each way
+//           (one u8 per way), then each way's owner (one u8 per way,
+//           0xFF = kInvalidCore).
+//
+// The stride is roundup64(4 * ways) + roundup64(32 + 2 * ways): 128 B up
+// to 16 ways, 256 B for 17-32.  A hit reads the validity word and both
+// lines of one record: one simd::match_tag40 compare plus one rank
+// promote; a miss picks its victim with one masked rank scan.  Tags are 40
+// bits, so blocks must stay below 2^40 and owners in [0, 254] (miss_fill
+// throws std::out_of_range otherwise); every in-tree stream stays below
+// 2^35.  The ranks are exact LRU: every touch makes its way the unique MRU
+// and keeps the order of the rest, so no two ways of a set ever tie, and a
+// rank row has no counter to overflow however long the run.  Supports 1
+// to 32 ways.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -68,7 +79,10 @@ class SetAssocCache {
   /// Demand access: on hit, promotes the line to MRU and returns hit=true.
   /// On miss, inserts `block` for `owner`, choosing the LRU victim among
   /// `insert_mask` ways (invalid ways preferred).  An empty mask records the
-  /// miss but does not allocate (the access bypasses the cache).
+  /// miss but does not allocate (the access bypasses the cache).  A miss
+  /// throws std::out_of_range, before any state changes, when `block` is
+  /// at or above 2^40 or `owner` is outside [0, 254] (the tag and owner
+  /// widths of a set record).
   ///
   /// `evict_pref` supports occupancy-based fine-grained partitioning
   /// (PriSM / futility-scaling style): when valid, the victim is the LRU
@@ -82,7 +96,7 @@ class SetAssocCache {
                       CoreId evict_pref = kInvalidCore) {
     if (const std::uint32_t match = match_ways(set, block); match != 0) {
       const int i = std::countr_zero(match);
-      simd::rank_promote(ranks_[set].lane, i);
+      simd::rank_promote(ranks(set), i);
       ++stats_.hits;
       return AccessResult{.hit = true, .way = i};
     }
@@ -101,13 +115,11 @@ class SetAssocCache {
   std::uint64_t invalidate_if(Pred&& pred) {
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < sets_; ++s) {
-      const std::size_t base = std::size_t{s} * static_cast<std::size_t>(ways_);
       std::uint32_t vm = valid_[s];
       while (vm != 0) {
         const int w = std::countr_zero(vm);
         vm &= vm - 1;
-        const std::size_t idx = base + static_cast<std::size_t>(w);
-        if (pred(blocks_[idx], owners_[idx])) {
+        if (pred(block_at(s, w), owner_at(s, w))) {
           valid_[s] &= ~(std::uint32_t{1} << w);
           ++n;
         }
@@ -128,13 +140,11 @@ class SetAssocCache {
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
     for (std::uint32_t s = 0; s < sets_; ++s) {
-      const std::size_t base = std::size_t{s} * static_cast<std::size_t>(ways_);
       std::uint32_t vm = valid_[s];
       while (vm != 0) {
         const int w = std::countr_zero(vm);
         vm &= vm - 1;
-        const std::size_t idx = base + static_cast<std::size_t>(w);
-        fn(s, w, blocks_[idx], owners_[idx]);
+        fn(s, w, block_at(s, w), owner_at(s, w));
       }
     }
   }
@@ -142,15 +152,13 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// Prefetch hint for a set's SoA rows (tags, ranks, owners, validity
-  /// word).  Side-effect-free: the access pipeline in Chip::do_access_batch
-  /// issues this for the mapped set before the mesh/mask computations so
-  /// the tag row is L1-resident by the time access() compares it.
+  /// Prefetch hint for a set: its record's tag line and rank/owner line,
+  /// and its validity word.  Side-effect-free: the access pipelines
+  /// (Chip::do_access_batch, the intra engine's bank merge) issue it ahead
+  /// of access() so the set is L1-resident by the time it is compared.
   void prefetch_set(std::uint32_t set) const {
-    const std::size_t base = std::size_t{set} * static_cast<std::size_t>(ways_);
-    simd::prefetch_read(blocks_.data() + base);
-    simd::prefetch_write(ranks_.data() + set);
-    simd::prefetch_read(owners_.data() + base);
+    simd::prefetch_read(low_tags(set));
+    simd::prefetch_write(ranks(set));
     simd::prefetch_write(valid_.data() + set);
   }
 
@@ -160,27 +168,62 @@ class SetAssocCache {
                          WayMask insert_mask, CoreId evict_pref);
 
   /// Bitmask of ways whose valid tag equals `block` (0 or one bit set).
-  /// The tag compare is exact u64 equality, so the vector backends in
-  /// common/simd.hpp return bit-identical masks to the scalar loop
-  /// (-DDELTA_NO_SIMD builds) on every input — verified against the frozen
-  /// legacy oracle by tests/test_sweep.cpp and by micro_throughput's
-  /// replay, which runs before it times this kernel against its floors.
+  /// The 40-bit compare is exact, so the vector backend in common/simd.hpp
+  /// returns bit-identical masks to the scalar loop (-DDELTA_NO_SIMD
+  /// builds) on every input — verified against the frozen legacy oracle by
+  /// tests/test_sweep.cpp and by micro_throughput's replay, which runs
+  /// before it times this kernel against its floors.
   std::uint32_t match_ways(std::uint32_t set, BlockAddr block) const {
-    const BlockAddr* b = blocks_.data() + std::size_t{set} * static_cast<std::size_t>(ways_);
-    return simd::match_u64(b, ways_, block) & valid_[set];
+    return simd::match_tag40(low_tags(set), high_tags(set), ways_, block) & valid_[set];
   }
 
-  /// One set's recency ranks; aligned so a row never straddles a line.
-  struct alignas(simd::kRankLanes) RankRow {
-    std::uint8_t lane[simd::kRankLanes];
+  /// One 64-byte line of record storage; std::allocator honours the
+  /// over-alignment, so every record starts on a cache-line boundary.
+  struct alignas(64) Line {
+    std::uint32_t word[16];
   };
+
+  // Record rows of `set`.  The low-tag row is the record's first bytes;
+  // the rank row starts at low_bytes_, followed by the high tag bytes and
+  // the owner bytes.
+  std::uint8_t* record(std::uint32_t set) {
+    return reinterpret_cast<std::uint8_t*>(records_.data()) + std::size_t{set} * stride_;
+  }
+  const std::uint8_t* record(std::uint32_t set) const {
+    return reinterpret_cast<const std::uint8_t*>(records_.data()) + std::size_t{set} * stride_;
+  }
+  std::uint32_t* low_tags(std::uint32_t set) {
+    return reinterpret_cast<std::uint32_t*>(record(set));
+  }
+  const std::uint32_t* low_tags(std::uint32_t set) const {
+    return reinterpret_cast<const std::uint32_t*>(record(set));
+  }
+  std::uint8_t* ranks(std::uint32_t set) { return record(set) + low_bytes_; }
+  const std::uint8_t* ranks(std::uint32_t set) const { return record(set) + low_bytes_; }
+  std::uint8_t* high_tags(std::uint32_t set) { return ranks(set) + simd::kRankLanes; }
+  const std::uint8_t* high_tags(std::uint32_t set) const {
+    return ranks(set) + simd::kRankLanes;
+  }
+  std::uint8_t* owners(std::uint32_t set) { return high_tags(set) + ways_; }
+  const std::uint8_t* owners(std::uint32_t set) const { return high_tags(set) + ways_; }
+
+  BlockAddr block_at(std::uint32_t set, int way) const {
+    return (BlockAddr{high_tags(set)[way]} << 32) | low_tags(set)[way];
+  }
+  CoreId owner_at(std::uint32_t set, int way) const {
+    const std::uint8_t o = owners(set)[way];
+    return o == kNoOwner ? kInvalidCore : CoreId{o};
+  }
+
+  /// Owner byte of a line that was never filled.
+  static constexpr std::uint8_t kNoOwner = 0xFF;
 
   std::uint32_t sets_;
   int ways_;
-  std::vector<BlockAddr> blocks_;        ///< SoA tags, set-major.
-  std::vector<CoreId> owners_;           ///< SoA owner tags, set-major.
-  std::vector<std::uint32_t> valid_;     ///< Per-set validity bitmask.
-  std::vector<RankRow> ranks_;           ///< Per-set recency ranks.
+  std::size_t low_bytes_;  ///< roundup64(4 * ways): the low-tag row's lines.
+  std::size_t stride_;     ///< Bytes per set record.
+  std::vector<Line> records_;         ///< stride_ / 64 lines per set.
+  std::vector<std::uint32_t> valid_;  ///< Per-set validity bitmask.
   CacheStats stats_;
 };
 

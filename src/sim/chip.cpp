@@ -71,7 +71,7 @@ void Chip::do_access_batch(CoreId c, std::uint64_t count, bool measuring) {
 
   // Two-stage software pipeline: the next access's block is generated (and
   // its UMON stack prefetched) while the current access still has its mesh
-  // and mask arithmetic ahead, and the mapped set's SoA rows are prefetched
+  // and mask arithmetic ahead, and the mapped set's record is prefetched
   // right after map() so the tag row is L1-resident by the time access()
   // compares it.  Every component call stays in the historical per-access
   // order — the generator, monitor, scheme and bank each see exactly the

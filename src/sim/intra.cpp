@@ -35,7 +35,9 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
       BankTally& t = tallies_[b];
       t.hits.resize(cores);
       t.misses.resize(cores);
+      t.miss_lat.resize(cores);
       t.mcu_reqs.resize(mcus);
+      t.mcu_lat.resize(mcus);
       t.runs.reserve(cores);
     }
   });
@@ -99,9 +101,22 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
   BankTally& tally = tallies_[static_cast<std::size_t>(b)];
   std::fill(tally.hits.begin(), tally.hits.end(), 0);
   std::fill(tally.misses.begin(), tally.misses.end(), 0);
+  std::fill(tally.miss_lat.begin(), tally.miss_lat.end(), 0);
   std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
 
+  Scheme* const scheme = chip_.scheme_.get();
+  const noc::MemorySystem& memsys = chip_.memsys_;
+  const noc::Mesh& mesh = chip_.mesh_;
+  // What a miss from this bank adds per MCU: the bank-to-controller round
+  // trip plus the controller's request latency, both epoch-constant.
+  for (std::size_t m = 0; m < tally.mcu_lat.size(); ++m) {
+    const int mcu = static_cast<int>(m);
+    tally.mcu_lat[m] = mesh.round_trip(b, memsys.attach_tile(mcu)) +
+                       memsys.mcu(mcu).current_request_latency();
+  }
+
   // Contributors in ascending core order: the only cores the merge visits.
+  // insert_mask is epoch-constant (scheme.hpp), so each run asks once.
   std::vector<Run>& runs = tally.runs;
   runs.clear();
   for (int c = 0; c < cores; ++c) {
@@ -109,21 +124,18 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
     const std::uint32_t begin = st.offs[static_cast<std::size_t>(b)];
     const std::uint32_t end = st.offs[static_cast<std::size_t>(b) + 1];
     if (begin < end)
-      runs.push_back(Run{st.idx.data() + begin, st.idx.data() + end, st.acc.data(), c});
+      runs.push_back(Run{st.idx.data() + begin, st.idx.data() + end, st.acc.data(), c,
+                         scheme->insert_mask(chip_, c, b)});
   }
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
-  Scheme* const scheme = chip_.scheme_.get();
-  const noc::MemorySystem& memsys = chip_.memsys_;
-  const noc::Mesh& mesh = chip_.mesh_;
-  const Cycles fixed_lat =
-      chip_.cfg_.llc_tag_latency + chip_.cfg_.llc_data_latency;
+  const Cycles* const mcu_lat = tally.mcu_lat.data();
 
   // Canonical merge: the serial loop issues round-robin batches of
   // interleave_batch() per core, so this bank saw its accesses in ascending
   // (round, core, index) order with round = index / batch.  Each run is
   // already ascending and runs are in core order; walk them round by round.
-  const std::uint32_t kBatch = static_cast<std::uint32_t>(chip_.interleave_batch());
+  const std::uint64_t kBatch = chip_.interleave_batch();
   for (;;) {
     // The round scan below is the serialization the merge pays for
     // determinism; at kFull profiling one round in eight is clocked (two
@@ -132,7 +144,7 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
     const bool sample = ms != nullptr && (ms->rounds & 7u) == 0;
     const std::uint64_t scan_t0 = sample ? obs::prof::now_ns() : 0;
     // Lowest unconsumed round across the contributors.
-    std::uint32_t round = UINT32_MAX;
+    std::uint64_t round = UINT64_MAX;
     for (const Run& r : runs)
       if (r.it != r.end) round = std::min(round, *r.it / kBatch);
     if (ms != nullptr) {
@@ -142,34 +154,33 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
         ++ms->sampled_rounds;
       }
     }
-    if (round == UINT32_MAX) break;
+    if (round == UINT64_MAX) break;
+    // Stream indices below this bound belong to the round.
+    const std::uint64_t round_end = (round + 1) * kBatch;
 
     for (Run& r : runs) {
       const CoreId c = r.core;
-      const Cycles core_lat = mesh.round_trip(c, b) + fixed_lat;
-      while (r.it != r.end && *r.it / kBatch == round) {
-        Staged& a = r.acc[*r.it];
-        // Pull a later access's set rows toward L1 while this one computes
-        // its masks and latency (hint only — no state change).
+      const auto ci = static_cast<std::size_t>(c);
+      while (r.it != r.end && *r.it < round_end) {
+        const Staged& a = r.acc[*r.it];
+        // Pull a later access's set record toward L1 while this one
+        // computes its victim preference (hint only — no state change).
         if (static_cast<std::size_t>(r.end - r.it) > kPrefetchDistance)
           bank.prefetch_set(r.acc[r.it[kPrefetchDistance]].set);
         ++r.it;
-        const mem::WayMask mask = scheme->insert_mask(chip_, c, b);
+        // Occupancy enforcement moves the preference on every insertion,
+        // so it is asked per access.
         const CoreId evict_pref = scheme->evict_preference(chip_, c, b);
-        const mem::AccessResult res = bank.access(a.set, a.block, c, mask, evict_pref);
-        Cycles lat = core_lat;
+        const mem::AccessResult res = bank.access(a.set, a.block, c, r.mask, evict_pref);
         if (res.hit) {
-          ++tally.hits[static_cast<std::size_t>(c)];
+          ++tally.hits[ci];
         } else {
           if (res.way >= 0) scheme->on_insertion(chip_, c, b, res);
           const int mcu = memsys.mcu_for(a.block);
-          const int attach = memsys.attach_tile(mcu);
-          lat += mesh.round_trip(b, attach) +
-                 memsys.mcu(mcu).current_request_latency();
-          ++tally.misses[static_cast<std::size_t>(c)];
+          tally.miss_lat[ci] += mcu_lat[mcu];
+          ++tally.misses[ci];
           ++tally.mcu_reqs[static_cast<std::size_t>(mcu)];
         }
-        a.lat = static_cast<std::uint32_t>(lat);
       }
     }
   }
@@ -180,21 +191,30 @@ void IntraEngine::reduce_core(CoreId c, bool measuring) {
   AppSlot& s = chip_.slots_[static_cast<std::size_t>(c)];
   const CoreStage& st = stages_[static_cast<std::size_t>(c)];
   const noc::Mesh& mesh = chip_.mesh_;
-  std::uint64_t remote = 0;
-  // Stream order == the order the serial loop fed this core's accumulators
-  // (interleaving only reorders accesses *across* cores), so these in-place
-  // double additions reproduce the serial rounding bit-for-bit.
-  for (std::size_t i = 0; i < st.n; ++i) {
-    const Staged& a = st.acc[i];
-    const int hops = mesh.hops(c, a.bank);
-    remote += hops > 0 ? 1 : 0;
-    s.epoch_lat_sum += static_cast<double>(a.lat);
-    if (measuring) {
-      s.lat_sum += static_cast<double>(a.lat);
-      s.hop_sum += static_cast<double>(hops);
-    }
+  const Cycles fixed_lat = chip_.cfg_.llc_tag_latency + chip_.cfg_.llc_data_latency;
+  // Every latency and hop count is a whole number, and every partial sum
+  // stays far below 2^53, so the serial loop's per-access double additions
+  // are exact: folding exact integer totals once gives bit-equal doubles.
+  // A run's accesses all pay the core-to-bank round trip; misses add the
+  // apply task's per-MCU latencies on top.
+  std::uint64_t remote = 0, hops_total = 0, lat_total = 0;
+  const std::size_t banks = st.offs.size() - 1;
+  for (std::size_t b = 0; b < banks; ++b) {
+    const std::uint64_t len = st.offs[b + 1] - st.offs[b];
+    if (len == 0) continue;
+    const auto bank = static_cast<BankId>(b);
+    const std::uint64_t hops = static_cast<std::uint64_t>(mesh.hops(c, bank));
+    remote += hops > 0 ? len : 0;
+    hops_total += len * hops;
+    lat_total += len * (mesh.round_trip(c, bank) + fixed_lat) +
+                 tallies_[b].miss_lat[static_cast<std::size_t>(c)];
   }
   remote_[static_cast<std::size_t>(c)] = remote;
+  s.epoch_lat_sum += static_cast<double>(lat_total);
+  if (measuring) {
+    s.lat_sum += static_cast<double>(lat_total);
+    s.hop_sum += static_cast<double>(hops_total);
+  }
   s.epoch_accesses += st.n;
 }
 

@@ -20,19 +20,30 @@
 //
 //   Apply — one task per bank, once stage_done_ == cores (acquire): collect
 //     the contributors — cores whose run for this bank is non-empty, in
-//     ascending core order — and merge only their runs in the canonical
-//     serial order, ascending (round, core, index) with round = index /
-//     interleave_batch(), so the bank sees the exact serial access
-//     sequence.  While an access is applied, the set of the access
-//     kPrefetchDistance further along the same run is prefetched.
-//     Latencies go back into the staging buffer (miss latency uses the
-//     MCU's epoch-constant current_request_latency()), integer tallies
-//     accumulate per bank, and the task bumps banks_done_.
+//     ascending core order, each with its insert_mask (epoch-constant by
+//     the scheme contract, so asked once per run) — and merge only their
+//     runs in the canonical serial order, ascending (round, core, index)
+//     with round = index / interleave_batch(): the run's cursor stays in a
+//     round while its index is below (round + 1) * batch, so the bank sees
+//     the exact serial access sequence.  evict_preference stays a
+//     per-access call (occupancy enforcement moves it on every insertion).
+//     While an access is applied, the set of the access kPrefetchDistance
+//     further along the same run is prefetched.  Each task first builds a
+//     per-MCU miss-latency table (the bank-to-MCU round trip plus the
+//     MCU's epoch-constant current_request_latency()); misses add their
+//     entry to an exact integer tally per (bank, core), next to the
+//     per-core hit/miss and per-MCU request counts.  Then the task bumps
+//     banks_done_.
 //
-//   Reduce — one task per core, once banks_done_ == banks: fold the core's
-//     latencies into the slot's double accumulators in stream order — the
-//     order the serial loop added them — so the FP sums are bit-equal.
-//
+//   Reduce — one task per core, once banks_done_ == banks: an O(banks)
+//     fold over the core's run table.  A run of length n to bank b adds
+//     n * hops(c, b) hops and n round trips plus fixed tag/data latency;
+//     the banks' miss-latency tallies add the rest.  Every latency and
+//     hop count is a whole number and every partial sum stays far below
+//     2^53, so the serial loop's per-access double additions are exact
+//     integer sums: adding the integer totals once to the slot's double
+//     accumulators gives bit-equal results.
+
 // Which worker runs a task is the only degree of freedom, so stealing never
 // changes results.  A throwing task sets failed_; claim loops and phase
 // waits stop on it, and the pool rethrows on the caller.  After the section
@@ -62,6 +73,7 @@
 
 #include "common/parallel.hpp"
 #include "common/types.hpp"
+#include "mem/replacement.hpp"
 #include "obs/prof/prof.hpp"
 
 namespace delta::sim {
@@ -92,13 +104,11 @@ class IntraEngine {
   /// the accesses in between.
   static constexpr std::size_t kPrefetchDistance = 8;
 
-  /// One staged access: routing decided by the stage task, latency filled
-  /// in by an apply task, folded into the slot's accumulators by a reduce
-  /// task.
+  /// One staged access: routing decided by the stage task, applied to its
+  /// bank by an apply task.
   struct Staged {
     BlockAddr block = 0;
     std::uint32_t set = 0;
-    std::uint32_t lat = 0;
     std::uint16_t bank = 0;
   };
 
@@ -117,8 +127,9 @@ class IntraEngine {
   struct Run {
     const std::uint32_t* it;   ///< Next unconsumed stream index.
     const std::uint32_t* end;
-    Staged* acc;               ///< The core's staging buffer.
+    const Staged* acc;         ///< The core's staging buffer.
     CoreId core;
+    mem::WayMask mask;         ///< The core's insert_mask in this bank.
   };
 
   /// Per-bank integer tallies, reused across epochs.  Written only by the
@@ -126,7 +137,11 @@ class IntraEngine {
   struct BankTally {
     std::vector<std::uint64_t> hits;      ///< Per core.
     std::vector<std::uint64_t> misses;    ///< Per core.
+    /// Per core: what this bank's misses added to the core's latency sum
+    /// beyond the core-to-bank round trip and the fixed tag/data latency.
+    std::vector<std::uint64_t> miss_lat;
     std::vector<std::uint64_t> mcu_reqs;  ///< Per MCU.
+    std::vector<Cycles> mcu_lat;          ///< Scratch: miss latency per MCU.
     std::vector<Run> runs;                ///< Merge scratch: contributors.
   };
 

@@ -63,7 +63,10 @@ std::string_view to_string(SchemeKind k);
 //   * insert_mask() / evict_preference() / on_insertion(): state owned by
 //     the `bank` argument (per-bank WpUnit, enforcer slice) or
 //     epoch-constant state — called concurrently for *different* banks,
-//     serially within one bank in the canonical access order.
+//     serially within one bank in the canonical access order;
+//   * insert_mask is constant between begin_epoch calls (the intra engine
+//     asks it once per (core, bank) run; evict_preference may move on
+//     every insertion and is asked per access).
 // Anything cross-bank (reallocation, challenges, bulk invalidation) belongs
 // in begin_epoch(), which runs on the epoch barrier.  All six in-tree
 // schemes satisfy this; test_intra enforces it end to end and the TSan CI

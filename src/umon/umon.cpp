@@ -30,22 +30,7 @@ Umon::Umon(UmonConfig cfg) : cfg_(cfg) {
   coarse_ctr_.assign(static_cast<std::size_t>(buckets), 0.0);
 }
 
-void Umon::access(BlockAddr block) {
-  // Dynamic set sampling: the monitored sets are those whose index is a
-  // multiple of the dilution factor.  Power-of-two dilutions (the default
-  // 16) take a mask+shift fast path — this runs on every LLC access, and
-  // the generic divide/modulo pair dominated the monitor's cost.
-  const std::uint32_t set = static_cast<std::uint32_t>(block) & set_mask_;
-  std::uint32_t stack_idx;
-  if (dilution_pow2_) {
-    if ((set & dilution_mask_) != 0) return;
-    stack_idx = set >> dilution_shift_;
-  } else {
-    const auto dilution = static_cast<std::uint32_t>(cfg_.set_dilution);
-    if (set % dilution != 0) return;
-    stack_idx = set / dilution;
-  }
-
+void Umon::access_sampled(std::uint32_t stack_idx, BlockAddr block) {
   ++sampled_accesses_;
   auto& stack = stacks_[stack_idx];
   const std::size_t depth = stack.size();
@@ -83,23 +68,6 @@ void Umon::access(BlockAddr block) {
   } else {
     stack.insert(stack.begin(), block);
   }
-}
-
-void Umon::prefetch(BlockAddr block) const {
-  // Mirrors access()'s monitored-set test exactly; unmonitored blocks (the
-  // (dilution-1)/dilution majority) cost one mask test, like access().
-  const std::uint32_t set = static_cast<std::uint32_t>(block) & set_mask_;
-  std::uint32_t stack_idx;
-  if (dilution_pow2_) {
-    if ((set & dilution_mask_) != 0) return;
-    stack_idx = set >> dilution_shift_;
-  } else {
-    const auto dilution = static_cast<std::uint32_t>(cfg_.set_dilution);
-    if (set % dilution != 0) return;
-    stack_idx = set / dilution;
-  }
-  const auto& stack = stacks_[stack_idx];
-  if (!stack.empty()) simd::prefetch_read(stack.data());
 }
 
 double Umon::hits_between(int lo_ways, int hi_ways) const {

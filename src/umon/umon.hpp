@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "common/types.hpp"
 #include "umon/miss_curve.hpp"
 
@@ -35,14 +36,24 @@ class Umon {
  public:
   explicit Umon(UmonConfig cfg = {});
 
-  /// Feeds one LLC access (private-L2 miss) into the monitor.  Cheap for
-  /// unmonitored blocks (one mask test).
-  void access(BlockAddr block);
+  /// Feeds one LLC access (private-L2 miss) into the monitor.  The sampled
+  /// set test is inline, so unmonitored blocks (the (dilution-1)/dilution
+  /// majority) cost one mask test at the call site; only sampled blocks
+  /// call out of line.
+  void access(BlockAddr block) {
+    std::uint32_t stack_idx;
+    if (sampled(block, stack_idx)) access_sampled(stack_idx, block);
+  }
 
   /// Prefetch hint for the shadow-tag stack `block` would probe (no-op for
   /// unmonitored blocks).  Side-effect-free; issued by the chip's access
   /// pipeline one access ahead so the stack search hits warm lines.
-  void prefetch(BlockAddr block) const;
+  void prefetch(BlockAddr block) const {
+    std::uint32_t stack_idx;
+    if (!sampled(block, stack_idx)) return;
+    const auto& stack = stacks_[stack_idx];
+    if (!stack.empty()) simd::prefetch_read(stack.data());
+  }
 
   /// Scaled access/miss totals (sampled counts multiplied by dilution).
   double accesses() const { return scale(sampled_accesses_); }
@@ -79,6 +90,24 @@ class Umon {
   std::uint64_t storage_bits() const;
 
  private:
+  /// Dynamic set sampling: the monitored sets are those whose index is a
+  /// multiple of the dilution factor.  Power-of-two dilutions (the default
+  /// 16) take a mask+shift fast path instead of the divide/modulo pair.
+  /// True for a monitored block, with its stack index in `stack_idx`.
+  bool sampled(BlockAddr block, std::uint32_t& stack_idx) const {
+    const std::uint32_t set = static_cast<std::uint32_t>(block) & set_mask_;
+    if (dilution_pow2_) {
+      stack_idx = set >> dilution_shift_;
+      return (set & dilution_mask_) == 0;
+    }
+    const auto dilution = static_cast<std::uint32_t>(cfg_.set_dilution);
+    stack_idx = set / dilution;
+    return set % dilution == 0;
+  }
+
+  /// access() for a monitored block: the shadow-tag stack update.
+  void access_sampled(std::uint32_t stack_idx, BlockAddr block);
+
   double scale(double x) const { return x * static_cast<double>(cfg_.set_dilution); }
   double scale(std::uint64_t x) const { return scale(static_cast<double>(x)); }
 

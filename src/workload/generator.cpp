@@ -16,6 +16,34 @@ std::string to_string(AppClass c) {
   return "?";
 }
 
+std::vector<std::uint64_t> ring_thresholds(const std::vector<double>& cum) {
+  assert(!cum.empty() && cum.back() > 0.0);
+  const double total = cum.back();
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  std::vector<std::uint64_t> t;
+  t.reserve(cum.size() - 1);
+  for (std::size_t j = 0; j + 1 < cum.size(); ++j) {
+    // Binary search for the first draw whose scaled value reaches cum[j],
+    // evaluated exactly as the historical uniform() * total.
+    std::uint64_t lo = 0, hi = kDraws;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (static_cast<double>(mid) * 0x1.0p-53 * total >= cum[j]) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    t.push_back(lo);
+  }
+  return t;
+}
+
+void TraceGen::RingState::reseed() {
+  mul = mix64(salt ^ 0x517cc1b727220a95ULL) | 1;
+  add = mix64(salt + 0x2545f4914f6cdd1dULL);
+}
+
 TraceGen::TraceGen(const AppProfile& profile, Addr base_addr, std::uint64_t seed)
     : profile_(profile), base_(base_addr), rng_(seed) {
   assert(!profile.phases.empty());
@@ -28,21 +56,27 @@ TraceGen::TraceGen(const AppProfile& profile, Addr base_addr, std::uint64_t seed
     assert(!ph.rings.empty());
     BlockAddr cursor = block_of(base_);
     double cum = 0.0;
+    std::vector<double> cum_weight;
     for (const Ring& r : ph.rings) {
       RingState rs;
+      rs.kind = r.kind;
       rs.base_block = cursor;
       rs.lines = r.kind == RingKind::kStream ? kStreamWrapLines : lines_in(r.bytes);
       if (rs.lines == 0) rs.lines = 1;
+      rs.mask = std::bit_floor(rs.lines) - 1;
+      rs.idx_lines = std::clamp<std::uint64_t>(rs.lines / 16, 1, 128);
       // Start loops/streams at a seed-dependent offset so replicated copies
       // are phase-shifted relative to each other.
       rs.pos = mix64(seed ^ (cursor * 0x9e37ULL)) % rs.lines;
+      rs.reseed();
       cursor += rs.lines;
+      assert(r.weight >= 0.0);
       cum += r.weight;
       st.rings.push_back(rs);
-      st.cum_weight.push_back(cum);
+      cum_weight.push_back(cum);
     }
-    // Normalise so the last cumulative weight is exactly the total.
     assert(cum > 0.0);
+    st.thresholds = ring_thresholds(cum_weight);
   }
   phase_idx_ = 0;
   phase_ = &profile_.phases[0];
@@ -58,27 +92,20 @@ void TraceGen::set_epoch(std::uint64_t epoch) {
 
 BlockAddr TraceGen::next() {
   PhaseState& st = states_[phase_idx_];
-  const Phase& ph = *phase_;
 
-  // Weighted ring choice via the cumulative table (few rings => linear scan).
-  const double total = st.cum_weight.back();
-  const double r = rng_.uniform() * total;
-  std::size_t i = 0;
-  while (i + 1 < st.cum_weight.size() && r >= st.cum_weight[i]) ++i;
-
-  RingState& rs = st.rings[i];
-  switch (ph.rings[i].kind) {
+  // Weighted ring choice: the raw 53-bit draw against the phase's
+  // precomputed thresholds (ring_thresholds) — the same ring the scaled
+  // double draw picked from the cumulative weight table.
+  const std::uint64_t k = rng_() >> 11;
+  RingState& rs = st.rings[choose_ring(st.thresholds.data(), st.thresholds.size(), k)];
+  switch (rs.kind) {
     case RingKind::kUniform:
       return rs.base_block + rng_.below(rs.lines);
-    case RingKind::kLoop: {
+    case RingKind::kLoop:
+    case RingKind::kStream: {
       const BlockAddr b = rs.base_block + rs.pos;
       // pos < lines always holds, so the wrap needs a compare, not a modulo
       // (this advance runs for every generated loop/stream access).
-      if (++rs.pos == rs.lines) rs.pos = 0;
-      return b;
-    }
-    case RingKind::kStream: {
-      const BlockAddr b = rs.base_block + rs.pos;
       if (++rs.pos == rs.lines) rs.pos = 0;
       return b;
     }
@@ -91,18 +118,14 @@ BlockAddr TraceGen::next() {
       // replacement, so reuse distance equals the region size and the
       // ring's miss curve is flat below it (no short-distance collisions
       // an LRU cache could exploit).
-      const std::uint64_t mask = std::bit_floor(rs.lines) - 1;
-      const std::uint64_t idx_lines =
-          std::clamp<std::uint64_t>(rs.lines / 16, 1, 128);
       const std::uint64_t step = rs.pos;
       if (++rs.pos >= 8 * rs.lines) {
         rs.pos = 0;
         ++rs.salt;  // Fresh gather permutation each full sweep.
+        rs.reseed();
       }
-      if ((step & 7) == 0) return rs.base_block + (step >> 3) % idx_lines;
-      const std::uint64_t a = mix64(rs.salt ^ 0x517cc1b727220a95ULL) | 1;
-      const std::uint64_t c = mix64(rs.salt + 0x2545f4914f6cdd1dULL);
-      return rs.base_block + ((step * a + c) & mask);
+      if ((step & 7) == 0) return rs.base_block + (step >> 3) % rs.idx_lines;
+      return rs.base_block + ((step * rs.mul + rs.add) & rs.mask);
     }
     case RingKind::kHashJoin: {
       // Hash-join build/probe: each pass visits every bucket exactly once
@@ -111,13 +134,11 @@ BlockAddr TraceGen::next() {
       // pass makes build and successive probe passes fresh orders while
       // keeping the reuse distance pinned at the table size: a flat miss
       // curve below the table, like real hash joins.
-      const std::uint64_t mask = std::bit_floor(rs.lines) - 1;
-      const std::uint64_t a = mix64(rs.salt ^ 0x517cc1b727220a95ULL) | 1;
-      const std::uint64_t c = mix64(rs.salt + 0x2545f4914f6cdd1dULL);
-      const BlockAddr b = rs.base_block + ((rs.pos * a + c) & mask);
-      if (++rs.pos >= mask + 1) {
+      const BlockAddr b = rs.base_block + ((rs.pos * rs.mul + rs.add) & rs.mask);
+      if (++rs.pos >= rs.mask + 1) {
         rs.pos = 0;
         ++rs.salt;  // Next pass: a new build/probe order.
+        rs.reseed();
       }
       return b;
     }
@@ -127,9 +148,8 @@ BlockAddr TraceGen::next() {
       // an odd-multiplier bijection so successive nodes share no spatial
       // structure.  Every node is visited once per period: pointer chasing
       // with reuse distance = the graph size, flat below it.
-      const std::uint64_t mask = std::bit_floor(rs.lines) - 1;
-      rs.pos = (rs.pos * 6364136223846793005ULL + 1442695040888963407ULL) & mask;
-      return rs.base_block + ((rs.pos * 0x9e3779b97f4a7c15ULL) & mask);
+      rs.pos = (rs.pos * 6364136223846793005ULL + 1442695040888963407ULL) & rs.mask;
+      return rs.base_block + ((rs.pos * 0x9e3779b97f4a7c15ULL) & rs.mask);
     }
   }
   return rs.base_block;

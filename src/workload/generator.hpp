@@ -1,7 +1,16 @@
 // Trace generator: turns an AppProfile into a deterministic stream of
 // LLC-bound block addresses.
+//
+// next() runs once per simulated LLC access, so its per-access work is
+// table-driven: the ring is chosen by comparing the raw 53-bit draw
+// against integer thresholds precomputed from the phase's cumulative
+// weights (ring_thresholds), and each ring's state record carries its
+// kind, its power-of-two mask and, for the salted kinds (gather, hash
+// join), the current pass's affine map, recomputed only when the salt
+// changes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +19,24 @@
 #include "workload/profile.hpp"
 
 namespace delta::workload {
+
+/// Ring-choice thresholds for one phase, from its cumulative ring weights
+/// `cum` (non-decreasing, last > 0).  The historical choice drew
+/// u = k * 2^-53 from a 53-bit draw k, scaled r = u * cum.back(), and took
+/// the first ring i with r < cum[i] (the last ring otherwise).  T_j is the
+/// smallest k with (k * 2^-53) * cum.back() >= cum[j] under that same
+/// floating-point expression, or 2^53 when no draw reaches it; the result
+/// holds T_j for j < cum.size() - 1.  Rounding is monotone in k, so
+/// choose_ring(T, k) equals the historical scan for every draw.
+std::vector<std::uint64_t> ring_thresholds(const std::vector<double>& cum);
+
+/// The ring a 53-bit draw `k` selects: the number of thresholds <= k.
+inline std::size_t choose_ring(const std::uint64_t* thresholds, std::size_t n,
+                               std::uint64_t k) {
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < n; ++j) i += thresholds[j] <= k ? 1 : 0;
+  return i;
+}
 
 class TraceGen {
  public:
@@ -30,15 +57,24 @@ class TraceGen {
   Addr base_addr() const { return base_; }
 
  private:
+  /// One ring's generator state.  `mul`/`add` are the affine map of the
+  /// current pass of a salted ring (kGather, kHashJoin), kept in step with
+  /// `salt` by reseed().
   struct RingState {
+    RingKind kind = RingKind::kUniform;
     BlockAddr base_block = 0;
     std::uint64_t lines = 0;
-    std::uint64_t pos = 0;   ///< Loop/stream/walk cursor.
-    std::uint64_t salt = 0;  ///< Hash salt; bumped per pass (kHashJoin).
+    std::uint64_t mask = 0;       ///< bit_floor(lines) - 1.
+    std::uint64_t idx_lines = 0;  ///< kGather: lines of the index array.
+    std::uint64_t pos = 0;        ///< Loop/stream/walk cursor.
+    std::uint64_t salt = 0;       ///< Hash salt; bumped per pass.
+    std::uint64_t mul = 0;        ///< mix64(salt ^ C1) | 1.
+    std::uint64_t add = 0;        ///< mix64(salt + C2).
+    void reseed();
   };
   struct PhaseState {
     std::vector<RingState> rings;
-    std::vector<double> cum_weight;
+    std::vector<std::uint64_t> thresholds;  ///< ring_thresholds(cum weights).
   };
 
   const AppProfile& profile_;

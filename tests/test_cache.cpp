@@ -64,6 +64,52 @@ TEST(Cache, RejectsOutOfRangeGeometry) {
   EXPECT_EQ(res.victim_block, 1u);
 }
 
+TEST(Cache, FortyBitTagsAndByteOwners) {
+  // Tags keep 40 bits: blocks that share their low 32 bits but differ in
+  // bits 32-39 are distinct lines, and the largest block and owner that
+  // fit round-trip through eviction.
+  SetAssocCache c(1, 4);
+  const BlockAddr low = 0x89abcdefULL;
+  for (int i = 0; i < 4; ++i)
+    EXPECT_FALSE(c.access(0, (BlockAddr{1} << 32) * static_cast<BlockAddr>(i) | low, i,
+                          full_mask(4)).hit);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_TRUE(c.contains(0, (BlockAddr{1} << 32) * static_cast<BlockAddr>(i) | low));
+  EXPECT_FALSE(c.contains(0, (BlockAddr{4} << 32) | low));
+  const BlockAddr top = (BlockAddr{1} << 40) - 1;
+  c.access(0, top, 254, full_mask(4));  // Evicts the LRU line (owner 0).
+  const auto res = c.access(0, 5, 7, full_mask(4), /*evict_pref=*/254);
+  ASSERT_TRUE(res.evicted);
+  EXPECT_EQ(res.victim_block, top);
+  EXPECT_EQ(res.victim_owner, 254);
+  std::uint64_t seen = 0;
+  c.for_each_line([&](std::uint32_t, int, BlockAddr b, CoreId o) {
+    if (b == low) ADD_FAILURE() << "evicted line still visible";
+    seen += o >= 0 ? 1 : 0;
+  });
+  EXPECT_EQ(seen, 4u);
+}
+
+TEST(Cache, MissRejectsBlocksAndOwnersThatDoNotFitTheRecord) {
+  SetAssocCache c(2, 4);
+  const BlockAddr limit = BlockAddr{1} << 40;
+  EXPECT_THROW(c.access(0, limit, 0, full_mask(4)), std::out_of_range);
+  EXPECT_THROW(c.access(0, ~BlockAddr{0}, 0, full_mask(4)), std::out_of_range);
+  EXPECT_THROW(c.access(0, 1, 255, full_mask(4)), std::out_of_range);
+  EXPECT_THROW(c.access(0, 1, kInvalidCore, full_mask(4)), std::out_of_range);
+  // Even a bypassing miss is rejected, and nothing was counted or filled.
+  EXPECT_THROW(c.access(0, limit, 0, 0), std::out_of_range);
+  EXPECT_EQ(c.stats().misses, 0u);
+  EXPECT_EQ(c.valid_lines(), 0u);
+  // A wider block never aliases the resident line with its low 40 bits.
+  EXPECT_FALSE(c.access(0, limit - 1, 0, full_mask(4)).hit);
+  EXPECT_FALSE(c.contains(0, (limit - 1) | limit));
+  EXPECT_FALSE(c.touch(0, (limit - 1) | limit));
+  EXPECT_FALSE(c.invalidate(0, (limit - 1) | limit));
+  EXPECT_THROW(c.access(0, (limit - 1) | limit, 0, full_mask(4)), std::out_of_range);
+  EXPECT_TRUE(c.contains(0, limit - 1));
+}
+
 TEST(Cache, HitPromotesToMru) {
   SetAssocCache c(1, 3);
   c.access(0, 1, 0, full_mask(3));

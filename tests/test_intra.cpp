@@ -84,6 +84,24 @@ TEST(Intra, ByteIdentical64Tile) {
   }
 }
 
+TEST(Intra, ByteIdenticalOccupancyMode) {
+  // Occupancy enforcement is the one mode whose evict_preference() moves
+  // on every insertion (on_insertion bumps the bank's enforcer), so apply
+  // must ask for it per access in the canonical order, not per run.
+  for (const bool wide : {false, true}) {
+    sim::MachineConfig base = wide ? quick64(1) : quick16(1);
+    base.delta.intra_enforcement = core::IntraEnforcement::kOccupancy;
+    const char* mix = wide ? "w13" : "w2";
+    const std::string serial = run_summary(base, mix, sim::SchemeKind::kDelta);
+    for (const int jobs : {2, 4}) {
+      sim::MachineConfig par = base;
+      par.intra_jobs = jobs;
+      EXPECT_EQ(serial, run_summary(par, mix, sim::SchemeKind::kDelta))
+          << base.cores << "-tile occupancy mode, intra-jobs " << jobs << " diverged";
+    }
+  }
+}
+
 TEST(Intra, ByteIdenticalWithPinningEnabled) {
   // Opt-in CPU affinity must be invisible to the computation: pinned and
   // unpinned runs of the same config agree with the serial loop.

@@ -155,7 +155,7 @@ TEST(LintRawIntrinsic, WrapperCallsAndMidTokenMatchesAreClean) {
       "#include \"common/simd.hpp\"\n"
       "void f(const std::uint64_t* v) {\n"
       "  simd::prefetch_read(v);\n"
-      "  auto m = simd::match_u64(v, 16, 3);\n"
+      "  auto m = simd::find_u64(v, 16, 3);\n"
       "  int comm_mm = 0;\n"       // `_mm` mid-identifier: not a token start.
       "}\n");
   EXPECT_FALSE(has_rule(fs, "raw-intrinsic"));

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "mem/address.hpp"
 #include "sim/chip.hpp"
 #include "sim/metrics.hpp"
@@ -134,6 +139,106 @@ TEST(Scheme, FactoryNames) {
   EXPECT_EQ(make_scheme(SchemeKind::kIdealCentralized)->name(), "ideal-central");
   EXPECT_EQ(make_scheme(SchemeKind::kDelta)->name(), "delta");
   EXPECT_EQ(to_string(SchemeKind::kDelta), "delta");
+}
+
+// ---- Golden capture: every MixResult field, bit-equal. ----
+
+struct AppCapture {
+  const char* app;
+  int core;
+  double ipc, cpi, mpki, miss_rate, avg_latency, avg_hops, avg_ways;
+  std::uint64_t instructions, llc_accesses, llc_misses;
+};
+
+struct RunCapture {
+  const char* mix;
+  const char* scheme;
+  double geomean_ipc;
+  std::array<std::uint64_t, static_cast<std::size_t>(noc::MsgType::kCount)> traffic;
+  std::array<std::uint64_t, 6> control;  ///< ControlBreakdown, field order.
+  std::uint64_t invalidated_lines, measured_epochs;
+  std::vector<AppCapture> apps;
+};
+
+const RunCapture kCaptured[] = {
+#include "sim_capture.inc"
+};
+
+void expect_matches(const MixResult& r, const RunCapture& e, const std::string& what) {
+  EXPECT_EQ(r.mix, e.mix) << what;
+  EXPECT_EQ(r.scheme, e.scheme) << what;
+  EXPECT_EQ(r.geomean_ipc, e.geomean_ipc) << what;
+  for (std::size_t t = 0; t < e.traffic.size(); ++t)
+    EXPECT_EQ(r.traffic.total(static_cast<noc::MsgType>(t)), e.traffic[t])
+        << what << " traffic " << noc::msg_type_name(static_cast<noc::MsgType>(t));
+  const std::array<std::uint64_t, 6> control = {
+      r.control.challenge, r.control.feedback, r.control.invalidation,
+      r.control.handover,  r.control.central,  r.control.market};
+  EXPECT_EQ(control, e.control) << what;
+  EXPECT_EQ(r.invalidated_lines, e.invalidated_lines) << what;
+  EXPECT_EQ(r.measured_epochs, e.measured_epochs) << what;
+  ASSERT_EQ(r.apps.size(), e.apps.size()) << what;
+  for (std::size_t i = 0; i < e.apps.size(); ++i) {
+    const AppResult& a = r.apps[i];
+    const AppCapture& x = e.apps[i];
+    const std::string at = what + " core " + std::to_string(i);
+    EXPECT_EQ(a.app, x.app) << at;
+    EXPECT_EQ(a.core, x.core) << at;
+    EXPECT_EQ(a.ipc, x.ipc) << at;
+    EXPECT_EQ(a.cpi, x.cpi) << at;
+    EXPECT_EQ(a.mpki, x.mpki) << at;
+    EXPECT_EQ(a.miss_rate, x.miss_rate) << at;
+    EXPECT_EQ(a.avg_latency, x.avg_latency) << at;
+    EXPECT_EQ(a.avg_hops, x.avg_hops) << at;
+    EXPECT_EQ(a.avg_ways, x.avg_ways) << at;
+    EXPECT_EQ(a.instructions, x.instructions) << at;
+    EXPECT_EQ(a.llc_accesses, x.llc_accesses) << at;
+    EXPECT_EQ(a.llc_misses, x.llc_misses) << at;
+  }
+}
+
+TEST(Sim, ResultsMatchParentCapture) {
+  // Pins the exact output of short runs against values captured before the
+  // access path was rewritten (per-set records, integer latency tallies,
+  // table-driven ring/UMON/CBT lookups): every field, doubles bit-equal.
+  // The runs cover all six schemes, the irregular rings (gather, hash
+  // join, walk), the 64-tile intra engine at one and two workers, and
+  // occupancy enforcement, whose eviction preference moves per insertion.
+  MachineConfig m16 = config16();
+  m16.warmup_epochs = 10;
+  m16.measure_epochs = 30;
+  MachineConfig m64 = config64();
+  m64.warmup_epochs = 10;
+  m64.measure_epochs = 20;
+  MachineConfig occ = m16;
+  occ.delta.intra_enforcement = core::IntraEnforcement::kOccupancy;
+
+  struct Case {
+    MachineConfig cfg;
+    const char* mix;
+    SchemeKind kind;
+    std::size_t capture;
+  };
+  std::vector<Case> cases;
+  for (std::size_t i = 0; i < kAllSchemeKinds.size(); ++i)
+    cases.push_back({m16, "w6", kAllSchemeKinds[i], i});
+  cases.push_back({m16, "wi1", SchemeKind::kDelta, 6});
+  cases.push_back({m16, "wi1", SchemeKind::kSnuca, 7});
+  for (const int jobs : {1, 2}) {
+    MachineConfig c = m64;
+    c.intra_jobs = jobs;
+    cases.push_back({c, "w13", SchemeKind::kDelta, 8});
+  }
+  cases.push_back({occ, "w2", SchemeKind::kDelta, 9});
+  ASSERT_EQ(std::size(kCaptured), 10u);
+
+  for (const Case& k : cases) {
+    const MixResult r = run_mix(k.cfg, mix_for_config(k.cfg, k.mix), k.kind);
+    expect_matches(r, kCaptured[k.capture],
+                   std::string(k.mix) + "/" + std::string(to_string(k.kind)) + "/" +
+                       std::to_string(k.cfg.cores) + " tiles/intra " +
+                       std::to_string(k.cfg.intra_jobs));
+  }
 }
 
 }  // namespace

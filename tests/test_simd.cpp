@@ -19,92 +19,133 @@
 namespace delta::simd {
 namespace {
 
-// A value that differs from `key` only in one 32-bit half — SSE2 builds
-// 64-bit equality from two 32-bit compares, so half-matches are the
-// interesting wrong-answer candidates.
-std::uint64_t flip_half(std::uint64_t key, bool high) {
-  return key ^ (high ? 0xdead0000'00000000ULL : 0x0000'0000'0000beefULL);
-}
+// Split 40-bit tag rows as a cache record lays them out, padded to two
+// whole kTagGroup groups so the vector kernel may read every group it
+// touches at any width.
+struct TagRows {
+  std::array<std::uint32_t, 2 * kTagGroup> lo{};
+  std::array<std::uint8_t, 2 * kTagGroup> hi{};
+  void set(int i, std::uint64_t tag) {
+    lo[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(tag);
+    hi[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(tag >> 32);
+  }
+  std::uint32_t match(int n, std::uint64_t key) const {
+    return match_tag40(lo.data(), hi.data(), n, key);
+  }
+  std::uint32_t reference(int n, std::uint64_t key) const {
+    return match_tag40_scalar(lo.data(), hi.data(), n, key);
+  }
+};
 
-TEST(MatchU64, AllWidthsSingleKeyAtEveryPosition) {
+TEST(MatchTag40, AllWidthsSingleKeyAtEveryPosition) {
+  const std::uint64_t key = 0x9a'0123abcdULL;
   for (int n = 0; n <= 32; ++n) {
-    std::array<std::uint64_t, 32> vals{};
-    const std::uint64_t key = 0x0123456789abcdefULL;
-    for (int i = 0; i < n; ++i) vals[i] = 0x1111111111111111ULL * (i + 1);
+    TagRows rows;
+    for (int i = 0; i < n; ++i) rows.set(i, 0x01'11111111ULL * static_cast<std::uint64_t>(i + 1));
     for (int pos = 0; pos < n; ++pos) {
-      const std::uint64_t saved = vals[pos];
-      vals[pos] = key;
-      const std::uint32_t ref = match_u64_scalar(vals.data(), n, key);
-      EXPECT_EQ(match_u64(vals.data(), n, key), ref)
-          << "n=" << n << " pos=" << pos;
+      TagRows hit = rows;
+      hit.set(pos, key);
+      const std::uint32_t ref = hit.reference(n, key);
+      EXPECT_EQ(hit.match(n, key), ref) << "n=" << n << " pos=" << pos;
       EXPECT_EQ(ref, std::uint32_t{1} << pos);
-      vals[pos] = saved;
     }
     // Absent key: no bit may be set.
-    EXPECT_EQ(match_u64(vals.data(), n, key), 0u) << "n=" << n;
+    EXPECT_EQ(rows.match(n, key), 0u) << "n=" << n;
   }
 }
 
-TEST(MatchU64, DuplicateKeysSetEveryMatchingBit) {
-  std::array<std::uint64_t, 32> vals{};
-  const std::uint64_t key = 0xfeedface'cafef00dULL;
-  for (int i = 0; i < 32; ++i) vals[i] = (i % 3 == 0) ? key : ~key;
+TEST(MatchTag40, LanesPastTheWidthNeverMatch) {
+  // The vector kernel reads whole groups; lanes at or past n must be
+  // masked off even when they hold the key.
+  const std::uint64_t key = 0x42'00000042ULL;
+  TagRows rows;
+  for (int i = 0; i < 2 * kTagGroup; ++i) rows.set(i, key);
   for (int n = 0; n <= 32; ++n) {
-    const std::uint32_t ref = match_u64_scalar(vals.data(), n, key);
-    EXPECT_EQ(match_u64(vals.data(), n, key), ref) << "n=" << n;
+    const std::uint32_t want = n >= 32 ? ~0u : (std::uint32_t{1} << n) - 1;
+    EXPECT_EQ(rows.match(n, key), want) << "n=" << n;
+    EXPECT_EQ(rows.reference(n, key), want) << "n=" << n;
   }
 }
 
-TEST(MatchU64, HalfWordNearMissesDoNotMatch) {
-  const std::uint64_t key = 0x0123456789abcdefULL;
-  std::array<std::uint64_t, 32> vals{};
-  for (int i = 0; i < 32; ++i) vals[i] = flip_half(key, i % 2 == 0);
-  for (int n : {1, 2, 3, 4, 7, 8, 16, 31, 32}) {
-    EXPECT_EQ(match_u64(vals.data(), n, key), 0u) << "n=" << n;
-    EXPECT_EQ(match_u64_scalar(vals.data(), n, key), 0u) << "n=" << n;
+TEST(MatchTag40, LowWordOnlyAndHighByteOnlyMismatchesDoNotMatch) {
+  // SSE2 builds the 40-bit compare from a 32-bit compare on the low row and
+  // a byte compare on the high row; a tag that agrees with the key in one
+  // half only is the interesting wrong-answer candidate.
+  const std::uint64_t key = 0xc3'89abcdefULL;
+  for (int n = 1; n <= 32; ++n) {
+    TagRows rows;
+    for (int i = 0; i < n; ++i)
+      rows.set(i, i % 2 == 0 ? key ^ 0x00'00010000ULL    // Low word differs.
+                             : key ^ 0x81'00000000ULL);  // High byte differs.
+    EXPECT_EQ(rows.match(n, key), 0u) << "n=" << n;
+    EXPECT_EQ(rows.reference(n, key), 0u) << "n=" << n;
   }
 }
 
-TEST(MatchU64, ExtremeValues) {
-  std::array<std::uint64_t, 8> vals = {0,
-                                       ~0ULL,
-                                       1,
-                                       0x8000000000000000ULL,
-                                       0x7fffffffffffffffULL,
-                                       0xffffffff00000000ULL,
-                                       0x00000000ffffffffULL,
-                                       0x5555555555555555ULL};
-  for (std::uint64_t key : vals) {
-    const std::uint32_t ref = match_u64_scalar(vals.data(), 8, key);
-    EXPECT_EQ(match_u64(vals.data(), 8, key), ref) << "key=" << key;
+TEST(MatchTag40, KeysAtOrAbove2To40MatchNothing) {
+  // Only 40 tag bits are stored: a wider key must not alias the tag that
+  // shares its low 40 bits.
+  TagRows rows;
+  for (int i = 0; i < 32; ++i) rows.set(i, 0x12'34567890ULL);
+  for (const std::uint64_t key :
+       {0x12'34567890ULL | kTag40Limit, 0x12'34567890ULL | (kTag40Limit << 20), ~0ULL}) {
+    for (int n : {1, 15, 16, 17, 32}) {
+      EXPECT_EQ(rows.match(n, key), 0u) << "n=" << n << " key=" << key;
+      EXPECT_EQ(rows.reference(n, key), 0u) << "n=" << n << " key=" << key;
+    }
   }
+  EXPECT_EQ(rows.match(32, 0x12'34567890ULL), ~0u);
 }
 
-TEST(MatchU64, RandomizedAgainstScalar) {
+TEST(MatchTag40, DuplicateKeysSetEveryMatchingBit) {
+  const std::uint64_t key = 0xfe'cafef00dULL;
+  TagRows rows;
+  for (int i = 0; i < 32; ++i) rows.set(i, (i % 3 == 0) ? key : key ^ 0xff'ffffffffULL);
+  for (int n = 0; n <= 32; ++n)
+    EXPECT_EQ(rows.match(n, key), rows.reference(n, key)) << "n=" << n;
+}
+
+TEST(MatchTag40, ExtremeValues) {
+  const std::uint64_t vals[] = {0,           kTag40Limit - 1, 1,
+                                0xff'00000000ULL, 0x00'ffffffffULL, 0x80'00000000ULL,
+                                0x7f'ffffffffULL, 0x55'55555555ULL};
+  TagRows rows;
+  for (int i = 0; i < 8; ++i) rows.set(i, vals[i]);
+  for (const std::uint64_t key : vals)
+    EXPECT_EQ(rows.match(8, key), rows.reference(8, key)) << "key=" << key;
+}
+
+TEST(MatchTag40, RandomizedAgainstScalar) {
   Rng rng(0x51u);
   for (int iter = 0; iter < 20000; ++iter) {
     const int n = static_cast<int>(rng.below(33));  // 0..32
-    std::array<std::uint64_t, 32> vals{};
-    // Draw from a tiny value pool so matches and duplicates are common.
-    std::array<std::uint64_t, 4> pool = {rng(), rng(),
-                                         rng() & 0xffff, 0};
-    for (int i = 0; i < n; ++i) vals[i] = pool[rng.below(4)];
+    // Draw from a tiny pool of tags that share low words or high bytes, so
+    // matches, duplicates and half-matches are all common.
+    const std::uint64_t a = rng.below(kTag40Limit);
+    const std::array<std::uint64_t, 4> pool = {a, a ^ 0x01'00000000ULL, a ^ 0x1ULL,
+                                               rng.below(kTag40Limit)};
+    TagRows rows;
+    for (int i = 0; i < 2 * kTagGroup; ++i) rows.set(i, pool[rng.below(4)]);
     const std::uint64_t key = pool[rng.below(4)];
-    EXPECT_EQ(match_u64(vals.data(), n, key),
-              match_u64_scalar(vals.data(), n, key))
-        << "iter=" << iter << " n=" << n;
+    EXPECT_EQ(rows.match(n, key), rows.reference(n, key)) << "iter=" << iter << " n=" << n;
   }
 }
 
-TEST(MatchU64, UnalignedBasePointer) {
-  // The cache rows are not 16 B aligned in general; every offset must work.
-  std::array<std::uint64_t, 40> vals{};
-  const std::uint64_t key = 0xabcdef0123456789ULL;
-  for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = i;
-  vals[19] = key;
-  for (std::size_t off = 0; off + 16 <= vals.size(); ++off) {
-    const std::uint32_t ref = match_u64_scalar(vals.data() + off, 16, key);
-    EXPECT_EQ(match_u64(vals.data() + off, 16, key), ref) << "off=" << off;
+TEST(MatchTag40, UnalignedRows) {
+  // Cache records keep both rows aligned, but the kernel must not depend
+  // on it: every offset of both rows must work.
+  std::array<std::uint32_t, 48> lo{};
+  std::array<std::uint8_t, 48> hi{};
+  const std::uint64_t key = 0xab'cdef0123ULL;
+  for (std::size_t i = 0; i < lo.size(); ++i) {
+    lo[i] = static_cast<std::uint32_t>(i);
+    hi[i] = static_cast<std::uint8_t>(i);
+  }
+  lo[19] = static_cast<std::uint32_t>(key);
+  hi[19] = static_cast<std::uint8_t>(key >> 32);
+  for (std::size_t off = 0; off + 16 <= lo.size(); ++off) {
+    const std::uint32_t ref = match_tag40_scalar(lo.data() + off, hi.data() + off, 16, key);
+    EXPECT_EQ(match_tag40(lo.data() + off, hi.data() + off, 16, key), ref) << "off=" << off;
   }
 }
 

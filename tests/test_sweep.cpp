@@ -1,10 +1,10 @@
-// Parallel-sweep determinism and SoA-cache equivalence.
+// Parallel-sweep determinism and live-cache equivalence.
 //
 // Two guarantees this file pins down:
 //   * run_sweep / run_schemes produce byte-identical results for
 //     any job count — parallelism only changes the wall-clock (the whole
 //     point of pre-sized result slots + per-run Chip isolation);
-//   * the structure-of-arrays SetAssocCache makes exactly the decisions of
+//   * the live SetAssocCache makes exactly the decisions of
 //     the pre-rewrite array-of-structs engine (bench/legacy_cache.hpp is
 //     the frozen oracle) on randomized traces exercising way masks,
 //     eviction preferences, touches and invalidations.
@@ -77,30 +77,40 @@ TEST(Sweep, EmptyAndSingleJobEdgeCases) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA cache vs the frozen pre-rewrite oracle.
+// The live cache vs the frozen pre-rewrite oracle.
 // ---------------------------------------------------------------------------
 
 /// Replays a randomized trace against both engines, asserting identical
 /// per-access decisions.  `footprint_ways` scales the working set relative
 /// to capacity; `masked` mixes in partial insertion masks and eviction
-/// preferences like the partitioned schemes do.
+/// preferences like the partitioned schemes do.  `wide` gives each block
+/// one of four high tag bytes (bits 32-39: 0x00, 0x01, 0x7F, 0xFF), so
+/// lines that share their low 32 bits meet in one set and only the high
+/// byte tells them apart, and draws owners from {0, 1, 127, 254}, the
+/// ends of the one-byte owner lane.
 void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
-                        int ways = 8) {
+                        int ways = 8, bool wide = false) {
   constexpr std::uint32_t kSets = 64;
+  constexpr std::uint64_t kHigh[] = {0x00, 0x01, 0x7F, 0xFF};
+  constexpr CoreId kWideOwners[] = {0, 1, 127, 254};
   mem::SetAssocCache soa(kSets, ways);
   bench::legacy::SetAssocCache aos(kSets, ways);
   Rng rng(seed);
+  const auto draw_owner = [&] {
+    return wide ? kWideOwners[rng.below(4)] : static_cast<CoreId>(rng.below(4));
+  };
   for (int i = 0; i < 200'000; ++i) {
-    const BlockAddr block =
+    BlockAddr block =
         rng.below(std::uint64_t{kSets} * static_cast<std::uint64_t>(footprint_ways));
+    if (wide) block |= kHigh[rng.below(4)] << 32;
     const std::uint32_t set = static_cast<std::uint32_t>(block) & (kSets - 1);
-    const CoreId owner = static_cast<CoreId>(rng.below(4));
+    const CoreId owner = draw_owner();
     mem::WayMask mask = mem::full_mask(ways);
     CoreId pref = kInvalidCore;
     if (masked) {
       // Random (sometimes empty -> bypass) mask; occasional victim owner.
       mask = static_cast<mem::WayMask>(rng.below(std::uint64_t{1} << ways));
-      if (rng.below(4) == 0) pref = static_cast<CoreId>(rng.below(4));
+      if (rng.below(4) == 0) pref = draw_owner();
     }
     const std::uint64_t op = rng.below(16);
     if (op == 14) {
@@ -137,6 +147,17 @@ TEST(CacheEquivalence, BankWaysMaskedAndPreferredVictims) {
 TEST(CacheEquivalence, WidestFullMask) { replay_and_compare(7, 48, false, 32); }
 TEST(CacheEquivalence, WidestMaskedAndPreferredVictims) {
   replay_and_compare(8, 48, true, 32);
+}
+// 40-bit tags and one-byte owners at both record strides (128 B up to 16
+// ways, 256 B beyond): 1, 8 and 16 ways fill one tag line, 17 and 32 two.
+TEST(CacheEquivalence, FortyBitTagsAndHighOwnersAtEveryStride) {
+  for (const int ways : {1, 8, 16, 17, 32}) {
+    for (const bool masked : {false, true}) {
+      SCOPED_TRACE(testing::Message() << ways << " ways, masked " << masked);
+      replay_and_compare(100 + static_cast<std::uint64_t>(ways), ways / 2 + 1, masked, ways,
+                         /*wide=*/true);
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "workload/generator.hpp"
+#include "workload/irregular.hpp"
 #include "workload/mixes.hpp"
 #include "workload/spec.hpp"
 
@@ -115,6 +119,48 @@ TEST(TraceGen, SinglePhaseIgnoresEpoch) {
   const Phase* ph = &g.phase();
   g.set_epoch(12345);
   EXPECT_EQ(&g.phase(), ph);
+}
+
+/// The ring choice TraceGen made before its threshold table: scale the
+/// 53-bit draw to a double in [0, total) and scan the cumulative weights.
+std::size_t historical_ring(const std::vector<double>& cum, std::uint64_t k) {
+  const double r = static_cast<double>(k) * 0x1.0p-53 * cum.back();
+  std::size_t i = 0;
+  while (i + 1 < cum.size() && r >= cum[i]) ++i;
+  return i;
+}
+
+TEST(TraceGen, ThresholdRingChoiceMatchesTheDoubleScan) {
+  // Every phase of every ring-driven profile (Table III stand-ins and the
+  // irregular kernels): the integer thresholds must pick the ring the
+  // double scan picked, right at each boundary and on random draws.
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  Rng rng(0x7e57);
+  std::size_t phases = 0;
+  for (const auto* family : {&spec_profiles(), &irregular_profiles()}) {
+    for (const AppProfile& p : *family) {
+      for (const Phase& ph : p.phases) {
+        ++phases;
+        std::vector<double> cum;
+        double sum = 0.0;
+        for (const Ring& r : ph.rings) cum.push_back(sum += r.weight);
+        const std::vector<std::uint64_t> t = ring_thresholds(cum);
+        ASSERT_EQ(t.size(), cum.size() - 1) << p.name;
+        const auto check = [&](std::uint64_t k) {
+          EXPECT_EQ(choose_ring(t.data(), t.size(), k), historical_ring(cum, k))
+              << p.name << " draw " << k;
+        };
+        for (const std::uint64_t tj : t) {
+          if (tj > 0) check(tj - 1);
+          if (tj < kDraws) check(tj);
+        }
+        check(0);
+        check(kDraws - 1);
+        for (int i = 0; i < 100'000; ++i) check(rng() >> 11);
+      }
+    }
+  }
+  EXPECT_GT(phases, 29u);
 }
 
 TEST(Mixes, FifteenMixesOfSixteen) {
