@@ -7,6 +7,7 @@
 //
 // Shows the inter-bank challenge expansion (including the idle-bank fast
 // path) and the intra-bank fine-tuning the paper describes in Sec. II-D.
+#include <bit>
 #include <cstdio>
 
 #include "sim/chip.hpp"
@@ -17,23 +18,12 @@ namespace {
 using namespace delta;
 
 void print_ownership(sim::Chip& chip) {
-  // For each bank, how many ways each of a few interesting cores owns.
+  // For each bank, how many ways core 0 may insert into.
   std::printf("  bank:        ");
   for (int b = 0; b < chip.cores(); ++b) std::printf("%3d", b);
   std::printf("\n  mcf@0 ways:  ");
   for (int b = 0; b < chip.cores(); ++b)
-    std::printf("%3d", chip.scheme().allocated_ways(chip, 0) >= 0
-                           ? [&] {
-                               // Count core 0's lines allowance via mask bits.
-                               int n = 0;
-                               auto mask = chip.scheme().insert_mask(chip, 0, b);
-                               while (mask) {
-                                 n += static_cast<int>(mask & 1);
-                                 mask >>= 1;
-                               }
-                               return n;
-                             }()
-                           : 0);
+    std::printf("%3d", std::popcount(chip.plan().mask(0, b)));
   std::printf("\n");
 }
 

@@ -151,6 +151,20 @@ void InvariantChecker::check_cbts(sim::Chip& chip, std::uint64_t epoch) {
       }
     }
 
+    // The engines route through the plan's copy of the map, so a copy the
+    // scheme forgot to refresh misroutes every access it covers.
+    const auto& map = cbt->select_map();
+    const auto& route = chip.plan().route[static_cast<std::size_t>(c)];
+    for (std::size_t v = 0; v < map.size(); ++v) {
+      if (route[v] != map[v]) {
+        report(chip, Violation{InvariantKind::kCbtMapMismatch, epoch, c, map[v],
+                               route[v], map[v],
+                               "plan route disagrees with the CBT at select byte " +
+                                   std::to_string(v)});
+        break;
+      }
+    }
+
     // Reachability: a mapped bank must hold at least one of the core's ways
     // ("all of a core's addresses stay backed by capacity it owns").
     for (const core::CbtRange& r : ranges) {
@@ -200,7 +214,6 @@ void InvariantChecker::check_cbts(sim::Chip& chip, std::uint64_t epoch) {
 }
 
 void InvariantChecker::check_residency(sim::Chip& chip, std::uint64_t epoch) {
-  sim::Scheme& sch = chip.scheme();
   const int cores = chip.cores();
   std::vector<std::int64_t> owned(static_cast<std::size_t>(cores), 0);
   std::vector<BlockAddr> set_blocks;
@@ -229,7 +242,7 @@ void InvariantChecker::check_residency(sim::Chip& chip, std::uint64_t epoch) {
       ++owned[static_cast<std::size_t>(owner)];
       // The line must sit exactly where its owner's *current* mapping puts
       // the block — this is what bulk invalidation after a remap preserves.
-      const sim::BankTarget t = sch.map(chip, owner, block);
+      const sim::BankTarget t = chip.plan().target(owner, block);
       if (t.bank != b || t.set != set)
         report(chip,
                Violation{InvariantKind::kResidencyAgreement, epoch, owner, b,
@@ -237,7 +250,7 @@ void InvariantChecker::check_residency(sim::Chip& chip, std::uint64_t epoch) {
                          "line resident outside its owner's current mapping"});
     });
     for (CoreId c = 0; c < cores; ++c) {
-      const std::int64_t tracked = sch.tracked_occupancy(b, c);
+      const std::int64_t tracked = chip.tracked_occupancy(b, c);
       if (tracked >= 0 && tracked != owned[static_cast<std::size_t>(c)])
         report(chip, Violation{InvariantKind::kOccupancyAgreement, epoch, c, b,
                                tracked, owned[static_cast<std::size_t>(c)],

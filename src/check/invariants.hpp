@@ -14,9 +14,9 @@
 //   * allocation accounting: the scheme's chip-wide way total for a core
 //     equals the sum over all banks' WP units (catches acq_order drift),
 //   * CBT validity: ranges tile the full 256-chunk index space, the flat
-//     chunk map matches the range list, every mapped bank is reachable
-//     (holds >= 1 way), and range sizes stay proportional to the
-//     allocation recorded at rebuild time,
+//     chunk map matches the range list and the plan's route copy, every
+//     mapped bank is reachable (holds >= 1 way), and range sizes stay
+//     proportional to the allocation recorded at rebuild time,
 //   * residency agreement: every resident line is in exactly the (bank,
 //     set) its owner's current mapping produces — which subsumes
 //     bulk-invalidation completeness after a remap — with no duplicate

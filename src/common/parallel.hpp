@@ -1,6 +1,7 @@
-// parallel_for: static round-robin fork-join helper over an index range
-// (thread t handles begin+t, begin+t+threads, ...; no work stealing, no
-// shared queue).
+// parallel_for: fork-join helper over an index range.  Workers claim the
+// next unrun index from one shared atomic counter, so a thread that draws
+// short runs keeps drawing while a long one finishes; results stay
+// index-addressed, so which thread ran an index never shows in them.
 //
 // The experiment drivers use it to fan independent (mix, scheme, config)
 // runs over hardware threads.  It degenerates to a plain serial loop when
@@ -105,12 +106,14 @@ inline void parallel_for(std::size_t begin, std::size_t end,
     return;
   }
   detail::ErrorSlot error;
+  std::atomic<std::size_t> next{begin};
   std::vector<std::thread> pool;
   pool.reserve(hw);
   for (unsigned t = 0; t < hw; ++t) {
-    pool.emplace_back([&, t] {
-      // Static round-robin assignment: thread t handles begin+t, begin+t+hw, ...
-      for (std::size_t i = begin + t; i < end; i += hw) {
+    pool.emplace_back([&] {
+      // Claim indices in ascending order until the range is drained.
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < end;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
         if (error.failed()) return;
         try {
           body(i);

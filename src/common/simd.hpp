@@ -6,16 +6,16 @@
 // fallback stays exercised (CI builds -DDELTA_NO_SIMD=ON).
 //
 // Backend selection is compile-time: SSE2 on x86-64, NEON on AArch64, a
-// branch-free uint64 SWAR loop elsewhere, and plain scalar when
-// DELTA_NO_SIMD is defined.  The tag kernels compute *exact* 40-bit
-// (cache tags) or 64-bit (UMON stacks) equality and the rank kernels exact
-// byte compares, so every backend is bit-identical to its `*_scalar`
-// reference by construction — the property the cache/UMON equivalence
+// portable SWAR build elsewhere, and plain scalar when DELTA_NO_SIMD is
+// defined.  The tag kernels compute *exact* 40-bit (cache tags) or 32-bit
+// (UMON stacks) equality and the rank kernels exact byte compares, so
+// every backend is bit-identical to its `*_scalar` reference by
+// construction — the property the cache/UMON equivalence
 // suites and the frozen legacy-oracle replay in micro_throughput verify
 // end to end (docs/performance.md "Vectorized kernels").  micro_throughput
 // also fails when an SSE2 kernel's speedup over its scalar reference drops
-// below a floor.  The 40-bit tag and rank kernels have an SSE2 path only;
-// NEON and SWAR builds run their scalar references.
+// below a floor.  Every kernel has an SSE2 path only; NEON and SWAR builds
+// run the scalar references.
 #pragma once
 
 #include <bit>
@@ -27,7 +27,6 @@
 #include <emmintrin.h>
 #define DELTA_SIMD_SSE2 1
 #elif defined(__aarch64__) || defined(__ARM_NEON)
-#include <arm_neon.h>
 #define DELTA_SIMD_NEON 1
 #else
 #define DELTA_SIMD_SWAR 1
@@ -71,42 +70,6 @@ inline std::uint32_t match_tag40_scalar(const std::uint32_t* lo, const std::uint
   return m;
 }
 
-namespace detail {
-
-/// Branch-free "is nonzero" for one u64: 1 when z != 0, else 0.
-inline std::uint64_t nonzero_u64(std::uint64_t z) {
-  return (z | (0 - z)) >> 63;
-}
-
-/// SWAR 4-lane match: bits [0,4) of the result flag vals[0..3] == key.
-inline std::uint32_t match4_swar(const std::uint64_t* vals, std::uint64_t key) {
-  const std::uint64_t z0 = vals[0] ^ key;
-  const std::uint64_t z1 = vals[1] ^ key;
-  const std::uint64_t z2 = vals[2] ^ key;
-  const std::uint64_t z3 = vals[3] ^ key;
-  return static_cast<std::uint32_t>((nonzero_u64(z0) ^ 1) |
-                                    ((nonzero_u64(z1) ^ 1) << 1) |
-                                    ((nonzero_u64(z2) ^ 1) << 2) |
-                                    ((nonzero_u64(z3) ^ 1) << 3));
-}
-
-#if defined(DELTA_SIMD_SSE2)
-/// Two-lane u64 equality mask (bits 0 and 1) from one unaligned 16 B load.
-/// SSE2 has no 64-bit compare, so equality is two 32-bit compares ANDed
-/// with their swapped halves; the sign bit of each 64-bit lane then carries
-/// the verdict out through movemask_pd.
-inline std::uint32_t match2_sse2(const std::uint64_t* vals, __m128i key2) {
-  const __m128i v =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals));
-  const __m128i eq32 = _mm_cmpeq_epi32(v, key2);
-  const __m128i eq64 =
-      _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<std::uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(eq64)));
-}
-#endif
-
-}  // namespace detail
-
 /// 40-bit tag equality bitmask over split tag rows: bit i set iff
 /// (hi[i] << 32 | lo[i]) == key, i in [0, n), n <= 32.  This is the cache
 /// hit path's tag compare, the hottest kernel in the simulator
@@ -140,9 +103,9 @@ inline std::uint32_t match_tag40(const std::uint32_t* lo, const std::uint8_t* hi
 #endif
 }
 
-/// Scalar reference for find_u64 (first index of key in [0, n), else n).
-inline std::size_t find_u64_scalar(const std::uint64_t* vals, std::size_t n,
-                                   std::uint64_t key) {
+/// Scalar reference for find_u32 (first index of key in [0, n), else n).
+inline std::size_t find_u32_scalar(const std::uint32_t* vals, std::size_t n,
+                                   std::uint32_t key) {
   for (std::size_t i = 0; i < n; ++i)
     if (vals[i] == key) return i;
   return n;
@@ -150,62 +113,35 @@ inline std::size_t find_u64_scalar(const std::uint64_t* vals, std::size_t n,
 
 /// First index i in [0, n) with vals[i] == key, or n when absent.  Backs
 /// the UMON shadow-tag stack search (umon/umon.cpp), where stacks run to
-/// hundreds of entries and most probes miss every lane.
-inline std::size_t find_u64(const std::uint64_t* vals, std::size_t n,
-                            std::uint64_t key) {
+/// hundreds of entries and most probes miss every lane.  SSE2 compares 16
+/// lanes per step with four 32-bit compares packed to one byte movemask,
+/// then 4 lanes per step, then the scalar tail.
+inline std::size_t find_u32(const std::uint32_t* vals, std::size_t n, std::uint32_t key) {
 #if defined(DELTA_SIMD_SSE2)
-  const __m128i k = _mm_set1_epi64x(static_cast<long long>(key));
+  const __m128i k = _mm_set1_epi32(static_cast<int>(key));
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint32_t m =
-        detail::match2_sse2(vals + i, k) | (detail::match2_sse2(vals + i + 2, k) << 2) |
-        (detail::match2_sse2(vals + i + 4, k) << 4) |
-        (detail::match2_sse2(vals + i + 6, k) << 6);
-    if (m != 0) {
-      std::size_t j = 0;
-      while (((m >> j) & 1u) == 0) ++j;
-      return i + j;
-    }
+  for (; i + 16 <= n; i += 16) {
+    const auto* row = reinterpret_cast<const __m128i*>(vals + i);
+    const __m128i e0 = _mm_cmpeq_epi32(_mm_loadu_si128(row), k);
+    const __m128i e1 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 1), k);
+    const __m128i e2 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 2), k);
+    const __m128i e3 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 3), k);
+    // Each compare lane is 0 or -1, so the saturating packs keep 0 / -1.
+    const auto m = static_cast<unsigned>(_mm_movemask_epi8(
+        _mm_packs_epi16(_mm_packs_epi32(e0, e1), _mm_packs_epi32(e2, e3))));
+    if (m != 0) return i + static_cast<std::size_t>(std::countr_zero(m));
   }
-  for (; i + 2 <= n; i += 2) {
-    const std::uint32_t m = detail::match2_sse2(vals + i, k);
-    if (m != 0) return i + ((m & 1u) != 0 ? 0 : 1);
-  }
-  for (; i < n; ++i)
-    if (vals[i] == key) return i;
-  return n;
-#elif defined(DELTA_SIMD_NEON)
-  const uint64x2_t k = vdupq_n_u64(key);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint64x2_t e0 = vceqq_u64(vld1q_u64(vals + i), k);
-    const uint64x2_t e1 = vceqq_u64(vld1q_u64(vals + i + 2), k);
-    const uint64x2_t e2 = vceqq_u64(vld1q_u64(vals + i + 4), k);
-    const uint64x2_t e3 = vceqq_u64(vld1q_u64(vals + i + 6), k);
-    const uint64x2_t any = vorrq_u64(vorrq_u64(e0, e1), vorrq_u64(e2, e3));
-    if (vmaxvq_u32(vreinterpretq_u32_u64(any)) != 0) {
-      for (std::size_t j = i; j < i + 8; ++j)
-        if (vals[j] == key) return j;
-    }
-  }
-  for (; i < n; ++i)
-    if (vals[i] == key) return i;
-  return n;
-#elif defined(DELTA_SIMD_SWAR)
-  std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const std::uint32_t m = detail::match4_swar(vals + i, key);
-    if (m != 0) {
-      std::size_t j = 0;
-      while (((m >> j) & 1u) == 0) ++j;
-      return i + j;
-    }
+    const __m128i e =
+        _mm_cmpeq_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i)), k);
+    const auto m = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(e)));
+    if (m != 0) return i + static_cast<std::size_t>(std::countr_zero(m));
   }
   for (; i < n; ++i)
     if (vals[i] == key) return i;
   return n;
 #else
-  return find_u64_scalar(vals, n, key);
+  return find_u32_scalar(vals, n, key);
 #endif
 }
 

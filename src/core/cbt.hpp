@@ -56,6 +56,9 @@ class Cbt {
     return select_map_[mem::bank_select_byte(block, sets_log2)];
   }
 
+  /// Bank per raw bank-selection byte: the table lookup() indexes.
+  const std::array<BankId, mem::kNumChunks>& select_map() const { return select_map_; }
+
   bool reverse_bits() const { return reverse_bits_; }
 
   const std::vector<CbtRange>& ranges() const { return ranges_; }

@@ -42,6 +42,12 @@ class OccupancyEnforcer {
     auto& n = lines_[static_cast<std::size_t>(owner)];
     if (n > 0) --n;
   }
+  /// One fill by `owner` that displaced a line of `victim_owner`
+  /// (kInvalidCore when it took an empty way or evicted an unowned line).
+  void on_fill(CoreId owner, CoreId victim_owner) {
+    on_insert(owner);
+    if (victim_owner != kInvalidCore) on_evict(victim_owner);
+  }
 
   std::uint64_t occupancy(CoreId core) const {
     return lines_[static_cast<std::size_t>(core)];

@@ -1,7 +1,5 @@
 #include "lint/ir.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cctype>
 
 namespace delta::lint {
@@ -9,28 +7,6 @@ namespace {
 
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool is_keyword(std::string_view s) {
-  static constexpr std::string_view kKeywords[] = {
-      "alignas",  "alignof",  "auto",     "bool",      "break",    "case",
-      "catch",    "char",     "class",    "const",     "constexpr",
-      "consteval","constinit","continue", "decltype",  "default",  "delete",
-      "do",       "double",   "else",     "enum",      "explicit", "export",
-      "extern",   "false",    "final",    "float",     "for",      "friend",
-      "goto",     "if",       "inline",   "int",       "long",     "mutable",
-      "namespace","new",      "noexcept", "nullptr",   "operator", "override",
-      "private",  "protected","public",   "register",  "return",   "short",
-      "signed",   "sizeof",   "static",   "struct",    "switch",   "template",
-      "this",     "throw",    "true",     "try",       "typedef",  "typeid",
-      "typename", "union",    "unsigned", "using",     "virtual",  "void",
-      "volatile", "while"};
-  return std::find(std::begin(kKeywords), std::end(kKeywords), s) !=
-         std::end(kKeywords);
 }
 
 }  // namespace
@@ -136,338 +112,6 @@ bool suppressed(std::string_view raw_line, std::string_view rule) {
     start = end + 1;
   }
   return false;
-}
-
-bool phase_annotated(std::string_view raw_line, std::string_view tag) {
-  const std::size_t mark = raw_line.find("delta-phase:");
-  if (mark == std::string_view::npos) return false;
-  std::size_t p = mark + std::string_view("delta-phase:").size();
-  while (p < raw_line.size() && raw_line[p] == ' ') ++p;
-  if (raw_line.compare(p, tag.size(), tag) != 0) return false;
-  const std::size_t end = p + tag.size();
-  return end >= raw_line.size() || !ident_char(raw_line[end]);
-}
-
-std::vector<Token> tokenize(std::string_view scrubbed) {
-  // Longest-match-first operator table: everything a checker must not
-  // confuse with plain `=` (or must see as one unit, like `->`).
-  static constexpr std::string_view kOps3[] = {"<<=", ">>=", "->*", "..."};
-  static constexpr std::string_view kOps2[] = {
-      "->", "::", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=",
-      "|=", "^=", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>"};
-
-  std::vector<Token> tokens;
-  int line = 1;
-  std::size_t i = 0;
-  while (i < scrubbed.size()) {
-    const char c = scrubbed[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-      ++i;
-      continue;
-    }
-    if (ident_start(c)) {
-      std::size_t j = i + 1;
-      while (j < scrubbed.size() && ident_char(scrubbed[j])) ++j;
-      tokens.push_back(Token{scrubbed.substr(i, j - i), TokKind::kIdent, line});
-      i = j;
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      std::size_t j = i + 1;
-      while (j < scrubbed.size() &&
-             (ident_char(scrubbed[j]) || scrubbed[j] == '.' || scrubbed[j] == '\''))
-        ++j;
-      tokens.push_back(Token{scrubbed.substr(i, j - i), TokKind::kNumber, line});
-      i = j;
-      continue;
-    }
-    std::size_t len = 1;
-    for (std::string_view op : kOps3)
-      if (scrubbed.compare(i, op.size(), op) == 0) {
-        len = op.size();
-        break;
-      }
-    if (len == 1)
-      for (std::string_view op : kOps2)
-        if (scrubbed.compare(i, op.size(), op) == 0) {
-          len = op.size();
-          break;
-        }
-    tokens.push_back(Token{scrubbed.substr(i, len), TokKind::kPunct, line});
-    i += len;
-  }
-  return tokens;
-}
-
-namespace {
-
-using Tokens = std::vector<Token>;
-
-/// Index one past the `}` matching the `{` at `open`; tokens.size() when
-/// unbalanced.
-std::size_t match_brace(const Tokens& t, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].text == "{") ++depth;
-    else if (t[i].text == "}" && --depth == 0) return i + 1;
-  }
-  return t.size();
-}
-
-/// Scans `class`/`struct` heads.  On success fills `out` (name, bases,
-/// body token range) and returns the index one past the closing `}`;
-/// otherwise returns `i + 1` (not a class definition: forward declaration,
-/// template parameter, elaborated type specifier...).
-std::size_t parse_class_head(const Tokens& t, std::size_t i, ClassDecl* out,
-                             bool* ok) {
-  *ok = false;
-  std::size_t j = i + 1;
-  if (i > 0 && t[i - 1].text == "enum") return j;  // enum class
-  if (j >= t.size() || t[j].kind != TokKind::kIdent || is_keyword(t[j].text))
-    return j;
-  ClassDecl cls;
-  cls.name = std::string(t[j].text);
-  cls.line = t[j].line;
-  ++j;
-  if (j < t.size() && t[j].text == "final") ++j;
-  if (j < t.size() && t[j].text == ":") {
-    // Base-clause: collect the last identifier of each `::`-qualified (and
-    // possibly templated) base name.
-    ++j;
-    std::string last_ident;
-    int angle = 0;
-    for (; j < t.size(); ++j) {
-      const std::string_view s = t[j].text;
-      if (s == "<") ++angle;
-      else if (s == ">") --angle;
-      else if (s == ">>") angle -= 2;
-      else if (angle == 0 && (s == "," || s == "{" || s == ";")) {
-        if (!last_ident.empty()) cls.bases.push_back(last_ident);
-        last_ident.clear();
-        if (s != ",") break;
-      } else if (angle == 0 && t[j].kind == TokKind::kIdent &&
-                 !is_keyword(s)) {
-        last_ident = std::string(s);
-      }
-    }
-  }
-  if (j >= t.size() || t[j].text != "{") return i + 1;
-  cls.body_begin = j + 1;
-  const std::size_t end = match_brace(t, j);
-  cls.body_end = end > 0 ? end - 1 : j + 1;
-  *out = std::move(cls);
-  *ok = true;
-  return end;
-}
-
-/// Skips a constructor's member-init list starting at the `:` token;
-/// returns the index of the body `{` (or an end/terminator index).
-std::size_t skip_ctor_init(const Tokens& t, std::size_t i, std::size_t end) {
-  ++i;  // past ':'
-  while (i < end) {
-    // Initializer: name (possibly qualified/templated) then (...) or {...}.
-    while (i < end && t[i].text != "(" && t[i].text != "{" && t[i].text != ";")
-      ++i;
-    if (i >= end || t[i].text == ";") return i;
-    if (t[i].text == "(") {
-      int depth = 0;
-      for (; i < end; ++i) {
-        if (t[i].text == "(") ++depth;
-        else if (t[i].text == ")" && --depth == 0) { ++i; break; }
-      }
-    } else {
-      i = match_brace(t, i);
-    }
-    if (i < end && t[i].text == ",") { ++i; continue; }
-    // Next `{` (if any) is the constructor body.
-    while (i < end && t[i].text != "{" && t[i].text != ";") ++i;
-    return i;
-  }
-  return i;
-}
-
-/// Parses the members in `cls`'s body token range.  Nested class bodies
-/// are skipped here; pass 1 indexes them as classes of their own.
-void parse_members(const Tokens& t, ClassDecl& cls) {
-  std::size_t i = cls.body_begin;
-  const std::size_t end = cls.body_end;
-  while (i < end) {
-    const std::string_view s = t[i].text;
-    // Access specifiers.
-    if ((s == "public" || s == "private" || s == "protected") && i + 1 < end &&
-        t[i + 1].text == ":") {
-      i += 2;
-      continue;
-    }
-    if (s == ";") { ++i; continue; }
-    // Declarations a field/method scan must not misread.
-    if (s == "using" || s == "typedef" || s == "friend" ||
-        s == "static_assert" || s == "enum" || s == "class" || s == "struct") {
-      while (i < end && t[i].text != ";") {
-        if (t[i].text == "{") { i = match_brace(t, i); continue; }
-        ++i;
-      }
-      ++i;
-      continue;
-    }
-    if (s == "template") {
-      // Skip the parameter list; the declaration that follows parses
-      // normally on the next iterations.
-      ++i;
-      int angle = 0;
-      for (; i < end; ++i) {
-        if (t[i].text == "<") ++angle;
-        else if (t[i].text == ">") { if (--angle == 0) { ++i; break; } }
-        else if (t[i].text == ">>") { angle -= 2; if (angle <= 0) { ++i; break; } }
-      }
-      continue;
-    }
-
-    // Generic member declaration: walk to the first top-level `(`, `=`,
-    // `{` or `;` to classify method vs field.
-    const std::size_t decl_start = i;
-    std::size_t first_paren = 0, first_assign = 0, term = 0;
-    int pdepth = 0, adepth = 0;
-    for (std::size_t k = i; k < end; ++k) {
-      const std::string_view v = t[k].text;
-      if (v == "(") {
-        if (pdepth == 0 && adepth == 0 && first_paren == 0) first_paren = k;
-        ++pdepth;
-      } else if (v == ")") {
-        --pdepth;
-      } else if (pdepth == 0) {
-        if (v == "<") ++adepth;
-        else if (v == ">") adepth = adepth > 0 ? adepth - 1 : 0;
-        else if (v == ">>") adepth = adepth >= 2 ? adepth - 2 : 0;
-        else if (adepth == 0 && v == "=" && first_assign == 0 &&
-                 first_paren == 0) first_assign = k;
-        else if (adepth == 0 && (v == ";" || v == "{")) { term = k; break; }
-      }
-    }
-    if (term == 0) break;  // Unbalanced tail; stop scanning this class.
-
-    const bool is_method = first_paren != 0 && first_assign == 0;
-    if (is_method) {
-      MethodDecl m;
-      const Token& before = t[first_paren - 1];
-      if (before.kind == TokKind::kIdent && !is_keyword(before.text)) {
-        m.name = std::string(before.text);
-      } else if (first_paren >= 2 && t[first_paren - 2].text == "operator") {
-        m.name = "operator" + std::string(before.text);
-      }
-      m.line = t[decl_start].line;
-      for (std::size_t k = decl_start; k < first_paren; ++k)
-        if (t[k].text == "static") m.is_static = true;
-      // Trailer: match the parameter list, then scan cv/virt specifiers up
-      // to the body/terminator.
-      std::size_t k = first_paren;
-      int depth = 0;
-      for (; k < end; ++k) {
-        if (t[k].text == "(") ++depth;
-        else if (t[k].text == ")" && --depth == 0) { ++k; break; }
-      }
-      bool pure_or_defaulted = false;
-      for (; k < end; ++k) {
-        const std::string_view v = t[k].text;
-        if (v == "const") m.is_const = true;
-        else if (v == "override" || v == "final") m.is_override = true;
-        else if (v == ":") { k = skip_ctor_init(t, k, end); break; }
-        else if (v == "=") pure_or_defaulted = true;
-        else if (v == "{" || v == ";") break;
-      }
-      if (k < end && t[k].text == "{" && !pure_or_defaulted) {
-        m.has_body = true;
-        m.body_begin = k + 1;
-        const std::size_t close = match_brace(t, k);
-        m.body_end = close > 0 ? close - 1 : k + 1;
-        i = close;
-      } else {
-        while (k < end && t[k].text != ";") {
-          if (t[k].text == "{") { k = match_brace(t, k); continue; }
-          ++k;
-        }
-        i = k + 1;
-      }
-      if (!m.name.empty()) cls.methods.push_back(std::move(m));
-      continue;
-    }
-
-    // Field: name is the last identifier before the initializer/terminator
-    // (skipping array extents).
-    std::size_t stop = term;
-    if (first_assign != 0) stop = first_assign;
-    std::size_t name_idx = 0;
-    for (std::size_t k = decl_start; k < stop; ++k) {
-      if (t[k].text == "[") {  // array extent; the name precedes it
-        break;
-      }
-      if (t[k].kind == TokKind::kIdent && !is_keyword(t[k].text) &&
-          (k + 1 >= stop || t[k + 1].text != "::"))
-        name_idx = k;
-    }
-    if (name_idx != 0) {
-      // Reject qualified names (`Type::member` definitions can't appear
-      // here) and template arguments mistaken for names.
-      const bool qualified = t[name_idx - 1].text == "::";
-      bool in_angles = false;
-      int adepth2 = 0;
-      for (std::size_t k = decl_start; k < name_idx; ++k) {
-        if (t[k].text == "<") ++adepth2;
-        else if (t[k].text == ">") adepth2 = adepth2 > 0 ? adepth2 - 1 : 0;
-        else if (t[k].text == ">>") adepth2 = adepth2 >= 2 ? adepth2 - 2 : 0;
-      }
-      in_angles = adepth2 > 0;
-      if (!qualified && !in_angles) {
-        FieldDecl f;
-        f.name = std::string(t[name_idx].text);
-        f.line = t[name_idx].line;
-        for (std::size_t k = decl_start; k < name_idx; ++k) {
-          const std::string_view v = t[k].text;
-          if (v == "mutable") f.is_mutable = true;
-          else if (v == "static") f.is_static = true;
-          else if (v == "*" || v == "unique_ptr" || v == "shared_ptr")
-            f.is_pointer_like = true;
-        }
-        cls.fields.push_back(std::move(f));
-      }
-    }
-    // Advance past the declaration (through any brace-init to the `;`).
-    std::size_t k = term;
-    while (k < end && t[k].text != ";") {
-      if (t[k].text == "{") { k = match_brace(t, k); continue; }
-      ++k;
-    }
-    i = k + 1;
-  }
-}
-
-}  // namespace
-
-TranslationUnit parse_tu(std::string_view text) {
-  TranslationUnit tu;
-  tu.scrubbed = scrub(text);
-  tu.tokens = tokenize(tu.scrubbed);
-
-  // Pass 1: locate every class/struct definition (including nested ones).
-  for (std::size_t i = 0; i < tu.tokens.size(); ++i) {
-    if (tu.tokens[i].text != "class" && tu.tokens[i].text != "struct") continue;
-    ClassDecl cls;
-    bool ok = false;
-    const std::size_t next = parse_class_head(tu.tokens, i, &cls, &ok);
-    if (ok) tu.classes.push_back(std::move(cls));
-    // Continue scanning *inside* the class too so nested classes are found:
-    // do not jump to `next` — just ensure forward progress.
-    (void)next;
-  }
-
-  // Pass 2: members (nested class declarations are skipped inside).
-  for (ClassDecl& cls : tu.classes) parse_members(tu.tokens, cls);
-  return tu;
 }
 
 std::vector<IncludeDirective> parse_includes(std::string_view text) {

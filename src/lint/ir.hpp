@@ -1,26 +1,14 @@
-// Token-level C++ front for the semantic lint rules (phase-effect,
-// layering).  Deliberately *not* a real C++ parser: no preprocessing, no
-// overload resolution, no cross-TU type information.  It recovers exactly
-// the facts the checkers need from a single translation unit's text —
+// Text front of the lint rules.  Deliberately *not* a C++ parser: no
+// preprocessing, no tokens, no type information.  It recovers exactly what
+// the rules need from one file's text —
 //
 //   * a scrubbed view of the source (comments and literal bodies blanked,
-//     offsets preserved) shared with the lexical rules in lint.cpp;
-//   * a token stream with line numbers and maximal-munch punctuation
-//     (so `==` is never misread as an assignment);
-//   * a per-TU symbol index: every class/struct with its base-class names,
-//     member fields (mutable/static/pointer-likeness) and member functions
-//     (const-ness, override-ness, body token ranges);
+//     offsets preserved) for the lexical rules in lint.cpp;
+//   * the `// delta-lint: allow(...)` suppression grammar;
 //   * the file's `#include "..."` directives for the repo-wide include
-//     graph.
-//
-// The index is conservative where C++ is ambiguous (a declaration it cannot
-// classify is skipped, never guessed), which is the right failure mode for
-// a linter: the checkers built on top (phase_check.hpp, layering.hpp) only
-// act on facts recovered with confidence, and the annotation grammar
-// (`// delta-phase: ...`, `// delta-lint: allow(...)`) covers the rest.
+//     graph (layering.hpp).
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,75 +28,6 @@ std::vector<std::string_view> split_lines(std::string_view text);
 /// True when `raw_line` carries `// delta-lint: allow(<rule>[, <rule>...])`
 /// naming `rule`.
 bool suppressed(std::string_view raw_line, std::string_view rule);
-
-/// True when `raw_line` carries the `// delta-phase: <tag>` annotation
-/// (e.g. tag == "epoch-constant").
-bool phase_annotated(std::string_view raw_line, std::string_view tag);
-
-// ---- Tokens. ----
-
-enum class TokKind { kIdent, kNumber, kPunct };
-
-struct Token {
-  std::string_view text;
-  TokKind kind = TokKind::kPunct;
-  int line = 0;  ///< 1-based.
-};
-
-/// Tokenizes scrubbed source.  Multi-character operators (`->`, `::`,
-/// `++`, `==`, `+=`, `<<=`, ...) come out as single tokens; everything the
-/// checkers must not confuse with `=` does too.  The returned views point
-/// into `scrubbed`, which must outlive the tokens.
-std::vector<Token> tokenize(std::string_view scrubbed);
-
-// ---- Per-TU symbol index. ----
-
-struct FieldDecl {
-  std::string name;
-  int line = 0;
-  bool is_mutable = false;
-  bool is_static = false;
-  /// Declared with `*`, `std::unique_ptr` or `std::shared_ptr`: const
-  /// member functions may still call mutating operations through it.
-  bool is_pointer_like = false;
-};
-
-struct MethodDecl {
-  std::string name;
-  int line = 0;
-  bool is_const = false;
-  bool is_static = false;
-  bool is_override = false;
-  bool has_body = false;
-  /// Token range [body_begin, body_end) of the function body in the TU's
-  /// token stream, *excluding* the outer braces; empty when !has_body.
-  std::size_t body_begin = 0;
-  std::size_t body_end = 0;
-};
-
-struct ClassDecl {
-  std::string name;
-  int line = 0;
-  /// Unqualified base-class names (`sim::Scheme` records as "Scheme").
-  std::vector<std::string> bases;
-  std::vector<FieldDecl> fields;
-  std::vector<MethodDecl> methods;
-  /// Token range [body_begin, body_end) of the class body (outer braces
-  /// excluded) in the TU's token stream.
-  std::size_t body_begin = 0;
-  std::size_t body_end = 0;
-};
-
-/// One translation unit's recovered structure.  `tokens` views point into
-/// the `scrubbed` buffer owned here, so the object is self-contained.
-struct TranslationUnit {
-  std::string scrubbed;
-  std::vector<Token> tokens;
-  std::vector<ClassDecl> classes;
-};
-
-/// Builds the symbol index for one file's text (raw, un-scrubbed).
-TranslationUnit parse_tu(std::string_view text);
 
 // ---- Includes. ----
 

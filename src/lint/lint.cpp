@@ -8,7 +8,6 @@
 
 #include "lint/ir.hpp"
 #include "lint/layering.hpp"
-#include "lint/phase_check.hpp"
 
 namespace delta::lint {
 namespace {
@@ -420,7 +419,6 @@ std::vector<Finding> lint_tree(const std::filesystem::path& root,
   const bool want_lexical =
       std::any_of(kRules.begin(), kRules.begin() + kLexicalRules,
                   [&](std::string_view r) { return rule_selected(opts, r); });
-  const bool want_phase = rule_selected(opts, "phase-effect");
   const bool want_layering = rule_selected(opts, "layering");
   const bool want_cycles = rule_selected(opts, "include-cycle");
 
@@ -471,8 +469,6 @@ std::vector<Finding> lint_tree(const std::filesystem::path& root,
     }
     if (want_lexical)
       for (Finding& f : lint_text(info, text)) all.push_back(std::move(f));
-    if (want_phase)
-      for (Finding& f : phase_check(info, text)) all.push_back(std::move(f));
     if (want_layering || want_cycles)
       for (const IncludeDirective& inc : parse_includes(text))
         includes.push_back(FileInclude{info.path_label, inc.line, inc.path});

@@ -41,12 +41,9 @@
 // single-style codebase.  Run as a ctest over src/ (label `lint`) and unit
 // tested on synthetic snippets in tests/test_lint.cpp.
 //
-// On top of the lexical rules sits a small semantic layer built on the
-// token-level front in lint/ir.hpp:
+// On top of the lexical rules sits a small semantic layer over the
+// include graph (lint/ir.hpp parses the directives):
 //
-//   phase-effect      the sim::Scheme thread-locality contract, checked
-//                     over each scheme's during-epoch hook closure
-//                     (lint/phase_check.hpp)
 //   layering          the declared module DAG of src/ enforced over the
 //                     real include graph, plus include-cycle detection
 //                     (lint/layering.hpp)
@@ -88,12 +85,10 @@ struct FileInfo {
 std::vector<Finding> lint_text(const FileInfo& info, std::string_view text);
 
 /// Every rule name lint_tree() reports: the first kLexicalRules are
-/// lint_text()'s, then phase-effect (lint/phase_check.hpp), layering and
-/// include-cycle (lint/layering.hpp).
-inline constexpr std::array<std::string_view, 10> kRules = {
-    "unordered-iter", "nondet-source", "raw-intrinsic",    "raw-affinity",
-    "ptr-key",        "naked-new",     "own-header-first", "phase-effect",
-    "layering",       "include-cycle"};
+/// lint_text()'s, then layering and include-cycle (lint/layering.hpp).
+inline constexpr std::array<std::string_view, 9> kRules = {
+    "unordered-iter", "nondet-source", "raw-intrinsic", "raw-affinity", "ptr-key",
+    "naked-new",      "own-header-first", "layering",   "include-cycle"};
 inline constexpr std::size_t kLexicalRules = 7;
 
 /// Tree-walk options.  `rules` empty == run everything; otherwise only the

@@ -1,7 +1,8 @@
 #include "sim/chip.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "mem/address.hpp"
@@ -10,14 +11,51 @@
 
 namespace delta::sim {
 
+void MachineConfig::validate() const {
+  const auto reject = [](const std::string& field, long long value, const char* rule) {
+    throw std::invalid_argument("MachineConfig." + field + " = " + std::to_string(value) +
+                                ": " + rule);
+  };
+  const auto in = [](long long v, long long lo, long long hi) {
+    return v >= lo && v <= hi;
+  };
+  if (!in(cores, 1, 128) || (cores & (cores - 1)) != 0)
+    reject("cores", cores, "must be a power of two in [1, 128]");
+  if (!in(mesh_width, 1, cores) || !in(mesh_height, 1, cores) ||
+      mesh_width * mesh_height != cores)
+    reject("mesh_width", mesh_width, "mesh_width x mesh_height must equal cores");
+  if (!in(ways_per_bank, 1, 32))
+    reject("ways_per_bank", ways_per_bank, "must be in [1, 32]");
+  if (!in(sets_log2, 1, 20)) reject("sets_log2", sets_log2, "must be in [1, 20]");
+  if (!in(num_mcus, 1, cores)) reject("num_mcus", num_mcus, "must be in [1, cores]");
+  if (!in(umon.max_ways, 1, 1 << 16))
+    reject("umon.max_ways", umon.max_ways, "must be in [1, 65536]");
+  if (!in(umon.sets_log2, 1, 20))
+    reject("umon.sets_log2", umon.sets_log2, "must be in [1, 20]");
+  if (!in(umon.set_dilution, 1, 1LL << umon.sets_log2))
+    reject("umon.set_dilution", umon.set_dilution, "must be in [1, 2^umon.sets_log2]");
+  if (!in(umon.coarse_ways, 1, umon.max_ways))
+    reject("umon.coarse_ways", umon.coarse_ways, "must be in [1, umon.max_ways]");
+}
+
+namespace {
+
+const MachineConfig& validated(const MachineConfig& cfg, std::size_t apps) {
+  cfg.validate();
+  if (apps != static_cast<std::size_t>(cfg.cores))
+    throw std::invalid_argument("Chip apps: " + std::to_string(apps) +
+                                " entries for " + std::to_string(cfg.cores) + " cores");
+  return cfg;
+}
+
+}  // namespace
+
 Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
            std::unique_ptr<Scheme> scheme)
-    : cfg_(cfg),
+    : cfg_(validated(cfg, apps.size())),
       mesh_(cfg.mesh_width, cfg.mesh_height),
       memsys_(cfg.num_mcus, cfg.mesh_width, cfg.mesh_height, cfg.mcu),
       scheme_(std::move(scheme)) {
-  assert(mesh_.tiles() == cfg_.cores);
-  assert(static_cast<int>(apps.size()) == cfg_.cores);
   banks_.reserve(static_cast<std::size_t>(cfg_.cores));
   for (int b = 0; b < cfg_.cores; ++b)
     banks_.emplace_back(static_cast<std::uint32_t>(cfg_.sets_per_bank()),
@@ -34,7 +72,6 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
     // Disjoint 16 GB address windows per program instance.
     const Addr base = (static_cast<Addr>(c) + 1) << 34;
     s.gen = std::make_unique<workload::TraceGen>(*s.profile, base, core_seed);
-    s.umon = std::make_unique<umon::Umon>(cfg_.umon);
     s.active = true;
     s.process_id = static_cast<std::uint32_t>(c) + 1;  // Multi-programmed: distinct.
     const workload::Phase& ph = s.profile->phases.front();
@@ -45,7 +82,11 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
   epoch_targets_.resize(static_cast<std::size_t>(cfg_.cores));
   prev_hits_.resize(static_cast<std::size_t>(cfg_.cores));
   prev_misses_.resize(static_cast<std::size_t>(cfg_.cores));
+  plan_.init(cfg_.cores, cfg_.sets_log2, mem::full_mask(cfg_.ways_per_bank));
   scheme_->reset(*this);
+  if (plan_.monitors)
+    for (AppSlot& s : slots_)
+      if (s.active) s.umon = std::make_unique<umon::Umon>(cfg_.umon);
   intra_ = make_intra_engine(*this, cfg_.intra_jobs);
 }
 
@@ -53,56 +94,87 @@ Chip::~Chip() = default;
 
 unsigned Chip::intra_threads() const { return intra_ ? intra_->threads() : 1; }
 
+void Chip::sync_occupancy(const std::function<int(BankId, CoreId)>& target_ways) {
+  const auto cap = static_cast<std::uint64_t>(cfg_.sets_per_bank()) *
+                   static_cast<std::uint64_t>(cfg_.ways_per_bank);
+  if (enforcers_.empty())
+    enforcers_.assign(banks_.size(), core::OccupancyEnforcer(cfg_.cores, cap));
+  for (BankId b = 0; b < cfg_.cores; ++b) {
+    core::OccupancyEnforcer& e = enforcers_[static_cast<std::size_t>(b)];
+    for (CoreId c = 0; c < cfg_.cores; ++c) {
+      e.set_target_ways(c, target_ways(b, c), cfg_.ways_per_bank);
+      e.set_occupancy(c, bank(b).lines_owned_by(c));
+    }
+  }
+}
+
+std::int64_t Chip::tracked_occupancy(BankId b, CoreId core) const {
+  if (!plan_.occupancy || enforcers_.empty()) return -1;
+  return static_cast<std::int64_t>(
+      enforcers_[static_cast<std::size_t>(b)].occupancy(core));
+}
+
+template <bool kMonitor>
 void Chip::do_access_batch(CoreId c, std::uint64_t count, bool measuring) {
   // Profiled at batch granularity only (a per-access timer would dominate
   // the work it measures); disabled cost is one relaxed load.
   const obs::prof::ScopedSite prof_timer(obs::prof::Site::kAccessBatch);
   // Hot path: everything loop-invariant — the slot, its generator/monitor,
-  // the scheme pointer, the fixed tag+data latency — is hoisted out of the
-  // per-access loop, and per-access statistics accumulate in locals that
-  // are folded into the slot and traffic counters once per batch.
+  // the core's plan rows, the fixed tag+data latency — is hoisted out of
+  // the per-access loop, and per-access statistics accumulate in locals
+  // that are folded into the slot and traffic counters once per batch.
   AppSlot& s = slots_[static_cast<std::size_t>(c)];
   workload::TraceGen* const gen = s.gen.get();
   umon::Umon* const um = s.umon.get();
-  Scheme* const scheme = scheme_.get();
+  const EpochPlan::Route& route = plan_.route[static_cast<std::size_t>(c)];
+  const mem::WayMask* const masks =
+      plan_.masks.data() + static_cast<std::size_t>(c) * banks_.size();
+  const int bank_shift = plan_.bank_shift;
+  const int set_shift = plan_.set_shift;
+  const std::uint32_t set_mask = plan_.set_mask;
+  core::OccupancyEnforcer* const enforcers =
+      plan_.occupancy && !enforcers_.empty() ? enforcers_.data() : nullptr;
   const Cycles fixed_lat = cfg_.llc_tag_latency + cfg_.llc_data_latency;
 
   std::uint64_t hits = 0, misses = 0, remote = 0;
 
   // Two-stage software pipeline: the next access's block is generated (and
   // its UMON stack prefetched) while the current access still has its mesh
-  // and mask arithmetic ahead, and the mapped set's record is prefetched
-  // right after map() so the tag row is L1-resident by the time access()
+  // and mask arithmetic ahead, and the routed set's record is prefetched
+  // right after routing so the tag row is L1-resident by the time access()
   // compares it.  Every component call stays in the historical per-access
-  // order — the generator, monitor, scheme and bank each see exactly the
-  // serial sequence, so results are byte-identical; only prefetch hints
+  // order — the generator, monitor and bank each see exactly the serial
+  // sequence, so results are byte-identical; only prefetch hints
   // (side-effect-free) overlap iterations.
   BlockAddr next_block = count != 0 ? gen->next() : BlockAddr{0};
   for (std::uint64_t i = 0; i < count; ++i) {
     const BlockAddr block = next_block;
-    um->access(block);
+    if constexpr (kMonitor) um->access(block);
 
-    const BankTarget t = scheme->map(*this, c, block);
-    bank(t.bank).prefetch_set(t.set);
+    const BankId b = route[(block >> bank_shift) & 0xFFu];
+    const std::uint32_t set = static_cast<std::uint32_t>(block >> set_shift) & set_mask;
+    mem::SetAssocCache& bk = banks_[static_cast<std::size_t>(b)];
+    bk.prefetch_set(set);
     if (i + 1 < count) {
       next_block = gen->next();
-      um->prefetch(next_block);
+      if constexpr (kMonitor) um->prefetch(next_block);
     }
-    const int hops = mesh_.hops(c, t.bank);
-    Cycles lat = mesh_.round_trip(c, t.bank) + fixed_lat;
+    const int hops = mesh_.hops(c, b);
+    Cycles lat = mesh_.round_trip(c, b) + fixed_lat;
     remote += hops > 0 ? 1 : 0;
 
-    const mem::WayMask mask = scheme->insert_mask(*this, c, t.bank);
-    const CoreId evict_pref = scheme->evict_preference(*this, c, t.bank);
-    const mem::AccessResult res =
-        bank(t.bank).access(t.set, block, c, mask, evict_pref);
+    const CoreId evict_pref = enforcers != nullptr
+                                  ? enforcers[b].preferred_victim()
+                                  : kInvalidCore;
+    const mem::AccessResult res = bk.access(set, block, c, masks[b], evict_pref);
     if (res.hit) {
       ++hits;
     } else {
-      if (res.way >= 0) scheme->on_insertion(*this, c, t.bank, res);
+      if (enforcers != nullptr && res.way >= 0)
+        enforcers[b].on_fill(c, res.evicted ? res.victim_owner : kInvalidCore);
       const int mcu = memsys_.mcu_for(block);
       const int attach = memsys_.attach_tile(mcu);
-      lat += mesh_.round_trip(t.bank, attach) + memsys_.mcu(mcu).request_latency();
+      lat += mesh_.round_trip(b, attach) + memsys_.mcu(mcu).request_latency();
       ++misses;
     }
 
@@ -183,7 +255,10 @@ void Chip::run_one_epoch(bool measuring) {
         if (!s.active || s.epoch_accesses >= target) continue;
         const std::uint64_t batch =
             std::min<std::uint64_t>(interleave_batch_, target - s.epoch_accesses);
-        do_access_batch(c, batch, measuring);
+        if (s.umon != nullptr)
+          do_access_batch<true>(c, batch, measuring);
+        else
+          do_access_batch<false>(c, batch, measuring);
         if (s.epoch_accesses < target) work_left = true;
       }
     }

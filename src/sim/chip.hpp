@@ -11,11 +11,13 @@
 // each access contributes latency/MLP stall cycles (interval model).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/occupancy.hpp"
 #include "mem/cache.hpp"
 #include "noc/mcu.hpp"
 #include "noc/mesh.hpp"
@@ -36,7 +38,7 @@ struct AppSlot {
   std::string app_name;
   const workload::AppProfile* profile = nullptr;
   std::unique_ptr<workload::TraceGen> gen;
-  std::unique_ptr<umon::Umon> umon;
+  std::unique_ptr<umon::Umon> umon;  ///< Null unless the plan asks for monitors.
   bool active = false;
   std::uint32_t process_id = 0;
   umon::MlpEstimator mlp_estimator;
@@ -98,6 +100,8 @@ class Chip {
   std::uint64_t interleave_batch() const { return interleave_batch_; }
 
   /// `apps` holds one profile short-name per core ("idle" => idle core).
+  /// Throws std::invalid_argument for a config MachineConfig::validate()
+  /// rejects or an `apps` list whose length is not cfg.cores.
   /// cfg.intra_jobs > 1 (or 0 = hardware threads) attaches the intra-run
   /// parallel epoch engine (sim/intra.hpp); results are byte-identical
   /// either way.
@@ -125,6 +129,10 @@ class Chip {
   int cores() const { return cfg_.cores; }
   noc::TrafficStats& traffic() { return traffic_; }
   Scheme& scheme() { return *scheme_; }
+  /// The routing/mask tables both access engines read (scheme.hpp).  The
+  /// scheme writes it on the epoch barrier only.
+  EpochPlan& plan() { return plan_; }
+  const EpochPlan& plan() const { return plan_; }
   std::uint64_t epoch() const { return epoch_; }
   std::uint64_t invalidated_lines() const { return invalidated_lines_; }
 
@@ -150,6 +158,14 @@ class Chip {
   std::uint64_t invalidate_core_chunks(CoreId core, BankId old_bank,
                                        const std::vector<int>& chunks);
 
+  /// Occupancy enforcement (EpochPlan::occupancy): sets every bank's
+  /// per-core targets to `target_ways(bank, core)` ways and resyncs the
+  /// enforcers' line counts from the banks' contents.  Barrier-time only.
+  void sync_occupancy(const std::function<int(BankId, CoreId)>& target_ways);
+  /// The line count bank `b`'s enforcer holds for `core`, or -1 when the
+  /// plan does not enforce occupancy.
+  std::int64_t tracked_occupancy(BankId b, CoreId core) const;
+
   /// Worker threads the attached intra-run engine uses (1 == serial loop).
   unsigned intra_threads() const;
 
@@ -160,8 +176,9 @@ class Chip {
 
   void run_one_epoch(bool measuring);
   /// Issues `count` back-to-back accesses for core `c` with loop-invariant
-  /// state (slot, generator, monitor, scheme dispatch target) hoisted and
-  /// statistics folded into the slot once per batch.
+  /// state (slot, generator, monitor, plan rows) hoisted and statistics
+  /// folded into the slot once per batch.  `kMonitor` == plan_.monitors.
+  template <bool kMonitor>
   void do_access_batch(CoreId c, std::uint64_t count, bool measuring);
   void finish_epoch_accounting(bool measuring);
   /// Appends this epoch's core/MCU/chip rows to the observer's timeline.
@@ -173,6 +190,9 @@ class Chip {
   std::vector<mem::SetAssocCache> banks_;
   std::vector<AppSlot> slots_;
   std::unique_ptr<Scheme> scheme_;
+  EpochPlan plan_;
+  /// One per bank while plan_.occupancy; the engines update them on fills.
+  std::vector<core::OccupancyEnforcer> enforcers_;
   std::unique_ptr<IntraEngine> intra_;  ///< Null => serial epoch loop.
   noc::TrafficStats traffic_;
   std::uint64_t interleave_batch_ = kInterleaveBatch;

@@ -71,6 +71,14 @@ struct MachineConfig {
   /// feedback loop is part of the timing model.
   bool lockstep_accesses = false;
 
+  /// Throws std::invalid_argument naming the first field out of range:
+  /// the tile count must be a power of two up to 128 and match the mesh
+  /// (the plan's route bytes and the cache's owner byte hold a tile id),
+  /// ways_per_bank in [1, 32], sets_log2 in [1, 20], num_mcus in
+  /// [1, cores], and the UMON geometry positive.  Chip's constructor calls
+  /// it, so no simulation runs on a config that fails.
+  void validate() const;
+
   int sets_per_bank() const { return 1 << sets_log2; }
   std::uint64_t bank_bytes() const {
     return static_cast<std::uint64_t>(sets_per_bank()) * ways_per_bank * kLineBytes;

@@ -43,12 +43,44 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
   });
 }
 
+template <bool kMonitor>
+void IntraEngine::stage_stream(CoreId c, CoreStage& st, std::uint64_t target) {
+  const AppSlot& s = chip_.slots_[static_cast<std::size_t>(c)];
+  Staged* const acc = st.acc.data();
+  std::uint32_t* const offs = st.offs.data();
+  workload::TraceGen* const gen = s.gen.get();
+  umon::Umon* const um = s.umon.get();
+  const EpochPlan& plan = chip_.plan_;
+  const EpochPlan::Route& route = plan.route[static_cast<std::size_t>(c)];
+  const int bank_shift = plan.bank_shift;
+  const int set_shift = plan.set_shift;
+  const std::uint32_t set_mask = plan.set_mask;
+  // Same two-stage pipeline as Chip::do_access_batch: generate one access
+  // ahead and prefetch its UMON stack while the current one is routed and
+  // staged.  Component call order is unchanged, so staging stays
+  // byte-identical to the serial loop.
+  BlockAddr next_block = gen->next();
+  for (std::uint64_t i = 0; i < target; ++i) {
+    const BlockAddr block = next_block;
+    if constexpr (kMonitor) um->access(block);
+    if (i + 1 < target) {
+      next_block = gen->next();
+      if constexpr (kMonitor) um->prefetch(next_block);
+    }
+    const std::uint8_t bank = route[(block >> bank_shift) & 0xFFu];
+    Staged& a = acc[i];
+    a.block = block;
+    a.set = static_cast<std::uint32_t>(block >> set_shift) & set_mask;
+    a.bank = bank;
+    ++offs[static_cast<std::size_t>(bank) + 1];
+  }
+}
+
 void IntraEngine::stage_core(CoreId c) {
   const obs::prof::ScopedSite timer(obs::prof::Site::kStageCore);
   const AppSlot& s = chip_.slots_[static_cast<std::size_t>(c)];
   CoreStage& st = stages_[static_cast<std::size_t>(c)];
   const std::uint64_t target = chip_.epoch_targets_[static_cast<std::size_t>(c)];
-  std::uint32_t* const offs = st.offs.data();
   std::fill(st.offs.begin(), st.offs.end(), 0);
   st.n = s.active ? static_cast<std::size_t>(target) : 0;
   if (st.n == 0) return;
@@ -58,34 +90,17 @@ void IntraEngine::stage_core(CoreId c) {
     st.acc.resize(st.n);
     st.idx.resize(st.n);
   }
-  Staged* const acc = st.acc.data();
-  workload::TraceGen* const gen = s.gen.get();
-  umon::Umon* const um = s.umon.get();
-  const Scheme* const scheme = chip_.scheme_.get();
-  // Same two-stage pipeline as Chip::do_access_batch: generate one access
-  // ahead and prefetch its UMON stack while the current one is mapped and
-  // staged.  Component call order is unchanged, so staging stays
-  // byte-identical to the serial loop.
-  BlockAddr next_block = gen->next();
-  for (std::uint64_t i = 0; i < target; ++i) {
-    const BlockAddr block = next_block;
-    um->access(block);
-    if (i + 1 < target) {
-      next_block = gen->next();
-      um->prefetch(next_block);
-    }
-    const BankTarget t = scheme->map(chip_, c, block);
-    Staged& a = acc[i];
-    a.block = block;
-    a.set = t.set;
-    a.bank = static_cast<std::uint16_t>(t.bank);
-    ++offs[static_cast<std::size_t>(t.bank) + 1];
-  }
+  if (s.umon != nullptr)
+    stage_stream<true>(c, st, target);
+  else
+    stage_stream<false>(c, st, target);
 
   // Counting sort by bank.  After the prefix sum offs[b] is run b's start;
   // the scatter advances it to run b's end (= run b+1's start), and the
   // shift restores the starts.  Scanning in stream order keeps every run
   // ascending.
+  std::uint32_t* const offs = st.offs.data();
+  const Staged* const acc = st.acc.data();
   const std::size_t banks = st.offs.size() - 1;
   for (std::size_t b = 1; b <= banks; ++b) offs[b] += offs[b - 1];
   std::uint32_t* const idx = st.idx.data();
@@ -104,7 +119,11 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
   std::fill(tally.miss_lat.begin(), tally.miss_lat.end(), 0);
   std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
 
-  Scheme* const scheme = chip_.scheme_.get();
+  const EpochPlan& plan = chip_.plan_;
+  core::OccupancyEnforcer* const enforcer =
+      plan.occupancy && !chip_.enforcers_.empty()
+          ? &chip_.enforcers_[static_cast<std::size_t>(b)]
+          : nullptr;
   const noc::MemorySystem& memsys = chip_.memsys_;
   const noc::Mesh& mesh = chip_.mesh_;
   // What a miss from this bank adds per MCU: the bank-to-controller round
@@ -115,8 +134,8 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
                        memsys.mcu(mcu).current_request_latency();
   }
 
-  // Contributors in ascending core order: the only cores the merge visits.
-  // insert_mask is epoch-constant (scheme.hpp), so each run asks once.
+  // Contributors in ascending core order: the only cores the merge visits,
+  // each with its plan mask for this bank.
   std::vector<Run>& runs = tally.runs;
   runs.clear();
   for (int c = 0; c < cores; ++c) {
@@ -125,7 +144,7 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
     const std::uint32_t end = st.offs[static_cast<std::size_t>(b) + 1];
     if (begin < end)
       runs.push_back(Run{st.idx.data() + begin, st.idx.data() + end, st.acc.data(), c,
-                         scheme->insert_mask(chip_, c, b)});
+                         plan.mask(c, b)});
   }
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
@@ -168,14 +187,16 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
         if (static_cast<std::size_t>(r.end - r.it) > kPrefetchDistance)
           bank.prefetch_set(r.acc[r.it[kPrefetchDistance]].set);
         ++r.it;
-        // Occupancy enforcement moves the preference on every insertion,
-        // so it is asked per access.
-        const CoreId evict_pref = scheme->evict_preference(chip_, c, b);
+        // Occupancy enforcement moves the preference on every fill, so it
+        // is asked per access.
+        const CoreId evict_pref =
+            enforcer != nullptr ? enforcer->preferred_victim() : kInvalidCore;
         const mem::AccessResult res = bank.access(a.set, a.block, c, r.mask, evict_pref);
         if (res.hit) {
           ++tally.hits[ci];
         } else {
-          if (res.way >= 0) scheme->on_insertion(chip_, c, b, res);
+          if (enforcer != nullptr && res.way >= 0)
+            enforcer->on_fill(c, res.evicted ? res.victim_owner : kInvalidCore);
           const int mcu = memsys.mcu_for(a.block);
           tally.miss_lat[ci] += mcu_lat[mcu];
           ++tally.misses[ci];

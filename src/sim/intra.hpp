@@ -2,16 +2,17 @@
 // threads while staying byte-identical to the serial interleaved loop.
 //
 // The serial engine (Chip::run_one_epoch) issues accesses in round-robin
-// batches of Chip::interleave_batch() per core.  Under the scheme contract
-// (scheme.hpp) a bank's insertion and eviction decisions read only that
-// bank's own state plus epoch-constant state, so once an epoch's streams
-// are staged, banks apply independently.  Each epoch is ONE worker-pool
+// batches of Chip::interleave_batch() per core.  A bank's insertion and
+// eviction decisions read only that bank's own state (set records,
+// occupancy enforcer) plus the epoch plan (scheme.hpp), which is constant
+// during the epoch, so once an epoch's streams are staged, banks apply
+// independently.  Each epoch is ONE worker-pool
 // section (two barrier crossings) holding three plain phases, each
 // scheduled by a ClaimSet (common/parallel.hpp: home range first, then
 // ascending steals):
 //
 //   Stage — one task per core: draw the core's whole access stream (one
-//     RNG chain: UMON shadow tags, scheme->map() routing) into a per-core
+//     RNG chain: UMON shadow tags, plan routing) into a per-core
 //     buffer, then counting-sort the stream indices by bank into one flat
 //     index array plus an offs[banks+1] run table, so run b (the core's
 //     accesses to bank b, ascending) is idx[offs[b], offs[b+1]).  Buffers
@@ -20,13 +21,13 @@
 //
 //   Apply — one task per bank, once stage_done_ == cores (acquire): collect
 //     the contributors — cores whose run for this bank is non-empty, in
-//     ascending core order, each with its insert_mask (epoch-constant by
-//     the scheme contract, so asked once per run) — and merge only their
+//     ascending core order, each with its plan mask for the bank — and
+//     merge only their
 //     runs in the canonical serial order, ascending (round, core, index)
 //     with round = index / interleave_batch(): the run's cursor stays in a
 //     round while its index is below (round + 1) * batch, so the bank sees
-//     the exact serial access sequence.  evict_preference stays a
-//     per-access call (occupancy enforcement moves it on every insertion).
+//     the exact serial access sequence.  Under occupancy enforcement the
+//     victim preference is read per access (every fill moves it).
 //     While an access is applied, the set of the access kPrefetchDistance
 //     further along the same run is prefetched.  Each task first builds a
 //     per-MCU miss-latency table (the bank-to-MCU round trip plus the
@@ -129,7 +130,7 @@ class IntraEngine {
     const std::uint32_t* end;
     const Staged* acc;         ///< The core's staging buffer.
     CoreId core;
-    mem::WayMask mask;         ///< The core's insert_mask in this bank.
+    mem::WayMask mask;         ///< The core's plan mask in this bank.
   };
 
   /// Per-bank integer tallies, reused across epochs.  Written only by the
@@ -147,6 +148,9 @@ class IntraEngine {
 
   // Task bodies (run by whichever worker claimed the task).
   void stage_core(CoreId c);
+  /// stage_core's draw loop; `kMonitor` == the core has a UMON.
+  template <bool kMonitor>
+  void stage_stream(CoreId c, CoreStage& st, std::uint64_t target);
   /// `ms` is non-null only when kFull profiling samples the cursor-merge
   /// scan (1 round in 8); the clock reads live in obs/prof.
   void apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms);

@@ -5,13 +5,13 @@
 #include "sim/market_schemes.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <vector>
 
 #include "alloc/auction.hpp"
 #include "alloc/fairshare.hpp"
 #include "alloc/placement.hpp"
-#include "mem/address.hpp"
+#include "mem/replacement.hpp"
 #include "sim/chip.hpp"
 #include "sim/scheme_common.hpp"
 
@@ -39,20 +39,14 @@ class CarmaScheme final : public Scheme {
  public:
   std::string_view name() const override { return "carma"; }
 
-  void reset(Chip& chip) override { init_central_state(chip, wp_, cbts_); }
+  void reset(Chip& chip) override {
+    init_central_state(chip, wp_, cbts_);
+    chip.plan().monitors = true;
+    publish_central_state(chip, wp_, cbts_);
+  }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
     if (epoch % kMarketIntervalEpochs == 0) reconfigure(chip, epoch);
-  }
-
-  BankTarget map(const Chip& chip, CoreId core, BlockAddr block) const override {
-    return BankTarget{
-        cbts_[static_cast<std::size_t>(core)].lookup(block, chip.config().sets_log2),
-        mem::set_index(block, chip.config().sets_log2)};
-  }
-
-  mem::WayMask insert_mask(const Chip&, CoreId core, BankId bank) const override {
-    return wp_[static_cast<std::size_t>(bank)].mask_of(core);
   }
 
   int allocated_ways(const Chip&, CoreId core) const override {
@@ -120,6 +114,7 @@ class CarmaScheme final : public Scheme {
     const alloc::Placement placement = alloc::place_allocations(preq);
 
     apply_central_placement(chip, epoch, active_core, placement, wp_, cbts_);
+    publish_central_state(chip, wp_, cbts_);
   }
 
   std::vector<core::WpUnit> wp_;
@@ -138,35 +133,18 @@ class LfocScheme final : public Scheme {
   std::string_view name() const override { return "lfoc"; }
 
   void reset(Chip& chip) override {
-    const auto n = static_cast<std::uint64_t>(chip.cores());
-    pow2_banks_ = (n & (n - 1)) == 0;
-    bank_mask_ = n - 1;
-    bank_shift_ = std::bit_width(n) - 1;
-    set_mask_ = (std::uint32_t{1} << chip.config().sets_log2) - 1;
+    chip.plan().interleave();
+    chip.plan().monitors = true;
     // Until the first classification everyone is one sensitive cluster
     // holding the whole cache.
     cls_.assign(static_cast<std::size_t>(chip.cores()),
                 alloc::CurveClass::kSensitive);
     cluster_ways_ = {0, chip.config().ways_per_bank, 0};
-    rebuild_masks(chip.config().ways_per_bank);
+    publish_masks(chip);
   }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
     if (epoch % kMarketIntervalEpochs == 0) reconfigure(chip, epoch);
-  }
-
-  BankTarget map(const Chip& chip, CoreId, BlockAddr block) const override {
-    if (pow2_banks_) {
-      return BankTarget{static_cast<BankId>(block & bank_mask_),
-                        static_cast<std::uint32_t>(block >> bank_shift_) & set_mask_};
-    }
-    const int n = chip.cores();
-    return BankTarget{mem::snuca_bank(block, n),
-                      mem::snuca_set_index(block, n, chip.config().sets_log2)};
-  }
-
-  mem::WayMask insert_mask(const Chip&, CoreId core, BankId) const override {
-    return masks_[static_cast<std::size_t>(cls_[static_cast<std::size_t>(core)])];
   }
 
   /// Reported as the width of the core's cluster slice (the ways it may use
@@ -211,27 +189,28 @@ class LfocScheme final : public Scheme {
     for (std::size_t a = 0; a < active_core.size(); ++a)
       cls_[static_cast<std::size_t>(active_core[a])] = part.cls[a];
     cluster_ways_ = part.cluster_ways;
-    rebuild_masks(chip.config().ways_per_bank);
+    publish_masks(chip);
   }
 
-  void rebuild_masks(int ways_per_bank) {
+  /// Every core inserts into its cluster's slice, the same in every bank.
+  void publish_masks(Chip& chip) const {
+    std::array<mem::WayMask, alloc::kNumCurveClasses> slice{};
     int offset = 0;
     for (int c = 0; c < alloc::kNumCurveClasses; ++c) {
       const int w = cluster_ways_[static_cast<std::size_t>(c)];
-      masks_[static_cast<std::size_t>(c)] =
+      slice[static_cast<std::size_t>(c)] =
           w > 0 ? ((mem::full_mask(w)) << offset) : mem::WayMask{0};
       offset += w;
     }
-    (void)ways_per_bank;
+    EpochPlan& plan = chip.plan();
+    const auto banks = static_cast<std::size_t>(plan.banks);
+    for (std::size_t c = 0; c < cls_.size(); ++c)
+      std::fill_n(plan.masks.begin() + static_cast<std::ptrdiff_t>(c * banks), banks,
+                  slice[static_cast<std::size_t>(cls_[c])]);
   }
 
   std::vector<alloc::CurveClass> cls_;
   std::array<int, alloc::kNumCurveClasses> cluster_ways_{};
-  std::array<mem::WayMask, alloc::kNumCurveClasses> masks_{};
-  std::uint64_t bank_mask_ = 0;
-  std::uint32_t set_mask_ = 0;
-  int bank_shift_ = 0;
-  bool pow2_banks_ = false;
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "core/controller.hpp"
 #include "core/page_classify.hpp"
 #include "mem/address.hpp"
@@ -26,11 +25,8 @@ struct ThreadAcct {
 
 /// Chip state shared by every logical SPLASH thread: banks, the page
 /// classifier, the MESIF directory, the DELTA controller and the per-thread
-/// accounting.  The Sec. II-E loop currently interleaves the logical threads
-/// deterministically on one host thread, but these are exactly the
-/// structures a parallel driver would race on, so they live behind one
-/// annotated mutex (common/sync.hpp): every mutation goes through a locked
-/// entry point and clang's -Wthread-safety proves the discipline.
+/// accounting.  The Sec. II-E loop interleaves the logical threads
+/// deterministically on one host thread, so nothing here is locked.
 class MtChip {
  public:
   MtChip(const MachineConfig& cfg, const workload::SplashProfile& p, SchemeKind kind)
@@ -56,26 +52,17 @@ class MtChip {
   }
 
   /// Runs the distributed policy step at an epoch boundary (kDelta only).
-  void begin_epoch(std::uint64_t epoch) EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
+  void begin_epoch(std::uint64_t epoch) {
     if (kind_ == SchemeKind::kDelta) ctrl_.tick(epoch, inputs_);
   }
 
-  /// Issues one logical-thread access through the shared chip.
-  void access(const workload::SplashAccess& a) EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    access_locked(a);
-  }
-
-  void end_epoch() EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
+  void end_epoch() {
     memsys_.end_epoch(cfg_.epoch_cycles);
   }
 
   /// Mean LLC latency across everything issued so far (`fallback` when
   /// nothing has been issued yet); feeds the interval model's CPI refresh.
-  double avg_latency_or(double fallback) const EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
+  double avg_latency_or(double fallback) const {
     double lat_sum = 0.0;
     std::uint64_t n = 0;
     for (const ThreadAcct& t : acct_) {
@@ -87,8 +74,7 @@ class MtChip {
 
   /// Final aggregation: region-of-interest metric is the longest thread
   /// (paper Sec. IV-C).
-  void summarize(MtResult& res) const EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
+  void summarize(MtResult& res) const {
     double worst = 0.0;
     double total_instr = 0.0, total_cycles = 0.0;
     std::uint64_t hits = 0, accesses = 0;
@@ -116,8 +102,8 @@ class MtChip {
     res.page_invalidation_lines = page_invalidation_lines_;
   }
 
- private:
-  void access_locked(const workload::SplashAccess& a) REQUIRES(mu_) {
+  /// Issues one logical-thread access through the shared chip.
+  void access(const workload::SplashAccess& a) {
     const CoreId c = a.thread;
     umons_[static_cast<std::size_t>(c)].access(a.block);
 
@@ -198,7 +184,8 @@ class MtChip {
     t.hits += hit ? 1 : 0;
   }
 
-  void page_flip_invalidate(BlockAddr block) REQUIRES(mu_) {
+ private:
+  void page_flip_invalidate(BlockAddr block) {
     // Bulk-invalidate every line of the flipped page wherever it resides
     // (paper Sec. II-E: "when a page is first classified as shared all the
     // lines belonging to the page are invalidated").
@@ -219,18 +206,17 @@ class MtChip {
   const MachineConfig& cfg_;
   const workload::SplashProfile& p_;
   const SchemeKind kind_;
-  mutable common::Mutex mu_;
-  noc::Mesh mesh_;  ///< Immutable topology; safe to read unlocked.
-  noc::MemorySystem memsys_ GUARDED_BY(mu_);
-  std::vector<mem::SetAssocCache> banks_ GUARDED_BY(mu_);
-  core::PageClassifier classifier_ GUARDED_BY(mu_);
-  mem::MesifDirectory directory_;  ///< Internally synchronised (own mutex).
-  core::DeltaController ctrl_ GUARDED_BY(mu_);
-  std::vector<umon::Umon> umons_ GUARDED_BY(mu_);
-  std::vector<core::TileInput> inputs_ GUARDED_BY(mu_);
+  noc::Mesh mesh_;
+  noc::MemorySystem memsys_;
+  std::vector<mem::SetAssocCache> banks_;
+  core::PageClassifier classifier_;
+  mem::MesifDirectory directory_;
+  core::DeltaController ctrl_;
+  std::vector<umon::Umon> umons_;
+  std::vector<core::TileInput> inputs_;
   const mem::WayMask all_;
-  std::vector<ThreadAcct> acct_ GUARDED_BY(mu_);
-  std::uint64_t page_invalidation_lines_ GUARDED_BY(mu_) = 0;
+  std::vector<ThreadAcct> acct_;
+  std::uint64_t page_invalidation_lines_ = 0;
 };
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Partitioning-scheme plug-in interface.
 //
-// A scheme answers two questions on every LLC access — which bank does this
-// core's address map to, and which ways may the core insert into — and gets
-// a begin_epoch() hook for reconfiguration.  The four schemes of the
-// paper's evaluation (unpartitioned S-NUCA, private/equal-partitioned LLC,
-// the ideal zero-overhead centralized allocator, and DELTA itself) plus the
-// two literature-comparison allocators (CARMA's way auction, LFOC's
-// fairness clustering) are created through make_scheme(); docs/schemes.md
-// describes all six.
+// A scheme answers two questions for every LLC access — which bank does
+// this core's address map to, and which ways may the core insert into —
+// but answers them ahead of time: it publishes an EpochPlan of plain
+// tables on the epoch barrier, and the access engines look both answers
+// up there.  The four schemes of the paper's evaluation (unpartitioned
+// S-NUCA, private/equal-partitioned LLC, the ideal zero-overhead
+// centralized allocator, and DELTA itself) plus the two
+// literature-comparison allocators (CARMA's way auction, LFOC's fairness
+// clustering) are created through make_scheme(); docs/schemes.md
+// describes all six and the plan each one publishes.
 #pragma once
 
 #include <array>
@@ -15,9 +17,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hpp"
-#include "mem/cache.hpp"
+#include "mem/address.hpp"
 #include "mem/replacement.hpp"
 
 namespace delta::core {
@@ -55,61 +58,88 @@ inline constexpr std::array<SchemeKind, 6> kAllSchemeKinds = {
 
 std::string_view to_string(SchemeKind k);
 
-// Thread-locality contract for the intra-run engine (sim/intra.hpp): the
-// during-epoch hooks below are called from parallel workers, so they must
-// confine themselves to
-//   * map(): epoch-constant routing state only (CBTs, hashing) — called
-//     concurrently for different cores;
-//   * insert_mask() / evict_preference() / on_insertion(): state owned by
-//     the `bank` argument (per-bank WpUnit, enforcer slice) or
-//     epoch-constant state — called concurrently for *different* banks,
-//     serially within one bank in the canonical access order;
-//   * insert_mask is constant between begin_epoch calls (the intra engine
-//     asks it once per (core, bank) run; evict_preference may move on
-//     every insertion and is asked per access).
-// Anything cross-bank (reallocation, challenges, bulk invalidation) belongs
-// in begin_epoch(), which runs on the epoch barrier.  All six in-tree
-// schemes satisfy this; test_intra enforces it end to end and the TSan CI
-// job watches for violations dynamically.  The contract is also checked
-// statically: the phase-effect lint (lint/phase_check.hpp, ctest label
-// `lint-semantic`) walks every Scheme subclass's during-epoch closure and
-// rejects member writes, non-const helpers, unannotated pointer-member
-// calls and banned cross-bank Chip calls.  Legitimate carve-outs are
-// annotated in-source with `// delta-phase: epoch-constant` (field only
-// mutated on the epoch barrier) or `// delta-lint: allow(phase-effect)`
-// (line-scoped waiver) — see docs/static-analysis.md.
+/// What the access engines read on every LLC access, published by the
+/// scheme and constant between two begin_epoch() calls.  In hardware terms
+/// it is the per-core Cache Bank Table (Sec. II-C1) and the per-bank WP
+/// way masks (Sec. II-C2), which also change only at reconfiguration; the
+/// comparison schemes (S-NUCA interleave, private home banks, LFOC's
+/// cluster masks) are special fillings of the same tables.  Chip sizes the
+/// plan and fills it with home routing and full masks before reset(); the
+/// scheme rewrites whatever it changes in reset() and begin_epoch().
+///
+/// Routing: bank = route[core][(block >> bank_shift) & 0xFF] and
+/// set = (block >> set_shift) & set_mask.  A bank id fits a route byte
+/// because MachineConfig::validate() caps the tile count at 128.
+struct EpochPlan {
+  using Route = std::array<std::uint8_t, mem::kNumChunks>;
+
+  int banks = 0;
+  int sets_log2 = 0;
+  int bank_shift = 0;
+  int set_shift = 0;
+  std::uint32_t set_mask = 0;
+  std::vector<Route> route;         ///< One 256-entry bank table per core.
+  std::vector<mem::WayMask> masks;  ///< [core * banks + bank]; 0 == bypass.
+  /// Victim choice is steered by the engine's per-bank OccupancyEnforcers
+  /// instead of way masks alone.  They exist once the scheme has called
+  /// Chip::sync_occupancy(), which it does in reset().
+  bool occupancy = false;
+  /// The scheme reads per-core UMONs.  Read once, right after reset():
+  /// without it the chip builds, feeds and decays no monitor.
+  bool monitors = false;
+
+  BankTarget target(CoreId core, BlockAddr block) const {
+    return BankTarget{
+        route[static_cast<std::size_t>(core)][(block >> bank_shift) & 0xFFu],
+        static_cast<std::uint32_t>(block >> set_shift) & set_mask};
+  }
+  mem::WayMask mask(CoreId core, BankId bank) const {
+    return masks[static_cast<std::size_t>(core) * static_cast<std::size_t>(banks) +
+                 static_cast<std::size_t>(bank)];
+  }
+
+  /// Sizes the tables for `banks` tiles: home routing, `all` everywhere.
+  void init(int banks, int sets_log2, mem::WayMask all);
+  /// S-NUCA line interleaving: bank = block mod banks, the bank bits
+  /// stripped from the set index.
+  void interleave();
+  /// Every core's addresses map to its own bank.
+  void home();
+  /// Core `core` routes through `cbt` (bank-select byte above the set).
+  void route_cbt(CoreId core, const core::Cbt& cbt);
+  /// Bank `bank`'s masks from its WP unit.
+  void masks_from(BankId bank, const core::WpUnit& wp);
+  /// One mask for every (core, bank).
+  void fill_masks(mem::WayMask m);
+};
+
+// A scheme runs only on the epoch barrier: reset() before the first epoch,
+// begin_epoch() at the start of each.  Everything the access engines need
+// during the epoch is in the EpochPlan it leaves behind, so no scheme code
+// runs per access and the intra-run engine's parallel workers never call
+// into a scheme.  Anything cross-bank (reallocation, challenges, bulk
+// invalidation) happens in begin_epoch().
 class Scheme {
  public:
   virtual ~Scheme() = default;
   virtual std::string_view name() const = 0;
-  /// Called once before the first epoch (chip fully constructed).
+  /// Called once before the first epoch (chip fully constructed, monitors
+  /// not yet: set plan.monitors here to get them).  Publishes the first
+  /// plan.
   virtual void reset(Chip&) {}
-  /// Called at the start of every epoch; reconfiguration happens here.
+  /// Called at the start of every epoch; reconfiguration happens here, and
+  /// so does every change to the chip's plan.
   virtual void begin_epoch(Chip&, std::uint64_t /*epoch*/) {}
-  /// Address-to-bank mapping for an access by `core`.
-  virtual BankTarget map(const Chip&, CoreId core, BlockAddr block) const = 0;
-  /// Insertion mask for `core` in `bank` (0 == bypass, do not allocate).
-  virtual mem::WayMask insert_mask(const Chip&, CoreId core, BankId bank) const = 0;
-  /// Preferred eviction donor in `bank` (occupancy-based enforcement);
-  /// kInvalidCore == plain masked LRU.
-  virtual CoreId evict_preference(const Chip&, CoreId /*core*/, BankId /*bank*/) const {
-    return kInvalidCore;
-  }
-  /// Fill/eviction feedback for schemes tracking per-partition occupancy.
-  virtual void on_insertion(Chip&, CoreId /*owner*/, BankId /*bank*/,
-                            const mem::AccessResult& /*result*/) {}
   /// Ways currently allocated to `core` chip-wide (for reporting).
   virtual int allocated_ways(const Chip&, CoreId core) const = 0;
 
   // ---- Introspection for the invariant checker (src/check). ----
   /// The per-bank way-partition unit / per-core CBT when the scheme
-  /// maintains them (delta, ideal-central); null for schemes without that
-  /// state (snuca, private), which the checker treats as "not applicable".
+  /// maintains them (delta, ideal-central, carma); null for schemes
+  /// without that state (snuca, private, lfoc), which the checker treats
+  /// as "not applicable".
   virtual const core::WpUnit* wp_unit(BankId) const { return nullptr; }
   virtual const core::Cbt* cbt_of(CoreId) const { return nullptr; }
-  /// Occupancy-enforcement bookkeeping for (`bank`, `core`): the line count
-  /// the scheme believes the partition holds, or -1 when it keeps none.
-  virtual std::int64_t tracked_occupancy(BankId, CoreId) const { return -1; }
   /// Test-only fault injection: silently drops ownership of one way so
   /// tests can prove the invariant checker catches way leaks.  Returns
   /// false for schemes without WP state.

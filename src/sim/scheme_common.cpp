@@ -1,12 +1,67 @@
 #include "sim/scheme_common.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <utility>
 
 #include "sim/chip.hpp"
 
 namespace delta::sim {
+
+void EpochPlan::init(int n, int log2_sets, mem::WayMask all) {
+  banks = n;
+  sets_log2 = log2_sets;
+  route.resize(static_cast<std::size_t>(n));
+  masks.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), all);
+  occupancy = false;
+  monitors = false;
+  home();
+}
+
+void EpochPlan::interleave() {
+  bank_shift = 0;
+  set_shift = std::bit_width(static_cast<unsigned>(banks)) - 1;
+  set_mask = (std::uint32_t{1} << sets_log2) - 1;
+  const auto bank_bits = static_cast<unsigned>(banks - 1);
+  for (Route& r : route)
+    for (unsigned v = 0; v < r.size(); ++v)
+      r[v] = static_cast<std::uint8_t>(v & bank_bits);
+}
+
+void EpochPlan::home() {
+  bank_shift = sets_log2;
+  set_shift = 0;
+  set_mask = (std::uint32_t{1} << sets_log2) - 1;
+  for (std::size_t c = 0; c < route.size(); ++c)
+    route[c].fill(static_cast<std::uint8_t>(c));
+}
+
+void EpochPlan::route_cbt(CoreId core, const core::Cbt& cbt) {
+  bank_shift = sets_log2;
+  set_shift = 0;
+  set_mask = (std::uint32_t{1} << sets_log2) - 1;
+  const auto& map = cbt.select_map();
+  std::transform(map.begin(), map.end(), route[static_cast<std::size_t>(core)].begin(),
+                 [](BankId b) { return static_cast<std::uint8_t>(b); });
+}
+
+void EpochPlan::masks_from(BankId bank, const core::WpUnit& wp) {
+  for (CoreId c = 0; c < banks; ++c)
+    masks[static_cast<std::size_t>(c) * static_cast<std::size_t>(banks) +
+          static_cast<std::size_t>(bank)] = wp.mask_of(c);
+}
+
+void EpochPlan::fill_masks(mem::WayMask m) { std::fill(masks.begin(), masks.end(), m); }
+
+void publish_central_state(Chip& chip, const std::vector<core::WpUnit>& wp,
+                           const std::vector<core::Cbt>& cbts) {
+  EpochPlan& plan = chip.plan();
+  for (std::size_t b = 0; b < wp.size(); ++b)
+    plan.masks_from(static_cast<BankId>(b), wp[b]);
+  for (std::size_t c = 0; c < cbts.size(); ++c)
+    plan.route_cbt(static_cast<CoreId>(c), cbts[c]);
+}
 
 void init_central_state(const Chip& chip, std::vector<core::WpUnit>& wp,
                         std::vector<core::Cbt>& cbts) {

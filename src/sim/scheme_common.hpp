@@ -1,6 +1,7 @@
-// Shared machinery for centrally computed schemes (ideal-central, carma):
-// applying a chip-wide placement to per-bank WP units and per-core CBTs,
-// with the bulk invalidations the implied remaps require.
+// Shared machinery of the schemes: the EpochPlan fill helpers
+// (scheme.hpp), and for the centrally computed schemes (ideal-central,
+// carma) applying a chip-wide placement to per-bank WP units and per-core
+// CBTs, with the bulk invalidations the implied remaps require.
 #pragma once
 
 #include <cstdint>
@@ -30,5 +31,9 @@ void apply_central_placement(Chip& chip, std::uint64_t epoch,
                              const alloc::Placement& placement,
                              std::vector<core::WpUnit>& wp,
                              std::vector<core::Cbt>& cbts);
+
+/// Publishes `wp`/`cbts` (one per bank / core) as the chip's plan.
+void publish_central_state(Chip& chip, const std::vector<core::WpUnit>& wp,
+                           const std::vector<core::Cbt>& cbts);
 
 }  // namespace delta::sim

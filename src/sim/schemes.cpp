@@ -2,24 +2,18 @@
 #include "sim/scheme.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <vector>
 
 #include "alloc/peekahead.hpp"
 #include "alloc/placement.hpp"
 #include "core/controller.hpp"
-#include "mem/address.hpp"
 #include "sim/chip.hpp"
 #include "sim/market_schemes.hpp"
 #include "sim/scheme_common.hpp"
 
 namespace delta::sim {
 namespace {
-
-std::uint32_t local_set(const Chip& chip, BlockAddr block) {
-  return mem::set_index(block, chip.config().sets_log2);
-}
 
 // ---------------------------------------------------------------------------
 // Unpartitioned S-NUCA: line-interleaved static mapping, no insertion limits.
@@ -28,40 +22,12 @@ class SnucaScheme final : public Scheme {
  public:
   std::string_view name() const override { return "snuca"; }
 
-  void reset(Chip& chip) override {
-    // Both Table II machines have power-of-two bank counts, so the
-    // per-access interleaving divides reduce to shifts and masks.
-    const auto n = static_cast<std::uint64_t>(chip.cores());
-    pow2_banks_ = (n & (n - 1)) == 0;
-    bank_mask_ = n - 1;
-    bank_shift_ = std::bit_width(n) - 1;
-    set_mask_ = (std::uint32_t{1} << chip.config().sets_log2) - 1;
-  }
-
-  BankTarget map(const Chip& chip, CoreId, BlockAddr block) const override {
-    if (pow2_banks_) {
-      return BankTarget{static_cast<BankId>(block & bank_mask_),
-                        static_cast<std::uint32_t>(block >> bank_shift_) & set_mask_};
-    }
-    const int n = chip.cores();
-    return BankTarget{mem::snuca_bank(block, n),
-                      mem::snuca_set_index(block, n, chip.config().sets_log2)};
-  }
-
-  mem::WayMask insert_mask(const Chip& chip, CoreId, BankId) const override {
-    return mem::full_mask(chip.config().ways_per_bank);
-  }
+  void reset(Chip& chip) override { chip.plan().interleave(); }
 
   int allocated_ways(const Chip& chip, CoreId) const override {
     // Nominal equal share of the unpartitioned cache.
     return chip.config().ways_per_bank;
   }
-
- private:
-  std::uint64_t bank_mask_ = 0;
-  std::uint32_t set_mask_ = 0;
-  int bank_shift_ = 0;
-  bool pow2_banks_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -71,13 +37,7 @@ class PrivateScheme final : public Scheme {
  public:
   std::string_view name() const override { return "private"; }
 
-  BankTarget map(const Chip& chip, CoreId core, BlockAddr block) const override {
-    return BankTarget{static_cast<BankId>(core), local_set(chip, block)};
-  }
-
-  mem::WayMask insert_mask(const Chip& chip, CoreId, BankId) const override {
-    return mem::full_mask(chip.config().ways_per_bank);
-  }
+  // The chip's initial plan (home routing, full masks) is this scheme.
 
   int allocated_ways(const Chip& chip, CoreId) const override {
     return chip.config().ways_per_bank;
@@ -95,16 +55,15 @@ class DeltaScheme final : public Scheme {
     ctrl_ = std::make_unique<core::DeltaController>(
         chip.mesh(), chip.config().delta, chip.config().ways_per_bank,
         chip.config().sets_log2);
-    occupancy_mode_ =
+    EpochPlan& plan = chip.plan();
+    plan.monitors = true;
+    // Replacement-based enforcement: insertion is unrestricted (a core only
+    // reaches banks its CBT maps anyway); the occupancy-steered victim
+    // choice does the partitioning, so the masks stay full.
+    plan.occupancy =
         chip.config().delta.intra_enforcement == core::IntraEnforcement::kOccupancy;
-    enforcers_.clear();
-    if (occupancy_mode_) {
-      const auto cap = static_cast<std::uint64_t>(chip.config().sets_per_bank()) *
-                       chip.config().ways_per_bank;
-      for (int b = 0; b < chip.cores(); ++b)
-        enforcers_.emplace_back(chip.cores(), cap);
-      sync_enforcers(chip);
-    }
+    publish(chip);
+    if (plan.occupancy) sync_enforcers(chip);
   }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
@@ -130,45 +89,15 @@ class DeltaScheme final : public Scheme {
     for (const auto& [key, chunks] : groups)
       chip.invalidate_core_chunks(key.first, key.second, chunks);
 
+    publish(chip);
     // Occupancy enforcement: refresh targets from the WP units and resync
     // occupancy counters whenever invalidations may have drifted them.
-    if (occupancy_mode_ &&
+    if (chip.plan().occupancy &&
         (epoch % static_cast<std::uint64_t>(
                      chip.config().delta.inter_interval_epochs) == 0 ||
          !groups.empty())) {
       sync_enforcers(chip);
     }
-  }
-
-  BankTarget map(const Chip& chip, CoreId core, BlockAddr block) const override {
-    return BankTarget{ctrl_->bank_for(core, block), local_set(chip, block)};
-  }
-
-  mem::WayMask insert_mask(const Chip& chip, CoreId core, BankId bank) const override {
-    if (occupancy_mode_) {
-      // Replacement-based enforcement: insertion is unrestricted (a core
-      // only reaches banks its CBT maps anyway); the occupancy-steered
-      // victim choice does the partitioning.
-      (void)core;
-      (void)bank;
-      return mem::full_mask(chip.config().ways_per_bank);
-    }
-    return ctrl_->insert_mask(core, bank);
-  }
-
-  CoreId evict_preference(const Chip&, CoreId, BankId bank) const override {
-    if (!occupancy_mode_) return kInvalidCore;
-    return enforcers_[static_cast<std::size_t>(bank)].preferred_victim();
-  }
-
-  void on_insertion(Chip&, CoreId owner, BankId bank,
-                    const mem::AccessResult& res) override {
-    if (!occupancy_mode_) return;
-    // Bank-owned state: on_insertion is only ever invoked by the worker
-    // that owns `bank` this phase, so the mutable handle is race-free.
-    auto& e = enforcers_[static_cast<std::size_t>(bank)];  // delta-lint: allow(phase-effect)
-    e.on_insert(owner);
-    if (res.evicted && res.victim_owner != kInvalidCore) e.on_evict(res.victim_owner);
   }
 
   int allocated_ways(const Chip&, CoreId core) const override {
@@ -183,12 +112,6 @@ class DeltaScheme final : public Scheme {
     return ctrl_ != nullptr ? &ctrl_->cbt(core) : nullptr;
   }
 
-  std::int64_t tracked_occupancy(BankId bank, CoreId core) const override {
-    if (!occupancy_mode_) return -1;
-    return static_cast<std::int64_t>(
-        enforcers_[static_cast<std::size_t>(bank)].occupancy(core));
-  }
-
   bool debug_drop_way(BankId bank, int way) override {
     if (ctrl_ == nullptr) return false;
     ctrl_->debug_set_way_owner(bank, way, kInvalidCore);
@@ -198,21 +121,19 @@ class DeltaScheme final : public Scheme {
   const core::DeltaController& controller() const { return *ctrl_; }
 
  private:
-  void sync_enforcers(Chip& chip) {
-    for (int b = 0; b < chip.cores(); ++b) {
-      auto& e = enforcers_[static_cast<std::size_t>(b)];
-      for (int c = 0; c < chip.cores(); ++c) {
-        e.set_target_ways(c, ctrl_->wp(b).ways_of(c), chip.config().ways_per_bank);
-        e.set_occupancy(c, chip.bank(b).lines_owned_by(c));
-      }
-    }
+  /// The controller's CBTs and (under way-mask enforcement) WP masks.
+  void publish(Chip& chip) const {
+    EpochPlan& plan = chip.plan();
+    for (CoreId c = 0; c < chip.cores(); ++c) plan.route_cbt(c, ctrl_->cbt(c));
+    if (!plan.occupancy)
+      for (BankId b = 0; b < chip.cores(); ++b) plan.masks_from(b, ctrl_->wp(b));
   }
 
-  // The controller is rebuilt only in reset()/begin_epoch() (on the epoch
-  // barrier) and is read-only while workers run the during-epoch hooks.
-  std::unique_ptr<core::DeltaController> ctrl_;  // delta-phase: epoch-constant
-  bool occupancy_mode_ = false;
-  std::vector<core::OccupancyEnforcer> enforcers_;
+  void sync_enforcers(Chip& chip) const {
+    chip.sync_occupancy([&](BankId b, CoreId c) { return ctrl_->wp(b).ways_of(c); });
+  }
+
+  std::unique_ptr<core::DeltaController> ctrl_;
 };
 
 // ---------------------------------------------------------------------------
@@ -227,23 +148,17 @@ class IdealCentralScheme final : public Scheme {
 
   std::string_view name() const override { return "ideal-central"; }
 
-  void reset(Chip& chip) override { init_central_state(chip, wp_, cbts_); }
+  void reset(Chip& chip) override {
+    init_central_state(chip, wp_, cbts_);
+    chip.plan().monitors = true;
+    publish_central_state(chip, wp_, cbts_);
+  }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
     if (opts_.central_interval_epochs <= 0 ||
         epoch % static_cast<std::uint64_t>(opts_.central_interval_epochs) != 0)
       return;
     reconfigure(chip, epoch);
-  }
-
-  BankTarget map(const Chip& chip, CoreId core, BlockAddr block) const override {
-    return BankTarget{
-        cbts_[static_cast<std::size_t>(core)].lookup(block, chip.config().sets_log2),
-        local_set(chip, block)};
-  }
-
-  mem::WayMask insert_mask(const Chip&, CoreId core, BankId bank) const override {
-    return wp_[static_cast<std::size_t>(bank)].mask_of(core);
   }
 
   int allocated_ways(const Chip&, CoreId core) const override {
@@ -304,6 +219,7 @@ class IdealCentralScheme final : public Scheme {
     const alloc::Placement placement = alloc::place_allocations(preq);
 
     apply_central_placement(chip, epoch, active_core, placement, wp_, cbts_);
+    publish_central_state(chip, wp_, cbts_);
   }
 
   SchemeOptions opts_;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/simd.hpp"
 
@@ -23,24 +26,30 @@ Umon::Umon(UmonConfig cfg) : cfg_(cfg) {
   // a stack for the last monitored set.
   num_stacks_ = (sets + cfg_.set_dilution - 1) / cfg_.set_dilution;
   assert(num_stacks_ >= 1);
-  stacks_.resize(static_cast<std::size_t>(num_stacks_));
-  for (auto& s : stacks_) s.reserve(static_cast<std::size_t>(cfg_.max_ways));
+  ways_ = static_cast<std::size_t>(cfg_.max_ways);
+  tags_.resize(static_cast<std::size_t>(num_stacks_) * ways_);
+  depth_.assign(static_cast<std::size_t>(num_stacks_), 0);
   hit_ctr_.assign(static_cast<std::size_t>(cfg_.max_ways), 0.0);
   const int buckets = (cfg_.max_ways + cfg_.coarse_ways - 1) / cfg_.coarse_ways;
   coarse_ctr_.assign(static_cast<std::size_t>(buckets), 0.0);
 }
 
 void Umon::access_sampled(std::uint32_t stack_idx, BlockAddr block) {
+  const BlockAddr wide = block >> cfg_.sets_log2;
+  if (wide > UINT32_MAX)
+    throw std::out_of_range("Umon: block " + std::to_string(block) +
+                            " has a stack tag wider than 32 bits");
+  const auto tag = static_cast<std::uint32_t>(wide);
   ++sampled_accesses_;
-  auto& stack = stacks_[stack_idx];
-  const std::size_t depth = stack.size();
+  std::uint32_t* const st = stack(stack_idx);
+  std::uint32_t& depth = depth_[stack_idx];
 
   // Repeated-hit fast path: after a move-to-front, re-accesses of the same
-  // block land at stack distance 0, where the MTF rotate is a no-op.  Runs
-  // of hits to one hot block (the common case for loop/graph frontiers)
+  // block land at stack distance 0, where the move is a no-op.  Runs of
+  // hits to one hot block (the common case for loop/graph frontiers)
   // coalesce to a front compare plus two counter bumps — identical counter
   // and stack state to the general path below.
-  if (depth != 0 && stack[0] == block) {
+  if (depth != 0 && st[0] == tag) {
     hit_ctr_[0] += 1.0;
     coarse_ctr_[0] += 1.0;
     return;
@@ -49,25 +58,19 @@ void Umon::access_sampled(std::uint32_t stack_idx, BlockAddr block) {
   // Vectorized shadow-tag search (common/simd.hpp): stacks run to
   // max_ways entries and most probes match nothing, so the wide compare
   // pays off on exactly the accesses that cost the most.
-  const std::size_t pos = simd::find_u64(stack.data(), depth, block);
+  std::size_t pos = simd::find_u32(st, depth, tag);
   if (pos < depth) {
-    const auto it = stack.begin() + static_cast<std::ptrdiff_t>(pos);
     hit_ctr_[pos] += 1.0;
     coarse_ctr_[pos / static_cast<std::size_t>(cfg_.coarse_ways)] += 1.0;
-    // Move-to-front as a single rotate: same final order as erase+insert
-    // but one pass over [begin, it] instead of two full memmoves.
-    std::rotate(stack.begin(), it, it + 1);
-    return;
-  }
-
-  sampled_misses_ += 1.0;
-  if (static_cast<int>(stack.size()) >= cfg_.max_ways) {
-    // Full stack: recycle the LRU slot in place rather than insert+pop.
-    std::rotate(stack.begin(), stack.end() - 1, stack.end());
-    stack.front() = block;
   } else {
-    stack.insert(stack.begin(), block);
+    sampled_misses_ += 1.0;
+    // A full stack recycles its LRU slot; otherwise the stack grows.
+    if (depth < ways_) ++depth;
+    pos = depth - 1;
   }
+  // Move-to-front: slide [0, pos) down one slot and put the tag on top.
+  std::memmove(st + 1, st, pos * sizeof(std::uint32_t));
+  st[0] = tag;
 }
 
 double Umon::hits_between(int lo_ways, int hi_ways) const {
@@ -130,7 +133,7 @@ void Umon::decay(double keep_fraction) {
 }
 
 void Umon::reset() {
-  for (auto& s : stacks_) s.clear();
+  std::fill(depth_.begin(), depth_.end(), 0);
   std::fill(hit_ctr_.begin(), hit_ctr_.end(), 0.0);
   std::fill(coarse_ctr_.begin(), coarse_ctr_.end(), 0.0);
   sampled_misses_ = 0.0;

@@ -39,7 +39,9 @@ class Umon {
   /// Feeds one LLC access (private-L2 miss) into the monitor.  The sampled
   /// set test is inline, so unmonitored blocks (the (dilution-1)/dilution
   /// majority) cost one mask test at the call site; only sampled blocks
-  /// call out of line.
+  /// call out of line.  A sampled block whose stack tag
+  /// (block >> sets_log2) does not fit 32 bits throws std::out_of_range
+  /// before the monitor changes.
   void access(BlockAddr block) {
     std::uint32_t stack_idx;
     if (sampled(block, stack_idx)) access_sampled(stack_idx, block);
@@ -50,9 +52,7 @@ class Umon {
   /// pipeline one access ahead so the stack search hits warm lines.
   void prefetch(BlockAddr block) const {
     std::uint32_t stack_idx;
-    if (!sampled(block, stack_idx)) return;
-    const auto& stack = stacks_[stack_idx];
-    if (!stack.empty()) simd::prefetch_read(stack.data());
+    if (sampled(block, stack_idx)) simd::prefetch_read(stack(stack_idx));
   }
 
   /// Scaled access/miss totals (sampled counts multiplied by dilution).
@@ -108,6 +108,13 @@ class Umon {
   /// access() for a monitored block: the shadow-tag stack update.
   void access_sampled(std::uint32_t stack_idx, BlockAddr block);
 
+  std::uint32_t* stack(std::uint32_t stack_idx) {
+    return tags_.data() + static_cast<std::size_t>(stack_idx) * ways_;
+  }
+  const std::uint32_t* stack(std::uint32_t stack_idx) const {
+    return tags_.data() + static_cast<std::size_t>(stack_idx) * ways_;
+  }
+
   double scale(double x) const { return x * static_cast<double>(cfg_.set_dilution); }
   double scale(std::uint64_t x) const { return scale(static_cast<double>(x)); }
 
@@ -119,9 +126,14 @@ class Umon {
   std::uint32_t dilution_mask_ = 0;
   int dilution_shift_ = 0;
   bool dilution_pow2_ = false;
-  /// One LRU stack per monitored set; front = MRU.  Linear scan is fine:
-  /// stacks are short and only 1/set_dilution accesses reach them.
-  std::vector<std::vector<BlockAddr>> stacks_;
+  /// One LRU stack of 32-bit tags per monitored set, front = MRU: stack i
+  /// is tags_[i * max_ways, i * max_ways + depth_[i]).  The tag is
+  /// block >> sets_log2, exact because every block of one stack has the
+  /// same set bits (set = stack index x dilution).  A linear scan is fine:
+  /// only 1/set_dilution accesses reach a stack.
+  std::size_t ways_ = 0;
+  std::vector<std::uint32_t> tags_;
+  std::vector<std::uint32_t> depth_;
   std::vector<double> hit_ctr_;         ///< Fine: hits at stack distance d.
   std::vector<double> coarse_ctr_;      ///< Coarse: hits per 4-way bucket.
   double sampled_misses_ = 0;

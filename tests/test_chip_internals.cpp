@@ -2,6 +2,10 @@
 // feedback, interleaving and traffic bookkeeping.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "sim/chip.hpp"
 #include "sim/runner.hpp"
 
@@ -134,6 +138,101 @@ TEST(ChipInternals, PhasedAppsChangeBehaviourOverTime) {
     max_dev = std::max(max_dev, std::abs(chip.slot(0).cpi_est - cpi_early));
   }
   EXPECT_GT(max_dev, 0.02 * cpi_early) << "phases never altered the CPI";
+}
+
+// MachineConfig::validate() runs in Chip's constructor: each bad field
+// throws std::invalid_argument naming it, before any state is built.
+void expect_rejected(const MachineConfig& cfg, const char* field) {
+  try {
+    Chip chip(cfg, std::vector<std::string>(static_cast<std::size_t>(cfg.cores), "po"),
+              make_scheme(SchemeKind::kSnuca));
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(ChipConfig, RejectsNonPowerOfTwoTiles) {
+  MachineConfig cfg = tiny();
+  cfg.cores = 12;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 3;
+  expect_rejected(cfg, "cores");
+}
+
+TEST(ChipConfig, RejectsMoreThan128Tiles) {
+  MachineConfig cfg = tiny();
+  cfg.cores = 256;
+  cfg.mesh_width = 16;
+  cfg.mesh_height = 16;
+  expect_rejected(cfg, "cores");
+}
+
+TEST(ChipConfig, RejectsMeshThatDoesNotMatchTiles) {
+  MachineConfig cfg = tiny();
+  cfg.mesh_width = 8;
+  expect_rejected(cfg, "mesh_width");
+}
+
+TEST(ChipConfig, RejectsWaysOutside1To32) {
+  MachineConfig cfg = tiny();
+  cfg.ways_per_bank = 33;
+  expect_rejected(cfg, "ways_per_bank");
+  cfg.ways_per_bank = 0;
+  expect_rejected(cfg, "ways_per_bank");
+}
+
+TEST(ChipConfig, RejectsSetsLog2OutOfRange) {
+  MachineConfig cfg = tiny();
+  cfg.sets_log2 = 0;
+  expect_rejected(cfg, "sets_log2");
+}
+
+TEST(ChipConfig, RejectsMcuCount) {
+  MachineConfig cfg = tiny();
+  cfg.num_mcus = 0;
+  expect_rejected(cfg, "num_mcus");
+  cfg.num_mcus = 17;
+  expect_rejected(cfg, "num_mcus");
+}
+
+TEST(ChipConfig, RejectsUmonMaxWays) {
+  MachineConfig cfg = tiny();
+  cfg.umon.max_ways = 0;
+  expect_rejected(cfg, "umon.max_ways");
+}
+
+TEST(ChipConfig, RejectsUmonSetsLog2) {
+  MachineConfig cfg = tiny();
+  cfg.umon.sets_log2 = 21;
+  expect_rejected(cfg, "umon.sets_log2");
+}
+
+TEST(ChipConfig, RejectsUmonSetDilution) {
+  MachineConfig cfg = tiny();
+  cfg.umon.set_dilution = 0;
+  expect_rejected(cfg, "umon.set_dilution");
+}
+
+TEST(ChipConfig, RejectsUmonCoarseWays) {
+  MachineConfig cfg = tiny();
+  cfg.umon.coarse_ways = 0;
+  expect_rejected(cfg, "umon.coarse_ways");
+}
+
+TEST(ChipConfig, RejectsAppListOfWrongLength) {
+  try {
+    Chip chip(tiny(), std::vector<std::string>(15, "po"),
+              make_scheme(SchemeKind::kSnuca));
+    ADD_FAILURE() << "accepted 15 apps for 16 cores";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("apps"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ChipConfig, AcceptsBothTableIIMachines) {
+  EXPECT_NO_THROW(config16().validate());
+  EXPECT_NO_THROW(config64().validate());
 }
 
 }  // namespace

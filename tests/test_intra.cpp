@@ -5,12 +5,10 @@
 // not the contract; bit-equal is.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "check/fuzz.hpp"
@@ -20,6 +18,7 @@
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "sim/scheme.hpp"
+#include "workload/generator.hpp"
 
 namespace delta {
 namespace {
@@ -150,54 +149,22 @@ TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
             run_summary(quick16(1), "w2", sim::SchemeKind::kDelta));
 }
 
-/// Test-only scheme: S-NUCA routing, except that map() throws on core
-/// kCore's kThrowAt-th access — a task failure inside the stage phase while
-/// the other workers are mid-phase or spinning on a phase counter.
-class ThrowingScheme final : public sim::Scheme {
- public:
-  static constexpr CoreId kCore = 3;
-  static constexpr std::uint64_t kThrowAt = 20'000;
-
-  ThrowingScheme() : inner_(sim::make_scheme(sim::SchemeKind::kSnuca)) {}
-  std::string_view name() const override { return "throwing"; }
-  void reset(sim::Chip& chip) override { inner_->reset(chip); }
-  void begin_epoch(sim::Chip& chip, std::uint64_t epoch) override {
-    inner_->begin_epoch(chip, epoch);
-  }
-  sim::BankTarget map(const sim::Chip& chip, CoreId core,
-                      BlockAddr block) const override {
-    if (core == kCore && calls_.fetch_add(1, std::memory_order_relaxed) + 1 == kThrowAt)
-      throw std::runtime_error("injected map failure");
-    return inner_->map(chip, core, block);
-  }
-  mem::WayMask insert_mask(const sim::Chip& chip, CoreId core,
-                           BankId bank) const override {
-    return inner_->insert_mask(chip, core, bank);
-  }
-  int allocated_ways(const sim::Chip& chip, CoreId core) const override {
-    return inner_->allocated_ways(chip, core);
-  }
-
- private:
-  std::unique_ptr<sim::Scheme> inner_;
-  mutable std::atomic<std::uint64_t> calls_{0};
-};
-
 TEST(Intra, TaskExceptionRethrowsOnCallerAndEngineRecovers) {
   // A throwing task must not hang a worker spinning on a phase counter: the
   // run rethrows the task's exception on the calling thread and returns.
+  // The failure is injected in the stage phase: core 3's stream is moved to
+  // an address window whose blocks overflow the UMON's 32-bit stack tags,
+  // so its first sampled access throws while the other cores stage.
   const std::string serial = run_summary(quick16(1), "w2", sim::SchemeKind::kDelta);
   for (const int jobs : {2, 4, 8}) {
     const sim::MachineConfig cfg = quick16(jobs);
     const workload::Mix mix = sim::mix_for_config(cfg, "w2");
-    sim::Chip chip(cfg, mix.apps, std::make_unique<ThrowingScheme>());
+    sim::Chip chip(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kDelta));
     ASSERT_EQ(chip.intra_threads(), static_cast<unsigned>(jobs));
-    try {
-      (void)chip.run(mix.name);
-      FAIL() << "intra-jobs " << jobs << ": expected the injected exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "injected map failure") << "intra-jobs " << jobs;
-    }
+    sim::AppSlot& victim = chip.slot(3);
+    ASSERT_NE(victim.umon, nullptr);
+    victim.gen = std::make_unique<workload::TraceGen>(*victim.profile, Addr{1} << 52, 7);
+    EXPECT_THROW((void)chip.run(mix.name), std::out_of_range) << "intra-jobs " << jobs;
     // A fresh chip afterwards still replays the serial bytes.
     EXPECT_EQ(serial, run_summary(cfg, "w2", sim::SchemeKind::kDelta))
         << "intra-jobs " << jobs << " diverged after a failed run";

@@ -114,7 +114,7 @@ TEST(InvariantChecker, StaticSchemesHaveNoWayPartitionState) {
   EXPECT_FALSE(chip.scheme().debug_drop_way(0, 0));
   EXPECT_EQ(chip.scheme().wp_unit(0), nullptr);
   EXPECT_EQ(chip.scheme().cbt_of(0), nullptr);
-  EXPECT_EQ(chip.scheme().tracked_occupancy(0, 0), -1);
+  EXPECT_EQ(chip.tracked_occupancy(0, 0), -1);
 }
 
 TEST(InvariantChecker, ThrowOnViolationFailsFast) {

@@ -155,7 +155,7 @@ TEST(LintRawIntrinsic, WrapperCallsAndMidTokenMatchesAreClean) {
       "#include \"common/simd.hpp\"\n"
       "void f(const std::uint64_t* v) {\n"
       "  simd::prefetch_read(v);\n"
-      "  auto m = simd::find_u64(v, 16, 3);\n"
+      "  auto m = simd::find_u32(v, 16, 3);\n"
       "  int comm_mm = 0;\n"       // `_mm` mid-identifier: not a token start.
       "}\n");
   EXPECT_FALSE(has_rule(fs, "raw-intrinsic"));
@@ -398,7 +398,7 @@ TEST(LintBaseline, ParsesEntriesSkippingCommentsAndBlanks) {
         "# findings accepted while the refactor lands\n"
         "\n"
         "  src/sim/chip.cpp:layering  \n"
-        "src/core/cbt.hpp:phase-effect\n");
+        "src/core/cbt.hpp:naked-new\n");
   bool ok = false;
   const Baseline b = load_baseline(t.root / "base.txt", &ok);
   EXPECT_TRUE(ok);
@@ -406,7 +406,7 @@ TEST(LintBaseline, ParsesEntriesSkippingCommentsAndBlanks) {
   EXPECT_EQ(b.entries[0].first, "src/sim/chip.cpp");
   EXPECT_EQ(b.entries[0].second, "layering");
   EXPECT_EQ(b.entries[1].first, "src/core/cbt.hpp");
-  EXPECT_EQ(b.entries[1].second, "phase-effect");
+  EXPECT_EQ(b.entries[1].second, "naked-new");
 }
 
 TEST(LintBaseline, UnreadableFileReportsNotOk) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -169,6 +170,33 @@ TEST(ClaimSet, ThrowSetsFailedAndStopsFurtherClaims) {
   int ran = 0;
   EXPECT_EQ(claims.run(2, 1, failed, [&](std::size_t) { ++ran; }).tasks, 0u);
   EXPECT_EQ(ran, 0);
+}
+
+TEST(ParallelFor, IdleWorkersClaimTheRestWhileOneIndexRuns) {
+  // Index 0 blocks until every other index has run.  With workers claiming
+  // from one shared counter, the second worker drains indices 1..5 while
+  // the first waits; a static round-robin split would leave 2 and 4 queued
+  // behind the blocked index 0 on its own thread, and the wait would time
+  // out.
+  constexpr std::size_t kN = 6;
+  std::atomic<std::size_t> others_done{0};
+  bool saw_all = false;
+  parallel_for(
+      0, kN,
+      [&](std::size_t i) {
+        if (i != 0) {
+          others_done.fetch_add(1, std::memory_order_release);
+          return;
+        }
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (others_done.load(std::memory_order_acquire) < kN - 1 &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        saw_all = others_done.load(std::memory_order_acquire) == kN - 1;
+      },
+      /*threads=*/2);
+  EXPECT_TRUE(saw_all) << "index 0 timed out with " << others_done.load()
+                       << " of " << kN - 1 << " other indices run";
 }
 
 TEST(ResolveWorkers, AutoIsHardwareThreadsExplicitPassesAllClampToCap) {

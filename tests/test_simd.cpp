@@ -149,47 +149,53 @@ TEST(MatchTag40, UnalignedRows) {
   }
 }
 
-TEST(FindU64, FirstIndexAtEveryPositionAndWidth) {
-  const std::uint64_t key = 0x00c0ffee'00c0ffeeULL;
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                        std::size_t{3}, std::size_t{7}, std::size_t{8},
-                        std::size_t{9}, std::size_t{15}, std::size_t{16},
-                        std::size_t{63}, std::size_t{64}, std::size_t{192},
-                        std::size_t{193}}) {
-    std::vector<std::uint64_t> vals(n);
-    for (std::size_t i = 0; i < n; ++i) vals[i] = ~static_cast<std::uint64_t>(i);
-    // Absent.
-    EXPECT_EQ(find_u64(vals.data(), n, key), n) << "n=" << n;
-    EXPECT_EQ(find_u64_scalar(vals.data(), n, key), n) << "n=" << n;
+TEST(FindU32, FirstIndexAtEveryPositionAndWidth) {
+  // Every width through three 16-lane groups plus the 4-lane and scalar
+  // tails, and the UMON stack depths of both Table II machines.
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 0; n <= 52; ++n) widths.push_back(n);
+  for (std::size_t n : {191, 192, 193, 767, 768}) widths.push_back(n);
+  // The top bit set: the kernel's signed packs must not flip the verdict.
+  const std::uint32_t key = 0x80c0ffeeu;
+  for (const std::size_t n : widths) {
+    std::vector<std::uint32_t> vals(n);
+    // Neighbours of the key in every byte, so only exact equality matches.
+    for (std::size_t i = 0; i < n; ++i)
+      vals[i] = key ^ (std::uint32_t{1} << (i % 32));
+    EXPECT_EQ(find_u32(vals.data(), n, key), n) << "n=" << n;
+    EXPECT_EQ(find_u32_scalar(vals.data(), n, key), n) << "n=" << n;
     for (std::size_t pos = 0; pos < n; ++pos) {
-      const std::uint64_t saved = vals[pos];
+      const std::uint32_t saved = vals[pos];
       vals[pos] = key;
-      EXPECT_EQ(find_u64(vals.data(), n, key), pos) << "n=" << n;
+      EXPECT_EQ(find_u32(vals.data(), n, key), pos) << "n=" << n;
+      EXPECT_EQ(find_u32_scalar(vals.data(), n, key), pos) << "n=" << n;
       vals[pos] = saved;
     }
   }
 }
 
-TEST(FindU64, ReturnsFirstOfDuplicates) {
-  std::vector<std::uint64_t> vals(100, 7ULL);
+TEST(FindU32, ReturnsFirstOfDuplicates) {
+  std::vector<std::uint32_t> vals(100, 7u);
   for (std::size_t first : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                            std::size_t{8}, std::size_t{42}, std::size_t{99}}) {
-    for (std::size_t i = 0; i < vals.size(); ++i)
-      vals[i] = i >= first ? 7ULL : 9ULL;
-    EXPECT_EQ(find_u64(vals.data(), vals.size(), 7ULL), first);
+                            std::size_t{8}, std::size_t{17}, std::size_t{42},
+                            std::size_t{99}}) {
+    for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = i >= first ? 7u : 9u;
+    EXPECT_EQ(find_u32(vals.data(), vals.size(), 7u), first);
   }
 }
 
-TEST(FindU64, RandomizedAgainstScalar) {
+TEST(FindU32, RandomizedAgainstScalar) {
   Rng rng(0xf1u);
   for (int iter = 0; iter < 5000; ++iter) {
-    const std::size_t n = rng.below(300);
-    std::vector<std::uint64_t> vals(n);
-    std::array<std::uint64_t, 4> pool = {rng(), rng(),
-                                         rng() & 0xff, ~0ULL};
+    const std::size_t n = rng.below(800);
+    std::vector<std::uint32_t> vals(n);
+    const std::array<std::uint32_t, 4> pool = {static_cast<std::uint32_t>(rng()),
+                                               static_cast<std::uint32_t>(rng()),
+                                               static_cast<std::uint32_t>(rng() & 0xff),
+                                               ~0u};
     for (std::size_t i = 0; i < n; ++i) vals[i] = pool[rng.below(4)];
-    const std::uint64_t key = pool[rng.below(4)];
-    EXPECT_EQ(find_u64(vals.data(), n, key), find_u64_scalar(vals.data(), n, key))
+    const std::uint32_t key = pool[rng.below(4)];
+    EXPECT_EQ(find_u32(vals.data(), n, key), find_u32_scalar(vals.data(), n, key))
         << "iter=" << iter << " n=" << n;
   }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "umon/umon.hpp"
 
@@ -147,6 +150,40 @@ TEST(Umon, NonDivisorSetDilutionIsSafe) {
   for (BlockAddr b = 0; b < 4096; ++b) u.access(b);
   EXPECT_GT(u.sampled_accesses(), 0u);
   EXPECT_GT(u.hits_between(0, 16), 0.0);
+}
+
+TEST(Umon, FullStackRecyclesItsLruEntry) {
+  UmonConfig cfg = small_cfg();
+  cfg.max_ways = 4;
+  Umon u(cfg);
+  // Five blocks of set 0 through a 4-deep stack: the first falls out.
+  for (BlockAddr tag = 1; tag <= 5; ++tag) u.access(tag << 9);
+  u.access(BlockAddr{1} << 9);
+  EXPECT_DOUBLE_EQ(u.misses_at_max(), 6.0);
+  // The stack is now 1, 5, 4, 3: block 5 sits at distance 1.
+  u.access(BlockAddr{5} << 9);
+  EXPECT_DOUBLE_EQ(u.hits_between(1, 2), 1.0);
+  EXPECT_DOUBLE_EQ(u.misses_at_max(), 6.0);
+}
+
+TEST(Umon, SampledBlockWithWideTagThrowsBeforeAnyChange) {
+  UmonConfig cfg;  // 512 sets, 1 in 16 sampled: set 0 is monitored.
+  Umon u(cfg);
+  const BlockAddr widest = (BlockAddr{1} << 32) - 1;  // Largest 32-bit tag.
+  u.access(widest << 9);
+  u.access(widest << 9);
+  EXPECT_DOUBLE_EQ(u.hits_between(0, 1), 16.0);
+  const double accesses = u.accesses();
+  const std::vector<double> curve = u.miss_curve().raw();
+
+  EXPECT_THROW(u.access((widest + 1) << 9), std::out_of_range);
+  EXPECT_DOUBLE_EQ(u.accesses(), accesses);
+  EXPECT_EQ(u.miss_curve().raw(), curve);
+  // The stack is untouched too: the widest tag still hits at the top.
+  u.access(widest << 9);
+  EXPECT_DOUBLE_EQ(u.hits_between(0, 1), 32.0);
+  // An unsampled block (set 1) never reaches a stack, whatever its tag.
+  EXPECT_NO_THROW(u.access(((widest + 1) << 9) | 1));
 }
 
 }  // namespace

@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Alternating A/B pairs of the perfbench benchmark from two checkouts.
+
+    python3 tools/ab_pairs.py --base ../parent --change . --workload sweep16 \
+        [--pairs 10] [--seed 1] [--seconds 10]
+
+Runs `perfbench/run.py` once in each checkout per pair, --pairs times,
+alternating which side goes first so a drift in host load falls on both
+sides alike. Each run builds its own checkout (the first build is the slow
+one). Prints, per metric, each side's median and interquartile range, the
+median of the per-pair change/base ratios, and in how many pairs the change
+was better. Which direction is better comes from the change checkout's
+BENCHMARK.json (lower when a metric is not listed there).
+
+Exit status: 0 when every run reported `correct: true` and `failed: 0`;
+1 when any run did not, or printed no result; 2 on a usage error.
+"""
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_side(checkout: Path, args) -> dict:
+    """One perfbench run in `checkout`; its last stdout line, parsed."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
+           "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode} "
+                           "without a result")
+    return json.loads(lines[-1])
+
+
+def directions(checkout: Path) -> dict:
+    """Metric name -> 'lower' or 'higher', from BENCHMARK.json if present."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    spec = json.loads(path.read_text())
+    return {m["name"]: m["better"]
+            for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def spread(values) -> str:
+    """'median [q1, q3]'; a single value is its own quartiles."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, type=Path, help="parent checkout")
+    ap.add_argument("--change", required=True, type=Path, help="changed checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=10.0)
+    args = ap.parse_args()
+    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
+        ap.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    for side in (args.base, args.change):
+        if not (side / "perfbench" / "run.py").is_file():
+            ap.error(f"no perfbench/run.py under {side}")
+
+    runs = {"base": [], "change": []}
+    ok = True
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                result = run_side(getattr(args, side), args)
+            except (RuntimeError, ValueError) as e:
+                print(f"ab_pairs: pair {i + 1} {side}: {e}", file=sys.stderr)
+                return 1
+            if result.get("correct") is not True or result.get("failed") != 0:
+                ok = False
+                print(f"ab_pairs: pair {i + 1} {side}: correct="
+                      f"{result.get('correct')} failed={result.get('failed')}",
+                      file=sys.stderr)
+            runs[side].append({k: m["value"] for k, m in result["metrics"].items()})
+        print(f"ab_pairs: pair {i + 1}/{args.pairs} done ({order[0]} first)",
+              file=sys.stderr)
+
+    better = directions(args.change)
+    names = [k for k in runs["base"][0] if all(k in r for r in runs["change"])]
+    print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
+          f"{args.seconds:g} s per run")
+    print(f"{'metric':<16} {'base median [IQR]':>30} {'change median [IQR]':>30} "
+          f"{'ratio':>7} {'wins':>7}")
+    for name in names:
+        base = [r[name] for r in runs["base"]]
+        change = [r[name] for r in runs["change"]]
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        ratios = [c / b for b, c in zip(base, change) if b != 0]
+        ratio = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
+        print(f"{name:<16} {spread(base):>30} {spread(change):>30} {ratio:>7} "
+              f"{wins:>4}/{args.pairs}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,5 @@
 // delta_lint CLI: runs the project determinism/hygiene rules plus the
-// semantic layer (phase-effect, layering, include-cycle — src/lint) over
+// semantic layer (layering, include-cycle — src/lint) over
 // one or more source trees and prints one `file:line: rule: detail` per
 // violation.  Exit status: 0 clean, 1 violations, 2 usage error (including
 // an unknown rule name or a source path that is not a directory).

@@ -56,7 +56,7 @@ class DeltaLintCliTest(unittest.TestCase):
 
     def test_valid_input_still_lints_clean(self):
         for args in [[self.src],
-                     ["--rule", "phase-effect,layering,include-cycle", self.src],
+                     ["--rule", "layering,include-cycle", self.src],
                      ["--rule", "naked-new", self.src]]:
             with self.subTest(args=args):
                 r = self.run_lint(*args)
