@@ -5,7 +5,8 @@
 //     AoS copy (legacy_cache.hpp) on identical synthetic streams, after a
 //     full-field oracle replay: every AccessResult must match before
 //     anything is timed, or the harness exits 2.
-//   * simd — match_tag40 and find_u32 vs their scalar reference loops.
+//   * simd — match_tag40 and find_u32 vs their scalar reference loops,
+//     each side one non-inlined pass with alternating reps.
 //   * intra — one 64-tile w13 delta run at --intra-jobs 1/2/4/8: the
 //     scaling curve of the stage/apply/reduce engine, printed but not
 //     gated (perfbench is the end-to-end and scaling benchmark).  The
@@ -115,49 +116,85 @@ double kernel_accesses_per_sec(Cache& cache, const KernelStream& s, int reps) {
   return static_cast<double>(s.sets.size()) / best;
 }
 
-template <typename F>
-double ops_per_sec(std::size_t ops, int reps, F&& body) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+/// Times two passes `reps` times each, alternating a, b, a, b, ... so a
+/// drift in host load or clock speed falls on both sides alike, and
+/// returns the best-of-reps ratio time(b) / time(a): how many times faster
+/// pass a ran.  Each pass returns a sink that keeps its work alive.
+template <typename A, typename B>
+double alternating_speedup(int reps, A&& a, B&& b) {
+  double best_a = 1e300, best_b = 1e300;
+  const auto timed = [](auto& pass, double& best) {
     const auto t0 = Clock::now();
-    const std::uint64_t sink = body();
+    const std::uint64_t sink = pass();
     const double dt = seconds_since(t0);
     if (sink == ~std::uint64_t{0}) std::printf(" ");  // Defeat dead-code elim.
-    if (dt < best) best = dt;
+    best = std::min(best, dt);
+  };
+  for (int r = 0; r < reps; ++r) {
+    timed(a, best_a);
+    timed(b, best_b);
   }
-  return static_cast<double>(ops) / best;
+  return best_b / best_a;
 }
 
-/// match_tag40 over 16-way split tag rows — the cache hit path's shape,
-/// over one LLC bank's worth of rows (512 sets, 40 KB), so the ratio
-/// measures the compare rather than DRAM streaming.  Both flavours run
-/// over identical pre-generated data in the same process, so the
-/// SIMD/scalar ratio is a property of the compiled backend, not of the
-/// host load (the same argument as the cache-kernel ratio).
+// Each SIMD ratio times its two sides through one non-inlined pass per
+// side: the kernel inlines into a loop over probes, as it inlines into
+// the cache and UMON loops that call it, and each loop is a 64-byte-aligned
+// function of its own, so its code and alignment do not move when
+// unrelated code in this translation unit changes.
+
+/// 16-way split tag rows over one LLC bank's worth of sets (512 sets,
+/// 40 KB), so the ratio measures the compare rather than DRAM streaming.
+struct TagRows {
+  static constexpr std::size_t kRows = 512;
+  std::vector<std::uint32_t> lo = std::vector<std::uint32_t>(kRows * 16);
+  std::vector<std::uint8_t> hi = std::vector<std::uint8_t>(kRows * 16);
+};
+
+template <bool kSimd>
+[[gnu::noinline, gnu::aligned(64)]]
+std::uint64_t tag40_pass(const TagRows& t, std::size_t probes_n) {
+  std::uint64_t sink = 0;
+  for (std::size_t i = 0; i < probes_n; ++i) {
+    const std::size_t row = (i * 7 & (TagRows::kRows - 1)) * 16;
+    const std::uint64_t key = (i & 63) | ((i >> 6 & 1) << 32);
+    if constexpr (kSimd)
+      sink += simd::match_tag40(t.lo.data() + row, t.hi.data() + row, 16, key);
+    else
+      sink += simd::match_tag40_scalar(t.lo.data() + row, t.hi.data() + row, 16, key);
+  }
+  return sink;
+}
+
+template <bool kSimd>
+[[gnu::noinline, gnu::aligned(64)]]
+std::uint64_t find_pass(const std::vector<std::uint32_t>& stack,
+                        const std::vector<std::uint32_t>& keys) {
+  std::uint64_t sink = 0;
+  for (const std::uint32_t k : keys) {
+    if constexpr (kSimd)
+      sink += simd::find_u32(stack.data(), stack.size(), k);
+    else
+      sink += simd::find_u32_scalar(stack.data(), stack.size(), k);
+  }
+  return sink;
+}
+
+/// match_tag40 over 16-way split tag rows — the cache hit path's shape.
+/// Both flavours run over identical pre-generated data in the same
+/// process, so the SIMD/scalar ratio is a property of the compiled
+/// backend, not of the host load (the same argument as the cache-kernel
+/// ratio).
 double bench_tag40(int reps, std::size_t probes_n) {
-  constexpr std::size_t kRows = 512;
   Rng rng(7);
-  std::vector<std::uint32_t> lo(kRows * 16);
-  std::vector<std::uint8_t> hi(kRows * 16);
+  TagRows t;
   // Small pools => frequent matches, and tags that share a low word but
   // not a high byte.
-  for (auto& v : lo) v = static_cast<std::uint32_t>(rng.below(64));
-  for (auto& v : hi) v = static_cast<std::uint8_t>(rng.below(2));
-  const auto key = [](std::size_t i) { return (i & 63) | ((i >> 6 & 1) << 32); };
-  const auto row = [](std::size_t i) { return (i * 7 & (kRows - 1)) * 16; };
-  const double simd_ops = ops_per_sec(probes_n, reps, [&] {
-    std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < probes_n; ++i)
-      sink += simd::match_tag40(lo.data() + row(i), hi.data() + row(i), 16, key(i));
-    return sink;
-  });
-  const double scalar_ops = ops_per_sec(probes_n, reps, [&] {
-    std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < probes_n; ++i)
-      sink += simd::match_tag40_scalar(lo.data() + row(i), hi.data() + row(i), 16, key(i));
-    return sink;
-  });
-  return simd_ops / scalar_ops;
+  for (auto& v : t.lo) v = static_cast<std::uint32_t>(rng.below(64));
+  for (auto& v : t.hi) v = static_cast<std::uint8_t>(rng.below(2));
+  return alternating_speedup(
+      reps, [&] { return tag40_pass<true>(t, probes_n); },
+      [&] { return tag40_pass<false>(t, probes_n); });
 }
 
 /// find_u32 over 192-entry stacks — the UMON shadow-tag search's shape
@@ -171,18 +208,9 @@ double bench_find(int reps, std::size_t probes_n) {
   std::vector<std::uint32_t> keys(probes_n);
   for (auto& k : keys)  // ~25% hit rate, any depth.
     k = static_cast<std::uint32_t>(rng.below(kStack * 4));
-  const double simd_ops = ops_per_sec(probes_n, reps, [&] {
-    std::uint64_t sink = 0;
-    for (const std::uint32_t k : keys) sink += simd::find_u32(stack.data(), kStack, k);
-    return sink;
-  });
-  const double scalar_ops = ops_per_sec(probes_n, reps, [&] {
-    std::uint64_t sink = 0;
-    for (const std::uint32_t k : keys)
-      sink += simd::find_u32_scalar(stack.data(), kStack, k);
-    return sink;
-  });
-  return simd_ops / scalar_ops;
+  return alternating_speedup(
+      reps, [&] { return find_pass<true>(stack, keys); },
+      [&] { return find_pass<false>(stack, keys); });
 }
 
 }  // namespace

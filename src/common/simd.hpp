@@ -146,23 +146,30 @@ inline std::size_t find_u32(const std::uint32_t* vals, std::size_t n, std::uint3
 }
 
 /// Lanes in a recency-rank row: one std::uint8_t rank per way, 0 = MRU.
-/// Lanes at or above the cache's way count hold their own index, so the
-/// ways in use always carry a permutation of [0, ways) and the spare lanes
-/// rank strictly older than every way.
-inline constexpr int kRankLanes = 32;
+/// A row has 16 lanes for up to 16 ways and 32 lanes for 17-32
+/// (rank_lanes).  Lanes at or above the cache's way count hold their own
+/// index, so the ways in use always carry a permutation of [0, ways) and
+/// the spare lanes rank strictly older than every way.
+inline constexpr int kMaxRankLanes = 32;
 
-/// Scalar reference for rank_promote: every lane ranked below
-/// ranks[way] ages by one and `way` becomes MRU (rank 0).  Ranks in a row
-/// are distinct, so "the lane whose rank equals ranks[way]" is `way`.
-inline void rank_promote_scalar(std::uint8_t* ranks, int way) {
+/// Rank-row width for a `ways`-way set: 16 lanes (one vector, ranks below
+/// 16) up to 16 ways, 32 lanes above.
+constexpr int rank_lanes(int ways) { return ways <= 16 ? 16 : kMaxRankLanes; }
+
+/// Scalar reference for rank_promote: every lane of a `lanes`-lane row
+/// ranked below ranks[way] ages by one and `way` becomes MRU (rank 0).
+/// Ranks in a row are distinct, so "the lane whose rank equals
+/// ranks[way]" is `way`.
+inline void rank_promote_scalar(std::uint8_t* ranks, int lanes, int way) {
   const std::uint8_t r = ranks[way];
-  for (int i = 0; i < kRankLanes; ++i)
+  for (int i = 0; i < lanes; ++i)
     ranks[i] = ranks[i] == r ? std::uint8_t{0}
                              : static_cast<std::uint8_t>(ranks[i] + (ranks[i] < r));
 }
 
 /// Scalar reference for rank_oldest: the lane in `mask` with the largest
-/// rank (the least recently used), or -1 when `mask` is empty.
+/// rank (the least recently used), or -1 when `mask` is empty.  `mask`
+/// selects lanes of the row, so the row's width does not enter.
 inline int rank_oldest_scalar(const std::uint8_t* ranks, std::uint32_t mask) {
   int best = -1;
   for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
@@ -175,14 +182,18 @@ inline int rank_oldest_scalar(const std::uint8_t* ranks, std::uint32_t mask) {
 #if defined(DELTA_SIMD_SSE2)
 namespace detail {
 
-/// Bit `kBit` of every rank as a 32-bit lane mask: shifting each 16-bit
+/// Bit `kBit` of 16 ranks as a 16-bit lane mask: shifting each 16-bit
 /// pair left by 7 - kBit moves that bit of both bytes into their sign
 /// bits, which movemask_epi8 gathers.
 template <int kBit>
+inline std::uint32_t rank_bit_sse2(__m128i v) {
+  return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_slli_epi16(v, 7 - kBit)));
+}
+
+/// The same bit over a 32-lane row held as two vectors.
+template <int kBit>
 inline std::uint32_t rank_bit_sse2(__m128i lo, __m128i hi) {
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_slli_epi16(lo, 7 - kBit))) |
-         (static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_slli_epi16(hi, 7 - kBit)))
-          << 16);
+  return rank_bit_sse2<kBit>(lo) | (rank_bit_sse2<kBit>(hi) << 16);
 }
 
 /// Keeps the candidates whose rank has the bit in `plane` set, if any do.
@@ -191,46 +202,60 @@ inline std::uint32_t keep_older(std::uint32_t cand, std::uint32_t plane) {
   return older != 0 ? older : cand;
 }
 
+/// rank_promote on one 16-lane vector: lanes younger than `r` age by one
+/// and the lane holding `r` becomes 0.  Ranks are below 32, so the signed
+/// byte compare is exact.
+inline void promote_vector_sse2(__m128i* p, __m128i r) {
+  const __m128i v = _mm_loadu_si128(p);
+  // cmplt is all-ones (-1) on younger lanes: subtracting it ages them.
+  const __m128i aged = _mm_sub_epi8(v, _mm_cmplt_epi8(v, r));
+  _mm_storeu_si128(p, _mm_andnot_si128(_mm_cmpeq_epi8(v, r), aged));
+}
+
 }  // namespace detail
 #endif
 
-/// Promotes `way` of a kRankLanes-lane rank row to MRU.  The LRU update of
-/// every cache hit and fill (mem/cache.hpp).
-inline void rank_promote(std::uint8_t* ranks, int way) {
+/// Promotes `way` of a `lanes`-lane rank row (16 or 32) to MRU.  The LRU
+/// update of every cache hit and fill (mem/cache.hpp).
+inline void rank_promote(std::uint8_t* ranks, int lanes, int way) {
 #if defined(DELTA_SIMD_SSE2)
-  // Ranks are below 32, so the signed byte compare is exact.
   const __m128i r = _mm_set1_epi8(static_cast<char>(ranks[way]));
   auto* row = reinterpret_cast<__m128i*>(ranks);
-  for (int h = 0; h < 2; ++h) {
-    const __m128i v = _mm_loadu_si128(row + h);
-    // cmplt is all-ones (-1) on younger lanes: subtracting it ages them.
-    const __m128i aged = _mm_sub_epi8(v, _mm_cmplt_epi8(v, r));
-    _mm_storeu_si128(row + h, _mm_andnot_si128(_mm_cmpeq_epi8(v, r), aged));
-  }
+  detail::promote_vector_sse2(row, r);
+  if (lanes > 16) detail::promote_vector_sse2(row + 1, r);
 #else
-  rank_promote_scalar(ranks, way);
+  rank_promote_scalar(ranks, lanes, way);
 #endif
 }
 
-/// The least recently used lane of `mask`, or -1 when `mask` is empty.  The
-/// LRU victim choice of every cache miss (mem/cache.cpp).
-inline int rank_oldest(const std::uint8_t* ranks, std::uint32_t mask) {
+/// The least recently used lane of `mask` in a `lanes`-lane rank row (16
+/// or 32), or -1 when `mask` is empty; `mask` selects lanes below
+/// `lanes`.  The LRU victim choice of every cache miss (mem/cache.cpp).
+inline int rank_oldest(const std::uint8_t* ranks, int lanes, std::uint32_t mask) {
 #if defined(DELTA_SIMD_SSE2)
   if (mask == 0) return -1;
-  // Ranks are distinct and below 32: walking their five bits from the top,
-  // keeping the candidates that have each bit set, leaves exactly the lane
-  // of the largest rank.
+  // Ranks are distinct and below `lanes`: walking their bits from the top
+  // (four bits for 16 lanes, five for 32), keeping the candidates that
+  // have each bit set, leaves exactly the lane of the largest rank.
   const auto* row = reinterpret_cast<const __m128i*>(ranks);
   const __m128i lo = _mm_loadu_si128(row);
-  const __m128i hi = _mm_loadu_si128(row + 1);
   std::uint32_t cand = mask;
-  cand = detail::keep_older(cand, detail::rank_bit_sse2<4>(lo, hi));
-  cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(lo, hi));
-  cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(lo, hi));
-  cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(lo, hi));
-  cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(lo, hi));
+  if (lanes <= 16) {
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(lo));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(lo));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(lo));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(lo));
+  } else {
+    const __m128i hi = _mm_loadu_si128(row + 1);
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<4>(lo, hi));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(lo, hi));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(lo, hi));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(lo, hi));
+    cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(lo, hi));
+  }
   return std::countr_zero(cand);
 #else
+  (void)lanes;
   return rank_oldest_scalar(ranks, mask);
 #endif
 }

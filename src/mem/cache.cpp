@@ -10,7 +10,7 @@ namespace {
 
 /// Validates the geometry before any row is sized from it.
 int checked_ways(std::uint32_t sets, int ways) {
-  if (ways < 1 || ways > simd::kRankLanes)
+  if (ways < 1 || ways > simd::kMaxRankLanes)
     throw std::invalid_argument("SetAssocCache: ways must be in [1, 32], got " +
                                 std::to_string(ways));
   if (sets == 0) throw std::invalid_argument("SetAssocCache: sets must be >= 1");
@@ -24,20 +24,20 @@ constexpr std::size_t roundup64(std::size_t n) { return (n + 63) & ~std::size_t{
 SetAssocCache::SetAssocCache(std::uint32_t sets, int ways)
     : sets_(sets),
       ways_(checked_ways(sets, ways)),
-      low_bytes_(roundup64(4 * static_cast<std::size_t>(ways))),
-      stride_(low_bytes_ + roundup64(simd::kRankLanes + 2 * static_cast<std::size_t>(ways))),
-      records_(std::size_t{sets} * (stride_ / sizeof(Line)), Line{}),
-      valid_(sets, 0) {
-  // The tag compare reads both tag rows in whole kTagGroup-lane groups:
-  // the low row fills its lines (64 B for 16 lanes, 128 B for 32) and the
-  // high row's group ends inside the rank/owner lines, so every read stays
-  // inside the record.
+      lanes_(simd::rank_lanes(ways)),
+      low_bytes_(4 * static_cast<std::size_t>(lanes_)),
+      valid_offset_(low_bytes_ + 3 * static_cast<std::size_t>(lanes_)),
+      stride_(low_bytes_ + roundup64(3 * static_cast<std::size_t>(lanes_) + 4)),
+      records_(std::size_t{sets} * (stride_ / sizeof(Line)), Line{}) {
+  // The tag compare reads both tag rows in whole kTagGroup-lane groups,
+  // and each row is lanes_ (a multiple of kTagGroup) wide, so every read
+  // stays inside its row.  Records start zeroed: every validity word is 0.
   for (std::uint32_t s = 0; s < sets_; ++s) {
     // Every lane starts ranked by its index: the ways in use hold a
     // permutation of [0, ways) and the spare lanes stay older than all of
     // them.
     std::uint8_t* const r = ranks(s);
-    for (int i = 0; i < simd::kRankLanes; ++i) r[i] = static_cast<std::uint8_t>(i);
+    for (int i = 0; i < lanes_; ++i) r[i] = static_cast<std::uint8_t>(i);
     std::uint8_t* const o = owners(s);
     for (int w = 0; w < ways_; ++w) o[w] = kNoOwner;
   }
@@ -65,7 +65,8 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
   // Prefer an invalid eligible way; otherwise evict the eligible LRU,
   // restricted to the preferred victim owner's lines when it holds any.
   int victim;
-  if (const std::uint32_t free = eligible & ~valid_[set]; free != 0) {
+  std::uint32_t& valid = valid_word(set);
+  if (const std::uint32_t free = eligible & ~valid; free != 0) {
     victim = std::countr_zero(free);
   } else {
     std::uint32_t pref = 0;
@@ -73,7 +74,7 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
       for (int i = 0; i < ways_; ++i)
         pref |= static_cast<std::uint32_t>(CoreId{owners_row[i]} == evict_pref) << i;
     pref &= eligible;
-    victim = simd::rank_oldest(rank_row, pref != 0 ? pref : eligible);
+    victim = simd::rank_oldest(rank_row, lanes_, pref != 0 ? pref : eligible);
     res.evicted = true;
     res.victim_block = block_at(set, victim);
     res.victim_owner = owner_at(set, victim);
@@ -83,15 +84,15 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
   lo[victim] = static_cast<std::uint32_t>(block);
   hi[victim] = static_cast<std::uint8_t>(block >> 32);
   owners_row[victim] = static_cast<std::uint8_t>(owner);
-  valid_[set] |= std::uint32_t{1} << victim;
-  simd::rank_promote(rank_row, victim);
+  valid |= std::uint32_t{1} << victim;
+  simd::rank_promote(rank_row, lanes_, victim);
   res.way = victim;
   return res;
 }
 
 bool SetAssocCache::touch(std::uint32_t set, BlockAddr block) {
   if (const std::uint32_t match = match_ways(set, block); match != 0) {
-    simd::rank_promote(ranks(set), std::countr_zero(match));
+    simd::rank_promote(ranks(set), lanes_, std::countr_zero(match));
     return true;
   }
   return false;
@@ -99,7 +100,7 @@ bool SetAssocCache::touch(std::uint32_t set, BlockAddr block) {
 
 bool SetAssocCache::invalidate(std::uint32_t set, BlockAddr block) {
   if (const std::uint32_t match = match_ways(set, block); match != 0) {
-    valid_[set] &= ~match;
+    valid_word(set) &= ~match;
     ++stats_.invalidations;
     return true;
   }
@@ -116,7 +117,8 @@ std::uint64_t SetAssocCache::lines_owned_by(CoreId core) const {
 
 std::uint64_t SetAssocCache::valid_lines() const {
   std::uint64_t n = 0;
-  for (const std::uint32_t vm : valid_) n += static_cast<unsigned>(std::popcount(vm));
+  for (std::uint32_t s = 0; s < sets_; ++s)
+    n += static_cast<unsigned>(std::popcount(valid_word(s)));
   return n;
 }
 

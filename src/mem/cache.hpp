@@ -7,25 +7,28 @@
 // the block address and the owning core so that DELTA's bulk-invalidation
 // unit can sweep remapped ranges without auxiliary structures.
 //
-// Layout: one 64-byte-aligned record per set, plus a dense per-set validity
-// word.  Up to 16 ways a record is two cache lines:
+// Layout: one 64-byte-aligned record per set, validity word included.  Up
+// to 16 ways a record is two cache lines:
 //
 //   line 0: the low 32 bits of each way's tag (16 x u32);
-//   line 1: the 32-lane recency-rank row (0 = MRU; common/simd.hpp
-//           rank_promote / rank_oldest), then tag bits 32-39 of each way
-//           (one u8 per way), then each way's owner (one u8 per way,
-//           0xFF = kInvalidCore).
+//   line 1: three 16-lane byte rows — the recency ranks (0 = MRU;
+//           common/simd.hpp rank_promote / rank_oldest), tag bits 32-39
+//           of each way and each way's owner (0xFF = kInvalidCore) — and
+//           at byte 48 the validity word (bit w = way w holds a line): 52
+//           of 64 bytes used.
 //
-// The stride is roundup64(4 * ways) + roundup64(32 + 2 * ways): 128 B up
-// to 16 ways, 256 B for 17-32.  A hit reads the validity word and both
-// lines of one record: one simd::match_tag40 compare plus one rank
-// promote; a miss picks its victim with one masked rank scan.  Tags are 40
-// bits, so blocks must stay below 2^40 and owners in [0, 254] (miss_fill
-// throws std::out_of_range otherwise); every in-tree stream stays below
-// 2^35.  The ranks are exact LRU: every touch makes its way the unique MRU
-// and keeps the order of the rest, so no two ways of a set ever tie, and a
-// rank row has no counter to overflow however long the run.  Supports 1
-// to 32 ways.
+// At 17-32 ways the rows have 32 lanes: the low-tag row fills two lines,
+// and two metadata lines hold the rank, high-tag and owner rows and, at
+// byte 96, the validity word.  With L = simd::rank_lanes(ways) the stride
+// is 4L + roundup64(3L + 4): 128 B up to 16 ways, 256 B for 17-32.  Up to 16 ways
+// a hit reads the record's two lines and nothing else: one
+// simd::match_tag40 compare plus one rank promote; a miss picks its victim
+// with one masked rank scan.  Tags are 40 bits, so blocks must stay below 2^40 and owners
+// in [0, 254] (miss_fill throws std::out_of_range otherwise); every
+// in-tree stream stays below 2^35.  The ranks are exact LRU: every touch
+// makes its way the unique MRU and keeps the order of the rest, so no two
+// ways of a set ever tie, and a rank row has no counter to overflow
+// however long the run.  Supports 1 to 32 ways.
 #pragma once
 
 #include <bit>
@@ -96,7 +99,7 @@ class SetAssocCache {
                       CoreId evict_pref = kInvalidCore) {
     if (const std::uint32_t match = match_ways(set, block); match != 0) {
       const int i = std::countr_zero(match);
-      simd::rank_promote(ranks(set), i);
+      simd::rank_promote(ranks(set), lanes_, i);
       ++stats_.hits;
       return AccessResult{.hit = true, .way = i};
     }
@@ -115,12 +118,11 @@ class SetAssocCache {
   std::uint64_t invalidate_if(Pred&& pred) {
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < sets_; ++s) {
-      std::uint32_t vm = valid_[s];
-      while (vm != 0) {
+      std::uint32_t& valid = valid_word(s);
+      for (std::uint32_t vm = valid; vm != 0; vm &= vm - 1) {
         const int w = std::countr_zero(vm);
-        vm &= vm - 1;
         if (pred(block_at(s, w), owner_at(s, w))) {
-          valid_[s] &= ~(std::uint32_t{1} << w);
+          valid &= ~(std::uint32_t{1} << w);
           ++n;
         }
       }
@@ -140,10 +142,8 @@ class SetAssocCache {
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
     for (std::uint32_t s = 0; s < sets_; ++s) {
-      std::uint32_t vm = valid_[s];
-      while (vm != 0) {
+      for (std::uint32_t vm = valid_word(s); vm != 0; vm &= vm - 1) {
         const int w = std::countr_zero(vm);
-        vm &= vm - 1;
         fn(s, w, block_at(s, w), owner_at(s, w));
       }
     }
@@ -152,14 +152,14 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// Prefetch hint for a set: its record's tag line and rank/owner line,
-  /// and its validity word.  Side-effect-free: the access pipelines
-  /// (Chip::do_access_batch, the intra engine's bank merge) issue it ahead
-  /// of access() so the set is L1-resident by the time it is compared.
+  /// Prefetch hint for a set: its record's tag line and its metadata line
+  /// (ranks, high tags, owners, validity word).  Side-effect-free: the
+  /// access pipelines (Chip::do_access_batch, the intra engine's bank
+  /// merge) issue it ahead of access() so the set is L1-resident by the
+  /// time it is compared.
   void prefetch_set(std::uint32_t set) const {
     simd::prefetch_read(low_tags(set));
     simd::prefetch_write(ranks(set));
-    simd::prefetch_write(valid_.data() + set);
   }
 
  private:
@@ -174,7 +174,8 @@ class SetAssocCache {
   /// tests/test_sweep.cpp and by micro_throughput's replay, which runs
   /// before it times this kernel against its floors.
   std::uint32_t match_ways(std::uint32_t set, BlockAddr block) const {
-    return simd::match_tag40(low_tags(set), high_tags(set), ways_, block) & valid_[set];
+    return simd::match_tag40(low_tags(set), high_tags(set), ways_, block) &
+           valid_word(set);
   }
 
   /// One 64-byte line of record storage; std::allocator honours the
@@ -184,8 +185,8 @@ class SetAssocCache {
   };
 
   // Record rows of `set`.  The low-tag row is the record's first bytes;
-  // the rank row starts at low_bytes_, followed by the high tag bytes and
-  // the owner bytes.
+  // the rank row starts at low_bytes_, followed by the high-tag row, the
+  // owner row and the validity word, each row lanes_ bytes.
   std::uint8_t* record(std::uint32_t set) {
     return reinterpret_cast<std::uint8_t*>(records_.data()) + std::size_t{set} * stride_;
   }
@@ -200,12 +201,18 @@ class SetAssocCache {
   }
   std::uint8_t* ranks(std::uint32_t set) { return record(set) + low_bytes_; }
   const std::uint8_t* ranks(std::uint32_t set) const { return record(set) + low_bytes_; }
-  std::uint8_t* high_tags(std::uint32_t set) { return ranks(set) + simd::kRankLanes; }
-  const std::uint8_t* high_tags(std::uint32_t set) const {
-    return ranks(set) + simd::kRankLanes;
+  std::uint8_t* high_tags(std::uint32_t set) { return ranks(set) + lanes_; }
+  const std::uint8_t* high_tags(std::uint32_t set) const { return ranks(set) + lanes_; }
+  std::uint8_t* owners(std::uint32_t set) { return high_tags(set) + lanes_; }
+  const std::uint8_t* owners(std::uint32_t set) const { return high_tags(set) + lanes_; }
+  /// Bit w set iff way w holds a line.  The word is one of the record's
+  /// Line words, so the u32 access stays within its own type.
+  std::uint32_t& valid_word(std::uint32_t set) {
+    return *reinterpret_cast<std::uint32_t*>(record(set) + valid_offset_);
   }
-  std::uint8_t* owners(std::uint32_t set) { return high_tags(set) + ways_; }
-  const std::uint8_t* owners(std::uint32_t set) const { return high_tags(set) + ways_; }
+  std::uint32_t valid_word(std::uint32_t set) const {
+    return *reinterpret_cast<const std::uint32_t*>(record(set) + valid_offset_);
+  }
 
   BlockAddr block_at(std::uint32_t set, int way) const {
     return (BlockAddr{high_tags(set)[way]} << 32) | low_tags(set)[way];
@@ -220,10 +227,11 @@ class SetAssocCache {
 
   std::uint32_t sets_;
   int ways_;
-  std::size_t low_bytes_;  ///< roundup64(4 * ways): the low-tag row's lines.
-  std::size_t stride_;     ///< Bytes per set record.
-  std::vector<Line> records_;         ///< stride_ / 64 lines per set.
-  std::vector<std::uint32_t> valid_;  ///< Per-set validity bitmask.
+  int lanes_;                  ///< Lanes per row: simd::rank_lanes(ways), 16 or 32.
+  std::size_t low_bytes_;      ///< 4 * lanes_: the low-tag row's lines.
+  std::size_t valid_offset_;   ///< low_bytes_ + 3 * lanes_.
+  std::size_t stride_;         ///< Bytes per set record.
+  std::vector<Line> records_;  ///< stride_ / 64 lines per set.
   CacheStats stats_;
 };
 

@@ -138,26 +138,28 @@ void Chip::do_access_batch(CoreId c, std::uint64_t count, bool measuring) {
 
   std::uint64_t hits = 0, misses = 0, remote = 0;
 
-  // Two-stage software pipeline: the next access's block is generated (and
-  // its UMON stack prefetched) while the current access still has its mesh
-  // and mask arithmetic ahead, and the routed set's record is prefetched
-  // right after routing so the tag row is L1-resident by the time access()
-  // compares it.  Every component call stays in the historical per-access
-  // order — the generator, monitor and bank each see exactly the serial
+  // The batch's blocks are drawn up front in one fill (the generator's
+  // state is its own, so drawing ahead changes nothing the bank or the
+  // monitor sees).  Then a software pipeline: the next access's UMON stack
+  // is prefetched while the current access still has its mesh and mask
+  // arithmetic ahead, and the routed set's record is prefetched right
+  // after routing so the tag row is L1-resident by the time access()
+  // compares it.  The monitor and the banks each see exactly the serial
   // sequence, so results are byte-identical; only prefetch hints
   // (side-effect-free) overlap iterations.
-  BlockAddr next_block = count != 0 ? gen->next() : BlockAddr{0};
+  if (batch_blocks_.size() < count) batch_blocks_.resize(count);
+  BlockAddr* const blocks = batch_blocks_.data();
+  gen->fill(blocks, count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const BlockAddr block = next_block;
+    const BlockAddr block = blocks[i];
     if constexpr (kMonitor) um->access(block);
 
     const BankId b = route[(block >> bank_shift) & 0xFFu];
     const std::uint32_t set = static_cast<std::uint32_t>(block >> set_shift) & set_mask;
     mem::SetAssocCache& bk = banks_[static_cast<std::size_t>(b)];
     bk.prefetch_set(set);
-    if (i + 1 < count) {
-      next_block = gen->next();
-      if constexpr (kMonitor) um->prefetch(next_block);
+    if constexpr (kMonitor) {
+      if (i + 1 < count) um->prefetch(blocks[i + 1]);
     }
     const int hops = mesh_.hops(c, b);
     Cycles lat = mesh_.round_trip(c, b) + fixed_lat;

@@ -199,6 +199,8 @@ class Chip {
   std::uint64_t epoch_ = 0;
   std::uint64_t invalidated_lines_ = 0;
   std::vector<std::uint64_t> epoch_targets_;  // Scratch: accesses per core.
+  /// Scratch: do_access_batch's blocks (grow-only, the largest batch seen).
+  std::vector<BlockAddr> batch_blocks_;
 
   // Observability (nullable, not owned).  prev_* snapshots turn cumulative
   // counters into per-epoch deltas for the timeline sampler.

@@ -44,34 +44,26 @@ IntraEngine::IntraEngine(Chip& chip, unsigned threads)
 }
 
 template <bool kMonitor>
-void IntraEngine::stage_stream(CoreId c, CoreStage& st, std::uint64_t target) {
+void IntraEngine::stage_stream(CoreId c, CoreStage& st) {
   const AppSlot& s = chip_.slots_[static_cast<std::size_t>(c)];
-  Staged* const acc = st.acc.data();
+  const BlockAddr* const blocks = st.blocks.data();
+  std::uint8_t* const banks = st.banks.data();
   std::uint32_t* const offs = st.offs.data();
-  workload::TraceGen* const gen = s.gen.get();
   umon::Umon* const um = s.umon.get();
-  const EpochPlan& plan = chip_.plan_;
-  const EpochPlan::Route& route = plan.route[static_cast<std::size_t>(c)];
-  const int bank_shift = plan.bank_shift;
-  const int set_shift = plan.set_shift;
-  const std::uint32_t set_mask = plan.set_mask;
-  // Same two-stage pipeline as Chip::do_access_batch: generate one access
-  // ahead and prefetch its UMON stack while the current one is routed and
-  // staged.  Component call order is unchanged, so staging stays
-  // byte-identical to the serial loop.
-  BlockAddr next_block = gen->next();
-  for (std::uint64_t i = 0; i < target; ++i) {
-    const BlockAddr block = next_block;
-    if constexpr (kMonitor) um->access(block);
-    if (i + 1 < target) {
-      next_block = gen->next();
-      if constexpr (kMonitor) um->prefetch(next_block);
+  const EpochPlan::Route& route = chip_.plan_.route[static_cast<std::size_t>(c)];
+  const int bank_shift = chip_.plan_.bank_shift;
+  const std::size_t n = st.n;
+  // The blocks are already drawn; the monitor sees them in stream order
+  // (as in Chip::do_access_batch) with the next access's UMON stack
+  // prefetched while the current one is routed and counted.
+  for (std::size_t i = 0; i < n; ++i) {
+    const BlockAddr block = blocks[i];
+    if constexpr (kMonitor) {
+      um->access(block);
+      if (i + 1 < n) um->prefetch(blocks[i + 1]);
     }
     const std::uint8_t bank = route[(block >> bank_shift) & 0xFFu];
-    Staged& a = acc[i];
-    a.block = block;
-    a.set = static_cast<std::uint32_t>(block >> set_shift) & set_mask;
-    a.bank = bank;
+    banks[i] = bank;
     ++offs[static_cast<std::size_t>(bank) + 1];
   }
 }
@@ -86,27 +78,31 @@ void IntraEngine::stage_core(CoreId c) {
   if (st.n == 0) return;
 
   // Grow-only: entries are overwritten below, so no re-initialisation.
-  if (st.acc.size() < st.n) {
-    st.acc.resize(st.n);
+  if (st.blocks.size() < st.n) {
+    st.blocks.resize(st.n);
+    st.banks.resize(st.n);
     st.idx.resize(st.n);
   }
+  // The core's whole epoch stream in one draw: one RNG chain, the same
+  // blocks the serial loop draws batch by batch.
+  s.gen->fill(st.blocks.data(), st.n);
   if (s.umon != nullptr)
-    stage_stream<true>(c, st, target);
+    stage_stream<true>(c, st);
   else
-    stage_stream<false>(c, st, target);
+    stage_stream<false>(c, st);
 
   // Counting sort by bank.  After the prefix sum offs[b] is run b's start;
   // the scatter advances it to run b's end (= run b+1's start), and the
   // shift restores the starts.  Scanning in stream order keeps every run
   // ascending.
   std::uint32_t* const offs = st.offs.data();
-  const Staged* const acc = st.acc.data();
-  const std::size_t banks = st.offs.size() - 1;
-  for (std::size_t b = 1; b <= banks; ++b) offs[b] += offs[b - 1];
+  const std::uint8_t* const banks = st.banks.data();
+  const std::size_t n_banks = st.offs.size() - 1;
+  for (std::size_t b = 1; b <= n_banks; ++b) offs[b] += offs[b - 1];
   std::uint32_t* const idx = st.idx.data();
   for (std::size_t i = 0; i < st.n; ++i)
-    idx[offs[acc[i].bank]++] = static_cast<std::uint32_t>(i);
-  for (std::size_t b = banks - 1; b > 0; --b) offs[b] = offs[b - 1];
+    idx[offs[banks[i]]++] = static_cast<std::uint32_t>(i);
+  for (std::size_t b = n_banks - 1; b > 0; --b) offs[b] = offs[b - 1];
   offs[0] = 0;
 }
 
@@ -143,12 +139,17 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
     const std::uint32_t begin = st.offs[static_cast<std::size_t>(b)];
     const std::uint32_t end = st.offs[static_cast<std::size_t>(b) + 1];
     if (begin < end)
-      runs.push_back(Run{st.idx.data() + begin, st.idx.data() + end, st.acc.data(), c,
+      runs.push_back(Run{st.idx.data() + begin, st.idx.data() + end, st.blocks.data(), c,
                          plan.mask(c, b)});
   }
 
   mem::SetAssocCache& bank = chip_.banks_[static_cast<std::size_t>(b)];
   const Cycles* const mcu_lat = tally.mcu_lat.data();
+  const int set_shift = plan.set_shift;
+  const std::uint32_t set_mask = plan.set_mask;
+  const auto set_of = [&](BlockAddr block) {
+    return static_cast<std::uint32_t>(block >> set_shift) & set_mask;
+  };
 
   // Canonical merge: the serial loop issues round-robin batches of
   // interleave_batch() per core, so this bank saw its accesses in ascending
@@ -181,23 +182,24 @@ void IntraEngine::apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* m
       const CoreId c = r.core;
       const auto ci = static_cast<std::size_t>(c);
       while (r.it != r.end && *r.it < round_end) {
-        const Staged& a = r.acc[*r.it];
+        const BlockAddr block = r.blocks[*r.it];
         // Pull a later access's set record toward L1 while this one
         // computes its victim preference (hint only — no state change).
         if (static_cast<std::size_t>(r.end - r.it) > kPrefetchDistance)
-          bank.prefetch_set(r.acc[r.it[kPrefetchDistance]].set);
+          bank.prefetch_set(set_of(r.blocks[r.it[kPrefetchDistance]]));
         ++r.it;
         // Occupancy enforcement moves the preference on every fill, so it
         // is asked per access.
         const CoreId evict_pref =
             enforcer != nullptr ? enforcer->preferred_victim() : kInvalidCore;
-        const mem::AccessResult res = bank.access(a.set, a.block, c, r.mask, evict_pref);
+        const mem::AccessResult res =
+            bank.access(set_of(block), block, c, r.mask, evict_pref);
         if (res.hit) {
           ++tally.hits[ci];
         } else {
           if (enforcer != nullptr && res.way >= 0)
             enforcer->on_fill(c, res.evicted ? res.victim_owner : kInvalidCore);
-          const int mcu = memsys.mcu_for(a.block);
+          const int mcu = memsys.mcu_for(block);
           tally.miss_lat[ci] += mcu_lat[mcu];
           ++tally.misses[ci];
           ++tally.mcu_reqs[static_cast<std::size_t>(mcu)];

@@ -11,22 +11,26 @@
 // scheduled by a ClaimSet (common/parallel.hpp: home range first, then
 // ascending steals):
 //
-//   Stage — one task per core: draw the core's whole access stream (one
-//     RNG chain: UMON shadow tags, plan routing) into a per-core
-//     buffer, then counting-sort the stream indices by bank into one flat
-//     index array plus an offs[banks+1] run table, so run b (the core's
-//     accesses to bank b, ascending) is idx[offs[b], offs[b+1]).  Buffers
-//     keep their high-water size across epochs and are never re-cleared.
-//     Then bump stage_done_ (release).
+//   Stage — one task per core: draw the core's whole epoch stream with one
+//     TraceGen::fill (one RNG chain) straight into the core's block
+//     buffer, feed it to the UMON shadow tags and route each access
+//     through the plan to one bank byte, then counting-sort the stream
+//     indices by that byte into one flat index array plus an offs[banks+1]
+//     run table, so run b (the core's accesses to bank b, ascending) is
+//     idx[offs[b], offs[b+1]).  Staging keeps 9 bytes per access (block
+//     and bank) besides the index; the set is not staged.  Buffers keep
+//     their high-water size across epochs and are never re-cleared.  Then
+//     bump stage_done_ (release).
 //
 //   Apply — one task per bank, once stage_done_ == cores (acquire): collect
 //     the contributors — cores whose run for this bank is non-empty, in
 //     ascending core order, each with its plan mask for the bank — and
-//     merge only their
-//     runs in the canonical serial order, ascending (round, core, index)
-//     with round = index / interleave_batch(): the run's cursor stays in a
-//     round while its index is below (round + 1) * batch, so the bank sees
-//     the exact serial access sequence.  Under occupancy enforcement the
+//     merge only their runs in the canonical serial order, ascending
+//     (round, core, index) with round = index / interleave_batch(): the
+//     run's cursor stays in a round while its index is below (round + 1) *
+//     batch, so the bank sees the exact serial access sequence.  Each
+//     access's set is recomputed from its block with the plan's
+//     set_shift/set_mask.  Under occupancy enforcement the
 //     victim preference is read per access (every fill moves it).
 //     While an access is applied, the set of the access kPrefetchDistance
 //     further along the same run is prefetched.  Each task first builds a
@@ -105,19 +109,13 @@ class IntraEngine {
   /// the accesses in between.
   static constexpr std::size_t kPrefetchDistance = 8;
 
-  /// One staged access: routing decided by the stage task, applied to its
-  /// bank by an apply task.
-  struct Staged {
-    BlockAddr block = 0;
-    std::uint32_t set = 0;
-    std::uint16_t bank = 0;
-  };
-
-  /// Per-core staging, reused across epochs.  `acc` and `idx` only grow
+  /// Per-core staging, reused across epochs: 9 bytes per access (the
+  /// block and its bank) plus its slot in `idx`.  The buffers only grow
   /// (to the largest epoch target seen); entries past `n` are stale.
   struct CoreStage {
-    std::vector<Staged> acc;  ///< Stream in draw order; first n are live.
-    std::size_t n = 0;        ///< Accesses staged this epoch.
+    std::vector<BlockAddr> blocks;     ///< Stream in draw order; first n live.
+    std::vector<std::uint8_t> banks;   ///< Routed bank per access: the sort key.
+    std::size_t n = 0;                 ///< Accesses staged this epoch.
     /// Stream indices grouped by bank: run b is idx[offs[b], offs[b+1]),
     /// ascending within each run.
     std::vector<std::uint32_t> idx;
@@ -128,7 +126,7 @@ class IntraEngine {
   struct Run {
     const std::uint32_t* it;   ///< Next unconsumed stream index.
     const std::uint32_t* end;
-    const Staged* acc;         ///< The core's staging buffer.
+    const BlockAddr* blocks;   ///< The core's staged stream.
     CoreId core;
     mem::WayMask mask;         ///< The core's plan mask in this bank.
   };
@@ -148,9 +146,10 @@ class IntraEngine {
 
   // Task bodies (run by whichever worker claimed the task).
   void stage_core(CoreId c);
-  /// stage_core's draw loop; `kMonitor` == the core has a UMON.
+  /// stage_core's monitor/route loop over the drawn stream; `kMonitor` ==
+  /// the core has a UMON.
   template <bool kMonitor>
-  void stage_stream(CoreId c, CoreStage& st, std::uint64_t target);
+  void stage_stream(CoreId c, CoreStage& st);
   /// `ms` is non-null only when kFull profiling samples the cursor-merge
   /// scan (1 round in 8); the clock reads live in obs/prof.
   void apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms);

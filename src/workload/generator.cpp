@@ -90,25 +90,8 @@ void TraceGen::set_epoch(std::uint64_t epoch) {
   phase_ = &profile_.phases[phase_idx_];
 }
 
-BlockAddr TraceGen::next() {
-  PhaseState& st = states_[phase_idx_];
-
-  // Weighted ring choice: the raw 53-bit draw against the phase's
-  // precomputed thresholds (ring_thresholds) — the same ring the scaled
-  // double draw picked from the cumulative weight table.
-  const std::uint64_t k = rng_() >> 11;
-  RingState& rs = st.rings[choose_ring(st.thresholds.data(), st.thresholds.size(), k)];
+BlockAddr TraceGen::cold_step(RingState& rs) {
   switch (rs.kind) {
-    case RingKind::kUniform:
-      return rs.base_block + rng_.below(rs.lines);
-    case RingKind::kLoop:
-    case RingKind::kStream: {
-      const BlockAddr b = rs.base_block + rs.pos;
-      // pos < lines always holds, so the wrap needs a compare, not a modulo
-      // (this advance runs for every generated loop/stream access).
-      if (++rs.pos == rs.lines) rs.pos = 0;
-      return b;
-    }
     case RingKind::kGather: {
       // Gather/scatter: one sequential index-array line feeds eight
       // permuted data touches (a 64 B line holds eight u64 indices; the
@@ -151,8 +134,52 @@ BlockAddr TraceGen::next() {
       rs.pos = (rs.pos * 6364136223846793005ULL + 1442695040888963407ULL) & rs.mask;
       return rs.base_block + ((rs.pos * 0x9e3779b97f4a7c15ULL) & rs.mask);
     }
+    case RingKind::kUniform:
+    case RingKind::kLoop:
+    case RingKind::kStream:
+      break;  // Stepped inline by draw().
   }
   return rs.base_block;
+}
+
+inline BlockAddr TraceGen::draw(Rng& rng, const std::uint64_t* thresholds,
+                                std::size_t n_thresholds, RingState* rings) {
+  // Weighted ring choice: the raw 53-bit draw against the phase's
+  // precomputed thresholds (ring_thresholds) — the same ring the scaled
+  // double draw picked from the cumulative weight table.
+  const std::uint64_t k = rng() >> 11;
+  RingState& rs = rings[choose_ring(thresholds, n_thresholds, k)];
+  switch (rs.kind) {
+    case RingKind::kUniform:
+      return rs.base_block + rng.below(rs.lines);
+    case RingKind::kLoop:
+    case RingKind::kStream: {
+      const BlockAddr b = rs.base_block + rs.pos;
+      // pos < lines always holds, so the wrap needs a compare, not a modulo
+      // (this advance runs for every generated loop/stream access).
+      if (++rs.pos == rs.lines) rs.pos = 0;
+      return b;
+    }
+    default:
+      return cold_step(rs);
+  }
+}
+
+BlockAddr TraceGen::next() {
+  PhaseState& st = states_[phase_idx_];
+  return draw(rng_, st.thresholds.data(), st.thresholds.size(), st.rings.data());
+}
+
+void TraceGen::fill(BlockAddr* out, std::size_t n) {
+  PhaseState& st = states_[phase_idx_];
+  const std::uint64_t* const thresholds = st.thresholds.data();
+  const std::size_t n_thresholds = st.thresholds.size();
+  RingState* const rings = st.rings.data();
+  // The RNG runs on a local copy, so its state stays in registers across
+  // the batch instead of being stored back after every draw.
+  Rng rng = rng_;
+  for (std::size_t i = 0; i < n; ++i) out[i] = draw(rng, thresholds, n_thresholds, rings);
+  rng_ = rng;
 }
 
 }  // namespace delta::workload

@@ -1,13 +1,15 @@
 // Trace generator: turns an AppProfile into a deterministic stream of
 // LLC-bound block addresses.
 //
-// next() runs once per simulated LLC access, so its per-access work is
+// A draw runs once per simulated LLC access, so its per-access work is
 // table-driven: the ring is chosen by comparing the raw 53-bit draw
 // against integer thresholds precomputed from the phase's cumulative
 // weights (ring_thresholds), and each ring's state record carries its
 // kind, its power-of-two mask and, for the salted kinds (gather, hash
 // join), the current pass's affine map, recomputed only when the salt
-// changes.
+// changes.  The access engines draw whole batches with fill(), which keeps
+// the RNG state and the phase tables in locals across the batch; next()
+// runs the same draw for one access.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +50,11 @@ class TraceGen {
   /// Next block address of the post-L2 access stream.
   BlockAddr next();
 
+  /// Writes the next `n` block addresses to out[0, n): the values n calls
+  /// of next() would return, in order.  The phase stays fixed across the
+  /// batch, as it does between set_epoch() calls.
+  void fill(BlockAddr* out, std::size_t n);
+
   /// Selects the active phase for a global epoch counter (phase offsets are
   /// derived from the seed so replicated instances de-synchronise).
   void set_epoch(std::uint64_t epoch);
@@ -76,6 +83,16 @@ class TraceGen {
     std::vector<RingState> rings;
     std::vector<std::uint64_t> thresholds;  ///< ring_thresholds(cum weights).
   };
+
+  /// One access of the stream: the ring choice and the chosen ring's step.
+  /// The only copy of the ring logic; next() and fill() both inline it.
+  /// Uniform and loop/stream rings step inline, the others in cold_step().
+  static BlockAddr draw(Rng& rng, const std::uint64_t* thresholds,
+                        std::size_t n_thresholds, RingState* rings);
+  /// The step of a ring that draws no random number beyond the ring
+  /// choice: gather, hash join and walk.  Out of line so the inlined
+  /// draw loop stays small for the SPEC profiles, which use none of them.
+  [[gnu::noinline]] static BlockAddr cold_step(RingState& rs);
 
   const AppProfile& profile_;
   Addr base_;

@@ -185,6 +185,77 @@ TEST(Cache, InvalidateIfSweepsByOwner) {
   EXPECT_EQ(c.lines_owned_by(0), 16u);
 }
 
+// The validity word lives inside each set record, next to the owner bytes
+// (byte 48 of the metadata line up to 16 ways, byte 96 of the metadata
+// for 17-32).  Fill every way with the widest tag and owner values, then
+// check that every validity query and sweep sees exactly the lines it
+// should, set by set, on both record shapes and at the row edges.
+TEST(Cache, InRecordValidityWordAtEveryRecordShape) {
+  constexpr std::uint32_t kSets = 8;
+  for (const int ways : {1, 15, 16, 17, 32}) {
+    SetAssocCache c(kSets, ways);
+    const WayMask all = full_mask(ways);
+    // Block (set, way): the high tag byte 0xFF, distinct low words, owner
+    // 254 on odd ways (the largest owner byte) and 0 on even ways.
+    const auto block = [](std::uint32_t set, int way) {
+      return (BlockAddr{0xFF} << 32) | (std::uint64_t{set} << 8) |
+             static_cast<std::uint64_t>(way);
+    };
+    const auto owner = [](int way) { return way % 2 == 1 ? CoreId{254} : CoreId{0}; };
+    for (std::uint32_t s = 0; s < kSets; ++s)
+      for (int w = 0; w < ways; ++w) {
+        const AccessResult r = c.access(s, block(s, w), owner(w), all);
+        ASSERT_FALSE(r.hit);
+        ASSERT_FALSE(r.evicted) << "ways=" << ways;  // Invalid ways fill first.
+        ASSERT_EQ(r.way, w) << "ways=" << ways;
+      }
+    ASSERT_EQ(c.valid_lines(), std::uint64_t{kSets} * ways) << "ways=" << ways;
+
+    // for_each_line visits every line in (set, way) order with its block
+    // and owner intact.
+    std::uint64_t visited = 0;
+    c.for_each_line([&](std::uint32_t s, int w, BlockAddr b, CoreId o) {
+      ASSERT_EQ(visited, std::uint64_t{s} * ways + static_cast<std::uint64_t>(w));
+      ASSERT_EQ(b, block(s, w)) << "ways=" << ways;
+      ASSERT_EQ(o, owner(w)) << "ways=" << ways;
+      ++visited;
+    });
+    ASSERT_EQ(visited, c.valid_lines());
+
+    // invalidate clears one bit of one set's word: the first and last way
+    // of set 2, leaving its neighbours whole.
+    ASSERT_TRUE(c.invalidate(2, block(2, 0)));
+    if (ways > 1) {
+      ASSERT_TRUE(c.invalidate(2, block(2, ways - 1)));
+    }
+    const std::uint64_t dropped = ways > 1 ? 2 : 1;
+    EXPECT_EQ(c.valid_lines(), std::uint64_t{kSets} * ways - dropped) << "ways=" << ways;
+    EXPECT_FALSE(c.contains(2, block(2, 0)));
+    EXPECT_TRUE(c.contains(1, block(1, 0)));
+    EXPECT_TRUE(c.contains(3, block(3, ways - 1)));
+
+    // invalidate_if drops every owner-254 line still valid.
+    std::uint64_t odd_valid = 0;
+    c.for_each_line(
+        [&](std::uint32_t, int, BlockAddr, CoreId o) { odd_valid += o == 254; });
+    const std::uint64_t n = c.invalidate_if([](BlockAddr, CoreId o) { return o == 254; });
+    EXPECT_EQ(n, odd_valid) << "ways=" << ways;
+    EXPECT_EQ(c.lines_owned_by(254), 0u) << "ways=" << ways;
+    c.for_each_line([&](std::uint32_t, int w, BlockAddr, CoreId o) {
+      ASSERT_EQ(w % 2, 0) << "ways=" << ways;
+      ASSERT_EQ(o, 0);
+    });
+
+    // A refill takes an invalid way without evicting, and sets the bit back.
+    const std::uint64_t before = c.valid_lines();
+    const AccessResult r = c.access(2, block(2, 0), owner(0), all);
+    EXPECT_FALSE(r.evicted) << "ways=" << ways;
+    EXPECT_EQ(r.way, 0) << "ways=" << ways;
+    EXPECT_EQ(c.valid_lines(), before + 1) << "ways=" << ways;
+    EXPECT_TRUE(c.contains(2, block(2, 0)));
+  }
+}
+
 TEST(Cache, OwnerTagTracksInserter) {
   SetAssocCache c(1, 2);
   c.access(0, 1, 7, full_mask(2));

@@ -201,12 +201,13 @@ TEST(FindU32, RandomizedAgainstScalar) {
 }
 
 // A rank row as mem::SetAssocCache keeps it: lanes [0, ways) hold a random
-// permutation of [0, ways), the spare lanes their own index.
-using RankRow = std::array<std::uint8_t, kRankLanes>;
+// permutation of [0, ways), the spare lanes their own index.  The array is
+// as wide as the widest row; a 16-lane kernel must leave lanes 16-31 alone.
+using RankRow = std::array<std::uint8_t, kMaxRankLanes>;
 
 RankRow random_ranks(Rng& rng, int ways) {
   RankRow row{};
-  for (int i = 0; i < kRankLanes; ++i) row[i] = static_cast<std::uint8_t>(i);
+  for (int i = 0; i < kMaxRankLanes; ++i) row[i] = static_cast<std::uint8_t>(i);
   for (int i = ways - 1; i > 0; --i)
     std::swap(row[i], row[rng.below(static_cast<std::uint64_t>(i) + 1)]);
   return row;
@@ -216,50 +217,96 @@ std::uint32_t ways_mask(int ways) {
   return ways >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << ways) - 1;
 }
 
+TEST(RankKernels, LaneCountFollowsWays) {
+  for (int ways = 1; ways <= 16; ++ways) EXPECT_EQ(rank_lanes(ways), 16) << ways;
+  for (int ways = 17; ways <= 32; ++ways) EXPECT_EQ(rank_lanes(ways), 32) << ways;
+}
+
 TEST(RankKernels, OldestMatchesScalarForEveryWayCount) {
   Rng rng(0x7a4u);
-  for (int ways = 1; ways <= kRankLanes; ++ways) {
-    for (int iter = 0; iter < 2000; ++iter) {
-      const RankRow row = random_ranks(rng, ways);
-      // Alternate full, single-way and random masks.
-      std::uint32_t mask = ways_mask(ways);
-      if (iter % 3 == 1) mask = std::uint32_t{1} << rng.below(static_cast<std::uint64_t>(ways));
-      if (iter % 3 == 2) mask &= static_cast<std::uint32_t>(rng());
-      const int ref = rank_oldest_scalar(row.data(), mask);
-      ASSERT_EQ(rank_oldest(row.data(), mask), ref) << "ways=" << ways << " mask=" << mask;
-      if (mask == 0) continue;
-      // The reference is the masked lane of the largest rank.
-      ASSERT_NE(mask & (std::uint32_t{1} << ref), 0u);
-      for (int i = 0; i < ways; ++i) {
-        if ((mask >> i) & 1u) {
-          ASSERT_LE(row[i], row[ref]) << "ways=" << ways;
+  // The 32-lane kernel at every way count it can hold, and the 16-lane
+  // kernel at every way count it serves.
+  for (const int lanes : {32, 16}) {
+    for (int ways = 1; ways <= lanes; ++ways) {
+      for (int iter = 0; iter < 2000; ++iter) {
+        const RankRow row = random_ranks(rng, ways);
+        // Alternate full, single-way and random masks.
+        std::uint32_t mask = ways_mask(ways);
+        if (iter % 3 == 1)
+          mask = std::uint32_t{1} << rng.below(static_cast<std::uint64_t>(ways));
+        if (iter % 3 == 2) mask &= static_cast<std::uint32_t>(rng());
+        const int ref = rank_oldest_scalar(row.data(), mask);
+        ASSERT_EQ(rank_oldest(row.data(), lanes, mask), ref)
+            << "lanes=" << lanes << " ways=" << ways << " mask=" << mask;
+        if (mask == 0) continue;
+        // The reference is the masked lane of the largest rank.
+        ASSERT_NE(mask & (std::uint32_t{1} << ref), 0u);
+        for (int i = 0; i < ways; ++i) {
+          if ((mask >> i) & 1u) {
+            ASSERT_LE(row[i], row[ref]) << "ways=" << ways;
+          }
         }
       }
+      const RankRow row = random_ranks(rng, ways);
+      EXPECT_EQ(rank_oldest(row.data(), lanes, 0), -1) << "ways=" << ways;
+      EXPECT_EQ(rank_oldest_scalar(row.data(), 0), -1) << "ways=" << ways;
     }
-    const RankRow row = random_ranks(rng, ways);
-    EXPECT_EQ(rank_oldest(row.data(), 0), -1) << "ways=" << ways;
-    EXPECT_EQ(rank_oldest_scalar(row.data(), 0), -1) << "ways=" << ways;
+  }
+}
+
+TEST(RankKernels, NarrowOldestMatchesScalarForEveryMask) {
+  // The 16-lane kernel walks four rank bits instead of five; check it on
+  // every mask of every way count it serves, over several rows each.
+  Rng rng(0x16au);
+  for (int ways = 1; ways <= 16; ++ways) {
+    for (int rows = 0; rows < 3; ++rows) {
+      const RankRow row = random_ranks(rng, ways);
+      for (std::uint32_t mask = 0; mask <= ways_mask(ways); ++mask) {
+        ASSERT_EQ(rank_oldest(row.data(), 16, mask), rank_oldest_scalar(row.data(), mask))
+            << "ways=" << ways << " mask=" << mask;
+      }
+    }
   }
 }
 
 TEST(RankKernels, PromoteMatchesScalarForEveryWayCount) {
   Rng rng(0x9e1u);
-  for (int ways = 1; ways <= kRankLanes; ++ways) {
-    for (int iter = 0; iter < 500; ++iter) {
-      RankRow simd = random_ranks(rng, ways);
-      RankRow ref = simd;
-      // A run of promotes: the rows must agree after every step, and the
-      // row must stay a permutation with the promoted way at rank 0.
-      for (int step = 0; step < 8; ++step) {
-        const int way = static_cast<int>(rng.below(static_cast<std::uint64_t>(ways)));
-        rank_promote(simd.data(), way);
-        rank_promote_scalar(ref.data(), way);
+  for (const int lanes : {32, 16}) {
+    for (int ways = 1; ways <= lanes; ++ways) {
+      for (int iter = 0; iter < 500; ++iter) {
+        RankRow simd = random_ranks(rng, ways);
+        RankRow ref = simd;
+        // A run of promotes: the rows must agree after every step (lanes
+        // past a 16-lane row included: neither side may write them), and
+        // the row must stay a permutation with the promoted way at rank 0.
+        for (int step = 0; step < 8; ++step) {
+          const int way = static_cast<int>(rng.below(static_cast<std::uint64_t>(ways)));
+          rank_promote(simd.data(), lanes, way);
+          rank_promote_scalar(ref.data(), lanes, way);
+          ASSERT_EQ(simd, ref) << "lanes=" << lanes << " ways=" << ways << " way=" << way;
+          ASSERT_EQ(ref[way], 0);
+          std::uint32_t seen = 0;
+          for (int i = 0; i < ways; ++i) seen |= std::uint32_t{1} << ref[i];
+          ASSERT_EQ(seen, ways_mask(ways)) << "ways=" << ways;
+          for (int i = ways; i < kMaxRankLanes; ++i) ASSERT_EQ(ref[i], i);
+        }
+      }
+    }
+  }
+}
+
+TEST(RankKernels, NarrowPromoteMatchesScalarForEveryWay) {
+  // Every way of every 16-lane row shape, from several starting rows.
+  Rng rng(0x16bu);
+  for (int ways = 1; ways <= 16; ++ways) {
+    for (int rows = 0; rows < 16; ++rows) {
+      const RankRow start = random_ranks(rng, ways);
+      for (int way = 0; way < ways; ++way) {
+        RankRow simd = start;
+        RankRow ref = start;
+        rank_promote(simd.data(), 16, way);
+        rank_promote_scalar(ref.data(), 16, way);
         ASSERT_EQ(simd, ref) << "ways=" << ways << " way=" << way;
-        ASSERT_EQ(ref[way], 0);
-        std::uint32_t seen = 0;
-        for (int i = 0; i < ways; ++i) seen |= std::uint32_t{1} << ref[i];
-        ASSERT_EQ(seen, ways_mask(ways)) << "ways=" << ways;
-        for (int i = ways; i < kRankLanes; ++i) ASSERT_EQ(ref[i], i);
       }
     }
   }
@@ -270,11 +317,12 @@ TEST(RankKernels, RanksKeepTimestampOrder) {
   // picks: the masked way with the oldest stamp.
   Rng rng(0x3c5u);
   for (int ways : {1, 2, 7, 8, 15, 16, 17, 31, 32}) {
+    const int lanes = rank_lanes(ways);
     RankRow row = random_ranks(rng, 0);
-    std::array<std::uint64_t, kRankLanes> stamp{};
+    std::array<std::uint64_t, kMaxRankLanes> stamp{};
     std::uint64_t clock = 0;
     for (int w = 0; w < ways; ++w) {  // Fill every way once.
-      rank_promote(row.data(), w);
+      rank_promote(row.data(), lanes, w);
       stamp[w] = ++clock;
     }
     for (int iter = 0; iter < 20000; ++iter) {
@@ -282,9 +330,9 @@ TEST(RankKernels, RanksKeepTimestampOrder) {
       int lru = -1;
       for (int i = 0; i < ways; ++i)
         if (((mask >> i) & 1u) && (lru < 0 || stamp[i] < stamp[lru])) lru = i;
-      ASSERT_EQ(rank_oldest(row.data(), mask), lru) << "ways=" << ways;
+      ASSERT_EQ(rank_oldest(row.data(), lanes, mask), lru) << "ways=" << ways;
       const int way = static_cast<int>(rng.below(static_cast<std::uint64_t>(ways)));
-      rank_promote(row.data(), way);
+      rank_promote(row.data(), lanes, way);
       stamp[way] = ++clock;
     }
   }

@@ -121,6 +121,91 @@ TEST(TraceGen, SinglePhaseIgnoresEpoch) {
   EXPECT_EQ(&g.phase(), ph);
 }
 
+// fill() must be n calls of next(): every ring kind, every profile, any
+// batch size, resumed mid-stream and interleaved with next().
+
+/// Draws n blocks from `a` with fill() and n from `b` with next(); true if
+/// they agree.  Leaves both generators n draws further on.
+::testing::AssertionResult fill_matches_next(TraceGen& a, TraceGen& b, std::size_t n) {
+  std::vector<BlockAddr> got(n + 1, ~BlockAddr{0});
+  a.fill(got.data(), n);
+  if (got[n] != ~BlockAddr{0})
+    return ::testing::AssertionFailure() << "fill wrote past n=" << n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const BlockAddr want = b.next();
+    if (got[i] != want)
+      return ::testing::AssertionFailure()
+             << "draw " << i << " of " << n << ": fill " << got[i] << ", next " << want;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(TraceGenFill, EqualsRepeatedNextForEveryProfile) {
+  std::vector<const AppProfile*> profiles;
+  for (const AppProfile& p : spec_profiles()) profiles.push_back(&p);
+  for (const AppProfile& p : irregular_profiles()) profiles.push_back(&p);
+  std::set<RingKind> kinds;
+  for (const AppProfile* p : profiles) {
+    for (const Phase& ph : p->phases)
+      for (const Ring& r : ph.rings) kinds.insert(r.kind);
+    for (const std::size_t n : {0, 1, 16, 1700}) {
+      TraceGen a(*p, Addr{3} << 34, 11), b(*p, Addr{3} << 34, 11);
+      // Three batches, so later fills resume every ring mid-stream; then a
+      // next() on each side, so the stream carries on identically.
+      for (int batch = 0; batch < 3; ++batch)
+        ASSERT_TRUE(fill_matches_next(a, b, n)) << p->name << " batch " << batch;
+      ASSERT_EQ(a.next(), b.next()) << p->name << " n=" << n;
+    }
+  }
+  // The SPEC and irregular profiles between them use every ring kind,
+  // gather, hash join and walk included.
+  EXPECT_EQ(kinds.size(), 6u);
+}
+
+TEST(TraceGenFill, EqualsRepeatedNextAcrossPhasesAndWraps) {
+  // Small rings of every kind, so 1700-draw batches wrap loops, re-salt
+  // gather and hash-join passes and close walk periods; two phases of
+  // different weights, switching every epoch.
+  AppProfile p;
+  p.name = "every-kind";
+  p.short_name = "ek";
+  p.phase_len_epochs = 1;
+  Phase even, odd;
+  even.rings = {Ring{4 * kKiB, 0.2, RingKind::kUniform},
+                Ring{2 * kKiB, 0.2, RingKind::kLoop},
+                Ring{0, 0.1, RingKind::kStream},
+                Ring{1 * kKiB, 0.2, RingKind::kGather},
+                Ring{4 * kKiB, 0.2, RingKind::kHashJoin},
+                Ring{2 * kKiB, 0.1, RingKind::kWalk}};
+  odd.rings = {Ring{2 * kKiB, 0.5, RingKind::kHashJoin},
+               Ring{1 * kKiB, 0.3, RingKind::kGather},
+               Ring{8 * kKiB, 0.2, RingKind::kUniform}};
+  p.phases = {even, odd};
+  for (const std::size_t n : {0, 1, 16, 1700}) {
+    TraceGen a(p, 0, 23), b(p, 0, 23);
+    std::set<const Phase*> seen;
+    for (std::uint64_t epoch = 0; epoch < 8; ++epoch) {
+      a.set_epoch(epoch);
+      b.set_epoch(epoch);
+      seen.insert(&a.phase());
+      ASSERT_TRUE(fill_matches_next(a, b, n)) << "epoch " << epoch;
+      ASSERT_EQ(a.next(), b.next()) << "epoch " << epoch;
+    }
+    EXPECT_EQ(seen.size(), 2u);
+  }
+
+  // A multi-phase SPEC profile across its real phase boundaries.
+  const AppProfile& gcc = spec_profile("gcc");
+  ASSERT_GE(gcc.phases.size(), 2u);
+  TraceGen a(gcc, 0, 5), b(gcc, 0, 5);
+  for (std::uint64_t epoch = 0; epoch < 4 * gcc.phase_len_epochs; ++epoch) {
+    a.set_epoch(epoch);
+    b.set_epoch(epoch);
+    const std::size_t n = epoch % 4 == 3 ? 1700 : 16;
+    ASSERT_TRUE(fill_matches_next(a, b, n)) << "epoch " << epoch;
+  }
+}
+
 /// The ring choice TraceGen made before its threshold table: scale the
 /// 53-bit draw to a double in [0, total) and scan the cumulative weights.
 std::size_t historical_ring(const std::vector<double>& cum, std::uint64_t k) {

@@ -93,7 +93,7 @@ int run_cli(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: --%s\n", f.c_str());
     std::fprintf(stderr,
                  "usage: delta_sim [--mix wN | --apps a,b,...] [--scheme "
-                 "snuca|private|ideal|delta|carma|lfoc|all]\n"
+                 "snuca|private|ideal-central|delta|carma|lfoc|all]\n"
                  "                 [--cores 16|64] [--epochs N] [--warmup N] "
                  "[--seed S] [--central-ms M] [--csv] [--list]\n"
                  "                 [--trace-out trace.json] [--timeline-csv ts.csv]\n"
@@ -177,15 +177,15 @@ int run_cli(int argc, char** argv) {
   sim::SchemeOptions opts;
   opts.central_interval_epochs = static_cast<int>(central_ms * 10);
 
-  // --scheme names in kAllSchemeKinds order; "all" runs the six of them,
+  // --scheme takes the name the report prints (sim::to_string), plus the
+  // short alias "ideal" for ideal-central; "all" runs the six of them,
   // printed against the snuca baseline with ANTT/STP fairness vs private.
   const std::string scheme = args.get("scheme", "all");
-  constexpr const char* kSchemeNames[] = {"snuca", "private", "ideal",
-                                          "delta", "carma",   "lfoc"};
   std::vector<sim::SweepJob> jobs;
-  for (std::size_t k = 0; k < sim::kAllSchemeKinds.size(); ++k)
-    if (scheme == "all" || scheme == kSchemeNames[k])
-      jobs.push_back(sim::SweepJob{cfg, mix, sim::kAllSchemeKinds[k], opts});
+  for (const sim::SchemeKind kind : sim::kAllSchemeKinds)
+    if (scheme == "all" || scheme == sim::to_string(kind) ||
+        (scheme == "ideal" && kind == sim::SchemeKind::kIdealCentralized))
+      jobs.push_back(sim::SweepJob{cfg, mix, kind, opts});
   if (jobs.empty()) throw std::invalid_argument("unknown scheme '" + scheme + "'");
 
   // --jobs N fans the --scheme all runs over N threads (0 = every hardware

@@ -93,6 +93,18 @@ class DeltaSimCliTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertGreater(len(r.stdout.splitlines()), 1)
 
+    def test_scheme_takes_the_printed_name_and_the_ideal_alias(self):
+        # `ideal-central` is the name the report, CSV and JSON print for
+        # the scheme; `ideal` is its short alias.  Both select that scheme.
+        for name in ["ideal-central", "ideal"]:
+            with self.subTest(scheme=name):
+                r = self.run_sim("--mix", "w2", "--scheme", name, "--epochs", "1",
+                                 "--warmup", "0", "--csv")
+                self.assertEqual(r.returncode, 0, r.stderr)
+                rows = r.stdout.splitlines()[1:]
+                self.assertGreater(len(rows), 0)
+                self.assertTrue(all(",ideal-central," in row for row in rows), rows)
+
     def test_one_epoch_central_interval_is_accepted(self):
         r = self.run_sim("--mix", "w2", "--scheme", "ideal", "--central-ms", "0.1",
                          "--epochs", "2", "--warmup", "0", "--csv")
