@@ -272,15 +272,15 @@ int main(int argc, char** argv) {
   simd_ratio("match_tag40", bench_tag40(reps, simd_ops), kMatchTag40Floor);
   simd_ratio("find_u32", bench_find(reps, simd_ops / 8), kFindU32Floor);
 
-  // ---- Intra-run engine: one 64-tile delta run, sharded epochs. ----
+  // ---- Access engine: one 64-tile delta run at 1/2/4/8 workers. ----
   // w13 on the 64-tile machine keeps all 64 banks busy so the apply phase
   // has real parallelism.
   sim::MachineConfig intra_cfg = sim::config64();
   intra_cfg.warmup_epochs = 10;
   intra_cfg.measure_epochs = quick ? 10 : 30;
   const workload::Mix intra_mix = sim::mix_for_config(intra_cfg, "w13");
-  double serial_s = 0.0;
-  std::string serial_summary;
+  double one_worker_s = 0.0;
+  std::string one_worker_summary;
   bool intra_identical = true;
   for (const int ij : {1, 2, 4, 8}) {
     sim::MachineConfig c = intra_cfg;
@@ -295,12 +295,13 @@ int main(int argc, char** argv) {
       summary = sim::json_summary({&res, 1});
     }
     if (ij == 1) {
-      serial_s = best;
-      serial_summary = summary;
+      one_worker_s = best;
+      one_worker_summary = summary;
     }
-    intra_identical &= summary == serial_summary;
-    std::printf("intra (64-tile delta): --intra-jobs %d  %.2fs  speedup %.2fx\n", ij,
-                best, serial_s / best);
+    intra_identical &= summary == one_worker_summary;
+    std::printf("intra (64-tile delta): --intra-jobs %d  %.2fs  speedup over 1 worker "
+                "%.2fx\n",
+                ij, best, one_worker_s / best);
   }
   std::printf("intra results %s\n", intra_identical ? "identical" : "DIVERGENT");
   if (!intra_identical) return 2;

@@ -4,8 +4,14 @@
 // (see workload/trace_io.hpp).
 //
 //   $ ./trace_replay [app] [accesses]      # defaults: mcf, 500000
+//
+// A bad access count or a trace I/O failure ends with one
+// `trace_replay: ...` line and exit 1.
+#include <charconv>
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <system_error>
 
 #include "mem/cache.hpp"
 #include "umon/umon.hpp"
@@ -13,22 +19,26 @@
 #include "workload/spec.hpp"
 #include "workload/trace_io.hpp"
 
-int main(int argc, char** argv) {
-  using namespace delta;
-  const std::string app = argc > 1 ? argv[1] : "mc";
-  const std::uint64_t n = argc > 2 ? std::stoull(argv[2]) : 500'000;
-  if (!workload::has_spec_profile(app)) {
-    std::fprintf(stderr, "unknown app '%s'\n", app.c_str());
-    return 1;
-  }
-  const workload::AppProfile& profile = workload::spec_profile(app);
-  const std::string path = "/tmp/delta_" + app + ".dlt";
+namespace {
+
+using namespace delta;
+
+/// The access count: a whole positive decimal number (no sign, no junk).
+bool parse_count(const std::string& text, std::uint64_t& n) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  return ec == std::errc() && ptr == end && n > 0;
+}
+
+void record_and_replay(const workload::AppProfile& profile, std::uint64_t n) {
+  const std::string path = "/tmp/delta_" + profile.short_name + ".dlt";
 
   // 1. Record.
   {
     workload::TraceGen gen(profile, 0, 42);
     workload::TraceWriter w(path);
     for (std::uint64_t i = 0; i < n; ++i) w.append(gen.next());
+    w.close();
     std::printf("recorded %llu accesses of %s to %s\n",
                 static_cast<unsigned long long>(w.written()), profile.name.c_str(),
                 path.c_str());
@@ -54,5 +64,27 @@ int main(int argc, char** argv) {
                 mc.at(w) / umon.accesses());
 
   std::remove(path.c_str());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string app = argc > 1 ? argv[1] : "mc";
+  std::uint64_t n = 500'000;
+  if (argc > 2 && !parse_count(argv[2], n)) {
+    std::fprintf(stderr, "trace_replay: accesses must be a positive integer, got '%s'\n",
+                 argv[2]);
+    return 1;
+  }
+  if (!workload::has_spec_profile(app)) {
+    std::fprintf(stderr, "trace_replay: unknown app '%s'\n", app.c_str());
+    return 1;
+  }
+  try {
+    record_and_replay(workload::spec_profile(app), n);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_replay: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -26,10 +26,10 @@ struct FuzzOptions {
   int cases = 25;
   /// Worker threads for the batch (1 = serial); each case is independent.
   unsigned threads = 1;
-  /// MachineConfig::intra_jobs forwarded to every drawn config: worker
-  /// threads *inside* each simulation (1 = serial epoch loop).  Results
-  /// are byte-identical at any value, so the determinism check doubles as
-  /// an end-to-end test of the intra-run engine when this is > 1.
+  /// MachineConfig::intra_jobs forwarded to every drawn config: access
+  /// engine threads *inside* each simulation.  Results are byte-identical
+  /// at any value, so the determinism check doubles as an end-to-end test
+  /// of the engine's threading when this is > 1.
   int intra_jobs = 1;
   /// MachineConfig::intra_pin forwarded to every drawn config: opt-in
   /// CPU-affinity pinning for the intra-run workers.  Never affects

@@ -283,7 +283,9 @@ class WorkerHooks {
 ///
 /// Opt-in affinity: with `Options::pin_threads` each party pins itself to
 /// CPU `w % affinity_cpu_count()` — including party 0, i.e. the *calling*
-/// thread, which is why pinning is off by default.  Pinning is best-effort
+/// thread, which is why pinning is off by default.  A one-party pool runs
+/// its sections inline on the caller and pins nothing: there is no worker
+/// to keep apart, and the pin would outlive the pool.  Pinning is best-effort
 /// (common/affinity.hpp no-op fallback) and never affects results, only
 /// cache locality of the per-worker buffers placed by first touch.
 class WorkerPool {
@@ -303,7 +305,7 @@ class WorkerPool {
         start_(parties_ == 0 ? 1 : parties_),
         done_(parties_ == 0 ? 1 : parties_),
         errors_(parties_ == 0 ? 1 : parties_) {
-    if (options_.pin_threads && common::pin_current_thread(0))
+    if (options_.pin_threads && parties_ > 1 && common::pin_current_thread(0))
       pinned_count_.fetch_add(1, std::memory_order_relaxed);
     threads_.reserve(parties_ - 1);
     for (unsigned w = 1; w < parties_; ++w)

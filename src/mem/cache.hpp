@@ -154,9 +154,9 @@ class SetAssocCache {
 
   /// Prefetch hint for a set: its record's tag line and its metadata line
   /// (ranks, high tags, owners, validity word).  Side-effect-free: the
-  /// access pipelines (Chip::do_access_batch, the intra engine's bank
-  /// merge) issue it ahead of access() so the set is L1-resident by the
-  /// time it is compared.
+  /// access engine's bank merge (sim/intra.hpp) issues it a few accesses
+  /// ahead of access() so the set is L1-resident by the time it is
+  /// compared.
   void prefetch_set(std::uint32_t set) const {
     simd::prefetch_read(low_tags(set));
     simd::prefetch_write(ranks(set));

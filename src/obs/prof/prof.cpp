@@ -19,7 +19,6 @@ std::string_view phase_name(Phase p) {
   switch (p) {
     case Phase::kEpoch: return "epoch";
     case Phase::kPolicy: return "policy";
-    case Phase::kSerialAccess: return "serial_access";
     case Phase::kAccounting: return "accounting";
     case Phase::kStage: return "stage";
     case Phase::kApply: return "apply";
@@ -141,7 +140,6 @@ struct EngineProfile::Handles {
   Counter& epochs;
   Gauge& barrier_frac;
   Gauge& imbalance;
-  Gauge& merge_frac;
   HistogramMetric& epoch_imbalance_milli;
   HistogramMetric& epoch_barrier_ppm;
   HistogramMetric& occupancy;
@@ -165,9 +163,6 @@ struct EngineProfile::Handles {
         imbalance(reg.gauge(
             "delta_intra_worker_imbalance_ratio",
             "Mean over epochs of max/mean per-worker busy time")),
-        merge_frac(reg.gauge(
-            "delta_intra_merge_serial_fraction",
-            "Sampled cursor-merge scan time / apply-phase busy time")),
         epoch_imbalance_milli(reg.histogram(
             "delta_intra_epoch_imbalance_milli",
             "Per-epoch worker-imbalance ratio, in thousandths")),
@@ -205,7 +200,6 @@ EngineProfile::EngineProfile(unsigned workers)
     : workers_(workers == 0 ? 1 : workers),
       slots_(workers_),
       tasks_(workers_),
-      merge_(workers_),
       epoch_busy_(workers_, 0) {}
 
 EngineProfile::~EngineProfile() = default;
@@ -317,19 +311,11 @@ void EngineProfile::end_epoch(std::uint64_t epoch) {
   }
   for (std::uint64_t& b : epoch_busy_) b = 0;
 
-  for (MergeScratch& m : merge_) {
-    merge_rounds_ += m.rounds;
-    merge_sampled_rounds_ += m.sampled_rounds;
-    merge_scan_ns_ += m.scan_ns;
-    m = MergeScratch{};
-  }
-
   if (cum_section_ns_ > 0)
     handles_->epoch_barrier_ppm.observe(
         static_cast<std::uint64_t>(barrier_wait_fraction() * 1e6));
   handles_->barrier_frac.set(barrier_wait_fraction());
   handles_->imbalance.set(worker_imbalance_ratio());
-  handles_->merge_frac.set(merge_serial_fraction());
 }
 
 void EngineProfile::count_epoch(std::uint64_t pool_sections, std::uint64_t tasks,
@@ -374,18 +360,6 @@ double EngineProfile::worker_imbalance_ratio() const {
   return imbalance_epochs_ > 0
              ? imbalance_sum_ / static_cast<double>(imbalance_epochs_)
              : 0.0;
-}
-
-double EngineProfile::merge_serial_fraction() const {
-  if (merge_sampled_rounds_ == 0) return 0.0;
-  // Scale the sampled scan time up to all rounds, then take it against the
-  // apply-phase busy time it is embedded in.
-  const double est_scan =
-      static_cast<double>(merge_scan_ns_) *
-      (static_cast<double>(merge_rounds_) /
-       static_cast<double>(merge_sampled_rounds_));
-  const std::uint64_t apply = busy_ns(Phase::kApply);
-  return apply > 0 ? est_scan / static_cast<double>(apply) : 0.0;
 }
 
 }  // namespace delta::obs::prof

@@ -15,9 +15,8 @@
 //     branch (micro_obs_overhead gates the end-to-end cost at < 2%).
 //   kFull — phase spans (epoch / policy / stage / apply / reduce / barrier
 //     sections, sweep-job scheduling, derived per-epoch metrics), per-call
-//     site aggregates (do_access_batch, per-core stage/reduce, per-bank
-//     apply), sampled cursor-merge scan timing and per-(core,bank)
-//     staging-buffer occupancy.  Budget < 8%.
+//     site aggregates (per-core stage/reduce, per-bank apply) and
+//     per-(core,bank) staging-buffer occupancy.  Budget < 8%.
 //
 // Span model: each span is (seq, start_ns, dur_ns, tid, phase, arg).  seq is
 // a process-wide sequence number drawn at record time, so a snapshot can be
@@ -52,7 +51,6 @@ const char* to_string(ProfLevel lvl);
 enum class Phase : std::uint8_t {
   kEpoch = 0,     ///< One whole Chip::run_one_epoch.
   kPolicy,        ///< Budgets + begin_epoch + monitor decay + checker.
-  kSerialAccess,  ///< Serial interleaved issue loop (no intra engine).
   kAccounting,    ///< MCU end_epoch + epoch accounting + timeline sample.
   kStage,         ///< Intra staging task run (per-worker, inside kPipeline).
   kApply,         ///< Intra apply task run (per-worker, inside kPipeline).
@@ -69,7 +67,9 @@ std::string_view phase_name(Phase p);
 /// Per-call aggregation sites (duration totals + log-bucket histograms, no
 /// individual spans — these fire far too often for the span log).
 enum class Site : std::uint8_t {
-  kAccessBatch = 0,  ///< Chip::do_access_batch (serial hot path).
+  /// The retired serial issue loop's batches.  No engine emits it now; it
+  /// stays because consumers that sum access work still read the slot.
+  kAccessBatch = 0,
   kStageCore,        ///< IntraEngine::stage_core.
   kApplyBank,        ///< IntraEngine::apply_bank.
   kReduceCore,       ///< IntraEngine::reduce_core.
@@ -248,9 +248,8 @@ class ScopedSite {
 /// Per-WorkerPool profiling: implements the pool's WorkerHooks to clock each
 /// worker's section, derives done-barrier waits (a worker's wait is the gap
 /// to the section's last work_done), and folds per-epoch derived metrics —
-/// barrier-wait fraction, worker-imbalance ratio, sampled cursor-merge
-/// serial fraction, staging-buffer occupancy — into the global
-/// MetricsRegistry.  One instance per engine, driven from the pool's owner
+/// barrier-wait fraction, worker-imbalance ratio, staging-buffer occupancy
+/// — into the global MetricsRegistry.  One instance per engine, driven from the pool's owner
 /// thread (begin_section/end_section/end_epoch); the hook slots are written
 /// by each worker inside the section and read by the owner after the done
 /// barrier, which orders them (same argument as WorkerPool::fn_).
@@ -268,8 +267,8 @@ class EngineProfile final : public WorkerHooks {
   void end_section();
 
   /// True when the current section is being measured (cheap cached flag —
-  /// call sites use it to gate merge timing and occupancy without
-  /// re-reading the level).
+  /// call sites use it to gate occupancy accounting without re-reading the
+  /// level).
   bool armed() const { return armed_; }
 
   // WorkerHooks (called on worker threads, inside a section):
@@ -284,17 +283,6 @@ class EngineProfile final : public WorkerHooks {
   /// section.  work_done() flushes the last open span.  No-op when the
   /// section is not armed.
   void task_begin(unsigned worker, Phase p);
-
-  /// Sampled cursor-merge scan accounting, one per worker; apply_bank adds
-  /// to the slot of the worker running it.
-  struct MergeScratch {
-    std::uint64_t rounds = 0;          ///< All merge rounds walked.
-    std::uint64_t sampled_rounds = 0;  ///< Rounds whose scan was clocked.
-    std::uint64_t scan_ns = 0;         ///< Clocked scan time (sampled).
-  };
-  MergeScratch& merge_scratch(unsigned worker) {
-    return merge_[static_cast<std::size_t>(worker)];
-  }
 
   /// One per-(core,bank) staged-access count (nonzero lists only).
   void add_occupancy(std::uint64_t staged, std::uint64_t pairs_total,
@@ -324,7 +312,6 @@ class EngineProfile final : public WorkerHooks {
   std::uint64_t barrier_ns() const { return cum_barrier_ns_; }
   double barrier_wait_fraction() const;
   double worker_imbalance_ratio() const;
-  double merge_serial_fraction() const;
 
  private:
   struct WorkerSlot {
@@ -347,7 +334,6 @@ class EngineProfile final : public WorkerHooks {
   const unsigned workers_;
   std::vector<WorkerSlot> slots_;
   std::vector<TaskSlot> tasks_;
-  std::vector<MergeScratch> merge_;
   std::vector<std::uint64_t> epoch_busy_;  ///< Per worker, this epoch.
   Phase phase_ = Phase::kStage;
   std::uint64_t epoch_arg_ = 0;
@@ -359,9 +345,6 @@ class EngineProfile final : public WorkerHooks {
   std::uint64_t cum_section_ns_ = 0;   ///< busy + barrier.
   double imbalance_sum_ = 0.0;
   std::uint64_t imbalance_epochs_ = 0;
-  std::uint64_t merge_rounds_ = 0;
-  std::uint64_t merge_sampled_rounds_ = 0;
-  std::uint64_t merge_scan_ns_ = 0;
 
   // Health totals (owner thread only; counted at every profiling level).
   std::uint64_t health_epochs_ = 0;

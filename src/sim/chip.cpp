@@ -1,9 +1,10 @@
 #include "sim/chip.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "mem/address.hpp"
 #include "obs/prof/prof.hpp"
@@ -40,6 +41,8 @@ void MachineConfig::validate() const {
 
 namespace {
 
+std::atomic<AccessEngineFactory> g_engine_factory{nullptr};
+
 const MachineConfig& validated(const MachineConfig& cfg, std::size_t apps) {
   cfg.validate();
   if (apps != static_cast<std::size_t>(cfg.cores))
@@ -49,6 +52,10 @@ const MachineConfig& validated(const MachineConfig& cfg, std::size_t apps) {
 }
 
 }  // namespace
+
+void set_access_engine_factory(AccessEngineFactory f) {
+  g_engine_factory.store(f, std::memory_order_relaxed);
+}
 
 Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
            std::unique_ptr<Scheme> scheme)
@@ -87,12 +94,11 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
   if (plan_.monitors)
     for (AppSlot& s : slots_)
       if (s.active) s.umon = std::make_unique<umon::Umon>(cfg_.umon);
-  intra_ = make_intra_engine(*this, cfg_.intra_jobs);
+  const AccessEngineFactory factory = g_engine_factory.load(std::memory_order_relaxed);
+  engine_ = factory != nullptr ? factory(cfg_) : make_intra_engine(cfg_);
 }
 
 Chip::~Chip() = default;
-
-unsigned Chip::intra_threads() const { return intra_ ? intra_->threads() : 1; }
 
 void Chip::sync_occupancy(const std::function<int(BankId, CoreId)>& target_ways) {
   const auto cap = static_cast<std::uint64_t>(cfg_.sets_per_bank()) *
@@ -112,93 +118,6 @@ std::int64_t Chip::tracked_occupancy(BankId b, CoreId core) const {
   if (!plan_.occupancy || enforcers_.empty()) return -1;
   return static_cast<std::int64_t>(
       enforcers_[static_cast<std::size_t>(b)].occupancy(core));
-}
-
-template <bool kMonitor>
-void Chip::do_access_batch(CoreId c, std::uint64_t count, bool measuring) {
-  // Profiled at batch granularity only (a per-access timer would dominate
-  // the work it measures); disabled cost is one relaxed load.
-  const obs::prof::ScopedSite prof_timer(obs::prof::Site::kAccessBatch);
-  // Hot path: everything loop-invariant — the slot, its generator/monitor,
-  // the core's plan rows, the fixed tag+data latency — is hoisted out of
-  // the per-access loop, and per-access statistics accumulate in locals
-  // that are folded into the slot and traffic counters once per batch.
-  AppSlot& s = slots_[static_cast<std::size_t>(c)];
-  workload::TraceGen* const gen = s.gen.get();
-  umon::Umon* const um = s.umon.get();
-  const EpochPlan::Route& route = plan_.route[static_cast<std::size_t>(c)];
-  const mem::WayMask* const masks =
-      plan_.masks.data() + static_cast<std::size_t>(c) * banks_.size();
-  const int bank_shift = plan_.bank_shift;
-  const int set_shift = plan_.set_shift;
-  const std::uint32_t set_mask = plan_.set_mask;
-  core::OccupancyEnforcer* const enforcers =
-      plan_.occupancy && !enforcers_.empty() ? enforcers_.data() : nullptr;
-  const Cycles fixed_lat = cfg_.llc_tag_latency + cfg_.llc_data_latency;
-
-  std::uint64_t hits = 0, misses = 0, remote = 0;
-
-  // The batch's blocks are drawn up front in one fill (the generator's
-  // state is its own, so drawing ahead changes nothing the bank or the
-  // monitor sees).  Then a software pipeline: the next access's UMON stack
-  // is prefetched while the current access still has its mesh and mask
-  // arithmetic ahead, and the routed set's record is prefetched right
-  // after routing so the tag row is L1-resident by the time access()
-  // compares it.  The monitor and the banks each see exactly the serial
-  // sequence, so results are byte-identical; only prefetch hints
-  // (side-effect-free) overlap iterations.
-  if (batch_blocks_.size() < count) batch_blocks_.resize(count);
-  BlockAddr* const blocks = batch_blocks_.data();
-  gen->fill(blocks, count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const BlockAddr block = blocks[i];
-    if constexpr (kMonitor) um->access(block);
-
-    const BankId b = route[(block >> bank_shift) & 0xFFu];
-    const std::uint32_t set = static_cast<std::uint32_t>(block >> set_shift) & set_mask;
-    mem::SetAssocCache& bk = banks_[static_cast<std::size_t>(b)];
-    bk.prefetch_set(set);
-    if constexpr (kMonitor) {
-      if (i + 1 < count) um->prefetch(blocks[i + 1]);
-    }
-    const int hops = mesh_.hops(c, b);
-    Cycles lat = mesh_.round_trip(c, b) + fixed_lat;
-    remote += hops > 0 ? 1 : 0;
-
-    const CoreId evict_pref = enforcers != nullptr
-                                  ? enforcers[b].preferred_victim()
-                                  : kInvalidCore;
-    const mem::AccessResult res = bk.access(set, block, c, masks[b], evict_pref);
-    if (res.hit) {
-      ++hits;
-    } else {
-      if (enforcers != nullptr && res.way >= 0)
-        enforcers[b].on_fill(c, res.evicted ? res.victim_owner : kInvalidCore);
-      const int mcu = memsys_.mcu_for(block);
-      const int attach = memsys_.attach_tile(mcu);
-      lat += mesh_.round_trip(b, attach) + memsys_.mcu(mcu).request_latency();
-      ++misses;
-    }
-
-    // The double accumulators stay per-access in-place additions so every
-    // sum sees the same values in the same order as the historical scalar
-    // loop — floating-point results must not drift under the refactor.
-    s.epoch_lat_sum += static_cast<double>(lat);
-    if (measuring) {
-      s.lat_sum += static_cast<double>(lat);
-      s.hop_sum += static_cast<double>(hops);
-    }
-  }
-
-  traffic_.count(noc::MsgType::kLlcRequest, remote);
-  traffic_.count(noc::MsgType::kLlcResponse, remote);
-  traffic_.count(noc::MsgType::kMemRequest, misses);
-  traffic_.count(noc::MsgType::kMemResponse, misses);
-  s.epoch_accesses += count;
-  if (measuring) {
-    s.llc_hits += hits;
-    s.llc_misses += misses;
-  }
 }
 
 void Chip::run_one_epoch(bool measuring) {
@@ -240,31 +159,13 @@ void Chip::run_one_epoch(bool measuring) {
   if (checker_ != nullptr) checker_->on_epoch(*this, epoch_);
   policy_span.stop();
 
-  // Interleaved issue: round-robin batches until every budget is drained.
-  // The intra-run engine (sim/intra.hpp) replays this exact interleaving
-  // from staged per-core streams when cfg_.intra_jobs asked for threads.
-  if (intra_ != nullptr) {
-    intra_->run_epoch_accesses(measuring);
-  } else {
-    const obs::prof::ScopedSpan access_span(obs::prof::Phase::kSerialAccess,
-                                            epoch_);
-    bool work_left = true;
-    while (work_left) {
-      work_left = false;
-      for (int c = 0; c < cfg_.cores; ++c) {
-        AppSlot& s = slots_[static_cast<std::size_t>(c)];
-        std::uint64_t& target = epoch_targets_[static_cast<std::size_t>(c)];
-        if (!s.active || s.epoch_accesses >= target) continue;
-        const std::uint64_t batch =
-            std::min<std::uint64_t>(interleave_batch_, target - s.epoch_accesses);
-        if (s.umon != nullptr)
-          do_access_batch<true>(c, batch, measuring);
-        else
-          do_access_batch<false>(c, batch, measuring);
-        if (s.epoch_accesses < target) work_left = true;
-      }
-    }
-  }
+  // The epoch's accesses, in round-robin batches of interleave_batch_.
+  engine_->run_epoch(EpochAccess{
+      plan_, banks_,
+      plan_.occupancy ? std::span(enforcers_) : std::span<core::OccupancyEnforcer>{},
+      slots_, epoch_targets_, mesh_, memsys_, traffic_,
+      cfg_.llc_tag_latency + cfg_.llc_data_latency, interleave_batch_, epoch_,
+      measuring});
 
   {
     const obs::prof::ScopedSpan acct_span(obs::prof::Phase::kAccounting, epoch_);

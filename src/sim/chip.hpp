@@ -9,10 +9,15 @@
 // configurations is modelled.  Per-access latency = NoC round trip to the
 // bank + tag/data latency, plus MCU round trip + DRAM + queueing on a miss;
 // each access contributes latency/MLP stall cycles (interval model).
+//
+// The chip runs the policy step of each epoch itself and hands the access
+// step, in one call, to its AccessEngine: the staged bank-by-bank pipeline
+// of sim/intra.hpp at every intra_jobs.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +75,48 @@ struct AppSlot {
 };
 
 class Chip;
-class IntraEngine;
+
+/// Everything one epoch's accesses read and write.  Chip::run_one_epoch
+/// hands it to the access engine once per epoch, after the policy step;
+/// the plan, the mesh and the MCUs' request latencies stay constant until
+/// the call returns.
+struct EpochAccess {
+  const EpochPlan& plan;
+  std::span<mem::SetAssocCache> banks;
+  /// One per bank while plan.occupancy, else empty.
+  std::span<core::OccupancyEnforcer> enforcers;
+  /// Per core: the generator and monitor its stream comes from, and the
+  /// statistics the epoch adds to.  Idle cores issue nothing.
+  std::span<AppSlot> slots;
+  std::span<const std::uint64_t> targets;  ///< Per core: this epoch's accesses.
+  const noc::Mesh& mesh;
+  noc::MemorySystem& memsys;
+  noc::TrafficStats& traffic;
+  Cycles llc_latency;   ///< Tag + data latency of one bank access.
+  std::uint64_t batch;  ///< Chip::interleave_batch().
+  std::uint64_t epoch;
+  bool measuring;       ///< Add to the measured-window statistics too.
+};
+
+/// The access step of an epoch behind one call.  Its contract is the
+/// canonical interleaving: every core issues its target in round-robin
+/// batches of `batch` accesses (core 0's first batch, core 1's, ..., then
+/// every core's second batch), and the banks, monitors, MCUs, traffic and
+/// slot statistics end up as that sequence of single accesses leaves them.
+class AccessEngine {
+ public:
+  virtual ~AccessEngine() = default;
+  virtual void run_epoch(const EpochAccess& io) = 0;
+  /// Host threads run_epoch runs on (1 == inline on the caller).
+  virtual unsigned threads() const = 0;
+};
+
+using AccessEngineFactory = std::unique_ptr<AccessEngine> (*)(const MachineConfig&);
+
+/// Test seam: while `f` is set, every Chip constructed takes its access
+/// engine from `f` (tests install a reference implementation this way);
+/// null, the default, gives the staged engine of sim/intra.hpp.
+void set_access_engine_factory(AccessEngineFactory f);
 
 /// Epoch-boundary hook for chip-wide validation (src/check's
 /// InvariantChecker implements it).  Defined here rather than in the check
@@ -86,25 +132,22 @@ class EpochChecker {
 class Chip {
  public:
   /// Batch size for interleaving per-core access streams within an epoch:
-  /// small enough that contending cores interact at fine grain, large
-  /// enough to keep the issue loop cheap.  The intra-run engine reproduces
-  /// this exact interleaving, so the value is part of the determinism
-  /// contract — changing it changes results.  This constant is the
-  /// default; MachineConfig::interleave_batch != 0 overrides it per chip
-  /// (see interleave_batch()).
+  /// small enough that contending cores interact at fine grain.  The
+  /// access engine reproduces this exact interleaving, so the value is
+  /// part of the determinism contract — changing it changes results.  This
+  /// constant is the default; MachineConfig::interleave_batch != 0
+  /// overrides it per chip (see interleave_batch()).
   static constexpr std::uint64_t kInterleaveBatch = 16;
 
   /// The batch size this chip actually runs with — kInterleaveBatch unless
-  /// the config overrode it.  Both the serial issue loop and the intra-run
-  /// engine read this, so they agree byte-for-byte at any value.
+  /// the config overrode it.
   std::uint64_t interleave_batch() const { return interleave_batch_; }
 
   /// `apps` holds one profile short-name per core ("idle" => idle core).
   /// Throws std::invalid_argument for a config MachineConfig::validate()
-  /// rejects or an `apps` list whose length is not cfg.cores.
-  /// cfg.intra_jobs > 1 (or 0 = hardware threads) attaches the intra-run
-  /// parallel epoch engine (sim/intra.hpp); results are byte-identical
-  /// either way.
+  /// rejects or an `apps` list whose length is not cfg.cores.  The access
+  /// engine runs on intra_threads() workers (cfg.intra_jobs, 0 = hardware
+  /// threads); results are byte-identical at every count.
   Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
        std::unique_ptr<Scheme> scheme);
   ~Chip();
@@ -129,7 +172,7 @@ class Chip {
   int cores() const { return cfg_.cores; }
   noc::TrafficStats& traffic() { return traffic_; }
   Scheme& scheme() { return *scheme_; }
-  /// The routing/mask tables both access engines read (scheme.hpp).  The
+  /// The routing/mask tables the access engine reads (scheme.hpp).  The
   /// scheme writes it on the epoch barrier only.
   EpochPlan& plan() { return plan_; }
   const EpochPlan& plan() const { return plan_; }
@@ -166,20 +209,11 @@ class Chip {
   /// plan does not enforce occupancy.
   std::int64_t tracked_occupancy(BankId b, CoreId core) const;
 
-  /// Worker threads the attached intra-run engine uses (1 == serial loop).
-  unsigned intra_threads() const;
+  /// Worker threads the access engine runs on (1 == inline on the caller).
+  unsigned intra_threads() const { return engine_->threads(); }
 
  private:
-  // The intra-run engine is a pure reorganisation of run_one_epoch's access
-  // loop; it reaches into the same private state the loop touches.
-  friend class IntraEngine;
-
   void run_one_epoch(bool measuring);
-  /// Issues `count` back-to-back accesses for core `c` with loop-invariant
-  /// state (slot, generator, monitor, plan rows) hoisted and statistics
-  /// folded into the slot once per batch.  `kMonitor` == plan_.monitors.
-  template <bool kMonitor>
-  void do_access_batch(CoreId c, std::uint64_t count, bool measuring);
   void finish_epoch_accounting(bool measuring);
   /// Appends this epoch's core/MCU/chip rows to the observer's timeline.
   void sample_timeline();
@@ -191,16 +225,14 @@ class Chip {
   std::vector<AppSlot> slots_;
   std::unique_ptr<Scheme> scheme_;
   EpochPlan plan_;
-  /// One per bank while plan_.occupancy; the engines update them on fills.
+  /// One per bank while plan_.occupancy; the engine updates them on fills.
   std::vector<core::OccupancyEnforcer> enforcers_;
-  std::unique_ptr<IntraEngine> intra_;  ///< Null => serial epoch loop.
+  std::unique_ptr<AccessEngine> engine_;
   noc::TrafficStats traffic_;
   std::uint64_t interleave_batch_ = kInterleaveBatch;
   std::uint64_t epoch_ = 0;
   std::uint64_t invalidated_lines_ = 0;
   std::vector<std::uint64_t> epoch_targets_;  // Scratch: accesses per core.
-  /// Scratch: do_access_batch's blocks (grow-only, the largest batch seen).
-  std::vector<BlockAddr> batch_blocks_;
 
   // Observability (nullable, not owned).  prev_* snapshots turn cumulative
   // counters into per-epoch deltas for the timeline sampler.

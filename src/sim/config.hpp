@@ -37,10 +37,10 @@ struct MachineConfig {
 
   std::uint64_t seed = 0xDE17A;
 
-  /// Worker threads for the intra-run epoch engine (sim/intra.hpp): 1 runs
-  /// the classic serial loop, N > 1 shards each epoch over N threads, 0
-  /// means auto (hardware threads standalone; the leftover thread budget
-  /// when nested under a sweep — see runner.hpp).  Results are
+  /// Worker threads of the access engine (sim/intra.hpp): 1 runs each
+  /// epoch's stage/apply/reduce inline on the calling thread, N > 1 shards
+  /// it over N threads, 0 means auto (hardware threads standalone; the
+  /// leftover thread budget when nested under a sweep — see runner.hpp).  Results are
   /// byte-identical for every value; this knob trades wall-clock only and
   /// therefore never appears in reports or JSON output.
   int intra_jobs = 1;
@@ -54,8 +54,8 @@ struct MachineConfig {
   /// Per-core batch size of the interleaved issue order.  0 = the default
   /// Chip::kInterleaveBatch (16).  Unlike the knobs above this one IS part
   /// of the determinism contract: changing it changes the access
-  /// interleaving and therefore the results — but serial and intra-engine
-  /// runs agree byte-for-byte at any value.
+  /// interleaving and therefore the results — but runs at every intra_jobs
+  /// agree byte-for-byte at any value.
   std::uint32_t interleave_batch = 0;
 
   /// Feed DELTA's pain/gain with the Little's-law MLP estimator

@@ -1,15 +1,16 @@
-// Intra-run parallel epoch engine: shards one Chip's epoch across host
-// threads while staying byte-identical to the serial interleaved loop.
+// The access engine: runs one Chip epoch's accesses bank by bank, on one
+// or more host threads, byte-identical to the canonical interleaving.
 //
-// The serial engine (Chip::run_one_epoch) issues accesses in round-robin
-// batches of Chip::interleave_batch() per core.  A bank's insertion and
-// eviction decisions read only that bank's own state (set records,
+// The canonical order (AccessEngine in sim/chip.hpp) issues accesses in
+// round-robin batches of EpochAccess::batch per core.  A bank's insertion
+// and eviction decisions read only that bank's own state (set records,
 // occupancy enforcer) plus the epoch plan (scheme.hpp), which is constant
 // during the epoch, so once an epoch's streams are staged, banks apply
-// independently.  Each epoch is ONE worker-pool
-// section (two barrier crossings) holding three plain phases, each
-// scheduled by a ClaimSet (common/parallel.hpp: home range first, then
-// ascending steals):
+// independently — the bank-by-bank enforcement of DELTA's Sec. II-C.  Each
+// epoch is ONE worker-pool section (two barrier crossings; at one worker
+// the pool runs it inline and starts no threads) holding three plain
+// phases, each scheduled by a ClaimSet (common/parallel.hpp: home range
+// first, then ascending steals):
 //
 //   Stage — one task per core: draw the core's whole epoch stream with one
 //     TraceGen::fill (one RNG chain) straight into the core's block
@@ -25,15 +26,21 @@
 //   Apply — one task per bank, once stage_done_ == cores (acquire): collect
 //     the contributors — cores whose run for this bank is non-empty, in
 //     ascending core order, each with its plan mask for the bank — and
-//     merge only their runs in the canonical serial order, ascending
-//     (round, core, index) with round = index / interleave_batch(): the
-//     run's cursor stays in a round while its index is below (round + 1) *
-//     batch, so the bank sees the exact serial access sequence.  Each
-//     access's set is recomputed from its block with the plan's
-//     set_shift/set_mask.  Under occupancy enforcement the
-//     victim preference is read per access (every fill moves it).
-//     While an access is applied, the set of the access kPrefetchDistance
-//     further along the same run is prefetched.  Each task first builds a
+//     apply only their runs in the canonical order, ascending (round, core,
+//     index) with round = index / batch.  Sparse banks (few long runs:
+//     DELTA, private) are merged by one walk per round: each run's cursor
+//     stays in the round while its index is below (round + 1) * batch, and
+//     as a run leaves the round it reports its next index; the lowest of
+//     those names the next round.  Dense banks (a run visit per two
+//     accesses or more: S-NUCA, LFOC, every core over every bank) first
+//     list their accesses by a stable counting sort by round, whose passes
+//     have no data-dependent branch, and then apply the list.  Either way
+//     the bank sees the exact canonical access sequence.  Each access's
+//     set is recomputed from its block with the plan's set_shift/set_mask.
+//     Under occupancy enforcement the victim preference is read per access
+//     (every fill moves it).  While an access is applied, the set of the
+//     access kPrefetchDistance further along its run (sparse) or the list
+//     (dense) is prefetched.  Each task first builds a
 //     per-MCU miss-latency table (the bank-to-MCU round trip plus the
 //     MCU's epoch-constant current_request_latency()); misses add their
 //     entry to an exact integer tally per (bank, core), next to the
@@ -45,16 +52,18 @@
 //     n * hops(c, b) hops and n round trips plus fixed tag/data latency;
 //     the banks' miss-latency tallies add the rest.  Every latency and
 //     hop count is a whole number and every partial sum stays far below
-//     2^53, so the serial loop's per-access double additions are exact
-//     integer sums: adding the integer totals once to the slot's double
-//     accumulators gives bit-equal results.
+//     2^53, so per-access double additions would be exact integer sums:
+//     adding the integer totals once to the slot's double accumulators
+//     gives bit-equal results.
 
 // Which worker runs a task is the only degree of freedom, so stealing never
 // changes results.  A throwing task sets failed_; claim loops and phase
 // waits stop on it, and the pool rethrows on the caller.  After the section
 // the owner folds the per-bank integer tallies in fixed bank order.  Policy
-// steps (begin_epoch, UMON decay, the checker) stay on the serial epoch
-// boundary in Chip::run_one_epoch.
+// steps (begin_epoch, UMON decay, the checker) stay on the epoch boundary
+// in Chip::run_one_epoch.  The engine keeps only its own scratch between
+// epochs; everything it reads and writes of the chip arrives in the
+// EpochAccess of each call.
 //
 // Earlier revisions let apply chase staging through per-core slice
 // watermarks and per-bank slice chains.  That overlap measured 0.003-0.008
@@ -65,10 +74,16 @@
 // addresses mostly to its home bank, so on the 64-tile w13 mix only ~69 of
 // the 4096 (core, bank) runs in an epoch are non-empty (1038 of 61440 over
 // 15 epochs).  A vector per (core, bank) would cost 64 clears and pushes
-// per core, and a round scan over every core measured 0.12-0.13 of apply
-// time (0.06-0.07 over contributors only).  Flat runs and the
-// contributor-only merge keep both costs proportional to the accesses and
-// contributors that exist.
+// per core, and a separate lowest-round scan over every core measured
+// 0.12-0.13 of apply time (0.06-0.07 over contributors only).  Flat runs,
+// the contributor-only merge and the scan folded into the walk keep the
+// merge's cost proportional to the accesses and contributors that exist.
+// The walk costs a run visit per (run, round) and an unpredictable loop
+// exit per visit.  Timed apart from the accesses (TSC cycles per access,
+// 4-vCPU x86-64 host) it took 6-10 on DELTA and private, but 45-50 on
+// 16-tile S-NUCA (about one access per visit) and 140-150 on 64-tile
+// S-NUCA (four visits per access); the counting sort took 11-30 at any
+// density.  So dense banks sort and sparse banks walk.
 #pragma once
 
 #include <atomic>
@@ -80,33 +95,31 @@
 #include "common/types.hpp"
 #include "mem/replacement.hpp"
 #include "obs/prof/prof.hpp"
+#include "sim/chip.hpp"
 
 namespace delta::sim {
 
-class Chip;
-
-class IntraEngine {
+class IntraEngine final : public AccessEngine {
  public:
-  /// `threads` is the resolved worker count (>= 2; Chip keeps the serial
-  /// loop for 1).  The pool threads persist for the Chip's lifetime and
-  /// park on a barrier between epochs; MachineConfig::intra_pin opts into
-  /// CPU-affinity pinning, and the constructor runs a first-touch warm pass
-  /// so per-worker buffers are faulted in by (roughly) the workers that
-  /// will use them.
-  IntraEngine(Chip& chip, unsigned threads);
+  /// `threads` is the worker count (>= 1).  Pool threads persist for the
+  /// engine's lifetime and park on a barrier between epochs; `pin` opts
+  /// into CPU-affinity pinning (MachineConfig::intra_pin), and the
+  /// constructor runs a first-touch warm pass so per-worker buffers are
+  /// faulted in by (roughly) the workers that will use them.
+  IntraEngine(int cores, int mcus, unsigned threads, bool pin);
 
-  /// Replaces the serial interleaved-issue loop for one epoch.  Callable
-  /// only from the thread that owns the Chip; requires begin_epoch /
-  /// monitor decay / checker hooks to have already run.  A task exception
-  /// is rethrown here once every worker has left the section.
-  void run_epoch_accesses(bool measuring);
+  /// One epoch's accesses.  Callable only from the thread that owns the
+  /// chip, after the epoch's policy step.  A task exception is rethrown
+  /// here once every worker has left the section.
+  void run_epoch(const EpochAccess& io) override;
 
-  unsigned threads() const { return pool_.parties(); }
+  unsigned threads() const override { return pool_.parties(); }
 
  private:
-  /// How many accesses ahead in a run apply prefetches the bank set: far
-  /// enough to cover a set's miss latency behind the mask/latency work of
-  /// the accesses in between.
+  /// How many accesses ahead (along the run, or along the bank's sequence
+  /// in a dense merge) apply prefetches the set: far enough to cover a
+  /// set's miss latency behind the mask/latency work of the accesses in
+  /// between.
   static constexpr std::size_t kPrefetchDistance = 8;
 
   /// Per-core staging, reused across epochs: 9 bytes per access (the
@@ -142,27 +155,30 @@ class IntraEngine {
     std::vector<std::uint64_t> mcu_reqs;  ///< Per MCU.
     std::vector<Cycles> mcu_lat;          ///< Scratch: miss latency per MCU.
     std::vector<Run> runs;                ///< Merge scratch: contributors.
+    /// Dense-merge scratch: the bank's blocks in canonical order, each
+    /// one's index in `runs`, and the counting sort's per-round cursors.
+    std::vector<BlockAddr> seq_blocks;
+    std::vector<std::uint8_t> seq_runs;
+    std::vector<std::uint32_t> round_pos;
   };
 
   // Task bodies (run by whichever worker claimed the task).
-  void stage_core(CoreId c);
+  void stage_core(const EpochAccess& io, CoreId c);
   /// stage_core's monitor/route loop over the drawn stream; `kMonitor` ==
   /// the core has a UMON.
   template <bool kMonitor>
-  void stage_stream(CoreId c, CoreStage& st);
-  /// `ms` is non-null only when kFull profiling samples the cursor-merge
-  /// scan (1 round in 8); the clock reads live in obs/prof.
-  void apply_bank(BankId b, obs::prof::EngineProfile::MergeScratch* ms);
-  void reduce_core(CoreId c, bool measuring);
+  void stage_stream(const EpochAccess& io, CoreId c, CoreStage& st);
+  void apply_bank(const EpochAccess& io, BankId b);
+  void reduce_core(const EpochAccess& io, CoreId c);
   /// Feeds per-(core,bank) run occupancy into the profile (kFull).
   void record_buffer_occupancy();
 
   /// One worker's share of the section: stage → apply → reduce.
-  void worker_run(unsigned w, bool measuring);
+  void worker_run(const EpochAccess& io, unsigned w);
   /// Spins until `counter` reaches the core count; false if a task failed.
   bool await_all(const std::atomic<std::uint32_t>& counter) const;
 
-  Chip& chip_;
+  const std::uint32_t cores_;
   WorkerPool pool_;
   std::vector<CoreStage> stages_;   ///< One per core.
   std::vector<BankTally> tallies_;  ///< One per bank.
@@ -185,7 +201,9 @@ class IntraEngine {
   obs::prof::EngineProfile profile_;
 };
 
-/// Attaches an engine when resolve_workers(intra_jobs, cores) exceeds 1.
-std::unique_ptr<IntraEngine> make_intra_engine(Chip& chip, int intra_jobs);
+/// The engine a chip of `cfg` runs: resolve_workers(cfg.intra_jobs,
+/// cfg.cores) workers, pinned when cfg.intra_pin and there is more than
+/// one (WorkerPool pins nothing at one party).
+std::unique_ptr<AccessEngine> make_intra_engine(const MachineConfig& cfg);
 
 }  // namespace delta::sim

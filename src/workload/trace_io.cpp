@@ -21,11 +21,17 @@ TraceWriter::TraceWriter(const std::string& path) {
   Header h{};
   std::memcpy(h.magic, kTraceMagic, sizeof h.magic);
   h.version = kTraceVersion;
-  if (std::fwrite(&h, sizeof h, 1, f_) != 1)
+  if (std::fwrite(&h, sizeof h, 1, f_) != 1) {
+    std::fclose(f_);
     throw std::runtime_error("cannot write trace header: " + path);
+  }
 }
 
-TraceWriter::~TraceWriter() { close(); }
+// A destructor must not throw: a trace that is to be trusted is closed with
+// close(), which reports a failed flush.
+TraceWriter::~TraceWriter() {
+  if (f_ != nullptr) std::fclose(f_);
+}
 
 void TraceWriter::append(BlockAddr block) {
   if (std::fwrite(&block, sizeof block, 1, f_) != 1)
@@ -34,10 +40,13 @@ void TraceWriter::append(BlockAddr block) {
 }
 
 void TraceWriter::close() {
-  if (f_ != nullptr) {
-    std::fclose(f_);
-    f_ = nullptr;
-  }
+  if (f_ == nullptr) return;
+  // Buffered appends reach the file only here, so a full disk shows up in
+  // the flush or the close, not in append().
+  const bool flushed = std::fflush(f_) == 0;
+  const bool closed = std::fclose(f_) == 0;
+  f_ = nullptr;
+  if (!flushed || !closed) throw std::runtime_error("trace write failed on close");
 }
 
 TraceReader::TraceReader(const std::string& path) {
@@ -54,8 +63,13 @@ TraceReader::TraceReader(const std::string& path) {
     throw std::runtime_error("unsupported trace version in " + path);
   }
   BlockAddr b;
-  while (std::fread(&b, sizeof b, 1, f) == 1) blocks_.push_back(b);
+  std::size_t got = 0;
+  while ((got = std::fread(&b, 1, sizeof b, f)) == sizeof b) blocks_.push_back(b);
+  const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
+  if (read_error) throw std::runtime_error("cannot read trace: " + path);
+  // A payload that is not a whole number of records lost its tail.
+  if (got != 0) throw std::runtime_error("truncated trace: " + path);
   if (blocks_.empty()) throw std::runtime_error("empty trace: " + path);
 }
 

@@ -30,7 +30,9 @@ class TraceWriter {
 
   void append(BlockAddr block);
   std::uint64_t written() const { return count_; }
-  /// Flushes and closes; further appends are invalid.
+  /// Flushes and closes; further appends are invalid.  Throws
+  /// std::runtime_error when the flush or the close fails (a full disk).
+  /// The destructor closes without reporting.
   void close();
 
  private:
@@ -43,7 +45,8 @@ class TraceWriter {
 class TraceReader {
  public:
   /// Loads the whole trace into memory; throws std::runtime_error on
-  /// missing/corrupt files.
+  /// missing/corrupt files, on an empty trace and on a payload that is not
+  /// a whole number of 8-byte records ("truncated trace").
   explicit TraceReader(const std::string& path);
 
   BlockAddr next() {

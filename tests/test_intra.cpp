@@ -1,17 +1,23 @@
-// Intra-run engine determinism: the bank-sharded parallel epoch engine
-// (sim/intra.hpp) must be byte-identical to the serial loop at every
-// thread count.  These tests compare full JSON summaries — every per-app
-// double, traffic counter and control-message count — because "close" is
-// not the contract; bit-equal is.
+// Access-engine determinism: the staged bank-by-bank engine
+// (sim/intra.hpp) must be byte-identical to the frozen serial loop in
+// reference_engine.hpp at every thread count.  These tests compare full
+// JSON summaries — every per-app double, traffic counter and
+// control-message count — because "close" is not the contract; bit-equal
+// is.  Every `reference` run below is a chip built inside a
+// ReferenceEngineScope.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "reference_engine.hpp"
+
 #include "check/fuzz.hpp"
+#include "common/affinity.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "sim/chip.hpp"
@@ -46,6 +52,13 @@ std::string run_summary(const sim::MachineConfig& cfg, const std::string& mix,
   return sim::json_summary({&r, 1});
 }
 
+/// run_summary on the reference loop (intra_jobs plays no part there).
+std::string reference_summary(const sim::MachineConfig& cfg, const std::string& mix,
+                              sim::SchemeKind kind) {
+  const test::ReferenceEngineScope reference;
+  return run_summary(cfg, mix, kind);
+}
+
 constexpr sim::SchemeKind kAllSchemes[] = {
     sim::SchemeKind::kSnuca,  sim::SchemeKind::kPrivate,
     sim::SchemeKind::kIdealCentralized, sim::SchemeKind::kDelta,
@@ -53,15 +66,13 @@ constexpr sim::SchemeKind kAllSchemes[] = {
 
 TEST(Intra, ByteIdenticalAllSchemes16Core) {
   for (const sim::SchemeKind kind : kAllSchemes) {
-    const std::string serial = run_summary(quick16(1), "w2", kind);
-    // 2, 4, and auto (hardware threads): one shard per thread, every
-    // partitioning of the cores/banks must replay the same interleaving.
-    EXPECT_EQ(serial, run_summary(quick16(2), "w2", kind))
-        << "intra-jobs 2 diverged for " << sim::to_string(kind);
-    EXPECT_EQ(serial, run_summary(quick16(4), "w2", kind))
-        << "intra-jobs 4 diverged for " << sim::to_string(kind);
-    EXPECT_EQ(serial, run_summary(quick16(0), "w2", kind))
-        << "intra-jobs auto diverged for " << sim::to_string(kind);
+    const std::string reference = reference_summary(quick16(1), "w2", kind);
+    // 1 (inline), 2, 4, and auto (hardware threads): one shard per thread,
+    // every partitioning of the cores/banks must replay the same
+    // interleaving.
+    for (const int jobs : {1, 2, 4, 0})
+      EXPECT_EQ(reference, run_summary(quick16(jobs), "w2", kind))
+          << "intra-jobs " << jobs << " diverged for " << sim::to_string(kind);
   }
 }
 
@@ -75,10 +86,10 @@ TEST(Intra, ByteIdentical64Tile) {
   for (const sim::SchemeKind kind :
        {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca,
         sim::SchemeKind::kCarma, sim::SchemeKind::kLfoc}) {
-    const std::string serial = run_summary(quick64(1), "w13", kind);
-    EXPECT_EQ(serial, run_summary(quick64(4), "w13", kind))
+    const std::string reference = reference_summary(quick64(1), "w13", kind);
+    EXPECT_EQ(reference, run_summary(quick64(4), "w13", kind))
         << "64-tile intra-jobs 4 diverged for " << sim::to_string(kind);
-    EXPECT_EQ(serial, run_summary(quick64(8), "w13", kind))
+    EXPECT_EQ(reference, run_summary(quick64(8), "w13", kind))
         << "64-tile intra-jobs 8 diverged for " << sim::to_string(kind);
   }
 }
@@ -91,35 +102,51 @@ TEST(Intra, ByteIdenticalOccupancyMode) {
     sim::MachineConfig base = wide ? quick64(1) : quick16(1);
     base.delta.intra_enforcement = core::IntraEnforcement::kOccupancy;
     const char* mix = wide ? "w13" : "w2";
-    const std::string serial = run_summary(base, mix, sim::SchemeKind::kDelta);
-    for (const int jobs : {2, 4}) {
+    const std::string reference = reference_summary(base, mix, sim::SchemeKind::kDelta);
+    for (const int jobs : {1, 2, 4}) {
       sim::MachineConfig par = base;
       par.intra_jobs = jobs;
-      EXPECT_EQ(serial, run_summary(par, mix, sim::SchemeKind::kDelta))
+      EXPECT_EQ(reference, run_summary(par, mix, sim::SchemeKind::kDelta))
           << base.cores << "-tile occupancy mode, intra-jobs " << jobs << " diverged";
     }
   }
 }
 
+TEST(Intra, OneWorkerEngineLeavesCallerUnpinned) {
+  // At one worker the engine runs inline on the caller, so --intra-pin has
+  // nothing to place; pinning the caller would confine it (and a sweep
+  // worker running the chip) to CPU 0.  Defined before the pinned test
+  // below, whose 8-worker engine pins this thread as its party 0.
+  const unsigned cpus_before = common::affinity_cpu_count();
+  sim::MachineConfig cfg = quick16(1);
+  cfg.intra_pin = true;
+  const workload::Mix mix = sim::mix_for_config(cfg, "w2");
+  sim::Chip chip(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kDelta));
+  ASSERT_EQ(chip.intra_threads(), 1u);
+  chip.run_epochs(1, false);
+  EXPECT_EQ(common::affinity_cpu_count(), cpus_before);
+}
+
 TEST(Intra, ByteIdenticalWithPinningEnabled) {
-  // Opt-in CPU affinity must be invisible to the computation: pinned and
-  // unpinned runs of the same config agree with the serial loop.
+  // Opt-in CPU affinity must be invisible to the computation: a pinned run
+  // agrees with the reference loop.
   sim::MachineConfig pinned = quick64(8);
   pinned.intra_pin = true;
-  EXPECT_EQ(run_summary(quick64(1), "w13", sim::SchemeKind::kDelta),
+  EXPECT_EQ(reference_summary(quick64(1), "w13", sim::SchemeKind::kDelta),
             run_summary(pinned, "w13", sim::SchemeKind::kDelta));
 }
 
 TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
   // interleave_batch IS part of the determinism contract: a different batch
   // interleaves the per-core streams differently and legitimately changes
-  // results — but serial and intra must agree at any given value.
+  // results — but the reference loop and the engine must agree at any
+  // given value.
   for (const std::uint32_t batch : {1u, 5u, 32u}) {
-    sim::MachineConfig serial_cfg = quick16(1);
-    serial_cfg.interleave_batch = batch;
+    sim::MachineConfig reference_cfg = quick16(1);
+    reference_cfg.interleave_batch = batch;
     sim::MachineConfig par_cfg = quick16(4);
     par_cfg.interleave_batch = batch;
-    EXPECT_EQ(run_summary(serial_cfg, "w2", sim::SchemeKind::kDelta),
+    EXPECT_EQ(reference_summary(reference_cfg, "w2", sim::SchemeKind::kDelta),
               run_summary(par_cfg, "w2", sim::SchemeKind::kDelta))
         << "interleave_batch " << batch << " diverged";
   }
@@ -129,13 +156,13 @@ TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
   // per-core epoch target, so the whole epoch is one round.
   for (const sim::SchemeKind kind : {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca}) {
     for (const std::uint32_t batch : {1u, 1u << 30}) {
-      sim::MachineConfig serial_cfg = quick64(1);
-      serial_cfg.interleave_batch = batch;
-      const std::string serial = run_summary(serial_cfg, "w13", kind);
+      sim::MachineConfig reference_cfg = quick64(1);
+      reference_cfg.interleave_batch = batch;
+      const std::string reference = reference_summary(reference_cfg, "w13", kind);
       for (const int jobs : {2, 4}) {
         sim::MachineConfig par_cfg = quick64(jobs);
         par_cfg.interleave_batch = batch;
-        EXPECT_EQ(serial, run_summary(par_cfg, "w13", kind))
+        EXPECT_EQ(reference, run_summary(par_cfg, "w13", kind))
             << "64-tile " << sim::to_string(kind) << " interleave_batch " << batch
             << " intra-jobs " << jobs << " diverged";
       }
@@ -149,14 +176,80 @@ TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
             run_summary(quick16(1), "w2", sim::SchemeKind::kDelta));
 }
 
+/// Everything an epoch's accesses leave behind on a chip, as one string:
+/// every core's statistics, every bank's stats and contents (a digest),
+/// the demand traffic and every MCU's request count.
+std::string chip_state(sim::Chip& chip) {
+  std::string out;
+  const auto put = [&](std::uint64_t v) { out += std::to_string(v) + ' '; };
+  const auto put_bits = [&](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    put(bits);
+  };
+  for (CoreId c = 0; c < chip.cores(); ++c) {
+    const sim::AppSlot& s = chip.slot(c);
+    put(s.epoch_accesses);
+    put(s.llc_hits);
+    put(s.llc_misses);
+    put_bits(s.epoch_lat_sum);
+    put_bits(s.lat_sum);
+    put_bits(s.hop_sum);
+  }
+  for (BankId b = 0; b < chip.cores(); ++b) {
+    const mem::SetAssocCache& bank = chip.bank(b);
+    put(bank.stats().hits);
+    put(bank.stats().misses);
+    put(bank.stats().evictions);
+    std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over the lines.
+    bank.for_each_line([&](std::uint32_t set, int way, BlockAddr block, CoreId owner) {
+      for (const std::uint64_t v : {std::uint64_t{set}, static_cast<std::uint64_t>(way),
+                                    block, static_cast<std::uint64_t>(owner)})
+        digest = (digest ^ v) * 0x100000001b3ull;
+    });
+    put(digest);
+  }
+  put(chip.traffic().demand_messages());
+  for (int m = 0; m < chip.memsys().num_mcus(); ++m)
+    put(chip.memsys().mcu(m).total_requests());
+  return out;
+}
+
+TEST(Intra, SideBySideWithReferenceAtEveryAccessItsOwnRound) {
+  // The densest merge there is: 64-tile S-NUCA spreads every core over
+  // every bank, and interleave_batch 1 makes each access its own round, so
+  // the fused walk hands the round over between runs on every access.
+  // Both chips step one epoch at a time and must agree after each.
+  for (const int jobs : {1, 4}) {
+    sim::MachineConfig cfg = quick64(jobs);
+    cfg.interleave_batch = 1;
+    const workload::Mix mix = sim::mix_for_config(cfg, "w13");
+    const auto reference = [&] {
+      const test::ReferenceEngineScope scope;
+      return std::make_unique<sim::Chip>(cfg, mix.apps,
+                                         sim::make_scheme(sim::SchemeKind::kSnuca));
+    }();
+    sim::Chip engine(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kSnuca));
+    for (int e = 0; e < cfg.warmup_epochs + cfg.measure_epochs; ++e) {
+      const bool measuring = e >= cfg.warmup_epochs;
+      reference->run_epochs(1, measuring);
+      engine.run_epochs(1, measuring);
+      ASSERT_EQ(chip_state(*reference), chip_state(engine))
+          << "intra-jobs " << jobs << " diverged in epoch " << e;
+    }
+  }
+}
+
 TEST(Intra, TaskExceptionRethrowsOnCallerAndEngineRecovers) {
   // A throwing task must not hang a worker spinning on a phase counter: the
   // run rethrows the task's exception on the calling thread and returns.
   // The failure is injected in the stage phase: core 3's stream is moved to
   // an address window whose blocks overflow the UMON's 32-bit stack tags,
-  // so its first sampled access throws while the other cores stage.
-  const std::string serial = run_summary(quick16(1), "w2", sim::SchemeKind::kDelta);
-  for (const int jobs : {2, 4, 8}) {
+  // so its first sampled access throws while the other cores stage.  At one
+  // worker the tasks run inline, so the exception leaves mid-stage there.
+  const std::string reference =
+      reference_summary(quick16(1), "w2", sim::SchemeKind::kDelta);
+  for (const int jobs : {1, 2, 4, 8}) {
     const sim::MachineConfig cfg = quick16(jobs);
     const workload::Mix mix = sim::mix_for_config(cfg, "w2");
     sim::Chip chip(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kDelta));
@@ -165,8 +258,8 @@ TEST(Intra, TaskExceptionRethrowsOnCallerAndEngineRecovers) {
     ASSERT_NE(victim.umon, nullptr);
     victim.gen = std::make_unique<workload::TraceGen>(*victim.profile, Addr{1} << 52, 7);
     EXPECT_THROW((void)chip.run(mix.name), std::out_of_range) << "intra-jobs " << jobs;
-    // A fresh chip afterwards still replays the serial bytes.
-    EXPECT_EQ(serial, run_summary(cfg, "w2", sim::SchemeKind::kDelta))
+    // A fresh chip afterwards still replays the reference bytes.
+    EXPECT_EQ(reference, run_summary(cfg, "w2", sim::SchemeKind::kDelta))
         << "intra-jobs " << jobs << " diverged after a failed run";
   }
 }
@@ -174,14 +267,15 @@ TEST(Intra, TaskExceptionRethrowsOnCallerAndEngineRecovers) {
 TEST(Intra, FuzzBatchThroughIntraEngine) {
   // Randomized configs (both enforcement flavours, both chunk encodings,
   // idle cores, tight cadences) through the parallel engine, with the
-  // chip-wide invariant checker attached and the serial run as oracle.
-  check::FuzzOptions serial;
-  serial.cases = 3;
-  serial.intra_jobs = 1;
-  check::FuzzOptions par = serial;
-  par.intra_jobs = 2;
-  const check::FuzzReport a = check::run_fuzz(serial);
-  const check::FuzzReport b = check::run_fuzz(par);
+  // chip-wide invariant checker attached and the reference loop as oracle.
+  check::FuzzOptions opt;
+  opt.cases = 3;
+  const check::FuzzReport a = [&] {
+    const test::ReferenceEngineScope reference;
+    return check::run_fuzz(opt);
+  }();
+  opt.intra_jobs = 2;
+  const check::FuzzReport b = check::run_fuzz(opt);
   ASSERT_EQ(a.cases.size(), b.cases.size());
   EXPECT_EQ(b.failures, 0);
   for (std::size_t i = 0; i < a.cases.size(); ++i)
@@ -191,19 +285,22 @@ TEST(Intra, FuzzBatchThroughIntraEngine) {
 
 TEST(Intra, SweepBudgetSplitPreservesResults) {
   // intra_jobs = 0 inside a sweep resolves to the leftover thread budget;
-  // whatever the split turns out to be, results must match the all-serial
-  // sweep byte for byte.
+  // whatever the split turns out to be, results must match a one-thread
+  // sweep on the reference loop byte for byte.
   const std::vector<workload::Mix> mixes = {
       sim::mix_for_config(quick16(1), "w2")};
-  std::vector<sim::SweepJob> auto_jobs, serial_jobs;
+  std::vector<sim::SweepJob> auto_jobs, reference_jobs;
   for (const sim::SchemeKind kind : kAllSchemes) {
     auto_jobs.push_back({quick16(0), mixes[0], kind, {}});
-    serial_jobs.push_back({quick16(1), mixes[0], kind, {}});
+    reference_jobs.push_back({quick16(1), mixes[0], kind, {}});
   }
   const auto swept_auto = sim::run_sweep(auto_jobs, 2);
-  const auto swept_serial = sim::run_sweep(serial_jobs, 1);
-  ASSERT_EQ(swept_auto.size(), swept_serial.size());
-  EXPECT_EQ(sim::json_summary(swept_auto), sim::json_summary(swept_serial));
+  const auto swept_reference = [&] {
+    const test::ReferenceEngineScope reference;
+    return sim::run_sweep(reference_jobs, 1);
+  }();
+  ASSERT_EQ(swept_auto.size(), swept_reference.size());
+  EXPECT_EQ(sim::json_summary(swept_auto), sim::json_summary(swept_reference));
 }
 
 TEST(Intra, ObservedSweepMergesToSerialTrace) {

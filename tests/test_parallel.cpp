@@ -241,5 +241,16 @@ TEST(WorkerPool, PinningIsOptInAndBestEffort) {
   }
 }
 
+TEST(WorkerPool, OnePartyPoolPinsNothing) {
+  // A one-party pool runs inline on the caller; pinning it would confine
+  // the calling thread to CPU 0 for good and gain nothing.
+  const unsigned cpus_before = common::affinity_cpu_count();
+  WorkerPool solo(1, WorkerPool::Options(true));
+  EXPECT_TRUE(solo.pin_requested());
+  solo.run([](unsigned) {});
+  EXPECT_EQ(solo.pinned_parties(), 0u);
+  EXPECT_EQ(common::affinity_cpu_count(), cpus_before);
+}
+
 }  // namespace
 }  // namespace delta

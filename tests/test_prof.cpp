@@ -254,11 +254,6 @@ TEST_F(ProfTest, DerivedEngineMetricsAreSane) {
       reg.find("delta_intra_worker_imbalance_ratio");
   ASSERT_NE(imb, nullptr);
   EXPECT_GE(imb->value, 1.0);  // max/mean busy is >= 1 by construction.
-  const obs::prof::MetricSample* merge =
-      reg.find("delta_intra_merge_serial_fraction");
-  ASSERT_NE(merge, nullptr);
-  EXPECT_GE(merge->value, 0.0);
-  EXPECT_LE(merge->value, 1.0);
   const obs::prof::MetricSample* epochs = reg.find("delta_intra_epochs_total");
   ASSERT_NE(epochs, nullptr);
   EXPECT_DOUBLE_EQ(epochs->value, 15.0);  // 5 warmup + 10 measured.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include "workload/generator.hpp"
@@ -75,6 +77,34 @@ TEST(TraceIo, RejectsEmptyTrace) {
   { TraceWriter w(path); }
   EXPECT_THROW(TraceReader{path}, std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsTrailingPartialRecord) {
+  const std::string path = temp_path("partial.dlt");
+  {
+    TraceWriter w(path);
+    w.append(7);
+    w.append(8);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite("xyz", 3, 1, f);
+  std::fclose(f);
+  try {
+    TraceReader r(path);
+    ADD_FAILURE() << "a trace with 3 stray bytes was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated trace"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, CloseReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  TraceGen gen(spec_profile("hm"), 0, 42);
+  EXPECT_THROW(record_trace("/dev/full", [&] { return gen.next(); }, 10),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -66,6 +66,10 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         ap.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    # Absolute before use: each run's cwd is its checkout, so a relative
+    # path would be looked up again inside it.
+    args.base = args.base.resolve()
+    args.change = args.change.resolve()
     for side in (args.base, args.change):
         if not (side / "perfbench" / "run.py").is_file():
             ap.error(f"no perfbench/run.py under {side}")

@@ -29,10 +29,10 @@ Options:
   --seeds N           Number of fuzz cases (default 25).
   --seed-base S       First seed; case i uses S+i (default 983378).
   --threads N         Worker threads for the batch (default 1).
-  --intra-jobs N      Worker threads inside each simulation (default 1;
-                      0 = hardware threads).  Byte-identical at any value,
-                      so combined with the determinism check this drives
-                      the intra-run engine end to end.
+  --intra-jobs N      Access-engine threads inside each simulation
+                      (default 1; 0 = hardware threads).  Byte-identical
+                      at any value, so combined with the determinism check
+                      this drives the engine's threading end to end.
   --intra-pin         Pin intra-run workers to CPUs (best-effort, no-op on
                       unsupported hosts; never affects results).
   --repro SEED        Run exactly one seed, verbose, and exit.

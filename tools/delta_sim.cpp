@@ -101,7 +101,7 @@ int run_cli(int argc, char** argv) {
                  "                 [--jobs N]   (parallel scheme fan-out for "
                  "--scheme all; 0 = all hw threads)\n"
                  "                 [--intra-jobs N]   (threads inside each "
-                 "simulation; 1 = serial, 0 = auto;\n"
+                 "simulation; 0 = auto;\n"
                  "                                     byte-identical results "
                  "at any value)\n"
                  "                 [--intra-pin]   (pin intra workers to CPUs; "
@@ -109,7 +109,7 @@ int run_cli(int argc, char** argv) {
                  "                 [--interleave-batch N]   (accesses per core "
                  "per round; 0 = default 16;\n"
                  "                                           changes results, "
-                 "but serial == intra at any N)\n"
+                 "the same at every --intra-jobs)\n"
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
                  "                 [--metrics-out m.json|m.prom]   (metrics "
@@ -138,7 +138,7 @@ int run_cli(int argc, char** argv) {
   cfg.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
   cfg.intra_pin = args.has("intra-pin");
   // Part of the determinism contract: changing the batch changes results,
-  // but serial and intra engines agree at any given value.
+  // but every --intra-jobs value agrees at any given batch.
   cfg.interleave_batch =
       static_cast<std::uint32_t>(args.get_int_at_least("interleave-batch", 0, 0));
 
@@ -189,7 +189,7 @@ int run_cli(int argc, char** argv) {
   if (jobs.empty()) throw std::invalid_argument("unknown scheme '" + scheme + "'");
 
   // --jobs N fans the --scheme all runs over N threads (0 = every hardware
-  // thread); results are byte-identical to the serial default.  With one
+  // thread); results are byte-identical to the one-thread default.  With one
   // run at a time, auto --intra-jobs keeps every hardware thread instead of
   // the budget run_sweep would split off a one-thread fan-out.
   const unsigned threads = static_cast<unsigned>(args.get_int_at_least("jobs", 1, 0));

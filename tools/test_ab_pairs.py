@@ -50,11 +50,11 @@ class AbPairsTest(unittest.TestCase):
             f.write(BENCHMARK)
         return root
 
-    def run_pairs(self, base, change, pairs):
+    def run_pairs(self, base, change, pairs, cwd=None):
         return subprocess.run(
             [sys.executable, SCRIPT, "--base", base, "--change", change,
              "--workload", "sweep16", "--pairs", str(pairs), "--seconds", "1"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, cwd=cwd)
 
     def row(self, stdout, metric):
         for line in stdout.splitlines():
@@ -94,6 +94,15 @@ class AbPairsTest(unittest.TestCase):
         self.assertNotEqual(r.returncode, 0)
         self.assertIn("correct=False", r.stderr)
 
+    def test_relative_checkout_paths(self):
+        self.checkout("base", run_ms=100.0, rate=2.0e7)
+        self.checkout("change", run_ms=90.0, rate=2.0e7)
+        r = self.run_pairs("base", "change", 2, cwd=self.tmp.name)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        with open(self.log) as f:
+            self.assertEqual(f.read().split(), ["base", "change", "change", "base"])
+        self.assertTrue(self.row(r.stdout, "run_ms").endswith("2/2"))
+
     def test_missing_checkout_is_a_usage_error(self):
         base = self.checkout("base", run_ms=100.0, rate=2.0e7)
         r = self.run_pairs(base, os.path.join(self.tmp.name, "nowhere"), 2)
@@ -104,5 +113,5 @@ class AbPairsTest(unittest.TestCase):
 if __name__ == "__main__":
     if len(sys.argv) < 2 or not os.path.isfile(sys.argv[1]):
         sys.exit("usage: test_ab_pairs.py /path/to/ab_pairs.py")
-    SCRIPT = sys.argv.pop(1)
+    SCRIPT = os.path.abspath(sys.argv.pop(1))
     unittest.main()
