@@ -1,7 +1,7 @@
 # Reproduction harnesses: `repro` renders every paper figure/table, the
-# scheme shootout and the irregular-mix extension from one pooled sweep
-# (`repro --fig <id>`); the ablation/extension knob sweeps and the
-# google-benchmark microbenches are their own binaries.  micro_throughput
+# scheme shootout, the ablations and the extension studies from one pooled
+# sweep (`repro --fig <id>`, e.g. `--fig ablation,cbt,mt,underutilized`);
+# the google-benchmark microbenches are their own binary.  micro_throughput
 # gates the cache and SIMD kernels against floors compiled into it;
 # perfbench/ is the end-to-end benchmark.  See DESIGN.md Sec. 4 for the
 # experiment index.  All binaries land in ${CMAKE_BINARY_DIR}/bench.
@@ -17,10 +17,6 @@ function(delta_bench name)
 endfunction()
 
 delta_bench(repro)
-delta_bench(ablation_params)
-delta_bench(ablation_cbt_bits)
-delta_bench(ext_mt_integrated)
-delta_bench(ext_underutilized)
 delta_bench(micro_obs_overhead)
 delta_bench(micro_throughput)
 

@@ -104,8 +104,8 @@ class Cli {
 
 /// Index-ordered parallel map: `out[i] = fn(i)` for i in [0, n), fanned
 /// over `jobs` threads with results in pre-sized slots.  For bench loops
-/// whose per-item work is not a full mix run (splash estimates, knob
-/// sweeps with bespoke result structs).
+/// whose per-item work is not a full mix run (splash estimates, sharing
+/// measurements, multithreaded runs).
 template <typename Fn>
 auto parallel_map(std::size_t n, unsigned jobs, Fn&& fn) {
   using R = decltype(fn(std::size_t{0}));

@@ -274,10 +274,11 @@ int main(int argc, char** argv) {
 
   // ---- Access engine: one 64-tile delta run at 1/2/4/8 workers. ----
   // w13 on the 64-tile machine keeps all 64 banks busy so the apply phase
-  // has real parallelism.
+  // has real parallelism.  The 30-epoch window holds under --quick too: at
+  // 10 epochs the 4- and 8-worker points swung between 0.6x and 1.8x.
   sim::MachineConfig intra_cfg = sim::config64();
   intra_cfg.warmup_epochs = 10;
-  intra_cfg.measure_epochs = quick ? 10 : 30;
+  intra_cfg.measure_epochs = 30;
   const workload::Mix intra_mix = sim::mix_for_config(intra_cfg, "w13");
   double one_worker_s = 0.0;
   std::string one_worker_summary;

@@ -28,7 +28,6 @@ sim::MachineConfig draw_config(Rng& rng, std::uint64_t seed,
   cfg.seed = splitmix64(sm);
   cfg.lockstep_accesses = opt.lockstep;
   cfg.intra_jobs = opt.intra_jobs;
-  cfg.intra_pin = opt.intra_pin;
   cfg.measured_mlp = rng.chance(0.5);
 
   constexpr std::array<int, 3> kInter = {5, 10, 20};

@@ -31,10 +31,6 @@ struct FuzzOptions {
   /// at any value, so the determinism check doubles as an end-to-end test
   /// of the engine's threading when this is > 1.
   int intra_jobs = 1;
-  /// MachineConfig::intra_pin forwarded to every drawn config: opt-in
-  /// CPU-affinity pinning for the intra-run workers.  Never affects
-  /// results; exposed so fuzz batches can exercise the pinned scheduler.
-  bool intra_pin = false;
   /// Pin access budgets to the nominal CPI so the differential oracle can
   /// assert cross-scheme access-count equality.
   bool lockstep = true;

@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.hpp"
 #include "common/sync.hpp"
 
 namespace delta {
@@ -280,33 +279,13 @@ class WorkerHooks {
 ///
 /// A pool instance may only be driven from one thread at a time; the
 /// intra-run engine owns one pool per Chip, matching that contract.
-///
-/// Opt-in affinity: with `Options::pin_threads` each party pins itself to
-/// CPU `w % affinity_cpu_count()` — including party 0, i.e. the *calling*
-/// thread, which is why pinning is off by default.  A one-party pool runs
-/// its sections inline on the caller and pins nothing: there is no worker
-/// to keep apart, and the pin would outlive the pool.  Pinning is best-effort
-/// (common/affinity.hpp no-op fallback) and never affects results, only
-/// cache locality of the per-worker buffers placed by first touch.
 class WorkerPool {
  public:
-  struct Options {
-    bool pin_threads;
-    // Written as constructors (not default member initializers) so the
-    // WorkerPool constructor below can default-construct one in a default
-    // argument while the enclosing class is still incomplete.
-    Options() : pin_threads(false) {}
-    explicit Options(bool pin) : pin_threads(pin) {}
-  };
-
-  explicit WorkerPool(unsigned parties, Options options = Options())
+  explicit WorkerPool(unsigned parties)
       : parties_(parties == 0 ? 1 : parties),
-        options_(options),
         start_(parties_ == 0 ? 1 : parties_),
         done_(parties_ == 0 ? 1 : parties_),
         errors_(parties_ == 0 ? 1 : parties_) {
-    if (options_.pin_threads && parties_ > 1 && common::pin_current_thread(0))
-      pinned_count_.fetch_add(1, std::memory_order_relaxed);
     threads_.reserve(parties_ - 1);
     for (unsigned w = 1; w < parties_; ++w)
       threads_.emplace_back([this, w] { worker_loop(w); });
@@ -324,16 +303,6 @@ class WorkerPool {
   }
 
   unsigned parties() const { return parties_; }
-
-  /// Whether Options::pin_threads was requested at construction.
-  bool pin_requested() const { return options_.pin_threads; }
-
-  /// Parties whose self-pin succeeded so far (0 on platforms without an
-  /// affinity API, or when pinning was not requested).  Workers pin before
-  /// their first section, so after any run() the count is settled.
-  unsigned pinned_parties() const {
-    return pinned_count_.load(std::memory_order_relaxed);
-  }
 
   /// Installs (or clears, with nullptr) the section observation hooks.  May
   /// only be called from the owning thread while no section is running; the
@@ -365,8 +334,6 @@ class WorkerPool {
 
  private:
   void worker_loop(unsigned w) {
-    if (options_.pin_threads && common::pin_current_thread(w))
-      pinned_count_.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
       start_.arrive_and_wait();
       if (stop_) return;
@@ -386,8 +353,6 @@ class WorkerPool {
   }
 
   const unsigned parties_;
-  const Options options_;
-  std::atomic<unsigned> pinned_count_{0};
   CyclicBarrier start_;
   CyclicBarrier done_;
   // Both written by the caller strictly before a start-barrier arrival and

@@ -23,9 +23,8 @@
 //                     job and the bit-identity contract it enforces
 //   raw-affinity      raw OS thread-affinity API (pthread_setaffinity_np,
 //                     sched_setaffinity, cpu_set_t, sched_getcpu, <sched.h>)
-//                     anywhere but src/common/affinity.hpp, the single
-//                     portability shim — scattered affinity calls skip its
-//                     no-op fallback and tie code to one platform
+//                     anywhere: the simulator pins no thread, since no
+//                     measurement showed pinning paying off
 //   ptr-key           pointer-keyed ordered containers (std::map<T*, ...>):
 //                     ordered by allocation addresses, i.e. by ASLR
 //   naked-new         naked new/delete — owning raw pointers; use values,

@@ -45,12 +45,6 @@ struct MachineConfig {
   /// therefore never appears in reports or JSON output.
   int intra_jobs = 1;
 
-  /// Pin intra-engine workers (and the driving thread) to CPUs via
-  /// common/affinity.hpp — opt-in because it pins the caller too.  Pure
-  /// placement hint with a no-op fallback on unsupported platforms; results
-  /// never depend on it.
-  bool intra_pin = false;
-
   /// Per-core batch size of the interleaved issue order.  0 = the default
   /// Chip::kInterleaveBatch (16).  Unlike the knobs above this one IS part
   /// of the determinism contract: changing it changes the access

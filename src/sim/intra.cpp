@@ -7,9 +7,9 @@
 
 namespace delta::sim {
 
-IntraEngine::IntraEngine(int cores, int mcus, unsigned threads, bool pin)
+IntraEngine::IntraEngine(int cores, int mcus, unsigned threads)
     : cores_(static_cast<std::uint32_t>(cores)),
-      pool_(threads, WorkerPool::Options{pin}),
+      pool_(threads),
       stage_claim_(cores_),
       apply_claim_(cores_),
       reduce_claim_(cores_),
@@ -23,9 +23,9 @@ IntraEngine::IntraEngine(int cores, int mcus, unsigned threads, bool pin)
   wstats_.resize(pool_.parties());
 
   // First-touch warm pass: worker w faults in the buffers of its static
-  // home cores/banks, so with pinning enabled (cfg.intra_pin) the pages
-  // land on the node of the worker most likely to use them.  The profile
-  // is not armed yet, so the section records nothing.
+  // home cores/banks, so the pages land on the node of the worker most
+  // likely to use them.  The profile is not armed yet, so the section
+  // records nothing.
   const unsigned parties = pool_.parties();
   pool_.run([&](unsigned w) {
     const IndexRange r = static_partition(n, parties, w);
@@ -382,8 +382,7 @@ void IntraEngine::run_epoch(const EpochAccess& io) {
 std::unique_ptr<AccessEngine> make_intra_engine(const MachineConfig& cfg) {
   return std::make_unique<IntraEngine>(
       cfg.cores, cfg.num_mcus,
-      resolve_workers(cfg.intra_jobs, static_cast<std::size_t>(cfg.cores)),
-      cfg.intra_pin);
+      resolve_workers(cfg.intra_jobs, static_cast<std::size_t>(cfg.cores)));
 }
 
 }  // namespace delta::sim

@@ -102,11 +102,10 @@ namespace delta::sim {
 class IntraEngine final : public AccessEngine {
  public:
   /// `threads` is the worker count (>= 1).  Pool threads persist for the
-  /// engine's lifetime and park on a barrier between epochs; `pin` opts
-  /// into CPU-affinity pinning (MachineConfig::intra_pin), and the
+  /// engine's lifetime and park on a barrier between epochs, and the
   /// constructor runs a first-touch warm pass so per-worker buffers are
   /// faulted in by (roughly) the workers that will use them.
-  IntraEngine(int cores, int mcus, unsigned threads, bool pin);
+  IntraEngine(int cores, int mcus, unsigned threads);
 
   /// One epoch's accesses.  Callable only from the thread that owns the
   /// chip, after the epoch's policy step.  A task exception is rethrown
@@ -202,8 +201,7 @@ class IntraEngine final : public AccessEngine {
 };
 
 /// The engine a chip of `cfg` runs: resolve_workers(cfg.intra_jobs,
-/// cfg.cores) workers, pinned when cfg.intra_pin and there is more than
-/// one (WorkerPool pins nothing at one party).
+/// cfg.cores) workers.
 std::unique_ptr<AccessEngine> make_intra_engine(const MachineConfig& cfg);
 
 }  // namespace delta::sim

@@ -44,8 +44,7 @@ struct MtConfig {
 /// (kDelta uses the full Sec. II-E machinery; kSnuca / kPrivate are the
 /// baselines of Fig. 12).  The run executes on the calling thread: the
 /// logical threads are interleaved in one deterministic global order, and
-/// `cfg.intra_jobs` / `cfg.intra_pin` do not apply (results never depended
-/// on them).
+/// `cfg.intra_jobs` does not apply (results never depended on it).
 MtResult run_multithreaded(const MachineConfig& cfg, const workload::SplashProfile& p,
                            SchemeKind kind, MtConfig mtc = {});
 

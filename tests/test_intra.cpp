@@ -17,7 +17,6 @@
 #include "reference_engine.hpp"
 
 #include "check/fuzz.hpp"
-#include "common/affinity.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "sim/chip.hpp"
@@ -110,30 +109,6 @@ TEST(Intra, ByteIdenticalOccupancyMode) {
           << base.cores << "-tile occupancy mode, intra-jobs " << jobs << " diverged";
     }
   }
-}
-
-TEST(Intra, OneWorkerEngineLeavesCallerUnpinned) {
-  // At one worker the engine runs inline on the caller, so --intra-pin has
-  // nothing to place; pinning the caller would confine it (and a sweep
-  // worker running the chip) to CPU 0.  Defined before the pinned test
-  // below, whose 8-worker engine pins this thread as its party 0.
-  const unsigned cpus_before = common::affinity_cpu_count();
-  sim::MachineConfig cfg = quick16(1);
-  cfg.intra_pin = true;
-  const workload::Mix mix = sim::mix_for_config(cfg, "w2");
-  sim::Chip chip(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kDelta));
-  ASSERT_EQ(chip.intra_threads(), 1u);
-  chip.run_epochs(1, false);
-  EXPECT_EQ(common::affinity_cpu_count(), cpus_before);
-}
-
-TEST(Intra, ByteIdenticalWithPinningEnabled) {
-  // Opt-in CPU affinity must be invisible to the computation: a pinned run
-  // agrees with the reference loop.
-  sim::MachineConfig pinned = quick64(8);
-  pinned.intra_pin = true;
-  EXPECT_EQ(reference_summary(quick64(1), "w13", sim::SchemeKind::kDelta),
-            run_summary(pinned, "w13", sim::SchemeKind::kDelta));
 }
 
 TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {

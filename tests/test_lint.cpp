@@ -183,22 +183,20 @@ TEST(LintRawAffinity, FlagsRawAffinityApiAndSchedHeader) {
   EXPECT_EQ(count_rule(fs, "raw-affinity"), 5);
 }
 
-TEST(LintRawAffinity, AffinityShimIsExempt) {
+TEST(LintRawAffinity, FormerShimPathIsNotExempt) {
   FileInfo info;
   info.path_label = "src/common/affinity.hpp";
   const auto fs = lint_text(info,
                             "#include <sched.h>\n"
                             "cpu_set_t set;\n"
                             "sched_setaffinity(0, sizeof(set), &set);\n");
-  EXPECT_FALSE(has_rule(fs, "raw-affinity"));
+  EXPECT_EQ(count_rule(fs, "raw-affinity"), 3);
 }
 
-TEST(LintRawAffinity, ShimCallsAndCommentsAreClean) {
+TEST(LintRawAffinity, CommentsAreClean) {
   const auto fs = lint(
-      "#include \"common/affinity.hpp\"\n"
-      "// pthread_setaffinity_np lives behind the shim\n"
-      "bool ok = common::pin_current_thread(3);\n"
-      "unsigned n = common::affinity_cpu_count();\n");
+      "// pthread_setaffinity_np is called nowhere\n"
+      "unsigned n = std::thread::hardware_concurrency();\n");
   EXPECT_FALSE(has_rule(fs, "raw-affinity"));
 }
 

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.hpp"
 #include "common/parallel.hpp"
 
 namespace delta {
@@ -209,47 +208,6 @@ TEST(ResolveWorkers, AutoIsHardwareThreadsExplicitPassesAllClampToCap) {
   EXPECT_EQ(resolve_workers(8, 4), 4u);
   EXPECT_EQ(resolve_workers(0, 1), 1u);
   EXPECT_EQ(resolve_workers(5, 0), 1u);
-}
-
-TEST(Affinity, CpuCountIsPositiveAndPinningDegradesGracefully) {
-  EXPECT_GE(common::affinity_cpu_count(), 1u);
-  const bool pinned = common::pin_current_thread(0);
-  if (!common::affinity_supported()) {
-    // No-op fallback platforms must report failure, not pretend to pin.
-    EXPECT_FALSE(pinned);
-  }
-  // Out-of-range CPU ids wrap instead of failing, so oversubscribed pools
-  // still pin on small hosts.
-  EXPECT_EQ(common::pin_current_thread(common::affinity_cpu_count() + 3), pinned);
-}
-
-TEST(WorkerPool, PinningIsOptInAndBestEffort) {
-  WorkerPool plain(2);
-  EXPECT_FALSE(plain.pin_requested());
-  plain.run([](unsigned) {});
-  EXPECT_EQ(plain.pinned_parties(), 0u);
-
-  WorkerPool pinned(2, WorkerPool::Options(true));
-  EXPECT_TRUE(pinned.pin_requested());
-  std::atomic<int> ran{0};
-  pinned.run([&](unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(), 2);
-  if (common::affinity_supported()) {
-    EXPECT_EQ(pinned.pinned_parties(), 2u);
-  } else {
-    EXPECT_EQ(pinned.pinned_parties(), 0u);
-  }
-}
-
-TEST(WorkerPool, OnePartyPoolPinsNothing) {
-  // A one-party pool runs inline on the caller; pinning it would confine
-  // the calling thread to CPU 0 for good and gain nothing.
-  const unsigned cpus_before = common::affinity_cpu_count();
-  WorkerPool solo(1, WorkerPool::Options(true));
-  EXPECT_TRUE(solo.pin_requested());
-  solo.run([](unsigned) {});
-  EXPECT_EQ(solo.pinned_parties(), 0u);
-  EXPECT_EQ(common::affinity_cpu_count(), cpus_before);
 }
 
 }  // namespace

@@ -241,5 +241,45 @@ TEST(Sim, ResultsMatchParentCapture) {
   }
 }
 
+/// `r` as a capture record, so expect_matches can hold one live run to
+/// another field by field.  The strings point into `r`.
+RunCapture capture_of(const MixResult& r) {
+  RunCapture c{r.mix.c_str(),
+               r.scheme.c_str(),
+               r.geomean_ipc,
+               {},
+               {r.control.challenge, r.control.feedback, r.control.invalidation,
+                r.control.handover, r.control.central, r.control.market},
+               r.invalidated_lines,
+               r.measured_epochs,
+               {}};
+  for (std::size_t t = 0; t < c.traffic.size(); ++t)
+    c.traffic[t] = r.traffic.total(static_cast<noc::MsgType>(t));
+  for (const AppResult& a : r.apps)
+    c.apps.push_back({a.app.c_str(), a.core, a.ipc, a.cpi, a.mpki, a.miss_rate, a.avg_latency,
+                      a.avg_hops, a.avg_ways, a.instructions, a.llc_accesses, a.llc_misses});
+  return c;
+}
+
+TEST(Sim, SnucaIgnoresDeltaAndUmonKnobs) {
+  // repro's ablation and cbt entries run S-NUCA once, on the base config,
+  // as the baseline of every DELTA and UMON knob point.  That holds only
+  // while S-NUCA reads none of the knobs those entries sweep.
+  MachineConfig base = config16();
+  base.warmup_epochs = 10;
+  base.measure_epochs = 30;
+  MachineConfig knobs = base;
+  knobs.delta.gain_threshold = 8.0;
+  knobs.delta.inter_delta_ways = 8;
+  knobs.delta.intra_delta_ways = 4;
+  knobs.delta.inter_interval_epochs = 100;
+  knobs.delta.reverse_chunk_bits = false;
+  knobs.umon.coarse_ways = 16;
+  const workload::Mix mix = mix_for_config(base, "w6");
+  const MixResult want = run_mix(base, mix, SchemeKind::kSnuca);
+  expect_matches(run_mix(knobs, mix, SchemeKind::kSnuca), capture_of(want),
+                 "w6/snuca with DELTA and UMON knobs moved");
+}
+
 }  // namespace
 }  // namespace delta::sim

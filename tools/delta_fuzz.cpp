@@ -33,8 +33,6 @@ Options:
                       (default 1; 0 = hardware threads).  Byte-identical
                       at any value, so combined with the determinism check
                       this drives the engine's threading end to end.
-  --intra-pin         Pin intra-run workers to CPUs (best-effort, no-op on
-                      unsupported hosts; never affects results).
   --repro SEED        Run exactly one seed, verbose, and exit.
   --sweep-interval N  Residency-sweep cadence in epochs (default 4, 0 = off).
   --out-dir DIR       Write summary JSON + per-failure reports into DIR.
@@ -94,7 +92,7 @@ int run_cli(int argc, char** argv) {
       "seeds",          "seed-base",      "threads",       "intra-jobs",
       "repro",          "sweep-interval", "out-dir",       "no-invariants",
       "no-differential","no-determinism", "no-lockstep",   "prof-out",
-      "metrics-out",    "intra-pin",      "help"};
+      "metrics-out",    "help"};
   const auto unknown = args.unknown_flags(known);
   if (!unknown.empty()) {
     for (const auto& f : unknown)
@@ -114,7 +112,6 @@ int run_cli(int argc, char** argv) {
   opt.cases = args.get_int_at_least("seeds", 25, 1);
   opt.threads = static_cast<unsigned>(args.get_int_at_least("threads", 1, 0));
   opt.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
-  opt.intra_pin = args.has("intra-pin");
   opt.sweep_interval = args.get_int_at_least("sweep-interval", 4, 0);
   opt.lockstep = !args.has("no-lockstep");
   opt.check_invariants = !args.has("no-invariants");

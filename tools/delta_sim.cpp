@@ -86,7 +86,7 @@ int run_cli(int argc, char** argv) {
       "mix",        "apps",         "scheme",   "cores",       "epochs",
       "warmup",     "seed",         "csv",      "list",        "central-ms",
       "trace-out",  "timeline-csv", "json",     "jobs",        "intra-jobs",
-      "prof-out",   "metrics-out",  "help",     "intra-pin",   "interleave-batch",
+      "prof-out",   "metrics-out",  "help",     "interleave-batch",
   };
   if (!args.unknown_flags(known).empty() || args.has("help")) {
     for (const auto& f : args.unknown_flags(known))
@@ -104,8 +104,6 @@ int run_cli(int argc, char** argv) {
                  "simulation; 0 = auto;\n"
                  "                                     byte-identical results "
                  "at any value)\n"
-                 "                 [--intra-pin]   (pin intra workers to CPUs; "
-                 "best-effort, results unchanged)\n"
                  "                 [--interleave-batch N]   (accesses per core "
                  "per round; 0 = default 16;\n"
                  "                                           changes results, "
@@ -136,7 +134,6 @@ int run_cli(int argc, char** argv) {
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
   cfg.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
-  cfg.intra_pin = args.has("intra-pin");
   // Part of the determinism contract: changing the batch changes results,
   // but every --intra-jobs value agrees at any given batch.
   cfg.interleave_batch =

@@ -81,6 +81,18 @@ class BenchCliTest(unittest.TestCase):
             with open(out, encoding="utf-8") as f:
                 self.assertEqual(f.read(), r.stdout)
 
+    def test_repro_ablation_entries_share_their_baseline(self):
+        # 24 ablation runs (one S-NUCA baseline + 23 knob points, five of
+        # them the default DELTA run) and cbt's 3 (S-NUCA and DELTA on the
+        # same base config, plus DELTA with straight CBT indexing).
+        r = run_bench("repro", "--fig", "ablation,cbt", "--quick")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertEqual(r.stderr.splitlines(),
+                         ["repro: 27 runs requested, 21 distinct"])
+        self.assertIn("Ablation — DELTA parameter sensitivity (mix w6, 16 cores)",
+                      r.stdout)
+        self.assertIn("Ablation — CBT bank-selection bit reversal", r.stdout)
+
     def test_google_benchmark_flags_pass_through(self):
         r = run_bench("micro_components", "--benchmark_list_tests=true")
         self.assertEqual(r.returncode, 0, r.stderr)

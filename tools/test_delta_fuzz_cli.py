@@ -48,7 +48,7 @@ class DeltaFuzzCliTest(unittest.TestCase):
                 self.assert_rejected(args, message)
 
     def test_unknown_flag_prints_usage(self):
-        for flag in ["--bogus", "--prof-level", "--obs-level"]:
+        for flag in ["--bogus", "--prof-level", "--obs-level", "--intra-pin"]:
             with self.subTest(flag=flag):
                 r = self.run_fuzz(flag, "full")
                 self.assertEqual(r.returncode, 2, r.stderr)

@@ -81,6 +81,13 @@ class DeltaSimCliTest(unittest.TestCase):
                 self.assertIn("unknown flag: " + flag, r.stderr)
                 self.assertEqual(r.stdout, "")
 
+    def test_removed_pin_flag_is_unknown(self):
+        # The engine pins no thread; the old opt-in flag is gone, not ignored.
+        r = self.run_sim("--intra-pin", "--epochs", "1", "--warmup", "0")
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertIn("unknown flag: --intra-pin", r.stderr)
+        self.assertEqual(r.stdout, "")
+
     def test_valid_short_run_still_succeeds(self):
         r = self.run_sim("--mix", "w2", "--scheme", "snuca", "--epochs", "1",
                          "--warmup", "0", "--csv")
