@@ -32,8 +32,7 @@ class SetAssocCache {
   int ways() const { return ways_; }
 
   mem::AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner,
-                           mem::WayMask insert_mask,
-                           CoreId evict_pref = kInvalidCore) {
+                           mem::WayMask insert_mask) {
     Way* w = set_begin(set);
     std::uint32_t& clock = clocks_[set];
 
@@ -50,27 +49,18 @@ class SetAssocCache {
     if (insert_mask == 0) return res;  // Bypass: nowhere to allocate.
 
     int victim = -1;
-    int pref_victim = -1;
     std::uint32_t best_stamp = std::numeric_limits<std::uint32_t>::max();
-    std::uint32_t pref_stamp = std::numeric_limits<std::uint32_t>::max();
     for (int i = 0; i < ways_; ++i) {
       if (!(insert_mask & (mem::WayMask{1} << i))) continue;
       if (!w[i].valid) {
         victim = i;
-        pref_victim = -1;
         break;
       }
       if (w[i].stamp <= best_stamp) {
         best_stamp = w[i].stamp;
         victim = i;
       }
-      if (evict_pref != kInvalidCore && w[i].owner == evict_pref &&
-          w[i].stamp <= pref_stamp) {
-        pref_stamp = w[i].stamp;
-        pref_victim = i;
-      }
     }
-    if (pref_victim >= 0) victim = pref_victim;
     if (victim < 0) return res;
 
     if (w[victim].valid) {

@@ -215,10 +215,8 @@ void InvariantChecker::check_cbts(sim::Chip& chip, std::uint64_t epoch) {
 
 void InvariantChecker::check_residency(sim::Chip& chip, std::uint64_t epoch) {
   const int cores = chip.cores();
-  std::vector<std::int64_t> owned(static_cast<std::size_t>(cores), 0);
   std::vector<BlockAddr> set_blocks;
   for (BankId b = 0; b < cores; ++b) {
-    std::fill(owned.begin(), owned.end(), 0);
     std::uint32_t cur_set = ~std::uint32_t{0};
     set_blocks.clear();
     chip.bank(b).for_each_line([&](std::uint32_t set, int way, BlockAddr block,
@@ -239,7 +237,6 @@ void InvariantChecker::check_residency(sim::Chip& chip, std::uint64_t epoch) {
                                b, owner, 0, "resident line with invalid owner"});
         return;
       }
-      ++owned[static_cast<std::size_t>(owner)];
       // The line must sit exactly where its owner's *current* mapping puts
       // the block — this is what bulk invalidation after a remap preserves.
       const sim::BankTarget t = chip.plan().target(owner, block);
@@ -249,13 +246,6 @@ void InvariantChecker::check_residency(sim::Chip& chip, std::uint64_t epoch) {
                          t.bank, b,
                          "line resident outside its owner's current mapping"});
     });
-    for (CoreId c = 0; c < cores; ++c) {
-      const std::int64_t tracked = chip.tracked_occupancy(b, c);
-      if (tracked >= 0 && tracked != owned[static_cast<std::size_t>(c)])
-        report(chip, Violation{InvariantKind::kOccupancyAgreement, epoch, c, b,
-                               tracked, owned[static_cast<std::size_t>(c)],
-                               "enforcer occupancy counter out of sync"});
-    }
   }
 }
 

@@ -1,10 +1,10 @@
 // Chip-wide invariant checker (tier-2 `check` test layer).
 //
 // Every partitioning scheme in the simulator maintains redundant state —
-// way-ownership bitmaps, per-core CBT range tables, occupancy counters,
-// the acquisition-order list the controller sums allocations over — and
-// the paper's correctness story rests on these views agreeing at every
-// reconfiguration boundary.  The InvariantChecker audits that agreement
+// way-ownership bitmaps, per-core CBT range tables, the plan's routing
+// and mask copies, the acquisition-order list the controller sums
+// allocations over — and the paper's correctness story rests on these
+// views agreeing at every reconfiguration boundary.  The InvariantChecker audits that agreement
 // from the outside: it plugs into Chip's epoch hook (sim::EpochChecker),
 // runs right after the scheme's begin_epoch() reconfiguration, and
 // validates
@@ -20,8 +20,7 @@
 //   * residency agreement: every resident line is in exactly the (bank,
 //     set) its owner's current mapping produces — which subsumes
 //     bulk-invalidation completeness after a remap — with no duplicate
-//     blocks per set, and occupancy-enforcement counters matching the
-//     swept per-core line counts.
+//     blocks per set.
 //
 // Violations are recorded (bounded), optionally thrown, and mirrored into
 // the observability event trace as kInvariantViolation events so failing
@@ -51,7 +50,6 @@ enum class InvariantKind : std::uint8_t {
   kCbtProportionality,    ///< Range size drifts from the rebuild allocation.
   kResidencyAgreement,    ///< Line resident where its owner no longer maps.
   kDuplicateLine,         ///< Same block twice in one set.
-  kOccupancyAgreement,    ///< Enforcer counter != swept per-core line count.
   kDirectoryState,        ///< MESIF entry breaks its state's sharer rules.
   kDirectoryAgreement,    ///< Directory sharer without a resident copy.
   kAccessConservation,    ///< Cross-scheme access totals diverge (lockstep).
@@ -71,7 +69,6 @@ constexpr std::string_view invariant_kind_name(InvariantKind k) {
     case InvariantKind::kCbtProportionality: return "cbt_proportionality";
     case InvariantKind::kResidencyAgreement: return "residency_agreement";
     case InvariantKind::kDuplicateLine: return "duplicate_line";
-    case InvariantKind::kOccupancyAgreement: return "occupancy_agreement";
     case InvariantKind::kDirectoryState: return "directory_state";
     case InvariantKind::kDirectoryAgreement: return "directory_agreement";
     case InvariantKind::kAccessConservation: return "access_conservation";

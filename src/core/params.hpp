@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "core/occupancy.hpp"
-
 namespace delta::core {
 
 struct DeltaParams {
@@ -28,10 +26,6 @@ struct DeltaParams {
   // Enforcement ablation: index the CBT with the bit-reversed
   // bank-selection byte (the paper's design) or with the raw byte.
   bool reverse_chunk_bits = true;
-
-  // Intra-bank enforcement flavour: way bitmasks (paper default) or the
-  // replacement-based occupancy enforcer (Sec. II-C2's compatibility note).
-  IntraEnforcement intra_enforcement = IntraEnforcement::kWayMask;
   friend bool operator==(const DeltaParams&, const DeltaParams&) = default;
 };
 

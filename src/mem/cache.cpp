@@ -44,7 +44,7 @@ SetAssocCache::SetAssocCache(std::uint32_t sets, int ways)
 }
 
 AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId owner,
-                                      WayMask insert_mask, CoreId evict_pref) {
+                                      WayMask insert_mask) {
   assert(set < sets_);
   if (block >= simd::kTag40Limit)
     throw std::out_of_range("SetAssocCache: block " + std::to_string(block) +
@@ -62,19 +62,13 @@ AccessResult SetAssocCache::miss_fill(std::uint32_t set, BlockAddr block, CoreId
   const std::uint32_t eligible = insert_mask & full_mask(ways_);
   if (eligible == 0) return res;  // Bypass: nowhere to allocate.
 
-  // Prefer an invalid eligible way; otherwise evict the eligible LRU,
-  // restricted to the preferred victim owner's lines when it holds any.
+  // Prefer an invalid eligible way; otherwise evict the eligible LRU.
   int victim;
   std::uint32_t& valid = valid_word(set);
   if (const std::uint32_t free = eligible & ~valid; free != 0) {
     victim = std::countr_zero(free);
   } else {
-    std::uint32_t pref = 0;
-    if (evict_pref != kInvalidCore)
-      for (int i = 0; i < ways_; ++i)
-        pref |= static_cast<std::uint32_t>(CoreId{owners_row[i]} == evict_pref) << i;
-    pref &= eligible;
-    victim = simd::rank_oldest(rank_row, lanes_, pref != 0 ? pref : eligible);
+    victim = simd::rank_oldest(rank_row, lanes_, eligible);
     res.evicted = true;
     res.victim_block = block_at(set, victim);
     res.victim_owner = owner_at(set, victim);

@@ -87,23 +87,17 @@ class SetAssocCache {
   /// at or above 2^40 or `owner` is outside [0, 254] (the tag and owner
   /// widths of a set record).
   ///
-  /// `evict_pref` supports occupancy-based fine-grained partitioning
-  /// (PriSM / futility-scaling style): when valid, the victim is the LRU
-  /// line *owned by* that core (within the mask); if it holds no line in
-  /// the set, selection falls back to plain masked LRU.
-  ///
   /// The hit path lives here so callers inline the SIMD tag compare plus
   /// the MRU rank promote; the miss/fill path (miss_fill, cache.cpp) stays
   /// out of line to keep the inlined code small.
-  AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner, WayMask insert_mask,
-                      CoreId evict_pref = kInvalidCore) {
+  AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner, WayMask insert_mask) {
     if (const std::uint32_t match = match_ways(set, block); match != 0) {
       const int i = std::countr_zero(match);
       simd::rank_promote(ranks(set), lanes_, i);
       ++stats_.hits;
       return AccessResult{.hit = true, .way = i};
     }
-    return miss_fill(set, block, owner, insert_mask, evict_pref);
+    return miss_fill(set, block, owner, insert_mask);
   }
 
   /// Lookup without fill (e.g. remote probe).  Promotes to MRU on hit.
@@ -165,7 +159,7 @@ class SetAssocCache {
  private:
   /// Cold half of access(): miss accounting, victim choice and line fill.
   AccessResult miss_fill(std::uint32_t set, BlockAddr block, CoreId owner,
-                         WayMask insert_mask, CoreId evict_pref);
+                         WayMask insert_mask);
 
   /// Bitmask of ways whose valid tag equals `block` (0 or one bit set).
   /// The 40-bit compare is exact, so the vector backend in common/simd.hpp

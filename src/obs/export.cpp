@@ -3,25 +3,10 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <set>
-#include <utility>
 
 #include "common/appendf.hpp"
 
 namespace delta::obs {
-namespace {
-
-/// Microseconds per simulator epoch: one epoch = i_intra = 0.1 ms.
-constexpr double kUsPerEpoch = 100.0;
-
-void append_counter(std::string& out, std::uint32_t run, double ts,
-                    const std::string& name, const char* key, double value) {
-  appendf(out, "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"tid\":0,\"ts\":%.1f,"
-               "\"args\":{\"%s\":%s}},\n",
-          name.c_str(), run, ts, key, json_num(value).c_str());
-}
-
-}  // namespace
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -84,67 +69,6 @@ std::string timeline_csv(const Observer& obs) {
             s.control_msgs, s.demand_msgs, s.invalidation_msgs,
             s.invalidated_lines);
   }
-  return out;
-}
-
-void append_chrome_trace_events(std::string& out, const Observer& obs) {
-  // Metadata: one trace process per run (scheme), named tile tracks.
-  std::set<std::pair<std::uint32_t, int>> tids;
-  for (const Event& e : obs.events().events())
-    tids.insert({e.run, e.core >= 0 ? e.core : 0});
-  const std::size_t runs =
-      obs.run_names().empty() ? (tids.empty() ? 0 : 1) : obs.run_names().size();
-  for (std::uint32_t r = 0; r < runs; ++r)
-    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
-                 "\"args\":{\"name\":\"%s\"}},\n",
-            r, json_escape(obs.run_name(r)).c_str());
-  for (const auto& [run, tid] : tids)
-    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"tid\":%d,\"name\":\"thread_name\","
-                 "\"args\":{\"name\":\"tile %d\"}},\n",
-            run, tid, tid);
-
-  // Policy events: instant events on the acting tile's track.
-  for (const Event& e : obs.events().events()) {
-    appendf(out, "{\"name\":\"%s\",\"cat\":\"policy\",\"ph\":\"i\",\"s\":\"t\","
-                 "\"ts\":%.1f,\"pid\":%u,\"tid\":%d,\"args\":{\"bank\":%d,"
-                 "\"peer\":%d,\"count\":%u,\"a\":%s,\"b\":%s}},\n",
-            std::string(event_kind_name(e.kind)).c_str(),
-            static_cast<double>(e.epoch) * kUsPerEpoch, e.run,
-            e.core >= 0 ? e.core : 0, e.bank, e.other, e.count,
-            json_num(e.a).c_str(), json_num(e.b).c_str());
-  }
-
-  // Timeline counters (allocated ways / IPC per core, MCU queueing).
-  for (const CoreSample& s : obs.timeline().cores()) {
-    const double ts = static_cast<double>(s.epoch) * kUsPerEpoch;
-    char name[32];
-    std::snprintf(name, sizeof name, "ways core%d", s.core);
-    append_counter(out, s.run, ts, name, "ways", s.ways);
-    std::snprintf(name, sizeof name, "ipc core%d", s.core);
-    append_counter(out, s.run, ts, name, "ipc", s.ipc);
-  }
-  for (const McuSample& s : obs.timeline().mcus()) {
-    const double ts = static_cast<double>(s.epoch) * kUsPerEpoch;
-    char name[32];
-    std::snprintf(name, sizeof name, "mcu%d queue", s.mcu);
-    append_counter(out, s.run, ts, name, "cycles",
-                   static_cast<double>(s.queue_delay));
-    std::snprintf(name, sizeof name, "mcu%d util", s.mcu);
-    append_counter(out, s.run, ts, name, "util", s.utilization);
-  }
-}
-
-std::string chrome_trace_json(const Observer& obs) {
-  std::string out = "{\"traceEvents\":[\n";
-  append_chrome_trace_events(out, obs);
-
-  // Trailing comma cleanup: drop the final ",\n" if any entry was written.
-  if (out.size() >= 2 && out[out.size() - 2] == ',') {
-    out.erase(out.size() - 2, 1);
-  }
-  appendf(out, "],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-               "\"dropped_events\":%" PRIu64 ",\"recorded_events\":%zu}}\n",
-          obs.events().dropped(), obs.events().size());
   return out;
 }
 

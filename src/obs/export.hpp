@@ -1,12 +1,12 @@
 // Machine-readable exporters for the observability layer
 // (docs/observability.md documents the formats):
 //
-//   chrome_trace_json — Chrome trace-event JSON (open in Perfetto or
-//     chrome://tracing): policy events as instant events on per-tile
-//     tracks, one process per run/scheme, plus per-core way/IPC counters
-//     and per-MCU queue counters from the timeline.
 //   timeline_csv — long-format epoch time series with an `entity` column
 //     (core / mcu / chip) so one file carries all three row types.
+//
+// The Chrome trace of the policy events has one writer,
+// prof::prof_trace_json (obs/prof/export.hpp), which merges them with the
+// profiler's phase spans when there are any.
 //
 // Exporters build strings so tests can validate output without touching
 // the filesystem; write_text_file() is the thin file sink used by tools.
@@ -29,15 +29,6 @@ std::string json_num(double x);
 std::string timeline_csv_header();
 
 std::string timeline_csv(const Observer& obs);
-
-std::string chrome_trace_json(const Observer& obs);
-
-/// Appends the observer's trace entries (process/thread metadata, policy
-/// instants, timeline counters) to `out`, each terminated by ",\n".  The
-/// building block chrome_trace_json() and the profiler's merged exporter
-/// (obs/prof/export.hpp) share, so phase spans and policy events can land in
-/// one trace file.
-void append_chrome_trace_events(std::string& out, const Observer& obs);
 
 /// Writes `content` to `path`; returns false (and leaves errno set) on
 /// failure.

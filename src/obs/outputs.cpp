@@ -62,18 +62,16 @@ bool Outputs::write_summary(std::string_view summary) {
 
 bool Outputs::write(const Observer* obs) {
   bool ok = true;
-  if (trace_.f) ok &= write_or_complain(trace_, chrome_trace_json(*obs));
+  // The policy trace is the merged writer's output with no phase spans.
+  if (trace_.f) ok &= write_or_complain(trace_, prof::prof_trace_json({}, obs));
   if (timeline_.f) ok &= write_or_complain(timeline_, timeline_csv(*obs));
   if (prof_.f)
     ok &= write_or_complain(
         prof_, prof::prof_trace_json(prof::Profiler::instance().snapshot(), obs));
-  if (metrics_.f) {
-    const prof::RegistrySnapshot reg = prof::MetricsRegistry::global().snapshot();
-    const bool prom = metrics_.path.ends_with(".prom") || metrics_.path.ends_with(".txt");
-    ok &= write_or_complain(
-        metrics_, prom ? prof::prometheus_text(reg)
-                       : prof::metrics_json(reg, prof::Profiler::instance().snapshot()));
-  }
+  if (metrics_.f)
+    ok &= write_or_complain(metrics_,
+                            prof::metrics_json(prof::MetricsRegistry::global().snapshot(),
+                                               prof::Profiler::instance().snapshot()));
   return ok;
 }
 

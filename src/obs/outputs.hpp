@@ -8,8 +8,7 @@
 //   --trace-out FILE     policy-event Chrome trace (observer at full)
 //   --prof-out FILE      engine flamegraph merged with the policy events
 //                        (observer at full, profiler on)
-//   --metrics-out FILE   metrics dump, Prometheus text for .prom/.txt and
-//                        JSON otherwise (profiler on)
+//   --metrics-out FILE   JSON metrics dump (profiler on)
 //
 // Every file is opened when the front end is built, before any simulation
 // runs, so a bad path fails at once instead of after the whole report.

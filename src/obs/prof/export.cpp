@@ -1,7 +1,9 @@
 #include "obs/prof/export.hpp"
 
 #include <cinttypes>
+#include <cstdio>
 #include <set>
+#include <utility>
 
 #include "common/appendf.hpp"
 #include "obs/export.hpp"
@@ -17,15 +19,77 @@ void append_histogram_json(std::string& out, const LogHistogram& h) {
           h.quantile(0.95), h.quantile(0.99));
 }
 
+/// Microseconds per simulator epoch: one epoch = i_intra = 0.1 ms.
+constexpr double kUsPerEpoch = 100.0;
+
+void append_counter(std::string& out, std::uint32_t run, double ts,
+                    const std::string& name, const char* key, double value) {
+  appendf(out, "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"tid\":0,\"ts\":%.1f,"
+               "\"args\":{\"%s\":%s}},\n",
+          name.c_str(), run, ts, key, json_num(value).c_str());
+}
+
+/// Appends the observer's trace entries (process/thread metadata, policy
+/// instants, timeline counters) to `out`, each terminated by ",\n".
+void append_chrome_trace_events(std::string& out, const Observer& obs) {
+  // Metadata: one trace process per run (scheme), named tile tracks.
+  std::set<std::pair<std::uint32_t, int>> tids;
+  for (const Event& e : obs.events().events())
+    tids.insert({e.run, e.core >= 0 ? e.core : 0});
+  const std::size_t runs =
+      obs.run_names().empty() ? (tids.empty() ? 0 : 1) : obs.run_names().size();
+  for (std::uint32_t r = 0; r < runs; ++r)
+    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
+                 "\"args\":{\"name\":\"%s\"}},\n",
+            r, json_escape(obs.run_name(r)).c_str());
+  for (const auto& [run, tid] : tids)
+    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"tid\":%d,\"name\":\"thread_name\","
+                 "\"args\":{\"name\":\"tile %d\"}},\n",
+            run, tid, tid);
+
+  // Policy events: instant events on the acting tile's track.
+  for (const Event& e : obs.events().events()) {
+    appendf(out, "{\"name\":\"%s\",\"cat\":\"policy\",\"ph\":\"i\",\"s\":\"t\","
+                 "\"ts\":%.1f,\"pid\":%u,\"tid\":%d,\"args\":{\"bank\":%d,"
+                 "\"peer\":%d,\"count\":%u,\"a\":%s,\"b\":%s}},\n",
+            std::string(event_kind_name(e.kind)).c_str(),
+            static_cast<double>(e.epoch) * kUsPerEpoch, e.run,
+            e.core >= 0 ? e.core : 0, e.bank, e.other, e.count,
+            json_num(e.a).c_str(), json_num(e.b).c_str());
+  }
+
+  // Timeline counters (allocated ways / IPC per core, MCU queueing).
+  for (const CoreSample& s : obs.timeline().cores()) {
+    const double ts = static_cast<double>(s.epoch) * kUsPerEpoch;
+    char name[32];
+    std::snprintf(name, sizeof name, "ways core%d", s.core);
+    append_counter(out, s.run, ts, name, "ways", s.ways);
+    std::snprintf(name, sizeof name, "ipc core%d", s.core);
+    append_counter(out, s.run, ts, name, "ipc", s.ipc);
+  }
+  for (const McuSample& s : obs.timeline().mcus()) {
+    const double ts = static_cast<double>(s.epoch) * kUsPerEpoch;
+    char name[32];
+    std::snprintf(name, sizeof name, "mcu%d queue", s.mcu);
+    append_counter(out, s.run, ts, name, "cycles",
+                   static_cast<double>(s.queue_delay));
+    std::snprintf(name, sizeof name, "mcu%d util", s.mcu);
+    append_counter(out, s.run, ts, name, "util", s.utilization);
+  }
+}
+
 }  // namespace
 
 std::string prof_trace_json(const ProfSnapshot& snap, const Observer* obs) {
   std::string out = "{\"traceEvents\":[\n";
   if (obs != nullptr) append_chrome_trace_events(out, *obs);
 
-  appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
-               "\"args\":{\"name\":\"engine prof (wall clock, level %s)\"}},\n",
-          kProfTracePid, to_string(snap.level));
+  // The engine process and its thread tracks exist only when there are
+  // spans to put on them (a policy-only trace has none).
+  if (!snap.spans.empty())
+    appendf(out, "{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
+                 "\"args\":{\"name\":\"engine prof (wall clock, level %s)\"}},\n",
+            kProfTracePid, to_string(snap.level));
   std::set<std::uint32_t> tids;
   for (const Span& s : snap.spans) tids.insert(s.tid);
   for (const std::uint32_t tid : tids)
@@ -47,6 +111,7 @@ std::string prof_trace_json(const ProfSnapshot& snap, const Observer* obs) {
             s.seq);
   }
 
+  // Trailing comma cleanup: drop the final ",\n" if any entry was written.
   if (out.size() >= 2 && out[out.size() - 2] == ',') out.erase(out.size() - 2, 1);
   appendf(out, "],\"displayTimeUnit\":\"ms\",\"otherData\":{"
                "\"prof_spans\":%zu,\"prof_dropped_spans\":%" PRIu64,
@@ -55,43 +120,6 @@ std::string prof_trace_json(const ProfSnapshot& snap, const Observer* obs) {
     appendf(out, ",\"dropped_events\":%" PRIu64 ",\"recorded_events\":%zu",
             obs->events().dropped(), obs->events().size());
   out += "}}\n";
-  return out;
-}
-
-std::string prometheus_text(const RegistrySnapshot& reg) {
-  std::string out;
-  for (const MetricSample& m : reg.metrics) {
-    appendf(out, "# HELP %s %s\n", m.name.c_str(), m.help.c_str());
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        appendf(out, "# TYPE %s counter\n%s %.17g\n", m.name.c_str(),
-                m.name.c_str(), m.value);
-        break;
-      case MetricKind::kGauge:
-        appendf(out, "# TYPE %s gauge\n%s %.17g\n", m.name.c_str(),
-                m.name.c_str(), m.value);
-        break;
-      case MetricKind::kHistogram: {
-        appendf(out, "# TYPE %s histogram\n", m.name.c_str());
-        // Cumulative le buckets up to the highest occupied one; the +Inf
-        // bucket always closes the series.
-        std::size_t top = 0;
-        for (std::size_t b = 0; b < LogHistogram::kBuckets; ++b)
-          if (m.hist.count(b) > 0) top = b;
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b <= top; ++b) {
-          cum += m.hist.count(b);
-          appendf(out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n",
-                  m.name.c_str(), LogHistogram::bucket_hi(b), cum);
-        }
-        appendf(out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", m.name.c_str(),
-                m.hist.total());
-        appendf(out, "%s_sum %" PRIu64 "\n%s_count %" PRIu64 "\n",
-                m.name.c_str(), m.hist.sum(), m.name.c_str(), m.hist.total());
-        break;
-      }
-    }
-  }
   return out;
 }
 

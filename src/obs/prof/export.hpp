@@ -1,14 +1,15 @@
 // Exporters for the self-profiling subsystem (formats documented in
 // docs/observability.md):
 //
-//   prof_trace_json — Chrome trace-event JSON carrying the profiler's phase
+//   prof_trace_json — the one Chrome trace-event JSON writer (open in
+//     Perfetto or chrome://tracing).  It carries the profiler's phase
 //     spans as "X" duration events on per-thread tracks of a dedicated
 //     "engine prof" process (wall-clock microseconds), merged with the
-//     observer's policy events and counters when an Observer is supplied —
-//     one flamegraph shows where epoch time went next to what the policy
-//     did.
-//   prometheus_text — Prometheus text exposition of a registry snapshot
-//     (counters, gauges, histograms with cumulative le buckets).
+//     observer's policy events when an Observer is supplied: instant
+//     events on per-tile tracks, one process per run/scheme, plus
+//     per-core way/IPC and per-MCU queue counters from the timeline.  One
+//     flamegraph shows where epoch time went next to what the policy did;
+//     with an empty snapshot (--trace-out) it is the policy trace alone.
 //   metrics_json — JSON dump: every registry metric plus the snapshot's
 //     per-phase wall totals and site aggregates.
 //
@@ -33,8 +34,6 @@ inline constexpr unsigned kProfTracePid = 1000;
 
 std::string prof_trace_json(const ProfSnapshot& snap,
                             const Observer* obs = nullptr);
-
-std::string prometheus_text(const RegistrySnapshot& reg);
 
 std::string metrics_json(const RegistrySnapshot& reg, const ProfSnapshot& snap);
 

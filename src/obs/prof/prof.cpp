@@ -137,7 +137,6 @@ void Profiler::clear() {
 
 /// Registry handles the engine profile publishes derived metrics through.
 struct EngineProfile::Handles {
-  Counter& epochs;
   Gauge& barrier_frac;
   Gauge& imbalance;
   HistogramMetric& epoch_imbalance_milli;
@@ -146,18 +145,13 @@ struct EngineProfile::Handles {
   Counter& occupancy_pairs;
   Counter& occupancy_nonzero;
   // Engine-health counters (structural; counted at every profiling level).
-  Counter& engine_epochs;
-  Counter& pool_sections;
-  Counter& barrier_crossings;
+  Counter& epochs;
   Counter& tasks;
   Counter& tasks_stolen;
-  Gauge& barriers_per_epoch;
   Gauge& steal_fraction;
 
   explicit Handles(MetricsRegistry& reg)
-      : epochs(reg.counter("delta_intra_epochs_total",
-                           "Epochs executed by the intra-run engine")),
-        barrier_frac(reg.gauge(
+      : barrier_frac(reg.gauge(
             "delta_intra_barrier_wait_fraction",
             "Cumulative done-barrier wait / total worker section time")),
         imbalance(reg.gauge(
@@ -177,21 +171,13 @@ struct EngineProfile::Handles {
         occupancy_nonzero(
             reg.counter("delta_intra_bank_buffer_pairs_nonzero",
                         "(core,bank) staging lists holding any access")),
-        engine_epochs(reg.counter("delta_intra_engine_epochs_total",
-                                  "Epochs with engine-health accounting")),
-        pool_sections(reg.counter("delta_intra_pool_sections_total",
-                                  "Worker-pool sections run by the engine")),
-        barrier_crossings(
-            reg.counter("delta_intra_barrier_crossings_total",
-                        "Pool barrier crossings (2 per section)")),
+        epochs(reg.counter("delta_intra_epochs_total",
+                           "Epochs executed by the intra-run engine")),
         tasks(reg.counter("delta_intra_tasks_total",
                           "Scheduler tasks executed (stage+apply+reduce)")),
         tasks_stolen(reg.counter(
             "delta_intra_tasks_stolen_total",
             "Tasks executed by a worker outside its static home range")),
-        barriers_per_epoch(
-            reg.gauge("delta_intra_barriers_per_epoch",
-                      "Pool barrier crossings per engine epoch")),
         steal_fraction(reg.gauge("delta_intra_steal_fraction",
                                  "Stolen tasks / all scheduler tasks")) {}
 };
@@ -209,10 +195,9 @@ void EngineProfile::ensure_handles() {
     handles_ = std::make_unique<Handles>(MetricsRegistry::global());
 }
 
-void EngineProfile::begin_section(Phase p, std::uint64_t epoch) {
+void EngineProfile::begin_section(std::uint64_t epoch) {
   armed_ = enabled();
   if (!armed_) return;
-  phase_ = p;
   epoch_arg_ = epoch;
   for (WorkerSlot& s : slots_) s = WorkerSlot{};
   for (TaskSlot& t : tasks_) t = TaskSlot{};
@@ -264,14 +249,14 @@ void EngineProfile::end_section() {
     if (s.done_ns < s.begin_ns || s.begin_ns == 0) continue;  // Idle party.
     const std::uint64_t busy = s.done_ns - s.begin_ns;
     const std::uint64_t wait = last_done - s.done_ns;
-    prof.record_span(phase_, s.begin_ns, busy, epoch_arg_);
+    prof.record_span(Phase::kPipeline, s.begin_ns, busy, epoch_arg_);
     if (wait > 0) prof.record_span(Phase::kBarrier, s.done_ns, wait, epoch_arg_);
-    cum_busy_[static_cast<std::size_t>(phase_)] += busy;
+    cum_busy_[static_cast<std::size_t>(Phase::kPipeline)] += busy;
     cum_barrier_ns_ += wait;
     cum_section_ns_ += busy + wait;
     epoch_busy_[w] += busy;
-    // Fold the worker's per-kind task time (kPipeline sections record
-    // stage/apply/reduce attribution through task_begin) into the run
+    // Fold the worker's per-kind task time (task_begin records the
+    // stage/apply/reduce attribution) into the run
     // totals, so busy_ns(kStage/kApply/kReduce) keeps working.
     TaskSlot& t = tasks_[w];
     for (std::size_t p = 0; p < t.task_ns.size(); ++p) {
@@ -289,11 +274,9 @@ void EngineProfile::add_occupancy(std::uint64_t staged, std::uint64_t pairs_tota
   handles_->occupancy_nonzero.add(pairs_nonzero);
 }
 
-void EngineProfile::end_epoch(std::uint64_t epoch) {
-  (void)epoch;
+void EngineProfile::end_epoch() {
   if (!armed_) return;
   ensure_handles();
-  handles_->epochs.add(1);
 
   std::uint64_t max_busy = 0, sum_busy = 0;
   for (std::uint64_t b : epoch_busy_) {
@@ -318,26 +301,14 @@ void EngineProfile::end_epoch(std::uint64_t epoch) {
   handles_->imbalance.set(worker_imbalance_ratio());
 }
 
-void EngineProfile::count_epoch(std::uint64_t pool_sections, std::uint64_t tasks,
-                                std::uint64_t tasks_stolen) {
+void EngineProfile::count_epoch(std::uint64_t tasks, std::uint64_t tasks_stolen) {
   ensure_handles();
-  ++health_epochs_;
-  health_sections_ += pool_sections;
   health_tasks_ += tasks;
   health_stolen_ += tasks_stolen;
-  handles_->engine_epochs.add(1);
-  handles_->pool_sections.add(pool_sections);
-  handles_->barrier_crossings.add(2 * pool_sections);
+  handles_->epochs.add(1);
   handles_->tasks.add(tasks);
   handles_->tasks_stolen.add(tasks_stolen);
-  handles_->barriers_per_epoch.set(barriers_per_epoch());
   handles_->steal_fraction.set(steal_fraction());
-}
-
-double EngineProfile::barriers_per_epoch() const {
-  return health_epochs_ > 0 ? 2.0 * static_cast<double>(health_sections_) /
-                                  static_cast<double>(health_epochs_)
-                            : 0.0;
 }
 
 double EngineProfile::steal_fraction() const {

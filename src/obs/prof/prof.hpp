@@ -258,9 +258,9 @@ class EngineProfile final : public WorkerHooks {
   explicit EngineProfile(unsigned workers);
   ~EngineProfile() override;
 
-  /// Arms the next pool section if profiling is on; phase/epoch label the
-  /// spans the section will record.
-  void begin_section(Phase p, std::uint64_t epoch);
+  /// Arms the next pool section if profiling is on; `epoch` labels the
+  /// kPipeline spans the section will record.
+  void begin_section(std::uint64_t epoch);
   /// Records per-worker busy + barrier spans for the section that just
   /// finished and accumulates the epoch's totals.  Pair with begin_section
   /// around every pool run.
@@ -275,7 +275,7 @@ class EngineProfile final : public WorkerHooks {
   void section_begin(unsigned worker) override;
   void work_done(unsigned worker) override;
 
-  /// Worker-side task attribution inside a kPipeline section: the
+  /// Worker-side task attribution inside a section: the
   /// scheduler calls this when worker `worker` starts a task of kind `p`
   /// (kStage / kApply / kReduce).  Consecutive tasks of the same kind extend
   /// one span; a kind switch closes the open span and records it, so the
@@ -290,21 +290,17 @@ class EngineProfile final : public WorkerHooks {
 
   /// Closes the epoch: updates cumulative totals, pushes derived metrics
   /// (fractions, imbalance, per-epoch histograms) into the registry.
-  void end_epoch(std::uint64_t epoch);
+  void end_epoch();
 
   /// Machine-independent engine-health accounting, one call per epoch from
   /// the owner thread.  Unlike the timing metrics this is NOT gated on the
-  /// profiling level: the counts are structural (how many pool sections,
-  /// tasks and steals the epoch used), so CI can
-  /// gate scaling *structure* even on 1-hw-thread hosts where wall-clock
-  /// ratios are meaningless.  Each pool section costs two barrier
-  /// crossings (start + done).
-  void count_epoch(std::uint64_t pool_sections, std::uint64_t tasks,
-                   std::uint64_t tasks_stolen);
+  /// profiling level: the counts are structural (how many epochs and tasks
+  /// the engine ran, and how many tasks were stolen) and read no clock.
+  /// Every epoch is one pool section, i.e. two barrier crossings (start +
+  /// done).
+  void count_epoch(std::uint64_t tasks, std::uint64_t tasks_stolen);
 
-  // Cumulative health totals (any profiling level).
-  std::uint64_t health_epochs() const { return health_epochs_; }
-  double barriers_per_epoch() const;
+  // Cumulative health total (any profiling level).
   double steal_fraction() const;
 
   // Cumulative run totals, exposed for tests and the bench phase breakdown.
@@ -335,7 +331,6 @@ class EngineProfile final : public WorkerHooks {
   std::vector<WorkerSlot> slots_;
   std::vector<TaskSlot> tasks_;
   std::vector<std::uint64_t> epoch_busy_;  ///< Per worker, this epoch.
-  Phase phase_ = Phase::kStage;
   std::uint64_t epoch_arg_ = 0;
   bool armed_ = false;
 
@@ -347,8 +342,6 @@ class EngineProfile final : public WorkerHooks {
   std::uint64_t imbalance_epochs_ = 0;
 
   // Health totals (owner thread only; counted at every profiling level).
-  std::uint64_t health_epochs_ = 0;
-  std::uint64_t health_sections_ = 0;
   std::uint64_t health_tasks_ = 0;
   std::uint64_t health_stolen_ = 0;
 

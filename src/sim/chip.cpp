@@ -100,26 +100,6 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
 
 Chip::~Chip() = default;
 
-void Chip::sync_occupancy(const std::function<int(BankId, CoreId)>& target_ways) {
-  const auto cap = static_cast<std::uint64_t>(cfg_.sets_per_bank()) *
-                   static_cast<std::uint64_t>(cfg_.ways_per_bank);
-  if (enforcers_.empty())
-    enforcers_.assign(banks_.size(), core::OccupancyEnforcer(cfg_.cores, cap));
-  for (BankId b = 0; b < cfg_.cores; ++b) {
-    core::OccupancyEnforcer& e = enforcers_[static_cast<std::size_t>(b)];
-    for (CoreId c = 0; c < cfg_.cores; ++c) {
-      e.set_target_ways(c, target_ways(b, c), cfg_.ways_per_bank);
-      e.set_occupancy(c, bank(b).lines_owned_by(c));
-    }
-  }
-}
-
-std::int64_t Chip::tracked_occupancy(BankId b, CoreId core) const {
-  if (!plan_.occupancy || enforcers_.empty()) return -1;
-  return static_cast<std::int64_t>(
-      enforcers_[static_cast<std::size_t>(b)].occupancy(core));
-}
-
 void Chip::run_one_epoch(bool measuring) {
   const obs::prof::ScopedSpan epoch_span(obs::prof::Phase::kEpoch, epoch_);
   obs::prof::ScopedSpan policy_span(obs::prof::Phase::kPolicy, epoch_);
@@ -161,9 +141,7 @@ void Chip::run_one_epoch(bool measuring) {
 
   // The epoch's accesses, in round-robin batches of interleave_batch_.
   engine_->run_epoch(EpochAccess{
-      plan_, banks_,
-      plan_.occupancy ? std::span(enforcers_) : std::span<core::OccupancyEnforcer>{},
-      slots_, epoch_targets_, mesh_, memsys_, traffic_,
+      plan_, banks_, slots_, epoch_targets_, mesh_, memsys_, traffic_,
       cfg_.llc_tag_latency + cfg_.llc_data_latency, interleave_batch_, epoch_,
       measuring});
 

@@ -15,14 +15,12 @@
 // of sim/intra.hpp at every intra_jobs.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/occupancy.hpp"
 #include "mem/cache.hpp"
 #include "noc/mcu.hpp"
 #include "noc/mesh.hpp"
@@ -83,8 +81,6 @@ class Chip;
 struct EpochAccess {
   const EpochPlan& plan;
   std::span<mem::SetAssocCache> banks;
-  /// One per bank while plan.occupancy, else empty.
-  std::span<core::OccupancyEnforcer> enforcers;
   /// Per core: the generator and monitor its stream comes from, and the
   /// statistics the epoch adds to.  Idle cores issue nothing.
   std::span<AppSlot> slots;
@@ -201,14 +197,6 @@ class Chip {
   std::uint64_t invalidate_core_chunks(CoreId core, BankId old_bank,
                                        const std::vector<int>& chunks);
 
-  /// Occupancy enforcement (EpochPlan::occupancy): sets every bank's
-  /// per-core targets to `target_ways(bank, core)` ways and resyncs the
-  /// enforcers' line counts from the banks' contents.  Barrier-time only.
-  void sync_occupancy(const std::function<int(BankId, CoreId)>& target_ways);
-  /// The line count bank `b`'s enforcer holds for `core`, or -1 when the
-  /// plan does not enforce occupancy.
-  std::int64_t tracked_occupancy(BankId b, CoreId core) const;
-
   /// Worker threads the access engine runs on (1 == inline on the caller).
   unsigned intra_threads() const { return engine_->threads(); }
 
@@ -225,8 +213,6 @@ class Chip {
   std::vector<AppSlot> slots_;
   std::unique_ptr<Scheme> scheme_;
   EpochPlan plan_;
-  /// One per bank while plan_.occupancy; the engine updates them on fills.
-  std::vector<core::OccupancyEnforcer> enforcers_;
   std::unique_ptr<AccessEngine> engine_;
   noc::TrafficStats traffic_;
   std::uint64_t interleave_batch_ = kInterleaveBatch;

@@ -114,8 +114,6 @@ void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
   std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
 
   const EpochPlan& plan = io.plan;
-  core::OccupancyEnforcer* const enforcer =
-      io.enforcers.empty() ? nullptr : &io.enforcers[static_cast<std::size_t>(b)];
   const noc::MemorySystem& memsys = io.memsys;
   // What a miss from this bank adds per MCU: the bank-to-controller round
   // trip plus the controller's request latency, both epoch-constant.
@@ -152,16 +150,9 @@ void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
   const auto apply = [&](BlockAddr block, const Run& r) {
     const CoreId c = r.core;
     const auto ci = static_cast<std::size_t>(c);
-    // Occupancy enforcement moves the preference on every fill, so it is
-    // asked per access.
-    const CoreId evict_pref =
-        enforcer != nullptr ? enforcer->preferred_victim() : kInvalidCore;
-    const mem::AccessResult res = bank.access(set_of(block), block, c, r.mask, evict_pref);
-    if (res.hit) {
+    if (bank.access(set_of(block), block, c, r.mask).hit) {
       ++tally.hits[ci];
     } else {
-      if (enforcer != nullptr && res.way >= 0)
-        enforcer->on_fill(c, res.evicted ? res.victim_owner : kInvalidCore);
       const int mcu = memsys.mcu_for(block);
       tally.miss_lat[ci] += mcu_lat[mcu];
       ++tally.misses[ci];
@@ -339,7 +330,7 @@ void IntraEngine::run_epoch(const EpochAccess& io) {
 
   // One pool section per epoch (two barrier crossings) for all three
   // phases.
-  profile_.begin_section(obs::prof::Phase::kPipeline, io.epoch);
+  profile_.begin_section(io.epoch);
   pool_.run([&](unsigned w) { worker_run(io, w); });
   profile_.end_section();
   if (profile_.armed()) record_buffer_occupancy();
@@ -371,12 +362,12 @@ void IntraEngine::run_epoch(const EpochAccess& io) {
     for (const BankTally& t : tallies_) reqs += t.mcu_reqs[static_cast<std::size_t>(m)];
     io.memsys.mcu(m).add_requests(reqs);
   }
-  profile_.end_epoch(io.epoch);
+  profile_.end_epoch();
 
   // Machine-independent engine-health accounting (any profiling level).
   ClaimSet::Counts total;
   for (const ClaimSet::Counts& ws : wstats_) total += ws;
-  profile_.count_epoch(/*pool_sections=*/1, total.tasks, total.stolen);
+  profile_.count_epoch(total.tasks, total.stolen);
 }
 
 std::unique_ptr<AccessEngine> make_intra_engine(const MachineConfig& cfg) {

@@ -3,8 +3,8 @@
 //
 // The canonical order (AccessEngine in sim/chip.hpp) issues accesses in
 // round-robin batches of EpochAccess::batch per core.  A bank's insertion
-// and eviction decisions read only that bank's own state (set records,
-// occupancy enforcer) plus the epoch plan (scheme.hpp), which is constant
+// and eviction decisions read only that bank's own set records plus the
+// epoch plan (scheme.hpp), which is constant
 // during the epoch, so once an epoch's streams are staged, banks apply
 // independently — the bank-by-bank enforcement of DELTA's Sec. II-C.  Each
 // epoch is ONE worker-pool section (two barrier crossings; at one worker
@@ -37,8 +37,7 @@
 //     have no data-dependent branch, and then apply the list.  Either way
 //     the bank sees the exact canonical access sequence.  Each access's
 //     set is recomputed from its block with the plan's set_shift/set_mask.
-//     Under occupancy enforcement the victim preference is read per access
-//     (every fill moves it).  While an access is applied, the set of the
+//     While an access is applied, the set of the
 //     access kPrefetchDistance further along its run (sparse) or the list
 //     (dense) is prefetched.  Each task first builds a
 //     per-MCU miss-latency table (the bank-to-MCU round trip plus the

@@ -80,10 +80,6 @@ struct EpochPlan {
   std::uint32_t set_mask = 0;
   std::vector<Route> route;         ///< One 256-entry bank table per core.
   std::vector<mem::WayMask> masks;  ///< [core * banks + bank]; 0 == bypass.
-  /// Victim choice is steered by the engine's per-bank OccupancyEnforcers
-  /// instead of way masks alone.  They exist once the scheme has called
-  /// Chip::sync_occupancy(), which it does in reset().
-  bool occupancy = false;
   /// The scheme reads per-core UMONs.  Read once, right after reset():
   /// without it the chip builds, feeds and decays no monitor.
   bool monitors = false;

@@ -14,7 +14,6 @@ void EpochPlan::init(int n, int log2_sets, mem::WayMask all) {
   sets_log2 = log2_sets;
   route.resize(static_cast<std::size_t>(n));
   masks.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), all);
-  occupancy = false;
   monitors = false;
   home();
 }

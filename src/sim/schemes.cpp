@@ -57,13 +57,7 @@ class DeltaScheme final : public Scheme {
         chip.config().sets_log2);
     EpochPlan& plan = chip.plan();
     plan.monitors = true;
-    // Replacement-based enforcement: insertion is unrestricted (a core only
-    // reaches banks its CBT maps anyway); the occupancy-steered victim
-    // choice does the partitioning, so the masks stay full.
-    plan.occupancy =
-        chip.config().delta.intra_enforcement == core::IntraEnforcement::kOccupancy;
     publish(chip);
-    if (plan.occupancy) sync_enforcers(chip);
   }
 
   void begin_epoch(Chip& chip, std::uint64_t epoch) override {
@@ -90,14 +84,6 @@ class DeltaScheme final : public Scheme {
       chip.invalidate_core_chunks(key.first, key.second, chunks);
 
     publish(chip);
-    // Occupancy enforcement: refresh targets from the WP units and resync
-    // occupancy counters whenever invalidations may have drifted them.
-    if (chip.plan().occupancy &&
-        (epoch % static_cast<std::uint64_t>(
-                     chip.config().delta.inter_interval_epochs) == 0 ||
-         !groups.empty())) {
-      sync_enforcers(chip);
-    }
   }
 
   int allocated_ways(const Chip&, CoreId core) const override {
@@ -121,16 +107,11 @@ class DeltaScheme final : public Scheme {
   const core::DeltaController& controller() const { return *ctrl_; }
 
  private:
-  /// The controller's CBTs and (under way-mask enforcement) WP masks.
+  /// The controller's CBTs and WP masks.
   void publish(Chip& chip) const {
     EpochPlan& plan = chip.plan();
     for (CoreId c = 0; c < chip.cores(); ++c) plan.route_cbt(c, ctrl_->cbt(c));
-    if (!plan.occupancy)
-      for (BankId b = 0; b < chip.cores(); ++b) plan.masks_from(b, ctrl_->wp(b));
-  }
-
-  void sync_enforcers(Chip& chip) const {
-    chip.sync_occupancy([&](BankId b, CoreId c) { return ctrl_->wp(b).ways_of(c); });
+    for (BankId b = 0; b < chip.cores(); ++b) plan.masks_from(b, ctrl_->wp(b));
   }
 
   std::unique_ptr<core::DeltaController> ctrl_;

@@ -60,17 +60,11 @@ class ReferenceEngine final : public sim::AccessEngine {
       Cycles lat = io.mesh.round_trip(c, b) + io.llc_latency;
       remote += hops > 0 ? 1 : 0;
 
-      core::OccupancyEnforcer* const enforcer =
-          io.enforcers.empty() ? nullptr : &io.enforcers[static_cast<std::size_t>(b)];
-      const CoreId evict_pref =
-          enforcer != nullptr ? enforcer->preferred_victim() : kInvalidCore;
-      const mem::AccessResult res = io.banks[static_cast<std::size_t>(b)].access(
-          set, block, c, plan.mask(c, b), evict_pref);
+      const mem::AccessResult res =
+          io.banks[static_cast<std::size_t>(b)].access(set, block, c, plan.mask(c, b));
       if (res.hit) {
         ++hits;
       } else {
-        if (enforcer != nullptr && res.way >= 0)
-          enforcer->on_fill(c, res.evicted ? res.victim_owner : kInvalidCore);
         const int mcu = io.memsys.mcu_for(block);
         const int attach = io.memsys.attach_tile(mcu);
         lat += io.mesh.round_trip(b, attach) + io.memsys.mcu(mcu).request_latency();

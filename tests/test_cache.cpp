@@ -78,7 +78,10 @@ TEST(Cache, FortyBitTagsAndByteOwners) {
   EXPECT_FALSE(c.contains(0, (BlockAddr{4} << 32) | low));
   const BlockAddr top = (BlockAddr{1} << 40) - 1;
   c.access(0, top, 254, full_mask(4));  // Evicts the LRU line (owner 0).
-  const auto res = c.access(0, 5, 7, full_mask(4), /*evict_pref=*/254);
+  // Touch owners 1-3 so owner 254's line is the LRU one.
+  for (int i = 1; i < 4; ++i)
+    EXPECT_TRUE(c.touch(0, (BlockAddr{1} << 32) * static_cast<BlockAddr>(i) | low));
+  const auto res = c.access(0, 5, 7, full_mask(4));
   ASSERT_TRUE(res.evicted);
   EXPECT_EQ(res.victim_block, top);
   EXPECT_EQ(res.victim_owner, 254);

@@ -19,6 +19,7 @@
 #include "check/fuzz.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
+#include "obs/prof/export.hpp"
 #include "sim/chip.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
@@ -90,24 +91,6 @@ TEST(Intra, ByteIdentical64Tile) {
         << "64-tile intra-jobs 4 diverged for " << sim::to_string(kind);
     EXPECT_EQ(reference, run_summary(quick64(8), "w13", kind))
         << "64-tile intra-jobs 8 diverged for " << sim::to_string(kind);
-  }
-}
-
-TEST(Intra, ByteIdenticalOccupancyMode) {
-  // Occupancy enforcement is the one mode whose evict_preference() moves
-  // on every insertion (on_insertion bumps the bank's enforcer), so apply
-  // must ask for it per access in the canonical order, not per run.
-  for (const bool wide : {false, true}) {
-    sim::MachineConfig base = wide ? quick64(1) : quick16(1);
-    base.delta.intra_enforcement = core::IntraEnforcement::kOccupancy;
-    const char* mix = wide ? "w13" : "w2";
-    const std::string reference = reference_summary(base, mix, sim::SchemeKind::kDelta);
-    for (const int jobs : {1, 2, 4}) {
-      sim::MachineConfig par = base;
-      par.intra_jobs = jobs;
-      EXPECT_EQ(reference, run_summary(par, mix, sim::SchemeKind::kDelta))
-          << base.cores << "-tile occupancy mode, intra-jobs " << jobs << " diverged";
-    }
   }
 }
 
@@ -303,7 +286,8 @@ TEST(Intra, ObservedSweepMergesToSerialTrace) {
     for (const auto& jo : job_obs) merged.merge_from(*jo);
 
     EXPECT_EQ(serial_obs.run_names(), merged.run_names()) << threads << " threads";
-    EXPECT_EQ(obs::chrome_trace_json(serial_obs), obs::chrome_trace_json(merged))
+    EXPECT_EQ(obs::prof::prof_trace_json({}, &serial_obs),
+              obs::prof::prof_trace_json({}, &merged))
         << threads << " threads";
     EXPECT_EQ(obs::timeline_csv(serial_obs), obs::timeline_csv(merged))
         << threads << " threads";

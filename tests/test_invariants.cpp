@@ -71,14 +71,6 @@ INSTANTIATE_TEST_SUITE_P(Schemes, EveryScheme,
                            return s;
                          });
 
-TEST(InvariantChecker, OccupancyEnforcementRunIsViolationFree) {
-  sim::MachineConfig cfg = tiny();
-  cfg.delta.intra_enforcement = core::IntraEnforcement::kOccupancy;
-  InvariantChecker chk;
-  sim::run_mix(cfg, mix16(), sim::SchemeKind::kDelta, {}, nullptr, &chk);
-  EXPECT_TRUE(chk.clean()) << kinds_of(chk);
-}
-
 TEST(InvariantChecker, CatchesInjectedWayLeakUnderDelta) {
   sim::Chip chip(tiny(), apps16(), sim::make_scheme(sim::SchemeKind::kDelta));
   chip.run_epochs(20, false);
@@ -114,7 +106,6 @@ TEST(InvariantChecker, StaticSchemesHaveNoWayPartitionState) {
   EXPECT_FALSE(chip.scheme().debug_drop_way(0, 0));
   EXPECT_EQ(chip.scheme().wp_unit(0), nullptr);
   EXPECT_EQ(chip.scheme().cbt_of(0), nullptr);
-  EXPECT_EQ(chip.tracked_occupancy(0, 0), -1);
 }
 
 TEST(InvariantChecker, ThrowOnViolationFailsFast) {

@@ -11,12 +11,17 @@
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "obs/outputs.hpp"
+#include "obs/prof/export.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/recorder.hpp"
 #include "sim/runner.hpp"
 
 namespace delta::obs {
 namespace {
+
+/// The policy-event trace --trace-out writes: the one trace writer with no
+/// profiler spans.
+std::string policy_trace(const Observer& obs) { return prof::prof_trace_json({}, &obs); }
 
 TEST(EventKind, EveryKindHasAName) {
   for (int k = 0; k < kNumEventKinds; ++k) {
@@ -101,7 +106,10 @@ TEST(Export, JsonEscapeAndNum) {
 TEST(Export, EmptyObserverProducesValidTrace) {
   Observer obs(ObsLevel::kFull);
   std::string why;
-  EXPECT_TRUE(test::is_valid_json(chrome_trace_json(obs), &why)) << why;
+  const std::string trace = policy_trace(obs);
+  EXPECT_TRUE(test::is_valid_json(trace, &why)) << why;
+  // No spans, so no engine-prof process or thread tracks either.
+  EXPECT_EQ(trace.find("\"ph\":\"M\""), std::string::npos) << trace;
 }
 
 TEST(Export, HandBuiltTraceIsValidJsonWithExpectedEvents) {
@@ -114,7 +122,7 @@ TEST(Export, HandBuiltTraceIsValidJsonWithExpectedEvents) {
   obs.timeline().add_mcu(3, 0, 12, 0.5);
   obs.timeline().add_chip(3, 10, 2000, 1, 37);
 
-  const std::string trace = chrome_trace_json(obs);
+  const std::string trace = policy_trace(obs);
   std::string why;
   ASSERT_TRUE(test::is_valid_json(trace, &why)) << why << "\n" << trace;
   EXPECT_NE(trace.find("\"challenge_sent\""), std::string::npos);
@@ -163,7 +171,7 @@ TEST(Export, LongRunNameRoundTrips) {
   Observer obs(ObsLevel::kFull);
   obs.begin_run(name);
   obs.timeline().add_core(3, 1, "mc", 0.42, 17, 1000, 250, 80.0);
-  const std::string trace = chrome_trace_json(obs);
+  const std::string trace = policy_trace(obs);
   std::string why;
   ASSERT_TRUE(test::is_valid_json(trace, &why)) << why;
   EXPECT_NE(trace.find("\"name\":\"" + name + "\""), std::string::npos);
@@ -231,7 +239,7 @@ TEST(ObsIntegration, ShortDeltaRunEmitsPolicyEvents) {
   }
 
   std::string why;
-  const std::string trace = chrome_trace_json(obs);
+  const std::string trace = policy_trace(obs);
   ASSERT_TRUE(test::is_valid_json(trace, &why)) << why;
   EXPECT_NE(trace.find("\"challenge_sent\""), std::string::npos);
   EXPECT_NE(trace.find("\"way_transfer\""), std::string::npos);

@@ -168,25 +168,6 @@ TEST_F(ProfTest, SnapshotIsIsolatedFromLaterUpdates) {
 
 // ----------------------------------------------------------------- exporters
 
-TEST_F(ProfTest, PrometheusTextFormat) {
-  auto& reg = obs::prof::MetricsRegistry::global();
-  reg.counter("test_prof_prom_total", "a counter").add(42);
-  reg.gauge("test_prof_prom_frac", "a gauge").set(0.25);
-  reg.histogram("test_prof_prom_ns", "a histogram").observe(100, 3);
-  const std::string text = obs::prof::prometheus_text(reg.snapshot());
-  EXPECT_NE(text.find("# HELP test_prof_prom_total a counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_prof_prom_total counter"), std::string::npos);
-  EXPECT_NE(text.find("test_prof_prom_total 42"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_prof_prom_frac gauge"), std::string::npos);
-  EXPECT_NE(text.find("test_prof_prom_frac 0.25"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_prof_prom_ns histogram"), std::string::npos);
-  EXPECT_NE(text.find("test_prof_prom_ns_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("test_prof_prom_ns_sum 300"), std::string::npos);
-  EXPECT_NE(text.find("test_prof_prom_ns_count 3"), std::string::npos);
-  // reset_values keeps the shared registry predictable for later tests.
-  reg.reset_values();
-}
-
 TEST_F(ProfTest, MetricsJsonIsValidJson) {
   obs::prof::set_level(ProfLevel::kFull);
   { obs::prof::ScopedSpan span(Phase::kEpoch, 0); }
@@ -257,16 +238,15 @@ TEST_F(ProfTest, DerivedEngineMetricsAreSane) {
   const obs::prof::MetricSample* epochs = reg.find("delta_intra_epochs_total");
   ASSERT_NE(epochs, nullptr);
   EXPECT_DOUBLE_EQ(epochs->value, 15.0);  // 5 warmup + 10 measured.
-  // Structural, identical on every host: the engine runs one pool section
-  // per epoch, and each section crosses the pool barrier twice.
-  const obs::prof::MetricSample* barriers =
-      reg.find("delta_intra_barriers_per_epoch");
-  ASSERT_NE(barriers, nullptr);
-  EXPECT_DOUBLE_EQ(barriers->value, 2.0);
-  const obs::prof::MetricSample* crossings =
-      reg.find("delta_intra_barrier_crossings_total");
-  ASSERT_NE(crossings, nullptr);
-  EXPECT_DOUBLE_EQ(crossings->value, 30.0);
+  // Structural, identical on every host: each epoch runs one stage and one
+  // reduce task per core and one apply task per bank, 48 on 16 tiles.
+  const obs::prof::MetricSample* tasks = reg.find("delta_intra_tasks_total");
+  ASSERT_NE(tasks, nullptr);
+  EXPECT_DOUBLE_EQ(tasks->value, 15.0 * 48.0);
+  const obs::prof::MetricSample* steals = reg.find("delta_intra_steal_fraction");
+  ASSERT_NE(steals, nullptr);
+  EXPECT_GE(steals->value, 0.0);
+  EXPECT_LE(steals->value, 1.0);
   const obs::prof::MetricSample* occ =
       reg.find("delta_intra_bank_buffer_occupancy");
   ASSERT_NE(occ, nullptr);

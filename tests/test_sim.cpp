@@ -202,16 +202,13 @@ TEST(Sim, ResultsMatchParentCapture) {
   // access path was rewritten (per-set records, integer latency tallies,
   // table-driven ring/UMON/CBT lookups): every field, doubles bit-equal.
   // The runs cover all six schemes, the irregular rings (gather, hash
-  // join, walk), the 64-tile intra engine at one and two workers, and
-  // occupancy enforcement, whose eviction preference moves per insertion.
+  // join, walk) and the 64-tile intra engine at one and two workers.
   MachineConfig m16 = config16();
   m16.warmup_epochs = 10;
   m16.measure_epochs = 30;
   MachineConfig m64 = config64();
   m64.warmup_epochs = 10;
   m64.measure_epochs = 20;
-  MachineConfig occ = m16;
-  occ.delta.intra_enforcement = core::IntraEnforcement::kOccupancy;
 
   struct Case {
     MachineConfig cfg;
@@ -229,8 +226,6 @@ TEST(Sim, ResultsMatchParentCapture) {
     c.intra_jobs = jobs;
     cases.push_back({c, "w13", SchemeKind::kDelta, 8});
   }
-  cases.push_back({occ, "w2", SchemeKind::kDelta, 9});
-  ASSERT_EQ(std::size(kCaptured), 10u);
 
   for (const Case& k : cases) {
     const MixResult r = run_mix(k.cfg, mix_for_config(k.cfg, k.mix), k.kind);

@@ -7,7 +7,7 @@
 //   * the live SetAssocCache makes exactly the decisions of
 //     the pre-rewrite array-of-structs engine (bench/legacy_cache.hpp is
 //     the frozen oracle) on randomized traces exercising way masks,
-//     eviction preferences, touches and invalidations.
+//     touches and invalidations.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -82,8 +82,8 @@ TEST(Sweep, EmptyAndSingleJobEdgeCases) {
 
 /// Replays a randomized trace against both engines, asserting identical
 /// per-access decisions.  `footprint_ways` scales the working set relative
-/// to capacity; `masked` mixes in partial insertion masks and eviction
-/// preferences like the partitioned schemes do.  `wide` gives each block
+/// to capacity; `masked` mixes in partial insertion masks like the
+/// partitioned schemes do.  `wide` gives each block
 /// one of four high tag bytes (bits 32-39: 0x00, 0x01, 0x7F, 0xFF), so
 /// lines that share their low 32 bits meet in one set and only the high
 /// byte tells them apart, and draws owners from {0, 1, 127, 254}, the
@@ -106,11 +106,9 @@ void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
     const std::uint32_t set = static_cast<std::uint32_t>(block) & (kSets - 1);
     const CoreId owner = draw_owner();
     mem::WayMask mask = mem::full_mask(ways);
-    CoreId pref = kInvalidCore;
     if (masked) {
-      // Random (sometimes empty -> bypass) mask; occasional victim owner.
+      // Random (sometimes empty -> bypass) mask.
       mask = static_cast<mem::WayMask>(rng.below(std::uint64_t{1} << ways));
-      if (rng.below(4) == 0) pref = draw_owner();
     }
     const std::uint64_t op = rng.below(16);
     if (op == 14) {
@@ -121,8 +119,8 @@ void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
       EXPECT_EQ(soa.invalidate(set, block), aos.invalidate(set, block));
       continue;
     }
-    const mem::AccessResult a = soa.access(set, block, owner, mask, pref);
-    const mem::AccessResult b = aos.access(set, block, owner, mask, pref);
+    const mem::AccessResult a = soa.access(set, block, owner, mask);
+    const mem::AccessResult b = aos.access(set, block, owner, mask);
     ASSERT_EQ(a.hit, b.hit) << "access " << i;
     ASSERT_EQ(a.way, b.way) << "access " << i;
     ASSERT_EQ(a.evicted, b.evicted) << "access " << i;
@@ -137,15 +135,15 @@ void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
 
 TEST(CacheEquivalence, HitHeavyFullMask) { replay_and_compare(1, 6, false); }
 TEST(CacheEquivalence, ThrashingFullMask) { replay_and_compare(2, 16, false); }
-TEST(CacheEquivalence, MaskedAndPreferredVictims) { replay_and_compare(3, 12, true); }
+TEST(CacheEquivalence, MaskedVictims) { replay_and_compare(3, 12, true); }
 TEST(CacheEquivalence, MaskedHitHeavy) { replay_and_compare(4, 5, true); }
 // The LLC bank geometry, and the full 32-lane rank row (both 16-lane halves).
 TEST(CacheEquivalence, BankWaysFullMask) { replay_and_compare(5, 24, false, 16); }
-TEST(CacheEquivalence, BankWaysMaskedAndPreferredVictims) {
+TEST(CacheEquivalence, BankWaysMaskedVictims) {
   replay_and_compare(6, 24, true, 16);
 }
 TEST(CacheEquivalence, WidestFullMask) { replay_and_compare(7, 48, false, 32); }
-TEST(CacheEquivalence, WidestMaskedAndPreferredVictims) {
+TEST(CacheEquivalence, WidestMaskedVictims) {
   replay_and_compare(8, 48, true, 32);
 }
 // 40-bit tags and one-byte owners at both record strides (128 B up to 16

@@ -42,7 +42,7 @@ Options:
   --no-lockstep       Use the measured-CPI feedback loop (disables the
                       cross-scheme access-equality assertion).
   --prof-out F        Engine self-profiling flamegraph (Chrome trace JSON).
-  --metrics-out F     Metrics dump (.prom/.txt = Prometheus text, else JSON).
+  --metrics-out F     Metrics dump (JSON).
   --help              This text.
 )";
 

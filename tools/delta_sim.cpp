@@ -110,8 +110,8 @@ int run_cli(int argc, char** argv) {
                  "the same at every --intra-jobs)\n"
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
-                 "                 [--metrics-out m.json|m.prom]   (metrics "
-                 "dump; .prom = Prometheus text)\n");
+                 "                 [--metrics-out m.json]   (metrics dump, "
+                 "JSON)\n");
     return args.has("help") ? 0 : 1;
   }
   if (args.has("list")) {
