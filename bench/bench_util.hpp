@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/abort_flush.hpp"
 #include "common/args.hpp"
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "obs/outputs.hpp"
@@ -53,7 +53,7 @@ class Cli {
     } catch (const std::invalid_argument& e) {
       fail(e.what());
     }
-    Logger::install_flush_handlers();
+    install_abort_flush();
   }
 
   ~Cli() { (void)outputs_->write(nullptr); }

@@ -23,7 +23,10 @@
 //            mixes and knob points and run the short epochs); mt runs
 //            15'000 accesses per thread instead of 60'000; 12, table5,
 //            table6 and cbt's footprint spread have no epochs and are
-//            unchanged.
+//            unchanged.  Fifteen epochs are too few for DELTA's knobs to
+//            show: 21 of ablation's 23 knob points and both cbt runs read
+//            the default run's 1.055 on w6, so quick ablation and cbt rows
+//            do not test knob handling.
 //   --out    also writes the report to FILE, which is opened before any
 //            simulation runs.
 // One stderr line, `repro: N runs requested, M distinct`, reports the reuse.

@@ -1,83 +1,13 @@
-// Fixed-bin histogram used for latency distributions and hop-count profiles,
-// plus a log-bucket (power-of-two) histogram for wall-clock durations where
-// the value range spans many orders of magnitude (obs/prof metrics).
+// Log-bucket (power-of-two) histogram for wall-clock durations, whose value
+// range spans many orders of magnitude (obs/prof metrics).
 #pragma once
 
 #include <array>
 #include <bit>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace delta {
-
-class Histogram {
- public:
-  /// Bins cover [lo, hi) uniformly; values outside clamp to the end bins.
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void add(double x, std::uint64_t weight = 1) {
-    std::size_t b;
-    if (x < lo_) {
-      b = 0;
-    } else if (x >= hi_) {
-      b = counts_.size() - 1;
-    } else {
-      b = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-      if (b >= counts_.size()) b = counts_.size() - 1;
-    }
-    counts_[b] += weight;
-    total_ += weight;
-    weighted_sum_ += x * static_cast<double>(weight);
-  }
-
-  std::uint64_t total() const { return total_; }
-  double mean() const { return total_ ? weighted_sum_ / static_cast<double>(total_) : 0.0; }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_[bin]; }
-  double bin_lo(std::size_t bin) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-  }
-
-  /// Smallest x such that at least `q` (0..1] of the mass is <= x's bin end.
-  double quantile(double q) const {
-    if (total_ == 0) return lo_;
-    const double target = q * static_cast<double>(total_);
-    double cum = 0.0;
-    for (std::size_t b = 0; b < counts_.size(); ++b) {
-      cum += static_cast<double>(counts_[b]);
-      if (cum >= target) return bin_lo(b + 1 <= counts_.size() ? b + 1 : b);
-    }
-    return hi_;
-  }
-
-  /// Folds another histogram with the identical binning ([lo, hi) and bin
-  /// count) into this one.  Disjoint *occupied* ranges are fine — merging is
-  /// bin-wise addition — but the bin layout itself must match; merging across
-  /// different layouts would silently rebucket, so it is a precondition.
-  void merge(const Histogram& other) {
-    assert(lo_ == other.lo_ && hi_ == other.hi_ &&
-           counts_.size() == other.counts_.size());
-    for (std::size_t b = 0; b < counts_.size(); ++b) counts_[b] += other.counts_[b];
-    total_ += other.total_;
-    weighted_sum_ += other.weighted_sum_;
-  }
-
-  void reset() {
-    for (auto& c : counts_) c = 0;
-    total_ = 0;
-    weighted_sum_ = 0.0;
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  double weighted_sum_ = 0.0;
-};
 
 /// Power-of-two-bucket histogram over the full uint64 range.  Bucket b holds
 /// values whose bit width is b — bucket 0 is exactly {0}, bucket b >= 1 covers

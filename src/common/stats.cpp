@@ -25,56 +25,6 @@ double geomean(std::span<const double> xs) {
   return std::exp(logsum / static_cast<double>(xs.size()));
 }
 
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
-double median(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
-  if (v.size() % 2 == 1) return v[mid];
-  const double hi = v[mid];
-  const double lo = *std::max_element(v.begin(), v.begin() + mid);
-  return 0.5 * (lo + hi);
-}
-
-double harmonic_mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double inv = 0.0;
-  for (double x : xs) {
-    assert(x > 0.0 && "harmonic mean requires positive inputs");
-    inv += 1.0 / x;
-  }
-  return static_cast<double>(xs.size()) / inv;
-}
-
-void RunningStat::add(double x) {
-  ++n_;
-  sum_ += x;
-  if (n_ == 1) {
-    mean_ = min_ = max_ = x;
-    m2_ = 0.0;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStat::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 std::string pad(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s.substr(0, width);
   return s + std::string(width - s.size(), ' ');

@@ -1,5 +1,5 @@
-// Small statistics toolkit: means, geometric means, streaming accumulators
-// and fixed-width text tables used by the benchmark harnesses.
+// Small statistics toolkit: means, geometric means and fixed-width text
+// tables used by the benchmark harnesses.
 #pragma once
 
 #include <cstddef>
@@ -14,37 +14,6 @@ double mean(std::span<const double> xs);
 
 /// Geometric mean; every element must be > 0.  Returns 0 for an empty span.
 double geomean(std::span<const double> xs);
-
-/// Sample standard deviation; returns 0 when fewer than two elements.
-double stddev(std::span<const double> xs);
-
-/// Median (of a copy; input untouched).  Returns 0 for an empty span.
-double median(std::span<const double> xs);
-
-/// Harmonic mean; every element must be > 0.
-double harmonic_mean(std::span<const double> xs);
-
-/// Streaming accumulator (Welford) for mean/variance without storing samples.
-class RunningStat {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-  void reset() { *this = RunningStat{}; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Right-pads/truncates `s` to exactly `width` characters.
 std::string pad(const std::string& s, std::size_t width);

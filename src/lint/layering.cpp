@@ -107,9 +107,9 @@ std::vector<Finding> check_layering(const LayeringConfig& config,
         inc.file, inc.line, "layering",
         "module '" + from + "' may not include '" + inc.target +
             "' (module '" + to + "'); declared dependencies of '" + from +
-            "': [" + (allowed_list.empty() ? "none" : allowed_list) + "]",
-        "move the code below the layer boundary, or baseline with:  " +
-            inc.file + ":layering"});
+            "': [" + (allowed_list.empty() ? "none" : allowed_list) +
+            "]; move the code below the layer boundary",
+        {}});
   }
   return findings;
 }

@@ -30,9 +30,8 @@
 //   lint                       → (nothing)
 //
 // Violations are reported as rule `layering` (one per offending #include,
-// file:line precision) and `include-cycle` (one per cycle).  A findings
-// baseline (`delta_lint --baseline`) lets a refactor land incrementally;
-// the tree itself carries an empty baseline.
+// file:line precision) and `include-cycle` (one per cycle).  Neither takes a
+// waiver: the fix is a code change.
 #pragma once
 
 #include <string>

@@ -490,40 +490,6 @@ std::vector<Finding> lint_tree(const std::filesystem::path& root,
   return all;
 }
 
-Baseline load_baseline(const std::filesystem::path& path, bool* ok) {
-  Baseline out;
-  std::ifstream in(path);
-  if (ok != nullptr) *ok = in.good();
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    const std::size_t last = line.find_last_not_of(" \t\r");
-    std::string entry = line.substr(first, last - first + 1);
-    if (entry.empty() || entry[0] == '#') continue;
-    const std::size_t colon = entry.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= entry.size())
-      continue;
-    out.entries.emplace_back(entry.substr(0, colon), entry.substr(colon + 1));
-  }
-  return out;
-}
-
-std::size_t apply_baseline(const Baseline& baseline,
-                           std::vector<Finding>& findings) {
-  if (baseline.entries.empty()) return 0;
-  const std::size_t before = findings.size();
-  findings.erase(
-      std::remove_if(findings.begin(), findings.end(),
-                     [&](const Finding& f) {
-                       for (const auto& [file, rule] : baseline.entries)
-                         if (f.file == file && f.rule == rule) return true;
-                       return false;
-                     }),
-      findings.end());
-  return before - findings.size();
-}
-
 std::string format(const Finding& f) {
   return f.file + ":" + std::to_string(f.line) + ": " + f.rule + ": " + f.detail;
 }

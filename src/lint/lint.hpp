@@ -47,9 +47,9 @@
 //                     real include graph, plus include-cycle detection
 //                     (lint/layering.hpp)
 //
-// lint_tree() runs all of it; the delta_lint CLI adds --rule filtering, a
-// findings --baseline, machine-readable --json output and
-// --fix-suggestions (the exact suppression/annotation line per finding).
+// lint_tree() runs all of it; the delta_lint CLI adds --rule filtering,
+// machine-readable --json output and --fix-suggestions (the exact
+// suppression/annotation line per finding).
 #pragma once
 
 #include <array>
@@ -65,8 +65,8 @@ struct Finding {
   int line = 0;      ///< 1-based.
   std::string rule;
   std::string detail;
-  /// Paste-ready triage hint (the exact suppression/annotation line or
-  /// baseline entry); surfaced by `delta_lint --fix-suggestions` and in the
+  /// Paste-ready triage hint (the exact suppression/annotation line);
+  /// surfaced by `delta_lint --fix-suggestions` and in the
   /// JSON export.  Empty when the fix is a plain code change.
   std::string suggestion;
 };
@@ -106,22 +106,6 @@ struct TreeOptions {
 std::vector<Finding> lint_tree(const std::filesystem::path& root);
 std::vector<Finding> lint_tree(const std::filesystem::path& root,
                                const TreeOptions& opts);
-
-/// Findings baseline: a text file with one `<file>:<rule>` entry per line
-/// (`#` comments and blank lines ignored).  Every finding whose file and
-/// rule match an entry is waived — line numbers deliberately excluded so a
-/// baseline survives unrelated edits.
-struct Baseline {
-  std::vector<std::pair<std::string, std::string>> entries;  ///< (file, rule)
-};
-
-/// Parses a baseline file; `ok` (when non-null) reports whether the file
-/// was readable.  An unreadable file yields an empty baseline.
-Baseline load_baseline(const std::filesystem::path& path, bool* ok = nullptr);
-
-/// Removes findings matched by the baseline; returns how many were waived.
-std::size_t apply_baseline(const Baseline& baseline,
-                           std::vector<Finding>& findings);
 
 /// "file:line: rule: detail" — the format the ctest prints per violation.
 std::string format(const Finding& f);

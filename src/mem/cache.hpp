@@ -72,7 +72,6 @@ class SetAssocCache {
 
   std::uint32_t sets() const { return sets_; }
   int ways() const { return ways_; }
-  std::uint64_t capacity_lines() const { return std::uint64_t{sets_} * ways_; }
 
   /// Probe only: true iff (set, block) is resident.  Does not touch LRU.
   bool contains(std::uint32_t set, BlockAddr block) const {

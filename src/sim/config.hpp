@@ -74,10 +74,6 @@ struct MachineConfig {
   void validate() const;
 
   int sets_per_bank() const { return 1 << sets_log2; }
-  std::uint64_t bank_bytes() const {
-    return static_cast<std::uint64_t>(sets_per_bank()) * ways_per_bank * kLineBytes;
-  }
-  std::uint64_t llc_bytes() const { return bank_bytes() * static_cast<std::uint64_t>(cores); }
 
   friend bool operator==(const MachineConfig&, const MachineConfig&) = default;
 };

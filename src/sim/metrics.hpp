@@ -52,8 +52,6 @@ struct MixResult {
   ControlBreakdown control;
   std::uint64_t invalidated_lines = 0;
   std::uint64_t measured_epochs = 0;
-
-  const AppResult& app_on_core(int core) const { return apps.at(static_cast<std::size_t>(core)); }
 };
 
 /// Workload performance = geometric mean of app IPCs (Sec. III-D).

@@ -102,10 +102,4 @@ const std::vector<AppProfile>& irregular_profiles() {
   return profiles;
 }
 
-bool is_irregular_profile(std::string_view name) {
-  for (const auto& p : irregular_profiles())
-    if (p.name == name || p.short_name == name) return true;
-  return false;
-}
-
 }  // namespace delta::workload

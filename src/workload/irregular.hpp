@@ -20,7 +20,6 @@
 // stand-ins.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "workload/profile.hpp"
@@ -30,8 +29,5 @@ namespace delta::workload {
 /// The irregular family in a stable order.  Resolvable by name through
 /// spec_profile()/has_spec_profile like the Table III profiles.
 const std::vector<AppProfile>& irregular_profiles();
-
-/// True if `name` (short code or full name) is an irregular-family member.
-bool is_irregular_profile(std::string_view name);
 
 }  // namespace delta::workload

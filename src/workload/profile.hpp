@@ -81,12 +81,6 @@ struct AppProfile {
   /// Phase length in 0.1 ms epochs; 0 disables phase switching.
   std::uint32_t phase_len_epochs = 0;
 
-  const Phase& phase_at(std::uint64_t epoch, std::uint32_t offset = 0) const {
-    if (phases.size() <= 1 || phase_len_epochs == 0) return phases.front();
-    const std::uint64_t idx = ((epoch + offset) / phase_len_epochs) % phases.size();
-    return phases[static_cast<std::size_t>(idx)];
-  }
-
   /// Total bytes touched by the largest phase (diagnostics only).
   std::uint64_t footprint_bytes() const {
     std::uint64_t best = 0;

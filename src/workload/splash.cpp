@@ -69,11 +69,9 @@ const SplashProfile& splash_profile(const std::string& name) {
 }
 
 SplashGen::SplashGen(const SplashProfile& p, std::uint64_t seed) : p_(p), rng_(seed) {
-  const int per_thread = p_.private_pages_per_thread + p_.boundary_pages_per_thread;
   priv_base_ = 0;
   bound_base_ = p_.threads * p_.private_pages_per_thread;
   shared_base_ = bound_base_ + p_.threads * p_.boundary_pages_per_thread;
-  total_pages_ = p_.threads * per_thread + p_.shared_pages;
 }
 
 BlockAddr SplashGen::pick_block(CoreId t) {

@@ -68,8 +68,6 @@ class SplashGen {
   SplashAccess next();
 
   const SplashProfile& profile() const { return p_; }
-  /// Total data pages laid out for this application.
-  int total_pages() const { return total_pages_; }
   Addr page_addr(int page) const { return static_cast<Addr>(page) * kPageBytes; }
 
  private:
@@ -78,7 +76,6 @@ class SplashGen {
   const SplashProfile& p_;
   Rng rng_;
   CoreId next_thread_ = 0;
-  int total_pages_ = 0;
   // Page layout (page indices into a flat address space):
   // [thread0 private][thread0 boundary] ... [threadN-1 ...][shared pages].
   int priv_base_ = 0, bound_base_ = 0, shared_base_ = 0;

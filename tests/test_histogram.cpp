@@ -1,7 +1,6 @@
-// Edge-case coverage for common/histogram.hpp: the fixed-bin Histogram
-// (empty quantiles, single samples, clamping, same-layout merge) and the
-// power-of-two LogHistogram the prof metrics registry aggregates with
-// (bucket boundaries, the top bucket, exact merge of disjoint ranges).
+// Edge-case coverage for common/histogram.hpp: the power-of-two LogHistogram
+// the prof metrics registry aggregates with (bucket boundaries, the top
+// bucket, exact merge of disjoint ranges).
 #include "common/histogram.hpp"
 
 #include <gtest/gtest.h>
@@ -10,64 +9,6 @@
 
 namespace delta {
 namespace {
-
-// ---------------------------------------------------------------- Histogram
-
-TEST(Histogram, EmptyQuantileReturnsLo) {
-  const Histogram h(10.0, 20.0, 5);
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, SingleSample) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(3.5);
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_DOUBLE_EQ(h.mean(), 3.5);
-  EXPECT_EQ(h.count(3), 1u);
-  // All mass in bin [3, 4): every quantile reports that bin's upper edge.
-  EXPECT_DOUBLE_EQ(h.quantile(0.01), 4.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
-}
-
-TEST(Histogram, OutOfRangeValuesClampToEndBins) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-100.0);
-  h.add(10.0);    // hi is exclusive: lands in the last bin.
-  h.add(1e18);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 3u);
-  // The mean still uses the true values, not the clamped bins.
-  EXPECT_DOUBLE_EQ(h.mean(), (-100.0 + 10.0 + 1e18) / 3.0);
-}
-
-TEST(Histogram, MergeOfDisjointOccupiedRanges) {
-  Histogram low(0.0, 100.0, 10);
-  Histogram high(0.0, 100.0, 10);
-  low.add(5.0, 3);
-  high.add(95.0, 7);
-  low.merge(high);
-  EXPECT_EQ(low.total(), 10u);
-  EXPECT_EQ(low.count(0), 3u);
-  EXPECT_EQ(low.count(9), 7u);
-  EXPECT_DOUBLE_EQ(low.mean(), (5.0 * 3 + 95.0 * 7) / 10.0);
-  // 30% of mass sits in bin 0; the median falls in the high bin.
-  EXPECT_DOUBLE_EQ(low.quantile(0.3), 10.0);
-  EXPECT_DOUBLE_EQ(low.quantile(0.5), 100.0);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.5, 9);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.9), 0.0);
-}
-
-// ------------------------------------------------------------- LogHistogram
 
 TEST(LogHistogram, EmptyState) {
   const LogHistogram h;

@@ -44,9 +44,10 @@ TEST(Layering, UndeclaredEdgeIsFlaggedWithAllowedList) {
   EXPECT_EQ(fs[0].file, "src/common/types.cpp");
   EXPECT_EQ(fs[0].line, 7);
   EXPECT_NE(fs[0].detail.find("'common' may not include"), std::string::npos);
-  // The suggestion is a paste-ready baseline entry.
-  EXPECT_NE(fs[0].suggestion.find("src/common/types.cpp:layering"),
+  // No waiver exists for a layering break: the advice is a code change.
+  EXPECT_NE(fs[0].detail.find("move the code below the layer boundary"),
             std::string::npos);
+  EXPECT_TRUE(fs[0].suggestion.empty());
 }
 
 TEST(Layering, FilesOutsideDeclaredModulesAreIgnored) {

@@ -359,8 +359,8 @@ TEST(LintTreeWalk, WalkOrderIsDeterministicAndSorted) {
   t.put("mid/beta.cpp", "int* c = new int;\n");
   const auto first = lint_tree(t.root);
   ASSERT_EQ(first.size(), 3u);
-  // Findings come back sorted by (file, line, rule) — the contract the
-  // baseline format and CI diffing rely on.
+  // Findings come back sorted by (file, line, rule) — the contract CI
+  // diffing relies on.
   EXPECT_TRUE(std::is_sorted(first.begin(), first.end(),
                              [](const Finding& a, const Finding& b) {
                                return a.file < b.file;
@@ -386,48 +386,6 @@ TEST(LintTreeWalk, RuleFilterSelectsSubset) {
   const auto fs_found = lint_tree(t.root, only_new);
   ASSERT_EQ(fs_found.size(), 1u);
   EXPECT_EQ(fs_found[0].rule, "naked-new");
-}
-
-// ---------------------------------------------------------------- baseline
-
-TEST(LintBaseline, ParsesEntriesSkippingCommentsAndBlanks) {
-  ScratchTree t("delta_lint_baseline");
-  t.put("base.txt",
-        "# findings accepted while the refactor lands\n"
-        "\n"
-        "  src/sim/chip.cpp:layering  \n"
-        "src/core/cbt.hpp:naked-new\n");
-  bool ok = false;
-  const Baseline b = load_baseline(t.root / "base.txt", &ok);
-  EXPECT_TRUE(ok);
-  ASSERT_EQ(b.entries.size(), 2u);
-  EXPECT_EQ(b.entries[0].first, "src/sim/chip.cpp");
-  EXPECT_EQ(b.entries[0].second, "layering");
-  EXPECT_EQ(b.entries[1].first, "src/core/cbt.hpp");
-  EXPECT_EQ(b.entries[1].second, "naked-new");
-}
-
-TEST(LintBaseline, UnreadableFileReportsNotOk) {
-  bool ok = true;
-  const Baseline b = load_baseline("/nonexistent-delta-baseline", &ok);
-  EXPECT_FALSE(ok);
-  EXPECT_TRUE(b.entries.empty());
-}
-
-TEST(LintBaseline, WaivesMatchingFindingsOnly) {
-  std::vector<Finding> fs_found = {
-      {"src/a.cpp", 3, "layering", "d", {}},
-      {"src/a.cpp", 9, "naked-new", "d", {}},
-      {"src/b.cpp", 1, "layering", "d", {}},
-  };
-  Baseline b;
-  b.entries = {{"src/a.cpp", "layering"}};
-  // Matching is (file, rule) — line-agnostic, so baselines survive edits
-  // elsewhere in the file; the other rule and the other file stay reported.
-  EXPECT_EQ(apply_baseline(b, fs_found), 1u);
-  ASSERT_EQ(fs_found.size(), 2u);
-  EXPECT_EQ(fs_found[0].rule, "naked-new");
-  EXPECT_EQ(fs_found[1].file, "src/b.cpp");
 }
 
 }  // namespace

@@ -4,12 +4,10 @@
 // results with profiling off vs full at any thread count.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/log.hpp"
 #include "json_check.hpp"
 #include "obs/observer.hpp"
 #include "obs/prof/export.hpp"
@@ -273,23 +271,6 @@ TEST_F(ProfTest, ResultsAreByteIdenticalWithProfilingOnOrOff) {
       << "profiling changed intra-engine results";
   EXPECT_EQ(baseline, summary(4, ProfLevel::kFull))
       << "profiling changed 4-way intra results";
-}
-
-// ------------------------------------------------------------- logger hooks
-
-TEST(LoggerFlush, HooksRunOnFlushNow) {
-  static std::atomic<int> calls{0};
-  Logger::add_flush_hook([] { calls.fetch_add(1); });
-  Logger::flush_now();
-  EXPECT_GE(calls.load(), 1);
-  const int before = calls.load();
-  Logger::flush_now();  // Hooks stay registered and re-run on every flush.
-  EXPECT_EQ(calls.load(), before + 1);
-}
-
-TEST(LoggerFlush, InstallIsIdempotent) {
-  Logger::install_flush_handlers();
-  Logger::install_flush_handlers();  // Second call must be a no-op.
 }
 
 }  // namespace

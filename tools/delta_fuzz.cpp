@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "common/abort_flush.hpp"
 #include "common/args.hpp"
-#include "common/log.hpp"
 #include "obs/outputs.hpp"
 
 namespace {
@@ -105,7 +105,7 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  delta::Logger::install_flush_handlers();
+  delta::install_abort_flush();
 
   delta::check::FuzzOptions opt;
   opt.base_seed = args.get_u64("seed-base", 0xF0552);

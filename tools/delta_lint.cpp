@@ -6,7 +6,6 @@
 //
 // Flags:
 //   --rule a,b,...      run only the named rules (default: all)
-//   --baseline FILE     waive findings listed as `<file>:<rule>` lines
 //   --json OUT|-        machine-readable findings ({"version":1,...})
 //   --fix-suggestions   print the exact suppression/annotation line per
 //                       finding, when one applies
@@ -81,8 +80,8 @@ std::string to_json(const std::vector<delta::lint::Finding>& findings) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: delta_lint [--rule a,b,...] [--baseline FILE] "
-               "[--json OUT|-] [--fix-suggestions] <source-dir>...\n");
+               "usage: delta_lint [--rule a,b,...] [--json OUT|-] "
+               "[--fix-suggestions] <source-dir>...\n");
   return 2;
 }
 
@@ -90,7 +89,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   delta::lint::TreeOptions opts;
-  const char* baseline_path = nullptr;
   const char* json_path = nullptr;
   bool fix_suggestions = false;
   std::vector<const char*> roots;
@@ -101,9 +99,6 @@ int main(int argc, char** argv) {
       if (++i >= argc) return usage();
       for (std::string& r : split_csv(argv[i]))
         opts.rules.push_back(std::move(r));
-    } else if (std::strcmp(arg, "--baseline") == 0) {
-      if (++i >= argc) return usage();
-      baseline_path = argv[i];
     } else if (std::strcmp(arg, "--json") == 0) {
       if (++i >= argc) return usage();
       json_path = argv[i];
@@ -139,18 +134,6 @@ int main(int argc, char** argv) {
     for (auto& f : delta::lint::lint_tree(root, opts))
       findings.push_back(std::move(f));
 
-  std::size_t waived = 0;
-  if (baseline_path != nullptr) {
-    bool ok = false;
-    const auto baseline = delta::lint::load_baseline(baseline_path, &ok);
-    if (!ok) {
-      std::fprintf(stderr, "delta_lint: cannot read baseline '%s'\n",
-                   baseline_path);
-      return 2;
-    }
-    waived = delta::lint::apply_baseline(baseline, findings);
-  }
-
   if (json_path != nullptr) {
     const std::string json = to_json(findings);
     if (std::strcmp(json_path, "-") == 0) {
@@ -170,9 +153,6 @@ int main(int argc, char** argv) {
     if (fix_suggestions && !f.suggestion.empty())
       std::fprintf(stderr, "  fix: %s\n", f.suggestion.c_str());
   }
-  if (waived != 0)
-    std::fprintf(stderr, "delta_lint: %zu finding(s) waived by baseline\n",
-                 waived);
   if (!findings.empty()) {
     std::fprintf(stderr, "delta_lint: %zu violation(s)\n", findings.size());
     return 1;

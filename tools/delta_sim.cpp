@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/abort_flush.hpp"
 #include "common/args.hpp"
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "obs/observer.hpp"
 #include "obs/outputs.hpp"
@@ -119,9 +119,8 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  // Flush handlers make sure buffered logs (and nothing else) survive an
-  // abort mid-run.
-  Logger::install_flush_handlers();
+  // Buffered report output survives an abort mid-run.
+  install_abort_flush();
 
   const std::int64_t cores = args.get_int("cores", 16);
   if (cores != 16 && cores != 64)
