@@ -1,10 +1,12 @@
 // Kernel-throughput harness with built-in floors (docs/performance.md).
 //
 // What it measures:
-//   * cache kernel — the live SetAssocCache vs the frozen pre-rewrite
-//     AoS copy (legacy_cache.hpp) on identical synthetic streams, after a
-//     full-field oracle replay: every AccessResult must match before
-//     anything is timed, or the harness exits 2.
+//   * cache kernel — SetAssocCache::Kernel, the hit-or-fill entry the
+//     access engine's bank merge runs, vs the frozen pre-rewrite AoS copy
+//     (legacy_cache.hpp) on identical synthetic streams, at both lane
+//     counts (16 and 32 ways), after a full-field oracle replay: every
+//     AccessResult must match before anything is timed, or the harness
+//     exits 2.
 //   * simd — match_tag40 and find_u32 vs their scalar reference loops,
 //     each side one non-inlined pass with alternating reps.
 //   * intra — one 64-tile w13 delta run at --intra-jobs 1/2/4/8: the
@@ -83,37 +85,66 @@ KernelStream make_stream(std::size_t n, std::uint32_t sets, int footprint_ways) 
 }
 
 /// Oracle replay: fresh instances of both engines walk the stream together
-/// and every AccessResult field must agree.  This is the bit-exactness gate
-/// the timing below rides on — a fast-but-wrong kernel fails here first.
-bool replay_identical(const KernelStream& s) {
-  mem::SetAssocCache soa(512, 16);
-  bench::legacy::SetAssocCache aos(512, 16);
-  const mem::WayMask all = mem::full_mask(soa.ways());
+/// and every AccessResult field must agree.  The live side runs the
+/// engine's entry, Kernel<kLanes>::access, asked for its AccessResult.
+/// This is the bit-exactness gate the timing below rides on — a
+/// fast-but-wrong kernel fails here first.
+template <int kLanes>
+bool replay_identical(const KernelStream& s, int ways) {
+  mem::SetAssocCache soa(512, ways);
+  bench::legacy::SetAssocCache aos(512, ways);
+  const mem::WayMask all = mem::full_mask(ways);
+  mem::SetAssocCache::Kernel<kLanes> kernel(soa);
   for (std::size_t i = 0; i < s.sets.size(); ++i) {
-    const mem::AccessResult a = soa.access(s.sets[i], s.blocks[i], s.owners[i], all);
+    mem::AccessResult a;
+    const bool hit = kernel.access(s.sets[i], s.blocks[i], s.owners[i], all, &a);
     const mem::AccessResult b = aos.access(s.sets[i], s.blocks[i], s.owners[i], all);
-    if (a.hit != b.hit || a.evicted != b.evicted || a.way != b.way ||
+    if (hit != a.hit || a.hit != b.hit || a.evicted != b.evicted || a.way != b.way ||
         a.victim_block != b.victim_block || a.victim_owner != b.victim_owner)
       return false;
   }
   return true;
 }
 
-template <typename Cache>
-double kernel_accesses_per_sec(Cache& cache, const KernelStream& s, int reps) {
-  const mem::WayMask all = mem::full_mask(cache.ways());
+/// Best-of-reps accesses per second of `pass`, one run over the stream's
+/// `n` accesses that returns a sink keeping its work alive.
+template <typename Pass>
+double accesses_per_sec(std::size_t n, int reps, Pass&& pass) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < s.sets.size(); ++i)
-      sink += static_cast<std::uint64_t>(
-          cache.access(s.sets[i], s.blocks[i], s.owners[i], all).hit);
+    const std::uint64_t sink = pass();
     const double dt = seconds_since(t0);
     if (sink == ~std::uint64_t{0}) std::printf(" ");  // Defeat dead-code elim.
     if (dt < best) best = dt;
   }
-  return static_cast<double>(s.sets.size()) / best;
+  return static_cast<double>(n) / best;
+}
+
+/// Live (Kernel<kLanes>, held in a local as the bank merge holds it) and
+/// legacy accesses per second over one stream, each on a fresh cache.
+template <int kLanes>
+double kernel_speedup(const KernelStream& s, int ways, int reps) {
+  mem::SetAssocCache soa(512, ways);
+  bench::legacy::SetAssocCache aos(512, ways);
+  const mem::WayMask all = mem::full_mask(ways);
+  const std::size_t n = s.sets.size();
+  const double soa_rate = accesses_per_sec(n, reps, [&] {
+    mem::SetAssocCache::Kernel<kLanes> kernel(soa);
+    std::uint64_t sink = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      sink += kernel.access(s.sets[i], s.blocks[i], s.owners[i], all) ? 1 : 0;
+    return sink;
+  });
+  const double aos_rate = accesses_per_sec(n, reps, [&] {
+    std::uint64_t sink = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      sink += aos.access(s.sets[i], s.blocks[i], s.owners[i], all).hit ? 1 : 0;
+    return sink;
+  });
+  std::printf("live %.0f acc/s, legacy %.0f acc/s, ratio %.2fx", soa_rate, aos_rate,
+              soa_rate / aos_rate);
+  return soa_rate / aos_rate;
 }
 
 /// Times two passes `reps` times each, alternating a, b, a, b, ... so a
@@ -233,30 +264,38 @@ int main(int argc, char** argv) {
     floors_ok = false;
   };
 
-  // ---- Cache kernel: live vs frozen AoS. ----
-  // Two streams bracket the sim's behaviour: a hit-heavy one (footprint
-  // fits in the cache — the common case once warm) and a thrashing one
-  // (footprint 1.5x capacity, eviction path dominates).
+  // ---- Cache kernel: live vs frozen AoS, at 16 and 32 lanes. ----
+  // Two streams per width bracket the sim's behaviour: a hit-heavy one
+  // (footprint 3/4 of the cache — the common case once warm) and a
+  // thrashing one (footprint 1.5x capacity, eviction path dominates).  The
+  // 24-way footprint serves as 16-way thrashing and 32-way hit-heavy.
+  // Both lane counts are gated by the same floors.
   const std::size_t stream_len = quick ? 1'000'000 : 4'000'000;
-  const KernelStream hit_stream = make_stream(stream_len, 512, 12);
-  const KernelStream miss_stream = make_stream(stream_len, 512, 24);
+  const KernelStream ways12 = make_stream(stream_len, 512, 12);
+  const KernelStream ways24 = make_stream(stream_len, 512, 24);
+  const KernelStream ways48 = make_stream(stream_len, 512, 48);
   const bool replay_ok =
-      replay_identical(hit_stream) && replay_identical(miss_stream);
-  std::printf("cache kernel oracle replay: %s\n",
+      replay_identical<16>(ways12, 16) && replay_identical<16>(ways24, 16) &&
+      replay_identical<simd::kMaxRankLanes>(ways24, 32) &&
+      replay_identical<simd::kMaxRankLanes>(ways48, 32);
+  std::printf("cache kernel oracle replay (16 and 32 ways): %s\n",
               replay_ok ? "identical" : "DIVERGENT");
   if (!replay_ok) return 2;
-  const auto kernel_ratio = [&](const char* what, const KernelStream& s,
-                                double floor) {
-    mem::SetAssocCache soa(512, 16);
-    bench::legacy::SetAssocCache aos(512, 16);
-    const double soa_rate = kernel_accesses_per_sec(soa, s, reps);
-    const double aos_rate = kernel_accesses_per_sec(aos, s, reps);
-    std::printf("cache kernel (%s):  live %.0f acc/s, legacy %.0f acc/s, ratio %.2fx",
-                what, soa_rate, aos_rate, soa_rate / aos_rate);
-    check(what, soa_rate / aos_rate, floor);
+  const auto kernel_ratio = [&](const char* what, int ways, double ratio, double floor) {
+    const std::string label = std::string(what) + ", " + std::to_string(ways) + " ways";
+    std::printf(" [%s]", label.c_str());
+    check(label.c_str(), ratio, floor);
   };
-  kernel_ratio("hit-heavy", hit_stream, kHitHeavyFloor);
-  kernel_ratio("thrashing", miss_stream, kThrashingFloor);
+  std::printf("cache kernel: ");
+  kernel_ratio("hit-heavy", 16, kernel_speedup<16>(ways12, 16, reps), kHitHeavyFloor);
+  std::printf("cache kernel: ");
+  kernel_ratio("thrashing", 16, kernel_speedup<16>(ways24, 16, reps), kThrashingFloor);
+  std::printf("cache kernel: ");
+  kernel_ratio("hit-heavy", 32,
+               kernel_speedup<simd::kMaxRankLanes>(ways24, 32, reps), kHitHeavyFloor);
+  std::printf("cache kernel: ");
+  kernel_ratio("thrashing", 32,
+               kernel_speedup<simd::kMaxRankLanes>(ways48, 32, reps), kThrashingFloor);
 
   // ---- SIMD kernels vs their scalar references. ----
   const std::size_t simd_ops = quick ? 1'000'000 : 4'000'000;

@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace delta {
@@ -52,10 +53,11 @@ class ArgParser {
     return parse(name, def, "an integer");
   }
 
-  /// Seeds: all of [0, 2^64-1]; a sign, junk or overflow throws, so `-1`
-  /// never wraps.
+  /// Seeds: all of [0, 2^64-1], in decimal or, after a `0x`/`0X` prefix,
+  /// hexadecimal (the form the regression tests pin seeds in); a sign,
+  /// junk or overflow throws, so `-1` never wraps.
   std::uint64_t get_u64(const std::string& name, std::uint64_t def) const {
-    return parse(name, def, "a non-negative integer");
+    return parse(name, def, "a non-negative integer", /*hex_prefix=*/true);
   }
 
   /// Integer flag that must lie in [lo, INT_MAX]; anything else throws
@@ -90,13 +92,26 @@ class ArgParser {
 
  private:
   template <typename T>
-  T parse(const std::string& name, T def, const char* expects) const {
+  T parse(const std::string& name, T def, const char* expects,
+          bool hex_prefix = false) const {
     auto it = flags_.find(name);
     if (it == flags_.end() || it->second.empty()) return def;
     const std::string& v = it->second;
+    const char* first = v.data();
+    const char* const last = v.data() + v.size();
     T out{};
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc() || end != v.data() + v.size())
+    std::from_chars_result r;
+    if constexpr (std::is_integral_v<T>) {
+      if (hex_prefix && v.size() > 2 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X')) {
+        first += 2;
+        r = std::from_chars(first, last, out, 16);
+      } else {
+        r = std::from_chars(first, last, out);
+      }
+    } else {
+      r = std::from_chars(first, last, out);
+    }
+    if (r.ec != std::errc() || r.ptr != last)
       throw std::invalid_argument("--" + name + " expects " + expects + ", got '" + v +
                                   "'");
     return out;

@@ -24,16 +24,22 @@
 // a hit reads the record's two lines and nothing else: one
 // simd::match_tag40 compare plus one rank promote; a miss picks its victim
 // with one masked rank scan.  Tags are 40 bits, so blocks must stay below 2^40 and owners
-// in [0, 254] (miss_fill throws std::out_of_range otherwise); every
-// in-tree stream stays below 2^35.  The ranks are exact LRU: every touch
+// in [0, 254] (a miss throws std::out_of_range otherwise); every in-tree
+// stream stays below 2^35.  The ranks are exact LRU: every touch
 // makes its way the unique MRU and keeps the order of the rest, so no two
 // ways of a set ever tie, and a rank row has no counter to overflow
 // however long the run.  Supports 1 to 32 ways.
+//
+// Every demand access runs one hit-or-fill implementation, Kernel::access
+// (below the class), inlined at a compile-time lane count.  The access
+// engine's bank merge calls it directly, choosing the instantiation once
+// per bank; access() wraps it for callers that want an AccessResult.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -84,20 +90,20 @@ class SetAssocCache {
   /// miss but does not allocate (the access bypasses the cache).  A miss
   /// throws std::out_of_range, before any state changes, when `block` is
   /// at or above 2^40 or `owner` is outside [0, 254] (the tag and owner
-  /// widths of a set record).
-  ///
-  /// The hit path lives here so callers inline the SIMD tag compare plus
-  /// the MRU rank promote; the miss/fill path (miss_fill, cache.cpp) stays
-  /// out of line to keep the inlined code small.
-  AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner, WayMask insert_mask) {
-    if (const std::uint32_t match = match_ways(set, block); match != 0) {
-      const int i = std::countr_zero(match);
-      simd::rank_promote(ranks(set), lanes_, i);
-      ++stats_.hits;
-      return AccessResult{.hit = true, .way = i};
-    }
-    return miss_fill(set, block, owner, insert_mask);
-  }
+  /// widths of a set record).  A thin wrapper over Kernel::access, the one
+  /// hit-or-fill implementation, for callers that want the fill's details
+  /// (mt_sim, the SPLASH estimator, tests).
+  AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner,
+                      WayMask insert_mask);
+
+  /// The hit-or-fill kernel at a compile-time lane count; see the class
+  /// below.
+  template <int kLanes>
+  class Kernel;
+
+  /// Lanes per record row: simd::rank_lanes(ways()), 16 or 32.  Kernel
+  /// callers pick their instantiation from it once per bank.
+  int lanes() const { return lanes_; }
 
   /// Lookup without fill (e.g. remote probe).  Promotes to MRU on hit.
   bool touch(std::uint32_t set, BlockAddr block);
@@ -145,27 +151,14 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// Prefetch hint for a set: its record's tag line and its metadata line
-  /// (ranks, high tags, owners, validity word).  Side-effect-free: the
-  /// access engine's bank merge (sim/intra.hpp) issues it a few accesses
-  /// ahead of access() so the set is L1-resident by the time it is
-  /// compared.
-  void prefetch_set(std::uint32_t set) const {
-    simd::prefetch_read(low_tags(set));
-    simd::prefetch_write(ranks(set));
-  }
-
  private:
-  /// Cold half of access(): miss accounting, victim choice and line fill.
-  AccessResult miss_fill(std::uint32_t set, BlockAddr block, CoreId owner,
-                         WayMask insert_mask);
-
   /// Bitmask of ways whose valid tag equals `block` (0 or one bit set).
   /// The 40-bit compare is exact, so the vector backend in common/simd.hpp
   /// returns bit-identical masks to the scalar loop (-DDELTA_NO_SIMD
   /// builds) on every input — verified against the frozen legacy oracle by
   /// tests/test_sweep.cpp and by micro_throughput's replay, which runs
-  /// before it times this kernel against its floors.
+  /// before it times the kernel against its floors.  Used by touch() and
+  /// invalidate(); Kernel::access runs the same compare at constant width.
   std::uint32_t match_ways(std::uint32_t set, BlockAddr block) const {
     return simd::match_tag40(low_tags(set), high_tags(set), ways_, block) &
            valid_word(set);
@@ -177,14 +170,28 @@ class SetAssocCache {
     std::uint32_t word[16];
   };
 
-  // Record rows of `set`.  The low-tag row is the record's first bytes;
-  // the rank row starts at low_bytes_, followed by the high-tag row, the
-  // owner row and the validity word, each row lanes_ bytes.
+  /// Byte offsets within a set record of `lanes`-lane rows: the low-tag
+  /// row is the record's first bytes; the rank row starts at low_bytes,
+  /// followed by the high-tag row, the owner row and the validity word,
+  /// each row `lanes` bytes.  The one definition of the record, shared by
+  /// the runtime accessors below and the compile-time Kernel.
+  struct Layout {
+    std::size_t low_bytes;     ///< 4 * lanes: the low-tag row's lines.
+    std::size_t valid_offset;  ///< low_bytes + 3 * lanes.
+    std::size_t stride;        ///< Bytes per set record.
+  };
+  static constexpr Layout layout_of(int lanes) {
+    const auto l = static_cast<std::size_t>(lanes);
+    return Layout{4 * l, 4 * l + 3 * l, 4 * l + ((3 * l + 4 + 63) & ~std::size_t{63})};
+  }
+
   std::uint8_t* record(std::uint32_t set) {
-    return reinterpret_cast<std::uint8_t*>(records_.data()) + std::size_t{set} * stride_;
+    return reinterpret_cast<std::uint8_t*>(records_.data()) +
+           std::size_t{set} * layout_.stride;
   }
   const std::uint8_t* record(std::uint32_t set) const {
-    return reinterpret_cast<const std::uint8_t*>(records_.data()) + std::size_t{set} * stride_;
+    return reinterpret_cast<const std::uint8_t*>(records_.data()) +
+           std::size_t{set} * layout_.stride;
   }
   std::uint32_t* low_tags(std::uint32_t set) {
     return reinterpret_cast<std::uint32_t*>(record(set));
@@ -192,28 +199,38 @@ class SetAssocCache {
   const std::uint32_t* low_tags(std::uint32_t set) const {
     return reinterpret_cast<const std::uint32_t*>(record(set));
   }
-  std::uint8_t* ranks(std::uint32_t set) { return record(set) + low_bytes_; }
-  const std::uint8_t* ranks(std::uint32_t set) const { return record(set) + low_bytes_; }
-  std::uint8_t* high_tags(std::uint32_t set) { return ranks(set) + lanes_; }
+  std::uint8_t* ranks(std::uint32_t set) { return record(set) + layout_.low_bytes; }
+  const std::uint8_t* ranks(std::uint32_t set) const {
+    return record(set) + layout_.low_bytes;
+  }
   const std::uint8_t* high_tags(std::uint32_t set) const { return ranks(set) + lanes_; }
-  std::uint8_t* owners(std::uint32_t set) { return high_tags(set) + lanes_; }
-  const std::uint8_t* owners(std::uint32_t set) const { return high_tags(set) + lanes_; }
+  std::uint8_t* owners(std::uint32_t set) { return ranks(set) + 2 * lanes_; }
+  const std::uint8_t* owners(std::uint32_t set) const { return ranks(set) + 2 * lanes_; }
   /// Bit w set iff way w holds a line.  The word is one of the record's
   /// Line words, so the u32 access stays within its own type.
   std::uint32_t& valid_word(std::uint32_t set) {
-    return *reinterpret_cast<std::uint32_t*>(record(set) + valid_offset_);
+    return *reinterpret_cast<std::uint32_t*>(record(set) + layout_.valid_offset);
   }
   std::uint32_t valid_word(std::uint32_t set) const {
-    return *reinterpret_cast<const std::uint32_t*>(record(set) + valid_offset_);
+    return *reinterpret_cast<const std::uint32_t*>(record(set) + layout_.valid_offset);
   }
 
-  BlockAddr block_at(std::uint32_t set, int way) const {
-    return (BlockAddr{high_tags(set)[way]} << 32) | low_tags(set)[way];
+  /// The 40-bit tag and the owner of a way, from its record rows.
+  static BlockAddr tag_of(const std::uint32_t* low, const std::uint8_t* high, int way) {
+    return (BlockAddr{high[way]} << 32) | low[way];
   }
-  CoreId owner_at(std::uint32_t set, int way) const {
-    const std::uint8_t o = owners(set)[way];
+  static CoreId owner_of(std::uint8_t o) {
     return o == kNoOwner ? kInvalidCore : CoreId{o};
   }
+  BlockAddr block_at(std::uint32_t set, int way) const {
+    return tag_of(low_tags(set), high_tags(set), way);
+  }
+  CoreId owner_at(std::uint32_t set, int way) const { return owner_of(owners(set)[way]); }
+
+  /// The miss-path range check's failure: throws std::out_of_range naming
+  /// the block or owner that does not fit a set record.  Out of line and
+  /// cold, so the inlined kernel keeps only the compare.
+  [[noreturn, gnu::cold]] static void throw_unfit(BlockAddr block, CoreId owner);
 
   /// Owner byte of a line that was never filled.
   static constexpr std::uint8_t kNoOwner = 0xFF;
@@ -221,11 +238,114 @@ class SetAssocCache {
   std::uint32_t sets_;
   int ways_;
   int lanes_;                  ///< Lanes per row: simd::rank_lanes(ways), 16 or 32.
-  std::size_t low_bytes_;      ///< 4 * lanes_: the low-tag row's lines.
-  std::size_t valid_offset_;   ///< low_bytes_ + 3 * lanes_.
-  std::size_t stride_;         ///< Bytes per set record.
-  std::vector<Line> records_;  ///< stride_ / 64 lines per set.
+  Layout layout_;              ///< layout_of(lanes_).
+  std::vector<Line> records_;  ///< layout_.stride / 64 lines per set.
   CacheStats stats_;
+};
+
+/// The hit-or-fill kernel: the one implementation of a demand access, run
+/// by the access engine's bank merge (sim/intra.hpp) directly and by
+/// SetAssocCache::access through a wrapper.  It is a by-value view of one
+/// bank — the record base, the way mask and its own hit/miss/eviction
+/// counts — so a caller that keeps it in a local keeps all of it in
+/// registers: the rank row is stored through a vector type and the owner
+/// and high-tag rows through bytes, both of which may alias anything, and
+/// a loop that read the geometry through the cache object would reload it
+/// after every access.  kLanes (16 or 32) fixes the record layout, so the
+/// tag compare and the rank kernels run at constant width; lanes at or
+/// above ways() are never valid, so comparing all kLanes lanes and masking
+/// with the validity word is the ways()-wide compare.  The counts reach
+/// the cache's stats() when the kernel is destroyed.
+template <int kLanes>
+class SetAssocCache::Kernel {
+ public:
+  /// Throws std::logic_error unless kLanes == cache.lanes().
+  explicit Kernel(SetAssocCache& cache)
+      : base_(cache.record(0)),
+        ways_mask_(full_mask(cache.ways_)),
+        stats_(&cache.stats_) {
+    static_assert(kLanes == 16 || kLanes == simd::kMaxRankLanes);
+    if (cache.lanes_ != kLanes)
+      throw std::logic_error("SetAssocCache::Kernel: wrong lane count");
+  }
+  ~Kernel() {
+    stats_->hits += hits_;
+    stats_->misses += misses_;
+    stats_->evictions += evictions_;
+  }
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
+
+  /// SetAssocCache::access's contract, returning only whether it hit.
+  /// When `res` is non-null it also receives the AccessResult.
+  [[gnu::always_inline]] bool access(std::uint32_t set, BlockAddr block, CoreId owner,
+                                     WayMask insert_mask, AccessResult* res = nullptr) {
+    std::uint8_t* const rec = record(set);
+    auto* const low = reinterpret_cast<std::uint32_t*>(rec);
+    std::uint8_t* const ranks = rec + kLayout.low_bytes;
+    std::uint8_t* const high = ranks + kLanes;
+    std::uint8_t* const owners = high + kLanes;
+    auto& valid = *reinterpret_cast<std::uint32_t*>(rec + kLayout.valid_offset);
+    const std::uint32_t v = valid;
+    if (const std::uint32_t match = simd::match_tag40(low, high, kLanes, block) & v;
+        match != 0) {
+      const int way = std::countr_zero(match);
+      simd::rank_promote(ranks, kLanes, way);
+      ++hits_;
+      if (res != nullptr) *res = AccessResult{.hit = true, .way = way};
+      return true;
+    }
+    if (block >= simd::kTag40Limit || owner < 0 || owner >= CoreId{kNoOwner}) [[unlikely]]
+      throw_unfit(block, owner);
+    ++misses_;
+    const std::uint32_t eligible = insert_mask & ways_mask_;
+    if (eligible == 0) return false;  // Bypass: nowhere to allocate.
+
+    // Prefer an invalid eligible way; otherwise evict the eligible LRU.
+    int victim;
+    if (const std::uint32_t free = eligible & ~v; free != 0) {
+      victim = std::countr_zero(free);
+    } else {
+      victim = simd::rank_oldest(ranks, kLanes, eligible);
+      ++evictions_;
+      if (res != nullptr) {
+        res->evicted = true;
+        res->victim_block = tag_of(low, high, victim);
+        res->victim_owner = owner_of(owners[victim]);
+      }
+    }
+    low[victim] = static_cast<std::uint32_t>(block);
+    high[victim] = static_cast<std::uint8_t>(block >> 32);
+    owners[victim] = static_cast<std::uint8_t>(owner);
+    valid = v | std::uint32_t{1} << victim;
+    simd::rank_promote(ranks, kLanes, victim);
+    if (res != nullptr) res->way = victim;
+    return false;
+  }
+
+  /// Prefetch hint for a set: its record's tag line and its metadata line
+  /// (ranks, high tags, owners, validity word).  Side-effect-free: the
+  /// bank merge issues it a few accesses ahead of access() so the set is
+  /// L1-resident by the time it is compared.
+  void prefetch(std::uint32_t set) const {
+    const std::uint8_t* const rec = record(set);
+    simd::prefetch_read(rec);
+    simd::prefetch_write(rec + kLayout.low_bytes);
+  }
+
+ private:
+  static constexpr Layout kLayout = layout_of(kLanes);
+
+  std::uint8_t* record(std::uint32_t set) const {
+    return base_ + std::size_t{set} * kLayout.stride;
+  }
+
+  std::uint8_t* base_;
+  WayMask ways_mask_;
+  CacheStats* stats_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace delta::mem

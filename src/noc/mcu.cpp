@@ -7,7 +7,7 @@ namespace delta::noc {
 MemorySystem::MemorySystem(int num_mcus, int mesh_width, int mesh_height, McuConfig cfg) {
   assert(num_mcus >= 1);
   const auto n = static_cast<std::uint64_t>(num_mcus);
-  count_mask_ = (n & (n - 1)) == 0 ? n - 1 : 0;
+  interleave_ = Interleave{n, n - 1, (n & (n - 1)) == 0};
   mcus_.assign(static_cast<std::size_t>(num_mcus), MemoryController(cfg));
   attach_tiles_.resize(static_cast<std::size_t>(num_mcus));
   // Half the controllers on the top row, half on the bottom row, evenly

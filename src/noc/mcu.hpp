@@ -97,13 +97,20 @@ class MemorySystem {
 
   int num_mcus() const { return static_cast<int>(mcus_.size()); }
 
-  /// Address-interleaved controller choice.  Power-of-two controller counts
-  /// (every Table II machine) use a mask instead of the per-access modulo.
-  int mcu_for(BlockAddr block) const {
-    if (count_mask_ != 0 || mcus_.size() == 1)
-      return static_cast<int>(block & count_mask_);
-    return static_cast<int>(block % static_cast<std::uint64_t>(mcus_.size()));
-  }
+  /// Address-interleaved controller choice as a value, so a loop over
+  /// many blocks (the access engine's bank merge) keeps it in registers.
+  /// Power-of-two controller counts (every Table II machine) use a mask
+  /// instead of the per-access modulo.
+  struct Interleave {
+    std::uint64_t count;  ///< Controllers.
+    std::uint64_t mask;   ///< count - 1; used when `pow2`.
+    bool pow2;
+    int operator()(BlockAddr block) const {
+      return static_cast<int>(pow2 ? block & mask : block % count);
+    }
+  };
+  const Interleave& interleave() const { return interleave_; }
+  int mcu_for(BlockAddr block) const { return interleave_(block); }
 
   /// Mesh tile the controller is attached to (for hop accounting).
   int attach_tile(int mcu) const { return attach_tiles_[mcu]; }
@@ -122,7 +129,7 @@ class MemorySystem {
  private:
   std::vector<MemoryController> mcus_;
   std::vector<int> attach_tiles_;
-  std::uint64_t count_mask_ = 0;  ///< mcus_.size()-1 when a power of two, else 0.
+  Interleave interleave_{};
 };
 
 }  // namespace delta::noc

@@ -48,23 +48,39 @@ void IntraEngine::stage_stream(const EpochAccess& io, CoreId c, CoreStage& st) {
   const BlockAddr* const blocks = st.blocks.data();
   std::uint8_t* const banks = st.banks.data();
   std::uint32_t* const offs = st.offs.data();
-  umon::Umon* const um = s.umon.get();
+  BlockAddr* const sampled = st.sampled.data();
   const EpochPlan::Route& route = io.plan.route[static_cast<std::size_t>(c)];
   const int bank_shift = io.plan.bank_shift;
   const std::size_t n = st.n;
-  // The blocks are already drawn; the monitor sees them in stream order
-  // with the next access's UMON stack prefetched while the current one is
-  // routed and counted.
+  // The monitor's own sampling rule, copied into locals once.  Each block
+  // is appended to the sampled buffer unconditionally and the cursor only
+  // advances past a sampled one, so the loop has no data-dependent branch;
+  // the monitor then takes the sampled blocks in stream order.
+  umon::Umon::Sampler sample{};
+  if constexpr (kMonitor) sample = s.umon->sampler();
+  // Run lengths go to kCounters interleaved count rows: a core sends most
+  // of its accesses to one bank under DELTA, and a single row would chain
+  // every increment through a store and a reload of the same word.
+  constexpr std::size_t kCounters = 4;
+  std::uint32_t counts[kCounters][256] = {};
+  std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const BlockAddr block = blocks[i];
     if constexpr (kMonitor) {
-      um->access(block);
-      if (i + 1 < n) um->prefetch(blocks[i + 1]);
+      sampled[k] = block;
+      k += sample.sampled(block) ? 1 : 0;
     }
     const std::uint8_t bank = route[(block >> bank_shift) & 0xFFu];
     banks[i] = bank;
-    ++offs[static_cast<std::size_t>(bank) + 1];
+    ++counts[i % kCounters][bank];
   }
+  const std::size_t n_banks = st.offs.size() - 1;
+  for (std::size_t b = 0; b < n_banks; ++b) {
+    std::uint32_t len = 0;
+    for (const auto& row : counts) len += row[b];
+    offs[b + 1] = len;
+  }
+  if constexpr (kMonitor) s.umon->feed(sampled, k);
 }
 
 void IntraEngine::stage_core(const EpochAccess& io, CoreId c) {
@@ -82,6 +98,7 @@ void IntraEngine::stage_core(const EpochAccess& io, CoreId c) {
     st.banks.resize(st.n);
     st.idx.resize(st.n);
   }
+  if (s.umon != nullptr && st.sampled.size() < st.n) st.sampled.resize(st.n);
   // The core's whole epoch stream in one draw: one RNG chain, the same
   // blocks batch-by-batch draws would give.
   s.gen->fill(st.blocks.data(), st.n);
@@ -141,23 +158,28 @@ void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
   }
 
   mem::SetAssocCache& bank = io.banks[static_cast<std::size_t>(b)];
+  if (bank.lanes() == 16)
+    merge_bank<16>(io, bank, tally, next);
+  else
+    merge_bank<simd::kMaxRankLanes>(io, bank, tally, next);
+}
+
+template <int kLanes>
+void IntraEngine::merge_bank(const EpochAccess& io, mem::SetAssocCache& cache,
+                             BankTally& tally, std::uint32_t next) {
+  // Everything the loops read per access is a local: the kernel's view of
+  // the bank, the set geometry and the controller interleave.  The kernel
+  // stores its rows through types that may alias anything, so state read
+  // through a pointer would be reloaded after every access.
+  mem::SetAssocCache::Kernel<kLanes> bank(cache);
+  std::vector<Run>& runs = tally.runs;
   const Cycles* const mcu_lat = tally.mcu_lat.data();
-  const int set_shift = plan.set_shift;
-  const std::uint32_t set_mask = plan.set_mask;
-  const auto set_of = [&](BlockAddr block) {
+  std::uint64_t* const mcu_reqs = tally.mcu_reqs.data();
+  const noc::MemorySystem::Interleave mcu_of = io.memsys.interleave();
+  const int set_shift = io.plan.set_shift;
+  const std::uint32_t set_mask = io.plan.set_mask;
+  const auto set_of = [set_shift, set_mask](BlockAddr block) {
     return static_cast<std::uint32_t>(block >> set_shift) & set_mask;
-  };
-  const auto apply = [&](BlockAddr block, const Run& r) {
-    const CoreId c = r.core;
-    const auto ci = static_cast<std::size_t>(c);
-    if (bank.access(set_of(block), block, c, r.mask).hit) {
-      ++tally.hits[ci];
-    } else {
-      const int mcu = memsys.mcu_for(block);
-      tally.miss_lat[ci] += mcu_lat[mcu];
-      ++tally.misses[ci];
-      ++tally.mcu_reqs[static_cast<std::size_t>(mcu)];
-    }
   };
 
   // Canonical merge: the bank sees its accesses in ascending (round, core,
@@ -207,33 +229,67 @@ void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
         seq_runs[q] = static_cast<std::uint8_t>(k);
       }
     }
+    std::uint64_t* const hits = tally.hits.data();
+    std::uint64_t* const misses = tally.misses.data();
+    std::uint64_t* const miss_lat = tally.miss_lat.data();
+    const Run* const run_of = runs.data();
     for (std::size_t q = 0; q < total; ++q) {
-      // Pull a later access's set record toward L1 while this one computes
-      // its victim preference (hint only — no state change).
+      // Pull a later access's set record toward L1 while this one is
+      // applied (hint only — no state change).
       if (q + kPrefetchDistance < total)
-        bank.prefetch_set(set_of(seq_blocks[q + kPrefetchDistance]));
-      apply(seq_blocks[q], runs[seq_runs[q]]);
+        bank.prefetch(set_of(seq_blocks[q + kPrefetchDistance]));
+      const BlockAddr block = seq_blocks[q];
+      const Run& r = run_of[seq_runs[q]];
+      const auto ci = static_cast<std::size_t>(r.core);
+      if (bank.access(set_of(block), block, r.core, r.mask)) {
+        ++hits[ci];
+      } else {
+        const int mcu = mcu_of(block);
+        miss_lat[ci] += mcu_lat[mcu];
+        ++misses[ci];
+        ++mcu_reqs[mcu];
+      }
     }
     return;
   }
 
   // Sparse: few long runs.  One walk per round visits the runs; a run that
   // leaves the round reports its next index, and the lowest of those
-  // starts the next round.
+  // starts the next round.  Each visit (a run segment) keeps its run's
+  // cursor, mask and core and its hit, miss and latency counts in locals,
+  // and writes the counts to the bank tally once when it leaves.
   while (next != UINT32_MAX) {
     // Stream indices below this bound belong to the round.
     const std::uint64_t round_end = (next / batch + 1) * batch;
     next = UINT32_MAX;
     for (Run& r : runs) {
-      while (r.it != r.end && *r.it < round_end) {
-        const BlockAddr block = r.blocks[*r.it];
+      const std::uint32_t* it = r.it;
+      const std::uint32_t* const end = r.end;
+      const BlockAddr* const blocks = r.blocks;
+      const CoreId core = r.core;
+      const mem::WayMask mask = r.mask;
+      std::uint64_t hits = 0, misses = 0, lat = 0;
+      while (it != end && *it < round_end) {
+        const BlockAddr block = blocks[*it];
         // The same hint, along the run.
-        if (static_cast<std::size_t>(r.end - r.it) > kPrefetchDistance)
-          bank.prefetch_set(set_of(r.blocks[r.it[kPrefetchDistance]]));
-        ++r.it;
-        apply(block, r);
+        if (static_cast<std::size_t>(end - it) > kPrefetchDistance)
+          bank.prefetch(set_of(blocks[it[kPrefetchDistance]]));
+        ++it;
+        if (bank.access(set_of(block), block, core, mask)) {
+          ++hits;
+        } else {
+          const int mcu = mcu_of(block);
+          lat += mcu_lat[mcu];
+          ++misses;
+          ++mcu_reqs[mcu];
+        }
       }
-      if (r.it != r.end) next = std::min(next, *r.it);
+      r.it = it;
+      const auto ci = static_cast<std::size_t>(core);
+      tally.hits[ci] += hits;
+      tally.misses[ci] += misses;
+      tally.miss_lat[ci] += lat;
+      if (it != end) next = std::min(next, *it);
     }
   }
 }

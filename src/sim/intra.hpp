@@ -14,14 +14,21 @@
 //
 //   Stage — one task per core: draw the core's whole epoch stream with one
 //     TraceGen::fill (one RNG chain) straight into the core's block
-//     buffer, feed it to the UMON shadow tags and route each access
-//     through the plan to one bank byte, then counting-sort the stream
-//     indices by that byte into one flat index array plus an offs[banks+1]
-//     run table, so run b (the core's accesses to bank b, ascending) is
-//     idx[offs[b], offs[b+1]).  Staging keeps 9 bytes per access (block
-//     and bank) besides the index; the set is not staged.  Buffers keep
-//     their high-water size across epochs and are never re-cleared.  Then
-//     bump stage_done_ (release).
+//     buffer, then run one loop over it that routes each access through
+//     the plan to one bank byte, counts run lengths in four interleaved
+//     rows (a core's accesses mostly share one bank, and one row would
+//     chain every increment through memory) and, when the core has a
+//     UMON, appends the block to a per-core sampled buffer without a
+//     branch: the monitor's own sampling rule (umon::Umon::Sampler, copied
+//     into locals) decides whether the cursor advances.  The monitor then
+//     takes the sampled blocks in stream order (Umon::feed, which
+//     prefetches a stack a few blocks ahead).  Then counting-sort the
+//     stream indices by bank into one flat index array plus an
+//     offs[banks+1] run table, so run b (the core's accesses to bank b,
+//     ascending) is idx[offs[b], offs[b+1]).  Staging keeps 9 bytes per
+//     access (block and bank) besides the index; the set is not staged.
+//     Buffers keep their high-water size across epochs and are never
+//     re-cleared.  Then bump stage_done_ (release).
 //
 //   Apply — one task per bank, once stage_done_ == cores (acquire): collect
 //     the contributors — cores whose run for this bank is non-empty, in
@@ -35,8 +42,17 @@
 //     accesses or more: S-NUCA, LFOC, every core over every bank) first
 //     list their accesses by a stable counting sort by round, whose passes
 //     have no data-dependent branch, and then apply the list.  Either way
-//     the bank sees the exact canonical access sequence.  Each access's
-//     set is recomputed from its block with the plan's set_shift/set_mask.
+//     the bank sees the exact canonical access sequence.  Every access runs
+//     the cache's one hit-or-fill kernel, mem::SetAssocCache::Kernel, at
+//     the bank's lane count (picked once per bank) and held in a local,
+//     as are the set geometry and the controller interleave: the kernel
+//     stores through types that may alias anything, so state read through
+//     a pointer would be reloaded after every access.  The sparse walk
+//     copies each run's cursor, mask and core into locals and counts its
+//     hits, misses and miss latency in locals too, writing them to the
+//     bank tally once per run segment (a run's stay in one round).  Each
+//     access's set is recomputed from its block with the plan's
+//     set_shift/set_mask.
 //     While an access is applied, the set of the
 //     access kPrefetchDistance further along its run (sparse) or the list
 //     (dense) is prefetched.  Each task first builds a
@@ -92,6 +108,7 @@
 
 #include "common/parallel.hpp"
 #include "common/types.hpp"
+#include "mem/cache.hpp"
 #include "mem/replacement.hpp"
 #include "obs/prof/prof.hpp"
 #include "sim/chip.hpp"
@@ -131,6 +148,8 @@ class IntraEngine final : public AccessEngine {
     /// ascending within each run.
     std::vector<std::uint32_t> idx;
     std::vector<std::uint32_t> offs;  ///< banks + 1 run bounds.
+    /// The blocks the core's UMON samples, in stream order; first k live.
+    std::vector<BlockAddr> sampled;
   };
 
   /// One contributor's run in a bank merge.
@@ -167,6 +186,11 @@ class IntraEngine final : public AccessEngine {
   template <bool kMonitor>
   void stage_stream(const EpochAccess& io, CoreId c, CoreStage& st);
   void apply_bank(const EpochAccess& io, BankId b);
+  /// apply_bank's merge over the collected runs, with the bank's kernel at
+  /// its lane count; `next` is the lowest stream index across the runs.
+  template <int kLanes>
+  void merge_bank(const EpochAccess& io, mem::SetAssocCache& cache, BankTally& tally,
+                  std::uint32_t next);
   void reduce_core(const EpochAccess& io, CoreId c);
   /// Feeds per-(core,bank) run occupancy into the profile (kFull).
   void record_buffer_occupancy();

@@ -1,7 +1,6 @@
 #include "umon/umon.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -15,11 +14,10 @@ Umon::Umon(UmonConfig cfg) : cfg_(cfg) {
   assert(cfg_.max_ways >= 1);
   assert(cfg_.set_dilution >= 1);
   assert(cfg_.coarse_ways >= 1);
-  set_mask_ = (std::uint32_t{1} << cfg_.sets_log2) - 1;
   const auto dilution = static_cast<std::uint32_t>(cfg_.set_dilution);
-  dilution_pow2_ = (dilution & (dilution - 1)) == 0;
-  dilution_mask_ = dilution - 1;  // Meaningful only when dilution_pow2_.
-  dilution_shift_ = std::bit_width(dilution) - 1;
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  sampler_ = Sampler{(std::uint32_t{1} << cfg_.sets_log2) - 1, UINT64_MAX / dilution + 1,
+                     kHalf / dilution + (kHalf % dilution != 0 ? 1 : 0)};
   const int sets = 1 << cfg_.sets_log2;
   // Ceiling division: monitored sets are the multiples of set_dilution in
   // [0, sets), so a dilution that does not divide the set count still needs
@@ -71,6 +69,18 @@ void Umon::access_sampled(std::uint32_t stack_idx, BlockAddr block) {
   // Move-to-front: slide [0, pos) down one slot and put the tag on top.
   std::memmove(st + 1, st, pos * sizeof(std::uint32_t));
   st[0] = tag;
+}
+
+void Umon::feed(const BlockAddr* blocks, std::size_t n) {
+  // Far enough ahead to cover a stack line's miss behind the search of the
+  // blocks in between; sampled blocks are sparse, so the window is short.
+  constexpr std::size_t kPrefetchDistance = 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchDistance < n)
+      simd::prefetch_read(stack(sampler_.stack_of(blocks[i + kPrefetchDistance])));
+    assert(sampler_.sampled(blocks[i]));
+    access_sampled(sampler_.stack_of(blocks[i]), blocks[i]);
+  }
 }
 
 double Umon::hits_between(int lo_ways, int hi_ways) const {

@@ -15,6 +15,7 @@
 // to 6 MB.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,24 +37,51 @@ class Umon {
  public:
   explicit Umon(UmonConfig cfg = {});
 
+  /// Dynamic set sampling: the monitored sets are those whose index is a
+  /// multiple of the dilution factor, and a monitored set's stack is its
+  /// index / dilution.  A value, so a caller's loop (the access engine's
+  /// stage loop) can copy it into locals.  Both tests are multiplies by
+  /// precomputed constants, exact for every 32-bit set index and every
+  /// dilution below 2^31, so every dilution, a power of two or not, takes
+  /// the same path: set % d == 0 iff set * ceil(2^64 / d) (mod 2^64) is
+  /// at most ceil(2^64 / d) - 1 (Lemire, Kaser and Kurz, "Faster
+  /// remainder by direct computation", 2019; at d = 1 the constant wraps
+  /// to 0 and every set passes), and set / d is the high bits of set *
+  /// ceil(2^63 / d).
+  struct Sampler {
+    std::uint32_t set_mask;  ///< 2^sets_log2 - 1.
+    std::uint64_t mod_magic; ///< ceil(2^64 / dilution), mod 2^64.
+    std::uint64_t div_magic; ///< ceil(2^63 / dilution).
+    std::uint32_t set_of(BlockAddr block) const {
+      return static_cast<std::uint32_t>(block) & set_mask;
+    }
+    /// True for a monitored block.
+    bool sampled(BlockAddr block) const {
+      return std::uint64_t{set_of(block)} * mod_magic <= mod_magic - 1;
+    }
+    /// The stack a monitored block updates.
+    std::uint32_t stack_of(BlockAddr block) const {
+      return static_cast<std::uint32_t>(
+          (static_cast<unsigned __int128>(div_magic) * set_of(block)) >> 63);
+    }
+  };
+  const Sampler& sampler() const { return sampler_; }
+
   /// Feeds one LLC access (private-L2 miss) into the monitor.  The sampled
   /// set test is inline, so unmonitored blocks (the (dilution-1)/dilution
-  /// majority) cost one mask test at the call site; only sampled blocks
-  /// call out of line.  A sampled block whose stack tag
-  /// (block >> sets_log2) does not fit 32 bits throws std::out_of_range
-  /// before the monitor changes.
+  /// majority) cost one test at the call site; only sampled blocks call
+  /// out of line.  A sampled block whose stack tag (block >> sets_log2)
+  /// does not fit 32 bits throws std::out_of_range before the monitor
+  /// changes.
   void access(BlockAddr block) {
-    std::uint32_t stack_idx;
-    if (sampled(block, stack_idx)) access_sampled(stack_idx, block);
+    if (sampler_.sampled(block)) access_sampled(sampler_.stack_of(block), block);
   }
 
-  /// Prefetch hint for the shadow-tag stack `block` would probe (no-op for
-  /// unmonitored blocks).  Side-effect-free; issued by the chip's access
-  /// pipeline one access ahead so the stack search hits warm lines.
-  void prefetch(BlockAddr block) const {
-    std::uint32_t stack_idx;
-    if (sampled(block, stack_idx)) simd::prefetch_read(stack(stack_idx));
-  }
+  /// access() over blocks[0, n) in order, for a stream that holds only
+  /// the blocks sampler() accepts (unsampled blocks leave the monitor
+  /// unchanged, so dropping them first gives the same state).  The stack
+  /// a few blocks ahead is prefetched while the current one is searched.
+  void feed(const BlockAddr* blocks, std::size_t n);
 
   /// Scaled access/miss totals (sampled counts multiplied by dilution).
   double accesses() const { return scale(sampled_accesses_); }
@@ -90,21 +118,6 @@ class Umon {
   std::uint64_t storage_bits() const;
 
  private:
-  /// Dynamic set sampling: the monitored sets are those whose index is a
-  /// multiple of the dilution factor.  Power-of-two dilutions (the default
-  /// 16) take a mask+shift fast path instead of the divide/modulo pair.
-  /// True for a monitored block, with its stack index in `stack_idx`.
-  bool sampled(BlockAddr block, std::uint32_t& stack_idx) const {
-    const std::uint32_t set = static_cast<std::uint32_t>(block) & set_mask_;
-    if (dilution_pow2_) {
-      stack_idx = set >> dilution_shift_;
-      return (set & dilution_mask_) == 0;
-    }
-    const auto dilution = static_cast<std::uint32_t>(cfg_.set_dilution);
-    stack_idx = set / dilution;
-    return set % dilution == 0;
-  }
-
   /// access() for a monitored block: the shadow-tag stack update.
   void access_sampled(std::uint32_t stack_idx, BlockAddr block);
 
@@ -120,12 +133,7 @@ class Umon {
 
   UmonConfig cfg_;
   int num_stacks_ = 0;
-  // Precomputed access() fast path: set extraction mask plus a mask+shift
-  // pair replacing the divide/modulo when set_dilution is a power of two.
-  std::uint32_t set_mask_ = 0;
-  std::uint32_t dilution_mask_ = 0;
-  int dilution_shift_ = 0;
-  bool dilution_pow2_ = false;
+  Sampler sampler_{};
   /// One LRU stack of 32-bit tags per monitored set, front = MRU: stack i
   /// is tags_[i * max_ways, i * max_ways + depth_[i]).  The tag is
   /// block >> sets_log2, exact because every block of one stack has the

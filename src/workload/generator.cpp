@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace delta::workload {
 
@@ -176,9 +177,19 @@ void TraceGen::fill(BlockAddr* out, std::size_t n) {
   const std::size_t n_thresholds = st.thresholds.size();
   RingState* const rings = st.rings.data();
   // The RNG runs on a local copy, so its state stays in registers across
-  // the batch instead of being stored back after every draw.
+  // the batch instead of being stored back after every draw.  Draws land
+  // in a small on-stack block that is copied out whole: a store through
+  // `out` may alias the ring and threshold words, which the loop would
+  // then reload after every draw, and a store to the local block cannot.
   Rng rng = rng_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = draw(rng, thresholds, n_thresholds, rings);
+  constexpr std::size_t kBlock = 256;
+  BlockAddr block[kBlock];
+  for (std::size_t done = 0; done < n; done += kBlock) {
+    const std::size_t m = std::min(kBlock, n - done);
+    for (std::size_t i = 0; i < m; ++i)
+      block[i] = draw(rng, thresholds, n_thresholds, rings);
+    std::memcpy(out + done, block, m * sizeof(BlockAddr));
+  }
   rng_ = rng;
 }
 

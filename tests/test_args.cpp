@@ -96,6 +96,33 @@ TEST(Args, U64RejectsSignsJunkAndOverflow) {
   EXPECT_THROW((void)a.get_u64("big", 0), std::invalid_argument);
 }
 
+TEST(Args, U64TakesHexadecimalOverTheFullRange) {
+  const ArgParser a = parse({"--seed", "0xCA", "--upper", "0X1f0c", "--max",
+                             "0xFFFFFFFFFFFFFFFF", "--zero", "0x0"});
+  EXPECT_EQ(a.get_u64("seed", 0), 202u);
+  EXPECT_EQ(a.get_u64("upper", 0), 0x1F0Cu);
+  EXPECT_EQ(a.get_u64("max", 0), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(a.get_u64("zero", 1), 0u);
+  // Only the seed getter reads a prefix: an int flag still wants decimal.
+  EXPECT_THROW((void)a.get_int("seed", 0), std::invalid_argument);
+}
+
+TEST(Args, U64HexRejectsSignsJunkAndOverflow) {
+  const ArgParser a = parse({"--neg", "0x-1", "--plus", "0x+5", "--bare", "0x",
+                             "--junk", "0xCG", "--big", "0x10000000000000000",
+                             "--minus-prefix", "-0x1"});
+  for (const char* flag : {"neg", "plus", "bare", "junk", "big", "minus-prefix"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_THROW((void)a.get_u64(flag, 0), std::invalid_argument);
+  }
+  try {
+    (void)a.get_u64("junk", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--junk expects a non-negative integer, got '0xCG'");
+  }
+}
+
 TEST(Args, PositionalArguments) {
   const ArgParser a = parse({"first", "--mix", "w1", "second"});
   ASSERT_EQ(a.positional().size(), 2u);

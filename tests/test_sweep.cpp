@@ -7,10 +7,13 @@
 //   * the live SetAssocCache makes exactly the decisions of
 //     the pre-rewrite array-of-structs engine (bench/legacy_cache.hpp is
 //     the frozen oracle) on randomized traces exercising way masks,
-//     touches and invalidations.
+//     touches and invalidations — through access() and through the
+//     hit-or-fill Kernel the access engine runs, at every way count.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -80,26 +83,66 @@ TEST(Sweep, EmptyAndSingleJobEdgeCases) {
 // The live cache vs the frozen pre-rewrite oracle.
 // ---------------------------------------------------------------------------
 
+/// Which live entry a replay drives.
+enum class Entry {
+  kAccess,  ///< SetAssocCache::access, the AccessResult wrapper.
+  kKernel,  ///< SetAssocCache::Kernel at the cache's lane count, as the
+            ///< access engine's bank merge runs it.
+};
+
+/// The live side of a replay: one demand access through `entry`.  A
+/// kernel lives for the whole replay, as it lives for a whole bank merge;
+/// its counts reach stats() when finish() destroys it.
+class LiveCache {
+ public:
+  LiveCache(std::uint32_t sets, int ways, Entry entry) : cache_(sets, ways) {
+    if (entry == Entry::kKernel && cache_.lanes() == 16) k16_.emplace(cache_);
+    if (entry == Entry::kKernel && cache_.lanes() == 32) k32_.emplace(cache_);
+  }
+  mem::AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner,
+                           mem::WayMask mask) {
+    if (!k16_ && !k32_) return cache_.access(set, block, owner, mask);
+    mem::AccessResult res;
+    const bool hit = k16_ ? k16_->access(set, block, owner, mask, &res)
+                          : k32_->access(set, block, owner, mask, &res);
+    EXPECT_EQ(hit, res.hit);
+    return res;
+  }
+  mem::SetAssocCache& cache() { return cache_; }
+  const mem::CacheStats& finish() {
+    k16_.reset();
+    k32_.reset();
+    return cache_.stats();
+  }
+
+ private:
+  mem::SetAssocCache cache_;
+  std::optional<mem::SetAssocCache::Kernel<16>> k16_;
+  std::optional<mem::SetAssocCache::Kernel<32>> k32_;
+};
+
 /// Replays a randomized trace against both engines, asserting identical
 /// per-access decisions.  `footprint_ways` scales the working set relative
-/// to capacity; `masked` mixes in partial insertion masks like the
-/// partitioned schemes do.  `wide` gives each block
+/// to capacity; `masked` mixes in random insertion masks (some empty: a
+/// bypass) like the partitioned schemes do.  `wide` gives each block
 /// one of four high tag bytes (bits 32-39: 0x00, 0x01, 0x7F, 0xFF), so
 /// lines that share their low 32 bits meet in one set and only the high
 /// byte tells them apart, and draws owners from {0, 1, 127, 254}, the
 /// ends of the one-byte owner lane.
 void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
-                        int ways = 8, bool wide = false) {
+                        int ways = 8, bool wide = false, Entry entry = Entry::kAccess,
+                        int accesses = 200'000) {
   constexpr std::uint32_t kSets = 64;
   constexpr std::uint64_t kHigh[] = {0x00, 0x01, 0x7F, 0xFF};
   constexpr CoreId kWideOwners[] = {0, 1, 127, 254};
-  mem::SetAssocCache soa(kSets, ways);
+  LiveCache live(kSets, ways, entry);
+  mem::SetAssocCache& soa = live.cache();
   bench::legacy::SetAssocCache aos(kSets, ways);
   Rng rng(seed);
   const auto draw_owner = [&] {
     return wide ? kWideOwners[rng.below(4)] : static_cast<CoreId>(rng.below(4));
   };
-  for (int i = 0; i < 200'000; ++i) {
+  for (int i = 0; i < accesses; ++i) {
     BlockAddr block =
         rng.below(std::uint64_t{kSets} * static_cast<std::uint64_t>(footprint_ways));
     if (wide) block |= kHigh[rng.below(4)] << 32;
@@ -119,7 +162,7 @@ void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
       EXPECT_EQ(soa.invalidate(set, block), aos.invalidate(set, block));
       continue;
     }
-    const mem::AccessResult a = soa.access(set, block, owner, mask);
+    const mem::AccessResult a = live.access(set, block, owner, mask);
     const mem::AccessResult b = aos.access(set, block, owner, mask);
     ASSERT_EQ(a.hit, b.hit) << "access " << i;
     ASSERT_EQ(a.way, b.way) << "access " << i;
@@ -129,8 +172,9 @@ void replay_and_compare(std::uint64_t seed, int footprint_ways, bool masked,
       ASSERT_EQ(a.victim_owner, b.victim_owner) << "access " << i;
     }
   }
-  EXPECT_EQ(soa.stats().hits, aos.hits());
-  EXPECT_EQ(soa.stats().misses, aos.misses());
+  const mem::CacheStats& stats = live.finish();
+  EXPECT_EQ(stats.hits, aos.hits());
+  EXPECT_EQ(stats.misses, aos.misses());
 }
 
 TEST(CacheEquivalence, HitHeavyFullMask) { replay_and_compare(1, 6, false); }
@@ -156,6 +200,96 @@ TEST(CacheEquivalence, FortyBitTagsAndHighOwnersAtEveryStride) {
                          /*wide=*/true);
     }
   }
+}
+
+// The engine's kernel at every way count: 1-16 run the 16-lane
+// instantiation, 17-32 the 32-lane one.  Full masks, random masks (empty
+// ones included) and 40-bit tags with one-byte owners, each against the
+// oracle.
+TEST(CacheEquivalence, KernelAtEveryWayCount) {
+  for (int ways = 1; ways <= 32; ++ways) {
+    for (const bool masked : {false, true}) {
+      for (const bool wide : {false, true}) {
+        SCOPED_TRACE(testing::Message() << ways << " ways, masked " << masked << ", wide "
+                                        << wide);
+        replay_and_compare(200 + static_cast<std::uint64_t>(ways), ways + ways / 2 + 1,
+                           masked, ways, wide, Entry::kKernel, 40'000);
+      }
+    }
+  }
+}
+
+/// Every line of a cache, in (set, way) order, for before/after compares.
+std::vector<std::tuple<std::uint32_t, int, BlockAddr, CoreId>> lines_of(
+    const mem::SetAssocCache& c) {
+  std::vector<std::tuple<std::uint32_t, int, BlockAddr, CoreId>> out;
+  c.for_each_line([&](std::uint32_t s, int w, BlockAddr b, CoreId o) {
+    out.emplace_back(s, w, b, o);
+  });
+  return out;
+}
+
+// An empty mask counts a miss and changes nothing else: no fill and no
+// promote, so the LRU line of a full set is still the next victim.
+TEST(CacheEquivalence, KernelEmptyMaskCountsAMissOnly) {
+  for (const int ways : {4, 16, 24, 32}) {
+    SCOPED_TRACE(testing::Message() << ways << " ways");
+    LiveCache live(2, ways, Entry::kKernel);
+    const mem::WayMask all = mem::full_mask(ways);
+    for (int w = 0; w < ways; ++w)
+      EXPECT_FALSE(live.access(0, static_cast<BlockAddr>(w), 0, all).hit);
+    const auto before = lines_of(live.cache());
+    const mem::AccessResult bypass = live.access(0, 1000, 0, 0);
+    EXPECT_FALSE(bypass.hit);
+    EXPECT_FALSE(bypass.evicted);
+    EXPECT_EQ(bypass.way, -1);
+    EXPECT_EQ(lines_of(live.cache()), before);
+    // Block 0 is still the LRU line: the next fill evicts it.
+    const mem::AccessResult fill = live.access(0, 1001, 1, all);
+    EXPECT_TRUE(fill.evicted);
+    EXPECT_EQ(fill.victim_block, 0u);
+    const mem::CacheStats& stats = live.finish();
+    EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(ways) + 2);
+    EXPECT_EQ(stats.hits, 0u);
+  }
+}
+
+// A block at or above 2^40 or owner 255 throws on a miss before the
+// kernel changes anything: lines, ranks (the next victim) and counts.
+TEST(CacheEquivalence, KernelRejectsUnfitBlocksAndOwnersBeforeAnyChange) {
+  const BlockAddr limit = BlockAddr{1} << 40;
+  for (const int ways : {1, 16, 17, 32}) {
+    SCOPED_TRACE(testing::Message() << ways << " ways");
+    const mem::WayMask all = mem::full_mask(ways);
+    LiveCache warm(2, ways, Entry::kKernel);
+    for (int w = 0; w < ways; ++w) warm.access(0, static_cast<BlockAddr>(w), 0, all);
+    warm.access(0, 0, 0, all);  // Block 0 is MRU; block 1 (or 0) is LRU.
+    const mem::CacheStats counts = warm.finish();
+    const auto before = lines_of(warm.cache());
+
+    LiveCache live(2, ways, Entry::kKernel);
+    for (int w = 0; w < ways; ++w) live.access(0, static_cast<BlockAddr>(w), 0, all);
+    live.access(0, 0, 0, all);
+    EXPECT_THROW(live.access(0, limit, 0, all), std::out_of_range);
+    EXPECT_THROW(live.access(0, ~BlockAddr{0}, 0, 0), std::out_of_range);
+    EXPECT_THROW(live.access(0, 5000, 255, all), std::out_of_range);
+    EXPECT_THROW(live.access(0, 5000, kInvalidCore, all), std::out_of_range);
+    EXPECT_EQ(lines_of(live.cache()), before);
+    // The victim order is untouched too.
+    const mem::AccessResult fill = live.access(0, 5000, 3, all);
+    EXPECT_TRUE(fill.evicted);
+    EXPECT_EQ(fill.victim_block, ways == 1 ? 0u : 1u);
+    const mem::CacheStats& stats = live.finish();
+    EXPECT_EQ(stats.hits, counts.hits);
+    EXPECT_EQ(stats.misses, counts.misses + 1);
+    EXPECT_EQ(stats.evictions, counts.evictions + 1);
+  }
+}
+
+TEST(CacheEquivalence, KernelAtTheWrongLaneCountThrows) {
+  mem::SetAssocCache narrow(2, 16), wide(2, 17);
+  EXPECT_THROW(mem::SetAssocCache::Kernel<32>{narrow}, std::logic_error);
+  EXPECT_THROW(mem::SetAssocCache::Kernel<16>{wide}, std::logic_error);
 }
 
 }  // namespace

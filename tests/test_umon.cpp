@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -184,6 +185,87 @@ TEST(Umon, SampledBlockWithWideTagThrowsBeforeAnyChange) {
   EXPECT_DOUBLE_EQ(u.hits_between(0, 1), 32.0);
   // An unsampled block (set 1) never reaches a stack, whatever its tag.
   EXPECT_NO_THROW(u.access(((widest + 1) << 9) | 1));
+}
+
+// The sampler is the monitor's set-sampling rule: a set is monitored iff
+// its index is a multiple of the dilution, and its stack is index /
+// dilution.  Checked over every set for power-of-two and other dilutions.
+TEST(Umon, SamplerIsExactDivisionAtAnyDilution) {
+  for (const int dilution : {1, 2, 3, 5, 7, 16, 33, 100, 4095, 4096, 5000}) {
+    SCOPED_TRACE(dilution);
+    UmonConfig cfg;
+    cfg.max_ways = 4;
+    cfg.sets_log2 = 12;
+    cfg.set_dilution = dilution;
+    const Umon u(cfg);
+    const Umon::Sampler sample = u.sampler();
+    const auto d = static_cast<std::uint32_t>(dilution);
+    for (std::uint32_t set = 0; set < (1u << 12); ++set) {
+      // High bits above the set index leave the choice alone.
+      const BlockAddr block = (BlockAddr{0xABCDE} << 12) | set;
+      ASSERT_EQ(sample.sampled(block), set % d == 0) << set;
+      ASSERT_EQ(sample.stack_of(block), set / d) << set;
+    }
+  }
+}
+
+// The same rule at the top of the widest set range a monitor holds
+// (2^30 sets: 1 << sets_log2 is an int): multiples of the dilution, their
+// neighbours and random sets all divide exactly.
+TEST(Umon, SamplerIsExactAtWideSetIndices) {
+  constexpr std::uint64_t kSets = std::uint64_t{1} << 30;
+  for (const int dilution : {1 << 20, 1000003, 1 << 29, (1 << 30) - 1}) {
+    SCOPED_TRACE(dilution);
+    UmonConfig cfg;
+    cfg.max_ways = 1;
+    cfg.sets_log2 = 30;
+    cfg.set_dilution = dilution;
+    const Umon::Sampler sample = Umon(cfg).sampler();
+    const auto d = static_cast<std::uint64_t>(dilution);
+    std::vector<std::uint64_t> sets = {0, 1, kSets - 1, kSets - 2};
+    for (std::uint64_t m = d; m + 1 < kSets; m += d) {
+      sets.push_back(m - 1);
+      sets.push_back(m);
+      sets.push_back(m + 1);
+    }
+    Rng rng(static_cast<std::uint64_t>(dilution));
+    for (int i = 0; i < 10'000; ++i) sets.push_back(rng.below(kSets));
+    for (const std::uint64_t set : sets) {
+      ASSERT_EQ(sample.sampled(set), set % d == 0) << set;
+      ASSERT_EQ(sample.stack_of(set), set / d) << set;
+    }
+  }
+}
+
+// The access engine's stage loop keeps only the blocks the sampler accepts
+// and feeds them in stream order; the monitor must end in exactly the
+// state per-access access() leaves, at the default dilution and at a
+// non-power-of-two one.
+TEST(Umon, SampledFeedMatchesPerAccessUpdates) {
+  for (const int dilution : {16, 3}) {
+    SCOPED_TRACE(dilution);
+    UmonConfig cfg;
+    cfg.max_ways = 48;
+    cfg.set_dilution = dilution;
+    Umon per_access(cfg), fed(cfg);
+    const Umon::Sampler sample = fed.sampler();
+    Rng rng(17);
+    std::vector<BlockAddr> stream(60'000);
+    for (BlockAddr& b : stream) b = rng.below(512 * 40);
+    std::vector<BlockAddr> sampled;
+    for (const BlockAddr b : stream) {
+      per_access.access(b);
+      if (sample.sampled(b)) sampled.push_back(b);
+    }
+    // Fed in uneven chunks, as epochs of different lengths would.
+    for (std::size_t i = 0; i < sampled.size(); i += 777)
+      fed.feed(sampled.data() + i, std::min<std::size_t>(777, sampled.size() - i));
+    EXPECT_EQ(fed.sampled_accesses(), per_access.sampled_accesses());
+    EXPECT_GT(fed.sampled_accesses(), 0u);
+    EXPECT_DOUBLE_EQ(fed.misses_at_max(), per_access.misses_at_max());
+    EXPECT_EQ(fed.miss_curve().raw(), per_access.miss_curve().raw());
+    EXPECT_EQ(fed.coarse_miss_curve().raw(), per_access.coarse_miss_curve().raw());
+  }
 }
 
 }  // namespace

@@ -8,9 +8,15 @@ Runs `perfbench/run.py` once in each checkout per pair, --pairs times,
 alternating which side goes first so a drift in host load falls on both
 sides alike. Each run builds its own checkout (the first build is the slow
 one). Prints, per metric, each side's median and interquartile range, the
-median of the per-pair change/base ratios, and in how many pairs the change
-was better. Which direction is better comes from the change checkout's
-BENCHMARK.json (lower when a metric is not listed there).
+median of the per-pair change/base ratios, in how many pairs the change
+was better, and then one `verdict METRIC: ...` line per metric on the gain
+rule: "gain" when the change won at
+least 9 in 10 pairs and its median beats the base median by more than the
+base IQR, "no gain" otherwise, and "unresolved" when the base IQR is wider,
+relative to the base median, than the metric's `bound` (then no gain or
+regression that size can be told from noise). Which direction is better,
+and each bound, come from the change checkout's BENCHMARK.json (lower, and
+no bound, when a metric is not listed there).
 
 Exit status: 0 when every run reported `correct: true` and `failed: 0`;
 1 when any run did not, or printed no result; 2 on a usage error.
@@ -36,23 +42,38 @@ def run_side(checkout: Path, args) -> dict:
     return json.loads(lines[-1])
 
 
-def directions(checkout: Path) -> dict:
-    """Metric name -> 'lower' or 'higher', from BENCHMARK.json if present."""
+def metric_specs(checkout: Path) -> dict:
+    """Metric name -> its BENCHMARK.json entry ('better', maybe 'bound')."""
     path = checkout / "BENCHMARK.json"
     if not path.is_file():
         return {}
     spec = json.loads(path.read_text())
-    return {m["name"]: m["better"]
+    return {m["name"]: m
             for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
-def spread(values) -> str:
-    """'median [q1, q3]'; a single value is its own quartiles."""
+def quartiles(values):
+    """(q1, median, q3); a single value is its own quartiles."""
     if len(values) == 1:
-        q1 = med = q3 = values[0]
-    else:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def spread(values) -> str:
+    """'median [q1, q3]'."""
+    q1, med, q3 = quartiles(values)
     return f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def verdict(base, change, wins: int, lower: bool, bound) -> str:
+    """The gain rule for one metric (see the module docstring)."""
+    q1, base_med, q3 = quartiles(base)
+    if bound is not None and base_med != 0 and (q3 - q1) / abs(base_med) > bound:
+        return "unresolved"
+    gap = base_med - statistics.median(change)
+    if not lower:
+        gap = -gap
+    return "gain" if 10 * wins >= 9 * len(base) and gap > q3 - q1 else "no gain"
 
 
 def main() -> int:
@@ -93,21 +114,26 @@ def main() -> int:
         print(f"ab_pairs: pair {i + 1}/{args.pairs} done ({order[0]} first)",
               file=sys.stderr)
 
-    better = directions(args.change)
+    specs = metric_specs(args.change)
     names = [k for k in runs["base"][0] if all(k in r for r in runs["change"])]
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
           f"{args.seconds:g} s per run")
     print(f"{'metric':<16} {'base median [IQR]':>30} {'change median [IQR]':>30} "
           f"{'ratio':>7} {'wins':>7}")
+    verdicts = []
     for name in names:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
-        lower = better.get(name, "lower") == "lower"
+        spec = specs.get(name, {})
+        lower = spec.get("better", "lower") == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         ratios = [c / b for b, c in zip(base, change) if b != 0]
         ratio = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
         print(f"{name:<16} {spread(base):>30} {spread(change):>30} {ratio:>7} "
               f"{wins:>4}/{args.pairs}")
+        verdicts.append(f"verdict {name}: "
+                        f"{verdict(base, change, wins, lower, spec.get('bound'))}")
+    print("\n".join(verdicts))
     return 0 if ok else 1
 
 

@@ -33,7 +33,8 @@ Options:
                       (default 1; 0 = hardware threads).  Byte-identical
                       at any value, so combined with the determinism check
                       this drives the engine's threading end to end.
-  --repro SEED        Run exactly one seed, verbose, and exit.
+  --repro SEED        Run exactly one seed, verbose, and exit.  Seeds
+                      are decimal or 0x-prefixed hexadecimal.
   --sweep-interval N  Residency-sweep cadence in epochs (default 4, 0 = off).
   --out-dir DIR       Write summary JSON + per-failure reports into DIR.
   --no-invariants     Skip the per-epoch invariant checker.

@@ -31,6 +31,26 @@ BENCHMARK = """{"end_to_end": [
   {"name": "run_ms", "better": "lower"},
   {"name": "accesses_per_s", "better": "higher"}]}"""
 
+# A stub whose run_ms walks a fixed series, one value per run of its side
+# (it counts its own earlier runs in the shared log).
+SERIES_STUB = textwrap.dedent("""\
+    import json
+    with open({log!r}, "a+") as f:
+        f.seek(0)
+        runs = f.read().split().count({side!r})
+        f.write({side!r} + "\\n")
+    series = {series!r}
+    print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                      "metrics": {{
+                          "run_ms": {{"value": series[runs % len(series)],
+                                      "unit": "ms"}},
+                          "accesses_per_s": {{"value": 1.0e7, "unit": "1/s"}}}}}}))
+    """)
+
+BOUNDED_BENCHMARK = """{"end_to_end": [
+  {"name": "run_ms", "better": "lower", "bound": 0.25},
+  {"name": "accesses_per_s", "better": "higher", "bound": 0.25}]}"""
+
 
 class AbPairsTest(unittest.TestCase):
     def setUp(self):
@@ -49,6 +69,22 @@ class AbPairsTest(unittest.TestCase):
         with open(os.path.join(root, "BENCHMARK.json"), "w") as f:
             f.write(BENCHMARK)
         return root
+
+    def series_checkout(self, side, series):
+        root = os.path.join(self.tmp.name, side)
+        os.makedirs(os.path.join(root, "perfbench"))
+        with open(os.path.join(root, "perfbench", "run.py"), "w") as f:
+            f.write(SERIES_STUB.format(log=self.log, side=side, series=series))
+        with open(os.path.join(root, "BENCHMARK.json"), "w") as f:
+            f.write(BOUNDED_BENCHMARK)
+        return root
+
+    def verdict(self, stdout, metric):
+        prefix = f"verdict {metric}: "
+        for line in stdout.splitlines():
+            if line.startswith(prefix):
+                return line[len(prefix):]
+        self.fail(f"no verdict for {metric} in:\n{stdout}")
 
     def run_pairs(self, base, change, pairs, cwd=None):
         return subprocess.run(
@@ -86,6 +122,41 @@ class AbPairsTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertTrue(self.row(r.stdout, "run_ms").endswith("0/3"))
         self.assertTrue(self.row(r.stdout, "accesses_per_s").endswith("0/3"))
+
+    def test_verdict_needs_nine_in_ten_wins_and_a_gap_past_the_iqr(self):
+        # Base IQR over 10 runs is [101, 103]: a change at 90-95 wins 10 of
+        # 10 with its median 10 below the base's, past the 2-wide IQR.
+        base = self.series_checkout("base", [100, 104, 102, 101, 103] * 2)
+        change = self.series_checkout("change", [90, 95, 92, 91, 93] * 2)
+        r = self.run_pairs(base, change, 10)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertEqual(self.verdict(r.stdout, "run_ms"), "gain")
+        # Equal rates win no pair.
+        self.assertEqual(self.verdict(r.stdout, "accesses_per_s"), "no gain")
+
+    def test_a_gap_inside_the_iqr_or_too_few_wins_is_no_gain(self):
+        # Wins every pair but by 1 ms, inside the base's 2-wide IQR.
+        base = self.series_checkout("base", [100, 104, 102, 101, 103] * 2)
+        change = self.series_checkout("change", [99, 103, 101, 100, 102] * 2)
+        r = self.run_pairs(base, change, 10)
+        self.assertEqual(self.verdict(r.stdout, "run_ms"), "no gain")
+
+    def test_eight_of_ten_wins_is_no_gain(self):
+        base = self.series_checkout("base", [100] * 10)
+        change = self.series_checkout("change", [80] * 8 + [120] * 2)
+        r = self.run_pairs(base, change, 10)
+        self.assertTrue(self.row(r.stdout, "run_ms").endswith("8/10"))
+        self.assertEqual(self.verdict(r.stdout, "run_ms"), "no gain")
+
+    def test_a_base_spread_past_the_bound_is_unresolved(self):
+        # Base IQR [100, 140] is 0.33 of its 120 median, past the 0.25
+        # bound: even a change that wins every pair cannot be told apart.
+        base = self.series_checkout("base", [100, 140, 120, 100, 140] * 2)
+        change = self.series_checkout("change", [50] * 10)
+        r = self.run_pairs(base, change, 10)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertTrue(self.row(r.stdout, "run_ms").endswith("10/10"))
+        self.assertEqual(self.verdict(r.stdout, "run_ms"), "unresolved")
 
     def test_incorrect_run_exits_nonzero(self):
         base = self.checkout("base", run_ms=100.0, rate=2.0e7)

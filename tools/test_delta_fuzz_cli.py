@@ -37,6 +37,10 @@ class DeltaFuzzCliTest(unittest.TestCase):
             (["--sweep-interval", "-4"], "--sweep-interval must be >= 0, got -4"),
             (["--repro", "x1"], "--repro expects a non-negative integer, got 'x1'"),
             (["--repro", "-1"], "--repro expects a non-negative integer, got '-1'"),
+            (["--repro", "0xZZ"],
+             "--repro expects a non-negative integer, got '0xZZ'"),
+            (["--repro", "0x10000000000000000"],
+             "--repro expects a non-negative integer, got '0x10000000000000000'"),
             (["--seed-base", "-1"],
              "--seed-base expects a non-negative integer, got '-1'"),
             (["--metrics-out", ""], "--metrics-out needs a file path"),
@@ -55,6 +59,15 @@ class DeltaFuzzCliTest(unittest.TestCase):
                 self.assertIn("unknown flag: " + flag, r.stderr)
                 self.assertIn("Options:", r.stderr)
                 self.assertEqual(r.stdout, "")
+
+    def test_hex_seed_replays_the_decimal_seed(self):
+        # The regression tests pin seeds in hex (tests/test_fuzz.cpp), so a
+        # pinned seed pastes straight into the replay command.
+        hex_run = self.run_fuzz("--repro", "0xCA")
+        dec_run = self.run_fuzz("--repro", "202")
+        self.assertEqual(hex_run.returncode, dec_run.returncode, hex_run.stderr)
+        self.assertIn("seed 202 mix: ", hex_run.stdout)
+        self.assertEqual(hex_run.stdout, dec_run.stdout)
 
     def test_valid_small_batch_still_succeeds(self):
         r = self.run_fuzz("--seeds", "1", "--no-determinism")
