@@ -1,6 +1,6 @@
 # Reproduction harnesses: `repro` renders every paper figure/table, the
 # scheme shootout, the ablations and the extension studies from one pooled
-# sweep (`repro --fig <id>`, e.g. `--fig ablation,cbt,mt,underutilized`);
+# sweep (`repro --fig <id>`, e.g. `--fig ablation,cbt,underutilized`);
 # the google-benchmark microbenches are their own binary.  micro_throughput
 # gates the cache and SIMD kernels against floors compiled into it;
 # perfbench/ is the end-to-end benchmark.  See DESIGN.md Sec. 4 for the

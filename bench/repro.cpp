@@ -1,8 +1,7 @@
 // Reproduction driver: the paper's figures and tables (Sec. IV, Figs. 5-13,
 // Tables V-VI, Sec. IV-E2), the six-scheme literature shootout, the
 // irregular-mix extension, the DELTA-knob and CBT ablations and the
-// multithreaded and under-utilised-chip extensions, all from one table of
-// entries.
+// under-utilised-chip extension, all from one table of entries.
 //
 // Each entry declares the simulations it needs as sim::SweepJobs.  The
 // driver pools the jobs of the requested entries, drops duplicates by value
@@ -10,18 +9,17 @@
 // paper-scheme run of fig05/fig09, cbt the ablation's baseline ...), runs
 // each distinct job once through sim::run_sweep and hands every renderer
 // its own results in declaration order.  Work that is not a mix run (12,
-// table5, table6, cbt's footprint spread, mt) computes inside its renderer.
+// table5, table6, cbt's footprint spread) computes inside its renderer.
 //
 // Usage: repro [--fig ID[,ID...]] [--quick] [--out FILE] [--jobs N] [--prof-*]
 //   --fig    entries to render, always in table order: 5..13, table5,
-//            table6, msg, shootout, irregular, ablation, cbt, mt,
+//            table6, msg, shootout, irregular, ablation, cbt,
 //            underutilized (default: all of them).
 //   --quick  shootout's CI protocol for every entry: warmup 5 / measure 15
 //            epochs, the first six Table IV mixes instead of all 15 and wi1
 //            alone of the irregular mixes.  Entries on named mixes keep
 //            them (ablation, cbt and underutilized too: they keep their
-//            mixes and knob points and run the short epochs); mt runs
-//            15'000 accesses per thread instead of 60'000; 12, table5,
+//            mixes and knob points and run the short epochs); 12, table5,
 //            table6 and cbt's footprint spread have no epochs and are
 //            unchanged.  Fifteen epochs are too few for DELTA's knobs to
 //            show: 21 of ablation's 23 knob points and both cbt runs read
@@ -37,7 +35,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <functional>
 #include <span>
 #include <string>
@@ -50,7 +47,6 @@
 #include "common/rng.hpp"
 #include "core/controller.hpp"
 #include "mem/address.hpp"
-#include "sim/mt_sim.hpp"
 #include "sim/splash_estimator.hpp"
 #include "workload/generator.hpp"
 #include "workload/mixes.hpp"
@@ -330,34 +326,17 @@ std::string fig11(const Protocol&, const Results& c, unsigned) {
 // gains ~6% over S-NUCA, lu.ncont (~all-shared) matches S-NUCA while the
 // private configuration loses ~10%.
 
-/// The piecewise SPLASH estimates (sim::config16, seed 17) for every
-/// profile at `accesses_per_thread`.  fig12 and mt both read them, and at
-/// the full protocol with the same length, so each length is computed
-/// once per process.  Renderers run one after another, so the memo needs
-/// no lock.
-const std::vector<sim::SplashEstimate>& splash_estimates(std::uint64_t accesses_per_thread,
-                                                         unsigned jobs) {
-  static std::map<std::uint64_t, std::vector<sim::SplashEstimate>> memo;
-  std::vector<sim::SplashEstimate>& estimates = memo[accesses_per_thread];
-  if (estimates.empty()) {
-    const sim::MachineConfig cfg = sim::config16();
-    sim::SplashConfig scfg;
-    scfg.accesses_per_thread = accesses_per_thread;
-    const auto& profiles = workload::splash_profiles();
-    estimates = bench::parallel_map(profiles.size(), jobs, [&](std::size_t i) {
-      return sim::estimate_splash(profiles[i], cfg, scfg);
-    });
-  }
-  return estimates;
-}
-
 std::string fig12(const Protocol&, const Results&, unsigned jobs) {
   std::string out = bench::header("Fig. 12 — SPLASH2 on 16 cores (piecewise estimate)",
                                   "Sec. IV-C, Fig. 12");
   TextTable table({"app", "priv-pages%", "delta/snuca", "private/snuca"});
+  const sim::MachineConfig cfg = sim::config16();
+  const auto& profiles = workload::splash_profiles();
+  const std::vector<sim::SplashEstimate> estimates =
+      bench::parallel_map(profiles.size(), jobs,
+                          [&](std::size_t i) { return sim::estimate_splash(profiles[i], cfg); });
   std::vector<double> delta_sp, priv_sp;
-  for (const sim::SplashEstimate& e :
-       splash_estimates(sim::SplashConfig{}.accesses_per_thread, jobs)) {
+  for (const sim::SplashEstimate& e : estimates) {
     delta_sp.push_back(e.delta_speedup);
     priv_sp.push_back(e.private_speedup);
     table.add_row({e.app, fmt(e.private_pages_pct, 1), fmt(e.delta_speedup, 3),
@@ -517,8 +496,7 @@ std::string table6(const Protocol&, const Results&, unsigned) {
   }
   std::vector<core::TileInput> inputs(64);
   for (int i = 0; i < 64; ++i)
-    inputs[i] = {&umons[static_cast<std::size_t>(i)], 2.0, true,
-                 static_cast<std::uint32_t>(i + 1)};
+    inputs[i] = {&umons[static_cast<std::size_t>(i)], 2.0, true};
   std::uint64_t e = 0;
   const double t_delta = time_ms(
       [&] {
@@ -852,58 +830,6 @@ std::string cbt(const Protocol&, const Results& r, unsigned jobs) {
   return out;
 }
 
-// --- Integrated multithreaded DELTA vs the paper's estimate ---------------
-//
-// Not a paper figure: Fig. 12 revisited with the *integrated* multithreaded
-// simulation (Sec. II-E executed directly: page classifier + S-NUCA fallback
-// + page-flip invalidations + same-process challenge rejection) instead of
-// the paper's piecewise reconstruction, which the paper leaves to future
-// work (Sec. IV-C).  The runs are sim::run_multithreaded calls, not
-// SweepJobs, so the renderer fans them over the --jobs threads itself.
-
-std::string mt(const Protocol& p, const Results&, unsigned jobs) {
-  std::string out =
-      bench::header("Extension — integrated multithreaded DELTA vs the paper's estimate",
-                    "Sec. II-E / IV-C future-work extension");
-  const sim::MachineConfig cfg = sim::config16();
-  sim::MtConfig mtc;
-  if (p.quick) mtc.accesses_per_thread = 15'000;
-  const auto& profiles = workload::splash_profiles();
-
-  // One (profile, scheme) run per slot: DELTA at 2i, S-NUCA at 2i + 1.
-  constexpr std::array<sim::SchemeKind, 2> kMtSchemes = {sim::SchemeKind::kDelta,
-                                                         sim::SchemeKind::kSnuca};
-  const std::vector<sim::MtResult> runs =
-      bench::parallel_map(2 * profiles.size(), jobs, [&](std::size_t i) {
-        return sim::run_multithreaded(cfg, profiles[i / 2], kMtSchemes[i % 2], mtc);
-      });
-  const std::vector<sim::SplashEstimate>& estimates =
-      splash_estimates(mtc.accesses_per_thread, jobs);
-
-  TextTable table({"app", "delta/snuca (integrated)", "delta/snuca (estimate)",
-                   "reclassified pages", "flip-invalidated lines"});
-  std::vector<double> integrated, estimated;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const sim::MtResult& d = runs[2 * i];
-    const double direct = runs[2 * i + 1].roi_cycles / d.roi_cycles;
-    integrated.push_back(direct);
-    estimated.push_back(estimates[i].delta_speedup);
-    table.add_row({profiles[i].name, fmt(direct, 3), fmt(estimates[i].delta_speedup, 3),
-                   std::to_string(d.reclassifications),
-                   std::to_string(d.page_invalidation_lines)});
-  }
-  appendf(out, "\n%s\n", table.str().c_str());
-  appendf(out, "suite geomean speedup over S-NUCA: integrated %.3f, estimate %.3f\n",
-          geomean(integrated), geomean(estimated));
-  appendf(out,
-          "(two models, not a validation: the estimate charges a flat 340 cycles\n"
-          "per miss and sends every access of its private baseline through the\n"
-          "MESIF directory; the integrated run charges the mesh round trip to the\n"
-          "MCU plus its queued request latency, routes shared pages to S-NUCA\n"
-          "banks with no directory, and also charges reclassification costs)\n");
-  return out;
-}
-
 // --- Under-utilised chips: the idle-bank fast path ------------------------
 //
 // Not a paper figure: the paper argues (Sec. II-B1 and IV-B) that
@@ -988,7 +914,6 @@ constexpr Entry kEntries[] = {
     {"irregular", irregular_jobs, irregular},
     {"ablation", ablation_jobs, ablation},
     {"cbt", cbt_jobs, cbt},
-    {"mt", no_jobs, mt},
     {"underutilized", underutilized_jobs, underutilized},
 };
 

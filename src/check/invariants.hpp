@@ -142,7 +142,9 @@ class InvariantChecker : public sim::EpochChecker {
 };
 
 // ---- MESIF directory invariants (standalone: the directory is exercised
-// by the multithreaded support path and by tests, not by Chip). ----
+// by the SPLASH estimator's private baseline and by tests, not by Chip).
+// Both sweep the directory's dense table, whose non-empty entries
+// for_each_entry visits in ascending block order. ----
 
 /// Per-entry state rules: Invalid entries have no sharers, E/M exactly one,
 /// Shared at least one with any designated forwarder among them, and no
@@ -151,9 +153,8 @@ void check_directory(const mem::MesifDirectory& dir, std::uint64_t epoch,
                      std::vector<Violation>& out);
 
 /// Sharer-implies-resident cross-check against the caller's cache state.
-/// Only meaningful when caches and directory are kept in lockstep (the
-/// mt_sim private-fill path evicts without notifying the directory, so it
-/// is *not* a valid caller).
+/// Only meaningful when caches and directory are kept in lockstep: every
+/// cache eviction calls MesifDirectory::on_evict.
 void check_directory_agreement(
     const mem::MesifDirectory& dir,
     const std::function<bool(CoreId, BlockAddr)>& resident, std::uint64_t epoch,

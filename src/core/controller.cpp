@@ -71,7 +71,6 @@ void DeltaController::snapshot_pain_gain(std::span<const TileInput> inputs) {
     const TileInput& in = inputs[static_cast<std::size_t>(c)];
     s.active = in.active && in.umon != nullptr;
     s.mlp = in.mlp > 0.0 ? in.mlp : 1.0;
-    s.process_id = in.process_id;
     if (!s.active) {
       s.pg = PainGain{};
       continue;
@@ -148,15 +147,6 @@ void DeltaController::inter_bank(std::span<const TileInput> inputs, TickResult& 
                    /*other=*/-1, /*count=*/0, challenger_gain);
 
     const Snapshot& ts = snap_[static_cast<std::size_t>(target)];
-    // Sec. II-E: threads of the same process do not compete for capacity.
-    // Process id 0 means "unspecified" (multi-programmed default).
-    if (ts.active && ts.process_id != 0 && ts.process_id == cs.process_id) {
-      if (rec_ != nullptr)
-        rec_->record(obs::EventKind::kChallengeLost, obs_epoch_, challenger,
-                     target, /*other=*/-1, /*count=*/0, challenger_gain);
-      continue;
-    }
-
     // Idle-bank fast path: an unused home bank is handed over wholesale.
     if (!ts.active && bank.ways_of(static_cast<CoreId>(target)) > 0) {
       const int grabbed =

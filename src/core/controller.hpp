@@ -35,8 +35,7 @@ namespace delta::core {
 struct TileInput {
   const umon::Umon* umon = nullptr;
   double mlp = 1.0;
-  bool active = true;          ///< False == idle core (idle-bank fast path).
-  std::uint32_t process_id = 0;  ///< Sec. II-E: same-process challenges fail.
+  bool active = true;  ///< False == idle core (idle-bank fast path).
 };
 
 /// One chunk whose bank placement changed: the owning core's lines with
@@ -124,7 +123,6 @@ class DeltaController {
     PainGain pg;
     bool active = false;
     double mlp = 1.0;
-    std::uint32_t process_id = 0;
   };
 
   void snapshot_pain_gain(std::span<const TileInput> inputs);

@@ -74,7 +74,7 @@ struct Finding {
 /// Per-file context supplied by the tree walker (unit tests fabricate it).
 struct FileInfo {
   std::string path_label;
-  /// Include path of the file's own header ("sim/mt_sim.hpp"); empty when
+  /// Include path of the file's own header ("sim/chip.hpp"); empty when
   /// the file is a header or has no same-name header next to it.  Enables
   /// the own-header-first rule.
   std::string expected_header;

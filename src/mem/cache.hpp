@@ -92,7 +92,7 @@ class SetAssocCache {
   /// at or above 2^40 or `owner` is outside [0, 254] (the tag and owner
   /// widths of a set record).  A thin wrapper over Kernel::access, the one
   /// hit-or-fill implementation, for callers that want the fill's details
-  /// (mt_sim, the SPLASH estimator, tests).
+  /// (the SPLASH estimator's two baselines, tests).
   AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner,
                       WayMask insert_mask);
 

@@ -2,11 +2,21 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace delta::mem {
 
-MesifDirectory::MesifDirectory(int num_cores) : num_cores_(num_cores) {
+MesifDirectory::MesifDirectory(int num_cores, std::uint64_t blocks)
+    : num_cores_(num_cores), dir_(blocks) {
   assert(num_cores >= 1 && num_cores <= 64);
+}
+
+std::size_t MesifDirectory::index(BlockAddr block) const {
+  if (block >= dir_.size())
+    throw std::out_of_range("MesifDirectory: block " + std::to_string(block) +
+                            " outside [0, " + std::to_string(dir_.size()) + ")");
+  return static_cast<std::size_t>(block);
 }
 
 int MesifDirectory::popcount(std::uint64_t m) { return std::popcount(m); }
@@ -18,9 +28,10 @@ CoreId MesifDirectory::any_sharer(std::uint64_t m) {
 CoherenceAction MesifDirectory::on_read(CoreId core, BlockAddr block) {
   assert(core >= 0 && core < num_cores_);
   const common::LockGuard lock(mu_);
+  Entry& e = dir_[index(block)];
+  if (e.empty()) ++tracked_;
   ++stats_.reads;
   CoherenceAction act{};
-  Entry& e = dir_[block];
 
   switch (e.st) {
     case CoherenceState::kInvalid:
@@ -60,9 +71,10 @@ CoherenceAction MesifDirectory::on_read(CoreId core, BlockAddr block) {
 CoherenceAction MesifDirectory::on_write(CoreId core, BlockAddr block) {
   assert(core >= 0 && core < num_cores_);
   const common::LockGuard lock(mu_);
+  Entry& e = dir_[index(block)];
+  if (e.empty()) ++tracked_;
   ++stats_.writes;
   CoherenceAction act{};
-  Entry& e = dir_[block];
 
   switch (e.st) {
     case CoherenceState::kInvalid:
@@ -100,14 +112,13 @@ CoherenceAction MesifDirectory::on_write(CoreId core, BlockAddr block) {
 
 void MesifDirectory::on_evict(CoreId core, BlockAddr block) {
   const common::LockGuard lock(mu_);
-  auto it = dir_.find(block);
-  if (it == dir_.end()) return;
-  Entry& e = it->second;
+  Entry& e = dir_[index(block)];
   if (!(e.sharers & bit(core))) return;
   if (e.st == CoherenceState::kModified) ++stats_.writebacks;
   e.sharers &= ~bit(core);
   if (e.sharers == 0) {
-    dir_.erase(it);
+    e = Entry{};
+    --tracked_;
     return;
   }
   if (e.fwd == core) e.fwd = any_sharer(e.sharers);
@@ -119,14 +130,12 @@ void MesifDirectory::on_evict(CoreId core, BlockAddr block) {
 
 CoherenceState MesifDirectory::state(BlockAddr block) const {
   const common::LockGuard lock(mu_);
-  auto it = dir_.find(block);
-  return it == dir_.end() ? CoherenceState::kInvalid : it->second.st;
+  return dir_[index(block)].st;
 }
 
 std::uint64_t MesifDirectory::sharer_mask(BlockAddr block) const {
   const common::LockGuard lock(mu_);
-  auto it = dir_.find(block);
-  return it == dir_.end() ? 0 : it->second.sharers;
+  return dir_[index(block)].sharers;
 }
 
 bool MesifDirectory::is_sharer(CoreId core, BlockAddr block) const {
@@ -136,8 +145,7 @@ bool MesifDirectory::is_sharer(CoreId core, BlockAddr block) const {
 
 CoreId MesifDirectory::forwarder(BlockAddr block) const {
   const common::LockGuard lock(mu_);
-  auto it = dir_.find(block);
-  return it == dir_.end() ? kInvalidCore : it->second.fwd;
+  return dir_[index(block)].fwd;
 }
 
 }  // namespace delta::mem

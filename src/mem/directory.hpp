@@ -2,23 +2,20 @@
 // with an in-cache directory).
 //
 // The multi-programmed experiments never share lines across cores, so the
-// timing model does not route every access through this module; it exists as
-// the coherence substrate for the multithreaded support path (Sec. II-E):
-// the page classifier decides which lines are shared, and shared lines are
-// S-NUCA-mapped and kept coherent through this directory.  Tests and the
-// `splash` estimator exercise it directly.
+// timing model does not route every access through this module.  The
+// SPLASH estimator's private baseline (Sec. IV-C) keeps its replicated
+// lines coherent through it, and tests exercise it directly.
 //
 // Concurrency: the directory is internally synchronised — every transaction
-// and query takes the (annotated, see common/sync.hpp) directory mutex, so a
-// future parallel Sec. II-E model can drive it from several worker threads.
-// The entry table is a std::map so `for_each_entry` visits blocks in
-// address order: checker output and any derived bookkeeping stay
-// bit-identical across runs regardless of insertion history.
+// and query takes the (annotated, see common/sync.hpp) directory mutex.
+// The entry table is a vector indexed by block over a bound fixed at
+// construction, so `for_each_entry` visits blocks in address order: checker
+// output and any derived bookkeeping stay bit-identical across runs
+// regardless of insertion history.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -47,10 +44,12 @@ struct CoherenceAction {
   int invalidations = 0;        ///< Sharers invalidated by this transaction.
 };
 
-/// Full-map directory over up to 64 cores.  One entry per tracked block.
+/// Full-map directory over up to 64 cores and the blocks [0, blocks).  Every
+/// transaction and query throws std::out_of_range, before any state or stat
+/// changes, for a block at or above the bound.
 class MesifDirectory {
  public:
-  explicit MesifDirectory(int num_cores);
+  MesifDirectory(int num_cores, std::uint64_t blocks);
 
   CoherenceAction on_read(CoreId core, BlockAddr block) EXCLUDES(mu_);
   CoherenceAction on_write(CoreId core, BlockAddr block) EXCLUDES(mu_);
@@ -65,7 +64,7 @@ class MesifDirectory {
 
   std::size_t tracked_blocks() const EXCLUDES(mu_) {
     const common::LockGuard lock(mu_);
-    return dir_.size();
+    return tracked_;
   }
   int num_cores() const { return num_cores_; }
   DirectoryStats stats() const EXCLUDES(mu_) {
@@ -88,7 +87,9 @@ class MesifDirectory {
     std::vector<std::pair<BlockAddr, Entry>> snapshot;
     {
       const common::LockGuard lock(mu_);
-      snapshot.assign(dir_.begin(), dir_.end());
+      snapshot.reserve(tracked_);
+      for (BlockAddr b = 0; b < dir_.size(); ++b)
+        if (!dir_[b].empty()) snapshot.emplace_back(b, dir_[b]);
     }
     for (const auto& [block, e] : snapshot) fn(block, e.st, e.sharers, e.fwd);
   }
@@ -98,7 +99,12 @@ class MesifDirectory {
     std::uint64_t sharers = 0;
     CoherenceState st = CoherenceState::kInvalid;
     CoreId fwd = kInvalidCore;  ///< F-state holder when st == kShared.
+    bool empty() const { return sharers == 0 && st == CoherenceState::kInvalid; }
   };
+
+  /// `block`'s index into the table; throws std::out_of_range at or above
+  /// the bound.
+  std::size_t index(BlockAddr block) const REQUIRES(mu_);
 
   static std::uint64_t bit(CoreId c) { return std::uint64_t{1} << c; }
   static int popcount(std::uint64_t m);
@@ -106,7 +112,8 @@ class MesifDirectory {
 
   int num_cores_;
   mutable common::Mutex mu_;
-  std::map<BlockAddr, Entry> dir_ GUARDED_BY(mu_);
+  std::vector<Entry> dir_ GUARDED_BY(mu_);
+  std::size_t tracked_ GUARDED_BY(mu_) = 0;  ///< Non-empty entries.
   DirectoryStats stats_ GUARDED_BY(mu_);
 };
 

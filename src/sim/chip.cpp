@@ -29,14 +29,11 @@ void MachineConfig::validate() const {
     reject("ways_per_bank", ways_per_bank, "must be in [1, 32]");
   if (!in(sets_log2, 1, 20)) reject("sets_log2", sets_log2, "must be in [1, 20]");
   if (!in(num_mcus, 1, cores)) reject("num_mcus", num_mcus, "must be in [1, cores]");
-  if (!in(umon.max_ways, 1, 1 << 16))
-    reject("umon.max_ways", umon.max_ways, "must be in [1, 65536]");
-  if (!in(umon.sets_log2, 1, 20))
-    reject("umon.sets_log2", umon.sets_log2, "must be in [1, 20]");
-  if (!in(umon.set_dilution, 1, 1LL << umon.sets_log2))
-    reject("umon.set_dilution", umon.set_dilution, "must be in [1, 2^umon.sets_log2]");
-  if (!in(umon.coarse_ways, 1, umon.max_ways))
-    reject("umon.coarse_ways", umon.coarse_ways, "must be in [1, umon.max_ways]");
+  try {
+    umon.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("MachineConfig.") + e.what());
+  }
 }
 
 namespace {
@@ -80,7 +77,6 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
     const Addr base = (static_cast<Addr>(c) + 1) << 34;
     s.gen = std::make_unique<workload::TraceGen>(*s.profile, base, core_seed);
     s.active = true;
-    s.process_id = static_cast<std::uint32_t>(c) + 1;  // Multi-programmed: distinct.
     const workload::Phase& ph = s.profile->phases.front();
     s.cpi_est = ph.cpi_base + ph.apki / 1000.0 * 100.0 / ph.mlp;
   }

@@ -43,7 +43,6 @@ struct AppSlot {
   std::unique_ptr<workload::TraceGen> gen;
   std::unique_ptr<umon::Umon> umon;  ///< Null unless the plan asks for monitors.
   bool active = false;
-  std::uint32_t process_id = 0;
   umon::MlpEstimator mlp_estimator;
 
   /// MLP fed to the allocation policy: the performance-counter estimate

@@ -69,8 +69,8 @@ struct MachineConfig {
   /// the tile count must be a power of two up to 128 and match the mesh
   /// (the plan's route bytes and the cache's owner byte hold a tile id),
   /// ways_per_bank in [1, 32], sets_log2 in [1, 20], num_mcus in
-  /// [1, cores], and the UMON geometry positive.  Chip's constructor calls
-  /// it, so no simulation runs on a config that fails.
+  /// [1, cores], and `umon` must pass UmonConfig::validate().  Chip's
+  /// constructor calls it, so no simulation runs on a config that fails.
   void validate() const;
 
   int sets_per_bank() const { return 1 << sets_log2; }

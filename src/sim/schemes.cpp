@@ -70,7 +70,6 @@ class DeltaScheme final : public Scheme {
       core::TileInput& in = inputs[static_cast<std::size_t>(c)];
       in.umon = s.umon.get();
       in.active = s.active;
-      in.process_id = s.process_id;
       in.mlp = s.policy_mlp(chip.config().measured_mlp);
     }
     const core::TickResult res = ctrl_->tick(epoch, inputs, &chip.traffic());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/page_classify.hpp"
 #include "mem/address.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
@@ -68,9 +67,9 @@ double simulate_private(const workload::SplashProfile& p, const MachineConfig& c
   for (int b = 0; b < n; ++b)
     banks.emplace_back(static_cast<std::uint32_t>(cfg.sets_per_bank()), cfg.ways_per_bank);
   const mem::WayMask all = mem::full_mask(cfg.ways_per_bank);
-  mem::MesifDirectory dir(n);
-
   workload::SplashGen gen(p, scfg.seed);
+  mem::MesifDirectory dir(n, gen.blocks());
+
   std::vector<ThreadCycles> threads(static_cast<std::size_t>(p.threads));
   const std::uint64_t total = scfg.accesses_per_thread * static_cast<std::uint64_t>(p.threads);
   for (std::uint64_t i = 0; i < total; ++i) {
@@ -123,27 +122,13 @@ SplashEstimate estimate_splash(const workload::SplashProfile& profile,
   SplashEstimate e;
   e.app = profile.name;
 
-  // Step 1: sharing measurement through the R-NUCA page classifier plus
-  // block-granular ground truth (the pintool's output, Table V).
-  {
-    core::PageClassifier classifier;
-    workload::SplashGen gen(profile, scfg.seed);
-    const std::uint64_t total =
-        scfg.accesses_per_thread * static_cast<std::uint64_t>(profile.threads);
-    for (std::uint64_t i = 0; i < total; ++i) {
-      const workload::SplashAccess a = gen.next();
-      classifier.on_access(a.thread, addr_of_block(a.block));
-    }
-    const double touched = static_cast<double>(classifier.private_pages() +
-                                               classifier.shared_pages());
-    e.private_pages_pct =
-        touched > 0 ? 100.0 * static_cast<double>(classifier.private_pages()) / touched
-                    : 0.0;
-    const auto ground_truth = workload::measure_sharing(
-        profile, scfg.accesses_per_thread * static_cast<std::uint64_t>(profile.threads),
-        scfg.seed);
-    e.private_blocks_pct = ground_truth.private_blocks_pct;
-  }
+  // Step 1: the sharing measurement (the pintool's output, Table V): the
+  // share of touched pages, and of blocks, that one thread alone touches.
+  const workload::SharingMeasurement sharing = workload::measure_sharing(
+      profile, scfg.accesses_per_thread * static_cast<std::uint64_t>(profile.threads),
+      scfg.seed);
+  e.private_pages_pct = sharing.private_pages_pct;
+  e.private_blocks_pct = sharing.private_blocks_pct;
 
   // Step 2: baselines + piecewise reconstruction.
   e.snuca_cycles = simulate_snuca(profile, cfg, scfg);

@@ -2,7 +2,7 @@
 //
 // The paper's two-step method, reproduced:
 //  1. measure the private/shared page ratio of each SPLASH2 application
-//     (pintool in the paper; the R-NUCA page classifier over our synthetic
+//     (pintool in the paper; workload::measure_sharing over our synthetic
 //     generators here);
 //  2. piecewise-reconstruct DELTA's performance: accesses to private pages
 //     perform like the private-LLC baseline, accesses to shared pages like
@@ -25,7 +25,7 @@ namespace delta::sim {
 
 struct SplashEstimate {
   std::string app;
-  // Classifier-measured sharing (percent private).
+  // Measured sharing (percent private).
   double private_pages_pct = 0.0;
   double private_blocks_pct = 0.0;
   // Region-of-interest cycles (longest thread) per configuration.

@@ -10,10 +10,24 @@
 
 namespace delta::umon {
 
+void UmonConfig::validate() const {
+  const auto reject = [](const char* field, long long value, const char* rule) {
+    throw std::invalid_argument(std::string("umon.") + field + " = " +
+                                std::to_string(value) + ": " + rule);
+  };
+  const auto in = [](long long v, long long lo, long long hi) {
+    return v >= lo && v <= hi;
+  };
+  if (!in(max_ways, 1, 1 << 16)) reject("max_ways", max_ways, "must be in [1, 65536]");
+  if (!in(sets_log2, 1, 20)) reject("sets_log2", sets_log2, "must be in [1, 20]");
+  if (!in(set_dilution, 1, 1LL << sets_log2))
+    reject("set_dilution", set_dilution, "must be in [1, 2^umon.sets_log2]");
+  if (!in(coarse_ways, 1, max_ways))
+    reject("coarse_ways", coarse_ways, "must be in [1, umon.max_ways]");
+}
+
 Umon::Umon(UmonConfig cfg) : cfg_(cfg) {
-  assert(cfg_.max_ways >= 1);
-  assert(cfg_.set_dilution >= 1);
-  assert(cfg_.coarse_ways >= 1);
+  cfg_.validate();
   const auto dilution = static_cast<std::uint32_t>(cfg_.set_dilution);
   constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
   sampler_ = Sampler{(std::uint32_t{1} << cfg_.sets_log2) - 1, UINT64_MAX / dilution + 1,

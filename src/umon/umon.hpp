@@ -31,6 +31,10 @@ struct UmonConfig {
   int set_dilution = 16;    ///< Monitor 1 in N sets (dynamic set sampling).
   int coarse_ways = 4;      ///< Bucket width of the coarse counters.
   friend bool operator==(const UmonConfig&, const UmonConfig&) = default;
+
+  /// Throws std::invalid_argument naming the first field out of range
+  /// ("umon.max_ways = 0: must be in [1, 65536]").
+  void validate() const;
 };
 
 class Umon {

@@ -1,7 +1,6 @@
 #include "workload/splash.hpp"
 
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 namespace delta::workload {
@@ -72,6 +71,7 @@ SplashGen::SplashGen(const SplashProfile& p, std::uint64_t seed) : p_(p), rng_(s
   priv_base_ = 0;
   bound_base_ = p_.threads * p_.private_pages_per_thread;
   shared_base_ = bound_base_ + p_.threads * p_.boundary_pages_per_thread;
+  pages_ = shared_base_ + p_.shared_pages;
 }
 
 BlockAddr SplashGen::pick_block(CoreId t) {
@@ -113,37 +113,42 @@ SplashAccess SplashGen::next() {
 SharingMeasurement measure_sharing(const SplashProfile& p, std::uint64_t accesses,
                                    std::uint64_t seed) {
   SplashGen gen(p, seed);
-  // Thread-set per page / per block; 0 = untouched, -2 = multi-thread.
-  // std::map, not unordered: pct_private() below iterates, and iteration
-  // order must not depend on hash layout for cross-run determinism.
-  std::map<std::uint64_t, CoreId> page_toucher;
-  std::map<BlockAddr, CoreId> block_toucher;
-  constexpr CoreId kMulti = -2;
+  // The one thread that touched each page / block so far, or kNone / kMulti.
+  // Running counts of touched and single-thread entries need no sweep.
+  constexpr CoreId kNone = -1, kMulti = -2;
+  struct Table {
+    std::vector<CoreId> toucher;
+    std::uint64_t touched = 0, single = 0;
+    void mark(std::uint64_t i, CoreId t) {
+      CoreId& c = toucher[i];
+      if (c == kNone) {
+        c = t;
+        ++touched;
+        ++single;
+      } else if (c != t && c != kMulti) {
+        c = kMulti;
+        --single;
+      }
+    }
+    double pct() const {
+      return touched == 0 ? 0.0
+                          : 100.0 * static_cast<double>(single) / static_cast<double>(touched);
+    }
+  };
+  Table page{std::vector<CoreId>(static_cast<std::size_t>(gen.pages()), kNone)};
+  Table block{std::vector<CoreId>(gen.blocks(), kNone)};
 
   for (std::uint64_t i = 0; i < accesses; ++i) {
     const SplashAccess a = gen.next();
-    const std::uint64_t page = page_of(addr_of_block(a.block));
-    auto mark = [&](auto& map, auto key) {
-      auto [it, inserted] = map.try_emplace(key, a.thread);
-      if (!inserted && it->second != a.thread) it->second = kMulti;
-    };
-    mark(page_toucher, page);
-    mark(block_toucher, a.block);
+    page.mark(page_of(addr_of_block(a.block)), a.thread);
+    block.mark(a.block, a.thread);
   }
 
-  auto pct_private = [&](const auto& map) {
-    if (map.empty()) return 0.0;
-    std::uint64_t priv = 0;
-    for (const auto& [k, t] : map)
-      if (t != kMulti) ++priv;
-    return 100.0 * static_cast<double>(priv) / static_cast<double>(map.size());
-  };
-
   SharingMeasurement m;
-  m.pages_touched = page_toucher.size();
-  m.blocks_touched = block_toucher.size();
-  m.private_pages_pct = pct_private(page_toucher);
-  m.private_blocks_pct = pct_private(block_toucher);
+  m.pages_touched = page.touched;
+  m.blocks_touched = block.touched;
+  m.private_pages_pct = page.pct();
+  m.private_blocks_pct = block.pct();
   return m;
 }
 

@@ -69,6 +69,9 @@ class SplashGen {
 
   const SplashProfile& profile() const { return p_; }
   Addr page_addr(int page) const { return static_cast<Addr>(page) * kPageBytes; }
+  /// Every access falls in pages [0, pages()) and blocks [0, blocks()).
+  int pages() const { return pages_; }
+  BlockAddr blocks() const { return block_of(page_addr(pages_)); }
 
  private:
   BlockAddr pick_block(CoreId t);
@@ -76,9 +79,9 @@ class SplashGen {
   const SplashProfile& p_;
   Rng rng_;
   CoreId next_thread_ = 0;
-  // Page layout (page indices into a flat address space):
-  // [thread0 private][thread0 boundary] ... [threadN-1 ...][shared pages].
-  int priv_base_ = 0, bound_base_ = 0, shared_base_ = 0;
+  // Page layout (page indices into a flat address space): all private
+  // pages, thread by thread, then all boundary pages, then the shared pages.
+  int priv_base_ = 0, bound_base_ = 0, shared_base_ = 0, pages_ = 0;
 };
 
 /// Ground-truth sharing measurement (the paper's pintool equivalent):

@@ -45,7 +45,6 @@ struct Fixture {
       inputs[i].umon = &umons[i];
       inputs[i].mlp = 2.0;
       inputs[i].active = footprints[i] > 0;
-      inputs[i].process_id = static_cast<std::uint32_t>(i) + 1;
     }
   }
 
@@ -187,24 +186,12 @@ TEST(Controller, ChallengeTargetsClosestFirst) {
   umon::Umon hungry = make_umon(32);
   umon::Umon content = make_umon(2);
   std::vector<TileInput> in(4);
-  in[0] = {&hungry, 2.0, true, 1};
-  for (int i = 1; i < 4; ++i) in[i] = {&content, 2.0, true, static_cast<std::uint32_t>(i + 1)};
+  in[0] = {&hungry, 2.0, true};
+  for (int i = 1; i < 4; ++i) in[i] = {&content, 2.0, true};
   ctrl.tick(0, in);  // First inter tick: core 0 challenges tile 1.
   EXPECT_GT(ctrl.wp(1).ways_of(0), 0);
   EXPECT_EQ(ctrl.wp(2).ways_of(0), 0);
   EXPECT_EQ(ctrl.wp(3).ways_of(0), 0);
-}
-
-TEST(Controller, SameProcessChallengeRejected) {
-  Fixture f(2, 2, {32, 4, 4, 4});
-  for (auto& in : f.inputs) in.process_id = 77;  // One multithreaded process.
-  TickResult total{};
-  for (int e = 0; e <= 100; ++e) {
-    const TickResult r = f.tick(e);
-    total.challenges_won += r.challenges_won;
-  }
-  EXPECT_EQ(total.challenges_won, 0);
-  EXPECT_EQ(f.ctrl.ways_outside_home(0), 0);
 }
 
 TEST(Controller, IntraBankShiftsWaysTowardLargerGain) {

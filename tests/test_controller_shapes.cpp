@@ -42,8 +42,7 @@ TEST_P(ControllerShapes, WaysConservedAndFloorsHeld) {
   for (int i = 0; i < n; ++i) {
     in[static_cast<std::size_t>(i)] =
         TileInput{&umons[static_cast<std::size_t>(i)],
-                  1.0 + (i % 4), i % 3 != 2,  // A third of the tiles idle.
-                  static_cast<std::uint32_t>(i + 1)};
+                  1.0 + (i % 4), i % 3 != 2};  // A third of the tiles idle.
   }
 
   for (std::uint64_t e = 0; e <= 120; ++e) {
@@ -78,8 +77,7 @@ TEST_P(ControllerShapes, CbtAlwaysCoversChunkSpace) {
   std::vector<TileInput> in(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     in[static_cast<std::size_t>(i)] =
-        TileInput{&umons[static_cast<std::size_t>(i)], 2.0, true,
-                  static_cast<std::uint32_t>(i + 1)};
+        TileInput{&umons[static_cast<std::size_t>(i)], 2.0, true};
 
   for (std::uint64_t e = 0; e <= 60; ++e) ctrl.tick(e, in);
   for (CoreId c = 0; c < n; ++c) {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <tuple>
+#include <vector>
+
 #include "mem/directory.hpp"
 
 namespace delta::mem {
 namespace {
 
 TEST(Directory, FirstReadIsExclusiveFromMemory) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   const auto act = d.on_read(0, 42);
   EXPECT_TRUE(act.from_memory);
   EXPECT_FALSE(act.forwarded);
@@ -15,7 +19,7 @@ TEST(Directory, FirstReadIsExclusiveFromMemory) {
 }
 
 TEST(Directory, SecondReadForwardsAndShares) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_read(0, 42);
   const auto act = d.on_read(1, 42);
   EXPECT_FALSE(act.from_memory);
@@ -27,7 +31,7 @@ TEST(Directory, SecondReadForwardsAndShares) {
 }
 
 TEST(Directory, ThirdReadForwardsFromFState) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_read(0, 7);
   d.on_read(1, 7);
   const auto act = d.on_read(2, 7);
@@ -37,7 +41,7 @@ TEST(Directory, ThirdReadForwardsFromFState) {
 }
 
 TEST(Directory, WriteInvalidatesSharers) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_read(0, 9);
   d.on_read(1, 9);
   d.on_read(2, 9);
@@ -48,7 +52,7 @@ TEST(Directory, WriteInvalidatesSharers) {
 }
 
 TEST(Directory, WriteUpgradeInPlaceCostsNothing) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_read(0, 9);  // Exclusive.
   const auto act = d.on_write(0, 9);
   EXPECT_EQ(act.invalidations, 0);
@@ -57,7 +61,7 @@ TEST(Directory, WriteUpgradeInPlaceCostsNothing) {
 }
 
 TEST(Directory, ReadAfterWriteForwardsDirtyData) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_write(0, 5);
   const auto act = d.on_read(1, 5);
   EXPECT_TRUE(act.forwarded);
@@ -67,7 +71,7 @@ TEST(Directory, ReadAfterWriteForwardsDirtyData) {
 }
 
 TEST(Directory, EvictionRemovesSharerAndUntracksWhenEmpty) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_read(0, 11);
   d.on_read(1, 11);
   EXPECT_EQ(d.tracked_blocks(), 1u);
@@ -80,7 +84,7 @@ TEST(Directory, EvictionRemovesSharerAndUntracksWhenEmpty) {
 }
 
 TEST(Directory, EvictingForwarderPassesFState) {
-  MesifDirectory d(4);
+  MesifDirectory d(4, 64);
   d.on_read(0, 3);
   d.on_read(1, 3);  // F = 1.
   d.on_evict(1, 3);
@@ -88,7 +92,7 @@ TEST(Directory, EvictingForwarderPassesFState) {
 }
 
 TEST(Directory, StatsAccumulate) {
-  MesifDirectory d(2);
+  MesifDirectory d(2, 64);
   d.on_read(0, 1);
   d.on_read(1, 1);
   d.on_write(0, 1);
@@ -98,10 +102,40 @@ TEST(Directory, StatsAccumulate) {
   EXPECT_GE(d.stats().invalidations_sent, 1u);
 }
 
+TEST(Directory, OutOfRangeBlockThrowsBeforeAnyChange) {
+  MesifDirectory d(4, 64);
+  d.on_read(0, 63);
+  d.on_read(1, 63);
+  d.on_write(2, 5);
+  const auto snapshot = [&d] {
+    std::vector<std::tuple<BlockAddr, CoherenceState, std::uint64_t, CoreId>> entries;
+    d.for_each_entry([&](BlockAddr b, CoherenceState st, std::uint64_t sharers, CoreId fwd) {
+      entries.emplace_back(b, st, sharers, fwd);
+    });
+    return entries;
+  };
+  const auto entries = snapshot();
+  const DirectoryStats stats = d.stats();
+  ASSERT_EQ(entries.size(), 2u);
+
+  EXPECT_THROW(d.on_read(0, 64), std::out_of_range);
+  EXPECT_THROW(d.on_write(1, 64), std::out_of_range);
+  EXPECT_THROW(d.on_evict(1, 64), std::out_of_range);
+  EXPECT_THROW(d.on_read(3, ~BlockAddr{0}), std::out_of_range);
+  EXPECT_EQ(d.tracked_blocks(), 2u);
+  EXPECT_EQ(snapshot(), entries);
+  EXPECT_EQ(d.stats().reads, stats.reads);
+  EXPECT_EQ(d.stats().writes, stats.writes);
+  EXPECT_EQ(d.stats().memory_fetches, stats.memory_fetches);
+  EXPECT_EQ(d.stats().forwards, stats.forwards);
+  EXPECT_EQ(d.stats().invalidations_sent, stats.invalidations_sent);
+  EXPECT_EQ(d.stats().writebacks, stats.writebacks);
+}
+
 // Invariant sweep: after a random workload, every block in Modified or
 // Exclusive state has exactly one sharer.
 TEST(DirectoryProperty, SingleOwnerInvariant) {
-  MesifDirectory d(8);
+  MesifDirectory d(8, 64);
   std::uint64_t x = 12345;
   auto next = [&x] {
     x ^= x << 13;

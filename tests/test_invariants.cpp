@@ -168,7 +168,7 @@ TEST(InvariantChecker, ViolationFormattingNamesTheInvariant) {
 }
 
 TEST(DirectoryInvariants, CoherentHistoryIsViolationFree) {
-  mem::MesifDirectory dir(4);
+  mem::MesifDirectory dir(4, 512);
   dir.on_read(0, 100);
   dir.on_read(1, 100);
   dir.on_write(2, 100);
@@ -182,7 +182,7 @@ TEST(DirectoryInvariants, CoherentHistoryIsViolationFree) {
 }
 
 TEST(DirectoryInvariants, AgreementHoldsWhenCachesTrackSharers) {
-  mem::MesifDirectory dir(4);
+  mem::MesifDirectory dir(4, 512);
   dir.on_read(0, 100);
   dir.on_read(1, 100);
   std::vector<Violation> out;
@@ -192,7 +192,7 @@ TEST(DirectoryInvariants, AgreementHoldsWhenCachesTrackSharers) {
 }
 
 TEST(DirectoryInvariants, DetectsSharerWithoutResidentCopy) {
-  mem::MesifDirectory dir(4);
+  mem::MesifDirectory dir(4, 512);
   dir.on_read(0, 100);
   dir.on_read(1, 100);
   std::vector<Violation> out;

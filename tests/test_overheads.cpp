@@ -78,7 +78,7 @@ TEST(Overheads, DeltaTickAluOpsScaleLinearlyWithTiles) {
     core::DeltaController ctrl(mesh, params, 16);
     umon::Umon u(umon::UmonConfig{.max_ways = 32});
     std::vector<core::TileInput> in(static_cast<std::size_t>(side * side));
-    for (auto& i : in) i = {&u, 2.0, true, 0};
+    for (auto& i : in) i = {&u, 2.0, true};
     ctrl.tick(0, in);
     return ctrl.stats().alu_ops;
   };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "workload/splash.hpp"
 
 namespace delta::workload {
@@ -26,6 +28,17 @@ TEST(Splash, GeneratorDeterministic) {
     const auto x = a.next(), y = b.next();
     EXPECT_EQ(x.block, y.block);
     EXPECT_EQ(x.is_write, y.is_write);
+  }
+}
+
+// measure_sharing and the directory size their dense tables from
+// pages() and blocks(), so no access may fall outside them.
+TEST(Splash, AccessesStayInsideThePageLayout) {
+  for (const SplashProfile& p : splash_profiles()) {
+    SplashGen gen(p, 3);
+    BlockAddr top = 0;
+    for (int i = 0; i < 50'000; ++i) top = std::max(top, gen.next().block);
+    EXPECT_LT(top, gen.blocks()) << p.name;
   }
 }
 

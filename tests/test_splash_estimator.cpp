@@ -2,6 +2,8 @@
 // shape checks in test_integration).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/splash_estimator.hpp"
 #include "workload/splash.hpp"
 
@@ -65,6 +67,54 @@ TEST(SplashEstimator, AllPrivateAppPrefersPrivateConfig) {
   const SplashEstimate w =
       estimate_splash(workload::splash_profile("water.nsq"), config16(), fast());
   EXPECT_LT(w.private_cycles, w.snuca_cycles);
+}
+
+TEST(SplashEstimator, ResultsMatchParentCapture) {
+  // Pins the SPLASH path's exact output: every SplashEstimate field and every
+  // SharingMeasurement field, doubles bit-equal, against values captured
+  // before the path moved from ordered maps and the page classifier to
+  // dense per-page and per-block tables.  Any change to the generator, the
+  // sharing count, either baseline or the reconstruction shows here.
+  struct Expected {
+    const char* app;
+    double private_pages_pct, private_blocks_pct, snuca_cycles, private_cycles,
+        delta_cycles, delta_speedup, private_speedup;
+    std::uint64_t pages_touched, blocks_touched;
+  };
+  const Expected expected[] = {
+      {"cholesky", 0x1.fp+5, 0x1.0ad01433de91dp+6, 0x1.e1fp+20, 0x1.c4464p+20,
+       0x1.cf8bep+20, 0x1.0a2820cd2cba7p+0, 0x1.10ca468259e67p+0, 800, 51092},
+      {"lu.ncont", 0x1.fd73e68701461p-1, 0x1.1698f6ef604b3p+4, 0x1.9ff92e8ba2e8cp+20,
+       0x1.b7941c427e568p+20, 0x1.a0354f7a59f2cp+20, 0x1.ffb60854ce3e4p-1,
+       0x1.e4817ca526081p-1, 1608, 97741},
+      {"ocean.cont", 0x1.3p+5, 0x1.8c56f3169bebcp+6, 0x1.17a89b6db6db7p+20,
+       0x1.f278b6db6db6ep+19, 0x1.0c191277f44c1p+20, 0x1.0b09fc5bee7bbp+0,
+       0x1.1f3f9f48a577dp+0, 800, 46990},
+      {"water.nsq", 0x1.8f31f6ba76788p+6, 0x1.8f308fc7dcabbp+6, 0x1.cc7c3p+21,
+       0x1.afa6ep+21, 0x1.afb5ba0b54fd7p+21, 0x1.11103e6887a93p+0,
+       0x1.1119a395f8a4ep+0, 994, 63186},
+  };
+  SplashConfig c;
+  c.accesses_per_thread = 20'000;
+  for (const Expected& x : expected) {
+    const auto& p = workload::splash_profile(x.app);
+    const SplashEstimate e = estimate_splash(p, config16(), c);
+    EXPECT_EQ(e.app, x.app);
+    EXPECT_EQ(e.private_pages_pct, x.private_pages_pct) << x.app;
+    EXPECT_EQ(e.private_blocks_pct, x.private_blocks_pct) << x.app;
+    EXPECT_EQ(e.snuca_cycles, x.snuca_cycles) << x.app;
+    EXPECT_EQ(e.private_cycles, x.private_cycles) << x.app;
+    EXPECT_EQ(e.delta_cycles, x.delta_cycles) << x.app;
+    EXPECT_EQ(e.delta_speedup, x.delta_speedup) << x.app;
+    EXPECT_EQ(e.private_speedup, x.private_speedup) << x.app;
+
+    const workload::SharingMeasurement m = workload::measure_sharing(
+        p, c.accesses_per_thread * static_cast<std::uint64_t>(p.threads), c.seed);
+    EXPECT_EQ(m.private_pages_pct, x.private_pages_pct) << x.app;
+    EXPECT_EQ(m.private_blocks_pct, x.private_blocks_pct) << x.app;
+    EXPECT_EQ(m.pages_touched, x.pages_touched) << x.app;
+    EXPECT_EQ(m.blocks_touched, x.blocks_touched) << x.app;
+  }
 }
 
 }  // namespace

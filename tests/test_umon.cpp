@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +17,23 @@ UmonConfig small_cfg() {
   c.sets_log2 = 9;
   c.set_dilution = 1;  // Monitor everything: exact stack distances.
   return c;
+}
+
+TEST(Umon, ConstructorRejectsBadConfig) {
+  // Each bad field throws a message naming it, in every build type, before
+  // any shift or allocation uses the value.
+  const auto expect_rejected = [](UmonConfig cfg, const char* field) {
+    try {
+      const Umon u(cfg);
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected(UmonConfig{.sets_log2 = 31}, "umon.sets_log2");
+  expect_rejected(UmonConfig{.set_dilution = 0}, "umon.set_dilution");
+  expect_rejected(UmonConfig{.max_ways = 0}, "umon.max_ways");
+  expect_rejected(UmonConfig{.coarse_ways = 0}, "umon.coarse_ways");
 }
 
 TEST(Umon, ColdAccessesAreMisses) {
@@ -195,30 +213,31 @@ TEST(Umon, SamplerIsExactDivisionAtAnyDilution) {
     SCOPED_TRACE(dilution);
     UmonConfig cfg;
     cfg.max_ways = 4;
-    cfg.sets_log2 = 12;
+    cfg.sets_log2 = 13;
     cfg.set_dilution = dilution;
     const Umon u(cfg);
     const Umon::Sampler sample = u.sampler();
     const auto d = static_cast<std::uint32_t>(dilution);
-    for (std::uint32_t set = 0; set < (1u << 12); ++set) {
+    for (std::uint32_t set = 0; set < (1u << 13); ++set) {
       // High bits above the set index leave the choice alone.
-      const BlockAddr block = (BlockAddr{0xABCDE} << 12) | set;
+      const BlockAddr block = (BlockAddr{0xABCDE} << 13) | set;
       ASSERT_EQ(sample.sampled(block), set % d == 0) << set;
       ASSERT_EQ(sample.stack_of(block), set / d) << set;
     }
   }
 }
 
-// The same rule at the top of the widest set range a monitor holds
-// (2^30 sets: 1 << sets_log2 is an int): multiples of the dilution, their
+// The same rule at the top of the widest set range a monitor accepts
+// (2^20 sets, UmonConfig::validate): multiples of the dilution, their
 // neighbours and random sets all divide exactly.
 TEST(Umon, SamplerIsExactAtWideSetIndices) {
-  constexpr std::uint64_t kSets = std::uint64_t{1} << 30;
-  for (const int dilution : {1 << 20, 1000003, 1 << 29, (1 << 30) - 1}) {
+  constexpr std::uint64_t kSets = std::uint64_t{1} << 20;
+  for (const int dilution : {1 << 10, 1003, 1 << 19, (1 << 20) - 1}) {
     SCOPED_TRACE(dilution);
     UmonConfig cfg;
     cfg.max_ways = 1;
-    cfg.sets_log2 = 30;
+    cfg.coarse_ways = 1;
+    cfg.sets_log2 = 20;
     cfg.set_dilution = dilution;
     const Umon::Sampler sample = Umon(cfg).sampler();
     const auto d = static_cast<std::uint64_t>(dilution);

@@ -41,6 +41,7 @@ class BenchCliTest(unittest.TestCase):
             ("repro", ["--out"], "--out needs a value"),
             ("repro", ["--fig"], "--fig needs a value"),
             ("repro", ["--fig", "14"], "unknown --fig id '14'"),
+            ("repro", ["--fig", "mt"], "unknown --fig id 'mt'"),
             ("repro", ["--fig", "5,,6"], "empty id in --fig '5,,6'"),
             ("repro", ["--fig", "5", "--quick", "--out", "/no/such/dir/x"],
              "cannot write '/no/such/dir/x'"),
