@@ -103,6 +103,33 @@ inline std::uint32_t match_tag40(const std::uint32_t* lo, const std::uint8_t* hi
 #endif
 }
 
+/// Scalar reference for match_u8: bit i of the result is set iff
+/// row[i] == key, for i in [0, n), n <= 32.
+inline std::uint32_t match_u8_scalar(const std::uint8_t* row, int n, std::uint8_t key) {
+  std::uint32_t m = 0;
+  for (int i = 0; i < n; ++i) m |= static_cast<std::uint32_t>(row[i] == key) << i;
+  return m;
+}
+
+/// Byte equality bitmask: bit i set iff row[i] == key, i in [0, n),
+/// n <= 32.  Backs the bulk-invalidation sweep's owner filter
+/// (mem/cache.hpp invalidate_if), one compare per set's owner row.  Like
+/// match_tag40, SSE2 reads whole kTagGroup groups, so the row must stay
+/// readable up to `n` rounded up to a multiple of kTagGroup.
+inline std::uint32_t match_u8(const std::uint8_t* row, int n, std::uint8_t key) {
+#if defined(DELTA_SIMD_SSE2)
+  const __m128i k = _mm_set1_epi8(static_cast<char>(key));
+  std::uint32_t m = 0;
+  for (int g = 0; g < n; g += kTagGroup) {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + g));
+    m |= static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, k))) << g;
+  }
+  return n >= 32 ? m : m & ((std::uint32_t{1} << n) - 1);
+#else
+  return match_u8_scalar(row, n, key);
+#endif
+}
+
 /// Scalar reference for find_u32 (first index of key in [0, n), else n).
 inline std::size_t find_u32_scalar(const std::uint32_t* vals, std::size_t n,
                                    std::uint32_t key) {

@@ -84,14 +84,6 @@ class DeltaController {
   /// gain/pain values, way transfers, retreats, CBT rebuilds and remaps.
   void set_recorder(obs::EventRecorder* rec) { rec_ = rec; }
 
-  // ---- Enforcement queries used on every LLC access. ----
-  BankId bank_for(CoreId core, BlockAddr block) const {
-    return cbts_[static_cast<std::size_t>(core)].lookup(block, sets_log2_);
-  }
-  mem::WayMask insert_mask(CoreId core, BankId bank) const {
-    return wp_[static_cast<std::size_t>(bank)].mask_of(core);
-  }
-
   // ---- Introspection. ----
   const Cbt& cbt(CoreId core) const { return cbts_[static_cast<std::size_t>(core)]; }
   const WpUnit& wp(BankId bank) const { return wp_[static_cast<std::size_t>(bank)]; }

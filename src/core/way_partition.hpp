@@ -18,22 +18,21 @@ namespace delta::core {
 class WpUnit {
  public:
   explicit WpUnit(int ways, CoreId initial_owner = kInvalidCore)
-      : owners_(static_cast<std::size_t>(ways), initial_owner) {
-    rebuild_masks();
-  }
+      : owners_(static_cast<std::size_t>(ways), initial_owner) {}
 
   int ways() const { return static_cast<int>(owners_.size()); }
 
   CoreId owner(int way) const { return owners_[static_cast<std::size_t>(way)]; }
 
-  /// Insertion bitmask for `core` (bit i set when core owns way i).  Served
-  /// from a per-core table that every ownership edit rebuilds: this query
-  /// sits on the per-access enforcement path while ownership only changes
-  /// at reconfiguration granularity, so the scan must not run per access.
+  /// Insertion bitmask for `core` (bit i set when core owns way i).  The
+  /// access path reads the epoch plan's masks, which
+  /// sim::EpochPlan::masks_from builds from owner() in one pass per bank,
+  /// so this scan is off the hot path.
   mem::WayMask mask_of(CoreId core) const {
-    if (core >= 0 && static_cast<std::size_t>(core) < masks_.size())
-      return masks_[static_cast<std::size_t>(core)];
-    return scan_mask_of(core);
+    mem::WayMask m = 0;
+    for (int w = 0; w < ways(); ++w)
+      if (owners_[static_cast<std::size_t>(w)] == core) m |= mem::WayMask{1} << w;
+    return m;
   }
 
   int ways_of(CoreId core) const {
@@ -67,21 +66,18 @@ class WpUnit {
         ++moved;
       }
     }
-    if (moved > 0) rebuild_masks();
     return moved;
   }
 
   /// Hands the entire bank to `core` (idle-bank fast path).
   void assign_all(CoreId core) {
     for (auto& o : owners_) o = core;
-    rebuild_masks();
   }
 
   /// Directly sets the owner of one way (used by centralized enforcement
   /// when rebuilding a bank's layout wholesale).
   void set_owner(int way, CoreId core) {
     owners_[static_cast<std::size_t>(way)] = core;
-    rebuild_masks();
   }
 
   /// Storage cost in bits: N cores x W ways bitmask (Sec. II-C2).
@@ -90,28 +86,7 @@ class WpUnit {
   }
 
  private:
-  mem::WayMask scan_mask_of(CoreId core) const {
-    mem::WayMask m = 0;
-    for (int w = 0; w < ways(); ++w)
-      if (owners_[static_cast<std::size_t>(w)] == core) m |= mem::WayMask{1} << w;
-    return m;
-  }
-
-  void rebuild_masks() {
-    CoreId max_owner = -1;
-    for (CoreId o : owners_) max_owner = o > max_owner ? o : max_owner;
-    masks_.assign(static_cast<std::size_t>(max_owner + 1), 0);
-    for (int w = 0; w < ways(); ++w) {
-      const CoreId o = owners_[static_cast<std::size_t>(w)];
-      if (o >= 0) masks_[static_cast<std::size_t>(o)] |= mem::WayMask{1} << w;
-    }
-  }
-
   std::vector<CoreId> owners_;
-  // Per-core insertion masks (see mask_of), rebuilt by every ownership
-  // edit.  Edits happen only on the epoch barrier, so the intra engine's
-  // apply workers read a table nobody writes while they run.
-  std::vector<mem::WayMask> masks_;
 };
 
 }  // namespace delta::core

@@ -111,16 +111,21 @@ class SetAssocCache {
   /// Removes a single line if present; returns true if it was resident.
   bool invalidate(std::uint32_t set, BlockAddr block);
 
-  /// Removes every line for which `pred(block, owner)` holds; returns count.
+  /// Removes every line owned by `owner` for which `pred(block)` holds;
+  /// returns count.  Each set's owner row is matched in one byte compare
+  /// (simd::match_u8), so `pred` runs only on the owner's valid lines.
   /// `pred` is any callable — no std::function indirection on the sweep.
   template <typename Pred>
-  std::uint64_t invalidate_if(Pred&& pred) {
+  std::uint64_t invalidate_if(CoreId owner, Pred&& pred) {
+    if (owner < 0 || owner >= CoreId{kNoOwner}) return 0;  // Owns no line.
+    const auto key = static_cast<std::uint8_t>(owner);
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < sets_; ++s) {
       std::uint32_t& valid = valid_word(s);
-      for (std::uint32_t vm = valid; vm != 0; vm &= vm - 1) {
+      const std::uint32_t own = simd::match_u8(owners(s), lanes_, key) & valid;
+      for (std::uint32_t vm = own; vm != 0; vm &= vm - 1) {
         const int w = std::countr_zero(vm);
-        if (pred(block_at(s, w), owner_at(s, w))) {
+        if (pred(block_at(s, w))) {
           valid &= ~(std::uint32_t{1} << w);
           ++n;
         }

@@ -27,7 +27,6 @@ CoreId MesifDirectory::any_sharer(std::uint64_t m) {
 
 CoherenceAction MesifDirectory::on_read(CoreId core, BlockAddr block) {
   assert(core >= 0 && core < num_cores_);
-  const common::LockGuard lock(mu_);
   Entry& e = dir_[index(block)];
   if (e.empty()) ++tracked_;
   ++stats_.reads;
@@ -70,7 +69,6 @@ CoherenceAction MesifDirectory::on_read(CoreId core, BlockAddr block) {
 
 CoherenceAction MesifDirectory::on_write(CoreId core, BlockAddr block) {
   assert(core >= 0 && core < num_cores_);
-  const common::LockGuard lock(mu_);
   Entry& e = dir_[index(block)];
   if (e.empty()) ++tracked_;
   ++stats_.writes;
@@ -111,7 +109,6 @@ CoherenceAction MesifDirectory::on_write(CoreId core, BlockAddr block) {
 }
 
 void MesifDirectory::on_evict(CoreId core, BlockAddr block) {
-  const common::LockGuard lock(mu_);
   Entry& e = dir_[index(block)];
   if (!(e.sharers & bit(core))) return;
   if (e.st == CoherenceState::kModified) ++stats_.writebacks;
@@ -129,22 +126,18 @@ void MesifDirectory::on_evict(CoreId core, BlockAddr block) {
 }
 
 CoherenceState MesifDirectory::state(BlockAddr block) const {
-  const common::LockGuard lock(mu_);
   return dir_[index(block)].st;
 }
 
 std::uint64_t MesifDirectory::sharer_mask(BlockAddr block) const {
-  const common::LockGuard lock(mu_);
   return dir_[index(block)].sharers;
 }
 
 bool MesifDirectory::is_sharer(CoreId core, BlockAddr block) const {
-  // Delegates to sharer_mask(), which takes the (non-recursive) lock.
   return (sharer_mask(block) >> core) & 1;
 }
 
 CoreId MesifDirectory::forwarder(BlockAddr block) const {
-  const common::LockGuard lock(mu_);
   return dir_[index(block)].fwd;
 }
 

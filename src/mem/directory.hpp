@@ -6,9 +6,10 @@
 // SPLASH estimator's private baseline (Sec. IV-C) keeps its replicated
 // lines coherent through it, and tests exercise it directly.
 //
-// Concurrency: the directory is internally synchronised — every transaction
-// and query takes the (annotated, see common/sync.hpp) directory mutex.
-// The entry table is a vector indexed by block over a bound fixed at
+// Concurrency: none, like SetAssocCache.  Each SPLASH estimate builds its
+// own directory and drives it from one thread, so the class takes no lock;
+// a caller that shares one across threads must serialise it.  The entry
+// table is a vector indexed by block over a bound fixed at
 // construction, so `for_each_entry` visits blocks in address order: checker
 // output and any derived bookkeeping stay bit-identical across runs
 // regardless of insertion history.
@@ -16,10 +17,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "common/types.hpp"
 
 namespace delta::mem {
@@ -51,47 +50,32 @@ class MesifDirectory {
  public:
   MesifDirectory(int num_cores, std::uint64_t blocks);
 
-  CoherenceAction on_read(CoreId core, BlockAddr block) EXCLUDES(mu_);
-  CoherenceAction on_write(CoreId core, BlockAddr block) EXCLUDES(mu_);
+  CoherenceAction on_read(CoreId core, BlockAddr block);
+  CoherenceAction on_write(CoreId core, BlockAddr block);
   /// Silent or dirty eviction of `core`'s copy.
-  void on_evict(CoreId core, BlockAddr block) EXCLUDES(mu_);
+  void on_evict(CoreId core, BlockAddr block);
 
-  CoherenceState state(BlockAddr block) const EXCLUDES(mu_);
-  std::uint64_t sharer_mask(BlockAddr block) const EXCLUDES(mu_);
-  bool is_sharer(CoreId core, BlockAddr block) const EXCLUDES(mu_);
+  CoherenceState state(BlockAddr block) const;
+  std::uint64_t sharer_mask(BlockAddr block) const;
+  bool is_sharer(CoreId core, BlockAddr block) const;
   /// MESIF forwarder for the block (kInvalidCore when none designated).
-  CoreId forwarder(BlockAddr block) const EXCLUDES(mu_);
+  CoreId forwarder(BlockAddr block) const;
 
-  std::size_t tracked_blocks() const EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    return tracked_;
-  }
+  std::size_t tracked_blocks() const { return tracked_; }
   int num_cores() const { return num_cores_; }
-  DirectoryStats stats() const EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    return stats_;
-  }
-  void reset_stats() EXCLUDES(mu_) {
-    const common::LockGuard lock(mu_);
-    stats_.reset();
-  }
+  DirectoryStats stats() const { return stats_; }
+  void reset_stats() { stats_.reset(); }
 
   /// Invariant-checker support: visits every tracked entry as
   /// `fn(block, state, sharer_mask, forwarder)` in ascending block order.
-  /// Snapshots the table under the mutex and invokes `fn` unlocked, so the
-  /// callback may query this directory (the agreement checker's residency
-  /// probe does exactly that); `fn` sees the state as of the sweep's start.
+  /// `fn` may query this directory (the agreement checker's residency probe
+  /// does) but must not change it.
   void for_each_entry(const std::function<void(BlockAddr, CoherenceState,
-                                               std::uint64_t, CoreId)>& fn) const
-      EXCLUDES(mu_) {
-    std::vector<std::pair<BlockAddr, Entry>> snapshot;
-    {
-      const common::LockGuard lock(mu_);
-      snapshot.reserve(tracked_);
-      for (BlockAddr b = 0; b < dir_.size(); ++b)
-        if (!dir_[b].empty()) snapshot.emplace_back(b, dir_[b]);
+                                               std::uint64_t, CoreId)>& fn) const {
+    for (BlockAddr b = 0; b < dir_.size(); ++b) {
+      const Entry& e = dir_[b];
+      if (!e.empty()) fn(b, e.st, e.sharers, e.fwd);
     }
-    for (const auto& [block, e] : snapshot) fn(block, e.st, e.sharers, e.fwd);
   }
 
  private:
@@ -104,17 +88,16 @@ class MesifDirectory {
 
   /// `block`'s index into the table; throws std::out_of_range at or above
   /// the bound.
-  std::size_t index(BlockAddr block) const REQUIRES(mu_);
+  std::size_t index(BlockAddr block) const;
 
   static std::uint64_t bit(CoreId c) { return std::uint64_t{1} << c; }
   static int popcount(std::uint64_t m);
   static CoreId any_sharer(std::uint64_t m);
 
   int num_cores_;
-  mutable common::Mutex mu_;
-  std::vector<Entry> dir_ GUARDED_BY(mu_);
-  std::size_t tracked_ GUARDED_BY(mu_) = 0;  ///< Non-empty entries.
-  DirectoryStats stats_ GUARDED_BY(mu_);
+  std::vector<Entry> dir_;
+  std::size_t tracked_ = 0;  ///< Non-empty entries.
+  DirectoryStats stats_;
 };
 
 }  // namespace delta::mem

@@ -215,11 +215,9 @@ std::uint64_t Chip::invalidate_core_chunks(CoreId core, BankId old_bank,
   for (int c : chunks) in_set[static_cast<std::size_t>(c)] = true;
   const int sets_log2 = cfg_.sets_log2;
   const bool reverse = cfg_.delta.reverse_chunk_bits;
-  const std::uint64_t n = bank(old_bank).invalidate_if(
-      [&](BlockAddr block, CoreId owner) {
-        return owner == core &&
-               in_set[static_cast<std::size_t>(mem::chunk_of(block, sets_log2, reverse))];
-      });
+  const std::uint64_t n = bank(old_bank).invalidate_if(core, [&](BlockAddr block) {
+    return in_set[static_cast<std::size_t>(mem::chunk_of(block, sets_log2, reverse))];
+  });
   traffic_.count(noc::MsgType::kInvalidation);
   invalidated_lines_ += n;
   if (obs::EventRecorder* rec = event_sink())

@@ -6,6 +6,67 @@
 #include <utility>
 
 namespace delta::sim {
+namespace {
+
+/// How many accesses ahead (along the run, or along the bank's sequence
+/// in a dense merge) apply prefetches the set: far enough to cover a set's
+/// miss latency behind the mask/latency work of the accesses in between.
+constexpr std::size_t kPrefetchDistance = 8;
+
+/// What every access of one bank's apply reads besides the kernel: the set
+/// geometry, the controller interleave, the per-MCU miss latencies and the
+/// per-MCU request counts.  Callers hold it in a local, like the kernel.
+struct BankPass {
+  int set_shift;
+  std::uint32_t set_mask;
+  noc::MemorySystem::Interleave mcu_of;
+  const Cycles* mcu_lat;
+  std::uint64_t* mcu_reqs;
+
+  std::uint32_t set_of(BlockAddr block) const {
+    return static_cast<std::uint32_t>(block >> set_shift) & set_mask;
+  }
+};
+
+/// One core's hits, misses and miss latency over a stretch of its run.
+struct SegmentCounts {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t lat = 0;
+};
+
+/// The per-access loop of a run segment, shared by the sparse walk and the
+/// private path: applies block_of(it) for each position from `it` while
+/// more(it), in order, through the bank's kernel for `core` with `mask`;
+/// counts hits, misses and miss latency into `n` and requests into the
+/// pass's per-MCU counts; returns the first position not applied.  While
+/// an access is applied, the set kPrefetchDistance positions further on
+/// (if `end` is that far) is prefetched.
+template <int kLanes, typename It, typename BlockOf, typename More>
+[[gnu::always_inline]] inline It apply_segment(mem::SetAssocCache::Kernel<kLanes>& bank,
+                                               const BankPass& pass, It it, const It end,
+                                               BlockOf block_of, More more, CoreId core,
+                                               mem::WayMask mask, SegmentCounts& n) {
+  while (more(it)) {
+    const BlockAddr block = block_of(it);
+    // Pull a later access's set record toward L1 while this one is applied
+    // (hint only — no state change).
+    if (static_cast<std::size_t>(end - it) > kPrefetchDistance)
+      bank.prefetch(pass.set_of(block_of(it + kPrefetchDistance)));
+    ++it;
+    if (bank.access(pass.set_of(block), block, core, mask)) {
+      ++n.hits;
+    } else {
+      const int mcu = pass.mcu_of(block);
+      n.lat += pass.mcu_lat[mcu];
+      ++n.misses;
+      ++pass.mcu_reqs[mcu];
+    }
+  }
+  return it;
+}
+
+}  // namespace
 
 IntraEngine::IntraEngine(int cores, int mcus, unsigned threads)
     : cores_(static_cast<std::uint32_t>(cores)),
@@ -20,6 +81,8 @@ IntraEngine::IntraEngine(int cores, int mcus, unsigned threads)
   stages_.resize(n);
   tallies_.resize(n);
   remote_.resize(n);
+  private_bank_.assign(n, kInvalidBank);
+  bank_private_.assign(n, 0);
   wstats_.resize(pool_.parties());
 
   // First-touch warm pass: worker w faults in the buffers of its static
@@ -42,7 +105,7 @@ IntraEngine::IntraEngine(int cores, int mcus, unsigned threads)
   });
 }
 
-template <bool kMonitor>
+template <bool kMonitor, bool kRoute>
 void IntraEngine::stage_stream(const EpochAccess& io, CoreId c, CoreStage& st) {
   const AppSlot& s = io.slots[static_cast<std::size_t>(c)];
   const BlockAddr* const blocks = st.blocks.data();
@@ -70,15 +133,19 @@ void IntraEngine::stage_stream(const EpochAccess& io, CoreId c, CoreStage& st) {
       sampled[k] = block;
       k += sample.sampled(block) ? 1 : 0;
     }
-    const std::uint8_t bank = route[(block >> bank_shift) & 0xFFu];
-    banks[i] = bank;
-    ++counts[i % kCounters][bank];
+    if constexpr (kRoute) {
+      const std::uint8_t bank = route[(block >> bank_shift) & 0xFFu];
+      banks[i] = bank;
+      ++counts[i % kCounters][bank];
+    }
   }
-  const std::size_t n_banks = st.offs.size() - 1;
-  for (std::size_t b = 0; b < n_banks; ++b) {
-    std::uint32_t len = 0;
-    for (const auto& row : counts) len += row[b];
-    offs[b + 1] = len;
+  if constexpr (kRoute) {
+    const std::size_t n_banks = st.offs.size() - 1;
+    for (std::size_t b = 0; b < n_banks; ++b) {
+      std::uint32_t len = 0;
+      for (const auto& row : counts) len += row[b];
+      offs[b + 1] = len;
+    }
   }
   if constexpr (kMonitor) s.umon->feed(sampled, k);
 }
@@ -93,19 +160,23 @@ void IntraEngine::stage_core(const EpochAccess& io, CoreId c) {
   if (st.n == 0) return;
 
   // Grow-only: entries are overwritten below, so no re-initialisation.
-  if (st.blocks.size() < st.n) {
-    st.blocks.resize(st.n);
-    st.banks.resize(st.n);
-    st.idx.resize(st.n);
-  }
+  if (st.blocks.size() < st.n) st.blocks.resize(st.n);
   if (s.umon != nullptr && st.sampled.size() < st.n) st.sampled.resize(st.n);
   // The core's whole epoch stream in one draw: one RNG chain, the same
   // blocks batch-by-batch draws would give.
   s.gen->fill(st.blocks.data(), st.n);
+  if (const BankId b = private_bank_[static_cast<std::size_t>(c)]; b != kInvalidBank) {
+    stage_private(io, c, b, st);
+    return;
+  }
+  if (st.banks.size() < st.n) {
+    st.banks.resize(st.n);
+    st.idx.resize(st.n);
+  }
   if (s.umon != nullptr)
-    stage_stream<true>(io, c, st);
+    stage_stream<true, true>(io, c, st);
   else
-    stage_stream<false>(io, c, st);
+    stage_stream<false, true>(io, c, st);
 
   // Counting sort by bank.  After the prefix sum offs[b] is run b's start;
   // the scatter advances it to run b's end (= run b+1's start), and the
@@ -122,27 +193,71 @@ void IntraEngine::stage_core(const EpochAccess& io, CoreId c) {
   offs[0] = 0;
 }
 
-void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
-  const obs::prof::ScopedSite timer(obs::prof::Site::kApplyBank);
+void IntraEngine::stage_private(const EpochAccess& io, CoreId c, BankId b,
+                                CoreStage& st) {
+  if (io.slots[static_cast<std::size_t>(c)].umon != nullptr)
+    stage_stream<true, false>(io, c, st);
+  // The run table: the single run [0, n) at b.  No route bytes, no sort,
+  // no idx: apply_bank(b) has nothing left to merge.
+  const auto n = static_cast<std::uint32_t>(st.n);
+  std::fill(st.offs.begin() + b + 1, st.offs.end(), n);
+
   BankTally& tally = tallies_[static_cast<std::size_t>(b)];
+  open_tally(io, b, tally);
+  mem::SetAssocCache& bank = io.banks[static_cast<std::size_t>(b)];
+  const mem::WayMask mask = io.plan.mask(c, b);
+  if (bank.lanes() == 16)
+    apply_private<16>(io, bank, tally, c, mask, st);
+  else
+    apply_private<simd::kMaxRankLanes>(io, bank, tally, c, mask, st);
+}
+
+template <int kLanes>
+void IntraEngine::apply_private(const EpochAccess& io, mem::SetAssocCache& cache,
+                                BankTally& tally, CoreId c, mem::WayMask mask,
+                                const CoreStage& st) {
+  // The bank sees exactly this core's stream in draw order: one segment.
+  mem::SetAssocCache::Kernel<kLanes> bank(cache);
+  const BankPass pass{io.plan.set_shift, io.plan.set_mask, io.memsys.interleave(),
+                      tally.mcu_lat.data(), tally.mcu_reqs.data()};
+  const BlockAddr* const begin = st.blocks.data();
+  const BlockAddr* const end = begin + st.n;
+  SegmentCounts n;
+  apply_segment(
+      bank, pass, begin, end, [](const BlockAddr* p) { return *p; },
+      [end](const BlockAddr* p) { return p != end; }, c, mask, n);
+  const auto ci = static_cast<std::size_t>(c);
+  tally.hits[ci] = n.hits;
+  tally.misses[ci] = n.misses;
+  tally.miss_lat[ci] = n.lat;
+}
+
+void IntraEngine::open_tally(const EpochAccess& io, BankId b, BankTally& tally) {
   std::fill(tally.hits.begin(), tally.hits.end(), 0);
   std::fill(tally.misses.begin(), tally.misses.end(), 0);
   std::fill(tally.miss_lat.begin(), tally.miss_lat.end(), 0);
   std::fill(tally.mcu_reqs.begin(), tally.mcu_reqs.end(), 0);
-
-  const EpochPlan& plan = io.plan;
-  const noc::MemorySystem& memsys = io.memsys;
   // What a miss from this bank adds per MCU: the bank-to-controller round
   // trip plus the controller's request latency, both epoch-constant.
+  const noc::MemorySystem& memsys = io.memsys;
   for (std::size_t m = 0; m < tally.mcu_lat.size(); ++m) {
     const int mcu = static_cast<int>(m);
     tally.mcu_lat[m] = io.mesh.round_trip(b, memsys.attach_tile(mcu)) +
                        memsys.mcu(mcu).current_request_latency();
   }
+}
+
+void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
+  const obs::prof::ScopedSite timer(obs::prof::Site::kApplyBank);
+  // A private pair's stage task already applied this bank.
+  if (bank_private_[static_cast<std::size_t>(b)] != 0) return;
+  BankTally& tally = tallies_[static_cast<std::size_t>(b)];
+  open_tally(io, b, tally);
 
   // Contributors in ascending core order: the only cores the merge visits,
   // each with its plan mask for this bank.  `next` tracks the lowest
   // unconsumed stream index across them, which names the next round.
+  const EpochPlan& plan = io.plan;
   std::vector<Run>& runs = tally.runs;
   runs.clear();
   std::uint32_t next = UINT32_MAX;
@@ -172,15 +287,9 @@ void IntraEngine::merge_bank(const EpochAccess& io, mem::SetAssocCache& cache,
   // stores its rows through types that may alias anything, so state read
   // through a pointer would be reloaded after every access.
   mem::SetAssocCache::Kernel<kLanes> bank(cache);
+  const BankPass pass{io.plan.set_shift, io.plan.set_mask, io.memsys.interleave(),
+                      tally.mcu_lat.data(), tally.mcu_reqs.data()};
   std::vector<Run>& runs = tally.runs;
-  const Cycles* const mcu_lat = tally.mcu_lat.data();
-  std::uint64_t* const mcu_reqs = tally.mcu_reqs.data();
-  const noc::MemorySystem::Interleave mcu_of = io.memsys.interleave();
-  const int set_shift = io.plan.set_shift;
-  const std::uint32_t set_mask = io.plan.set_mask;
-  const auto set_of = [set_shift, set_mask](BlockAddr block) {
-    return static_cast<std::uint32_t>(block >> set_shift) & set_mask;
-  };
 
   // Canonical merge: the bank sees its accesses in ascending (round, core,
   // index) order with round = index / batch.  Each run is already
@@ -234,20 +343,19 @@ void IntraEngine::merge_bank(const EpochAccess& io, mem::SetAssocCache& cache,
     std::uint64_t* const miss_lat = tally.miss_lat.data();
     const Run* const run_of = runs.data();
     for (std::size_t q = 0; q < total; ++q) {
-      // Pull a later access's set record toward L1 while this one is
-      // applied (hint only — no state change).
+      // The same prefetch hint as apply_segment's, along the sequence.
       if (q + kPrefetchDistance < total)
-        bank.prefetch(set_of(seq_blocks[q + kPrefetchDistance]));
+        bank.prefetch(pass.set_of(seq_blocks[q + kPrefetchDistance]));
       const BlockAddr block = seq_blocks[q];
       const Run& r = run_of[seq_runs[q]];
       const auto ci = static_cast<std::size_t>(r.core);
-      if (bank.access(set_of(block), block, r.core, r.mask)) {
+      if (bank.access(pass.set_of(block), block, r.core, r.mask)) {
         ++hits[ci];
       } else {
-        const int mcu = mcu_of(block);
-        miss_lat[ci] += mcu_lat[mcu];
+        const int mcu = pass.mcu_of(block);
+        miss_lat[ci] += pass.mcu_lat[mcu];
         ++misses[ci];
-        ++mcu_reqs[mcu];
+        ++pass.mcu_reqs[mcu];
       }
     }
     return;
@@ -255,40 +363,26 @@ void IntraEngine::merge_bank(const EpochAccess& io, mem::SetAssocCache& cache,
 
   // Sparse: few long runs.  One walk per round visits the runs; a run that
   // leaves the round reports its next index, and the lowest of those
-  // starts the next round.  Each visit (a run segment) keeps its run's
-  // cursor, mask and core and its hit, miss and latency counts in locals,
-  // and writes the counts to the bank tally once when it leaves.
+  // starts the next round.  Each visit (a run segment) runs apply_segment
+  // with its run's cursor, mask and core in locals, and writes the
+  // segment's counts to the bank tally once when it leaves.
   while (next != UINT32_MAX) {
     // Stream indices below this bound belong to the round.
     const std::uint64_t round_end = (next / batch + 1) * batch;
     next = UINT32_MAX;
     for (Run& r : runs) {
-      const std::uint32_t* it = r.it;
       const std::uint32_t* const end = r.end;
       const BlockAddr* const blocks = r.blocks;
-      const CoreId core = r.core;
-      const mem::WayMask mask = r.mask;
-      std::uint64_t hits = 0, misses = 0, lat = 0;
-      while (it != end && *it < round_end) {
-        const BlockAddr block = blocks[*it];
-        // The same hint, along the run.
-        if (static_cast<std::size_t>(end - it) > kPrefetchDistance)
-          bank.prefetch(set_of(blocks[it[kPrefetchDistance]]));
-        ++it;
-        if (bank.access(set_of(block), block, core, mask)) {
-          ++hits;
-        } else {
-          const int mcu = mcu_of(block);
-          lat += mcu_lat[mcu];
-          ++misses;
-          ++mcu_reqs[mcu];
-        }
-      }
+      SegmentCounts n;
+      const std::uint32_t* const it = apply_segment(
+          bank, pass, r.it, end, [blocks](const std::uint32_t* p) { return blocks[*p]; },
+          [end, round_end](const std::uint32_t* p) { return p != end && *p < round_end; },
+          r.core, r.mask, n);
       r.it = it;
-      const auto ci = static_cast<std::size_t>(core);
-      tally.hits[ci] += hits;
-      tally.misses[ci] += misses;
-      tally.miss_lat[ci] += lat;
+      const auto ci = static_cast<std::size_t>(r.core);
+      tally.hits[ci] += n.hits;
+      tally.misses[ci] += n.misses;
+      tally.miss_lat[ci] += n.lat;
       if (it != end) next = std::min(next, *it);
     }
   }
@@ -340,6 +434,35 @@ void IntraEngine::record_buffer_occupancy() {
   profile_.add_occupancy(0, pairs, nonzero);
 }
 
+void IntraEngine::find_private_pairs(const EpochAccess& io) {
+  // A core contributes when it has accesses this epoch.  `once` holds
+  // the banks some contributor's route names, `twice` those two or more
+  // name; a contributor whose route names one bank that no other
+  // contributor names is that bank's only source.
+  const auto contributes = [&io](std::size_t c) {
+    return io.slots[c].active && io.targets[c] > 0;
+  };
+  EpochPlan::BankSet once, twice;
+  for (std::size_t c = 0; c < cores_; ++c) {
+    if (!contributes(c)) continue;
+    const EpochPlan::BankSet& r = io.plan.reach[c];
+    for (std::size_t w = 0; w < r.words.size(); ++w) {
+      twice.words[w] |= once.words[w] & r.words[w];
+      once.words[w] |= r.words[w];
+    }
+  }
+  std::fill(bank_private_.begin(), bank_private_.end(), 0);
+  for (std::size_t c = 0; c < cores_; ++c) {
+    BankId& pb = private_bank_[c];
+    pb = kInvalidBank;
+    if (!contributes(c)) continue;
+    const BankId b = io.plan.reach[c].sole();
+    if (b == kInvalidBank || twice.contains(b)) continue;
+    pb = b;
+    bank_private_[static_cast<std::size_t>(b)] = 1;
+  }
+}
+
 bool IntraEngine::await_all(const std::atomic<std::uint32_t>& counter) const {
   // The acquire load that sees every core pairs with every task's release
   // increment, so everything the previous phase wrote is visible here.
@@ -383,6 +506,7 @@ void IntraEngine::run_epoch(const EpochAccess& io) {
   banks_done_.store(0, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
   for (ClaimSet::Counts& ws : wstats_) ws = ClaimSet::Counts{};
+  find_private_pairs(io);
 
   // One pool section per epoch (two barrier crossings) for all three
   // phases.

@@ -12,52 +12,72 @@
 // phases, each scheduled by a ClaimSet (common/parallel.hpp: home range
 // first, then ascending steals):
 //
+//   Before the section the owner finds the epoch's private pairs in
+//   O(cores) from the plan's per-core bank sets (EpochPlan::reach): core c
+//   and bank b form one when c has accesses this epoch, every entry of c's
+//   route names b, and no other core with accesses has a route entry
+//   naming b.  The canonical interleaving restricted to such a bank
+//   is c's stream in draw order, so nothing needs merging there.  DELTA's
+//   locality-aware CBT makes this the common case: 81% of the 64-tile w13
+//   mix's accesses under DELTA come from private pairs; on the 16-tile w6
+//   mix, 100% under private, 80% under DELTA, 62% under CARMA, 40% under
+//   ideal, and none under S-NUCA or LFOC, which spread every core over
+//   every bank.
+//
 //   Stage — one task per core: draw the core's whole epoch stream with one
-//     TraceGen::fill (one RNG chain) straight into the core's block
-//     buffer, then run one loop over it that routes each access through
+//     TraceGen::fill (one RNG chain) straight into the core's block buffer.
+//     A private pair's core then feeds its UMON (the sampling loop below,
+//     without the route) and runs the stream straight through bank b's
+//     kernel in one segment, writing b's tally itself: per-core hits,
+//     misses and miss latency, per-MCU requests, and the per-MCU latency
+//     table built the way apply builds it.  Its run table becomes the one
+//     run [0, n) at b; it stages no route bytes and no `idx`.  Every other
+//     core runs one loop over its stream that routes each access through
 //     the plan to one bank byte, counts run lengths in four interleaved
 //     rows (a core's accesses mostly share one bank, and one row would
-//     chain every increment through memory) and, when the core has a
-//     UMON, appends the block to a per-core sampled buffer without a
-//     branch: the monitor's own sampling rule (umon::Umon::Sampler, copied
-//     into locals) decides whether the cursor advances.  The monitor then
-//     takes the sampled blocks in stream order (Umon::feed, which
-//     prefetches a stack a few blocks ahead).  Then counting-sort the
-//     stream indices by bank into one flat index array plus an
-//     offs[banks+1] run table, so run b (the core's accesses to bank b,
-//     ascending) is idx[offs[b], offs[b+1]).  Staging keeps 9 bytes per
-//     access (block and bank) besides the index; the set is not staged.
-//     Buffers keep their high-water size across epochs and are never
-//     re-cleared.  Then bump stage_done_ (release).
+//     chain every increment through memory) and, when the core has a UMON,
+//     appends the block to a per-core sampled buffer without a branch: the
+//     monitor's own sampling rule (umon::Umon::Sampler, copied into locals)
+//     decides whether the cursor advances.  The monitor then takes the
+//     sampled blocks in stream order (Umon::feed, which prefetches a stack
+//     a few blocks ahead).  Then counting-sort the stream indices by bank
+//     into one flat index array plus an offs[banks+1] run table, so run b
+//     (the core's accesses to bank b, ascending) is idx[offs[b],
+//     offs[b+1]).  Staging keeps 9 bytes per access (block and bank)
+//     besides the index; the set is not staged.  Buffers keep their
+//     high-water size across epochs and are never re-cleared.  Then bump
+//     stage_done_ (release).
 //
-//   Apply — one task per bank, once stage_done_ == cores (acquire): collect
-//     the contributors — cores whose run for this bank is non-empty, in
-//     ascending core order, each with its plan mask for the bank — and
-//     apply only their runs in the canonical order, ascending (round, core,
-//     index) with round = index / batch.  Sparse banks (few long runs:
-//     DELTA, private) are merged by one walk per round: each run's cursor
-//     stays in the round while its index is below (round + 1) * batch, and
-//     as a run leaves the round it reports its next index; the lowest of
-//     those names the next round.  Dense banks (a run visit per two
-//     accesses or more: S-NUCA, LFOC, every core over every bank) first
-//     list their accesses by a stable counting sort by round, whose passes
-//     have no data-dependent branch, and then apply the list.  Either way
+//   Apply — one task per bank, once stage_done_ == cores (acquire).  A
+//     private pair's bank returns at once: its stage task applied it.
+//     Otherwise collect the contributors — cores whose run for this bank is
+//     non-empty, in ascending core order, each with its plan mask for the
+//     bank — and apply only their runs in the canonical order, ascending
+//     (round, core, index) with round = index / batch.  Sparse banks (few
+//     long runs: DELTA, private) are merged by one walk per round: each
+//     run's cursor stays in the round while its index is below
+//     (round + 1) * batch, and as a run leaves the round it reports its
+//     next index; the lowest of those names the next round.  Dense banks
+//     (a run visit per two accesses or more: S-NUCA, LFOC, every core over
+//     every bank) first list their accesses by a stable counting sort by
+//     round, whose passes have no data-dependent branch, and then apply the
+//     list.  Either way
 //     the bank sees the exact canonical access sequence.  Every access runs
 //     the cache's one hit-or-fill kernel, mem::SetAssocCache::Kernel, at
-//     the bank's lane count (picked once per bank) and held in a local,
-//     as are the set geometry and the controller interleave: the kernel
-//     stores through types that may alias anything, so state read through
-//     a pointer would be reloaded after every access.  The sparse walk
-//     copies each run's cursor, mask and core into locals and counts its
-//     hits, misses and miss latency in locals too, writing them to the
-//     bank tally once per run segment (a run's stay in one round).  Each
-//     access's set is recomputed from its block with the plan's
-//     set_shift/set_mask.
-//     While an access is applied, the set of the
-//     access kPrefetchDistance further along its run (sparse) or the list
-//     (dense) is prefetched.  Each task first builds a
-//     per-MCU miss-latency table (the bank-to-MCU round trip plus the
-//     MCU's epoch-constant current_request_latency()); misses add their
+//     the bank's lane count (picked once per bank) and held in a local, as
+//     are the set geometry and the controller interleave: the kernel stores
+//     through types that may alias anything, so state read through a
+//     pointer would be reloaded after every access.  The sparse walk and
+//     the private path share one inlined per-segment loop (apply_segment in
+//     intra.cpp): it keeps the run's cursor, mask and core and its hit,
+//     miss and latency counts in locals, and the caller writes the counts
+//     to the bank tally once per segment (a run's stay in one round, or a
+//     private core's whole stream).  Each access's set is recomputed from
+//     its block with the plan's set_shift/set_mask.  While an access is
+//     applied, the set of the access kPrefetchDistance further along its
+//     run (sparse) or the list (dense) is prefetched.  Each task first
+//     builds a per-MCU miss-latency table (the bank-to-MCU round trip plus
+//     the MCU's epoch-constant current_request_latency()); misses add their
 //     entry to an exact integer tally per (bank, core), next to the
 //     per-core hit/miss and per-MCU request counts.  Then the task bumps
 //     banks_done_.
@@ -84,6 +104,14 @@
 // watermarks and per-bank slice chains.  That overlap measured 0.003-0.008
 // of apply work on 4 cores — a core's stream is one indivisible chain and
 // a slice needed every core's watermark — so it was removed.
+//
+// Why private pairs skip the merge: staging a private core's stream costs
+// a route byte, a count and a scatter per access, the apply task a run
+// visit per round, and the bank waits for the stage barrier though no
+// other core can touch it.  Applying in the stage task drops all of that
+// and leaves the barrier only the banks that merge.  A chunked
+// draw-and-apply that skipped block staging for private pairs measured no
+// better (docs/performance.md lists it with the other measured negatives).
 //
 // Why runs and contributors: DELTA's locality-aware CBT maps a core's
 // addresses mostly to its home bank, so on the 64-tile w13 mix only ~69 of
@@ -131,15 +159,10 @@ class IntraEngine final : public AccessEngine {
   unsigned threads() const override { return pool_.parties(); }
 
  private:
-  /// How many accesses ahead (along the run, or along the bank's sequence
-  /// in a dense merge) apply prefetches the set: far enough to cover a
-  /// set's miss latency behind the mask/latency work of the accesses in
-  /// between.
-  static constexpr std::size_t kPrefetchDistance = 8;
-
   /// Per-core staging, reused across epochs: 9 bytes per access (the
   /// block and its bank) plus its slot in `idx`.  The buffers only grow
-  /// (to the largest epoch target seen); entries past `n` are stale.
+  /// (to the largest epoch target seen); entries past `n` are stale.  A
+  /// private pair's core fills only `blocks`, `sampled` and `offs`.
   struct CoreStage {
     std::vector<BlockAddr> blocks;     ///< Stream in draw order; first n live.
     std::vector<std::uint8_t> banks;   ///< Routed bank per access: the sort key.
@@ -162,7 +185,8 @@ class IntraEngine final : public AccessEngine {
   };
 
   /// Per-bank integer tallies, reused across epochs.  Written only by the
-  /// bank's apply task, read by the owner after the section.
+  /// bank's apply task (or, for a private pair's bank, by the core's stage
+  /// task), read by reduce and by the owner after the section.
   struct BankTally {
     std::vector<std::uint64_t> hits;      ///< Per core.
     std::vector<std::uint64_t> misses;    ///< Per core.
@@ -179,12 +203,24 @@ class IntraEngine final : public AccessEngine {
     std::vector<std::uint32_t> round_pos;
   };
 
+  /// Sets private_bank_ and bank_private_ for the epoch (owner thread,
+  /// before the section).
+  void find_private_pairs(const EpochAccess& io);
+
   // Task bodies (run by whichever worker claimed the task).
   void stage_core(const EpochAccess& io, CoreId c);
   /// stage_core's monitor/route loop over the drawn stream; `kMonitor` ==
-  /// the core has a UMON.
-  template <bool kMonitor>
+  /// feed the core's UMON, `kRoute` == stage route bytes and run lengths.
+  template <bool kMonitor, bool kRoute>
   void stage_stream(const EpochAccess& io, CoreId c, CoreStage& st);
+  /// stage_core's tail for core `c` of a private pair with bank `b`: the
+  /// monitor feed, the one-run table and the whole apply of bank `b`.
+  void stage_private(const EpochAccess& io, CoreId c, BankId b, CoreStage& st);
+  template <int kLanes>
+  void apply_private(const EpochAccess& io, mem::SetAssocCache& cache, BankTally& tally,
+                     CoreId c, mem::WayMask mask, const CoreStage& st);
+  /// Zeroes bank `b`'s tally and builds its per-MCU miss-latency table.
+  static void open_tally(const EpochAccess& io, BankId b, BankTally& tally);
   void apply_bank(const EpochAccess& io, BankId b);
   /// apply_bank's merge over the collected runs, with the bank's kernel at
   /// its lane count; `next` is the lowest stream index across the runs.
@@ -205,6 +241,11 @@ class IntraEngine final : public AccessEngine {
   std::vector<CoreStage> stages_;   ///< One per core.
   std::vector<BankTally> tallies_;  ///< One per bank.
   std::vector<std::uint64_t> remote_;  ///< Per core: hop > 0 accesses.
+  /// This epoch's private pairs (find_private_pairs): per core, the bank
+  /// it applies in its stage task, or kInvalidBank; per bank, 1 when a
+  /// stage task applies it.
+  std::vector<BankId> private_bank_;
+  std::vector<std::uint8_t> bank_private_;
   /// Slot w: written only by worker w inside the section, read by the
   /// owner after the done barrier.
   std::vector<ClaimSet::Counts> wstats_;

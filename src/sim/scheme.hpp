@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -69,9 +70,31 @@ std::string_view to_string(SchemeKind k);
 ///
 /// Routing: bank = route[core][(block >> bank_shift) & 0xFF] and
 /// set = (block >> set_shift) & set_mask.  A bank id fits a route byte
-/// because MachineConfig::validate() caps the tile count at 128.
+/// because MachineConfig::validate() caps the tile count at 128.  The
+/// route writers below (interleave, home, route_cbt) are the only writers
+/// of `route`: each also records the set of banks a core's table names in
+/// `reach`, so the access engine can tell in O(cores) which cores reach a
+/// bank without rescanning every route byte.
 struct EpochPlan {
   using Route = std::array<std::uint8_t, mem::kNumChunks>;
+
+  /// A set of banks, one bit per bank id (at most 128 tiles).
+  struct BankSet {
+    std::array<std::uint64_t, 2> words{};
+
+    void insert(BankId b) {
+      words[static_cast<std::size_t>(b) >> 6] |= std::uint64_t{1} << (b & 63);
+    }
+    bool contains(BankId b) const {
+      return (words[static_cast<std::size_t>(b) >> 6] >> (b & 63)) & 1;
+    }
+    /// The set's only bank, or kInvalidBank when it holds none or several.
+    BankId sole() const {
+      const int n = std::popcount(words[0]) + std::popcount(words[1]);
+      if (n != 1) return kInvalidBank;
+      return words[0] != 0 ? std::countr_zero(words[0]) : 64 + std::countr_zero(words[1]);
+    }
+  };
 
   int banks = 0;
   int sets_log2 = 0;
@@ -79,6 +102,7 @@ struct EpochPlan {
   int set_shift = 0;
   std::uint32_t set_mask = 0;
   std::vector<Route> route;         ///< One 256-entry bank table per core.
+  std::vector<BankSet> reach;       ///< Per core: the banks its route names.
   std::vector<mem::WayMask> masks;  ///< [core * banks + bank]; 0 == bypass.
   /// The scheme reads per-core UMONs.  Read once, right after reset():
   /// without it the chip builds, feeds and decays no monitor.

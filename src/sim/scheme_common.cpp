@@ -13,6 +13,7 @@ void EpochPlan::init(int n, int log2_sets, mem::WayMask all) {
   banks = n;
   sets_log2 = log2_sets;
   route.resize(static_cast<std::size_t>(n));
+  reach.resize(static_cast<std::size_t>(n));
   masks.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), all);
   monitors = false;
   home();
@@ -23,17 +24,23 @@ void EpochPlan::interleave() {
   set_shift = std::bit_width(static_cast<unsigned>(banks)) - 1;
   set_mask = (std::uint32_t{1} << sets_log2) - 1;
   const auto bank_bits = static_cast<unsigned>(banks - 1);
+  BankSet all;
+  for (BankId b = 0; b < banks; ++b) all.insert(b);
   for (Route& r : route)
     for (unsigned v = 0; v < r.size(); ++v)
       r[v] = static_cast<std::uint8_t>(v & bank_bits);
+  std::fill(reach.begin(), reach.end(), all);
 }
 
 void EpochPlan::home() {
   bank_shift = sets_log2;
   set_shift = 0;
   set_mask = (std::uint32_t{1} << sets_log2) - 1;
-  for (std::size_t c = 0; c < route.size(); ++c)
+  for (std::size_t c = 0; c < route.size(); ++c) {
     route[c].fill(static_cast<std::uint8_t>(c));
+    reach[c] = BankSet{};
+    reach[c].insert(static_cast<BankId>(c));
+  }
 }
 
 void EpochPlan::route_cbt(CoreId core, const core::Cbt& cbt) {
@@ -43,12 +50,23 @@ void EpochPlan::route_cbt(CoreId core, const core::Cbt& cbt) {
   const auto& map = cbt.select_map();
   std::transform(map.begin(), map.end(), route[static_cast<std::size_t>(core)].begin(),
                  [](BankId b) { return static_cast<std::uint8_t>(b); });
+  // The CBT's ranges cover every chunk, so their banks are the map's.
+  BankSet& set = reach[static_cast<std::size_t>(core)];
+  set = BankSet{};
+  for (const core::CbtRange& r : cbt.ranges()) set.insert(r.bank);
 }
 
 void EpochPlan::masks_from(BankId bank, const core::WpUnit& wp) {
-  for (CoreId c = 0; c < banks; ++c)
-    masks[static_cast<std::size_t>(c) * static_cast<std::size_t>(banks) +
-          static_cast<std::size_t>(bank)] = wp.mask_of(c);
+  // O(cores + ways): clear the bank's column, then OR each way into its
+  // owner's mask, instead of one O(ways) wp.mask_of() scan per core.
+  const auto n = static_cast<std::size_t>(banks);
+  mem::WayMask* const column = masks.data() + static_cast<std::size_t>(bank);
+  for (std::size_t c = 0; c < n; ++c) column[c * n] = 0;
+  for (int w = 0; w < wp.ways(); ++w) {
+    const CoreId owner = wp.owner(w);
+    if (owner >= 0 && owner < banks)
+      column[static_cast<std::size_t>(owner) * n] |= mem::WayMask{1} << w;
+  }
 }
 
 void EpochPlan::fill_masks(mem::WayMask m) { std::fill(masks.begin(), masks.end(), m); }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
@@ -181,11 +184,66 @@ TEST(Cache, InvalidateIfSweepsByOwner) {
   for (BlockAddr b = 0; b < 32; ++b)
     c.access(static_cast<std::uint32_t>(b % 8), b, static_cast<CoreId>(b % 2),
              full_mask(4));
-  const std::uint64_t n = c.invalidate_if(
-      [](BlockAddr, CoreId owner) { return owner == 1; });
+  const std::uint64_t n = c.invalidate_if(1, [](BlockAddr) { return true; });
   EXPECT_EQ(n, 16u);
   EXPECT_EQ(c.lines_owned_by(1), 0u);
   EXPECT_EQ(c.lines_owned_by(0), 16u);
+  // The predicate sees only the owner's lines, and an owner no line can
+  // carry matches nothing.
+  EXPECT_EQ(c.invalidate_if(0, [](BlockAddr b) { return b % 4 == 0; }), 8u);
+  EXPECT_EQ(c.lines_owned_by(0), 8u);
+  for (const CoreId none : {kInvalidCore, CoreId{255}, CoreId{1000}})
+    EXPECT_EQ(c.invalidate_if(none, [](BlockAddr) { return true; }), 0u);
+  EXPECT_EQ(c.valid_lines(), 8u);
+  EXPECT_EQ(c.stats().invalidations, 24u);
+}
+
+// invalidate_if filters each set by its owner row (simd::match_u8) before
+// it calls the predicate.  On random banks of every record shape, with
+// owners at the byte edges and stale owner bytes on invalidated ways, it
+// must drop exactly the lines a brute-force sweep over every line drops.
+TEST(CacheProperty, InvalidateIfMatchesBruteForceSweep) {
+  Rng rng(0x1a7u);
+  for (int iter = 0; iter < 60; ++iter) {
+    const int ways = 1 + static_cast<int>(rng.below(32));
+    const auto sets = static_cast<std::uint32_t>(1 + rng.below(16));
+    const CoreId owners[] = {0, 1, 2, 7, 253, 254};
+    SetAssocCache c(sets, ways);
+    for (int a = 0; a < 40 * ways; ++a) {
+      const auto set = static_cast<std::uint32_t>(rng.below(sets));
+      const BlockAddr block =
+          rng.below(std::uint64_t{4} * static_cast<std::uint64_t>(ways)) * sets + set;
+      const CoreId owner = owners[rng.below(6)];
+      c.access(set, block, owner, static_cast<WayMask>(rng()) & full_mask(ways));
+      // Invalidated ways keep their owner byte; the sweep must skip them.
+      if (rng.below(8) == 0) c.invalidate(set, block);
+    }
+    const CoreId target = owners[rng.below(6)];
+    const std::uint64_t salt = rng();
+    const auto pred = [salt](BlockAddr b) {
+      return ((b * 0x9e3779b97f4a7c15ull) ^ salt) >> 63;
+    };
+
+    // Brute force on a copy: every valid line, owner and predicate.
+    SetAssocCache brute = c;
+    std::vector<std::pair<std::uint32_t, BlockAddr>> doomed;
+    brute.for_each_line([&](std::uint32_t s, int, BlockAddr b, CoreId o) {
+      if (o == target && pred(b)) doomed.emplace_back(s, b);
+    });
+    for (const auto& [s, b] : doomed) ASSERT_TRUE(brute.invalidate(s, b));
+
+    const std::uint64_t n = c.invalidate_if(target, pred);
+    ASSERT_EQ(n, doomed.size()) << "iter=" << iter << " ways=" << ways;
+    ASSERT_EQ(c.stats().invalidations, brute.stats().invalidations);
+    std::vector<std::tuple<std::uint32_t, int, BlockAddr, CoreId>> got, want;
+    c.for_each_line([&](std::uint32_t s, int w, BlockAddr b, CoreId o) {
+      got.emplace_back(s, w, b, o);
+    });
+    brute.for_each_line([&](std::uint32_t s, int w, BlockAddr b, CoreId o) {
+      want.emplace_back(s, w, b, o);
+    });
+    ASSERT_EQ(got, want) << "iter=" << iter << " ways=" << ways;
+  }
 }
 
 // The validity word lives inside each set record, next to the owner bytes
@@ -241,7 +299,7 @@ TEST(Cache, InRecordValidityWordAtEveryRecordShape) {
     std::uint64_t odd_valid = 0;
     c.for_each_line(
         [&](std::uint32_t, int, BlockAddr, CoreId o) { odd_valid += o == 254; });
-    const std::uint64_t n = c.invalidate_if([](BlockAddr, CoreId o) { return o == 254; });
+    const std::uint64_t n = c.invalidate_if(254, [](BlockAddr) { return true; });
     EXPECT_EQ(n, odd_valid) << "ways=" << ways;
     EXPECT_EQ(c.lines_owned_by(254), 0u) << "ways=" << ways;
     c.for_each_line([&](std::uint32_t, int w, BlockAddr, CoreId o) {

@@ -17,14 +17,22 @@
 #include "reference_engine.hpp"
 
 #include "check/fuzz.hpp"
+#include "core/cbt.hpp"
+#include "mem/address.hpp"
+#include "noc/mcu.hpp"
+#include "noc/mesh.hpp"
+#include "noc/traffic.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "obs/prof/export.hpp"
 #include "sim/chip.hpp"
+#include "sim/intra.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "sim/scheme.hpp"
+#include "umon/umon.hpp"
 #include "workload/generator.hpp"
+#include "workload/spec.hpp"
 
 namespace delta {
 namespace {
@@ -134,10 +142,14 @@ TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
             run_summary(quick16(1), "w2", sim::SchemeKind::kDelta));
 }
 
-/// Everything an epoch's accesses leave behind on a chip, as one string:
-/// every core's statistics, every bank's stats and contents (a digest),
-/// the demand traffic and every MCU's request count.
-std::string chip_state(sim::Chip& chip) {
+/// Everything an epoch's accesses leave behind, as one string: every
+/// core's statistics and monitor curve, every bank's stats and contents
+/// (a digest), the demand traffic and every MCU's request count.
+/// `slot(c)` and `bank(b)` name the `cores` slots and banks.
+template <typename SlotAt, typename BankAt>
+std::string engine_state(int cores, SlotAt slot, BankAt bank_at,
+                         const noc::TrafficStats& traffic,
+                         const noc::MemorySystem& memsys) {
   std::string out;
   const auto put = [&](std::uint64_t v) { out += std::to_string(v) + ' '; };
   const auto put_bits = [&](double d) {
@@ -145,17 +157,22 @@ std::string chip_state(sim::Chip& chip) {
     std::memcpy(&bits, &d, sizeof bits);
     put(bits);
   };
-  for (CoreId c = 0; c < chip.cores(); ++c) {
-    const sim::AppSlot& s = chip.slot(c);
+  for (CoreId c = 0; c < cores; ++c) {
+    const sim::AppSlot& s = slot(c);
     put(s.epoch_accesses);
     put(s.llc_hits);
     put(s.llc_misses);
     put_bits(s.epoch_lat_sum);
     put_bits(s.lat_sum);
     put_bits(s.hop_sum);
+    if (s.umon != nullptr) {
+      put(s.umon->sampled_accesses());
+      const umon::MissCurve curve = s.umon->miss_curve();
+      for (int w = 0; w <= curve.max_ways(); ++w) put_bits(curve.at(w));
+    }
   }
-  for (BankId b = 0; b < chip.cores(); ++b) {
-    const mem::SetAssocCache& bank = chip.bank(b);
+  for (BankId b = 0; b < cores; ++b) {
+    const mem::SetAssocCache& bank = bank_at(b);
     put(bank.stats().hits);
     put(bank.stats().misses);
     put(bank.stats().evictions);
@@ -167,10 +184,16 @@ std::string chip_state(sim::Chip& chip) {
     });
     put(digest);
   }
-  put(chip.traffic().demand_messages());
-  for (int m = 0; m < chip.memsys().num_mcus(); ++m)
-    put(chip.memsys().mcu(m).total_requests());
+  put(traffic.demand_messages());
+  for (int m = 0; m < memsys.num_mcus(); ++m) put(memsys.mcu(m).total_requests());
   return out;
+}
+
+std::string chip_state(sim::Chip& chip) {
+  return engine_state(
+      chip.cores(), [&chip](CoreId c) -> const sim::AppSlot& { return chip.slot(c); },
+      [&chip](BankId b) -> const mem::SetAssocCache& { return chip.bank(b); },
+      chip.traffic(), chip.memsys());
 }
 
 TEST(Intra, SideBySideWithReferenceAtEveryAccessItsOwnRound) {
@@ -195,6 +218,171 @@ TEST(Intra, SideBySideWithReferenceAtEveryAccessItsOwnRound) {
       ASSERT_EQ(chip_state(*reference), chip_state(engine))
           << "intra-jobs " << jobs << " diverged in epoch " << e;
     }
+  }
+}
+
+/// Every input of the access step, built by hand instead of by a Chip, so
+/// a test sets the plan, which cores are active and each core's target
+/// itself.  Active cores draw their app's stream and feed a UMON.
+struct HandEpoch {
+  sim::MachineConfig cfg;
+  noc::Mesh mesh;
+  noc::MemorySystem memsys;
+  noc::TrafficStats traffic;
+  std::vector<mem::SetAssocCache> banks;
+  std::vector<sim::AppSlot> slots;
+  sim::EpochPlan plan;
+
+  HandEpoch(const sim::MachineConfig& c, const std::vector<std::string>& apps)
+      : cfg(c),
+        mesh(cfg.mesh_width, cfg.mesh_height),
+        memsys(cfg.num_mcus, cfg.mesh_width, cfg.mesh_height, cfg.mcu) {
+    for (int b = 0; b < cfg.cores; ++b)
+      banks.emplace_back(static_cast<std::uint32_t>(cfg.sets_per_bank()),
+                         cfg.ways_per_bank);
+    slots.resize(static_cast<std::size_t>(cfg.cores));
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (apps[i] == "idle") continue;
+      sim::AppSlot& s = slots[i];
+      s.app_name = apps[i];
+      s.profile = &workload::spec_profile(apps[i]);
+      s.gen =
+          std::make_unique<workload::TraceGen>(*s.profile, (Addr{i} + 1) << 34, i + 1);
+      s.umon = std::make_unique<umon::Umon>(cfg.umon);
+      s.active = true;
+    }
+    plan.init(cfg.cores, cfg.sets_log2, mem::full_mask(cfg.ways_per_bank));
+  }
+
+  /// Core `core`'s route: the first `chunks` of the 256 chunks to `bank`,
+  /// the rest to its home bank.  Chunk 0 holds the bottom of the core's
+  /// address window, where every stream's rings start, so even one chunk
+  /// carries accesses.
+  void route(CoreId core, BankId bank, int chunks) {
+    core::Cbt cbt(core, cfg.delta.reverse_chunk_bits);
+    cbt.rebuild({{bank, chunks}, {core, mem::kNumChunks - chunks}});
+    plan.route_cbt(core, cbt);
+  }
+
+  void run(sim::AccessEngine& engine, const std::vector<std::uint64_t>& targets,
+           std::uint64_t epoch) {
+    for (sim::AppSlot& s : slots) {
+      s.epoch_accesses = 0;
+      s.epoch_lat_sum = 0.0;
+      if (s.active) s.gen->set_epoch(epoch);
+    }
+    engine.run_epoch(sim::EpochAccess{plan, banks, slots, targets, mesh, memsys, traffic,
+                                      cfg.llc_tag_latency + cfg.llc_data_latency,
+                                      sim::Chip::kInterleaveBatch, epoch, true});
+    memsys.end_epoch(cfg.epoch_cycles);
+  }
+
+  std::string state() const {
+    return engine_state(
+        cfg.cores,
+        [this](CoreId c) -> const sim::AppSlot& {
+          return slots[static_cast<std::size_t>(c)];
+        },
+        [this](BankId b) -> const mem::SetAssocCache& {
+          return banks[static_cast<std::size_t>(b)];
+        },
+        traffic, memsys);
+  }
+};
+
+/// Runs `setup`'s hand-built epochs on the reference loop and on the staged
+/// engine at 1, 2 and 4 workers, requiring equal state after every epoch.
+/// `setup` builds the plan on a fresh HandEpoch; `targets` are per core.
+template <typename Setup>
+void expect_engine_matches_reference(const char* what,
+                                     const std::vector<std::string>& apps,
+                                     const std::vector<std::uint64_t>& targets,
+                                     Setup setup) {
+  const sim::MachineConfig cfg = sim::config16();
+  constexpr int kEpochs = 4;
+  HandEpoch reference(cfg, apps);
+  setup(reference);
+  test::ReferenceEngine reference_engine;
+  std::vector<std::string> want;
+  for (int e = 0; e < kEpochs; ++e) {
+    reference.run(reference_engine, targets, static_cast<std::uint64_t>(e));
+    want.push_back(reference.state());
+  }
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    HandEpoch staged(cfg, apps);
+    setup(staged);
+    sim::IntraEngine engine(cfg.cores, cfg.num_mcus, jobs);
+    for (int e = 0; e < kEpochs; ++e) {
+      staged.run(engine, targets, static_cast<std::uint64_t>(e));
+      ASSERT_EQ(want[static_cast<std::size_t>(e)], staged.state())
+          << what << ": intra-jobs " << jobs << " diverged in epoch " << e;
+    }
+  }
+}
+
+const std::vector<std::string> kApps16 = {"mc", "po", "xa", "na", "ze", "hm", "ga", "gr",
+                                          "li", "de", "om", "bw", "so", "ca", "pe", "Ge"};
+
+TEST(IntraPrivatePairs, OneForeignChunkSendsTheBankThroughTheMerge) {
+  // Core 0 routes only to bank 0, but core 1 routes one chunk there too:
+  // bank 0 has two possible contributors and must take the merge, and core
+  // 1 (two banks) stages normally.  Cores 2-15 stay home: private pairs.
+  // Large targets put both cores' bank-0 accesses in many shared rounds.
+  expect_engine_matches_reference("one foreign chunk", kApps16,
+                                  std::vector<std::uint64_t>(16, 3000),
+                                  [](HandEpoch& h) { h.route(1, 0, 1); });
+}
+
+TEST(IntraPrivatePairs, IdleCoresDoNotBlockPrivacy) {
+  // Idle cores keep their home routes, which name their own banks; only
+  // cores with accesses can contend.  Core 0 routes everything to
+  // idle core 1's bank, core 2 to idle core 3's, core 4 splits between
+  // its home and idle core 5's bank (not private: two banks).
+  std::vector<std::string> apps = kApps16;
+  for (const int idle : {1, 3, 5, 9}) apps[static_cast<std::size_t>(idle)] = "idle";
+  std::vector<std::uint64_t> targets(16, 2000);
+  for (const int idle : {1, 3, 5, 9}) targets[static_cast<std::size_t>(idle)] = 0;
+  expect_engine_matches_reference("idle cores", apps, targets, [](HandEpoch& h) {
+    h.route(0, 1, mem::kNumChunks);
+    h.route(2, 3, mem::kNumChunks);
+    h.route(4, 5, 64);
+  });
+}
+
+TEST(IntraPrivatePairs, AnActiveCoreWithZeroTargetDoesNotContend) {
+  // Core 4 is active but has no accesses this epoch; core 5 routes all of
+  // its stream to bank 4, which is still private.  Core 6 routes to bank
+  // 7 while core 7 (target zero) keeps its home route there.
+  std::vector<std::uint64_t> targets(16, 2000);
+  targets[4] = 0;
+  targets[7] = 0;
+  expect_engine_matches_reference("zero target", kApps16, targets, [](HandEpoch& h) {
+    h.route(5, 4, mem::kNumChunks);
+    h.route(6, 7, mem::kNumChunks);
+  });
+}
+
+TEST(IntraPrivatePairs, EmptyWayMaskBypassesOnThePrivatePath) {
+  // A private pair whose plan mask is empty inserts nothing: every miss
+  // bypasses the bank.  Core 2's mask keeps a single way.
+  expect_engine_matches_reference("empty mask", kApps16,
+                                  std::vector<std::uint64_t>(16, 2500), [](HandEpoch& h) {
+                                    const auto n = static_cast<std::size_t>(h.plan.banks);
+                                    h.plan.masks[6 * n + 6] = 0;
+                                    h.plan.masks[2 * n + 2] = 0x1;
+                                  });
+}
+
+TEST(IntraPrivatePairs, PrivateSchemeMatchesReferenceAt16And64Tiles) {
+  // The private scheme is every core its home bank's only contributor.
+  constexpr sim::SchemeKind kPrivate = sim::SchemeKind::kPrivate;
+  const std::string ref16 = reference_summary(quick16(1), "w2", kPrivate);
+  const std::string ref64 = reference_summary(quick64(1), "w13", kPrivate);
+  for (const int jobs : {1, 2, 4}) {
+    EXPECT_EQ(ref16, run_summary(quick16(jobs), "w2", kPrivate))
+        << "16-tile intra-jobs " << jobs;
+    EXPECT_EQ(ref64, run_summary(quick64(jobs), "w13", kPrivate))
+        << "64-tile intra-jobs " << jobs;
   }
 }
 

@@ -124,6 +124,25 @@ TEST_P(EveryScheme, WorkloadStreamsIdenticalAcrossSchemes) {
   }
 }
 
+TEST_P(EveryScheme, PlanBankSetsNameExactlyTheRoutedBanks) {
+  // The access engine finds private bank pairs from EpochPlan::reach, so
+  // every route writer must leave each core's set equal to the banks its
+  // route table names, epoch after epoch as the scheme remaps.
+  MachineConfig cfg = tiny();
+  Chip chip(cfg, apps16(), make_scheme(GetParam()));
+  for (int step = 0; step < 8; ++step) {
+    chip.run_epochs(5, false);
+    const EpochPlan& plan = chip.plan();
+    for (int c = 0; c < 16; ++c) {
+      EpochPlan::BankSet routed;
+      for (const std::uint8_t b : plan.route[static_cast<std::size_t>(c)])
+        routed.insert(b);
+      ASSERT_EQ(plan.reach[static_cast<std::size_t>(c)].words, routed.words)
+          << "core " << c << " after " << 5 * (step + 1) << " epochs";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, EveryScheme,
                          ::testing::ValuesIn(kAllSchemeKinds),
                          [](const auto& inf) {
@@ -132,6 +151,37 @@ INSTANTIATE_TEST_SUITE_P(Schemes, EveryScheme,
                              if (ch == '-') ch = '_';
                            return s;
                          });
+
+TEST(EpochPlanProps, MasksFromEqualsEveryCoresWpMask) {
+  // masks_from ORs each way into its owner's mask instead of asking the
+  // WP unit per core.  Over random layouts — unowned ways, owners above
+  // and below every core id, whole banks to one core — each published mask
+  // must equal WpUnit::mask_of, and the bank's column must not leak into
+  // its neighbours'.
+  Rng rng(0x3a5u);
+  for (int iter = 0; iter < 200; ++iter) {
+    const int banks = iter % 2 == 0 ? 16 : 64;
+    const int ways = 1 + static_cast<int>(rng.below(32));
+    EpochPlan plan;
+    plan.init(banks, 4, mem::full_mask(ways));
+    const auto bank = static_cast<BankId>(rng.below(static_cast<std::uint64_t>(banks)));
+    core::WpUnit wp(ways, kInvalidCore);
+    const int owners = 1 + static_cast<int>(rng.below(4));
+    for (int w = 0; w < ways; ++w) {
+      const bool unowned = rng.below(static_cast<std::uint64_t>(owners) + 1) == 0;
+      const auto core = static_cast<CoreId>(rng.below(static_cast<std::uint64_t>(banks)));
+      wp.set_owner(w, unowned ? kInvalidCore : core);
+    }
+    if (iter % 7 == 0) wp.assign_all(static_cast<CoreId>(banks - 1));
+    plan.masks_from(bank, wp);
+    for (CoreId c = 0; c < banks; ++c) {
+      ASSERT_EQ(plan.mask(c, bank), wp.mask_of(c)) << "iter " << iter << " core " << c;
+      for (const BankId other : {(bank + 1) % banks, (bank + banks - 1) % banks}) {
+        ASSERT_EQ(plan.mask(c, other), mem::full_mask(ways));
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // CARMA: auction-cleared per-core partitions enforced with WP/CBT state.

@@ -338,6 +338,30 @@ TEST(RankKernels, RanksKeepTimestampOrder) {
   }
 }
 
+TEST(MatchU8, EveryWidthAgainstScalar) {
+  // The owner row of a cache record: 32 readable bytes, any width from 0
+  // to 32 compared.  Keys at the byte edges, duplicates and lanes past the
+  // width that hold the key.
+  Rng rng(0x08u);
+  for (int n = 0; n <= 32; ++n) {
+    for (int iter = 0; iter < 200; ++iter) {
+      std::array<std::uint8_t, 2 * kTagGroup> row{};
+      const std::array<std::uint8_t, 4> pool = {0, 0xFF, 0x80,
+                                                static_cast<std::uint8_t>(rng())};
+      for (std::uint8_t& b : row) b = pool[rng.below(4)];
+      const std::uint8_t key = pool[rng.below(4)];
+      const std::uint32_t ref = match_u8_scalar(row.data(), n, key);
+      ASSERT_EQ(match_u8(row.data(), n, key), ref) << "n=" << n << " iter=" << iter;
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ((ref >> i) & 1u, row[static_cast<std::size_t>(i)] == key ? 1u : 0u);
+      }
+      if (n < 32) {
+        ASSERT_EQ(ref >> n, 0u) << "n=" << n;
+      }
+    }
+  }
+}
+
 TEST(Prefetch, HintsAreSideEffectFree) {
   // Smoke: hints must accept any address, including null, without faulting
   // or touching data.

@@ -2,7 +2,7 @@
 """Alternating A/B pairs of the perfbench benchmark from two checkouts.
 
     python3 tools/ab_pairs.py --base ../parent --change . --workload sweep16 \
-        [--pairs 10] [--seed 1] [--seconds 10]
+        [--pairs 10] [--seed 1] [--seconds 10] [--trace 0]
 
 Runs `perfbench/run.py` once in each checkout per pair, --pairs times,
 alternating which side goes first so a drift in host load falls on both
@@ -17,6 +17,10 @@ relative to the base median, than the metric's `bound` (then no gain or
 regression that size can be told from noise). Which direction is better,
 and each bound, come from the change checkout's BENCHMARK.json (lower, and
 no bound, when a metric is not listed there).
+
+--trace is passed through to run.py: 0 (the default) compares the
+end-to-end metrics, 1 the per-layer breakdown (policy_ms, access_work_ms,
+...) under the same verdict rule.
 
 Exit status: 0 when every run reported `correct: true` and `failed: 0`;
 1 when any run did not, or printed no result; 2 on a usage error.
@@ -33,7 +37,7 @@ def run_side(checkout: Path, args) -> dict:
     """One perfbench run in `checkout`; its last stdout line, parsed."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -84,6 +88,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: compare the per-layer metrics instead")
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         ap.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
@@ -117,7 +123,7 @@ def main() -> int:
     specs = metric_specs(args.change)
     names = [k for k in runs["base"][0] if all(k in r for r in runs["change"])]
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
-          f"{args.seconds:g} s per run")
+          f"{args.seconds:g} s per run, trace {args.trace}")
     print(f"{'metric':<16} {'base median [IQR]':>30} {'change median [IQR]':>30} "
           f"{'ratio':>7} {'wins':>7}")
     verdicts = []

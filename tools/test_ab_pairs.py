@@ -47,6 +47,18 @@ SERIES_STUB = textwrap.dedent("""\
                           "accesses_per_s": {{"value": 1.0e7, "unit": "1/s"}}}}}}))
     """)
 
+# A stub that logs "side:trace" and reports run_ms at --trace 0 or the
+# per-layer policy_ms at --trace 1, as perfbench/run.py does.
+TRACE_STUB = textwrap.dedent("""\
+    import json, sys
+    trace = sys.argv[sys.argv.index("--trace") + 1]
+    with open({log!r}, "a") as f:
+        f.write({side!r} + ":" + trace + "\\n")
+    name = "policy_ms" if trace == "1" else "run_ms"
+    print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                      "metrics": {{name: {{"value": {value}, "unit": "ms"}}}}}}))
+    """)
+
 BOUNDED_BENCHMARK = """{"end_to_end": [
   {"name": "run_ms", "better": "lower", "bound": 0.25},
   {"name": "accesses_per_s", "better": "higher", "bound": 0.25}]}"""
@@ -79,6 +91,13 @@ class AbPairsTest(unittest.TestCase):
             f.write(BOUNDED_BENCHMARK)
         return root
 
+    def trace_checkout(self, side, value):
+        root = os.path.join(self.tmp.name, side)
+        os.makedirs(os.path.join(root, "perfbench"))
+        with open(os.path.join(root, "perfbench", "run.py"), "w") as f:
+            f.write(TRACE_STUB.format(log=self.log, side=side, value=value))
+        return root
+
     def verdict(self, stdout, metric):
         prefix = f"verdict {metric}: "
         for line in stdout.splitlines():
@@ -86,10 +105,11 @@ class AbPairsTest(unittest.TestCase):
                 return line[len(prefix):]
         self.fail(f"no verdict for {metric} in:\n{stdout}")
 
-    def run_pairs(self, base, change, pairs, cwd=None):
+    def run_pairs(self, base, change, pairs, cwd=None, extra=()):
         return subprocess.run(
             [sys.executable, SCRIPT, "--base", base, "--change", change,
-             "--workload", "sweep16", "--pairs", str(pairs), "--seconds", "1"],
+             "--workload", "sweep16", "--pairs", str(pairs), "--seconds", "1",
+             *extra],
             capture_output=True, text=True, timeout=120, cwd=cwd)
 
     def row(self, stdout, metric):
@@ -157,6 +177,28 @@ class AbPairsTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertTrue(self.row(r.stdout, "run_ms").endswith("10/10"))
         self.assertEqual(self.verdict(r.stdout, "run_ms"), "unresolved")
+
+    def test_trace_selects_the_per_layer_metrics(self):
+        # Default: run.py gets --trace 0 and reports end-to-end metrics.
+        base = self.trace_checkout("base", 2.0)
+        change = self.trace_checkout("change", 1.5)
+        r = self.run_pairs(base, change, 2)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.row(r.stdout, "run_ms")
+        # --trace 1 reaches both sides, and the per-layer metric gets rows,
+        # wins and a verdict (lower is better when BENCHMARK.json is absent).
+        r = self.run_pairs(base, change, 2, extra=("--trace", "1"))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        with open(self.log) as f:
+            self.assertEqual(f.read().split(),
+                             ["base:0", "change:0", "change:0", "base:0",
+                              "base:1", "change:1", "change:1", "base:1"])
+        self.assertTrue(self.row(r.stdout, "policy_ms").endswith("2/2"))
+        self.assertEqual(self.verdict(r.stdout, "policy_ms"), "gain")
+        self.assertIn("trace 1", r.stdout)
+        # Only 0 and 1 are traces.
+        r = self.run_pairs(base, change, 2, extra=("--trace", "2"))
+        self.assertEqual(r.returncode, 2)
 
     def test_incorrect_run_exits_nonzero(self):
         base = self.checkout("base", run_ms=100.0, rate=2.0e7)
