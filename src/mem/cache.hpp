@@ -114,7 +114,11 @@ class SetAssocCache {
   /// Removes every line owned by `owner` for which `pred(block)` holds;
   /// returns count.  Each set's owner row is matched in one byte compare
   /// (simd::match_u8), so `pred` runs only on the owner's valid lines.
-  /// `pred` is any callable — no std::function indirection on the sweep.
+  /// `pred` is any callable — no std::function indirection on the sweep —
+  /// returning bool or 0/1.  Its results are ORed into the set's drop mask
+  /// without a branch, so a predicate that is itself branch-free (a table
+  /// lookup) costs no misprediction per line; the valid bits are cleared
+  /// with one AND and counted with one popcount.
   template <typename Pred>
   std::uint64_t invalidate_if(CoreId owner, Pred&& pred) {
     if (owner < 0 || owner >= CoreId{kNoOwner}) return 0;  // Owns no line.
@@ -123,13 +127,13 @@ class SetAssocCache {
     for (std::uint32_t s = 0; s < sets_; ++s) {
       std::uint32_t& valid = valid_word(s);
       const std::uint32_t own = simd::match_u8(owners(s), lanes_, key) & valid;
+      std::uint32_t drop = 0;
       for (std::uint32_t vm = own; vm != 0; vm &= vm - 1) {
         const int w = std::countr_zero(vm);
-        if (pred(block_at(s, w))) {
-          valid &= ~(std::uint32_t{1} << w);
-          ++n;
-        }
+        drop |= static_cast<std::uint32_t>(static_cast<bool>(pred(block_at(s, w)))) << w;
       }
+      valid &= ~drop;
+      n += static_cast<std::uint64_t>(std::popcount(drop));
     }
     stats_.invalidations += n;
     return n;

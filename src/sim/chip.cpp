@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "mem/address.hpp"
 #include "obs/prof/prof.hpp"
 #include "sim/intra.hpp"
@@ -54,8 +53,21 @@ void set_access_engine_factory(AccessEngineFactory f) {
   g_engine_factory.store(f, std::memory_order_relaxed);
 }
 
+std::vector<workload::StreamKey> Chip::stream_keys(const MachineConfig& cfg,
+                                                   const std::vector<std::string>& apps) {
+  std::vector<workload::StreamKey> keys;
+  if (apps.size() != static_cast<std::size_t>(cfg.cores)) return keys;
+  for (int c = 0; c < cfg.cores; ++c) {
+    const std::string& app = apps[static_cast<std::size_t>(c)];
+    if (app.empty() || app == "idle") continue;
+    if (!workload::has_spec_profile(app)) return {};
+    keys.push_back({workload::spec_profile(app).short_name, c, cfg.seed});
+  }
+  return keys;
+}
+
 Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
-           std::unique_ptr<Scheme> scheme)
+           std::unique_ptr<Scheme> scheme, workload::StreamSet* streams)
     : cfg_(validated(cfg, apps.size())),
       mesh_(cfg.mesh_width, cfg.mesh_height),
       memsys_(cfg.num_mcus, cfg.mesh_width, cfg.mesh_height, cfg.mcu),
@@ -66,16 +78,18 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
                         cfg_.ways_per_bank);
 
   slots_.resize(static_cast<std::size_t>(cfg_.cores));
-  std::uint64_t seed_state = cfg_.seed;
   for (int c = 0; c < cfg_.cores; ++c) {
     AppSlot& s = slots_[static_cast<std::size_t>(c)];
     s.app_name = apps[static_cast<std::size_t>(c)];
-    const std::uint64_t core_seed = splitmix64(seed_state);
     if (s.app_name.empty() || s.app_name == "idle") continue;
     s.profile = &workload::spec_profile(s.app_name);
     // Disjoint 16 GB address windows per program instance.
-    const Addr base = (static_cast<Addr>(c) + 1) << 34;
-    s.gen = std::make_unique<workload::TraceGen>(*s.profile, base, core_seed);
+    s.gen = std::make_unique<workload::TraceGen>(
+        *s.profile, workload::core_window_base(c), workload::core_seed(cfg_.seed, c));
+    if (streams != nullptr)
+      if (workload::SharedStream* shared =
+              streams->find({s.profile->short_name, c, cfg_.seed}))
+        s.gen->attach(*shared);
     s.active = true;
     const workload::Phase& ph = s.profile->phases.front();
     s.cpi_est = ph.cpi_base + ph.apki / 1000.0 * 100.0 / ph.mlp;
@@ -208,15 +222,26 @@ void Chip::run_epochs(int n, bool measuring) {
   for (int i = 0; i < n; ++i) run_one_epoch(measuring);
 }
 
+std::array<std::uint8_t, mem::kNumChunks> Chip::chunk_select_table(
+    const std::vector<int>& chunks, bool reverse) {
+  // The reversal is its own inverse: chunk c holds the blocks whose
+  // select byte is reverse8(c).
+  std::array<std::uint8_t, mem::kNumChunks> table{};
+  for (const int c : chunks) {
+    const auto sel = static_cast<std::uint8_t>(c);
+    table[reverse ? mem::reverse8(sel) : sel] = 1;
+  }
+  return table;
+}
+
 std::uint64_t Chip::invalidate_core_chunks(CoreId core, BankId old_bank,
                                            const std::vector<int>& chunks) {
   if (chunks.empty()) return 0;
-  bool in_set[mem::kNumChunks] = {};
-  for (int c : chunks) in_set[static_cast<std::size_t>(c)] = true;
+  const std::array<std::uint8_t, mem::kNumChunks> moved =
+      chunk_select_table(chunks, cfg_.delta.reverse_chunk_bits);
   const int sets_log2 = cfg_.sets_log2;
-  const bool reverse = cfg_.delta.reverse_chunk_bits;
   const std::uint64_t n = bank(old_bank).invalidate_if(core, [&](BlockAddr block) {
-    return in_set[static_cast<std::size_t>(mem::chunk_of(block, sets_log2, reverse))];
+    return moved[mem::bank_select_byte(block, sets_log2)];
   });
   traffic_.count(noc::MsgType::kInvalidation);
   invalidated_lines_ += n;

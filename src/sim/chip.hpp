@@ -15,12 +15,14 @@
 // of sim/intra.hpp at every intra_jobs.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "mem/address.hpp"
 #include "mem/cache.hpp"
 #include "noc/mcu.hpp"
 #include "noc/mesh.hpp"
@@ -32,6 +34,7 @@
 #include "umon/mlp.hpp"
 #include "umon/umon.hpp"
 #include "workload/generator.hpp"
+#include "workload/shared_stream.hpp"
 #include "workload/spec.hpp"
 
 namespace delta::sim {
@@ -142,10 +145,19 @@ class Chip {
   /// Throws std::invalid_argument for a config MachineConfig::validate()
   /// rejects or an `apps` list whose length is not cfg.cores.  The access
   /// engine runs on intra_threads() workers (cfg.intra_jobs, 0 = hardware
-  /// threads); results are byte-identical at every count.
+  /// threads); results are byte-identical at every count.  A core whose
+  /// stream_keys() entry names a stream of `streams` (non-null inside
+  /// run_sweep only) reads its blocks from that stream instead of drawing
+  /// them; results are the same.
   Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
-       std::unique_ptr<Scheme> scheme);
+       std::unique_ptr<Scheme> scheme, workload::StreamSet* streams = nullptr);
   ~Chip();
+
+  /// The stream key of every active core a Chip(cfg, apps, ...) would
+  /// build, in core order; empty for an `apps` list that does not fit cfg
+  /// or names an unknown profile (such a chip throws instead).
+  static std::vector<workload::StreamKey> stream_keys(const MachineConfig& cfg,
+                                                      const std::vector<std::string>& apps);
 
   /// Runs warmup + measured epochs and returns per-app results.
   MixResult run(const std::string& mix_name = "custom");
@@ -195,6 +207,12 @@ class Chip {
   /// of lines invalidated and counts one kInvalidation command message.
   std::uint64_t invalidate_core_chunks(CoreId core, BankId old_bank,
                                        const std::vector<int>& chunks);
+
+  /// The chunk set `chunks` as a table over the raw bank-select byte
+  /// (mem::bank_select_byte): entry s is 1 when the CBT chunk of a block
+  /// with select byte s, under `reverse`, is in `chunks`, else 0.
+  static std::array<std::uint8_t, mem::kNumChunks> chunk_select_table(
+      const std::vector<int>& chunks, bool reverse);
 
   /// Worker threads the access engine runs on (1 == inline on the caller).
   unsigned intra_threads() const { return engine_->threads(); }

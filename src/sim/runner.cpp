@@ -1,7 +1,10 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "obs/prof/prof.hpp"
@@ -32,13 +35,36 @@ std::vector<SweepJob> split_intra_budget(const std::vector<SweepJob>& jobs,
   return resolved;
 }
 
+/// `apps` with mix_for_config's replication folded away: its shortest
+/// prefix that repeats to the whole list.
+std::vector<std::string> one_period(const std::vector<std::string>& apps) {
+  const std::size_t n = apps.size();
+  for (std::size_t p = 1; p < n; ++p)
+    if (n % p == 0 && std::equal(apps.begin() + p, apps.end(), apps.begin()))
+      return {apps.begin(), apps.begin() + static_cast<std::ptrdiff_t>(p)};
+  return apps;
+}
+
+/// Each job's claim group, numbered by first appearance: jobs under one
+/// seed that replay one mix at any replication (a 16-tile mix and its
+/// 64-tile x4 copy) form a group.
+std::vector<std::size_t> claim_groups(const std::vector<SweepJob>& jobs) {
+  std::map<std::pair<std::uint64_t, std::vector<std::string>>, std::size_t> ids;
+  std::vector<std::size_t> group(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    group[i] = ids.try_emplace({jobs[i].cfg.seed, one_period(jobs[i].mix.apps)}, ids.size())
+                   .first->second;
+  return group;
+}
+
 }  // namespace
 
 MixResult run_mix(const MachineConfig& cfg, const workload::Mix& mix, SchemeKind kind,
-                  SchemeOptions opts, obs::Observer* obs, EpochChecker* checker) {
+                  SchemeOptions opts, obs::Observer* obs, EpochChecker* checker,
+                  workload::StreamSet* streams) {
   if (static_cast<int>(mix.apps.size()) != cfg.cores)
     throw std::invalid_argument("mix size does not match core count");
-  Chip chip(cfg, mix.apps, make_scheme(kind, opts));
+  Chip chip(cfg, mix.apps, make_scheme(kind, opts), streams);
   if (obs != nullptr) {
     obs->begin_run(std::string(to_string(kind)));
     chip.set_observer(obs);
@@ -58,14 +84,34 @@ std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs, unsigned thr
   (void)workload::irregular_profiles();
   (void)workload::splash_profiles();
   const std::vector<SweepJob> resolved = split_intra_budget(jobs, threads);
+  // One stream set per claim group, so a stream's sharers are claimed
+  // together and its chunks never wait for a later group.
+  const std::vector<std::size_t> group = claim_groups(resolved);
+  const std::size_t groups =
+      group.empty() ? 0 : *std::max_element(group.begin(), group.end()) + 1;
+  std::vector<std::vector<workload::StreamKey>> uses(groups);
+  for (std::size_t i = 0; i < resolved.size(); ++i) {
+    const std::vector<workload::StreamKey> keys =
+        Chip::stream_keys(resolved[i].cfg, resolved[i].mix.apps);
+    uses[group[i]].insert(uses[group[i]].end(), keys.begin(), keys.end());
+  }
+  std::vector<workload::StreamSet> streams;
+  streams.reserve(groups);
+  for (const auto& u : uses) streams.emplace_back(u);
+  std::vector<std::size_t> order(resolved.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return group[a] < group[b]; });
   std::vector<MixResult> out(resolved.size());
   parallel_for(
       0, resolved.size(),
-      [&](std::size_t i) {
+      [&](std::size_t k) {
+        const std::size_t i = order[k];
         const obs::prof::ScopedSpan job_span(obs::prof::Phase::kSweepJob, i);
         const SweepJob& j = resolved[i];
         out[i] = run_mix(j.cfg, j.mix, j.kind, j.opts,
-                         observers.empty() ? nullptr : observers[i]);
+                         observers.empty() ? nullptr : observers[i], nullptr,
+                         &streams[group[i]]);
       },
       threads);
   return out;

@@ -18,9 +18,12 @@ namespace delta::sim {
 /// `obs` collects the run's event trace / epoch timeline (a new observer
 /// run named after the scheme is begun first).  A non-null `checker` is
 /// attached to the chip and invoked at every epoch boundary.
+/// A non-null `streams` is the calling sweep's shared stream set (see
+/// run_sweep), handed to the Chip.
 MixResult run_mix(const MachineConfig& cfg, const workload::Mix& mix, SchemeKind kind,
                   SchemeOptions opts = {}, obs::Observer* obs = nullptr,
-                  EpochChecker* checker = nullptr);
+                  EpochChecker* checker = nullptr,
+                  workload::StreamSet* streams = nullptr);
 
 /// Resolves a 16-core Table IV mix to the machine size (replicating 4x for
 /// 64 cores per Sec. III-B).
@@ -63,6 +66,24 @@ struct SweepJob {
 /// simulations 4 epoch workers rather than 4x16 oversubscription.
 /// Explicit intra_jobs values pass through untouched.  Either way results
 /// are unchanged; determinism makes the split a pure scheduling decision.
+///
+/// Claim groups: jobs under one seed that replay one mix, at any
+/// replication (a 16-tile mix and its 64-tile x4 copy), form a group.
+/// Workers claim jobs group by group, in a stable order of each group's
+/// first appearance.  Results and observers stay index-addressed, so the
+/// claim order never shows in them.
+///
+/// Shared streams: before any job starts, the sweep lists every active
+/// core of each group's jobs by its stream key (Chip::stream_keys) and
+/// builds one workload::StreamSet per group, holding one shared stream per
+/// key that two or more of the group's cores name and whose profile is
+/// epoch-invariant.  Each chip reads those cores' blocks from its group's
+/// set instead of drawing its own copy (workload/shared_stream.hpp).  A
+/// stream never spans two groups, so its sharers are claimed together and
+/// its chunks are freed while its group runs; a one-job sweep shares
+/// nothing.  The sets live for this call only: every stream and chunk is
+/// freed before run_sweep returns, so no later sweep finds a stream
+/// already drawn.
 std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs,
                                  unsigned threads = 0,
                                  std::span<obs::Observer* const> observers = {});

@@ -39,7 +39,8 @@ Umon::Umon(UmonConfig cfg) : cfg_(cfg) {
   num_stacks_ = (sets + cfg_.set_dilution - 1) / cfg_.set_dilution;
   assert(num_stacks_ >= 1);
   ways_ = static_cast<std::size_t>(cfg_.max_ways);
-  tags_.resize(static_cast<std::size_t>(num_stacks_) * ways_);
+  tags_ = std::make_unique_for_overwrite<std::uint32_t[]>(
+      static_cast<std::size_t>(num_stacks_) * ways_);
   depth_.assign(static_cast<std::size_t>(num_stacks_), 0);
   hit_ctr_.assign(static_cast<std::size_t>(cfg_.max_ways), 0.0);
   const int buckets = (cfg_.max_ways + cfg_.coarse_ways - 1) / cfg_.coarse_ways;

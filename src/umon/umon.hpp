@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -126,10 +127,10 @@ class Umon {
   void access_sampled(std::uint32_t stack_idx, BlockAddr block);
 
   std::uint32_t* stack(std::uint32_t stack_idx) {
-    return tags_.data() + static_cast<std::size_t>(stack_idx) * ways_;
+    return tags_.get() + static_cast<std::size_t>(stack_idx) * ways_;
   }
   const std::uint32_t* stack(std::uint32_t stack_idx) const {
-    return tags_.data() + static_cast<std::size_t>(stack_idx) * ways_;
+    return tags_.get() + static_cast<std::size_t>(stack_idx) * ways_;
   }
 
   double scale(double x) const { return x * static_cast<double>(cfg_.set_dilution); }
@@ -144,7 +145,10 @@ class Umon {
   /// same set bits (set = stack index x dilution).  A linear scan is fine:
   /// only 1/set_dilution accesses reach a stack.
   std::size_t ways_ = 0;
-  std::vector<std::uint32_t> tags_;
+  /// Left uninitialised: only [0, depth_[i]) of a stack is ever read, and
+  /// depths start at 0 (64 monitors x 32 stacks x 768 tags per 64-tile
+  /// chip would otherwise be zero-filled at construction).
+  std::unique_ptr<std::uint32_t[]> tags_;
   std::vector<std::uint32_t> depth_;
   std::vector<double> hit_ctr_;         ///< Fine: hits at stack distance d.
   std::vector<double> coarse_ctr_;      ///< Coarse: hits per 4-way bucket.

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "workload/shared_stream.hpp"
+
 namespace delta::workload {
 
 std::string to_string(AppClass c) {
@@ -83,8 +85,22 @@ TraceGen::TraceGen(const AppProfile& profile, Addr base_addr, std::uint64_t seed
   phase_ = &profile_.phases[0];
 }
 
+TraceGen::~TraceGen() {
+  if (cursor_.stream != nullptr) cursor_.stream->finish(cursor_);
+}
+
+void TraceGen::attach(SharedStream& stream) {
+  assert(cursor_.stream == nullptr && epoch_invariant(profile_));
+  cursor_.sharer = stream.attach();
+  cursor_.stream = &stream;
+}
+
+bool epoch_invariant(const AppProfile& profile) {
+  return profile.phases.size() <= 1 || profile.phase_len_epochs == 0;
+}
+
 void TraceGen::set_epoch(std::uint64_t epoch) {
-  if (profile_.phases.size() <= 1 || profile_.phase_len_epochs == 0) return;
+  if (epoch_invariant(profile_)) return;
   const std::uint64_t idx =
       ((epoch + phase_offset_) / profile_.phase_len_epochs) % profile_.phases.size();
   phase_idx_ = static_cast<std::size_t>(idx);
@@ -167,11 +183,20 @@ inline BlockAddr TraceGen::draw(Rng& rng, const std::uint64_t* thresholds,
 }
 
 BlockAddr TraceGen::next() {
+  if (cursor_.stream != nullptr) {
+    BlockAddr b = 0;
+    cursor_.stream->read(cursor_, &b, 1);
+    return b;
+  }
   PhaseState& st = states_[phase_idx_];
   return draw(rng_, st.thresholds.data(), st.thresholds.size(), st.rings.data());
 }
 
 void TraceGen::fill(BlockAddr* out, std::size_t n) {
+  if (cursor_.stream != nullptr) {
+    cursor_.stream->read(cursor_, out, n);
+    return;
+  }
   PhaseState& st = states_[phase_idx_];
   const std::uint64_t* const thresholds = st.thresholds.data();
   const std::size_t n_thresholds = st.thresholds.size();

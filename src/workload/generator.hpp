@@ -10,6 +10,10 @@
 // changes.  The access engines draw whole batches with fill(), which keeps
 // the RNG state and the phase tables in locals across the batch; next()
 // runs the same draw for one access.
+//
+// A generator attached to a SharedStream (workload/shared_stream.hpp)
+// copies the blocks that stream's own generator drew instead of drawing
+// them; the sequence is the same.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +44,37 @@ inline std::size_t choose_ring(const std::uint64_t* thresholds, std::size_t n,
   return i;
 }
 
+/// True when the profile's stream does not depend on epoch boundaries
+/// (one phase, or phase switching disabled): set_epoch() never changes
+/// its phase, so jobs may share the stream (workload/shared_stream.hpp).
+bool epoch_invariant(const AppProfile& profile);
+
+class SharedStream;
+struct StreamChunk;
+
+/// A generator's place in the SharedStream it is attached to.
+struct StreamCursor {
+  SharedStream* stream = nullptr;
+  StreamChunk* chunk = nullptr;  ///< Null before the first read.
+  std::size_t next = 0;          ///< Next block of `chunk`.
+  unsigned sharer = 0;
+};
+
 class TraceGen {
  public:
   /// `base_addr` keeps distinct program instances in disjoint address
   /// ranges (multi-programmed workloads share nothing).  `seed` controls
   /// every random choice; equal seeds give equal streams.
   TraceGen(const AppProfile& profile, Addr base_addr, std::uint64_t seed);
+  ~TraceGen();
+  TraceGen(const TraceGen&) = delete;
+  TraceGen& operator=(const TraceGen&) = delete;
+
+  /// Replays `stream` from its start instead of drawing: `stream` must be
+  /// the stream this generator would draw (same profile, base and seed),
+  /// and the profile epoch-invariant.  Call before the first draw; the
+  /// generator finishes its share when destroyed.
+  void attach(SharedStream& stream);
 
   /// Next block address of the post-L2 access stream.
   BlockAddr next();
@@ -101,6 +130,7 @@ class TraceGen {
   std::size_t phase_idx_ = 0;
   const Phase* phase_ = nullptr;
   std::vector<PhaseState> states_;
+  StreamCursor cursor_;
 
   /// Streams wrap at this many lines so footprints stay bounded while reuse
   /// distance remains far beyond any allocatable capacity.

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "mem/address.hpp"
 #include "sim/chip.hpp"
 #include "sim/runner.hpp"
 
@@ -149,6 +151,33 @@ void expect_rejected(const MachineConfig& cfg, const char* field) {
     ADD_FAILURE() << "accepted a bad " << field;
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(ChipInternals, ChunkSelectTableMatchesChunkOf) {
+  // invalidate_core_chunks looks moved chunks up by the raw bank-select
+  // byte; the table must name exactly the blocks whose chunk_of is in the
+  // set, with the reversal folded in, and nothing else.
+  Rng rng(5);
+  for (const bool reverse : {true, false}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<int> chunks;
+      std::vector<bool> in_set(mem::kNumChunks, false);
+      for (int c = 0; c < mem::kNumChunks; ++c)
+        if (rng.below(4) == 0) {
+          chunks.push_back(c);
+          in_set[static_cast<std::size_t>(c)] = true;
+        }
+      const auto table = Chip::chunk_select_table(chunks, reverse);
+      for (const int sets_log2 : {6, 9, 11}) {
+        for (int i = 0; i < 2000; ++i) {
+          const BlockAddr block = rng() >> 24;
+          EXPECT_EQ(table[mem::bank_select_byte(block, sets_log2)] != 0,
+                    in_set[static_cast<std::size_t>(mem::chunk_of(block, sets_log2, reverse))])
+              << "reverse " << reverse << " block " << block;
+        }
+      }
+    }
   }
 }
 

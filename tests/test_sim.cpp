@@ -236,6 +236,44 @@ TEST(Sim, ResultsMatchParentCapture) {
   }
 }
 
+TEST(Sim, SweepResultsMatchParentCapture) {
+  // The runs of ResultsMatchParentCapture (which stays as captured) as one
+  // sweep on two threads: the six w6 schemes, the wi1 pair and the two
+  // 64-tile w13 runs each read their single-phase cores' blocks from one
+  // shared stream (workload/shared_stream.hpp), and must still match the
+  // capture field for field.
+  MachineConfig m16 = config16();
+  m16.warmup_epochs = 10;
+  m16.measure_epochs = 30;
+  MachineConfig m64 = config64();
+  m64.warmup_epochs = 10;
+  m64.measure_epochs = 20;
+  std::vector<SweepJob> jobs;
+  std::vector<std::size_t> capture;
+  const auto add = [&](const MachineConfig& cfg, const char* mix, SchemeKind kind,
+                       std::size_t c) {
+    jobs.push_back({cfg, mix_for_config(cfg, mix), kind, {}});
+    capture.push_back(c);
+  };
+  for (std::size_t i = 0; i < kAllSchemeKinds.size(); ++i)
+    add(m16, "w6", kAllSchemeKinds[i], i);
+  add(m16, "wi1", SchemeKind::kDelta, 6);
+  add(m16, "wi1", SchemeKind::kSnuca, 7);
+  for (const int intra : {1, 2}) {
+    MachineConfig c = m64;
+    c.intra_jobs = intra;
+    add(c, "w13", SchemeKind::kDelta, 8);
+  }
+  const std::vector<MixResult> rs = run_sweep(jobs, 2);
+  ASSERT_EQ(rs.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    expect_matches(rs[i], kCaptured[capture[i]],
+                   "sweep " + jobs[i].mix.name + "/" +
+                       std::string(to_string(jobs[i].kind)) + "/" +
+                       std::to_string(jobs[i].cfg.cores) + " tiles/intra " +
+                       std::to_string(jobs[i].cfg.intra_jobs));
+}
+
 /// `r` as a capture record, so expect_matches can hold one live run to
 /// another field by field.  The strings point into `r`.
 RunCapture capture_of(const MixResult& r) {

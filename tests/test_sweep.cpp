@@ -22,6 +22,7 @@
 #include "mem/replacement.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
+#include "workload/shared_stream.hpp"
 
 namespace delta {
 namespace {
@@ -77,6 +78,45 @@ TEST(Sweep, EmptyAndSingleJobEdgeCases) {
   const std::vector<obs::Observer*> one_slot(1, nullptr);
   const sim::SweepJob job{cfg, mix, sim::SchemeKind::kPrivate, {}};
   EXPECT_THROW((void)sim::run_sweep({job, job}, 1, one_slot), std::invalid_argument);
+}
+
+TEST(Sweep, SharedStreamsLiveForOneCallOnly) {
+  // run_sweep shares the single-phase streams its jobs have in common
+  // (workload/shared_stream.hpp) and frees every stream and chunk before it
+  // returns, on the error path too, so no sweep starts with a stream drawn.
+  ASSERT_EQ(workload::SharedStream::live_streams(), 0u);
+  ASSERT_EQ(workload::SharedStream::live_chunks(), 0u);
+  const sim::MachineConfig cfg = quick16();
+  const workload::Mix mix = sim::mix_for_config(cfg, "w6");
+  std::vector<sim::SweepJob> jobs;
+  for (const sim::SchemeKind kind : sim::kAllSchemeKinds) jobs.push_back({cfg, mix, kind, {}});
+  {
+    // What the sweep builds: chips attached to one set draw chunks into it.
+    std::vector<workload::StreamKey> uses;
+    for (int i = 0; i < 2; ++i) {
+      const auto keys = sim::Chip::stream_keys(cfg, mix.apps);
+      uses.insert(uses.end(), keys.begin(), keys.end());
+    }
+    workload::StreamSet streams(uses);
+    ASSERT_GT(workload::SharedStream::live_streams(), 0u);
+    sim::Chip a(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kDelta), &streams);
+    sim::Chip b(cfg, mix.apps, sim::make_scheme(sim::SchemeKind::kSnuca), &streams);
+    a.run_epochs(3, false);
+    EXPECT_GT(workload::SharedStream::live_chunks(), 0u);
+  }
+  EXPECT_EQ(workload::SharedStream::live_streams(), 0u);
+  EXPECT_EQ(workload::SharedStream::live_chunks(), 0u);
+
+  (void)sim::run_sweep(jobs, 2);
+  EXPECT_EQ(workload::SharedStream::live_streams(), 0u);
+  EXPECT_EQ(workload::SharedStream::live_chunks(), 0u);
+
+  workload::Mix bad = mix;
+  bad.apps.pop_back();
+  jobs.push_back({cfg, bad, sim::SchemeKind::kDelta, {}});
+  EXPECT_THROW((void)sim::run_sweep(jobs, 2), std::invalid_argument);
+  EXPECT_EQ(workload::SharedStream::live_streams(), 0u);
+  EXPECT_EQ(workload::SharedStream::live_chunks(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -142,6 +142,25 @@ TEST(Umon, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(u.hits_between(0, 32), 0.0);
 }
 
+TEST(Umon, RefeedAfterResetGivesBitEqualCurves) {
+  // Stacks are left uninitialised at construction and reset() only zeroes
+  // their depths: no entry past a stack's depth may ever be read, so a
+  // monitor refed after reset() must reproduce its first curves exactly.
+  UmonConfig cfg = small_cfg();
+  cfg.set_dilution = 4;
+  std::vector<BlockAddr> stream;
+  Rng rng(33);
+  for (int i = 0; i < 200'000; ++i) stream.push_back(rng.below(512 * 40));
+  Umon u(cfg);
+  for (const BlockAddr b : stream) u.access(b);
+  const std::vector<double> fine = u.miss_curve().raw();
+  const std::vector<double> coarse = u.coarse_miss_curve().raw();
+  u.reset();
+  for (const BlockAddr b : stream) u.access(b);
+  EXPECT_EQ(u.miss_curve().raw(), fine);
+  EXPECT_EQ(u.coarse_miss_curve().raw(), coarse);
+}
+
 TEST(Umon, CoarseMissCurveMonotone) {
   Umon u(small_cfg());
   Rng rng(21);

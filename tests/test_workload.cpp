@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sim/chip.hpp"
+#include "sim/report.hpp"
+#include "sim/runner.hpp"
 #include "workload/generator.hpp"
 #include "workload/irregular.hpp"
 #include "workload/mixes.hpp"
+#include "workload/shared_stream.hpp"
 #include "workload/spec.hpp"
 
 namespace delta::workload {
@@ -246,6 +254,171 @@ TEST(TraceGen, ThresholdRingChoiceMatchesTheDoubleScan) {
     }
   }
   EXPECT_GT(phases, 29u);
+}
+
+// ---------------------------------------------------------------------------
+// Shared streams (workload/shared_stream.hpp): every sharer of a stream
+// must read exactly the sequence its own TraceGen would have drawn.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kChunk = StreamChunk::kBlocks;
+
+/// The first n blocks the generator of `app` on core `core` under chip
+/// seed `seed` draws.
+std::vector<BlockAddr> own_draws(const AppProfile& p, int core, std::uint64_t seed,
+                                 std::size_t n) {
+  TraceGen g(p, core_window_base(core), core_seed(seed, core));
+  std::vector<BlockAddr> out(n);
+  g.fill(out.data(), n);
+  return out;
+}
+
+/// Reads n blocks from `g` in fills of the sizes in `pattern`, cycling.
+std::vector<BlockAddr> read_in_fills(TraceGen& g, std::size_t n,
+                                     const std::vector<std::size_t>& pattern) {
+  std::vector<BlockAddr> out(n + 1, ~BlockAddr{0});
+  for (std::size_t done = 0, k = 0; done < n; ++k) {
+    const std::size_t m = std::min(pattern[k % pattern.size()], n - done);
+    g.fill(out.data() + done, m);
+    done += m;
+  }
+  EXPECT_EQ(out[n], ~BlockAddr{0}) << "fill wrote past the end";
+  out.pop_back();
+  return out;
+}
+
+TEST(SharedStream, ConcurrentReadersOfEveryFillSizeSeeTheOwnSequence) {
+  // Readers on their own threads, one fill size each: single blocks, one
+  // interleave batch, an epoch's worth, and sizes that end just short of,
+  // just past and far past a chunk boundary.
+  const std::vector<std::vector<std::size_t>> patterns = {
+      {1}, {16}, {1753}, {kChunk - 1}, {kChunk + 1}, {3, kChunk * 2 + 5, 1, 700}};
+  constexpr std::size_t kBlocks = 3 * kChunk + 1000;
+  const std::size_t before = SharedStream::live_chunks();
+  for (const AppProfile* p : {&spec_profile("xa"), &spec_profile("lb"),
+                              &spec_profile("hm"), &irregular_profiles().front(),
+                              &irregular_profiles().back()}) {
+    if (!epoch_invariant(*p)) continue;
+    const int core = 5;
+    const std::uint64_t seed = 77;
+    const std::vector<BlockAddr> want = own_draws(*p, core, seed, kBlocks);
+    SharedStream stream(*p, core_window_base(core), core_seed(seed, core),
+                        static_cast<unsigned>(patterns.size()));
+    std::vector<std::vector<BlockAddr>> got(patterns.size());
+    std::vector<std::thread> readers;
+    for (std::size_t r = 0; r < patterns.size(); ++r)
+      readers.emplace_back([&, r] {
+        TraceGen g(*p, core_window_base(core), core_seed(seed, core));
+        g.attach(stream);
+        got[r] = read_in_fills(g, kBlocks, patterns[r]);
+      });
+    for (std::thread& t : readers) t.join();
+    for (std::size_t r = 0; r < patterns.size(); ++r)
+      EXPECT_EQ(got[r], want) << p->short_name << " reader " << r;
+    // Every sharer has finished: nothing of the stream is left.
+    EXPECT_EQ(SharedStream::live_chunks(), before) << p->short_name;
+  }
+}
+
+TEST(SharedStream, FreesAChunkOnceEverySharerHasPassedIt) {
+  const AppProfile& p = spec_profile("xa");
+  const Addr base = core_window_base(0);
+  const std::uint64_t seed = core_seed(1, 0);
+  const std::vector<BlockAddr> want = own_draws(p, 0, 1, 12 * kChunk);
+  const std::size_t before = SharedStream::live_chunks();
+  std::vector<BlockAddr> buf(kChunk);
+  {
+    // Two sharers in step: at most the chunk each reads stays alive.
+    SharedStream stream(p, base, seed, 2);
+    TraceGen a(p, base, seed), b(p, base, seed);
+    a.attach(stream);
+    b.attach(stream);
+    for (std::size_t i = 0; i < 10; ++i) {
+      a.fill(buf.data(), kChunk);
+      b.fill(buf.data(), kChunk);
+      EXPECT_TRUE(std::equal(buf.begin(), buf.end(), want.begin() + i * kChunk));
+      EXPECT_LE(SharedStream::live_chunks() - before, 2u) << "chunk " << i;
+    }
+  }
+  EXPECT_EQ(SharedStream::live_chunks(), before);
+  {
+    // A counted sharer that has not started holds the stream from chunk 0.
+    SharedStream stream(p, base, seed, 2);
+    {
+      TraceGen a(p, base, seed);
+      a.attach(stream);
+      for (int i = 0; i < 3; ++i) a.fill(buf.data(), kChunk);
+    }
+    EXPECT_EQ(SharedStream::live_chunks() - before, 3u);
+    TraceGen b(p, base, seed);
+    b.attach(stream);
+    for (std::size_t i = 0; i < 3; ++i) {
+      b.fill(buf.data(), kChunk);
+      EXPECT_TRUE(std::equal(buf.begin(), buf.end(), want.begin() + i * kChunk));
+      // The chunks before the one b reads are gone.
+      EXPECT_EQ(SharedStream::live_chunks() - before, 3u - i);
+    }
+    EXPECT_THROW(TraceGen(p, base, seed).attach(stream), std::logic_error);
+  }
+  EXPECT_EQ(SharedStream::live_chunks(), before);
+}
+
+TEST(StreamSet, SharesOnlyEpochInvariantStreamsNamedTwice) {
+  std::vector<StreamKey> uses;
+  std::vector<const AppProfile*> profiles;
+  for (const AppProfile& p : spec_profiles()) profiles.push_back(&p);
+  for (const AppProfile& p : irregular_profiles()) profiles.push_back(&p);
+  for (const AppProfile* p : profiles) {
+    uses.push_back({p->short_name, 3, 9});
+    uses.push_back({p->short_name, 3, 9});
+    uses.push_back({p->short_name, 4, 9});  // Named once: never shared.
+  }
+  const StreamSet set(uses);
+  int phased = 0;
+  for (const AppProfile* p : profiles) {
+    const bool invariant = epoch_invariant(*p);
+    phased += invariant ? 0 : 1;
+    EXPECT_EQ(set.find({p->short_name, 3, 9}) != nullptr, invariant) << p->short_name;
+    EXPECT_EQ(set.find({p->short_name, 4, 9}), nullptr) << p->short_name;
+    EXPECT_EQ(set.find({p->short_name, 3, 10}), nullptr) << p->short_name;
+  }
+  // omnetpp, gcc, mcf and the phased hash join switch phase.
+  EXPECT_EQ(phased, 4);
+  for (const char* app : {"om", "gc", "mc"}) {
+    EXPECT_FALSE(epoch_invariant(spec_profile(app))) << app;
+    EXPECT_EQ(set.find({app, 3, 9}), nullptr) << app;
+  }
+}
+
+TEST(StreamSet, SixteenAndSixtyFourTileJobsShareCoreZero) {
+  // Core c's stream is a function of (app, c, seed) alone, so a 16-tile
+  // w6 job and a 64-tile w6x4 job share their first sixteen cores' streams,
+  // and a sweep of the two matches each run alone.
+  sim::MachineConfig m16 = sim::config16();
+  sim::MachineConfig m64 = sim::config64();
+  for (sim::MachineConfig* m : {&m16, &m64}) {
+    m->warmup_epochs = 5;
+    m->measure_epochs = 5;
+  }
+  const Mix w6 = sim::mix_for_config(m16, "w6");
+  const Mix w6x4 = sim::mix_for_config(m64, "w6");
+  std::vector<StreamKey> uses = sim::Chip::stream_keys(m16, w6.apps);
+  const std::vector<StreamKey> k64 = sim::Chip::stream_keys(m64, w6x4.apps);
+  uses.insert(uses.end(), k64.begin(), k64.end());
+  const StreamSet set(uses);
+  const StreamKey core0{spec_profile(w6.apps[0]).short_name, 0, m16.seed};
+  ASSERT_TRUE(epoch_invariant(spec_profile(w6.apps[0])));
+  EXPECT_NE(set.find(core0), nullptr);
+  EXPECT_EQ(set.find({core0.app, 16, m16.seed}), nullptr);  // 64-tile only.
+
+  const std::vector<sim::MixResult> swept = sim::run_sweep(
+      {{m16, w6, sim::SchemeKind::kDelta, {}}, {m64, w6x4, sim::SchemeKind::kSnuca, {}}}, 2);
+  ASSERT_EQ(swept.size(), 2u);
+  const auto summary = [](const sim::MixResult& r) {
+    return sim::json_summary(std::span<const sim::MixResult>(&r, 1));
+  };
+  EXPECT_EQ(summary(swept[0]), summary(sim::run_mix(m16, w6, sim::SchemeKind::kDelta)));
+  EXPECT_EQ(summary(swept[1]), summary(sim::run_mix(m64, w6x4, sim::SchemeKind::kSnuca)));
 }
 
 TEST(Mixes, FifteenMixesOfSixteen) {
