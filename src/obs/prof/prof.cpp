@@ -211,9 +211,7 @@ void EngineProfile::section_begin(unsigned worker) {
 void EngineProfile::flush_task(unsigned worker, std::uint64_t now) {
   TaskSlot& t = tasks_[static_cast<std::size_t>(worker)];
   if (!t.open) return;
-  const std::uint64_t dur = now - t.start_ns;
-  Profiler::instance().record_span(t.phase, t.start_ns, dur, epoch_arg_);
-  t.task_ns[static_cast<std::size_t>(t.phase)] += dur;
+  Profiler::instance().record_span(t.phase, t.start_ns, now - t.start_ns, epoch_arg_);
   t.open = false;
 }
 
@@ -251,18 +249,9 @@ void EngineProfile::end_section() {
     const std::uint64_t wait = last_done - s.done_ns;
     prof.record_span(Phase::kPipeline, s.begin_ns, busy, epoch_arg_);
     if (wait > 0) prof.record_span(Phase::kBarrier, s.done_ns, wait, epoch_arg_);
-    cum_busy_[static_cast<std::size_t>(Phase::kPipeline)] += busy;
     cum_barrier_ns_ += wait;
     cum_section_ns_ += busy + wait;
     epoch_busy_[w] += busy;
-    // Fold the worker's per-kind task time (task_begin records the
-    // stage/apply/reduce attribution) into the run
-    // totals, so busy_ns(kStage/kApply/kReduce) keeps working.
-    TaskSlot& t = tasks_[w];
-    for (std::size_t p = 0; p < t.task_ns.size(); ++p) {
-      cum_busy_[p] += t.task_ns[p];
-      t.task_ns[p] = 0;
-    }
   }
 }
 
@@ -315,10 +304,6 @@ double EngineProfile::steal_fraction() const {
   return health_tasks_ > 0 ? static_cast<double>(health_stolen_) /
                                  static_cast<double>(health_tasks_)
                            : 0.0;
-}
-
-std::uint64_t EngineProfile::busy_ns(Phase p) const {
-  return cum_busy_[static_cast<std::size_t>(p)];
 }
 
 double EngineProfile::barrier_wait_fraction() const {

@@ -300,15 +300,6 @@ class EngineProfile final : public WorkerHooks {
   /// done).
   void count_epoch(std::uint64_t tasks, std::uint64_t tasks_stolen);
 
-  // Cumulative health total (any profiling level).
-  double steal_fraction() const;
-
-  // Cumulative run totals, exposed for tests and the bench phase breakdown.
-  std::uint64_t busy_ns(Phase p) const;
-  std::uint64_t barrier_ns() const { return cum_barrier_ns_; }
-  double barrier_wait_fraction() const;
-  double worker_imbalance_ratio() const;
-
  private:
   struct WorkerSlot {
     std::uint64_t begin_ns = 0;
@@ -316,16 +307,20 @@ class EngineProfile final : public WorkerHooks {
   };
 
   /// Open task span of one worker (task_begin/work_done flush).  Written
-  /// only by the owning worker inside a section; task_ns is read by the
-  /// owner after the done barrier (which orders it, like WorkerSlot).
+  /// only by the owning worker inside a section.
   struct TaskSlot {
     std::uint64_t start_ns = 0;
     Phase phase = Phase::kStage;
     bool open = false;
-    std::array<std::uint64_t, static_cast<std::size_t>(Phase::kCount)> task_ns{};
   };
 
   void flush_task(unsigned worker, std::uint64_t now);
+
+  // Cumulative run ratios that end_epoch (timing) and count_epoch (health,
+  // any profiling level) push into the registry.
+  double steal_fraction() const;
+  double barrier_wait_fraction() const;
+  double worker_imbalance_ratio() const;
 
   const unsigned workers_;
   std::vector<WorkerSlot> slots_;
@@ -335,7 +330,6 @@ class EngineProfile final : public WorkerHooks {
   bool armed_ = false;
 
   // Cumulative over the run (owner thread only).
-  std::array<std::uint64_t, static_cast<std::size_t>(Phase::kCount)> cum_busy_{};
   std::uint64_t cum_barrier_ns_ = 0;
   std::uint64_t cum_section_ns_ = 0;   ///< busy + barrier.
   double imbalance_sum_ = 0.0;

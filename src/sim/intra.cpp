@@ -84,25 +84,15 @@ IntraEngine::IntraEngine(int cores, int mcus, unsigned threads)
   private_bank_.assign(n, kInvalidBank);
   bank_private_.assign(n, 0);
   wstats_.resize(pool_.parties());
-
-  // First-touch warm pass: worker w faults in the buffers of its static
-  // home cores/banks, so the pages land on the node of the worker most
-  // likely to use them.  The profile is not armed yet, so the section
-  // records nothing.
-  const unsigned parties = pool_.parties();
-  pool_.run([&](unsigned w) {
-    const IndexRange r = static_partition(n, parties, w);
-    for (std::size_t c = r.begin; c < r.end; ++c) stages_[c].offs.assign(n + 1, 0);
-    for (std::size_t b = r.begin; b < r.end; ++b) {
-      BankTally& t = tallies_[b];
-      t.hits.resize(n);
-      t.misses.resize(n);
-      t.miss_lat.resize(n);
-      t.mcu_reqs.resize(n_mcus);
-      t.mcu_lat.resize(n_mcus);
-      t.runs.reserve(n);
-    }
-  });
+  for (CoreStage& st : stages_) st.offs.assign(n + 1, 0);
+  for (BankTally& t : tallies_) {
+    t.hits.resize(n);
+    t.misses.resize(n);
+    t.miss_lat.resize(n);
+    t.mcu_reqs.resize(n_mcus);
+    t.mcu_lat.resize(n_mcus);
+    t.runs.reserve(n);
+  }
 }
 
 template <bool kMonitor, bool kRoute>

@@ -146,9 +146,7 @@ namespace delta::sim {
 class IntraEngine final : public AccessEngine {
  public:
   /// `threads` is the worker count (>= 1).  Pool threads persist for the
-  /// engine's lifetime and park on a barrier between epochs, and the
-  /// constructor runs a first-touch warm pass so per-worker buffers are
-  /// faulted in by (roughly) the workers that will use them.
+  /// engine's lifetime and park on a barrier between epochs.
   IntraEngine(int cores, int mcus, unsigned threads);
 
   /// One epoch's accesses.  Callable only from the thread that owns the
