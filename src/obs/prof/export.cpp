@@ -149,6 +149,7 @@ std::string metrics_json(const RegistrySnapshot& reg, const ProfSnapshot& snap) 
     out += p + 1 < static_cast<std::size_t>(Phase::kCount) ? ",\n" : "\n";
   }
   out += "  },\n";
+  out += "  \"sweep_idle_share\": " + json_num(snap.sweep_idle_share()) + ",\n";
 
   out += "  \"sites\": {\n";
   for (std::size_t s = 0; s < snap.sites.size(); ++s) {

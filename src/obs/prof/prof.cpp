@@ -27,6 +27,7 @@ std::string_view phase_name(Phase p) {
     case Phase::kSerialTail: return "serial_tail";
     case Phase::kBarrier: return "barrier";
     case Phase::kSweepJob: return "sweep_job";
+    case Phase::kSweep: return "sweep";
     case Phase::kCount: break;
   }
   return "?";
@@ -48,6 +49,15 @@ std::uint64_t ProfSnapshot::phase_ns(Phase p) const {
   for (const Span& s : spans)
     if (s.phase == p) total += s.dur_ns;
   return total;
+}
+
+double ProfSnapshot::sweep_idle_share() const {
+  double capacity = 0.0;
+  for (const Span& s : spans)
+    if (s.phase == Phase::kSweep)
+      capacity += static_cast<double>(s.arg) * static_cast<double>(s.dur_ns);
+  if (capacity <= 0.0) return 0.0;
+  return (capacity - static_cast<double>(phase_ns(Phase::kSweepJob))) / capacity;
 }
 
 Profiler& Profiler::instance() {

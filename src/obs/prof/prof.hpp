@@ -59,6 +59,7 @@ enum class Phase : std::uint8_t {
   kSerialTail,    ///< Intra serial integer-tally reduction.
   kBarrier,       ///< Done-barrier wait inside a worker section.
   kSweepJob,      ///< One run_sweep job (a whole simulation).
+  kSweep,         ///< One run_sweep fan-out; arg = the threads running it.
   kCount
 };
 
@@ -102,6 +103,11 @@ struct ProfSnapshot {
 
   /// Total recorded duration across spans of one phase.
   std::uint64_t phase_ns(Phase p) const;
+
+  /// Share of the sweeps' thread time that ran no job: (threads x sweep
+  /// wall - total sweep_job wall) / (threads x sweep wall), summed over
+  /// every kSweep span; 0 when no sweep was recorded.
+  double sweep_idle_share() const;
 };
 
 namespace detail {

@@ -15,6 +15,17 @@
 namespace delta::sim {
 namespace {
 
+/// The sweep's thread budget (0 == hardware concurrency).
+unsigned thread_budget(unsigned threads) {
+  return threads == 0 ? hardware_threads() : threads;
+}
+
+/// How many threads parallel_for starts for `jobs` jobs: the budget, never
+/// more than one per job.
+unsigned outer_fanout(std::size_t jobs, unsigned threads) {
+  return static_cast<unsigned>(std::min<std::size_t>(thread_budget(threads), jobs));
+}
+
 /// Resolves the auto (0) intra_jobs of sweep jobs to the leftover thread
 /// budget: total budget divided by the sweep's outer fan-out, and never more
 /// than the hardware thread count (a caller's `threads` may exceed it).
@@ -25,10 +36,8 @@ std::vector<SweepJob> split_intra_budget(const std::vector<SweepJob>& jobs,
       std::any_of(jobs.begin(), jobs.end(),
                   [](const SweepJob& j) { return j.cfg.intra_jobs == 0; });
   if (!any_auto) return jobs;
-  const unsigned budget = threads == 0 ? hardware_threads() : threads;
-  const unsigned outer =
-      std::min<unsigned>(budget, static_cast<unsigned>(jobs.size()));
-  const unsigned per_job = resolve_workers(0, budget / std::max(1u, outer));
+  const unsigned per_job = resolve_workers(
+      0, thread_budget(threads) / std::max(1u, outer_fanout(jobs.size(), threads)));
   std::vector<SweepJob> resolved = jobs;
   for (SweepJob& j : resolved)
     if (j.cfg.intra_jobs == 0) j.cfg.intra_jobs = static_cast<int>(per_job);
@@ -57,7 +66,41 @@ std::vector<std::size_t> claim_groups(const std::vector<SweepJob>& jobs) {
   return group;
 }
 
+/// Each scheme's host cost per simulated epoch, in hundredths of a
+/// millisecond: 16-tile w6 at --intra-jobs 1 on a 4-vCPU x86-64 host.
+/// Only the ratios matter: claim_order scales it by tiles and epochs.
+std::uint64_t epoch_cost(SchemeKind kind) {
+  switch (kind) {
+    case SchemeKind::kLfoc: return 86;
+    case SchemeKind::kSnuca: return 75;
+    case SchemeKind::kIdealCentralized: return 66;
+    case SchemeKind::kCarma: return 62;
+    case SchemeKind::kDelta: return 58;
+    case SchemeKind::kPrivate: return 44;
+  }
+  return 0;
+}
+
+/// A job's estimated host cost: tiles x epochs x the scheme's epoch cost.
+std::uint64_t job_cost(const SweepJob& j) {
+  return static_cast<std::uint64_t>(j.cfg.cores) *
+         static_cast<std::uint64_t>(j.cfg.warmup_epochs + j.cfg.measure_epochs) *
+         epoch_cost(j.kind);
+}
+
 }  // namespace
+
+std::vector<std::size_t> claim_order(const std::vector<SweepJob>& jobs) {
+  const std::vector<std::size_t> group = claim_groups(jobs);
+  std::vector<std::uint64_t> cost(jobs.size());
+  std::transform(jobs.begin(), jobs.end(), cost.begin(), job_cost);
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return group[a] != group[b] ? group[a] < group[b] : cost[a] > cost[b];
+  });
+  return order;
+}
 
 MixResult run_mix(const MachineConfig& cfg, const workload::Mix& mix, SchemeKind kind,
                   SchemeOptions opts, obs::Observer* obs, EpochChecker* checker,
@@ -98,11 +141,12 @@ std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs, unsigned thr
   std::vector<workload::StreamSet> streams;
   streams.reserve(groups);
   for (const auto& u : uses) streams.emplace_back(u);
-  std::vector<std::size_t> order(resolved.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return group[a] < group[b]; });
+  const std::vector<std::size_t> order = claim_order(resolved);
   std::vector<MixResult> out(resolved.size());
+  // One span over the whole fan-out, its arg the threads that run it: with
+  // the sweep_job spans inside it, it gives the sweep's idle share.
+  const obs::prof::ScopedSpan sweep_span(obs::prof::Phase::kSweep,
+                                         outer_fanout(resolved.size(), threads));
   parallel_for(
       0, resolved.size(),
       [&](std::size_t k) {

@@ -70,8 +70,10 @@ struct SweepJob {
 /// Claim groups: jobs under one seed that replay one mix, at any
 /// replication (a 16-tile mix and its 64-tile x4 copy), form a group.
 /// Workers claim jobs group by group, in a stable order of each group's
-/// first appearance.  Results and observers stay index-addressed, so the
-/// claim order never shows in them.
+/// first appearance, and heaviest first within a group (claim_order), so
+/// the longest simulations start first and the last one to finish is a
+/// short one.  Results and observers stay index-addressed, so the claim
+/// order never shows in them.
 ///
 /// Shared streams: before any job starts, the sweep lists every active
 /// core of each group's jobs by its stream key (Chip::stream_keys) and
@@ -87,6 +89,14 @@ struct SweepJob {
 std::vector<MixResult> run_sweep(const std::vector<SweepJob>& jobs,
                                  unsigned threads = 0,
                                  std::span<obs::Observer* const> observers = {});
+
+/// The order in which run_sweep's workers claim `jobs`, as job indices.
+/// Claim groups (see run_sweep) stay contiguous, in order of first
+/// appearance.  Within a group, jobs go by estimated host cost, heaviest
+/// first: cfg.cores x (warmup_epochs + measure_epochs) x the scheme's
+/// per-epoch host cost at 16 tiles, measured once and fixed in a table
+/// (LFOC heaviest, private lightest).  Equal costs keep job order.
+std::vector<std::size_t> claim_order(const std::vector<SweepJob>& jobs);
 
 /// Any scheme set (kPaperSchemeKinds for the paper's figures,
 /// kAllSchemeKinds for the six-way shootout) over many mixes as one sweep:

@@ -94,6 +94,40 @@ TEST_F(ProfTest, SpansFromManyThreadsMergeSeqSorted) {
   for (const obs::prof::Span& s : snap.spans) seen[s.tid % 64] = true;
 }
 
+TEST_F(ProfTest, SweepIdleShareIsThreadTimeNoJobRan) {
+  // Two threads over a 100 ns sweep and jobs of 80 + 90 ns: 30 of the 200
+  // thread-ns ran no job.  Other phases do not enter it.
+  obs::prof::ProfSnapshot snap;
+  EXPECT_EQ(snap.sweep_idle_share(), 0.0);
+  snap.spans = {{0, 0, 100, 2, 0, Phase::kSweep},
+                {1, 0, 80, 0, 0, Phase::kSweepJob},
+                {2, 5, 90, 1, 1, Phase::kSweepJob},
+                {3, 5, 50, 0, 1, Phase::kEpoch}};
+  EXPECT_DOUBLE_EQ(snap.sweep_idle_share(), 0.15);
+
+  // run_sweep records one sweep span whose arg is the threads it ran on.
+  sim::MachineConfig cfg = sim::config16();
+  cfg.warmup_epochs = 2;
+  cfg.measure_epochs = 3;
+  const workload::Mix mix = sim::mix_for_config(cfg, "w1");
+  obs::prof::set_level(ProfLevel::kFull);
+  (void)sim::run_sweep({{cfg, mix, sim::SchemeKind::kSnuca, {}},
+                        {cfg, mix, sim::SchemeKind::kPrivate, {}},
+                        {cfg, mix, sim::SchemeKind::kDelta, {}}},
+                       2);
+  obs::prof::set_level(ProfLevel::kOff);
+  const obs::prof::ProfSnapshot live = Profiler::instance().snapshot();
+  std::size_t sweeps = 0;
+  for (const obs::prof::Span& s : live.spans)
+    if (s.phase == Phase::kSweep) {
+      ++sweeps;
+      EXPECT_EQ(s.arg, 2u);
+    }
+  EXPECT_EQ(sweeps, 1u);
+  EXPECT_GE(live.sweep_idle_share(), 0.0);
+  EXPECT_LT(live.sweep_idle_share(), 1.0);
+}
+
 TEST_F(ProfTest, SiteAggregationAccumulates) {
   obs::prof::set_level(ProfLevel::kFull);
   for (int i = 0; i < 10; ++i)
@@ -177,6 +211,7 @@ TEST_F(ProfTest, MetricsJsonIsValidJson) {
   EXPECT_TRUE(test::is_valid_json(json, &why)) << why;
   EXPECT_NE(json.find("\"schema\": \"delta-prof-metrics-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"phase_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"sweep_idle_share\": 0,"), std::string::npos);
   EXPECT_NE(json.find("\"sites\""), std::string::npos);
 }
 

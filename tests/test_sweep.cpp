@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -53,18 +54,100 @@ TEST(Sweep, ParallelJobsBitIdenticalToSerial) {
   EXPECT_EQ(summary_of(serial), summary_of(parallel));
 }
 
-TEST(Sweep, RunSweepMatchesRunMixInJobOrder) {
+TEST(Sweep, ClaimOrderIsHeaviestFirstWithinAGroup) {
+  // One group (one mix, one seed) in kAllSchemeKinds order: workers claim
+  // LFOC first and private last, by the fixed per-scheme epoch costs.
+  const sim::MachineConfig cfg = quick16();
+  const workload::Mix mix = sim::mix_for_config(cfg, "w6");
+  std::vector<sim::SweepJob> jobs;
+  for (const sim::SchemeKind kind : sim::kAllSchemeKinds) jobs.push_back({cfg, mix, kind, {}});
+  // snuca 0, private 1, ideal 2, delta 3, carma 4, lfoc 5.
+  EXPECT_EQ(sim::claim_order(jobs), (std::vector<std::size_t>{5, 0, 2, 4, 3, 1}));
+  // Tiles and epochs scale the cost: a 64-tile copy outweighs any 16-tile
+  // job, and a longer run outweighs a heavier scheme.
+  sim::MachineConfig big = sim::config64();
+  big.warmup_epochs = cfg.warmup_epochs;
+  big.measure_epochs = cfg.measure_epochs;
+  sim::MachineConfig longer = cfg;
+  longer.measure_epochs *= 3;
+  const std::vector<sim::SweepJob> scaled = {
+      {cfg, mix, sim::SchemeKind::kLfoc, {}},
+      {longer, mix, sim::SchemeKind::kPrivate, {}},
+      {big, sim::mix_for_config(big, "w6"), sim::SchemeKind::kPrivate, {}}};
+  EXPECT_EQ(sim::claim_order(scaled), (std::vector<std::size_t>{2, 1, 0}));
+  EXPECT_TRUE(sim::claim_order({}).empty());
+}
+
+TEST(Sweep, ClaimOrderKeepsGroupsContiguousInFirstAppearanceOrder) {
+  // Three groups, interleaved in the job list: w2, w6, and w2 under another
+  // seed.  Each group's jobs are claimed together, heaviest first, and the
+  // groups in the order their first job appears, whatever their costs.
+  const sim::MachineConfig cfg = quick16();
+  sim::MachineConfig reseeded = cfg;
+  reseeded.seed += 1;
+  const workload::Mix w2 = sim::mix_for_config(cfg, "w2");
+  const workload::Mix w6 = sim::mix_for_config(cfg, "w6");
+  const std::vector<sim::SweepJob> jobs = {
+      {cfg, w2, sim::SchemeKind::kPrivate, {}},       // 0: group A
+      {cfg, w6, sim::SchemeKind::kDelta, {}},         // 1: group B
+      {reseeded, w2, sim::SchemeKind::kLfoc, {}},     // 2: group C
+      {cfg, w6, sim::SchemeKind::kLfoc, {}},          // 3: group B
+      {cfg, w2, sim::SchemeKind::kSnuca, {}},         // 4: group A
+      {reseeded, w2, sim::SchemeKind::kPrivate, {}},  // 5: group C
+  };
+  EXPECT_EQ(sim::claim_order(jobs), (std::vector<std::size_t>{4, 0, 3, 1, 2, 5}));
+}
+
+TEST(Sweep, ClaimOrderKeepsJobOrderOnEqualCosts) {
+  // Equal estimates (one scheme, tiles and epochs; the options do not enter
+  // the cost) keep job order, around a heavier job in the middle.
   const sim::MachineConfig cfg = quick16();
   const workload::Mix mix = sim::mix_for_config(cfg, "w3");
   std::vector<sim::SweepJob> jobs;
-  for (auto kind : {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca})
-    jobs.push_back({cfg, mix, kind, {}});
-  const std::vector<sim::MixResult> swept = sim::run_sweep(jobs, 2);
-  ASSERT_EQ(swept.size(), 2u);
-  const sim::MixResult direct_delta = sim::run_mix(cfg, mix, sim::SchemeKind::kDelta);
-  const sim::MixResult direct_snuca = sim::run_mix(cfg, mix, sim::SchemeKind::kSnuca);
-  EXPECT_EQ(sim::json_summary({&swept[0], 1}), sim::json_summary({&direct_delta, 1}));
-  EXPECT_EQ(sim::json_summary({&swept[1], 1}), sim::json_summary({&direct_snuca, 1}));
+  for (int interval : {1, 2, 3}) {
+    sim::SchemeOptions opts;
+    opts.central_interval_epochs = interval;
+    jobs.push_back({cfg, mix, sim::SchemeKind::kIdealCentralized, opts});
+  }
+  jobs.insert(jobs.begin() + 1, {cfg, mix, sim::SchemeKind::kLfoc, {}});
+  jobs.push_back({cfg, mix, sim::SchemeKind::kIdealCentralized, {}});
+  EXPECT_EQ(sim::claim_order(jobs), (std::vector<std::size_t>{1, 0, 2, 3, 4}));
+}
+
+TEST(Sweep, RunSweepMatchesRunMixInJobOrder) {
+  // The first group holds a 16-tile mix and its 64-tile x4 copy, which
+  // share streams and are claimed out of job order (the 64-tile job first);
+  // the second group is another mix.  Every result must still be the one
+  // run_mix gives alone, in job order.
+  const sim::MachineConfig small = [] {
+    sim::MachineConfig c = sim::config16();
+    c.warmup_epochs = 5;
+    c.measure_epochs = 10;
+    return c;
+  }();
+  sim::MachineConfig big = sim::config64();
+  big.warmup_epochs = small.warmup_epochs;
+  big.measure_epochs = small.measure_epochs;
+  const std::vector<sim::SweepJob> jobs = {
+      {small, sim::mix_for_config(small, "w3"), sim::SchemeKind::kDelta, {}},
+      {big, sim::mix_for_config(big, "w3"), sim::SchemeKind::kSnuca, {}},
+      {small, sim::mix_for_config(small, "w3"), sim::SchemeKind::kLfoc, {}},
+      {small, sim::mix_for_config(small, "w1"), sim::SchemeKind::kPrivate, {}},
+      {small, sim::mix_for_config(small, "w1"), sim::SchemeKind::kCarma, {}},
+  };
+  ASSERT_EQ(sim::claim_order(jobs), (std::vector<std::size_t>{1, 2, 0, 4, 3}));
+  std::vector<std::string> direct;
+  for (const sim::SweepJob& j : jobs) {
+    const sim::MixResult r = sim::run_mix(j.cfg, j.mix, j.kind, j.opts);
+    direct.push_back(sim::json_summary({&r, 1}));
+  }
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const std::vector<sim::MixResult> swept = sim::run_sweep(jobs, threads);
+    ASSERT_EQ(swept.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      EXPECT_EQ(sim::json_summary({&swept[i], 1}), direct[i]) << "job " << i;
+  }
 }
 
 TEST(Sweep, EmptyAndSingleJobEdgeCases) {

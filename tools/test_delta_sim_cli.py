@@ -34,7 +34,14 @@ class DeltaSimCliTest(unittest.TestCase):
             (["--epochs", "-5"], "--epochs must be >= 1, got -5"),
             (["--cores", "17"], "--cores must be 16 or 64, got 17"),
             (["--jobs", "-1"], "--jobs must be >= 0, got -1"),
+            (["--jobs", "abc"], "--jobs expects an integer, got 'abc'"),
             (["--intra-jobs", "-2"], "--intra-jobs must be >= 0, got -2"),
+            (["--intra-jobs", "1e3"], "--intra-jobs expects an integer, got '1e3'"),
+            (["--interleave-batch", "-1"], "--interleave-batch must be >= 0, got -1"),
+            (["--interleave-batch", "abc"],
+             "--interleave-batch expects an integer, got 'abc'"),
+            (["--interleave-batch", "99999999999"],
+             "--interleave-batch is out of range, got 99999999999"),
             (["--warmup", "-3"], "--warmup must be >= 0, got -3"),
             (["--central-ms", "0"], "--central-ms must be >= 0.1 (one epoch), got 0"),
             (["--central-ms", "-1"], "--central-ms must be >= 0.1 (one epoch), got -1"),
