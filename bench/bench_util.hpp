@@ -29,7 +29,7 @@ namespace delta::bench {
 ///   --prof-out / --metrics-out   self-profiling with delta_sim's
 ///              semantics (obs::Outputs); the destructor writes them.
 /// plus its own `extra` flags ("fig", "out", "quick", "reps").  An unknown
-/// flag, a positional argument or a malformed value prints
+/// or repeated flag, a positional argument or a malformed value prints
 /// `<bench>: <message>` and exits 2 before any simulation runs.
 class Cli {
  public:
@@ -42,6 +42,11 @@ class Cli {
     if (!unknown.empty()) fail("unknown flag --" + unknown.front());
     if (!args_.positional().empty())
       fail("unexpected argument '" + args_.positional().front() + "'");
+    try {
+      args_.reject_repeated();
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
+    }
     if (args_.has("jobs")) {
       jobs_ = parse_count("--jobs", args_.get("jobs"));
     } else if (const char* env = std::getenv("DELTA_JOBS");
@@ -64,6 +69,15 @@ class Cli {
   unsigned jobs() const { return jobs_; }
   bool has(const std::string& flag) const { return args_.has(flag); }
 
+  /// A boolean switch; a value after it is an error.
+  bool has_switch(const std::string& flag) const {
+    try {
+      return args_.has_switch(flag);
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
+    }
+  }
+
   /// Value of a value-taking flag, `def` when absent.
   std::string get(const std::string& flag, const std::string& def = "") const {
     if (args_.has(flag) && args_.get(flag).empty()) fail("--" + flag + " needs a value");
@@ -72,7 +86,6 @@ class Cli {
 
   /// Integer flag in [lo, INT_MAX], `def` when absent.
   int get_int_at_least(const std::string& flag, int def, int lo) const {
-    (void)get(flag);  // A flag given without a value is an error, not `def`.
     try {
       return args_.get_int_at_least(flag, def, lo);
     } catch (const std::invalid_argument& e) {

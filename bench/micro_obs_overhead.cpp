@@ -57,7 +57,7 @@ double disabled_site_cost_ns() {
   for (std::uint64_t i = 0; i < kIters; ++i) sink = sink + 1;
   const auto t1 = Clock::now();
   for (std::uint64_t i = 0; i < kIters; ++i) {
-    const obs::prof::ScopedSite site(obs::prof::Site::kAccessBatch);
+    const obs::prof::ScopedSite site(obs::prof::Site::kStageCore);
     sink = sink + 1;
   }
   const auto t2 = Clock::now();

@@ -249,7 +249,7 @@ double bench_find(int reps, std::size_t probes_n) {
 int main(int argc, char** argv) {
   using namespace delta;
   const bench::Cli cli(argc, argv, {"quick", "reps"});
-  const bool quick = cli.has("quick");
+  const bool quick = cli.has_switch("quick");
   const int reps = cli.get_int_at_least("reps", 3, 1);
   bench::print_header("micro_throughput — kernel throughput harness",
                       "repo performance floors (docs/performance.md)");

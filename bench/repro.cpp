@@ -949,7 +949,7 @@ std::vector<const Entry*> select_entries(const bench::Cli& cli) {
 
 int main(int argc, char** argv) {
   const bench::Cli cli(argc, argv, {"fig", "quick", "out"});
-  const Protocol protocol{cli.has("quick")};
+  const Protocol protocol{cli.has_switch("quick")};
   const std::vector<const Entry*> entries = select_entries(cli);
   const std::string out_path = cli.get("out");
   std::ofstream out_file;

@@ -28,7 +28,9 @@ sim::MachineConfig draw_config(Rng& rng, std::uint64_t seed,
   cfg.seed = splitmix64(sm);
   cfg.lockstep_accesses = opt.lockstep;
   cfg.intra_jobs = opt.intra_jobs;
-  cfg.measured_mlp = rng.chance(0.5);
+  // Consumed for a knob that no longer exists (the measured-MLP mode), so
+  // every later draw, and the seeds test_fuzz pins, stay as they were.
+  (void)rng.chance(0.5);
 
   constexpr std::array<int, 3> kInter = {5, 10, 20};
   constexpr std::array<int, 2> kIntra = {1, 2};

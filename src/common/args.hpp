@@ -2,8 +2,10 @@
 //
 // Supports `--name value` and `--name=value` forms plus boolean switches
 // (`--flag`).  Unknown flags are collected so callers can reject them with
-// a helpful message; positional arguments are preserved in order.  Numeric
-// getters reject malformed values with a std::invalid_argument.
+// a helpful message; positional arguments are preserved in order, and a
+// flag given twice is remembered for reject_repeated().  A numeric flag
+// given without a value or with a malformed one throws
+// std::invalid_argument naming the flag.
 #pragma once
 
 #include <charconv>
@@ -26,14 +28,16 @@ class ArgParser {
       if (a.rfind("--", 0) == 0) {
         a = a.substr(2);
         const auto eq = a.find('=');
+        std::string name = a.substr(0, eq);
+        std::string value;
         if (eq != std::string::npos) {
-          flags_[a.substr(0, eq)] = a.substr(eq + 1);
+          value = a.substr(eq + 1);
         } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          flags_[a] = argv[++i];
-        } else {
-          flags_[a] = "";  // Boolean switch.
-        }
-        order_.push_back(a.substr(0, eq == std::string::npos ? a.size() : eq));
+          value = argv[++i];
+        }  // Else a boolean switch: empty value.
+        if (flags_.contains(name) && repeated_.empty()) repeated_ = name;
+        flags_[name] = std::move(value);
+        order_.push_back(std::move(name));
       } else {
         positional_.push_back(std::move(a));
       }
@@ -42,13 +46,25 @@ class ArgParser {
 
   bool has(const std::string& name) const { return flags_.contains(name); }
 
+  /// A boolean switch: true when given.  A value after it (`--csv 5`,
+  /// `--csv=5`) throws instead of being dropped.
+  bool has_switch(const std::string& name) const {
+    const auto it = flags_.find(name);
+    if (it == flags_.end()) return false;
+    if (!it->second.empty())
+      throw std::invalid_argument("--" + name + " takes no value, got '" + it->second +
+                                  "'");
+    return true;
+  }
+
   std::string get(const std::string& name, const std::string& def = "") const {
     auto it = flags_.find(name);
     return it == flags_.end() ? def : it->second;
   }
 
-  /// The numeric getters: the whole value must parse, or they throw
-  /// std::invalid_argument naming the flag and the offending text.
+  /// The numeric getters: `def` when the flag is absent; otherwise the
+  /// whole value must parse, or they throw std::invalid_argument naming the
+  /// flag and the offending text (an empty value too).
   std::int64_t get_int(const std::string& name, std::int64_t def) const {
     return parse(name, def, "an integer");
   }
@@ -79,6 +95,13 @@ class ArgParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws std::invalid_argument naming the first flag given more than
+  /// once (the getters read its last value) — for strict validation.
+  void reject_repeated() const {
+    if (!repeated_.empty())
+      throw std::invalid_argument("--" + repeated_ + " is given more than once");
+  }
+
   /// Flags that are not in `known` — for strict validation.
   std::vector<std::string> unknown_flags(const std::vector<std::string>& known) const {
     std::vector<std::string> out;
@@ -95,8 +118,9 @@ class ArgParser {
   T parse(const std::string& name, T def, const char* expects,
           bool hex_prefix = false) const {
     auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) return def;
+    if (it == flags_.end()) return def;
     const std::string& v = it->second;
+    if (v.empty()) throw std::invalid_argument("--" + name + " needs a value");
     const char* first = v.data();
     const char* const last = v.data() + v.size();
     T out{};
@@ -120,6 +144,7 @@ class ArgParser {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> order_;
   std::vector<std::string> positional_;
+  std::string repeated_;
 };
 
 }  // namespace delta

@@ -13,7 +13,7 @@ namespace delta {
 /// values whose bit width is b — bucket 0 is exactly {0}, bucket b >= 1 covers
 /// [2^(b-1), 2^b).  Every bucket boundary is value-independent, so two
 /// LogHistograms always merge exactly (bucket-wise addition) even when their
-/// occupied ranges are disjoint — the property the metrics registry relies on
+/// occupied ranges are disjoint — the property the profiler relies on
 /// when folding per-thread duration histograms into one process-wide view.
 class LogHistogram {
  public:

@@ -70,8 +70,7 @@ bool Outputs::write(const Observer* obs) {
         prof_, prof::prof_trace_json(prof::Profiler::instance().snapshot(), obs));
   if (metrics_.f)
     ok &= write_or_complain(metrics_,
-                            prof::metrics_json(prof::MetricsRegistry::global().snapshot(),
-                                               prof::Profiler::instance().snapshot()));
+                            prof::metrics_json(prof::Profiler::instance().snapshot()));
   return ok;
 }
 

@@ -123,21 +123,44 @@ std::string prof_trace_json(const ProfSnapshot& snap, const Observer* obs) {
   return out;
 }
 
-std::string metrics_json(const RegistrySnapshot& reg, const ProfSnapshot& snap) {
+std::string metrics_json(const ProfSnapshot& snap) {
   std::string out = "{\n  \"schema\": \"delta-prof-metrics-v1\",\n";
   appendf(out, "  \"level\": \"%s\",\n", to_string(snap.level));
 
+  // The ratios come from the totals over every run in the process, so a
+  // dump of many runs weighs each by its share of the work.
+  const EngineTotals& e = snap.engine;
+  const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+    return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+  };
+  const LogHistogram& imbalance = e[Hist::kEpochImbalanceMilli];
+  const auto number = [&out](const char* name, double v) {
+    appendf(out, "    \"%s\": %s,\n", name, json_num(v).c_str());
+  };
+  const auto count = [&out, &e](const char* name, Counter c) {
+    appendf(out, "    \"%s\": %" PRIu64 ",\n", name, e[c]);
+  };
+  const auto histogram = [&out](const char* name, const LogHistogram& h) {
+    appendf(out, "    \"%s\": ", name);
+    append_histogram_json(out, h);
+    out += ",\n";
+  };
   out += "  \"metrics\": {\n";
-  for (std::size_t i = 0; i < reg.metrics.size(); ++i) {
-    const MetricSample& m = reg.metrics[i];
-    appendf(out, "    \"%s\": ", json_escape(m.name).c_str());
-    if (m.kind == MetricKind::kHistogram) {
-      append_histogram_json(out, m.hist);
-    } else {
-      out += json_num(m.value);
-    }
-    out += i + 1 < reg.metrics.size() ? ",\n" : "\n";
-  }
+  histogram("delta_intra_bank_buffer_occupancy", e[Hist::kBufferOccupancy]);
+  count("delta_intra_bank_buffer_pairs_nonzero", Counter::kBufferPairsNonzero);
+  count("delta_intra_bank_buffer_pairs_total", Counter::kBufferPairs);
+  number("delta_intra_barrier_wait_fraction",
+         ratio(e[Counter::kBarrierNs], e[Counter::kSectionNs]));
+  histogram("delta_intra_epoch_barrier_wait_ppm", e[Hist::kEpochBarrierPpm]);
+  histogram("delta_intra_epoch_imbalance_milli", imbalance);
+  count("delta_intra_epochs_total", Counter::kEpochs);
+  number("delta_intra_steal_fraction",
+         ratio(e[Counter::kTasksStolen], e[Counter::kTasks]));
+  count("delta_intra_tasks_stolen_total", Counter::kTasksStolen);
+  count("delta_intra_tasks_total", Counter::kTasks);
+  number("delta_intra_worker_imbalance_ratio",
+         ratio(imbalance.sum(), imbalance.total()) / 1000.0);
+  out.erase(out.size() - 2, 1);  // The last metric's comma.
   out += "  },\n";
 
   out += "  \"phase_ns\": {\n";

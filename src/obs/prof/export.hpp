@@ -10,8 +10,9 @@
 //     per-core way/IPC and per-MCU queue counters from the timeline.  One
 //     flamegraph shows where epoch time went next to what the policy did;
 //     with an empty snapshot (--trace-out) it is the policy trace alone.
-//   metrics_json — JSON dump: every registry metric plus the snapshot's
-//     per-phase wall totals and site aggregates.
+//   metrics_json — JSON dump of one snapshot: the engine's counters and
+//     histograms with the ratios derived from them, per-phase wall totals
+//     and site aggregates.
 //
 // Like obs/export.hpp, exporters build strings; obs/outputs.hpp writes them
 // to the files the command line names.
@@ -19,7 +20,6 @@
 
 #include <string>
 
-#include "obs/prof/metrics.hpp"
 #include "obs/prof/prof.hpp"
 
 namespace delta::obs {
@@ -35,6 +35,6 @@ inline constexpr unsigned kProfTracePid = 1000;
 std::string prof_trace_json(const ProfSnapshot& snap,
                             const Observer* obs = nullptr);
 
-std::string metrics_json(const RegistrySnapshot& reg, const ProfSnapshot& snap);
+std::string metrics_json(const ProfSnapshot& snap);
 
 }  // namespace delta::obs::prof

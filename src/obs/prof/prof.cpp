@@ -1,9 +1,6 @@
 #include "obs/prof/prof.hpp"
 
 #include <algorithm>
-#include <cassert>
-
-#include "obs/prof/metrics.hpp"
 
 namespace delta::obs::prof {
 
@@ -42,6 +39,11 @@ std::string_view site_name(Site s) {
     case Site::kCount: break;
   }
   return "?";
+}
+
+void EngineTotals::merge(const EngineTotals& o) {
+  for (std::size_t c = 0; c < counts.size(); ++c) counts[c] += o.counts[c];
+  for (std::size_t h = 0; h < hists.size(); ++h) hists[h].merge(o.hists[h]);
 }
 
 std::uint64_t ProfSnapshot::phase_ns(Phase p) const {
@@ -97,7 +99,11 @@ void Profiler::add_site(Site s, std::uint64_t dur_ns) {
   t.hist.add(dur_ns);
 }
 
-std::uint32_t Profiler::thread_slot() { return local_buf().tid; }
+void Profiler::add_engine(const EngineTotals& t) {
+  ThreadBuf& buf = local_buf();
+  const common::LockGuard lock(buf.mu);
+  buf.engine.merge(t);
+}
 
 ProfSnapshot Profiler::snapshot() const {
   ProfSnapshot out;
@@ -120,6 +126,7 @@ ProfSnapshot Profiler::snapshot() const {
       out.sites[s].ns += b->sites[s].ns;
       out.sites[s].hist.merge(b->sites[s].hist);
     }
+    out.engine.merge(b->engine);
   }
   std::sort(out.spans.begin(), out.spans.end(),
             [](const Span& a, const Span& b) { return a.seq < b.seq; });
@@ -142,68 +149,15 @@ void Profiler::clear() {
       t.ns = 0;
       t.hist.reset();
     }
+    b->engine = EngineTotals{};
   }
 }
-
-/// Registry handles the engine profile publishes derived metrics through.
-struct EngineProfile::Handles {
-  Gauge& barrier_frac;
-  Gauge& imbalance;
-  HistogramMetric& epoch_imbalance_milli;
-  HistogramMetric& epoch_barrier_ppm;
-  HistogramMetric& occupancy;
-  Counter& occupancy_pairs;
-  Counter& occupancy_nonzero;
-  // Engine-health counters (structural; counted at every profiling level).
-  Counter& epochs;
-  Counter& tasks;
-  Counter& tasks_stolen;
-  Gauge& steal_fraction;
-
-  explicit Handles(MetricsRegistry& reg)
-      : barrier_frac(reg.gauge(
-            "delta_intra_barrier_wait_fraction",
-            "Cumulative done-barrier wait / total worker section time")),
-        imbalance(reg.gauge(
-            "delta_intra_worker_imbalance_ratio",
-            "Mean over epochs of max/mean per-worker busy time")),
-        epoch_imbalance_milli(reg.histogram(
-            "delta_intra_epoch_imbalance_milli",
-            "Per-epoch worker-imbalance ratio, in thousandths")),
-        epoch_barrier_ppm(reg.histogram(
-            "delta_intra_epoch_barrier_wait_ppm",
-            "Per-epoch barrier-wait fraction, in parts per million")),
-        occupancy(reg.histogram(
-            "delta_intra_bank_buffer_occupancy",
-            "Staged accesses per nonzero (core,bank) index list")),
-        occupancy_pairs(reg.counter("delta_intra_bank_buffer_pairs_total",
-                                    "(core,bank) staging lists examined")),
-        occupancy_nonzero(
-            reg.counter("delta_intra_bank_buffer_pairs_nonzero",
-                        "(core,bank) staging lists holding any access")),
-        epochs(reg.counter("delta_intra_epochs_total",
-                           "Epochs executed by the intra-run engine")),
-        tasks(reg.counter("delta_intra_tasks_total",
-                          "Scheduler tasks executed (stage+apply+reduce)")),
-        tasks_stolen(reg.counter(
-            "delta_intra_tasks_stolen_total",
-            "Tasks executed by a worker outside its static home range")),
-        steal_fraction(reg.gauge("delta_intra_steal_fraction",
-                                 "Stolen tasks / all scheduler tasks")) {}
-};
 
 EngineProfile::EngineProfile(unsigned workers)
     : workers_(workers == 0 ? 1 : workers),
       slots_(workers_),
       tasks_(workers_),
       epoch_busy_(workers_, 0) {}
-
-EngineProfile::~EngineProfile() = default;
-
-void EngineProfile::ensure_handles() {
-  if (handles_ == nullptr)
-    handles_ = std::make_unique<Handles>(MetricsRegistry::global());
-}
 
 void EngineProfile::begin_section(std::uint64_t epoch) {
   armed_ = enabled();
@@ -259,24 +213,14 @@ void EngineProfile::end_section() {
     const std::uint64_t wait = last_done - s.done_ns;
     prof.record_span(Phase::kPipeline, s.begin_ns, busy, epoch_arg_);
     if (wait > 0) prof.record_span(Phase::kBarrier, s.done_ns, wait, epoch_arg_);
-    cum_barrier_ns_ += wait;
-    cum_section_ns_ += busy + wait;
+    epoch_[Counter::kBarrierNs] += wait;
+    epoch_[Counter::kSectionNs] += busy + wait;
     epoch_busy_[w] += busy;
   }
 }
 
-void EngineProfile::add_occupancy(std::uint64_t staged, std::uint64_t pairs_total,
-                                  std::uint64_t pairs_nonzero) {
-  ensure_handles();
-  if (staged > 0) handles_->occupancy.observe(staged);
-  handles_->occupancy_pairs.add(pairs_total);
-  handles_->occupancy_nonzero.add(pairs_nonzero);
-}
-
-void EngineProfile::end_epoch() {
+void EngineProfile::end_epoch(std::uint64_t tasks, std::uint64_t stolen) {
   if (!armed_) return;
-  ensure_handles();
-
   std::uint64_t max_busy = 0, sum_busy = 0;
   for (std::uint64_t b : epoch_busy_) {
     max_busy = std::max(max_busy, b);
@@ -285,47 +229,20 @@ void EngineProfile::end_epoch() {
   if (sum_busy > 0) {
     const double mean =
         static_cast<double>(sum_busy) / static_cast<double>(workers_);
-    const double ratio = static_cast<double>(max_busy) / mean;
-    imbalance_sum_ += ratio;
-    ++imbalance_epochs_;
-    handles_->epoch_imbalance_milli.observe(
-        static_cast<std::uint64_t>(ratio * 1000.0));
+    epoch_[Hist::kEpochImbalanceMilli].add(
+        static_cast<std::uint64_t>(static_cast<double>(max_busy) / mean * 1000.0));
   }
+  const std::uint64_t section = epoch_[Counter::kSectionNs];
+  if (section > 0)
+    epoch_[Hist::kEpochBarrierPpm].add(static_cast<std::uint64_t>(
+        static_cast<double>(epoch_[Counter::kBarrierNs]) /
+        static_cast<double>(section) * 1e6));
+  epoch_[Counter::kEpochs] = 1;
+  epoch_[Counter::kTasks] = tasks;
+  epoch_[Counter::kTasksStolen] = stolen;
+  Profiler::instance().add_engine(epoch_);
+  epoch_ = EngineTotals{};
   for (std::uint64_t& b : epoch_busy_) b = 0;
-
-  if (cum_section_ns_ > 0)
-    handles_->epoch_barrier_ppm.observe(
-        static_cast<std::uint64_t>(barrier_wait_fraction() * 1e6));
-  handles_->barrier_frac.set(barrier_wait_fraction());
-  handles_->imbalance.set(worker_imbalance_ratio());
-}
-
-void EngineProfile::count_epoch(std::uint64_t tasks, std::uint64_t tasks_stolen) {
-  ensure_handles();
-  health_tasks_ += tasks;
-  health_stolen_ += tasks_stolen;
-  handles_->epochs.add(1);
-  handles_->tasks.add(tasks);
-  handles_->tasks_stolen.add(tasks_stolen);
-  handles_->steal_fraction.set(steal_fraction());
-}
-
-double EngineProfile::steal_fraction() const {
-  return health_tasks_ > 0 ? static_cast<double>(health_stolen_) /
-                                 static_cast<double>(health_tasks_)
-                           : 0.0;
-}
-
-double EngineProfile::barrier_wait_fraction() const {
-  return cum_section_ns_ > 0 ? static_cast<double>(cum_barrier_ns_) /
-                                   static_cast<double>(cum_section_ns_)
-                             : 0.0;
-}
-
-double EngineProfile::worker_imbalance_ratio() const {
-  return imbalance_epochs_ > 0
-             ? imbalance_sum_ / static_cast<double>(imbalance_epochs_)
-             : 0.0;
 }
 
 }  // namespace delta::obs::prof

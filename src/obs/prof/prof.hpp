@@ -1,22 +1,23 @@
 // Engine self-profiling: scoped wall-clock phase timers with thread-local
-// buffers feeding a process-wide span log and per-site duration aggregates.
+// buffers feeding a process-wide span log, per-site duration aggregates and
+// the access engine's counters and histograms.
 //
 // This is the one directory where wall-clock reads are legal (the
 // nondet-source lint bans steady_clock everywhere else in src/); call sites
 // in sim/ instrument themselves through the RAII types below and never touch
-// a clock directly.  Profiling is observation-only by construction — spans
-// and site aggregates are written to side buffers that nothing in the
-// simulator ever reads back — so results stay byte-identical with profiling
-// on or off at any thread count (asserted by tests/test_prof.cpp and the CI
-// benchmark job).
+// a clock directly.  Profiling is observation-only by construction —
+// spans, site aggregates and engine totals are written to side buffers that
+// nothing in the simulator ever reads back — so results stay byte-identical
+// with profiling on or off at any thread count (asserted by
+// tests/test_prof.cpp and the CI benchmark job).
 //
 // Gating: one process-wide relaxed-atomic ProfLevel.
 //   kOff  — collect nothing.  A disabled site costs one relaxed load +
 //     branch (micro_obs_overhead gates the end-to-end cost at < 2%).
 //   kFull — phase spans (epoch / policy / stage / apply / reduce / barrier
-//     sections, sweep-job scheduling, derived per-epoch metrics), per-call
-//     site aggregates (per-core stage/reduce, per-bank apply) and
-//     per-(core,bank) staging-buffer occupancy.  Budget < 8%.
+//     sections, sweep-job scheduling), per-call site aggregates (per-core
+//     stage/reduce, per-bank apply) and the engine's per-epoch counters and
+//     histograms, staging-buffer occupancy among them.  Budget < 8%.
 //
 // Span model: each span is (seq, start_ns, dur_ns, tid, phase, arg).  seq is
 // a process-wide sequence number drawn at record time, so a snapshot can be
@@ -68,8 +69,9 @@ std::string_view phase_name(Phase p);
 /// Per-call aggregation sites (duration totals + log-bucket histograms, no
 /// individual spans — these fire far too often for the span log).
 enum class Site : std::uint8_t {
-  /// The retired serial issue loop's batches.  No engine emits it now; it
-  /// stays because consumers that sum access work still read the slot.
+  /// The retired serial issue loop's batches.  Nothing in src/ emits it;
+  /// it stays only because perfbench/perf_driver.cpp sums it into its
+  /// access work.
   kAccessBatch = 0,
   kStageCore,        ///< IntraEngine::stage_core.
   kApplyBank,        ///< IntraEngine::apply_bank.
@@ -78,6 +80,44 @@ enum class Site : std::uint8_t {
 };
 
 std::string_view site_name(Site s);
+
+/// Engine counters: integer totals the access engine adds once per epoch
+/// (EngineProfile::end_epoch).  The exported ratios are derived from them.
+enum class Counter : std::uint8_t {
+  kEpochs = 0,          ///< Epochs the access engine ran.
+  kTasks,               ///< Stage, apply and reduce tasks run.
+  kTasksStolen,         ///< Tasks run by a worker outside its home range.
+  kSectionNs,           ///< Worker section time: busy + barrier wait.
+  kBarrierNs,           ///< Done-barrier wait inside those sections.
+  kBufferPairs,         ///< (core, bank) staging lists examined.
+  kBufferPairsNonzero,  ///< Those holding any access.
+  kCount
+};
+
+/// Engine histograms: per-epoch samples, or one per staging list.
+enum class Hist : std::uint8_t {
+  kEpochImbalanceMilli = 0,  ///< Max/mean worker busy time, in thousandths.
+  kEpochBarrierPpm,          ///< Barrier wait / section time, in ppm.
+  kBufferOccupancy,          ///< Staged accesses per nonzero staging list.
+  kCount
+};
+
+/// Engine counters and histograms of one epoch, one thread or one
+/// snapshot; merged like the site totals.
+struct EngineTotals {
+  std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)> counts{};
+  std::array<LogHistogram, static_cast<std::size_t>(Hist::kCount)> hists;
+
+  std::uint64_t& operator[](Counter c) { return counts[static_cast<std::size_t>(c)]; }
+  std::uint64_t operator[](Counter c) const {
+    return counts[static_cast<std::size_t>(c)];
+  }
+  LogHistogram& operator[](Hist h) { return hists[static_cast<std::size_t>(h)]; }
+  const LogHistogram& operator[](Hist h) const {
+    return hists[static_cast<std::size_t>(h)];
+  }
+  void merge(const EngineTotals& o);
+};
 
 struct Span {
   std::uint64_t seq = 0;
@@ -99,6 +139,7 @@ struct ProfSnapshot {
   ProfLevel level = ProfLevel::kOff;
   std::vector<Span> spans;  ///< Ascending seq.
   std::array<SiteTotal, static_cast<std::size_t>(Site::kCount)> sites;
+  EngineTotals engine;  ///< Summed over every run in the process.
   std::uint64_t dropped_spans = 0;
 
   /// Total recorded duration across spans of one phase.
@@ -149,9 +190,10 @@ inline std::uint64_t now_ns() {
 
 inline void init_clock() { (void)now_ns(); }
 
-/// Process-wide span/site store.  Threads register lazily and keep their
-/// buffer for the process lifetime; record paths lock only the calling
-/// thread's own (uncontended) mutex, snapshots walk all buffers.
+/// Process-wide store of spans, site aggregates and engine totals: the one
+/// source of every profiling output.  Threads register lazily and keep
+/// their buffer for the process lifetime; record paths lock only the
+/// calling thread's own (uncontended) mutex, snapshots walk all buffers.
 class Profiler {
  public:
   static Profiler& instance();
@@ -164,13 +206,13 @@ class Profiler {
   /// Folds one duration into the calling thread's per-site aggregate.
   void add_site(Site s, std::uint64_t dur_ns);
 
-  /// Stable slot of the calling thread in this profiler (also the tid spans
-  /// carry).  Slots count up from 0 in first-record order.
-  std::uint32_t thread_slot();
+  /// Folds one epoch's engine totals into the calling thread's buffer.
+  void add_engine(const EngineTotals& t);
 
   /// Deep-copy snapshot: spans from every thread buffer merged and sorted by
-  /// seq, site aggregates merged across threads.  Safe against concurrent
-  /// recording (each buffer is copied under its own mutex).
+  /// seq, site aggregates and engine totals merged across threads.  Safe
+  /// against concurrent recording (each buffer is copied under its own
+  /// mutex).
   ProfSnapshot snapshot() const;
 
   /// Drops all recorded data (buffers stay registered).  Tests and benches
@@ -185,6 +227,7 @@ class Profiler {
     std::vector<Span> spans GUARDED_BY(mu);
     std::array<SiteTotal, static_cast<std::size_t>(Site::kCount)> sites
         GUARDED_BY(mu);
+    EngineTotals engine GUARDED_BY(mu);
     std::uint64_t dropped GUARDED_BY(mu) = 0;
     std::uint32_t tid = 0;
   };
@@ -253,16 +296,17 @@ class ScopedSite {
 
 /// Per-WorkerPool profiling: implements the pool's WorkerHooks to clock each
 /// worker's section, derives done-barrier waits (a worker's wait is the gap
-/// to the section's last work_done), and folds per-epoch derived metrics —
-/// barrier-wait fraction, worker-imbalance ratio, staging-buffer occupancy
-/// — into the global MetricsRegistry.  One instance per engine, driven from the pool's owner
-/// thread (begin_section/end_section/end_epoch); the hook slots are written
-/// by each worker inside the section and read by the owner after the done
-/// barrier, which orders them (same argument as WorkerPool::fn_).
+/// to the section's last work_done), and adds each epoch's own counters and
+/// samples — tasks, steals, section and barrier time, worker imbalance,
+/// barrier-wait fraction, staging-buffer occupancy — to the Profiler's
+/// store.  Nothing is recorded while profiling is off.  One instance per
+/// engine, driven from the pool's owner thread (begin_section/end_section/
+/// end_epoch); the hook slots are written by each worker inside the section
+/// and read by the owner after the done barrier, which orders them (same
+/// argument as WorkerPool::fn_).
 class EngineProfile final : public WorkerHooks {
  public:
   explicit EngineProfile(unsigned workers);
-  ~EngineProfile() override;
 
   /// Arms the next pool section if profiling is on; `epoch` labels the
   /// kPipeline spans the section will record.
@@ -290,21 +334,20 @@ class EngineProfile final : public WorkerHooks {
   /// section is not armed.
   void task_begin(unsigned worker, Phase p);
 
-  /// One per-(core,bank) staged-access count (nonzero lists only).
-  void add_occupancy(std::uint64_t staged, std::uint64_t pairs_total,
-                     std::uint64_t pairs_nonzero);
+  /// One (core, bank) staging list holding `staged` accesses.  Owner
+  /// thread, armed sections only.
+  void add_occupancy(std::uint64_t staged) {
+    ++epoch_[Counter::kBufferPairs];
+    if (staged == 0) return;
+    ++epoch_[Counter::kBufferPairsNonzero];
+    epoch_[Hist::kBufferOccupancy].add(staged);
+  }
 
-  /// Closes the epoch: updates cumulative totals, pushes derived metrics
-  /// (fractions, imbalance, per-epoch histograms) into the registry.
-  void end_epoch();
-
-  /// Machine-independent engine-health accounting, one call per epoch from
-  /// the owner thread.  Unlike the timing metrics this is NOT gated on the
-  /// profiling level: the counts are structural (how many epochs and tasks
-  /// the engine ran, and how many tasks were stolen) and read no clock.
-  /// Every epoch is one pool section, i.e. two barrier crossings (start +
-  /// done).
-  void count_epoch(std::uint64_t tasks, std::uint64_t tasks_stolen);
+  /// Closes the epoch: adds its `tasks` run (`stolen` of them outside
+  /// their home range) and its own imbalance and barrier fraction to the
+  /// Profiler, then starts the next epoch from zero.  No-op when the
+  /// epoch's section was not armed.
+  void end_epoch(std::uint64_t tasks, std::uint64_t stolen);
 
  private:
   struct WorkerSlot {
@@ -322,32 +365,13 @@ class EngineProfile final : public WorkerHooks {
 
   void flush_task(unsigned worker, std::uint64_t now);
 
-  // Cumulative run ratios that end_epoch (timing) and count_epoch (health,
-  // any profiling level) push into the registry.
-  double steal_fraction() const;
-  double barrier_wait_fraction() const;
-  double worker_imbalance_ratio() const;
-
   const unsigned workers_;
   std::vector<WorkerSlot> slots_;
   std::vector<TaskSlot> tasks_;
   std::vector<std::uint64_t> epoch_busy_;  ///< Per worker, this epoch.
+  EngineTotals epoch_;                     ///< This epoch (owner thread).
   std::uint64_t epoch_arg_ = 0;
   bool armed_ = false;
-
-  // Cumulative over the run (owner thread only).
-  std::uint64_t cum_barrier_ns_ = 0;
-  std::uint64_t cum_section_ns_ = 0;   ///< busy + barrier.
-  double imbalance_sum_ = 0.0;
-  std::uint64_t imbalance_epochs_ = 0;
-
-  // Health totals (owner thread only; counted at every profiling level).
-  std::uint64_t health_tasks_ = 0;
-  std::uint64_t health_stolen_ = 0;
-
-  struct Handles;
-  std::unique_ptr<Handles> handles_;  ///< Lazily bound registry metrics.
-  void ensure_handles();
 };
 
 }  // namespace delta::obs::prof

@@ -205,10 +205,6 @@ void Chip::finish_epoch_accounting(bool measuring) {
             : 0.0;
     const double cpi = ph.cpi_base + ph.apki / 1000.0 * avg_lat / ph.mlp;
     s.cpi_est = cpi;
-    // Performance-counter MLP estimate: total memory latency vs the stall
-    // cycles the core actually paid this epoch (Little's law).
-    s.mlp_estimator.observe(s.epoch_accesses, s.epoch_lat_sum,
-                            s.epoch_lat_sum / ph.mlp);
     if (measuring) {
       s.instructions += static_cast<double>(cfg_.epoch_cycles) / cpi;
       s.cycles += cfg_.epoch_cycles;

@@ -31,7 +31,6 @@
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scheme.hpp"
-#include "umon/mlp.hpp"
 #include "umon/umon.hpp"
 #include "workload/generator.hpp"
 #include "workload/shared_stream.hpp"
@@ -46,15 +45,6 @@ struct AppSlot {
   std::unique_ptr<workload::TraceGen> gen;
   std::unique_ptr<umon::Umon> umon;  ///< Null unless the plan asks for monitors.
   bool active = false;
-  umon::MlpEstimator mlp_estimator;
-
-  /// MLP fed to the allocation policy: the performance-counter estimate
-  /// when MachineConfig::measured_mlp is set, else the profile's value.
-  double policy_mlp(bool measured) const {
-    if (!active) return 1.0;
-    return measured && mlp_estimator.initialised() ? mlp_estimator.get()
-                                                   : gen->phase().mlp;
-  }
 
   // Cycle accounting.
   double cpi_est = 1.0;

@@ -52,11 +52,6 @@ struct MachineConfig {
   /// agree byte-for-byte at any value.
   std::uint32_t interleave_batch = 0;
 
-  /// Feed DELTA's pain/gain with the Little's-law MLP estimator
-  /// (umon/mlp.hpp, "performance counters") instead of the profile's
-  /// ground-truth MLP.  Off by default to keep runs comparable.
-  bool measured_mlp = false;
-
   /// Pin each epoch's per-core access budget to the profile's nominal CPI
   /// instead of the measured cpi_est feedback loop.  This makes access
   /// streams byte-identical across schemes for the same config/mix/seed —

@@ -410,18 +410,9 @@ void IntraEngine::reduce_core(const EpochAccess& io, CoreId c) {
 }
 
 void IntraEngine::record_buffer_occupancy() {
-  std::uint64_t pairs = 0, nonzero = 0;
-  for (const CoreStage& st : stages_) {
-    for (std::size_t b = 0; b + 1 < st.offs.size(); ++b) {
-      const std::uint32_t len = st.offs[b + 1] - st.offs[b];
-      ++pairs;
-      if (len > 0) {
-        ++nonzero;
-        profile_.add_occupancy(len, 0, 0);
-      }
-    }
-  }
-  profile_.add_occupancy(0, pairs, nonzero);
+  for (const CoreStage& st : stages_)
+    for (std::size_t b = 0; b + 1 < st.offs.size(); ++b)
+      profile_.add_occupancy(st.offs[b + 1] - st.offs[b]);
 }
 
 void IntraEngine::find_private_pairs(const EpochAccess& io) {
@@ -532,12 +523,9 @@ void IntraEngine::run_epoch(const EpochAccess& io) {
     for (const BankTally& t : tallies_) reqs += t.mcu_reqs[static_cast<std::size_t>(m)];
     io.memsys.mcu(m).add_requests(reqs);
   }
-  profile_.end_epoch();
-
-  // Machine-independent engine-health accounting (any profiling level).
   ClaimSet::Counts total;
   for (const ClaimSet::Counts& ws : wstats_) total += ws;
-  profile_.count_epoch(total.tasks, total.stolen);
+  profile_.end_epoch(total.tasks, total.stolen);
 }
 
 std::unique_ptr<AccessEngine> make_intra_engine(const MachineConfig& cfg) {

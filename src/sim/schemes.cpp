@@ -70,7 +70,7 @@ class DeltaScheme final : public Scheme {
       core::TileInput& in = inputs[static_cast<std::size_t>(c)];
       in.umon = s.umon.get();
       in.active = s.active;
-      in.mlp = s.policy_mlp(chip.config().measured_mlp);
+      in.mlp = s.active ? s.gen->phase().mlp : 1.0;
     }
     const core::TickResult res = ctrl_->tick(epoch, inputs, &chip.traffic());
 

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/args.hpp"
 
@@ -123,6 +125,40 @@ TEST(Args, U64HexRejectsSignsJunkAndOverflow) {
   }
 }
 
+TEST(Args, NumberWithoutAValueThrows) {
+  // A value flag at the end, before another flag, or with `=` and nothing
+  // after it: never the default.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--epochs"},
+        std::vector<std::string>{"--epochs", "--csv"},
+        std::vector<std::string>{"--epochs="}}) {
+    const ArgParser a = parse(args);
+    try {
+      (void)a.get_int_at_least("epochs", 300, 1);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "--epochs needs a value");
+    }
+    EXPECT_THROW((void)a.get_double("epochs", 1.0), std::invalid_argument);
+    EXPECT_THROW((void)a.get_u64("epochs", 1), std::invalid_argument);
+  }
+}
+
+TEST(Args, RepeatedFlagIsRejected) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--epochs", "1", "--epochs", "2"},
+        std::vector<std::string>{"--epochs=1", "--csv", "--epochs", "1"}}) {
+    const ArgParser a = parse(args);
+    try {
+      a.reject_repeated();
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "--epochs is given more than once");
+    }
+  }
+  EXPECT_NO_THROW(parse({"--epochs", "1", "--csv"}).reject_repeated());
+}
+
 TEST(Args, PositionalArguments) {
   const ArgParser a = parse({"first", "--mix", "w1", "second"});
   ASSERT_EQ(a.positional().size(), 2u);
@@ -135,6 +171,19 @@ TEST(Args, UnknownFlagDetection) {
   const auto unknown = a.unknown_flags({"mix", "scheme"});
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "bogus");
+}
+
+TEST(Args, SwitchWithAValueThrows) {
+  const ArgParser a = parse({"--csv", "5", "--list", "--quick="});
+  try {
+    (void)a.has_switch("csv");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--csv takes no value, got '5'");
+  }
+  EXPECT_TRUE(a.has_switch("list"));
+  EXPECT_TRUE(a.has_switch("quick"));
+  EXPECT_FALSE(a.has_switch("absent"));
 }
 
 TEST(Args, SwitchFollowedByFlag) {

@@ -1,5 +1,5 @@
 // Edge-case coverage for common/histogram.hpp: the power-of-two LogHistogram
-// the prof metrics registry aggregates with (bucket boundaries, the top
+// the profiler aggregates with (bucket boundaries, the top
 // bucket, exact merge of disjoint ranges).
 #include "common/histogram.hpp"
 
@@ -60,8 +60,8 @@ TEST(LogHistogram, TopBucketHoldsMaxValues) {
 
 TEST(LogHistogram, MergeOfDisjointRangesIsExact) {
   // The value-independent bucket boundaries make merging exact even when
-  // the occupied ranges are disjoint — the property the metrics registry
-  // relies on when folding per-thread duration histograms.
+  // the occupied ranges are disjoint — the property the profiler relies on
+  // when folding per-thread histograms.
   LogHistogram fast, slow, direct;
   for (std::uint64_t v : {3u, 5u, 7u}) {
     fast.add(v);

@@ -1,17 +1,19 @@
 // Self-profiling subsystem (src/obs/prof): level gating, span/site
-// collection, the metrics registry's determinism contract, exporter
-// formats, and — the load-bearing property — byte-identical simulation
-// results with profiling off vs full at any thread count.
+// collection, the engine totals and the ratios exported from them,
+// exporter formats, and — the load-bearing property — byte-identical
+// simulation results with profiling off vs full at any thread count.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "json_check.hpp"
 #include "obs/observer.hpp"
 #include "obs/prof/export.hpp"
-#include "obs/prof/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
@@ -19,14 +21,15 @@
 namespace delta {
 namespace {
 
+using obs::prof::Counter;
+using obs::prof::Hist;
 using obs::prof::Phase;
 using obs::prof::ProfLevel;
 using obs::prof::Profiler;
 using obs::prof::Site;
 
-/// The profiler and registry are process-wide; every test starts from a
-/// clean span store and level kOff (registered metric names persist — the
-/// registry never removes metrics — which the tests account for).
+/// The profiler is process-wide; every test starts from a clean store and
+/// level kOff.
 class ProfTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -39,28 +42,44 @@ class ProfTest : public ::testing::Test {
   }
 };
 
+/// The number exported under `name` in a metrics_json dump.
+double exported(const std::string& json, const std::string& name) {
+  const std::size_t at = json.find("\"" + name + "\": ");
+  EXPECT_NE(at, std::string::npos) << name;
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + name.size() + 4, nullptr);
+}
+
 TEST_F(ProfTest, LevelOffCollectsNothing) {
   {
     const obs::prof::ScopedSpan span(Phase::kEpoch, 1);
-    const obs::prof::ScopedSite site(Site::kAccessBatch);
+    const obs::prof::ScopedSite site(Site::kStageCore);
   }
+  // The engine records its counters only while profiling is on, too.
+  sim::MachineConfig cfg = sim::config16();
+  cfg.warmup_epochs = 1;
+  cfg.measure_epochs = 2;
+  cfg.intra_jobs = 2;
+  (void)sim::run_mix(cfg, sim::mix_for_config(cfg, "w2"), sim::SchemeKind::kDelta);
   const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
   EXPECT_TRUE(snap.spans.empty());
   for (const obs::prof::SiteTotal& s : snap.sites) EXPECT_EQ(s.calls, 0u);
+  for (const std::uint64_t c : snap.engine.counts) EXPECT_EQ(c, 0u);
+  for (const LogHistogram& h : snap.engine.hists) EXPECT_EQ(h.total(), 0u);
 }
 
 TEST_F(ProfTest, FullLevelCollectsSpansAndSites) {
   obs::prof::set_level(ProfLevel::kFull);
   {
     const obs::prof::ScopedSpan span(Phase::kEpoch, 7);
-    const obs::prof::ScopedSite site(Site::kAccessBatch);
+    const obs::prof::ScopedSite site(Site::kStageCore);
   }
   const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
   EXPECT_EQ(snap.level, ProfLevel::kFull);
   ASSERT_EQ(snap.spans.size(), 1u);
   EXPECT_EQ(snap.spans[0].phase, Phase::kEpoch);
   EXPECT_EQ(snap.spans[0].arg, 7u);
-  EXPECT_EQ(snap.sites[static_cast<std::size_t>(Site::kAccessBatch)].calls, 1u);
+  EXPECT_EQ(snap.sites[static_cast<std::size_t>(Site::kStageCore)].calls, 1u);
 }
 
 TEST_F(ProfTest, StopEndsSpanEarlyAndIsIdempotent) {
@@ -150,52 +169,80 @@ TEST_F(ProfTest, PhaseNsSumsOnlyThatPhase) {
   EXPECT_EQ(snap.phase_ns(Phase::kReduce), 0u);
 }
 
-// ------------------------------------------------------------------ registry
-
-TEST_F(ProfTest, RegistryHandlesAreStableAndSharedByName) {
-  auto& reg = obs::prof::MetricsRegistry::global();
-  obs::prof::Counter& a = reg.counter("test_prof_counter", "help a");
-  obs::prof::Counter& b = reg.counter("test_prof_counter", "ignored on re-reg");
-  EXPECT_EQ(&a, &b);
-  a.add(3);
-  b.add(4);
-  EXPECT_EQ(a.value(), 7u);
-
-  obs::prof::Gauge& g = reg.gauge("test_prof_gauge", "g");
-  g.set(2.5);
-  obs::prof::HistogramMetric& h = reg.histogram("test_prof_hist", "h");
-  h.observe(1000, 2);
-
-  const obs::prof::RegistrySnapshot snap = reg.snapshot();
-  const obs::prof::MetricSample* cs = snap.find("test_prof_counter");
-  ASSERT_NE(cs, nullptr);
-  EXPECT_DOUBLE_EQ(cs->value, 7.0);
-  const obs::prof::MetricSample* gs = snap.find("test_prof_gauge");
-  ASSERT_NE(gs, nullptr);
-  EXPECT_DOUBLE_EQ(gs->value, 2.5);
-  const obs::prof::MetricSample* hs = snap.find("test_prof_hist");
-  ASSERT_NE(hs, nullptr);
-  EXPECT_EQ(hs->hist.total(), 2u);
-
-  // Export order is name order — deterministic however threads registered.
-  for (std::size_t i = 1; i < snap.metrics.size(); ++i)
-    EXPECT_LT(snap.metrics[i - 1].name, snap.metrics[i].name);
-
-  reg.reset_values();
-  EXPECT_EQ(a.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.snapshot().total(), 0u);
-}
+// ------------------------------------------------------------- engine totals
 
 TEST_F(ProfTest, SnapshotIsIsolatedFromLaterUpdates) {
-  auto& reg = obs::prof::MetricsRegistry::global();
-  obs::prof::Counter& c = reg.counter("test_prof_isolation", "c");
-  reg.reset_values();
-  c.add(5);
-  const obs::prof::RegistrySnapshot snap = reg.snapshot();
-  c.add(100);
-  ASSERT_NE(snap.find("test_prof_isolation"), nullptr);
-  EXPECT_DOUBLE_EQ(snap.find("test_prof_isolation")->value, 5.0);
+  obs::prof::EngineTotals t;
+  t[Counter::kTasks] = 5;
+  t[Hist::kBufferOccupancy].add(3);
+  Profiler::instance().add_engine(t);
+  const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  Profiler::instance().add_engine(t);
+  EXPECT_EQ(snap.engine[Counter::kTasks], 5u);
+  EXPECT_EQ(snap.engine[Hist::kBufferOccupancy].total(), 1u);
+  EXPECT_EQ(Profiler::instance().snapshot().engine[Counter::kTasks], 10u);
+  Profiler::instance().clear();
+  EXPECT_EQ(Profiler::instance().snapshot().engine[Counter::kTasks], 0u);
+}
+
+TEST_F(ProfTest, EpochBarrierHistogramIsEachEpochsOwnFraction) {
+  // Ten pool sections, one epoch each.  In the first, worker 0 sleeps
+  // ~20 ms while worker 1 idles at the barrier (fraction ~0.5); in the
+  // other nine both sleep ~2 ms (fraction ~0).  A cumulative record would
+  // put the median near 0.3.
+  obs::prof::set_level(ProfLevel::kFull);
+  obs::prof::EngineProfile profile(2);
+  {
+    WorkerPool pool(2);
+    pool.set_hooks(&profile);
+    for (std::uint64_t epoch = 0; epoch < 10; ++epoch) {
+      profile.begin_section(epoch);
+      pool.run([epoch](unsigned w) {
+        if (epoch == 0 && w == 1) return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(epoch == 0 ? 20 : 2));
+      });
+      profile.end_section();
+      profile.end_epoch(2, 0);
+    }
+  }
+  const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  const LogHistogram& ppm = snap.engine[Hist::kEpochBarrierPpm];
+  ASSERT_EQ(ppm.total(), 10u);
+  EXPECT_LT(ppm.quantile(0.5), 150000u);
+  EXPECT_EQ(snap.engine[Counter::kEpochs], 10u);
+  EXPECT_EQ(snap.engine[Counter::kTasks], 20u);
+}
+
+TEST_F(ProfTest, MultiRunDumpsAddUp) {
+  // Two simulations in one process: every total is the sum over both, and
+  // the exported ratios come from those totals.
+  sim::MachineConfig a = sim::config16();
+  a.warmup_epochs = 5;
+  a.measure_epochs = 10;
+  a.intra_jobs = 2;
+  sim::MachineConfig b = a;
+  b.warmup_epochs = 3;
+  b.measure_epochs = 4;
+  obs::prof::set_level(ProfLevel::kFull);
+  (void)sim::run_sweep({{a, sim::mix_for_config(a, "w2"), sim::SchemeKind::kDelta, {}},
+                        {b, sim::mix_for_config(b, "w6"), sim::SchemeKind::kSnuca, {}}},
+                       2);
+  obs::prof::set_level(ProfLevel::kOff);
+  const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  // Each epoch runs one stage and one reduce task per core and one apply
+  // task per bank: 48 on 16 tiles.
+  EXPECT_EQ(snap.engine[Counter::kEpochs], 15u + 7u);
+  EXPECT_EQ(snap.engine[Counter::kTasks], (15u + 7u) * 48u);
+  EXPECT_EQ(snap.engine[Hist::kEpochBarrierPpm].total(), 15u + 7u);
+
+  const std::string json = obs::prof::metrics_json(snap);
+  const double tasks = exported(json, "delta_intra_tasks_total");
+  EXPECT_EQ(tasks, (15.0 + 7.0) * 48.0);
+  EXPECT_NEAR(exported(json, "delta_intra_steal_fraction"),
+              exported(json, "delta_intra_tasks_stolen_total") / tasks, 1e-5);
+  const double barrier = exported(json, "delta_intra_barrier_wait_fraction");
+  EXPECT_GE(barrier, 0.0);
+  EXPECT_LE(barrier, 1.0);
 }
 
 // ----------------------------------------------------------------- exporters
@@ -204,9 +251,7 @@ TEST_F(ProfTest, MetricsJsonIsValidJson) {
   obs::prof::set_level(ProfLevel::kFull);
   { obs::prof::ScopedSpan span(Phase::kEpoch, 0); }
   { obs::prof::ScopedSite site(Site::kApplyBank); }
-  const std::string json = obs::prof::metrics_json(
-      obs::prof::MetricsRegistry::global().snapshot(),
-      Profiler::instance().snapshot());
+  const std::string json = obs::prof::metrics_json(Profiler::instance().snapshot());
   std::string why;
   EXPECT_TRUE(test::is_valid_json(json, &why)) << why;
   EXPECT_NE(json.find("\"schema\": \"delta-prof-metrics-v1\""), std::string::npos);
@@ -252,38 +297,27 @@ TEST_F(ProfTest, DerivedEngineMetricsAreSane) {
   cfg.warmup_epochs = 5;
   cfg.measure_epochs = 10;
   cfg.intra_jobs = 4;
-  obs::prof::MetricsRegistry::global().reset_values();
   obs::prof::set_level(ProfLevel::kFull);
   sim::run_mix(cfg, sim::mix_for_config(cfg, "w2"), sim::SchemeKind::kDelta);
   obs::prof::set_level(ProfLevel::kOff);
 
-  const obs::prof::RegistrySnapshot reg =
-      obs::prof::MetricsRegistry::global().snapshot();
-  const obs::prof::MetricSample* frac =
-      reg.find("delta_intra_barrier_wait_fraction");
-  ASSERT_NE(frac, nullptr);
-  EXPECT_GE(frac->value, 0.0);
-  EXPECT_LE(frac->value, 1.0);
-  const obs::prof::MetricSample* imb =
-      reg.find("delta_intra_worker_imbalance_ratio");
-  ASSERT_NE(imb, nullptr);
-  EXPECT_GE(imb->value, 1.0);  // max/mean busy is >= 1 by construction.
-  const obs::prof::MetricSample* epochs = reg.find("delta_intra_epochs_total");
-  ASSERT_NE(epochs, nullptr);
-  EXPECT_DOUBLE_EQ(epochs->value, 15.0);  // 5 warmup + 10 measured.
+  const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
+  const std::string json = obs::prof::metrics_json(snap);
+  const double frac = exported(json, "delta_intra_barrier_wait_fraction");
+  EXPECT_GE(frac, 0.0);
+  EXPECT_LE(frac, 1.0);
+  // max/mean busy is >= 1 by construction (up to the thousandths the
+  // per-epoch samples keep).
+  EXPECT_GE(exported(json, "delta_intra_worker_imbalance_ratio"), 0.999);
+  EXPECT_EQ(snap.engine[Counter::kEpochs], 15u);  // 5 warmup + 10 measured.
   // Structural, identical on every host: each epoch runs one stage and one
   // reduce task per core and one apply task per bank, 48 on 16 tiles.
-  const obs::prof::MetricSample* tasks = reg.find("delta_intra_tasks_total");
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_DOUBLE_EQ(tasks->value, 15.0 * 48.0);
-  const obs::prof::MetricSample* steals = reg.find("delta_intra_steal_fraction");
-  ASSERT_NE(steals, nullptr);
-  EXPECT_GE(steals->value, 0.0);
-  EXPECT_LE(steals->value, 1.0);
-  const obs::prof::MetricSample* occ =
-      reg.find("delta_intra_bank_buffer_occupancy");
-  ASSERT_NE(occ, nullptr);
-  EXPECT_GT(occ->hist.total(), 0u);
+  EXPECT_EQ(snap.engine[Counter::kTasks], 15u * 48u);
+  const double steals = exported(json, "delta_intra_steal_fraction");
+  EXPECT_GE(steals, 0.0);
+  EXPECT_LE(steals, 1.0);
+  EXPECT_GT(snap.engine[Hist::kBufferOccupancy].total(), 0u);
+  EXPECT_EQ(snap.engine[Counter::kBufferPairs], 15u * 16u * 16u);
 }
 
 TEST_F(ProfTest, ResultsAreByteIdenticalWithProfilingOnOrOff) {

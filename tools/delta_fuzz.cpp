@@ -7,12 +7,13 @@
 //
 // Exit status is 0 only when every case is violation-free and the batch is
 // reproducible byte-for-byte across thread counts, 1 when the fuzz found
-// failures, and 2 on bad input (one `delta_fuzz: <message>` line for a bad
-// value, the usage text for an unknown flag).  See docs/testing.md.
+// failures, and 2 on bad input, with one `delta_fuzz: <message>` line on
+// stderr.  See docs/testing.md.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -94,14 +95,12 @@ int run_cli(int argc, char** argv) {
       "repro",          "sweep-interval", "out-dir",       "no-invariants",
       "no-differential","no-determinism", "no-lockstep",   "prof-out",
       "metrics-out",    "help"};
-  const auto unknown = args.unknown_flags(known);
-  if (!unknown.empty()) {
-    for (const auto& f : unknown)
-      std::fprintf(stderr, "unknown flag: --%s\n", f.c_str());
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (args.has("help")) {
+  if (const auto unknown = args.unknown_flags(known); !unknown.empty())
+    throw std::invalid_argument("unknown flag: --" + unknown.front() + " (try --help)");
+  if (!args.positional().empty())
+    throw std::invalid_argument("unexpected argument '" + args.positional().front() + "'");
+  args.reject_repeated();
+  if (args.has_switch("help")) {
     std::fputs(kUsage, stdout);
     return 0;
   }
@@ -114,10 +113,13 @@ int run_cli(int argc, char** argv) {
   opt.threads = static_cast<unsigned>(args.get_int_at_least("threads", 1, 0));
   opt.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
   opt.sweep_interval = args.get_int_at_least("sweep-interval", 4, 0);
-  opt.lockstep = !args.has("no-lockstep");
-  opt.check_invariants = !args.has("no-invariants");
-  opt.differential = !args.has("no-differential") && opt.lockstep;
+  opt.lockstep = !args.has_switch("no-lockstep");
+  opt.check_invariants = !args.has_switch("no-invariants");
+  opt.differential = !args.has_switch("no-differential") && opt.lockstep;
   const std::uint64_t repro_seed = args.get_u64("repro", 0);
+  const std::string out_dir = args.get("out-dir");
+  if (args.has("out-dir") && out_dir.empty())
+    throw std::invalid_argument("--out-dir needs a directory path");
 
   // Self-profiling: same flag semantics as delta_sim and the benches.
   delta::obs::Outputs outputs(args);
@@ -141,7 +143,7 @@ int run_cli(int argc, char** argv) {
               report.failures);
 
   delta::check::DeterminismReport det;
-  const bool det_checked = !args.has("no-determinism");
+  const bool det_checked = !args.has_switch("no-determinism");
   if (det_checked) {
     // 1 worker vs the requested count: catches cross-thread divergence, and
     // (since each batch reruns every seed) run-to-run nondeterminism too.
@@ -153,8 +155,7 @@ int run_cli(int argc, char** argv) {
       std::printf("determinism: FAIL %s\n", det.detail.c_str());
   }
 
-  const std::string out_dir = args.get("out-dir");
-  if (!out_dir.empty()) write_artifacts(out_dir, report, det, det_checked);
+  if (args.has("out-dir")) write_artifacts(out_dir, report, det, det_checked);
 
   const bool io_ok = outputs.write(nullptr);
   return report.ok() && (!det_checked || det.ok) && io_ok ? 0 : 1;

@@ -88,9 +88,13 @@ int run_cli(int argc, char** argv) {
       "trace-out",  "timeline-csv", "json",     "jobs",        "intra-jobs",
       "prof-out",   "metrics-out",  "help",     "interleave-batch",
   };
-  if (!args.unknown_flags(known).empty() || args.has("help")) {
-    for (const auto& f : args.unknown_flags(known))
-      std::fprintf(stderr, "unknown flag: --%s\n", f.c_str());
+  if (const std::vector<std::string> unknown = args.unknown_flags(known);
+      !unknown.empty())
+    throw std::invalid_argument("unknown flag: --" + unknown.front() + " (try --help)");
+  if (!args.positional().empty())
+    throw std::invalid_argument("unexpected argument '" + args.positional().front() + "'");
+  args.reject_repeated();
+  if (args.has_switch("help")) {
     std::fprintf(stderr,
                  "usage: delta_sim [--mix wN | --apps a,b,...] [--scheme "
                  "snuca|private|ideal-central|delta|carma|lfoc|all]\n"
@@ -112,9 +116,9 @@ int run_cli(int argc, char** argv) {
                  "self-profiling flamegraph, Chrome trace format)\n"
                  "                 [--metrics-out m.json]   (metrics dump, "
                  "JSON)\n");
-    return args.has("help") ? 0 : 1;
+    return 0;
   }
-  if (args.has("list")) {
+  if (args.has_switch("list")) {
     list_everything();
     return 0;
   }
@@ -214,7 +218,7 @@ int run_cli(int argc, char** argv) {
   const std::vector<sim::MixResult> results = sim::run_sweep(jobs, threads, job_obs_ptrs);
   for (const auto& jo : job_obs) observer->merge_from(*jo);
 
-  const bool csv = args.has("csv");
+  const bool csv = args.has_switch("csv");
   // JSON on stdout must stay parseable, so the human report yields to stderr.
   std::FILE* text_out = outputs.summary_on_stdout() ? stderr : stdout;
   if (csv) std::printf("%s\n", sim::csv_header().c_str());

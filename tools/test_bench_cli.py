@@ -55,6 +55,10 @@ class BenchCliTest(unittest.TestCase):
             ("micro_throughput", ["--reps", "zz", "--quick"],
              "--reps expects an integer, got 'zz'"),
             ("micro_throughput", ["--out", "x"], "unknown flag --out"),
+            ("micro_throughput", ["--reps"], "--reps needs a value"),
+            ("repro", ["--fig", "5", "--fig", "6"], "--fig is given more than once"),
+            ("repro", ["--quick", "--quick"], "--quick is given more than once"),
+            ("repro", ["--quick", "x"], "--quick takes no value, got 'x'"),
         ]
         for name, args, message in cases:
             with self.subTest(bench=name, args=args):

@@ -25,6 +25,7 @@ class DeltaFuzzCliTest(unittest.TestCase):
         r = self.run_fuzz(*args)
         self.assertEqual(r.returncode, 2, f"{args}: rc {r.returncode}\n{r.stderr}")
         self.assertIn("delta_fuzz: " + message, r.stderr)
+        self.assertEqual(len(r.stderr.splitlines()), 1, r.stderr)
         self.assertEqual(r.stdout, "", f"{args} ran a batch")
 
     def test_bad_input_is_rejected_with_a_message(self):
@@ -46,19 +47,26 @@ class DeltaFuzzCliTest(unittest.TestCase):
             (["--metrics-out", ""], "--metrics-out needs a file path"),
             (["--seeds", "1", "--metrics-out", "/no/such/dir/m.json"],
              "cannot write --metrics-out '/no/such/dir/m.json'"),
+            (["--seeds"], "--seeds needs a value"),
+            (["--repro", "--seeds", "1"], "--repro needs a value"),
+            (["--seeds", "1", "--seeds", "1"], "--seeds is given more than once"),
+            (["--seeds", "1", "--out-dir", ""], "--out-dir needs a directory path"),
+            (["--seeds", "1", "7"], "unexpected argument '7'"),
         ]
         for args, message in cases:
             with self.subTest(args=args):
                 self.assert_rejected(args, message)
 
-    def test_unknown_flag_prints_usage(self):
+    def test_unknown_flag_is_one_line(self):
         for flag in ["--bogus", "--prof-level", "--obs-level", "--intra-pin"]:
             with self.subTest(flag=flag):
-                r = self.run_fuzz(flag, "full")
-                self.assertEqual(r.returncode, 2, r.stderr)
-                self.assertIn("unknown flag: " + flag, r.stderr)
-                self.assertIn("Options:", r.stderr)
-                self.assertEqual(r.stdout, "")
+                self.assert_rejected([flag, "full"],
+                                     f"unknown flag: {flag} (try --help)")
+
+    def test_help_prints_usage(self):
+        r = self.run_fuzz("--help")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("Options:", r.stdout)
 
     def test_hex_seed_replays_the_decimal_seed(self):
         # The regression tests pin seeds in hex (tests/test_fuzz.cpp), so a

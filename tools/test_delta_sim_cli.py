@@ -24,6 +24,7 @@ class DeltaSimCliTest(unittest.TestCase):
         r = self.run_sim(*args)
         self.assertEqual(r.returncode, 1, f"{args}: rc {r.returncode}\n{r.stderr}")
         self.assertIn("delta_sim: " + message, r.stderr)
+        self.assertEqual(len(r.stderr.splitlines()), 1, r.stderr)
         self.assertEqual(r.stdout, "", f"{args} printed results")
 
     def test_bad_input_is_rejected_with_a_message(self):
@@ -55,6 +56,14 @@ class DeltaSimCliTest(unittest.TestCase):
             (["--apps", "bw"], "--apps needs exactly 16 entries"),
             (["--apps", ",".join(["mcf"] * 15 + ["zz"])],
              "unknown app 'zz' (try --list)"),
+            (["--epochs"], "--epochs needs a value"),
+            (["--warmup", "--epochs", "1"], "--warmup needs a value"),
+            (["--cores="], "--cores needs a value"),
+            (["--seed", "1", "--seed", "1"], "--seed is given more than once"),
+            (["--csv", "--csv"], "--csv is given more than once"),
+            (["--csv", "5"], "--csv takes no value, got '5'"),
+            (["w2"], "unexpected argument 'w2'"),
+            (["--bogus", "1"], "unknown flag: --bogus (try --help)"),
         ]
         for args, message in cases:
             with self.subTest(args=args):
