@@ -188,8 +188,10 @@ TEST_F(ProfTest, SnapshotIsIsolatedFromLaterUpdates) {
 TEST_F(ProfTest, EpochBarrierHistogramIsEachEpochsOwnFraction) {
   // Ten pool sections, one epoch each.  In the first, worker 0 sleeps
   // ~20 ms while worker 1 idles at the barrier (fraction ~0.5); in the
-  // other nine both sleep ~2 ms (fraction ~0).  A cumulative record would
-  // put the median near 0.3.
+  // other nine both sleep ~2 ms (fraction ~0).  A cumulative record falls
+  // only from 0.5 to about 0.26, so nearly every sample lands at or above
+  // 2^18 ppm; an epoch's own fraction gets there only when one 2 ms sleep
+  // oversleeps the other by about 2 ms, which leaves room for a loaded host.
   obs::prof::set_level(ProfLevel::kFull);
   obs::prof::EngineProfile profile(2);
   {
@@ -208,7 +210,9 @@ TEST_F(ProfTest, EpochBarrierHistogramIsEachEpochsOwnFraction) {
   const obs::prof::ProfSnapshot snap = Profiler::instance().snapshot();
   const LogHistogram& ppm = snap.engine[Hist::kEpochBarrierPpm];
   ASSERT_EQ(ppm.total(), 10u);
-  EXPECT_LT(ppm.quantile(0.5), 150000u);
+  std::uint64_t high = 0;  // Samples >= 2^18 ppm: bucket 19 and up.
+  for (std::size_t b = 19; b < LogHistogram::kBuckets; ++b) high += ppm.count(b);
+  EXPECT_LE(high, 2u);
   EXPECT_EQ(snap.engine[Counter::kEpochs], 10u);
   EXPECT_EQ(snap.engine[Counter::kTasks], 20u);
 }
@@ -306,9 +310,9 @@ TEST_F(ProfTest, DerivedEngineMetricsAreSane) {
   const double frac = exported(json, "delta_intra_barrier_wait_fraction");
   EXPECT_GE(frac, 0.0);
   EXPECT_LE(frac, 1.0);
-  // max/mean busy is >= 1 by construction (up to the thousandths the
-  // per-epoch samples keep).
-  EXPECT_GE(exported(json, "delta_intra_worker_imbalance_ratio"), 0.999);
+  // max/mean busy is >= 1 by construction: every per-epoch sample is at
+  // least 1000 milli.
+  EXPECT_GE(exported(json, "delta_intra_worker_imbalance_ratio"), 1.0);
   EXPECT_EQ(snap.engine[Counter::kEpochs], 15u);  // 5 warmup + 10 measured.
   // Structural, identical on every host: each epoch runs one stage and one
   // reduce task per core and one apply task per bank, 48 on 16 tiles.
