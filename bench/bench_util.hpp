@@ -28,7 +28,7 @@ namespace delta::bench {
 ///              knob that pins every harness at once.
 ///   --prof-out / --metrics-out   self-profiling with delta_sim's
 ///              semantics (obs::Outputs); the destructor writes them.
-/// plus its own `extra` flags ("fig", "out", "quick", "reps").  An unknown
+/// plus its own `extra` flags ("fig", "quick", "reps").  An unknown
 /// or repeated flag, a positional argument or a malformed value prints
 /// `<bench>: <message>` and exits 2 before any simulation runs.
 class Cli {

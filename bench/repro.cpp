@@ -11,30 +11,27 @@
 // its own results in declaration order.  Work that is not a mix run (12,
 // table5, table6, cbt's footprint spread) computes inside its renderer.
 //
-// Usage: repro [--fig ID[,ID...]] [--quick] [--out FILE] [--jobs N] [--prof-*]
+// Usage: repro [--fig ID[,ID...]] [--quick] [--jobs N] [--prof-*]
 //   --fig    entries to render, always in table order: 5..13, table5,
 //            table6, msg, shootout, irregular, ablation, cbt,
 //            underutilized (default: all of them).
-//   --quick  shootout's CI protocol for every entry: warmup 5 / measure 15
-//            epochs, the first six Table IV mixes instead of all 15 and wi1
-//            alone of the irregular mixes.  Entries on named mixes keep
-//            them (ablation, cbt and underutilized too: they keep their
-//            mixes and knob points and run the short epochs); 12, table5,
-//            table6 and cbt's footprint spread have no epochs and are
-//            unchanged.  Fifteen epochs are too few for DELTA's knobs to
-//            show: 21 of ablation's 23 knob points and both cbt runs read
-//            the default run's 1.055 on w6, so quick ablation and cbt rows
-//            do not test knob handling.
-//   --out    also writes the report to FILE, which is opened before any
-//            simulation runs.
-// One stderr line, `repro: N runs requested, M distinct`, reports the reuse.
+//   --quick  narrows the mix lists and nothing else: the first six Table IV
+//            mixes instead of all 15 and wi1 alone of the irregular mixes.
+//            Every run keeps its full epochs, so entries on named mixes (7,
+//            8, 10-13, msg, ablation, cbt, underutilized) and the entries
+//            with no mix runs print the same report as the full protocol.
+//            tests/golden/repro-quick.txt holds this report, less its host
+//            timings (tools/repro_golden.py).
+// The report goes to stdout; redirect it to keep it.  One stderr line,
+// `repro: N runs requested, M distinct`, reports the reuse.
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -65,17 +62,9 @@ enum PaperScheme : std::size_t { kSnuca, kPrivate, kIdeal, kDelta };
 
 constexpr std::array<sim::SchemeKind, 1> kDeltaOnly = {sim::SchemeKind::kDelta};
 
-/// What --quick changes, applied the same way by every entry.
+/// The mix lists, which --quick narrows; every entry reads them here.
 struct Protocol {
   bool quick = false;
-
-  sim::MachineConfig machine(sim::MachineConfig cfg) const {
-    if (quick) {
-      cfg.warmup_epochs = 5;
-      cfg.measure_epochs = 15;
-    }
-    return cfg;
-  }
 
   /// Table IV mix names in order; the first six when quick.
   std::vector<std::string> table4() const { return names(workload::table4_mixes(), 6); }
@@ -130,11 +119,11 @@ std::vector<sim::SweepJob> no_jobs(const Protocol&) { return {}; }
 // +35%); the gap narrows and DELTA matches or beats ideal on several mixes.
 
 std::vector<sim::SweepJob> mixes16(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config16()), p.table4(), sim::kPaperSchemeKinds);
+  return scheme_jobs(sim::config16(), p.table4(), sim::kPaperSchemeKinds);
 }
 
 std::vector<sim::SweepJob> mixes64(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config64()), p.table4(), sim::kPaperSchemeKinds);
+  return scheme_jobs(sim::config64(), p.table4(), sim::kPaperSchemeKinds);
 }
 
 /// The speedup table and summaries of Figs. 5 and 9; returns the number of
@@ -217,12 +206,12 @@ std::string fig06(const Protocol& p, const Results& r, unsigned) {
 // (+12%/+36%).  w3 (thrashing + low-sensitive): applications mostly do as
 // well as or better than under the centralized scheme.
 
-std::vector<sim::SweepJob> w2_16(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config16()), {"w2"}, sim::kPaperSchemeKinds);
+std::vector<sim::SweepJob> w2_16(const Protocol&) {
+  return scheme_jobs(sim::config16(), {"w2"}, sim::kPaperSchemeKinds);
 }
 
-std::vector<sim::SweepJob> w3_16(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config16()), {"w3"}, sim::kPaperSchemeKinds);
+std::vector<sim::SweepJob> w3_16(const Protocol&) {
+  return scheme_jobs(sim::config16(), {"w3"}, sim::kPaperSchemeKinds);
 }
 
 std::string fig07(const Protocol&, const Results& c, unsigned) {
@@ -268,12 +257,12 @@ std::string fig08(const Protocol&, const Results& c, unsigned) {
 // loops fit the 768-way cap) and starves the rest; DELTA never chases those
 // far cliffs and beats ideal overall.
 
-std::vector<sim::SweepJob> w2_64(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config64()), {"w2"}, sim::kPaperSchemeKinds);
+std::vector<sim::SweepJob> w2_64(const Protocol&) {
+  return scheme_jobs(sim::config64(), {"w2"}, sim::kPaperSchemeKinds);
 }
 
-std::vector<sim::SweepJob> w13_64(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config64()), {"w13"}, sim::kPaperSchemeKinds);
+std::vector<sim::SweepJob> w13_64(const Protocol&) {
+  return scheme_jobs(sim::config64(), {"w13"}, sim::kPaperSchemeKinds);
 }
 
 std::string fig10(const Protocol&, const Results& c, unsigned) {
@@ -358,12 +347,11 @@ std::string fig12(const Protocol&, const Results&, unsigned jobs) {
 
 const std::vector<std::string> kFig13Mixes = {"w1", "w2", "w3", "w4", "w5"};
 
-std::vector<sim::SweepJob> fig13_jobs(const Protocol& p) {
+std::vector<sim::SweepJob> fig13_jobs(const Protocol&) {
   sim::MachineConfig cfg = sim::config16();
   // Long enough that several application phases elapse (gcc/mcf/omnetpp
   // switch every 150-200 epochs = 15-20 ms).
   cfg.measure_epochs = 600;
-  cfg = p.machine(cfg);
   sim::SchemeOptions fast;
   fast.central_interval_epochs = 10;  // 1 ms.
   sim::SchemeOptions slow;
@@ -518,8 +506,8 @@ std::string table6(const Protocol&, const Results&, unsigned) {
 
 const std::vector<std::string> kMsgMixes = {"w2", "w6", "w12"};
 
-std::vector<sim::SweepJob> msg_jobs(const Protocol& p) {
-  return scheme_jobs(p.machine(sim::config16()), kMsgMixes, kDeltaOnly);
+std::vector<sim::SweepJob> msg_jobs(const Protocol&) {
+  return scheme_jobs(sim::config16(), kMsgMixes, kDeltaOnly);
 }
 
 std::string msg(const Protocol&, const Results& r, unsigned) {
@@ -566,18 +554,17 @@ std::vector<std::string> shootout_mixes(const Protocol& p) {
 }
 
 /// Six-scheme jobs on `names` at 16 tiles, then at 64 tiles.
-std::vector<sim::SweepJob> six_schemes_both_sizes(const Protocol& p,
-                                                  const std::vector<std::string>& names) {
+std::vector<sim::SweepJob> six_schemes_both_sizes(const std::vector<std::string>& names) {
   std::vector<sim::SweepJob> jobs =
-      scheme_jobs(p.machine(sim::config16()), names, sim::kAllSchemeKinds);
+      scheme_jobs(sim::config16(), names, sim::kAllSchemeKinds);
   const std::vector<sim::SweepJob> big =
-      scheme_jobs(p.machine(sim::config64()), names, sim::kAllSchemeKinds);
+      scheme_jobs(sim::config64(), names, sim::kAllSchemeKinds);
   jobs.insert(jobs.end(), big.begin(), big.end());
   return jobs;
 }
 
 std::vector<sim::SweepJob> shootout_jobs(const Protocol& p) {
-  return six_schemes_both_sizes(p, shootout_mixes(p));
+  return six_schemes_both_sizes(shootout_mixes(p));
 }
 
 struct SchemeAgg {
@@ -647,7 +634,7 @@ std::string shootout(const Protocol& p, const Results& r, unsigned) {
 // starves them and keeps the ways for the cache-sensitive co-runners.
 
 std::vector<sim::SweepJob> irregular_jobs(const Protocol& p) {
-  return six_schemes_both_sizes(p, p.irregular());
+  return six_schemes_both_sizes(p.irregular());
 }
 
 /// One machine size of the irregular report; `r` holds its names.size() rows.
@@ -698,11 +685,11 @@ std::string irregular(const Protocol& p, const Results& r, unsigned) {
 
 /// The 16-tile machine of the ablation and under-utilisation studies:
 /// 40 warmup and 150 measured epochs.
-sim::MachineConfig study16(const Protocol& p) {
+sim::MachineConfig study16() {
   sim::MachineConfig cfg = sim::config16();
   cfg.warmup_epochs = 40;
   cfg.measure_epochs = 150;
-  return p.machine(cfg);
+  return cfg;
 }
 
 struct KnobPoint {
@@ -748,8 +735,8 @@ std::vector<KnobPoint> knob_points(const sim::MachineConfig& base) {
 }
 
 /// The shared S-NUCA baseline, then one DELTA run per knob point.
-std::vector<sim::SweepJob> ablation_jobs(const Protocol& p) {
-  const sim::MachineConfig base = study16(p);
+std::vector<sim::SweepJob> ablation_jobs(const Protocol&) {
+  const sim::MachineConfig base = study16();
   const workload::Mix mix = sim::mix_for_config(base, "w6");
   std::vector<sim::SweepJob> jobs = {{base, mix, sim::SchemeKind::kSnuca, {}}};
   for (const KnobPoint& k : knob_points(base))
@@ -757,10 +744,10 @@ std::vector<sim::SweepJob> ablation_jobs(const Protocol& p) {
   return jobs;
 }
 
-std::string ablation(const Protocol& p, const Results& r, unsigned) {
+std::string ablation(const Protocol&, const Results& r, unsigned) {
   std::string out = bench::header("Ablation — DELTA parameter sensitivity (mix w6, 16 cores)",
                                   "DESIGN.md ablation index (not a paper figure)");
-  const std::vector<KnobPoint> points = knob_points(study16(p));
+  const std::vector<KnobPoint> points = knob_points(study16());
   std::size_t i = 0;
   while (i < points.size()) {
     const std::string& section = points[i].section;
@@ -782,8 +769,8 @@ std::string ablation(const Protocol& p, const Results& r, unsigned) {
 // end-to-end DELTA performance with and without the reversal.
 
 /// S-NUCA, DELTA reversed (the base run), DELTA straight.
-std::vector<sim::SweepJob> cbt_jobs(const Protocol& p) {
-  const sim::MachineConfig cfg = study16(p);
+std::vector<sim::SweepJob> cbt_jobs(const Protocol&) {
+  const sim::MachineConfig cfg = study16();
   sim::MachineConfig straight = cfg;
   straight.delta.reverse_chunk_bits = false;
   const workload::Mix mix = sim::mix_for_config(cfg, "w6");
@@ -841,8 +828,8 @@ std::string cbt(const Protocol&, const Results& r, unsigned jobs) {
 const std::vector<int> kOccupancies = {2, 4, 8, 16};
 
 /// S-NUCA, private and DELTA per occupancy, occupancy-major.
-std::vector<sim::SweepJob> underutilized_jobs(const Protocol& p) {
-  const sim::MachineConfig cfg = study16(p);
+std::vector<sim::SweepJob> underutilized_jobs(const Protocol&) {
+  const sim::MachineConfig cfg = study16();
   // Occupied tiles run cache-hungry LM apps that can exploit spare banks.
   const std::vector<std::string> hungry = {"mc", "om", "so", "xa", "bz", "sp", "de", "gc"};
   std::vector<sim::SweepJob> jobs;
@@ -948,15 +935,9 @@ std::vector<const Entry*> select_entries(const bench::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Cli cli(argc, argv, {"fig", "quick", "out"});
+  const bench::Cli cli(argc, argv, {"fig", "quick"});
   const Protocol protocol{cli.has_switch("quick")};
   const std::vector<const Entry*> entries = select_entries(cli);
-  const std::string out_path = cli.get("out");
-  std::ofstream out_file;
-  if (cli.has("out")) {
-    out_file.open(out_path);
-    if (!out_file) cli.fail("cannot write '" + out_path + "'");
-  }
 
   // Pool every entry's jobs; slots[e][i] is the distinct job behind entry
   // e's i-th job.
@@ -979,11 +960,13 @@ int main(int argc, char** argv) {
   for (std::size_t e = 0; e < entries.size(); ++e) {
     Results mine;
     for (const std::size_t i : slots[e]) mine.push_back(results[i]);
-    const std::string text = entries[e]->render(protocol, mine, cli.jobs());
-    std::fputs(text.c_str(), stdout);
+    std::fputs(entries[e]->render(protocol, mine, cli.jobs()).c_str(), stdout);
     std::fflush(stdout);
-    if (out_file.is_open()) out_file << text;
   }
-  if (out_file.is_open() && !out_file.flush()) cli.fail("cannot write '" + out_path + "'");
+  // A report that never reached stdout (a full disk) fails the run.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "repro: cannot write stdout: %s\n", std::strerror(errno));
+    return 1;
+  }
   return 0;
 }

@@ -53,10 +53,8 @@ bool Outputs::write_or_complain(File& file, std::string_view content) {
 }
 
 bool Outputs::write_summary(std::string_view summary) {
-  if (summary_stdout_) {
-    std::fwrite(summary.data(), 1, summary.size(), stdout);
-    return true;
-  }
+  if (summary_stdout_)
+    return std::fwrite(summary.data(), 1, summary.size(), stdout) == summary.size();
   return summary_.f == nullptr || write_or_complain(summary_, summary);
 }
 

@@ -45,7 +45,8 @@ class Outputs {
   bool summary_on_stdout() const { return summary_stdout_; }
 
   /// Writes `summary` where --json points; does nothing without --json.
-  /// Returns false (after perror) if the write failed.
+  /// Returns false if the write failed: after perror for a file; on stdout
+  /// the caller's end-of-run stdout check names the error.
   bool write_summary(std::string_view summary);
 
   /// Writes the requested timeline, trace, profiler trace and metrics.

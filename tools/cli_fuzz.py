@@ -63,8 +63,7 @@ PROGRAMS = {
         "base": ["--fig", "table5"],
         "flags": {
             "jobs": ("threads", None), "fig": ("text", ["table5"]),
-            "out": ("path", None), "prof-out": ("path", None),
-            "metrics-out": ("path", None),
+            "prof-out": ("path", None), "metrics-out": ("path", None),
         },
         "switches": ["quick"],
     },

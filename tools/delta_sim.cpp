@@ -13,8 +13,10 @@
 // machine-readable format for scripting sweeps.  The observability flags
 // (--json / --timeline-csv / --trace-out / --prof-out / --metrics-out) are
 // documented in docs/observability.md.
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -245,7 +247,12 @@ int main(int argc, char** argv) {
   // Top-level error boundary: bad input (and any other escaping exception)
   // ends with one clear line and exit code 1, never an abort.
   try {
-    return run_cli(argc, argv);
+    const int rc = run_cli(argc, argv);
+    // A report that never reached stdout (a full disk) fails the run.
+    if (std::fflush(stdout) != 0 || std::ferror(stdout))
+      throw std::runtime_error(std::string("cannot write stdout: ") +
+                               std::strerror(errno));
+    return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "delta_sim: %s\n", e.what());
     return 1;

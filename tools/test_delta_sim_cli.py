@@ -89,6 +89,21 @@ class DeltaSimCliTest(unittest.TestCase):
             with self.subTest(args=args):
                 self.assert_rejected(short + args, message)
 
+    @unittest.skipUnless(os.path.exists("/dev/full"), "needs /dev/full")
+    def test_failed_stdout_write_is_an_error(self):
+        # A report or bare --json summary that never reaches stdout fails the
+        # run with one `delta_sim:` line, like a failed --json FILE (bare
+        # --json moves the human report to stderr, ahead of that line).
+        short = ["--mix", "w2", "--scheme", "snuca", "--warmup", "1", "--epochs", "2"]
+        for extra in [[], ["--json"]]:
+            with self.subTest(args=extra), open("/dev/full", "w") as full:
+                r = subprocess.run([BINARY, *short, *extra], stdout=full,
+                                   stderr=subprocess.PIPE, text=True, timeout=120)
+                self.assertEqual(r.returncode, 1, r.stderr)
+                self.assertEqual(r.stderr.splitlines()[-1],
+                                 "delta_sim: cannot write stdout: No space left on device")
+                self.assertEqual(r.stderr.count("delta_sim:"), 1, r.stderr)
+
     def test_level_flags_are_unknown(self):
         for flag in ["--obs-level", "--prof-level"]:
             with self.subTest(flag=flag):
