@@ -1,9 +1,11 @@
 // Shared plumbing for the figure/table reproduction harnesses.
 #pragma once
 
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <optional>
 #include <stdexcept>
@@ -27,7 +29,7 @@ namespace delta::bench {
 ///              DELTA_JOBS environment variable > 0; the env var is the one
 ///              knob that pins every harness at once.
 ///   --prof-out / --metrics-out   self-profiling with delta_sim's
-///              semantics (obs::Outputs); the destructor writes them.
+///              semantics (obs::Outputs); finish() writes them.
 /// plus its own `extra` flags ("fig", "quick", "reps").  An unknown
 /// or repeated flag, a positional argument or a malformed value prints
 /// `<bench>: <message>` and exits 2 before any simulation runs.
@@ -61,8 +63,6 @@ class Cli {
     install_abort_flush();
   }
 
-  ~Cli() { (void)outputs_->write(nullptr); }
-
   Cli(const Cli&) = delete;
   Cli& operator=(const Cli&) = delete;
 
@@ -91,6 +91,19 @@ class Cli {
     } catch (const std::invalid_argument& e) {
       fail(e.what());
     }
+  }
+
+  /// The end of every bench main: `return cli.finish(rc);`.  Writes
+  /// --prof-out / --metrics-out and flushes stdout; a write that fails
+  /// prints one stderr line, and turns an `rc` of 0 into 1.
+  int finish(int rc) {
+    bool ok = outputs_->write(nullptr);
+    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+      std::fprintf(stderr, "%s: cannot write stdout: %s\n", name_.c_str(),
+                   std::strerror(errno));
+      ok = false;
+    }
+    return ok || rc != 0 ? rc : 1;
   }
 
   /// Prints `<bench>: <msg>` and exits 2: the end of every bad command line.

@@ -69,7 +69,7 @@ double disabled_site_cost_ns() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const delta::bench::Cli cli(argc, argv);
+  delta::bench::Cli cli(argc, argv);
   bench::print_header("Observability overhead (delta scheme, mix w6, 16 cores)",
                       "overhead contract: disabled profiler < 2%, full profiler < 8%");
 
@@ -132,5 +132,5 @@ int main(int argc, char** argv) {
               kDisabledBudgetPct, disabled_ok ? "PASS" : "FAIL");
   std::printf("full profiler     %+.2f%% vs budget %.1f%% — %s\n", prof_pct,
               kFullBudgetPct, full_ok ? "PASS" : "FAIL");
-  return disabled_ok && full_ok ? 0 : 1;
+  return cli.finish(disabled_ok && full_ok ? 0 : 1);
 }

@@ -3,10 +3,9 @@
 // What it measures:
 //   * cache kernel — SetAssocCache::Kernel, the hit-or-fill entry the
 //     access engine's bank merge runs, vs the frozen pre-rewrite AoS copy
-//     (legacy_cache.hpp) on identical synthetic streams, at both lane
-//     counts (16 and 32 ways), after a full-field oracle replay: every
-//     AccessResult must match before anything is timed, or the harness
-//     exits 2.
+//     (legacy_cache.hpp) on identical synthetic streams at 16 ways, after
+//     a full-field oracle replay: every AccessResult must match before
+//     anything is timed, or the harness exits 2.
 //   * simd — match_tag40 and find_u32 vs their scalar reference loops,
 //     each side one non-inlined pass with alternating reps.
 //   * intra — one 64-tile w13 delta run at --intra-jobs 1/2/4/8: the
@@ -86,15 +85,14 @@ KernelStream make_stream(std::size_t n, std::uint32_t sets, int footprint_ways) 
 
 /// Oracle replay: fresh instances of both engines walk the stream together
 /// and every AccessResult field must agree.  The live side runs the
-/// engine's entry, Kernel<kLanes>::access, asked for its AccessResult.
-/// This is the bit-exactness gate the timing below rides on — a
-/// fast-but-wrong kernel fails here first.
-template <int kLanes>
+/// engine's entry, Kernel::access, asked for its AccessResult.  This is
+/// the bit-exactness gate the timing below rides on — a fast-but-wrong
+/// kernel fails here first.
 bool replay_identical(const KernelStream& s, int ways) {
   mem::SetAssocCache soa(512, ways);
   bench::legacy::SetAssocCache aos(512, ways);
   const mem::WayMask all = mem::full_mask(ways);
-  mem::SetAssocCache::Kernel<kLanes> kernel(soa);
+  mem::SetAssocCache::Kernel kernel(soa);
   for (std::size_t i = 0; i < s.sets.size(); ++i) {
     mem::AccessResult a;
     const bool hit = kernel.access(s.sets[i], s.blocks[i], s.owners[i], all, &a);
@@ -121,16 +119,15 @@ double accesses_per_sec(std::size_t n, int reps, Pass&& pass) {
   return static_cast<double>(n) / best;
 }
 
-/// Live (Kernel<kLanes>, held in a local as the bank merge holds it) and
-/// legacy accesses per second over one stream, each on a fresh cache.
-template <int kLanes>
+/// Live (Kernel, held in a local as the bank merge holds it) and legacy
+/// accesses per second over one stream, each on a fresh cache.
 double kernel_speedup(const KernelStream& s, int ways, int reps) {
   mem::SetAssocCache soa(512, ways);
   bench::legacy::SetAssocCache aos(512, ways);
   const mem::WayMask all = mem::full_mask(ways);
   const std::size_t n = s.sets.size();
   const double soa_rate = accesses_per_sec(n, reps, [&] {
-    mem::SetAssocCache::Kernel<kLanes> kernel(soa);
+    mem::SetAssocCache::Kernel kernel(soa);
     std::uint64_t sink = 0;
     for (std::size_t i = 0; i < n; ++i)
       sink += kernel.access(s.sets[i], s.blocks[i], s.owners[i], all) ? 1 : 0;
@@ -248,7 +245,7 @@ double bench_find(int reps, std::size_t probes_n) {
 
 int main(int argc, char** argv) {
   using namespace delta;
-  const bench::Cli cli(argc, argv, {"quick", "reps"});
+  bench::Cli cli(argc, argv, {"quick", "reps"});
   const bool quick = cli.has_switch("quick");
   const int reps = cli.get_int_at_least("reps", 3, 1);
   bench::print_header("micro_throughput — kernel throughput harness",
@@ -264,38 +261,26 @@ int main(int argc, char** argv) {
     floors_ok = false;
   };
 
-  // ---- Cache kernel: live vs frozen AoS, at 16 and 32 lanes. ----
-  // Two streams per width bracket the sim's behaviour: a hit-heavy one
-  // (footprint 3/4 of the cache — the common case once warm) and a
-  // thrashing one (footprint 1.5x capacity, eviction path dominates).  The
-  // 24-way footprint serves as 16-way thrashing and 32-way hit-heavy.
-  // Both lane counts are gated by the same floors.
+  // ---- Cache kernel: live vs frozen AoS, at 16 ways. ----
+  // Two streams bracket the sim's behaviour: a hit-heavy one (footprint
+  // 3/4 of the cache — the common case once warm) and a thrashing one
+  // (footprint 1.5x capacity, eviction path dominates).
   const std::size_t stream_len = quick ? 1'000'000 : 4'000'000;
   const KernelStream ways12 = make_stream(stream_len, 512, 12);
   const KernelStream ways24 = make_stream(stream_len, 512, 24);
-  const KernelStream ways48 = make_stream(stream_len, 512, 48);
-  const bool replay_ok =
-      replay_identical<16>(ways12, 16) && replay_identical<16>(ways24, 16) &&
-      replay_identical<simd::kMaxRankLanes>(ways24, 32) &&
-      replay_identical<simd::kMaxRankLanes>(ways48, 32);
-  std::printf("cache kernel oracle replay (16 and 32 ways): %s\n",
+  const bool replay_ok = replay_identical(ways12, 16) && replay_identical(ways24, 16);
+  std::printf("cache kernel oracle replay (16 ways): %s\n",
               replay_ok ? "identical" : "DIVERGENT");
-  if (!replay_ok) return 2;
-  const auto kernel_ratio = [&](const char* what, int ways, double ratio, double floor) {
-    const std::string label = std::string(what) + ", " + std::to_string(ways) + " ways";
+  if (!replay_ok) return cli.finish(2);
+  const auto kernel_ratio = [&](const char* what, const KernelStream& s, double floor) {
+    std::printf("cache kernel: ");
+    const double ratio = kernel_speedup(s, 16, reps);
+    const std::string label = std::string(what) + ", 16 ways";
     std::printf(" [%s]", label.c_str());
     check(label.c_str(), ratio, floor);
   };
-  std::printf("cache kernel: ");
-  kernel_ratio("hit-heavy", 16, kernel_speedup<16>(ways12, 16, reps), kHitHeavyFloor);
-  std::printf("cache kernel: ");
-  kernel_ratio("thrashing", 16, kernel_speedup<16>(ways24, 16, reps), kThrashingFloor);
-  std::printf("cache kernel: ");
-  kernel_ratio("hit-heavy", 32,
-               kernel_speedup<simd::kMaxRankLanes>(ways24, 32, reps), kHitHeavyFloor);
-  std::printf("cache kernel: ");
-  kernel_ratio("thrashing", 32,
-               kernel_speedup<simd::kMaxRankLanes>(ways48, 32, reps), kThrashingFloor);
+  kernel_ratio("hit-heavy", ways12, kHitHeavyFloor);
+  kernel_ratio("thrashing", ways24, kThrashingFloor);
 
   // ---- SIMD kernels vs their scalar references. ----
   const std::size_t simd_ops = quick ? 1'000'000 : 4'000'000;
@@ -344,6 +329,5 @@ int main(int argc, char** argv) {
                 ij, best, one_worker_s / best);
   }
   std::printf("intra results %s\n", intra_identical ? "identical" : "DIVERGENT");
-  if (!intra_identical) return 2;
-  return floors_ok ? 0 : 3;
+  return cli.finish(!intra_identical ? 2 : floors_ok ? 0 : 3);
 }

@@ -26,12 +26,10 @@
 // `repro: N runs requested, M distinct`, reports the reuse.
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -935,7 +933,7 @@ std::vector<const Entry*> select_entries(const bench::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Cli cli(argc, argv, {"fig", "quick"});
+  bench::Cli cli(argc, argv, {"fig", "quick"});
   const Protocol protocol{cli.has_switch("quick")};
   const std::vector<const Entry*> entries = select_entries(cli);
 
@@ -963,10 +961,5 @@ int main(int argc, char** argv) {
     std::fputs(entries[e]->render(protocol, mine, cli.jobs()).c_str(), stdout);
     std::fflush(stdout);
   }
-  // A report that never reached stdout (a full disk) fails the run.
-  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
-    std::fprintf(stderr, "repro: cannot write stdout: %s\n", std::strerror(errno));
-    return 1;
-  }
-  return 0;
+  return cli.finish(0);
 }

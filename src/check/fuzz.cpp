@@ -26,7 +26,7 @@ sim::MachineConfig draw_config(Rng& rng, std::uint64_t seed,
   cfg.measure_epochs = 16 + static_cast<int>(rng.below(25));  // 16..40
   std::uint64_t sm = seed;
   cfg.seed = splitmix64(sm);
-  cfg.lockstep_accesses = opt.lockstep;
+  cfg.lockstep_accesses = true;
   cfg.intra_jobs = opt.intra_jobs;
   // Consumed for a knob that no longer exists (the measured-MLP mode), so
   // every later draw, and the seeds test_fuzz pins, stay as they were.
@@ -113,8 +113,7 @@ FuzzCaseResult run_fuzz_case(std::uint64_t seed, const FuzzOptions& opt) {
     CheckerOptions copts;
     copts.sweep_interval = opt.sweep_interval;
     InvariantChecker checker(copts);
-    results.push_back(sim::run_mix(cfg, mix, kind, {}, /*obs=*/nullptr,
-                                   opt.check_invariants ? &checker : nullptr));
+    results.push_back(sim::run_mix(cfg, mix, kind, {}, /*obs=*/nullptr, &checker));
     append_tagged(out.violations, checker.violations(),
                   std::string(sim::to_string(kind)));
     if (checker.total_violations() >
@@ -127,7 +126,7 @@ FuzzCaseResult run_fuzz_case(std::uint64_t seed, const FuzzOptions& opt) {
   }
 
   if (opt.differential)
-    append_tagged(out.violations, diff_schemes(results, opt.lockstep), "diff");
+    append_tagged(out.violations, diff_schemes(results, /*lockstep=*/true), "diff");
 
   out.json = sim::json_summary(results, /*obs=*/nullptr);
   out.ok = out.violations.empty();

@@ -31,10 +31,10 @@ struct FuzzOptions {
   /// at any value, so the determinism check doubles as an end-to-end test
   /// of the engine's threading when this is > 1.
   int intra_jobs = 1;
-  /// Pin access budgets to the nominal CPI so the differential oracle can
-  /// assert cross-scheme access-count equality.
-  bool lockstep = true;
-  bool check_invariants = true;
+  /// Cross-check the schemes' results (diff_schemes).  Every case runs in
+  /// lockstep (access budgets pinned to the nominal CPI, so the oracle can
+  /// assert cross-scheme access-count equality) with the invariant checker
+  /// attached.
   bool differential = true;
   /// Residency-sweep cadence forwarded to CheckerOptions (the sweep is
   /// O(LLC capacity), so fuzz runs default to a coarser interval).

@@ -5,10 +5,8 @@
 //
 // The experiment drivers use it to fan independent (mix, scheme, config)
 // runs over hardware threads.  It degenerates to a plain serial loop when
-// one thread is available or requested, or when the range is too small for
-// the `grain` parameter to justify spawning workers — both paths keep
-// single-CPU CI hosts deterministic and spare tiny ranges the
-// thread-creation overhead.
+// one thread is available or requested, or when the range holds one index,
+// which keeps single-CPU CI hosts deterministic and spawns no thread.
 #pragma once
 
 #include <atomic>
@@ -79,11 +77,6 @@ inline unsigned resolve_workers(int requested, std::size_t cap) {
 /// worker threads (0 == hardware_concurrency).  Blocks until all complete.
 /// `body` must be safe to call concurrently for distinct indices.
 ///
-/// `grain` is the minimum number of indices worth giving each worker: the
-/// pool is capped at n / grain threads, so a range smaller than `grain`
-/// runs serially on the calling thread and spawns nothing.  Use it when
-/// each body invocation is cheap relative to thread start-up.
-///
 /// Exceptions: if any invocation throws, the first exception (by completion
 /// order) is rethrown on the calling thread after every worker has joined.
 /// Remaining workers stop picking up new indices once a failure is flagged,
@@ -91,15 +84,11 @@ inline unsigned resolve_workers(int requested, std::size_t cap) {
 /// exception on a std::thread would.
 inline void parallel_for(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t)>& body,
-                         unsigned threads = 0, std::size_t grain = 1) {
+                         unsigned threads = 0) {
   if (end <= begin) return;
   const std::size_t n = end - begin;
   unsigned hw = threads == 0 ? hardware_threads() : threads;
   if (hw > n) hw = static_cast<unsigned>(n);
-  if (grain > 1) {
-    const std::size_t cap = n / grain;
-    if (hw > cap) hw = cap == 0 ? 1 : static_cast<unsigned>(cap);
-  }
   if (hw <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
@@ -283,9 +272,9 @@ class WorkerPool {
  public:
   explicit WorkerPool(unsigned parties)
       : parties_(parties == 0 ? 1 : parties),
-        start_(parties_ == 0 ? 1 : parties_),
-        done_(parties_ == 0 ? 1 : parties_),
-        errors_(parties_ == 0 ? 1 : parties_) {
+        start_(parties_),
+        done_(parties_),
+        errors_(parties_) {
     threads_.reserve(parties_ - 1);
     for (unsigned w = 1; w < parties_; ++w)
       threads_.emplace_back([this, w] { worker_loop(w); });

@@ -5,32 +5,25 @@
 // in src/, so callers always go through this dispatch layer and the scalar
 // fallback stays exercised (CI builds -DDELTA_NO_SIMD=ON).
 //
-// Backend selection is compile-time: SSE2 on x86-64, NEON on AArch64, a
-// portable SWAR build elsewhere, and plain scalar when DELTA_NO_SIMD is
-// defined.  The tag kernels compute *exact* 40-bit (cache tags) or 32-bit
-// (UMON stacks) equality and the rank kernels exact byte compares, so
-// every backend is bit-identical to its `*_scalar` reference by
-// construction — the property the cache/UMON equivalence
-// suites and the frozen legacy-oracle replay in micro_throughput verify
-// end to end (docs/performance.md "Vectorized kernels").  micro_throughput
-// also fails when an SSE2 kernel's speedup over its scalar reference drops
-// below a floor.  Every kernel has an SSE2 path only; NEON and SWAR builds
-// run the scalar references.
+// Backend selection is compile-time: SSE2 on x86-64, and the scalar
+// references everywhere else and when DELTA_NO_SIMD is defined.  The tag
+// kernels compute *exact* 40-bit (cache tags) or 32-bit (UMON stacks)
+// equality and the rank kernels exact byte compares, so the SSE2 path is
+// bit-identical to its `*_scalar` reference by construction — the
+// property the cache/UMON equivalence suites and the frozen legacy-oracle
+// replay in micro_throughput verify end to end (docs/performance.md
+// "Vectorized kernels").  micro_throughput also fails when an SSE2
+// kernel's speedup over its scalar reference drops below a floor.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
-#if !defined(DELTA_NO_SIMD)
-#if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
+#if !defined(DELTA_NO_SIMD) && \
+    (defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC)))
 #include <emmintrin.h>
 #define DELTA_SIMD_SSE2 1
-#elif defined(__aarch64__) || defined(__ARM_NEON)
-#define DELTA_SIMD_NEON 1
-#else
-#define DELTA_SIMD_SWAR 1
-#endif
 #endif
 
 namespace delta::simd {
@@ -39,10 +32,6 @@ namespace delta::simd {
 constexpr const char* backend_name() {
 #if defined(DELTA_SIMD_SSE2)
   return "sse2";
-#elif defined(DELTA_SIMD_NEON)
-  return "neon";
-#elif defined(DELTA_SIMD_SWAR)
-  return "swar";
 #else
   return "scalar";
 #endif
@@ -52,10 +41,10 @@ constexpr const char* backend_name() {
 /// nothing.
 inline constexpr std::uint64_t kTag40Limit = std::uint64_t{1} << 40;
 
-/// Lanes one match_tag40 group covers.  The vector kernel reads both rows
-/// in whole groups, so a caller's rows must stay readable up to `n`
-/// rounded up to a multiple of this (lanes past `n` are masked off).
-inline constexpr int kTagGroup = 16;
+/// Lanes in one row of a set record: the tag, owner and rank kernels each
+/// read exactly one 16-lane row, so a caller's rows must stay readable for
+/// kRowLanes lanes whatever `n` is (lanes past `n` are masked off).
+inline constexpr int kRowLanes = 16;
 
 /// Scalar reference for match_tag40: bit i of the result is set iff the
 /// 40-bit tag (hi[i] << 32 | lo[i]) equals `key`, for i in [0, n), n <= 32.
@@ -71,33 +60,27 @@ inline std::uint32_t match_tag40_scalar(const std::uint32_t* lo, const std::uint
 }
 
 /// 40-bit tag equality bitmask over split tag rows: bit i set iff
-/// (hi[i] << 32 | lo[i]) == key, i in [0, n), n <= 32.  This is the cache
-/// hit path's tag compare, the hottest kernel in the simulator
-/// (mem/cache.hpp match_ways).  SSE2 compares 16 lanes per group with four
+/// (hi[i] << 32 | lo[i]) == key, i in [0, n), n <= kRowLanes.  This is the
+/// cache hit path's tag compare, the hottest kernel in the simulator
+/// (mem/cache.hpp match_ways).  SSE2 compares the 16 lanes with four
 /// 32-bit compares on the low row, packs them to bytes, and ANDs in one
-/// byte compare on the high row before a single movemask.  NEON and SWAR
-/// builds run the scalar reference.
+/// byte compare on the high row before a single movemask.
 inline std::uint32_t match_tag40(const std::uint32_t* lo, const std::uint8_t* hi, int n,
                                  std::uint64_t key) {
 #if defined(DELTA_SIMD_SSE2)
   const __m128i klo = _mm_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(key)));
   const __m128i khi = _mm_set1_epi8(static_cast<char>(key >> 32));
-  std::uint32_t m = 0;
-  for (int g = 0; g < n; g += kTagGroup) {
-    const auto* row = reinterpret_cast<const __m128i*>(lo + g);
-    const __m128i e0 = _mm_cmpeq_epi32(_mm_loadu_si128(row), klo);
-    const __m128i e1 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 1), klo);
-    const __m128i e2 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 2), klo);
-    const __m128i e3 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 3), klo);
-    // Each compare lane is 0 or -1, so the saturating packs keep 0 / -1.
-    const __m128i low =
-        _mm_packs_epi16(_mm_packs_epi32(e0, e1), _mm_packs_epi32(e2, e3));
-    const __m128i high = _mm_cmpeq_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi + g)), khi);
-    m |= static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_and_si128(low, high))) << g;
-  }
-  const std::uint32_t lanes = n >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << n) - 1;
-  return key < kTag40Limit ? m & lanes : 0;
+  const auto* row = reinterpret_cast<const __m128i*>(lo);
+  const __m128i e0 = _mm_cmpeq_epi32(_mm_loadu_si128(row), klo);
+  const __m128i e1 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 1), klo);
+  const __m128i e2 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 2), klo);
+  const __m128i e3 = _mm_cmpeq_epi32(_mm_loadu_si128(row + 3), klo);
+  // Each compare lane is 0 or -1, so the saturating packs keep 0 / -1.
+  const __m128i low = _mm_packs_epi16(_mm_packs_epi32(e0, e1), _mm_packs_epi32(e2, e3));
+  const __m128i high =
+      _mm_cmpeq_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(hi)), khi);
+  const auto m = static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_and_si128(low, high)));
+  return key < kTag40Limit ? m & ((std::uint32_t{1} << n) - 1) : 0;
 #else
   return match_tag40_scalar(lo, hi, n, key);
 #endif
@@ -112,19 +95,15 @@ inline std::uint32_t match_u8_scalar(const std::uint8_t* row, int n, std::uint8_
 }
 
 /// Byte equality bitmask: bit i set iff row[i] == key, i in [0, n),
-/// n <= 32.  Backs the bulk-invalidation sweep's owner filter
+/// n <= kRowLanes.  Backs the bulk-invalidation sweep's owner filter
 /// (mem/cache.hpp invalidate_if), one compare per set's owner row.  Like
-/// match_tag40, SSE2 reads whole kTagGroup groups, so the row must stay
-/// readable up to `n` rounded up to a multiple of kTagGroup.
+/// match_tag40, SSE2 reads the whole kRowLanes-lane row.
 inline std::uint32_t match_u8(const std::uint8_t* row, int n, std::uint8_t key) {
 #if defined(DELTA_SIMD_SSE2)
-  const __m128i k = _mm_set1_epi8(static_cast<char>(key));
-  std::uint32_t m = 0;
-  for (int g = 0; g < n; g += kTagGroup) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + g));
-    m |= static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, k))) << g;
-  }
-  return n >= 32 ? m : m & ((std::uint32_t{1} << n) - 1);
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
+  const auto m = static_cast<std::uint32_t>(
+      _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(key)))));
+  return m & ((std::uint32_t{1} << n) - 1);
 #else
   return match_u8_scalar(row, n, key);
 #endif
@@ -172,16 +151,10 @@ inline std::size_t find_u32(const std::uint32_t* vals, std::size_t n, std::uint3
 #endif
 }
 
-/// Lanes in a recency-rank row: one std::uint8_t rank per way, 0 = MRU.
-/// A row has 16 lanes for up to 16 ways and 32 lanes for 17-32
-/// (rank_lanes).  Lanes at or above the cache's way count hold their own
-/// index, so the ways in use always carry a permutation of [0, ways) and
-/// the spare lanes rank strictly older than every way.
-inline constexpr int kMaxRankLanes = 32;
-
-/// Rank-row width for a `ways`-way set: 16 lanes (one vector, ranks below
-/// 16) up to 16 ways, 32 lanes above.
-constexpr int rank_lanes(int ways) { return ways <= 16 ? 16 : kMaxRankLanes; }
+// A recency-rank row is kRowLanes std::uint8_t ranks, one per way, 0 =
+// MRU.  Lanes at or above the cache's way count hold their own index, so
+// the ways in use always carry a permutation of [0, ways) and the spare
+// lanes rank strictly older than every way.
 
 /// Scalar reference for rank_promote: every lane of a `lanes`-lane row
 /// ranked below ranks[way] ages by one and `way` becomes MRU (rank 0).
@@ -217,72 +190,49 @@ inline std::uint32_t rank_bit_sse2(__m128i v) {
   return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_slli_epi16(v, 7 - kBit)));
 }
 
-/// The same bit over a 32-lane row held as two vectors.
-template <int kBit>
-inline std::uint32_t rank_bit_sse2(__m128i lo, __m128i hi) {
-  return rank_bit_sse2<kBit>(lo) | (rank_bit_sse2<kBit>(hi) << 16);
-}
-
 /// Keeps the candidates whose rank has the bit in `plane` set, if any do.
 inline std::uint32_t keep_older(std::uint32_t cand, std::uint32_t plane) {
   const std::uint32_t older = cand & plane;
   return older != 0 ? older : cand;
 }
 
-/// rank_promote on one 16-lane vector: lanes younger than `r` age by one
-/// and the lane holding `r` becomes 0.  Ranks are below 32, so the signed
-/// byte compare is exact.
-inline void promote_vector_sse2(__m128i* p, __m128i r) {
-  const __m128i v = _mm_loadu_si128(p);
-  // cmplt is all-ones (-1) on younger lanes: subtracting it ages them.
-  const __m128i aged = _mm_sub_epi8(v, _mm_cmplt_epi8(v, r));
-  _mm_storeu_si128(p, _mm_andnot_si128(_mm_cmpeq_epi8(v, r), aged));
-}
-
 }  // namespace detail
 #endif
 
-/// Promotes `way` of a `lanes`-lane rank row (16 or 32) to MRU.  The LRU
-/// update of every cache hit and fill (mem/cache.hpp).
-inline void rank_promote(std::uint8_t* ranks, int lanes, int way) {
+/// Promotes `way` of a rank row to MRU: lanes younger than it age by one
+/// and it becomes 0.  The LRU update of every cache hit and fill
+/// (mem/cache.hpp).
+inline void rank_promote(std::uint8_t* ranks, int way) {
 #if defined(DELTA_SIMD_SSE2)
+  auto* const p = reinterpret_cast<__m128i*>(ranks);
   const __m128i r = _mm_set1_epi8(static_cast<char>(ranks[way]));
-  auto* row = reinterpret_cast<__m128i*>(ranks);
-  detail::promote_vector_sse2(row, r);
-  if (lanes > 16) detail::promote_vector_sse2(row + 1, r);
+  const __m128i v = _mm_loadu_si128(p);
+  // Ranks are below 16, so the signed byte compare is exact; cmplt is
+  // all-ones (-1) on younger lanes, and subtracting it ages them.
+  const __m128i aged = _mm_sub_epi8(v, _mm_cmplt_epi8(v, r));
+  _mm_storeu_si128(p, _mm_andnot_si128(_mm_cmpeq_epi8(v, r), aged));
 #else
-  rank_promote_scalar(ranks, lanes, way);
+  rank_promote_scalar(ranks, kRowLanes, way);
 #endif
 }
 
-/// The least recently used lane of `mask` in a `lanes`-lane rank row (16
-/// or 32), or -1 when `mask` is empty; `mask` selects lanes below
-/// `lanes`.  The LRU victim choice of every cache miss (mem/cache.cpp).
-inline int rank_oldest(const std::uint8_t* ranks, int lanes, std::uint32_t mask) {
+/// The least recently used lane of `mask` in a rank row, or -1 when `mask`
+/// is empty; `mask` selects lanes below kRowLanes.  The LRU victim choice
+/// of every cache miss (mem/cache.hpp).
+inline int rank_oldest(const std::uint8_t* ranks, std::uint32_t mask) {
 #if defined(DELTA_SIMD_SSE2)
   if (mask == 0) return -1;
-  // Ranks are distinct and below `lanes`: walking their bits from the top
-  // (four bits for 16 lanes, five for 32), keeping the candidates that
-  // have each bit set, leaves exactly the lane of the largest rank.
-  const auto* row = reinterpret_cast<const __m128i*>(ranks);
-  const __m128i lo = _mm_loadu_si128(row);
+  // Ranks are distinct and below 16: walking their four bits from the top,
+  // keeping the candidates that have each bit set, leaves exactly the lane
+  // of the largest rank.
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ranks));
   std::uint32_t cand = mask;
-  if (lanes <= 16) {
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(lo));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(lo));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(lo));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(lo));
-  } else {
-    const __m128i hi = _mm_loadu_si128(row + 1);
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<4>(lo, hi));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(lo, hi));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(lo, hi));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(lo, hi));
-    cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(lo, hi));
-  }
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<3>(v));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<2>(v));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<1>(v));
+  cand = detail::keep_older(cand, detail::rank_bit_sse2<0>(v));
   return std::countr_zero(cand);
 #else
-  (void)lanes;
   return rank_oldest_scalar(ranks, mask);
 #endif
 }

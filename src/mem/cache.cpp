@@ -10,8 +10,8 @@ namespace {
 
 /// Validates the geometry before any row is sized from it.
 int checked_ways(std::uint32_t sets, int ways) {
-  if (ways < 1 || ways > simd::kMaxRankLanes)
-    throw std::invalid_argument("SetAssocCache: ways must be in [1, 32], got " +
+  if (ways < 1 || ways > simd::kRowLanes)
+    throw std::invalid_argument("SetAssocCache: ways must be in [1, 16], got " +
                                 std::to_string(ways));
   if (sets == 0) throw std::invalid_argument("SetAssocCache: sets must be >= 1");
   return ways;
@@ -22,18 +22,15 @@ int checked_ways(std::uint32_t sets, int ways) {
 SetAssocCache::SetAssocCache(std::uint32_t sets, int ways)
     : sets_(sets),
       ways_(checked_ways(sets, ways)),
-      lanes_(simd::rank_lanes(ways)),
-      layout_(layout_of(lanes_)),
-      records_(std::size_t{sets} * (layout_.stride / sizeof(Line)), Line{}) {
-  // The tag compare reads both tag rows in whole kTagGroup-lane groups,
-  // and each row is lanes_ (a multiple of kTagGroup) wide, so every read
-  // stays inside its row.  Records start zeroed: every validity word is 0.
+      records_(std::size_t{sets} * (kStride / sizeof(Line)), Line{}) {
+  // The kernels read whole kLanes-lane rows, so every read stays inside
+  // its row.  Records start zeroed: every validity word is 0.
   for (std::uint32_t s = 0; s < sets_; ++s) {
     // Every lane starts ranked by its index: the ways in use hold a
     // permutation of [0, ways) and the spare lanes stay older than all of
     // them.
     std::uint8_t* const r = ranks(s);
-    for (int i = 0; i < lanes_; ++i) r[i] = static_cast<std::uint8_t>(i);
+    for (int i = 0; i < kLanes; ++i) r[i] = static_cast<std::uint8_t>(i);
     std::uint8_t* const o = owners(s);
     for (int w = 0; w < ways_; ++w) o[w] = kNoOwner;
   }
@@ -43,10 +40,7 @@ AccessResult SetAssocCache::access(std::uint32_t set, BlockAddr block, CoreId ow
                                    WayMask insert_mask) {
   assert(set < sets_);
   AccessResult res;
-  if (lanes_ == 16)
-    Kernel<16>(*this).access(set, block, owner, insert_mask, &res);
-  else
-    Kernel<simd::kMaxRankLanes>(*this).access(set, block, owner, insert_mask, &res);
+  Kernel(*this).access(set, block, owner, insert_mask, &res);
   return res;
 }
 
@@ -60,7 +54,7 @@ void SetAssocCache::throw_unfit(BlockAddr block, CoreId owner) {
 
 bool SetAssocCache::touch(std::uint32_t set, BlockAddr block) {
   if (const std::uint32_t match = match_ways(set, block); match != 0) {
-    simd::rank_promote(ranks(set), lanes_, std::countr_zero(match));
+    simd::rank_promote(ranks(set), std::countr_zero(match));
     return true;
   }
   return false;

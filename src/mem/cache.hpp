@@ -7,8 +7,8 @@
 // the block address and the owning core so that DELTA's bulk-invalidation
 // unit can sweep remapped ranges without auxiliary structures.
 //
-// Layout: one 64-byte-aligned record per set, validity word included.  Up
-// to 16 ways a record is two cache lines:
+// Layout: one 64-byte-aligned 128-byte record per set, validity word
+// included — two cache lines:
 //
 //   line 0: the low 32 bits of each way's tag (16 x u32);
 //   line 1: three 16-lane byte rows — the recency ranks (0 = MRU;
@@ -17,29 +17,23 @@
 //           at byte 48 the validity word (bit w = way w holds a line): 52
 //           of 64 bytes used.
 //
-// At 17-32 ways the rows have 32 lanes: the low-tag row fills two lines,
-// and two metadata lines hold the rank, high-tag and owner rows and, at
-// byte 96, the validity word.  With L = simd::rank_lanes(ways) the stride
-// is 4L + roundup64(3L + 4): 128 B up to 16 ways, 256 B for 17-32.  Up to 16 ways
-// a hit reads the record's two lines and nothing else: one
+// A hit reads the record's two lines and nothing else: one
 // simd::match_tag40 compare plus one rank promote; a miss picks its victim
-// with one masked rank scan.  Tags are 40 bits, so blocks must stay below 2^40 and owners
-// in [0, 254] (a miss throws std::out_of_range otherwise); every in-tree
-// stream stays below 2^35.  The ranks are exact LRU: every touch
-// makes its way the unique MRU and keeps the order of the rest, so no two
-// ways of a set ever tie, and a rank row has no counter to overflow
-// however long the run.  Supports 1 to 32 ways.
+// with one masked rank scan.  Tags are 40 bits, so blocks must stay below
+// 2^40 and owners in [0, 254] (a miss throws std::out_of_range otherwise);
+// every in-tree stream stays below 2^35.  The ranks are exact LRU: every
+// touch makes its way the unique MRU and keeps the order of the rest, so
+// no two ways of a set ever tie, and a rank row has no counter to overflow
+// however long the run.  Supports 1 to 16 ways (the paper's bank has 16).
 //
 // Every demand access runs one hit-or-fill implementation, Kernel::access
-// (below the class), inlined at a compile-time lane count.  The access
-// engine's bank merge calls it directly, choosing the instantiation once
-// per bank; access() wraps it for callers that want an AccessResult.
+// (below the class), inlined.  The access engine's bank merge calls it
+// directly; access() wraps it for callers that want an AccessResult.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -73,7 +67,7 @@ class SetAssocCache {
  public:
   /// `sets` need not be a power of two (callers pass pre-computed indices).
   /// Throws std::invalid_argument unless `sets` >= 1 and `ways` is in
-  /// [1, 32] (the width of a validity mask and of a rank row).
+  /// [1, 16] (the lanes of a set record's rows).
   SetAssocCache(std::uint32_t sets, int ways);
 
   std::uint32_t sets() const { return sets_; }
@@ -96,14 +90,8 @@ class SetAssocCache {
   AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner,
                       WayMask insert_mask);
 
-  /// The hit-or-fill kernel at a compile-time lane count; see the class
-  /// below.
-  template <int kLanes>
+  /// The hit-or-fill kernel; see the class below.
   class Kernel;
-
-  /// Lanes per record row: simd::rank_lanes(ways()), 16 or 32.  Kernel
-  /// callers pick their instantiation from it once per bank.
-  int lanes() const { return lanes_; }
 
   /// Lookup without fill (e.g. remote probe).  Promotes to MRU on hit.
   bool touch(std::uint32_t set, BlockAddr block);
@@ -126,7 +114,7 @@ class SetAssocCache {
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < sets_; ++s) {
       std::uint32_t& valid = valid_word(s);
-      const std::uint32_t own = simd::match_u8(owners(s), lanes_, key) & valid;
+      const std::uint32_t own = simd::match_u8(owners(s), kLanes, key) & valid;
       std::uint32_t drop = 0;
       for (std::uint32_t vm = own; vm != 0; vm &= vm - 1) {
         const int w = std::countr_zero(vm);
@@ -179,28 +167,23 @@ class SetAssocCache {
     std::uint32_t word[16];
   };
 
-  /// Byte offsets within a set record of `lanes`-lane rows: the low-tag
-  /// row is the record's first bytes; the rank row starts at low_bytes,
-  /// followed by the high-tag row, the owner row and the validity word,
-  /// each row `lanes` bytes.  The one definition of the record, shared by
-  /// the runtime accessors below and the compile-time Kernel.
-  struct Layout {
-    std::size_t low_bytes;     ///< 4 * lanes: the low-tag row's lines.
-    std::size_t valid_offset;  ///< low_bytes + 3 * lanes.
-    std::size_t stride;        ///< Bytes per set record.
-  };
-  static constexpr Layout layout_of(int lanes) {
-    const auto l = static_cast<std::size_t>(lanes);
-    return Layout{4 * l, 4 * l + 3 * l, 4 * l + ((3 * l + 4 + 63) & ~std::size_t{63})};
-  }
+  /// Byte offsets within a set record, shared by the accessors below and
+  /// the Kernel: the low-tag row is the record's first line; the rank row
+  /// starts the second, followed by the high-tag row, the owner row and the
+  /// validity word.
+  static constexpr int kLanes = simd::kRowLanes;
+  static constexpr std::size_t kRanksOffset = 4 * kLanes;
+  static constexpr std::size_t kValidOffset = kRanksOffset + 3 * kLanes;
+  static constexpr std::size_t kStride = 2 * sizeof(Line);
+  static_assert(kValidOffset + sizeof(std::uint32_t) <= kStride);
 
   std::uint8_t* record(std::uint32_t set) {
     return reinterpret_cast<std::uint8_t*>(records_.data()) +
-           std::size_t{set} * layout_.stride;
+           std::size_t{set} * kStride;
   }
   const std::uint8_t* record(std::uint32_t set) const {
     return reinterpret_cast<const std::uint8_t*>(records_.data()) +
-           std::size_t{set} * layout_.stride;
+           std::size_t{set} * kStride;
   }
   std::uint32_t* low_tags(std::uint32_t set) {
     return reinterpret_cast<std::uint32_t*>(record(set));
@@ -208,20 +191,20 @@ class SetAssocCache {
   const std::uint32_t* low_tags(std::uint32_t set) const {
     return reinterpret_cast<const std::uint32_t*>(record(set));
   }
-  std::uint8_t* ranks(std::uint32_t set) { return record(set) + layout_.low_bytes; }
+  std::uint8_t* ranks(std::uint32_t set) { return record(set) + kRanksOffset; }
   const std::uint8_t* ranks(std::uint32_t set) const {
-    return record(set) + layout_.low_bytes;
+    return record(set) + kRanksOffset;
   }
-  const std::uint8_t* high_tags(std::uint32_t set) const { return ranks(set) + lanes_; }
-  std::uint8_t* owners(std::uint32_t set) { return ranks(set) + 2 * lanes_; }
-  const std::uint8_t* owners(std::uint32_t set) const { return ranks(set) + 2 * lanes_; }
+  const std::uint8_t* high_tags(std::uint32_t set) const { return ranks(set) + kLanes; }
+  std::uint8_t* owners(std::uint32_t set) { return ranks(set) + 2 * kLanes; }
+  const std::uint8_t* owners(std::uint32_t set) const { return ranks(set) + 2 * kLanes; }
   /// Bit w set iff way w holds a line.  The word is one of the record's
   /// Line words, so the u32 access stays within its own type.
   std::uint32_t& valid_word(std::uint32_t set) {
-    return *reinterpret_cast<std::uint32_t*>(record(set) + layout_.valid_offset);
+    return *reinterpret_cast<std::uint32_t*>(record(set) + kValidOffset);
   }
   std::uint32_t valid_word(std::uint32_t set) const {
-    return *reinterpret_cast<const std::uint32_t*>(record(set) + layout_.valid_offset);
+    return *reinterpret_cast<const std::uint32_t*>(record(set) + kValidOffset);
   }
 
   /// The 40-bit tag and the owner of a way, from its record rows.
@@ -246,9 +229,7 @@ class SetAssocCache {
 
   std::uint32_t sets_;
   int ways_;
-  int lanes_;                  ///< Lanes per row: simd::rank_lanes(ways), 16 or 32.
-  Layout layout_;              ///< layout_of(lanes_).
-  std::vector<Line> records_;  ///< layout_.stride / 64 lines per set.
+  std::vector<Line> records_;  ///< Two lines per set.
   CacheStats stats_;
 };
 
@@ -260,23 +241,17 @@ class SetAssocCache {
 /// registers: the rank row is stored through a vector type and the owner
 /// and high-tag rows through bytes, both of which may alias anything, and
 /// a loop that read the geometry through the cache object would reload it
-/// after every access.  kLanes (16 or 32) fixes the record layout, so the
-/// tag compare and the rank kernels run at constant width; lanes at or
-/// above ways() are never valid, so comparing all kLanes lanes and masking
-/// with the validity word is the ways()-wide compare.  The counts reach
-/// the cache's stats() when the kernel is destroyed.
-template <int kLanes>
+/// after every access.  The tag compare and the rank kernels run at the
+/// record's constant width; lanes at or above ways() are never valid, so
+/// comparing all kLanes lanes and masking with the validity word is the
+/// ways()-wide compare.  The counts reach the cache's stats() when the
+/// kernel is destroyed.
 class SetAssocCache::Kernel {
  public:
-  /// Throws std::logic_error unless kLanes == cache.lanes().
   explicit Kernel(SetAssocCache& cache)
       : base_(cache.record(0)),
         ways_mask_(full_mask(cache.ways_)),
-        stats_(&cache.stats_) {
-    static_assert(kLanes == 16 || kLanes == simd::kMaxRankLanes);
-    if (cache.lanes_ != kLanes)
-      throw std::logic_error("SetAssocCache::Kernel: wrong lane count");
-  }
+        stats_(&cache.stats_) {}
   ~Kernel() {
     stats_->hits += hits_;
     stats_->misses += misses_;
@@ -291,15 +266,15 @@ class SetAssocCache::Kernel {
                                      WayMask insert_mask, AccessResult* res = nullptr) {
     std::uint8_t* const rec = record(set);
     auto* const low = reinterpret_cast<std::uint32_t*>(rec);
-    std::uint8_t* const ranks = rec + kLayout.low_bytes;
+    std::uint8_t* const ranks = rec + kRanksOffset;
     std::uint8_t* const high = ranks + kLanes;
     std::uint8_t* const owners = high + kLanes;
-    auto& valid = *reinterpret_cast<std::uint32_t*>(rec + kLayout.valid_offset);
+    auto& valid = *reinterpret_cast<std::uint32_t*>(rec + kValidOffset);
     const std::uint32_t v = valid;
     if (const std::uint32_t match = simd::match_tag40(low, high, kLanes, block) & v;
         match != 0) {
       const int way = std::countr_zero(match);
-      simd::rank_promote(ranks, kLanes, way);
+      simd::rank_promote(ranks, way);
       ++hits_;
       if (res != nullptr) *res = AccessResult{.hit = true, .way = way};
       return true;
@@ -315,7 +290,7 @@ class SetAssocCache::Kernel {
     if (const std::uint32_t free = eligible & ~v; free != 0) {
       victim = std::countr_zero(free);
     } else {
-      victim = simd::rank_oldest(ranks, kLanes, eligible);
+      victim = simd::rank_oldest(ranks, eligible);
       ++evictions_;
       if (res != nullptr) {
         res->evicted = true;
@@ -327,7 +302,7 @@ class SetAssocCache::Kernel {
     high[victim] = static_cast<std::uint8_t>(block >> 32);
     owners[victim] = static_cast<std::uint8_t>(owner);
     valid = v | std::uint32_t{1} << victim;
-    simd::rank_promote(ranks, kLanes, victim);
+    simd::rank_promote(ranks, victim);
     if (res != nullptr) res->way = victim;
     return false;
   }
@@ -339,14 +314,12 @@ class SetAssocCache::Kernel {
   void prefetch(std::uint32_t set) const {
     const std::uint8_t* const rec = record(set);
     simd::prefetch_read(rec);
-    simd::prefetch_write(rec + kLayout.low_bytes);
+    simd::prefetch_write(rec + kRanksOffset);
   }
 
  private:
-  static constexpr Layout kLayout = layout_of(kLanes);
-
   std::uint8_t* record(std::uint32_t set) const {
-    return base_ + std::size_t{set} * kLayout.stride;
+    return base_ + std::size_t{set} * kStride;
   }
 
   std::uint8_t* base_;

@@ -24,8 +24,8 @@ void MachineConfig::validate() const {
   if (!in(mesh_width, 1, cores) || !in(mesh_height, 1, cores) ||
       mesh_width * mesh_height != cores)
     reject("mesh_width", mesh_width, "mesh_width x mesh_height must equal cores");
-  if (!in(ways_per_bank, 1, 32))
-    reject("ways_per_bank", ways_per_bank, "must be in [1, 32]");
+  if (!in(ways_per_bank, 1, 16))
+    reject("ways_per_bank", ways_per_bank, "must be in [1, 16]");
   if (!in(sets_log2, 1, 20)) reject("sets_log2", sets_log2, "must be in [1, 20]");
   if (!in(num_mcus, 1, cores)) reject("num_mcus", num_mcus, "must be in [1, cores]");
   try {
@@ -94,8 +94,6 @@ Chip::Chip(const MachineConfig& cfg, const std::vector<std::string>& apps,
     const workload::Phase& ph = s.profile->phases.front();
     s.cpi_est = ph.cpi_base + ph.apki / 1000.0 * 100.0 / ph.mlp;
   }
-  interleave_batch_ =
-      cfg_.interleave_batch == 0 ? kInterleaveBatch : cfg_.interleave_batch;
   epoch_targets_.resize(static_cast<std::size_t>(cfg_.cores));
   prev_hits_.resize(static_cast<std::size_t>(cfg_.cores));
   prev_misses_.resize(static_cast<std::size_t>(cfg_.cores));
@@ -149,11 +147,10 @@ void Chip::run_one_epoch(bool measuring) {
   if (checker_ != nullptr) checker_->on_epoch(*this, epoch_);
   policy_span.stop();
 
-  // The epoch's accesses, in round-robin batches of interleave_batch_.
-  engine_->run_epoch(EpochAccess{
-      plan_, banks_, slots_, epoch_targets_, mesh_, memsys_, traffic_,
-      cfg_.llc_tag_latency + cfg_.llc_data_latency, interleave_batch_, epoch_,
-      measuring});
+  // The epoch's accesses, in round-robin batches of kInterleaveBatch.
+  engine_->run_epoch(EpochAccess{plan_, banks_, slots_, epoch_targets_, mesh_, memsys_,
+                                 traffic_, cfg_.llc_tag_latency + cfg_.llc_data_latency,
+                                 epoch_, measuring});
 
   {
     const obs::prof::ScopedSpan acct_span(obs::prof::Phase::kAccounting, epoch_);

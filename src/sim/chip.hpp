@@ -81,16 +81,16 @@ struct EpochAccess {
   noc::MemorySystem& memsys;
   noc::TrafficStats& traffic;
   Cycles llc_latency;   ///< Tag + data latency of one bank access.
-  std::uint64_t batch;  ///< Chip::interleave_batch().
   std::uint64_t epoch;
   bool measuring;       ///< Add to the measured-window statistics too.
 };
 
 /// The access step of an epoch behind one call.  Its contract is the
 /// canonical interleaving: every core issues its target in round-robin
-/// batches of `batch` accesses (core 0's first batch, core 1's, ..., then
-/// every core's second batch), and the banks, monitors, MCUs, traffic and
-/// slot statistics end up as that sequence of single accesses leaves them.
+/// batches of Chip::kInterleaveBatch accesses (core 0's first batch, core
+/// 1's, ..., then every core's second batch), and the banks, monitors, MCUs,
+/// traffic and slot statistics end up as that sequence of single accesses
+/// leaves them.
 class AccessEngine {
  public:
   virtual ~AccessEngine() = default;
@@ -122,14 +122,8 @@ class Chip {
   /// Batch size for interleaving per-core access streams within an epoch:
   /// small enough that contending cores interact at fine grain.  The
   /// access engine reproduces this exact interleaving, so the value is
-  /// part of the determinism contract — changing it changes results.  This
-  /// constant is the default; MachineConfig::interleave_batch != 0
-  /// overrides it per chip (see interleave_batch()).
+  /// part of the determinism contract — changing it changes results.
   static constexpr std::uint64_t kInterleaveBatch = 16;
-
-  /// The batch size this chip actually runs with — kInterleaveBatch unless
-  /// the config overrode it.
-  std::uint64_t interleave_batch() const { return interleave_batch_; }
 
   /// `apps` holds one profile short-name per core ("idle" => idle core).
   /// Throws std::invalid_argument for a config MachineConfig::validate()
@@ -222,7 +216,6 @@ class Chip {
   EpochPlan plan_;
   std::unique_ptr<AccessEngine> engine_;
   noc::TrafficStats traffic_;
-  std::uint64_t interleave_batch_ = kInterleaveBatch;
   std::uint64_t epoch_ = 0;
   std::uint64_t invalidated_lines_ = 0;
   std::vector<std::uint64_t> epoch_targets_;  // Scratch: accesses per core.

@@ -45,13 +45,6 @@ struct MachineConfig {
   /// therefore never appears in reports or JSON output.
   int intra_jobs = 1;
 
-  /// Per-core batch size of the interleaved issue order.  0 = the default
-  /// Chip::kInterleaveBatch (16).  Unlike the knobs above this one IS part
-  /// of the determinism contract: changing it changes the access
-  /// interleaving and therefore the results — but runs at every intra_jobs
-  /// agree byte-for-byte at any value.
-  std::uint32_t interleave_batch = 0;
-
   /// Pin each epoch's per-core access budget to the profile's nominal CPI
   /// instead of the measured cpi_est feedback loop.  This makes access
   /// streams byte-identical across schemes for the same config/mix/seed —
@@ -63,9 +56,10 @@ struct MachineConfig {
   /// Throws std::invalid_argument naming the first field out of range:
   /// the tile count must be a power of two up to 128 and match the mesh
   /// (the plan's route bytes and the cache's owner byte hold a tile id),
-  /// ways_per_bank in [1, 32], sets_log2 in [1, 20], num_mcus in
-  /// [1, cores], and `umon` must pass UmonConfig::validate().  Chip's
-  /// constructor calls it, so no simulation runs on a config that fails.
+  /// ways_per_bank in [1, 16] (the lanes of a cache set record), sets_log2
+  /// in [1, 20], num_mcus in [1, cores], and `umon` must pass
+  /// UmonConfig::validate().  Chip's constructor calls it, so no
+  /// simulation runs on a config that fails.
   void validate() const;
 
   int sets_per_bank() const { return 1 << sets_log2; }

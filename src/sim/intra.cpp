@@ -1,6 +1,7 @@
 #include "sim/intra.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <utility>
@@ -12,6 +13,11 @@ namespace {
 /// in a dense merge) apply prefetches the set: far enough to cover a set's
 /// miss latency behind the mask/latency work of the accesses in between.
 constexpr std::size_t kPrefetchDistance = 8;
+
+/// A stream index's merge round is index / Chip::kInterleaveBatch, taken
+/// as a shift.
+static_assert(std::has_single_bit(Chip::kInterleaveBatch));
+constexpr int kRoundShift = std::countr_zero(Chip::kInterleaveBatch);
 
 /// What every access of one bank's apply reads besides the kernel: the set
 /// geometry, the controller interleave, the per-MCU miss latencies and the
@@ -42,8 +48,8 @@ struct SegmentCounts {
 /// pass's per-MCU counts; returns the first position not applied.  While
 /// an access is applied, the set kPrefetchDistance positions further on
 /// (if `end` is that far) is prefetched.
-template <int kLanes, typename It, typename BlockOf, typename More>
-[[gnu::always_inline]] inline It apply_segment(mem::SetAssocCache::Kernel<kLanes>& bank,
+template <typename It, typename BlockOf, typename More>
+[[gnu::always_inline]] inline It apply_segment(mem::SetAssocCache::Kernel& bank,
                                                const BankPass& pass, It it, const It end,
                                                BlockOf block_of, More more, CoreId core,
                                                mem::WayMask mask, SegmentCounts& n) {
@@ -194,32 +200,20 @@ void IntraEngine::stage_private(const EpochAccess& io, CoreId c, BankId b,
 
   BankTally& tally = tallies_[static_cast<std::size_t>(b)];
   open_tally(io, b, tally);
-  mem::SetAssocCache& bank = io.banks[static_cast<std::size_t>(b)];
-  const mem::WayMask mask = io.plan.mask(c, b);
-  if (bank.lanes() == 16)
-    apply_private<16>(io, bank, tally, c, mask, st);
-  else
-    apply_private<simd::kMaxRankLanes>(io, bank, tally, c, mask, st);
-}
-
-template <int kLanes>
-void IntraEngine::apply_private(const EpochAccess& io, mem::SetAssocCache& cache,
-                                BankTally& tally, CoreId c, mem::WayMask mask,
-                                const CoreStage& st) {
   // The bank sees exactly this core's stream in draw order: one segment.
-  mem::SetAssocCache::Kernel<kLanes> bank(cache);
+  mem::SetAssocCache::Kernel bank(io.banks[static_cast<std::size_t>(b)]);
   const BankPass pass{io.plan.set_shift, io.plan.set_mask, io.memsys.interleave(),
                       tally.mcu_lat.data(), tally.mcu_reqs.data()};
   const BlockAddr* const begin = st.blocks.data();
   const BlockAddr* const end = begin + st.n;
-  SegmentCounts n;
+  SegmentCounts counts;
   apply_segment(
       bank, pass, begin, end, [](const BlockAddr* p) { return *p; },
-      [end](const BlockAddr* p) { return p != end; }, c, mask, n);
+      [end](const BlockAddr* p) { return p != end; }, c, io.plan.mask(c, b), counts);
   const auto ci = static_cast<std::size_t>(c);
-  tally.hits[ci] = n.hits;
-  tally.misses[ci] = n.misses;
-  tally.miss_lat[ci] = n.lat;
+  tally.hits[ci] = counts.hits;
+  tally.misses[ci] = counts.misses;
+  tally.miss_lat[ci] = counts.lat;
 }
 
 void IntraEngine::open_tally(const EpochAccess& io, BankId b, BankTally& tally) {
@@ -262,43 +256,24 @@ void IntraEngine::apply_bank(const EpochAccess& io, BankId b) {
     next = std::min(next, *it);
   }
 
-  mem::SetAssocCache& bank = io.banks[static_cast<std::size_t>(b)];
-  if (bank.lanes() == 16)
-    merge_bank<16>(io, bank, tally, next);
-  else
-    merge_bank<simd::kMaxRankLanes>(io, bank, tally, next);
-}
-
-template <int kLanes>
-void IntraEngine::merge_bank(const EpochAccess& io, mem::SetAssocCache& cache,
-                             BankTally& tally, std::uint32_t next) {
   // Everything the loops read per access is a local: the kernel's view of
   // the bank, the set geometry and the controller interleave.  The kernel
   // stores its rows through types that may alias anything, so state read
   // through a pointer would be reloaded after every access.
-  mem::SetAssocCache::Kernel<kLanes> bank(cache);
-  const BankPass pass{io.plan.set_shift, io.plan.set_mask, io.memsys.interleave(),
+  mem::SetAssocCache::Kernel bank(io.banks[static_cast<std::size_t>(b)]);
+  const BankPass pass{plan.set_shift, plan.set_mask, io.memsys.interleave(),
                       tally.mcu_lat.data(), tally.mcu_reqs.data()};
-  std::vector<Run>& runs = tally.runs;
 
   // Canonical merge: the bank sees its accesses in ascending (round, core,
-  // index) order with round = index / batch.  Each run is already
-  // ascending and runs are in core order.
+  // index) order with round = index / Chip::kInterleaveBatch.  Each run is
+  // already ascending and runs are in core order.
   std::size_t total = 0;
   std::uint32_t last = 0;
   for (const Run& r : runs) {
     total += static_cast<std::size_t>(r.end - r.it);
     last = std::max(last, r.end[-1]);
   }
-  // index / batch by multiply-high: ceil(2^64 / batch) is exact for every
-  // 32-bit index (batch 1, whose constant overflows, is the identity).
-  const std::uint64_t batch = io.batch;
-  const std::uint64_t magic = batch > 1 ? UINT64_MAX / batch + 1 : 0;
-  const auto round_of = [magic](std::uint32_t i) {
-    return magic == 0 ? i
-                      : static_cast<std::uint32_t>(
-                            (static_cast<unsigned __int128>(magic) * i) >> 64);
-  };
+  const auto round_of = [](std::uint32_t i) { return i >> kRoundShift; };
   const std::size_t rounds = runs.empty() ? 0 : std::size_t{round_of(last)} + 1;
 
   if (2 * runs.size() * rounds >= total) {
@@ -358,7 +333,7 @@ void IntraEngine::merge_bank(const EpochAccess& io, mem::SetAssocCache& cache,
   // segment's counts to the bank tally once when it leaves.
   while (next != UINT32_MAX) {
     // Stream indices below this bound belong to the round.
-    const std::uint64_t round_end = (next / batch + 1) * batch;
+    const std::uint64_t round_end = (std::uint64_t{round_of(next)} + 1) << kRoundShift;
     next = UINT32_MAX;
     for (Run& r : runs) {
       const std::uint32_t* const end = r.end;

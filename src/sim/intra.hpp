@@ -2,10 +2,10 @@
 // or more host threads, byte-identical to the canonical interleaving.
 //
 // The canonical order (AccessEngine in sim/chip.hpp) issues accesses in
-// round-robin batches of EpochAccess::batch per core.  A bank's insertion
-// and eviction decisions read only that bank's own set records plus the
-// epoch plan (scheme.hpp), which is constant
-// during the epoch, so once an epoch's streams are staged, banks apply
+// round-robin batches of Chip::kInterleaveBatch per core.  A bank's
+// insertion and eviction decisions read only that bank's own set records
+// plus the epoch plan (scheme.hpp), which is constant during the epoch, so
+// once an epoch's streams are staged, banks apply
 // independently — the bank-by-bank enforcement of DELTA's Sec. II-C.  Each
 // epoch is ONE worker-pool section (two barrier crossings; at one worker
 // the pool runs it inline and starts no threads) holding three plain
@@ -53,19 +53,18 @@
 //     Otherwise collect the contributors — cores whose run for this bank is
 //     non-empty, in ascending core order, each with its plan mask for the
 //     bank — and apply only their runs in the canonical order, ascending
-//     (round, core, index) with round = index / batch.  Sparse banks (few
-//     long runs: DELTA, private) are merged by one walk per round: each
-//     run's cursor stays in the round while its index is below
-//     (round + 1) * batch, and as a run leaves the round it reports its
+//     (round, core, index) with round = index / Chip::kInterleaveBatch.
+//     Sparse banks (few long runs: DELTA, private) are merged by one walk
+//     per round: each run's cursor stays in the round while its index is
+//     below the round's end, and as a run leaves the round it reports its
 //     next index; the lowest of those names the next round.  Dense banks
 //     (a run visit per two accesses or more: S-NUCA, LFOC, every core over
 //     every bank) first list their accesses by a stable counting sort by
 //     round, whose passes have no data-dependent branch, and then apply the
-//     list.  Either way
-//     the bank sees the exact canonical access sequence.  Every access runs
-//     the cache's one hit-or-fill kernel, mem::SetAssocCache::Kernel, at
-//     the bank's lane count (picked once per bank) and held in a local, as
-//     are the set geometry and the controller interleave: the kernel stores
+//     list.  Either way the bank sees the exact canonical access sequence.
+//     Every access runs the cache's one hit-or-fill kernel,
+//     mem::SetAssocCache::Kernel, held in a local, as are the set geometry
+//     and the controller interleave: the kernel stores
 //     through types that may alias anything, so state read through a
 //     pointer would be reloaded after every access.  The sparse walk and
 //     the private path share one inlined per-segment loop (apply_segment in
@@ -214,17 +213,9 @@ class IntraEngine final : public AccessEngine {
   /// stage_core's tail for core `c` of a private pair with bank `b`: the
   /// monitor feed, the one-run table and the whole apply of bank `b`.
   void stage_private(const EpochAccess& io, CoreId c, BankId b, CoreStage& st);
-  template <int kLanes>
-  void apply_private(const EpochAccess& io, mem::SetAssocCache& cache, BankTally& tally,
-                     CoreId c, mem::WayMask mask, const CoreStage& st);
   /// Zeroes bank `b`'s tally and builds its per-MCU miss-latency table.
   static void open_tally(const EpochAccess& io, BankId b, BankTally& tally);
   void apply_bank(const EpochAccess& io, BankId b);
-  /// apply_bank's merge over the collected runs, with the bank's kernel at
-  /// its lane count; `next` is the lowest stream index across the runs.
-  template <int kLanes>
-  void merge_bank(const EpochAccess& io, mem::SetAssocCache& cache, BankTally& tally,
-                  std::uint32_t next);
   void reduce_core(const EpochAccess& io, CoreId c);
   /// Feeds per-(core,bank) run occupancy into the profile (kFull).
   void record_buffer_occupancy();

@@ -1,7 +1,7 @@
 // Frozen copy of the serial issue loop the chip ran before the staged
 // engine (sim/intra.hpp) became its only access engine.  It is the
 // reference implementation of AccessEngine::run_epoch: round-robin batches
-// of EpochAccess::batch accesses per core, each access applied to its bank
+// of Chip::kInterleaveBatch accesses per core, each access applied to its bank
 // on the spot, per-access double additions to the slot's latency and hop
 // sums, and one MCU request_latency() call per miss.  tests/test_intra.cpp
 // installs it with sim::set_access_engine_factory() and requires the
@@ -30,7 +30,7 @@ class ReferenceEngine final : public sim::AccessEngine {
         const std::uint64_t target = io.targets[c];
         if (!s.active || s.epoch_accesses >= target) continue;
         access_batch(io, static_cast<CoreId>(c),
-                     std::min(io.batch, target - s.epoch_accesses));
+                     std::min(sim::Chip::kInterleaveBatch, target - s.epoch_accesses));
         if (s.epoch_accesses < target) work_left = true;
       }
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -53,16 +54,21 @@ TEST(Cache, LruOrderHoldsOverLongRuns) {
 }
 
 TEST(Cache, RejectsOutOfRangeGeometry) {
-  // 32 ways is the width of the validity mask and of a rank row.
-  EXPECT_THROW(SetAssocCache(1, 33), std::invalid_argument);
+  // 16 ways is the width of a set record's rows.
+  try {
+    SetAssocCache(1, 17);
+    ADD_FAILURE() << "17 ways accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[1, 16]"), std::string::npos) << e.what();
+  }
   EXPECT_THROW(SetAssocCache(1, 0), std::invalid_argument);
   EXPECT_THROW(SetAssocCache(1, -1), std::invalid_argument);
   EXPECT_THROW(SetAssocCache(0, 4), std::invalid_argument);
   EXPECT_NO_THROW(SetAssocCache(1, 1));
-  SetAssocCache wide(1, 32);
-  for (BlockAddr b = 0; b < 32; ++b) wide.access(0, b, 0, full_mask(32));
-  wide.access(0, 0, 0, full_mask(32));  // Block 1 is now the LRU line.
-  const auto res = wide.access(0, 32, 0, full_mask(32));
+  SetAssocCache wide(1, 16);
+  for (BlockAddr b = 0; b < 16; ++b) wide.access(0, b, 0, full_mask(16));
+  wide.access(0, 0, 0, full_mask(16));  // Block 1 is now the LRU line.
+  const auto res = wide.access(0, 16, 0, full_mask(16));
   EXPECT_TRUE(res.evicted);
   EXPECT_EQ(res.victim_block, 1u);
 }
@@ -199,13 +205,13 @@ TEST(Cache, InvalidateIfSweepsByOwner) {
 }
 
 // invalidate_if filters each set by its owner row (simd::match_u8) before
-// it calls the predicate.  On random banks of every record shape, with
+// it calls the predicate.  On random banks of every way count, with
 // owners at the byte edges and stale owner bytes on invalidated ways, it
 // must drop exactly the lines a brute-force sweep over every line drops.
 TEST(CacheProperty, InvalidateIfMatchesBruteForceSweep) {
   Rng rng(0x1a7u);
   for (int iter = 0; iter < 60; ++iter) {
-    const int ways = 1 + static_cast<int>(rng.below(32));
+    const int ways = 1 + static_cast<int>(rng.below(16));
     const auto sets = static_cast<std::uint32_t>(1 + rng.below(16));
     const CoreId owners[] = {0, 1, 2, 7, 253, 254};
     SetAssocCache c(sets, ways);
@@ -247,13 +253,12 @@ TEST(CacheProperty, InvalidateIfMatchesBruteForceSweep) {
 }
 
 // The validity word lives inside each set record, next to the owner bytes
-// (byte 48 of the metadata line up to 16 ways, byte 96 of the metadata
-// for 17-32).  Fill every way with the widest tag and owner values, then
-// check that every validity query and sweep sees exactly the lines it
-// should, set by set, on both record shapes and at the row edges.
+// (byte 48 of the metadata line).  Fill every way with the widest tag and
+// owner values, then check that every validity query and sweep sees
+// exactly the lines it should, set by set, from one way to the row edge.
 TEST(Cache, InRecordValidityWordAtEveryRecordShape) {
   constexpr std::uint32_t kSets = 8;
-  for (const int ways : {1, 15, 16, 17, 32}) {
+  for (const int ways : {1, 2, 15, 16}) {
     SetAssocCache c(kSets, ways);
     const WayMask all = full_mask(ways);
     // Block (set, way): the high tag byte 0xFF, distinct low words, owner

@@ -203,10 +203,10 @@ TEST(ChipConfig, RejectsMeshThatDoesNotMatchTiles) {
   expect_rejected(cfg, "mesh_width");
 }
 
-TEST(ChipConfig, RejectsWaysOutside1To32) {
+TEST(ChipConfig, RejectsWaysOutside1To16) {
   MachineConfig cfg = tiny();
-  cfg.ways_per_bank = 33;
-  expect_rejected(cfg, "ways_per_bank");
+  cfg.ways_per_bank = 17;
+  expect_rejected(cfg, "ways_per_bank = 17: must be in [1, 16]");
   cfg.ways_per_bank = 0;
   expect_rejected(cfg, "ways_per_bank");
 }

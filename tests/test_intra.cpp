@@ -102,46 +102,6 @@ TEST(Intra, ByteIdentical64Tile) {
   }
 }
 
-TEST(Intra, ByteIdenticalUnderInterleaveBatchOverride) {
-  // interleave_batch IS part of the determinism contract: a different batch
-  // interleaves the per-core streams differently and legitimately changes
-  // results — but the reference loop and the engine must agree at any
-  // given value.
-  for (const std::uint32_t batch : {1u, 5u, 32u}) {
-    sim::MachineConfig reference_cfg = quick16(1);
-    reference_cfg.interleave_batch = batch;
-    sim::MachineConfig par_cfg = quick16(4);
-    par_cfg.interleave_batch = batch;
-    EXPECT_EQ(reference_summary(reference_cfg, "w2", sim::SchemeKind::kDelta),
-              run_summary(par_cfg, "w2", sim::SchemeKind::kDelta))
-        << "interleave_batch " << batch << " diverged";
-  }
-  // The merge extremes on the 64-tile machine: under DELTA each bank has
-  // about one contributing core, under S-NUCA every core feeds every bank.
-  // Batch 1 makes every access its own merge round; 2^30 exceeds any
-  // per-core epoch target, so the whole epoch is one round.
-  for (const sim::SchemeKind kind : {sim::SchemeKind::kDelta, sim::SchemeKind::kSnuca}) {
-    for (const std::uint32_t batch : {1u, 1u << 30}) {
-      sim::MachineConfig reference_cfg = quick64(1);
-      reference_cfg.interleave_batch = batch;
-      const std::string reference = reference_summary(reference_cfg, "w13", kind);
-      for (const int jobs : {2, 4}) {
-        sim::MachineConfig par_cfg = quick64(jobs);
-        par_cfg.interleave_batch = batch;
-        EXPECT_EQ(reference, run_summary(par_cfg, "w13", kind))
-            << "64-tile " << sim::to_string(kind) << " interleave_batch " << batch
-            << " intra-jobs " << jobs << " diverged";
-      }
-    }
-  }
-  // And the override really is an override: batch 1 and the default batch
-  // are different interleavings, so their results must differ.
-  sim::MachineConfig one = quick16(1);
-  one.interleave_batch = 1;
-  EXPECT_NE(run_summary(one, "w2", sim::SchemeKind::kDelta),
-            run_summary(quick16(1), "w2", sim::SchemeKind::kDelta));
-}
-
 /// Everything an epoch's accesses leave behind, as one string: every
 /// core's statistics and monitor curve, every bank's stats and contents
 /// (a digest), the demand traffic and every MCU's request count.
@@ -196,14 +156,12 @@ std::string chip_state(sim::Chip& chip) {
       chip.traffic(), chip.memsys());
 }
 
-TEST(Intra, SideBySideWithReferenceAtEveryAccessItsOwnRound) {
+TEST(Intra, SideBySideWithReferenceOnTheDensestMerge) {
   // The densest merge there is: 64-tile S-NUCA spreads every core over
-  // every bank, and interleave_batch 1 makes each access its own round, so
-  // the fused walk hands the round over between runs on every access.
+  // every bank, so each bank merges all 64 cores' runs round by round.
   // Both chips step one epoch at a time and must agree after each.
   for (const int jobs : {1, 4}) {
-    sim::MachineConfig cfg = quick64(jobs);
-    cfg.interleave_batch = 1;
+    const sim::MachineConfig cfg = quick64(jobs);
     const workload::Mix mix = sim::mix_for_config(cfg, "w13");
     const auto reference = [&] {
       const test::ReferenceEngineScope scope;
@@ -272,8 +230,8 @@ struct HandEpoch {
       if (s.active) s.gen->set_epoch(epoch);
     }
     engine.run_epoch(sim::EpochAccess{plan, banks, slots, targets, mesh, memsys, traffic,
-                                      cfg.llc_tag_latency + cfg.llc_data_latency,
-                                      sim::Chip::kInterleaveBatch, epoch, true});
+                                      cfg.llc_tag_latency + cfg.llc_data_latency, epoch,
+                                      true});
     memsys.end_epoch(cfg.epoch_cycles);
   }
 

@@ -209,8 +209,8 @@ TEST(Sweep, SharedStreamsLiveForOneCallOnly) {
 /// Which live entry a replay drives.
 enum class Entry {
   kAccess,  ///< SetAssocCache::access, the AccessResult wrapper.
-  kKernel,  ///< SetAssocCache::Kernel at the cache's lane count, as the
-            ///< access engine's bank merge runs it.
+  kKernel,  ///< SetAssocCache::Kernel, as the access engine's bank merge
+            ///< runs it.
 };
 
 /// The live side of a replay: one demand access through `entry`.  A
@@ -219,29 +219,25 @@ enum class Entry {
 class LiveCache {
  public:
   LiveCache(std::uint32_t sets, int ways, Entry entry) : cache_(sets, ways) {
-    if (entry == Entry::kKernel && cache_.lanes() == 16) k16_.emplace(cache_);
-    if (entry == Entry::kKernel && cache_.lanes() == 32) k32_.emplace(cache_);
+    if (entry == Entry::kKernel) kernel_.emplace(cache_);
   }
   mem::AccessResult access(std::uint32_t set, BlockAddr block, CoreId owner,
                            mem::WayMask mask) {
-    if (!k16_ && !k32_) return cache_.access(set, block, owner, mask);
+    if (!kernel_) return cache_.access(set, block, owner, mask);
     mem::AccessResult res;
-    const bool hit = k16_ ? k16_->access(set, block, owner, mask, &res)
-                          : k32_->access(set, block, owner, mask, &res);
+    const bool hit = kernel_->access(set, block, owner, mask, &res);
     EXPECT_EQ(hit, res.hit);
     return res;
   }
   mem::SetAssocCache& cache() { return cache_; }
   const mem::CacheStats& finish() {
-    k16_.reset();
-    k32_.reset();
+    kernel_.reset();
     return cache_.stats();
   }
 
  private:
   mem::SetAssocCache cache_;
-  std::optional<mem::SetAssocCache::Kernel<16>> k16_;
-  std::optional<mem::SetAssocCache::Kernel<32>> k32_;
+  std::optional<mem::SetAssocCache::Kernel> kernel_;
 };
 
 /// Replays a randomized trace against both engines, asserting identical
@@ -304,19 +300,15 @@ TEST(CacheEquivalence, HitHeavyFullMask) { replay_and_compare(1, 6, false); }
 TEST(CacheEquivalence, ThrashingFullMask) { replay_and_compare(2, 16, false); }
 TEST(CacheEquivalence, MaskedVictims) { replay_and_compare(3, 12, true); }
 TEST(CacheEquivalence, MaskedHitHeavy) { replay_and_compare(4, 5, true); }
-// The LLC bank geometry, and the full 32-lane rank row (both 16-lane halves).
+// The LLC bank geometry: the full 16-lane rank row.
 TEST(CacheEquivalence, BankWaysFullMask) { replay_and_compare(5, 24, false, 16); }
 TEST(CacheEquivalence, BankWaysMaskedVictims) {
   replay_and_compare(6, 24, true, 16);
 }
-TEST(CacheEquivalence, WidestFullMask) { replay_and_compare(7, 48, false, 32); }
-TEST(CacheEquivalence, WidestMaskedVictims) {
-  replay_and_compare(8, 48, true, 32);
-}
-// 40-bit tags and one-byte owners at both record strides (128 B up to 16
-// ways, 256 B beyond): 1, 8 and 16 ways fill one tag line, 17 and 32 two.
-TEST(CacheEquivalence, FortyBitTagsAndHighOwnersAtEveryStride) {
-  for (const int ways : {1, 8, 16, 17, 32}) {
+// 40-bit tags and one-byte owners in the 128-byte record, from one way to
+// the full tag line.
+TEST(CacheEquivalence, FortyBitTagsAndHighOwnersAtEveryWidth) {
+  for (const int ways : {1, 8, 15, 16}) {
     for (const bool masked : {false, true}) {
       SCOPED_TRACE(testing::Message() << ways << " ways, masked " << masked);
       replay_and_compare(100 + static_cast<std::uint64_t>(ways), ways / 2 + 1, masked, ways,
@@ -325,12 +317,11 @@ TEST(CacheEquivalence, FortyBitTagsAndHighOwnersAtEveryStride) {
   }
 }
 
-// The engine's kernel at every way count: 1-16 run the 16-lane
-// instantiation, 17-32 the 32-lane one.  Full masks, random masks (empty
-// ones included) and 40-bit tags with one-byte owners, each against the
-// oracle.
+// The engine's kernel at every way count a record holds.  Full masks,
+// random masks (empty ones included) and 40-bit tags with one-byte owners,
+// each against the oracle.
 TEST(CacheEquivalence, KernelAtEveryWayCount) {
-  for (int ways = 1; ways <= 32; ++ways) {
+  for (int ways = 1; ways <= 16; ++ways) {
     for (const bool masked : {false, true}) {
       for (const bool wide : {false, true}) {
         SCOPED_TRACE(testing::Message() << ways << " ways, masked " << masked << ", wide "
@@ -355,7 +346,7 @@ std::vector<std::tuple<std::uint32_t, int, BlockAddr, CoreId>> lines_of(
 // An empty mask counts a miss and changes nothing else: no fill and no
 // promote, so the LRU line of a full set is still the next victim.
 TEST(CacheEquivalence, KernelEmptyMaskCountsAMissOnly) {
-  for (const int ways : {4, 16, 24, 32}) {
+  for (const int ways : {4, 15, 16}) {
     SCOPED_TRACE(testing::Message() << ways << " ways");
     LiveCache live(2, ways, Entry::kKernel);
     const mem::WayMask all = mem::full_mask(ways);
@@ -381,7 +372,7 @@ TEST(CacheEquivalence, KernelEmptyMaskCountsAMissOnly) {
 // kernel changes anything: lines, ranks (the next victim) and counts.
 TEST(CacheEquivalence, KernelRejectsUnfitBlocksAndOwnersBeforeAnyChange) {
   const BlockAddr limit = BlockAddr{1} << 40;
-  for (const int ways : {1, 16, 17, 32}) {
+  for (const int ways : {1, 15, 16}) {
     SCOPED_TRACE(testing::Message() << ways << " ways");
     const mem::WayMask all = mem::full_mask(ways);
     LiveCache warm(2, ways, Entry::kKernel);
@@ -407,12 +398,6 @@ TEST(CacheEquivalence, KernelRejectsUnfitBlocksAndOwnersBeforeAnyChange) {
     EXPECT_EQ(stats.misses, counts.misses + 1);
     EXPECT_EQ(stats.evictions, counts.evictions + 1);
   }
-}
-
-TEST(CacheEquivalence, KernelAtTheWrongLaneCountThrows) {
-  mem::SetAssocCache narrow(2, 16), wide(2, 17);
-  EXPECT_THROW(mem::SetAssocCache::Kernel<32>{narrow}, std::logic_error);
-  EXPECT_THROW(mem::SetAssocCache::Kernel<16>{wide}, std::logic_error);
 }
 
 }  // namespace

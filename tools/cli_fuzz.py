@@ -35,7 +35,7 @@ PROGRAMS = {
         "base": ["--mix", "w2", "--scheme", "snuca", "--warmup", "0", "--epochs", "1"],
         "flags": {
             "epochs": ("int", ["1"]), "warmup": ("int", ["0"]),
-            "cores": ("int", ["16"]), "interleave-batch": ("int", ["0", "16"]),
+            "cores": ("int", ["16"]),
             "central-ms": ("ms", ["1"]), "seed": ("u64", ["1", "0x10"]),
             "jobs": ("threads", None), "intra-jobs": ("threads", None),
             "mix": ("text", ["w2"]), "scheme": ("text", ["snuca"]),
@@ -55,7 +55,7 @@ PROGRAMS = {
             "out-dir": ("path", None), "prof-out": ("path", None),
             "metrics-out": ("path", None),
         },
-        "switches": ["no-invariants", "no-lockstep"],
+        "switches": ["no-differential", "no-determinism"],
     },
     "repro": {
         "path": "bench/repro",
@@ -123,7 +123,7 @@ def draw_case(rng, name):
     numeric = [f for f in valued if flags[f][0] != "text"]
     # delta_sim's corpus leans on the flags that size a run.
     if name == "delta_sim" and rng.random() < 0.5:
-        numeric = ["epochs", "warmup", "cores", "central-ms", "interleave-batch"]
+        numeric = ["epochs", "warmup", "cores", "central-ms"]
     fault = rng.choice(["unknown", "repeated", "missing", "number", "empty-path"])
 
     def drop(flag):

@@ -38,11 +38,8 @@ Options:
                       are decimal or 0x-prefixed hexadecimal.
   --sweep-interval N  Residency-sweep cadence in epochs (default 4, 0 = off).
   --out-dir DIR       Write summary JSON + per-failure reports into DIR.
-  --no-invariants     Skip the per-epoch invariant checker.
   --no-differential   Skip the cross-scheme oracle.
   --no-determinism    Skip the 1-vs-N-thread byte-identity check.
-  --no-lockstep       Use the measured-CPI feedback loop (disables the
-                      cross-scheme access-equality assertion).
   --prof-out F        Engine self-profiling flamegraph (Chrome trace JSON).
   --metrics-out F     Metrics dump (JSON).
   --help              This text.
@@ -91,10 +88,9 @@ void write_artifacts(const std::string& dir,
 int run_cli(int argc, char** argv) {
   delta::ArgParser args(argc, argv);
   const std::vector<std::string> known = {
-      "seeds",          "seed-base",      "threads",       "intra-jobs",
-      "repro",          "sweep-interval", "out-dir",       "no-invariants",
-      "no-differential","no-determinism", "no-lockstep",   "prof-out",
-      "metrics-out",    "help"};
+      "seeds",          "seed-base",      "threads",         "intra-jobs",
+      "repro",          "sweep-interval", "out-dir",         "no-differential",
+      "no-determinism", "prof-out",       "metrics-out",     "help"};
   if (const auto unknown = args.unknown_flags(known); !unknown.empty())
     throw std::invalid_argument("unknown flag: --" + unknown.front() + " (try --help)");
   if (!args.positional().empty())
@@ -113,9 +109,7 @@ int run_cli(int argc, char** argv) {
   opt.threads = static_cast<unsigned>(args.get_int_at_least("threads", 1, 0));
   opt.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
   opt.sweep_interval = args.get_int_at_least("sweep-interval", 4, 0);
-  opt.lockstep = !args.has_switch("no-lockstep");
-  opt.check_invariants = !args.has_switch("no-invariants");
-  opt.differential = !args.has_switch("no-differential") && opt.lockstep;
+  opt.differential = !args.has_switch("no-differential");
   const std::uint64_t repro_seed = args.get_u64("repro", 0);
   const std::string out_dir = args.get("out-dir");
   if (args.has("out-dir") && out_dir.empty())

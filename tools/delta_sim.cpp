@@ -88,7 +88,7 @@ int run_cli(int argc, char** argv) {
       "mix",        "apps",         "scheme",   "cores",       "epochs",
       "warmup",     "seed",         "csv",      "list",        "central-ms",
       "trace-out",  "timeline-csv", "json",     "jobs",        "intra-jobs",
-      "prof-out",   "metrics-out",  "help",     "interleave-batch",
+      "prof-out",   "metrics-out",  "help",
   };
   if (const std::vector<std::string> unknown = args.unknown_flags(known);
       !unknown.empty())
@@ -110,10 +110,6 @@ int run_cli(int argc, char** argv) {
                  "simulation; 0 = auto;\n"
                  "                                     byte-identical results "
                  "at any value)\n"
-                 "                 [--interleave-batch N]   (accesses per core "
-                 "per round; 0 = default 16;\n"
-                 "                                           changes results, "
-                 "the same at every --intra-jobs)\n"
                  "                 [--prof-out prof.json]   (engine "
                  "self-profiling flamegraph, Chrome trace format)\n"
                  "                 [--metrics-out m.json]   (metrics dump, "
@@ -139,10 +135,6 @@ int run_cli(int argc, char** argv) {
   // Intra-run engine threads (sim/intra.hpp): results are byte-identical at
   // any value, so this is safe to combine with every other flag.
   cfg.intra_jobs = args.get_int_at_least("intra-jobs", 1, 0);
-  // Part of the determinism contract: changing the batch changes results,
-  // but every --intra-jobs value agrees at any given batch.
-  cfg.interleave_batch =
-      static_cast<std::uint32_t>(args.get_int_at_least("interleave-batch", 0, 0));
 
   workload::Mix mix;
   if (args.has("apps")) {

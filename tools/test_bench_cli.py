@@ -102,6 +102,17 @@ class BenchCliTest(unittest.TestCase):
                          ["repro: 0 runs requested, 0 distinct",
                           "repro: cannot write stdout: No space left on device"])
 
+    @unittest.skipUnless(os.path.exists("/dev/full"), "needs /dev/full")
+    def test_failed_metrics_write_is_an_error(self):
+        # A --metrics-out file that cannot be written fails the run like a
+        # failed stdout write, with the report itself still printed.
+        r = run_bench("repro", "--fig", "table5", "--metrics-out", "/dev/full")
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertEqual(r.stderr.splitlines(),
+                         ["repro: 0 runs requested, 0 distinct",
+                          "writing /dev/full: No space left on device"])
+        self.assertIn("Table V", r.stdout)
+
     def test_repro_ablation_entries_share_their_baseline(self):
         # 24 ablation runs (one S-NUCA baseline + 23 knob points, five of
         # them the default DELTA run) and cbt's 3 (S-NUCA and DELTA on the
