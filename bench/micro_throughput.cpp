@@ -10,9 +10,10 @@
 //     each side one non-inlined pass with alternating reps.
 //   * intra — one 64-tile w13 delta run at --intra-jobs 1/2/4/8: the
 //     scaling curve of the stage/apply/reduce engine, printed but not
-//     gated (perfbench is the end-to-end and scaling benchmark).  The
-//     results must be byte-identical at every width, or the harness
-//     exits 2.
+//     gated (perfbench is the end-to-end and scaling benchmark), with each
+//     point's worker imbalance from one more run with the profiler armed
+//     after the unprofiled timed reps.  The results must be byte-identical
+//     at every width, or the harness exits 2.
 //
 // Both sides of each ratio run in one process on the same data, so the
 // ratio transfers across hosts.  Each ratio must reach its floor below; a
@@ -31,6 +32,7 @@
 #include "common/simd.hpp"
 #include "legacy_cache.hpp"
 #include "mem/cache.hpp"
+#include "obs/prof/prof.hpp"
 #include "sim/report.hpp"
 
 namespace {
@@ -57,6 +59,27 @@ constexpr double kFindU32Floor = 5.07;  // 0.6 x 8.45
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Mean per-epoch worker imbalance (busiest worker's busy time over the
+/// workers' mean, 1.00 = even) of one DELTA run of `mix` with the profiler
+/// armed; 0 when no epoch recorded one.  The profiling level and what was
+/// recorded before are kept, so a --metrics-out dump still covers the run.
+double profiled_imbalance(const sim::MachineConfig& cfg, const workload::Mix& mix) {
+  namespace prof = obs::prof;
+  const auto imbalance = [] {
+    return prof::Profiler::instance().snapshot().engine[prof::Hist::kEpochImbalanceMilli];
+  };
+  const LogHistogram before = imbalance();
+  const prof::ProfLevel level = prof::level();
+  prof::set_level(prof::ProfLevel::kFull);
+  sim::run_mix(cfg, mix, sim::SchemeKind::kDelta);
+  prof::set_level(level);
+  const LogHistogram after = imbalance();
+  const std::uint64_t epochs = after.total() - before.total();
+  return epochs > 0 ? static_cast<double>(after.sum() - before.sum()) / 1000.0 /
+                          static_cast<double>(epochs)
+                    : 0.0;
 }
 
 /// Pre-generated access stream shared by both cache implementations so
@@ -325,8 +348,8 @@ int main(int argc, char** argv) {
     }
     intra_identical &= summary == one_worker_summary;
     std::printf("intra (64-tile delta): --intra-jobs %d  %.2fs  speedup over 1 worker "
-                "%.2fx\n",
-                ij, best, one_worker_s / best);
+                "%.2fx  worker imbalance %.2f\n",
+                ij, best, one_worker_s / best, profiled_imbalance(c, intra_mix));
   }
   std::printf("intra results %s\n", intra_identical ? "identical" : "DIVERGENT");
   return cli.finish(!intra_identical ? 2 : floors_ok ? 0 : 3);

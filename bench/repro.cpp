@@ -1,7 +1,7 @@
 // Reproduction driver: the paper's figures and tables (Sec. IV, Figs. 5-13,
-// Tables V-VI, Sec. IV-E2), the six-scheme literature shootout, the
-// irregular-mix extension, the DELTA-knob and CBT ablations and the
-// under-utilised-chip extension, all from one table of entries.
+// Tables V-VI, Sec. IV-E2), the six-scheme literature shootout over the
+// Table IV and irregular-access mixes, the DELTA-knob and CBT ablations and
+// the under-utilised-chip extension, all from one table of entries.
 //
 // Each entry declares the simulations it needs as sim::SweepJobs.  The
 // driver pools the jobs of the requested entries, drops duplicates by value
@@ -11,19 +11,13 @@
 // its own results in declaration order.  Work that is not a mix run (12,
 // table5, table6, cbt's footprint spread) computes inside its renderer.
 //
-// Usage: repro [--fig ID[,ID...]] [--quick] [--jobs N] [--prof-*]
+// Usage: repro [--fig ID[,ID...]] [--jobs N] [--prof-*]
 //   --fig    entries to render, always in table order: 5..13, table5,
-//            table6, msg, shootout, irregular, ablation, cbt,
-//            underutilized (default: all of them).
-//   --quick  narrows the mix lists and nothing else: the first six Table IV
-//            mixes instead of all 15 and wi1 alone of the irregular mixes.
-//            Every run keeps its full epochs, so entries on named mixes (7,
-//            8, 10-13, msg, ablation, cbt, underutilized) and the entries
-//            with no mix runs print the same report as the full protocol.
-//            tests/golden/repro-quick.txt holds this report, less its host
-//            timings (tools/repro_golden.py).
-// The report goes to stdout; redirect it to keep it.  One stderr line,
-// `repro: N runs requested, M distinct`, reports the reuse.
+//            table6, msg, shootout, ablation, cbt, underutilized (default:
+//            all of them).
+// The report goes to stdout; redirect it to keep it.  tests/golden/repro.txt
+// holds the full report, less its host timings (tools/repro_golden.py).  One
+// stderr line, `repro: N runs requested, M distinct`, reports the reuse.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -60,27 +54,12 @@ enum PaperScheme : std::size_t { kSnuca, kPrivate, kIdeal, kDelta };
 
 constexpr std::array<sim::SchemeKind, 1> kDeltaOnly = {sim::SchemeKind::kDelta};
 
-/// The mix lists, which --quick narrows; every entry reads them here.
-struct Protocol {
-  bool quick = false;
-
-  /// Table IV mix names in order; the first six when quick.
-  std::vector<std::string> table4() const { return names(workload::table4_mixes(), 6); }
-
-  /// The irregular-access mixes wi1..wi3; wi1 alone when quick.
-  std::vector<std::string> irregular() const {
-    return names(workload::irregular_mixes(), 1);
-  }
-
- private:
-  std::vector<std::string> names(const std::vector<workload::Mix>& mixes,
-                                 std::size_t quick_count) const {
-    std::vector<std::string> out;
-    for (const workload::Mix& m : mixes) out.push_back(m.name);
-    if (quick) out.resize(std::min(out.size(), quick_count));
-    return out;
-  }
-};
+/// Table IV mix names in order.
+std::vector<std::string> table4() {
+  std::vector<std::string> out;
+  for (const workload::Mix& m : workload::table4_mixes()) out.push_back(m.name);
+  return out;
+}
 
 /// One job per (mix, scheme), mix-major like sim::run_schemes: result
 /// [m * kinds.size() + k] is names[m] under kinds[k].
@@ -108,7 +87,7 @@ void speedup_summary(std::string& out, const char* label, const std::vector<doub
           (max - 1.0) * 100.0);
 }
 
-std::vector<sim::SweepJob> no_jobs(const Protocol&) { return {}; }
+std::vector<sim::SweepJob> no_jobs() { return {}; }
 
 // --- Fig. 5 / Fig. 9: the mixes on 16 / 64 cores vs S-NUCA ----------------
 //
@@ -116,21 +95,21 @@ std::vector<sim::SweepJob> no_jobs(const Protocol&) { return {}; }
 // +22%), private +3%.  64 cores DELTA +16% (max +28%), ideal +17% (max
 // +35%); the gap narrows and DELTA matches or beats ideal on several mixes.
 
-std::vector<sim::SweepJob> mixes16(const Protocol& p) {
-  return scheme_jobs(sim::config16(), p.table4(), sim::kPaperSchemeKinds);
+std::vector<sim::SweepJob> mixes16() {
+  return scheme_jobs(sim::config16(), table4(), sim::kPaperSchemeKinds);
 }
 
-std::vector<sim::SweepJob> mixes64(const Protocol& p) {
-  return scheme_jobs(sim::config64(), p.table4(), sim::kPaperSchemeKinds);
+std::vector<sim::SweepJob> mixes64() {
+  return scheme_jobs(sim::config64(), table4(), sim::kPaperSchemeKinds);
 }
 
 /// The speedup table and summaries of Figs. 5 and 9; returns the number of
 /// mixes where DELTA is on par with or better than ideal.
-int speedup_table(std::string& out, const Protocol& p, const Results& r) {
+int speedup_table(std::string& out, const Results& r) {
   TextTable table({"mix", "private", "ideal", "delta"});
   std::vector<double> sp_priv, sp_ideal, sp_delta;
   int delta_wins = 0;
-  const std::vector<std::string> names = p.table4();
+  const std::vector<std::string> names = table4();
   for (std::size_t m = 0; m < names.size(); ++m) {
     const Row c = row(r, m, sim::kPaperSchemeKinds.size());
     const double pr = sim::speedup(c[kPrivate], c[kSnuca]);
@@ -150,18 +129,18 @@ int speedup_table(std::string& out, const Protocol& p, const Results& r) {
   return delta_wins;
 }
 
-std::string fig05(const Protocol& p, const Results& r, unsigned) {
+std::string fig05(const Results& r, unsigned) {
   std::string out =
       bench::header("Fig. 5 — 16-core multi-programmed mixes", "Sec. IV-A, Fig. 5");
-  (void)speedup_table(out, p, r);
+  (void)speedup_table(out, r);
   appendf(out, "\npaper: private +3%% | ideal +12%% (max +22%%) | delta +9%% (max +16%%)\n");
   return out;
 }
 
-std::string fig09(const Protocol& p, const Results& r, unsigned) {
+std::string fig09(const Results& r, unsigned) {
   std::string out =
       bench::header("Fig. 9 — 64-core multi-programmed mixes", "Sec. IV-B, Fig. 9");
-  const int delta_wins = speedup_table(out, p, r);
+  const int delta_wins = speedup_table(out, r);
   appendf(out, "mixes where DELTA is on par/better than ideal: %d (paper: 7)\n", delta_wins);
   appendf(out, "\npaper: delta +16%% (max +28%%) | ideal +17%% (max +35%%)\n");
   return out;
@@ -172,12 +151,12 @@ std::string fig09(const Protocol& p, const Results& r, unsigned) {
 // Paper: DELTA trails the ideal scheme by ~2% in ANTT and ~5% in STP on
 // average (lower ANTT = fairer, higher STP = more throughput).
 
-std::string fig06(const Protocol& p, const Results& r, unsigned) {
+std::string fig06(const Results& r, unsigned) {
   std::string out = bench::header(
       "Fig. 6 — ANTT / STP, ideal centralized vs DELTA (16 cores)", "Sec. IV-A, Fig. 6");
   TextTable table({"mix", "antt(ideal)", "antt(delta)", "stp(ideal)", "stp(delta)"});
   std::vector<double> antt_ratio, stp_ratio;
-  const std::vector<std::string> names = p.table4();
+  const std::vector<std::string> names = table4();
   for (std::size_t m = 0; m < names.size(); ++m) {
     const Row c = row(r, m, sim::kPaperSchemeKinds.size());
     const double ai = sim::antt(c[kIdeal], c[kPrivate]);
@@ -204,15 +183,15 @@ std::string fig06(const Protocol& p, const Results& r, unsigned) {
 // (+12%/+36%).  w3 (thrashing + low-sensitive): applications mostly do as
 // well as or better than under the centralized scheme.
 
-std::vector<sim::SweepJob> w2_16(const Protocol&) {
+std::vector<sim::SweepJob> w2_16() {
   return scheme_jobs(sim::config16(), {"w2"}, sim::kPaperSchemeKinds);
 }
 
-std::vector<sim::SweepJob> w3_16(const Protocol&) {
+std::vector<sim::SweepJob> w3_16() {
   return scheme_jobs(sim::config16(), {"w3"}, sim::kPaperSchemeKinds);
 }
 
-std::string fig07(const Protocol&, const Results& c, unsigned) {
+std::string fig07(const Results& c, unsigned) {
   std::string out = bench::header("Fig. 7 — per-application performance, w2, 16 cores",
                                   "Sec. IV-A, Fig. 7");
   TextTable table({"core", "app", "ideal/delta", "private/delta", "ways(ideal)", "ways(delta)"});
@@ -229,7 +208,7 @@ std::string fig07(const Protocol&, const Results& c, unsigned) {
   return out;
 }
 
-std::string fig08(const Protocol&, const Results& c, unsigned) {
+std::string fig08(const Results& c, unsigned) {
   std::string out = bench::header("Fig. 8 — per-application performance, w3, 16 cores",
                                   "Sec. IV-A, Fig. 8");
   TextTable table({"core", "app", "ideal/delta", "private/delta"});
@@ -255,15 +234,15 @@ std::string fig08(const Protocol&, const Results& c, unsigned) {
 // loops fit the 768-way cap) and starves the rest; DELTA never chases those
 // far cliffs and beats ideal overall.
 
-std::vector<sim::SweepJob> w2_64(const Protocol&) {
+std::vector<sim::SweepJob> w2_64() {
   return scheme_jobs(sim::config64(), {"w2"}, sim::kPaperSchemeKinds);
 }
 
-std::vector<sim::SweepJob> w13_64(const Protocol&) {
+std::vector<sim::SweepJob> w13_64() {
   return scheme_jobs(sim::config64(), {"w13"}, sim::kPaperSchemeKinds);
 }
 
-std::string fig10(const Protocol&, const Results& c, unsigned) {
+std::string fig10(const Results& c, unsigned) {
   std::string out = bench::header("Fig. 10 — per-application performance, w2, 64 cores",
                                   "Sec. IV-B, Fig. 10");
   TextTable table({"slot", "app", "ideal/delta", "private/delta"});
@@ -282,7 +261,7 @@ std::string fig10(const Protocol&, const Results& c, unsigned) {
   return out;
 }
 
-std::string fig11(const Protocol&, const Results& c, unsigned) {
+std::string fig11(const Results& c, unsigned) {
   std::string out = bench::header("Fig. 11 — per-application performance, w13, 64 cores",
                                   "Sec. IV-B, Fig. 11");
   TextTable table({"slot", "app", "ideal/delta", "ways(ideal)", "ways(delta)"});
@@ -313,7 +292,7 @@ std::string fig11(const Protocol&, const Results& c, unsigned) {
 // gains ~6% over S-NUCA, lu.ncont (~all-shared) matches S-NUCA while the
 // private configuration loses ~10%.
 
-std::string fig12(const Protocol&, const Results&, unsigned jobs) {
+std::string fig12(const Results&, unsigned jobs) {
   std::string out = bench::header("Fig. 12 — SPLASH2 on 16 cores (piecewise estimate)",
                                   "Sec. IV-C, Fig. 12");
   TextTable table({"app", "priv-pages%", "delta/snuca", "private/snuca"});
@@ -345,7 +324,7 @@ std::string fig12(const Protocol&, const Results&, unsigned jobs) {
 
 const std::vector<std::string> kFig13Mixes = {"w1", "w2", "w3", "w4", "w5"};
 
-std::vector<sim::SweepJob> fig13_jobs(const Protocol&) {
+std::vector<sim::SweepJob> fig13_jobs() {
   sim::MachineConfig cfg = sim::config16();
   // Long enough that several application phases elapse (gcc/mcf/omnetpp
   // switch every 150-200 epochs = 15-20 ms).
@@ -364,7 +343,7 @@ std::vector<sim::SweepJob> fig13_jobs(const Protocol&) {
   return jobs;
 }
 
-std::string fig13(const Protocol&, const Results& r, unsigned) {
+std::string fig13(const Results& r, unsigned) {
   std::string out = bench::header("Fig. 13 — reconfiguration frequency (ideal centralized)",
                                   "Sec. IV-D, Fig. 13");
   TextTable table({"mix", "1ms", "100ms", "1ms/100ms"});
@@ -392,7 +371,7 @@ std::string fig13(const Protocol&, const Results& r, unsigned) {
 // row of Table V is partially unreadable in our source text and was
 // gap-filled (see DESIGN.md).
 
-std::string table5(const Protocol&, const Results&, unsigned jobs) {
+std::string table5(const Results&, unsigned jobs) {
   std::string out = bench::header("Table V — private pages/blocks per SPLASH2 app",
                                   "Sec. IV-C, Table V");
   TextTable table(
@@ -450,7 +429,7 @@ alloc::AllocRequest make_request(int cores, Rng& rng) {
   return req;
 }
 
-std::string table6(const Protocol&, const Results&, unsigned) {
+std::string table6(const Results&, unsigned) {
   std::string out = bench::header("Table VI — allocation-algorithm overhead per invocation",
                                   "Sec. IV-E1, Table VI");
   Rng rng(2024);
@@ -504,11 +483,11 @@ std::string table6(const Protocol&, const Results&, unsigned) {
 
 const std::vector<std::string> kMsgMixes = {"w2", "w6", "w12"};
 
-std::vector<sim::SweepJob> msg_jobs(const Protocol&) {
+std::vector<sim::SweepJob> msg_jobs() {
   return scheme_jobs(sim::config16(), kMsgMixes, kDeltaOnly);
 }
 
-std::string msg(const Protocol&, const Results& r, unsigned) {
+std::string msg(const Results& r, unsigned) {
   std::string out = bench::header("Message overheads — DELTA control traffic vs demand",
                                   "Sec. IV-E2");
   const double inter_epochs = sim::config16().delta.inter_interval_epochs;
@@ -541,28 +520,27 @@ std::string msg(const Protocol&, const Results& r, unsigned) {
 // fairness-clustering (LFOC) allocator families under identical workloads —
 // throughput (speedup vs S-NUCA), fairness (ANTT) and throughput-sum (STP)
 // vs the private baseline, and the control-plane traffic each scheme pays.
-// The irregular-access mixes run too: their flat miss curves are exactly
-// where the allocator families disagree the most.
+// The irregular-access mixes wi1..wi3 run too: gather/scatter (spmv),
+// hash-join and graph-traversal kernels whose flat miss curves probe the
+// failure mode DELTA's gain threshold exists for (capacity buys them
+// nothing, so a good allocator starves them) and where the allocator
+// families disagree the most.
 
-std::vector<std::string> shootout_mixes(const Protocol& p) {
-  std::vector<std::string> names = p.table4();
-  const std::vector<std::string> irregular = p.irregular();
-  names.insert(names.end(), irregular.begin(), irregular.end());
+/// The Table IV mixes, then the irregular-access ones.
+std::vector<std::string> shootout_mixes() {
+  std::vector<std::string> names = table4();
+  for (const workload::Mix& m : workload::irregular_mixes()) names.push_back(m.name);
   return names;
 }
 
-/// Six-scheme jobs on `names` at 16 tiles, then at 64 tiles.
-std::vector<sim::SweepJob> six_schemes_both_sizes(const std::vector<std::string>& names) {
-  std::vector<sim::SweepJob> jobs =
-      scheme_jobs(sim::config16(), names, sim::kAllSchemeKinds);
+/// Six-scheme jobs on every shootout mix at 16 tiles, then at 64 tiles.
+std::vector<sim::SweepJob> shootout_jobs() {
+  const std::vector<std::string> names = shootout_mixes();
+  std::vector<sim::SweepJob> jobs = scheme_jobs(sim::config16(), names, sim::kAllSchemeKinds);
   const std::vector<sim::SweepJob> big =
       scheme_jobs(sim::config64(), names, sim::kAllSchemeKinds);
   jobs.insert(jobs.end(), big.begin(), big.end());
   return jobs;
-}
-
-std::vector<sim::SweepJob> shootout_jobs(const Protocol& p) {
-  return six_schemes_both_sizes(shootout_mixes(p));
 }
 
 struct SchemeAgg {
@@ -577,12 +555,16 @@ struct SchemeAgg {
 void shootout_at(std::string& out, const char* title, const std::vector<std::string>& names,
                  Row r) {
   const std::size_t kinds = sim::kAllSchemeKinds.size();
-  // Per-mix table: speedup over unpartitioned S-NUCA (snuca == 1.000).
+  // Per-mix tables: speedup over unpartitioned S-NUCA (snuca == 1.000), and
+  // the three allocator families' ANTT/STP vs private.
   TextTable table({"mix", "private", "ideal", "delta", "carma", "lfoc"});
+  TextTable fair(
+      {"mix", "delta antt", "delta stp", "carma antt", "carma stp", "lfoc antt", "lfoc stp"});
   std::vector<SchemeAgg> agg(kinds);
   for (std::size_t m = 0; m < names.size(); ++m) {
     const Row c = r.subspan(m * kinds, kinds);
     std::vector<std::string> cells = {names[m]};
+    std::vector<std::string> fcells = {names[m]};
     for (std::size_t k = 0; k < kinds; ++k) {
       agg[k].speedups.push_back(sim::speedup(c[k], c[0]));
       agg[k].antts.push_back(sim::antt(c[k], c[1]));
@@ -590,11 +572,18 @@ void shootout_at(std::string& out, const char* title, const std::vector<std::str
       agg[k].control += c[k].control.total();
       agg[k].demand += c[k].traffic.demand_messages();
       if (k > 0) cells.push_back(fmt(agg[k].speedups.back(), 3));
+      if (k >= kDelta) {  // delta, carma, lfoc
+        fcells.push_back(fmt(agg[k].antts.back(), 3));
+        fcells.push_back(fmt(agg[k].stps.back(), 2));
+      }
     }
     table.add_row(cells);
+    fair.add_row(fcells);
   }
-  appendf(out, "\n== %s ==\nSpeedup over unpartitioned S-NUCA (1.000 = parity):\n%s", title,
-          table.str().c_str());
+  appendf(out,
+          "\n== %s ==\nSpeedup over unpartitioned S-NUCA (1.000 = parity):\n%s"
+          "\nFairness/throughput vs private (ANTT lower / STP higher is better):\n%s",
+          title, table.str().c_str(), fair.str().c_str());
 
   // Per-scheme summary: geomean throughput, fairness, control overhead.
   TextTable sum({"scheme", "speedup", "antt", "stp", "ctl msgs", "ctl/demand"});
@@ -613,61 +602,13 @@ void shootout_at(std::string& out, const char* title, const std::vector<std::str
           sum.str().c_str());
 }
 
-std::string shootout(const Protocol& p, const Results& r, unsigned) {
+std::string shootout(const Results& r, unsigned) {
   std::string out = bench::header("Scheme shootout — DELTA vs CARMA vs LFOC (+3 baselines)",
                                   "literature comparison (docs/schemes.md)");
-  const std::vector<std::string> names = shootout_mixes(p);
+  const std::vector<std::string> names = shootout_mixes();
   const std::size_t half = names.size() * sim::kAllSchemeKinds.size();
   shootout_at(out, "16 tiles", names, Row(r).first(half));
   shootout_at(out, "64 tiles", names, Row(r).subspan(half));
-  out += "\n";
-  return out;
-}
-
-// --- Irregular-access mixes: six schemes on flat miss curves --------------
-//
-// Not a paper figure: gather/scatter (spmv), hash-join build/probe and
-// graph-traversal kernels probe the failure mode DELTA's gain threshold
-// exists for — capacity buys these kernels nothing, so a good allocator
-// starves them and keeps the ways for the cache-sensitive co-runners.
-
-std::vector<sim::SweepJob> irregular_jobs(const Protocol& p) {
-  return six_schemes_both_sizes(p.irregular());
-}
-
-/// One machine size of the irregular report; `r` holds its names.size() rows.
-void irregular_at(std::string& out, const char* title, const std::vector<std::string>& names,
-                  Row r) {
-  const std::size_t kinds = sim::kAllSchemeKinds.size();
-  TextTable table({"mix", "private", "ideal", "delta", "carma", "lfoc"});
-  TextTable fair(
-      {"mix", "delta antt", "delta stp", "carma antt", "carma stp", "lfoc antt", "lfoc stp"});
-  for (std::size_t m = 0; m < names.size(); ++m) {
-    const Row c = r.subspan(m * kinds, kinds);
-    std::vector<std::string> cells = {names[m]};
-    for (std::size_t k = 1; k < kinds; ++k) cells.push_back(fmt(sim::speedup(c[k], c[0]), 3));
-    table.add_row(cells);
-    std::vector<std::string> fcells = {names[m]};
-    for (std::size_t k = kDelta; k < kinds; ++k) {  // delta, carma, lfoc
-      fcells.push_back(fmt(sim::antt(c[k], c[1]), 3));
-      fcells.push_back(fmt(sim::stp(c[k], c[1]), 2));
-    }
-    fair.add_row(fcells);
-  }
-  appendf(out,
-          "\n== %s ==\nSpeedup over unpartitioned S-NUCA (1.000 = parity):\n%s"
-          "\nFairness/throughput vs private (ANTT lower / STP higher is better):\n%s",
-          title, table.str().c_str(), fair.str().c_str());
-}
-
-std::string irregular(const Protocol& p, const Results& r, unsigned) {
-  std::string out =
-      bench::header("Irregular-access mixes — six schemes on flat miss curves",
-                    "extension experiment (EXPERIMENTS.md, docs/workloads.md)");
-  const std::vector<std::string> names = p.irregular();
-  const std::size_t half = names.size() * sim::kAllSchemeKinds.size();
-  irregular_at(out, "16 tiles", names, Row(r).first(half));
-  irregular_at(out, "64 tiles", names, Row(r).subspan(half));
   out += "\n";
   return out;
 }
@@ -733,7 +674,7 @@ std::vector<KnobPoint> knob_points(const sim::MachineConfig& base) {
 }
 
 /// The shared S-NUCA baseline, then one DELTA run per knob point.
-std::vector<sim::SweepJob> ablation_jobs(const Protocol&) {
+std::vector<sim::SweepJob> ablation_jobs() {
   const sim::MachineConfig base = study16();
   const workload::Mix mix = sim::mix_for_config(base, "w6");
   std::vector<sim::SweepJob> jobs = {{base, mix, sim::SchemeKind::kSnuca, {}}};
@@ -742,7 +683,7 @@ std::vector<sim::SweepJob> ablation_jobs(const Protocol&) {
   return jobs;
 }
 
-std::string ablation(const Protocol&, const Results& r, unsigned) {
+std::string ablation(const Results& r, unsigned) {
   std::string out = bench::header("Ablation — DELTA parameter sensitivity (mix w6, 16 cores)",
                                   "DESIGN.md ablation index (not a paper figure)");
   const std::vector<KnobPoint> points = knob_points(study16());
@@ -767,7 +708,7 @@ std::string ablation(const Protocol&, const Results& r, unsigned) {
 // end-to-end DELTA performance with and without the reversal.
 
 /// S-NUCA, DELTA reversed (the base run), DELTA straight.
-std::vector<sim::SweepJob> cbt_jobs(const Protocol&) {
+std::vector<sim::SweepJob> cbt_jobs() {
   const sim::MachineConfig cfg = study16();
   sim::MachineConfig straight = cfg;
   straight.delta.reverse_chunk_bits = false;
@@ -792,7 +733,7 @@ double range_spread_cv(const workload::AppProfile& p, bool reverse) {
   return std::sqrt(var) / mean;
 }
 
-std::string cbt(const Protocol&, const Results& r, unsigned jobs) {
+std::string cbt(const Results& r, unsigned jobs) {
   std::string out = bench::header("Ablation — CBT bank-selection bit reversal",
                                   "Sec. II-C1 design-choice study (not a paper figure)");
   const std::vector<const char*> apps = {"mc", "om", "xa", "hm", "li", "Ge"};
@@ -826,7 +767,7 @@ std::string cbt(const Protocol&, const Results& r, unsigned jobs) {
 const std::vector<int> kOccupancies = {2, 4, 8, 16};
 
 /// S-NUCA, private and DELTA per occupancy, occupancy-major.
-std::vector<sim::SweepJob> underutilized_jobs(const Protocol&) {
+std::vector<sim::SweepJob> underutilized_jobs() {
   const sim::MachineConfig cfg = study16();
   // Occupied tiles run cache-hungry LM apps that can exploit spare banks.
   const std::vector<std::string> hungry = {"mc", "om", "so", "xa", "bz", "sp", "de", "gc"};
@@ -845,7 +786,7 @@ std::vector<sim::SweepJob> underutilized_jobs(const Protocol&) {
   return jobs;
 }
 
-std::string underutilized(const Protocol&, const Results& r, unsigned) {
+std::string underutilized(const Results& r, unsigned) {
   std::string out = bench::header("Extension — under-utilised chip (idle-bank fast path)",
                                   "Sec. II-B1 idle-bank discussion / Sec. IV-B private critique");
   TextTable table({"occupied", "snuca", "private", "delta", "delta ways/app"});
@@ -878,8 +819,8 @@ std::string underutilized(const Protocol&, const Results& r, unsigned) {
 /// their results (same order).  `jobs` is the --jobs thread count.
 struct Entry {
   const char* id;
-  std::vector<sim::SweepJob> (*jobs)(const Protocol&);
-  std::string (*render)(const Protocol&, const Results&, unsigned jobs);
+  std::vector<sim::SweepJob> (*jobs)();
+  std::string (*render)(const Results&, unsigned jobs);
 };
 
 constexpr Entry kEntries[] = {
@@ -896,7 +837,6 @@ constexpr Entry kEntries[] = {
     {"table6", no_jobs, table6},
     {"msg", msg_jobs, msg},
     {"shootout", shootout_jobs, shootout},
-    {"irregular", irregular_jobs, irregular},
     {"ablation", ablation_jobs, ablation},
     {"cbt", cbt_jobs, cbt},
     {"underutilized", underutilized_jobs, underutilized},
@@ -933,8 +873,7 @@ std::vector<const Entry*> select_entries(const bench::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Cli cli(argc, argv, {"fig", "quick"});
-  const Protocol protocol{cli.has_switch("quick")};
+  bench::Cli cli(argc, argv, {"fig"});
   const std::vector<const Entry*> entries = select_entries(cli);
 
   // Pool every entry's jobs; slots[e][i] is the distinct job behind entry
@@ -944,7 +883,7 @@ int main(int argc, char** argv) {
   std::size_t requested = 0;
   for (const Entry* e : entries) {
     std::vector<std::size_t>& slot = slots.emplace_back();
-    for (const sim::SweepJob& job : e->jobs(protocol)) {
+    for (const sim::SweepJob& job : e->jobs()) {
       const auto it = std::find(distinct.begin(), distinct.end(), job);
       slot.push_back(static_cast<std::size_t>(it - distinct.begin()));
       if (it == distinct.end()) distinct.push_back(job);
@@ -958,7 +897,7 @@ int main(int argc, char** argv) {
   for (std::size_t e = 0; e < entries.size(); ++e) {
     Results mine;
     for (const std::size_t i : slots[e]) mine.push_back(results[i]);
-    std::fputs(entries[e]->render(protocol, mine, cli.jobs()).c_str(), stdout);
+    std::fputs(entries[e]->render(mine, cli.jobs()).c_str(), stdout);
     std::fflush(stdout);
   }
   return cli.finish(0);

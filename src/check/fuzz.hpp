@@ -4,8 +4,8 @@
 // One 64-bit seed fully determines a fuzz case: the app mix (random SPEC
 // profiles with a chance of idle cores), the machine/DELTA parameter draw,
 // and the workload seed.  The case then runs under every scheme with the
-// InvariantChecker attached and the differential oracle across the four
-// results.  Because everything downstream of the seed is deterministic —
+// InvariantChecker attached and the differential oracle across the six
+// results (sim::kAllSchemeKinds).  Because everything downstream of the seed is deterministic —
 // Xoshiro/SplitMix RNG, json_num formatting — the per-case JSON summary is
 // byte-identical across repeat runs and across worker-thread counts, which
 // verify_determinism() exploits as an end-to-end reproducibility test.
@@ -47,7 +47,7 @@ struct FuzzCaseResult {
   /// Invariant + differential violations; detail is prefixed with the
   /// scheme the run belonged to.
   std::vector<Violation> violations;
-  /// Deterministic json_summary of the four scheme runs.
+  /// Deterministic json_summary of the six scheme runs.
   std::string json;
   /// Space-separated app list, for reproducing the drawn mix by eye.
   std::string mix_desc;
@@ -59,8 +59,8 @@ struct FuzzReport {
   bool ok() const { return failures == 0; }
 };
 
-/// Runs one fully seeded case: draw config + mix, run all four schemes
-/// with invariants on, cross-check, summarise.
+/// Runs one fully seeded case: draw config + mix, run all six schemes
+/// (sim::kAllSchemeKinds) with invariants on, cross-check, summarise.
 FuzzCaseResult run_fuzz_case(std::uint64_t seed, const FuzzOptions& opt);
 
 /// Runs opt.cases cases (seeds base_seed..base_seed+cases-1) over

@@ -7,16 +7,18 @@
 Runs `perfbench/run.py` once in each checkout per pair, --pairs times,
 alternating which side goes first so a drift in host load falls on both
 sides alike. Each run builds its own checkout (the first build is the slow
-one). Prints, per metric, each side's median and interquartile range, the
+one). After each pair it prints one line per metric, `pair N (SIDE first)
+METRIC: base B change C ratio C/B`, so every pair's values stay on record.
+Then it prints, per metric, each side's median and interquartile range, the
 median of the per-pair change/base ratios, in how many pairs the change
 was better, and then one `verdict METRIC: ...` line per metric on the gain
-rule: "gain" when the change won at
-least 9 in 10 pairs and its median beats the base median by more than the
-base IQR, "no gain" otherwise, and "unresolved" when the base IQR is wider,
-relative to the base median, than the metric's `bound` (then no gain or
-regression that size can be told from noise). Which direction is better,
-and each bound, come from the change checkout's BENCHMARK.json (lower, and
-no bound, when a metric is not listed there).
+rule: "gain" when the change won at least 9 in 10 pairs and its median
+beats the base median by more than the base IQR, "no gain" otherwise, and
+"unresolved" when the base IQR is wider, relative to the base median, than
+the metric's `bound` (then no gain or regression that size can be told
+from noise). Which direction is better, and each bound, come from the
+change checkout's BENCHMARK.json (lower, and no bound, when a metric is not
+listed there).
 
 --trace is passed through to run.py: 0 (the default) compares the
 end-to-end metrics, 1 the per-layer breakdown (policy_ms, access_work_ms,
@@ -117,6 +119,12 @@ def main() -> int:
                       f"{result.get('correct')} failed={result.get('failed')}",
                       file=sys.stderr)
             runs[side].append({k: m["value"] for k, m in result["metrics"].items()})
+        base, change = runs["base"][-1], runs["change"][-1]
+        for name in (k for k in base if k in change):
+            b, c = base[name], change[name]
+            ratio = f"{c / b:.3f}" if b != 0 else "n/a"
+            print(f"pair {i + 1} ({order[0]} first) {name}: base {b:.6g} "
+                  f"change {c:.6g} ratio {ratio}", flush=True)
         print(f"ab_pairs: pair {i + 1}/{args.pairs} done ({order[0]} first)",
               file=sys.stderr)
 

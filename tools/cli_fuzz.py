@@ -65,7 +65,7 @@ PROGRAMS = {
             "jobs": ("threads", None), "fig": ("text", ["table5"]),
             "prof-out": ("path", None), "metrics-out": ("path", None),
         },
-        "switches": ["quick"],
+        "switches": [],
     },
     "micro_throughput": {
         "path": "bench/micro_throughput",
@@ -142,7 +142,7 @@ def draw_case(rng, name):
     if fault == "unknown":
         argv.insert(rng.randrange(len(argv) + 1), rng.choice(UNKNOWN))
     elif fault == "repeated":
-        if rng.random() < 0.3:
+        if rng.random() < 0.3 and prog["switches"]:
             switch = rng.choice(prog["switches"])
             argv += ["--" + switch, "--" + switch]
         else:

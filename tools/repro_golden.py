@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""The reproduction's results gate: `repro --quick` against its golden report.
+"""The reproduction's results gate: the full `repro` report against its golden.
 
     python3 tools/repro_golden.py REPRO [--jobs N] [--update]
 
-Runs `REPRO --quick` (with `--jobs N` when given), drops the lines that are
-host timings (Table VI's measured-ms rows and the DELTA tick line) and
-compares the rest with tests/golden/repro-quick.txt byte for byte. Every
+Runs `REPRO` (with `--jobs N` when given), drops the lines that are host
+timings (Table VI's measured-ms rows and the DELTA tick line) and compares
+the rest with tests/golden/repro.txt byte for byte. Every
 simulation is deterministic and its output is the same at any --jobs, so
 any difference is a changed result: the script prints a unified diff and
 exits 1. --update rewrites the golden from this run instead; a change that
@@ -22,7 +22,7 @@ import subprocess
 import sys
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests",
-                      "golden", "repro-quick.txt")
+                      "golden", "repro.txt")
 
 # Table VI's "cores  lookahead(ms)  peekahead(ms)  la steps  pa steps" rows
 # and the "DELTA inter+intra tick ... ms per invocation" line.
@@ -42,7 +42,7 @@ def main() -> int:
                     help="rewrite the golden from this run instead of comparing")
     args = ap.parse_args()
 
-    command = [args.repro, "--quick"]
+    command = [args.repro]
     if args.jobs is not None:
         command += ["--jobs", str(args.jobs)]
     try:
@@ -73,7 +73,7 @@ def main() -> int:
         return 0
     sys.stdout.writelines(difflib.unified_diff(
         golden.splitlines(keepends=True), actual.splitlines(keepends=True),
-        "tests/golden/repro-quick.txt", " ".join(command)))
+        "tests/golden/repro.txt", " ".join(command)))
     print("repro_golden: results differ from the golden; if the change is meant, "
           "rerun with --update and say why in CHANGES.md", file=sys.stderr)
     return 1

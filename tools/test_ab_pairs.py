@@ -146,13 +146,26 @@ class AbPairsTest(unittest.TestCase):
     def test_verdict_needs_nine_in_ten_wins_and_a_gap_past_the_iqr(self):
         # Base IQR over 10 runs is [101, 103]: a change at 90-95 wins 10 of
         # 10 with its median 10 below the base's, past the 2-wide IQR.
-        base = self.series_checkout("base", [100, 104, 102, 101, 103] * 2)
-        change = self.series_checkout("change", [90, 95, 92, 91, 93] * 2)
+        base_series = [100, 104, 102, 101, 103] * 2
+        change_series = [90, 95, 92, 91, 93] * 2
+        base = self.series_checkout("base", base_series)
+        change = self.series_checkout("change", change_series)
         r = self.run_pairs(base, change, 10)
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertEqual(self.verdict(r.stdout, "run_ms"), "gain")
         # Equal rates win no pair.
         self.assertEqual(self.verdict(r.stdout, "accesses_per_s"), "no gain")
+        # Every pair's values are printed, in pair order, with the side that
+        # ran first and the change/base ratio.
+        pairs = [line for line in r.stdout.splitlines() if line.startswith("pair ")]
+        self.assertEqual(
+            [line for line in pairs if " run_ms: " in line],
+            [f"pair {i + 1} ({'base' if i % 2 == 0 else 'change'} first) run_ms: "
+             f"base {b} change {c} ratio {c / b:.3f}"
+             for i, (b, c) in enumerate(zip(base_series, change_series))])
+        self.assertIn("pair 2 (change first) accesses_per_s: base 1e+07 change 1e+07 "
+                      "ratio 1.000", pairs)
+        self.assertEqual(len(pairs), 20)
 
     def test_a_gap_inside_the_iqr_or_too_few_wins_is_no_gain(self):
         # Wins every pair but by 1 ms, inside the base's 2-wide IQR.

@@ -36,13 +36,14 @@ class BenchCliTest(unittest.TestCase):
         cases = [
             ("repro", ["--bogus"], "unknown flag --bogus"),
             ("repro", ["w2"], "unexpected argument 'w2'"),
-            ("repro", ["--quick", "--bogus"], "unknown flag --bogus"),
+            ("repro", ["--fig", "5", "--bogus"], "unknown flag --bogus"),
             ("repro", ["--out"], "unknown flag --out"),
             ("repro", ["--fig"], "--fig needs a value"),
             ("repro", ["--fig", "14"], "unknown --fig id '14'"),
             ("repro", ["--fig", "mt"], "unknown --fig id 'mt'"),
+            ("repro", ["--fig", "irregular"], "unknown --fig id 'irregular'"),
             ("repro", ["--fig", "5,,6"], "empty id in --fig '5,,6'"),
-            ("repro", ["--fig", "5", "--quick", "--out", "/no/such/dir/x"],
+            ("repro", ["--fig", "5", "--out", "/no/such/dir/x"],
              "unknown flag --out"),
             ("repro", ["--jobs", "abc"],
              "--jobs expects a non-negative integer, got 'abc'"),
@@ -56,8 +57,7 @@ class BenchCliTest(unittest.TestCase):
             ("micro_throughput", ["--out", "x"], "unknown flag --out"),
             ("micro_throughput", ["--reps"], "--reps needs a value"),
             ("repro", ["--fig", "5", "--fig", "6"], "--fig is given more than once"),
-            ("repro", ["--quick", "--quick"], "--quick is given more than once"),
-            ("repro", ["--quick", "x"], "--quick takes no value, got 'x'"),
+            ("repro", ["--quick"], "unknown flag --quick"),
         ]
         for name, args, message in cases:
             with self.subTest(bench=name, args=args):
@@ -72,22 +72,14 @@ class BenchCliTest(unittest.TestCase):
                     env_jobs=value)
 
     def test_repro_runs_shared_jobs_once(self):
-        # fig06 reads exactly fig05's runs: 6 quick mixes x 4 schemes each.
-        r = run_bench("repro", "--fig", "5,6", "--quick")
+        # fig07's four w2 runs and msg's three DELTA runs share w2 under
+        # DELTA on the 16-tile machine.
+        r = run_bench("repro", "--fig", "7,msg")
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertEqual(r.stderr.splitlines(),
-                         ["repro: 48 runs requested, 24 distinct"])
-        self.assertIn("Fig. 5 — 16-core multi-programmed mixes", r.stdout)
-        self.assertIn("Fig. 6 — ANTT / STP", r.stdout)
-
-    def test_quick_keeps_the_epochs_of_named_mix_entries(self):
-        # --quick narrows the mix lists only; cbt names its mix, so its
-        # report is the full protocol's byte for byte.
-        quick = run_bench("repro", "--quick", "--fig", "cbt")
-        full = run_bench("repro", "--fig", "cbt")
-        self.assertEqual(quick.returncode, 0, quick.stderr)
-        self.assertEqual(full.returncode, 0, full.stderr)
-        self.assertEqual(quick.stdout, full.stdout)
+                         ["repro: 7 runs requested, 6 distinct"])
+        self.assertIn("Fig. 7 — per-application performance, w2, 16 cores", r.stdout)
+        self.assertIn("Message overheads — DELTA control traffic vs demand", r.stdout)
 
     @unittest.skipUnless(os.path.exists("/dev/full"), "needs /dev/full")
     def test_failed_stdout_write_is_an_error(self):
@@ -117,7 +109,7 @@ class BenchCliTest(unittest.TestCase):
         # 24 ablation runs (one S-NUCA baseline + 23 knob points, five of
         # them the default DELTA run) and cbt's 3 (S-NUCA and DELTA on the
         # same base config, plus DELTA with straight CBT indexing).
-        r = run_bench("repro", "--fig", "ablation,cbt", "--quick")
+        r = run_bench("repro", "--fig", "ablation,cbt")
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertEqual(r.stderr.splitlines(),
                          ["repro: 27 runs requested, 21 distinct"])
